@@ -1,0 +1,8 @@
+"""Make ``repro`` importable when the benchmark's own tests run (``pytest perf``)."""
+
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
