@@ -26,7 +26,7 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
 
 # Observability overhead gate: fails if enabled-mode metrics cost more
-# than 15% on the report_batch hot path (writes benchmarks/BENCH_obs.json).
+# than 15% on the in-process put_many hot path (writes benchmarks/BENCH_obs.json).
 bench-obs:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_obs_overhead.py -q
 
@@ -54,10 +54,11 @@ bench-obs-trace:
 bench-control:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_control_failover.py -q
 
-# Columnar datapath gate: whole-batch frames through switch, fabric, NIC
-# and region must hold >= 10x over the per-frame packet path, and the
-# in-process slot-batch row must stay within 5% of its recorded speedup
-# (writes benchmarks/BENCH_fabric.json).
+# Columnar datapath gate: packet-level put_many (whole-batch frames
+# through switch, fabric, NIC and region) must hold >= 10x over per-frame
+# packet put, and in-process put_many (the "report_batch" row, now one
+# columnar region scatter per collector) must stay within 5% of its
+# recorded speedup over per-report put (writes benchmarks/BENCH_fabric.json).
 bench-fabric-columnar:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_fabric_columnar.py -q
 

@@ -18,7 +18,7 @@ from repro.core.config import DartConfig
 from repro.core.simulator import SimulationSpec, simulate
 from repro.collector.store import DartStore
 from repro.experiments.reporting import print_experiment
-from repro.fabric import BufferedFabric, InlineFabric
+from repro.fabric import InlineFabric
 from repro.rdma.packets import Bth, Opcode, Reth, RoceV2Packet
 
 #: Where the fabric delivery comparison records its rows.
@@ -90,16 +90,16 @@ def _time_best_of(func, repeats=3):
 def fabric_delivery_rows(reports: int = 4_000) -> list:
     """Per-report vs batched delivery, in-process and packet-level.
 
-    Five modes over the identical workload:
+    Four modes over the identical workload -- the scalar and the columnar
+    granularity of each store flavour:
 
-    - ``per_report``       -- ``put`` per report (scalar addressing,
-      one key fold per hash-family member);
-    - ``report_batch``     -- ``put_many`` (one fold per report, grouped
-      multi-slot region writes);
-    - ``packet_inline``    -- full RoCEv2 path, one ``fabric.send`` per
-      frame through an :class:`InlineFabric`;
-    - ``packet_buffered``  -- full RoCEv2 path, frames queued in a
-      :class:`BufferedFabric` and drained through the NICs' bulk ingest;
+    - ``per_report``       -- in-process ``put`` per report (scalar
+      addressing, one key fold per hash-family member);
+    - ``report_batch``     -- in-process ``put_many`` (one columnar
+      :class:`~repro.core.batch.ReportBatch`, one region scatter per
+      collector);
+    - ``packet_inline``    -- full RoCEv2 path, ``put`` per report: one
+      ``fabric.send`` per frame through an :class:`InlineFabric`;
     - ``packet_columnar``  -- full RoCEv2 path as one columnar
       :class:`~repro.rdma.FrameBatch` per ``put_many`` (the batch
       datapath: vectorised encode, iCRC, validation and region scatter).
@@ -123,26 +123,15 @@ def fabric_delivery_rows(reports: int = 4_000) -> list:
         for key, value in items:
             store.put(key, value)
 
-    def packet_buffered():
-        DartStore(
-            config,
-            packet_level=True,
-            fabric=BufferedFabric(flush_threshold=256),
-        ).put_many(items)
-
     def packet_columnar():
         DartStore(
-            config,
-            packet_level=True,
-            fabric=InlineFabric(),
-            columnar=True,
+            config, packet_level=True, fabric=InlineFabric()
         ).put_many(items)
 
     modes = [
         ("per_report", per_report),
         ("report_batch", report_batch),
         ("packet_inline", packet_inline),
-        ("packet_buffered", packet_buffered),
         ("packet_columnar", packet_columnar),
     ]
     timings = {name: _time_best_of(func) for name, func in modes}
@@ -172,8 +161,6 @@ def test_fabric_delivery_comparison(run_once, full_scale):
     # The tentpole acceptance bar: batching amortises key folds and slot
     # writes into >= 1.5x over the scalar path.
     assert by_mode["report_batch"]["speedup"] >= 1.5
-    # The packet path also gains from buffered + bulk-ingest delivery.
-    assert by_mode["packet_buffered"]["speedup"] >= 1.0
     FABRIC_ARTIFACT.write_text(json.dumps(rows, indent=2) + "\n")
 
 

@@ -5,9 +5,9 @@ Two regression bars over the shared fabric-delivery comparison:
 - the columnar packet path (``packet_columnar``) must hold its headline
   win: >= 10x the scalar per-frame packet path (``packet_inline``)
   measured in the same run;
-- the in-process slot-batch row (``report_batch``) must not regress by
-  more than 5% relative to its recorded speedup -- the columnar datapath
-  rides alongside the existing batch machinery and must not tax it.
+- the in-process batch row (``report_batch``: ``put_many`` as one
+  columnar region scatter per collector) must not regress by more than
+  5% relative to its recorded speedup over per-report ``put``.
 
 The run's rows replace ``benchmarks/BENCH_fabric.json``, so the artifact
 always reflects the gated measurement.

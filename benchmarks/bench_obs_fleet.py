@@ -73,7 +73,7 @@ def export_overhead_rows(reports: int = 8_000) -> list:
             previous_registry = obs.set_registry(registry)
             previous_journal = obs.set_journal(journal)
             try:
-                store = DartStore(config, packet_level=True, columnar=True)
+                store = DartStore(config, packet_level=True)
                 scraper = obs.MetricsScraper(registry, interval=SCRAPE_EVERY)
                 if exporting:
                     obs.SelfTelemetryExporter(registry, journal).attach(
@@ -138,7 +138,6 @@ def test_export_actually_exported():
         store = DartStore(
             DartConfig(slots_per_collector=1 << 12),
             packet_level=True,
-            columnar=True,
         )
         scraper = obs.MetricsScraper(registry, interval=SCRAPE_EVERY)
         exporter = obs.SelfTelemetryExporter(registry, journal).attach(

@@ -8,7 +8,7 @@ The ``repro.obs`` layer promises two numbers (recorded to
   one no-op method call -- this mode is the baseline by construction;
 - *enabled*: full counting (batch counter increments, gated stage timing,
   slot-overwrite detection) must stay within 15% of the disabled baseline
-  on the ``report_batch`` hot path, the bar ``make bench-obs`` enforces.
+  on the in-process ``put_many`` hot path, the bar ``make bench-obs`` enforces.
 """
 
 import json
@@ -23,7 +23,7 @@ from repro.experiments.reporting import print_experiment
 #: Where the overhead comparison records its rows.
 OBS_ARTIFACT = pathlib.Path(__file__).parent / "BENCH_obs.json"
 
-#: The acceptance bar: enabled-mode overhead on report_batch.
+#: The acceptance bar: enabled-mode overhead on in-process put_many.
 MAX_ENABLED_OVERHEAD = 0.15
 
 
@@ -78,7 +78,7 @@ def obs_overhead_rows(reports: int = 4_000) -> list:
 
 
 def test_obs_overhead(run_once, full_scale):
-    """Enabled-mode overhead on report_batch must stay within 15%."""
+    """Enabled-mode overhead on in-process put_many must stay within 15%."""
     reports = 20_000 if full_scale else 4_000
     rows = run_once(obs_overhead_rows, reports=reports)
     print_experiment("Observability overhead: disabled vs enabled", rows)

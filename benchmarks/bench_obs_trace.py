@@ -59,7 +59,7 @@ def trace_overhead_rows(reports: int = 4_000) -> list:
         def run():
             previous = obs.set_tracer(tracer)
             try:
-                store = DartStore(config, packet_level=True, columnar=True)
+                store = DartStore(config, packet_level=True)
                 store.put_many(items)
             finally:
                 obs.set_tracer(previous)
@@ -107,7 +107,6 @@ def test_unsampled_batches_stay_columnar():
         store = DartStore(
             DartConfig(slots_per_collector=1 << 10),
             packet_level=True,
-            columnar=True,
         )
         store.put_many(
             [(("flow", i), i.to_bytes(20, "big")) for i in range(64)]

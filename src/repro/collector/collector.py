@@ -14,7 +14,7 @@ and exposes the endpoint table the control plane loads into switches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro import obs
 from repro.core.config import DartConfig
@@ -190,14 +190,9 @@ class Collector:
             return False
         return self.nic.receive_frame(frame)
 
-    def ingest_many(self, frames: Iterable[bytes]) -> int:
-        """Batched frame delivery (fabric flushes); returns executed count.
-
-        A dead host executes nothing (the batch is lost on the floor).
-        """
-        if not self.alive:
-            return 0
-        return self.nic.ingest_many(frames)
+    def ingest_many(self, frames) -> int:
+        """Looped :meth:`receive_frame`; kept only as a `perf/` trace boundary."""
+        return sum(self.receive_frame(frame) for frame in frames)
 
     def ingest_batch(self, batch) -> int:
         """Columnar frame delivery (``Fabric.send_batch``); executed count.
@@ -250,31 +245,6 @@ class Collector:
                 f"[0, {self.config.slots_per_collector})"
             )
         self.region.write_offset(slot_index * self.config.slot_bytes, payload)
-
-    def write_slots(self, items: Iterable[Tuple[int, bytes]]) -> int:
-        """Multi-slot fast path: ``(slot_index, payload)`` pairs in one call.
-
-        Validation matches :meth:`write_slot` per item, but the region is
-        written through its batched interface so per-write overhead is
-        paid once per batch.  Returns the number of slots written.
-        """
-        slot_bytes = self.config.slot_bytes
-        slot_count = self.config.slots_per_collector
-
-        def offsets():
-            for slot_index, payload in items:
-                if len(payload) != slot_bytes:
-                    raise ValueError(
-                        f"payload of {len(payload)} bytes does not match "
-                        f"slot size {slot_bytes}"
-                    )
-                if not 0 <= slot_index < slot_count:
-                    raise ValueError(
-                        f"slot_index {slot_index} outside [0, {slot_count})"
-                    )
-                yield slot_index * slot_bytes, payload
-
-        return self.region.write_offset_many(offsets())
 
     def clear(self) -> None:
         """Zero the region (start a fresh epoch)."""
@@ -446,25 +416,6 @@ class CollectorCluster:
         for role in range(len(self._role_map)):
             fabric.attach(role, self.node_for(role))
         return fabric
-
-    def write_slots(self, writes) -> int:
-        """Fleet-level multi-slot write path for reporter batches.
-
-        ``writes`` is an iterable of :class:`~repro.core.reporter.SlotWrite`
-        (anything with ``collector_id`` / ``slot_index`` / ``payload``);
-        writes are grouped per collector and applied through each
-        collector's batched interface.  Returns the number of slots
-        written.
-        """
-        grouped: Dict[int, List[Tuple[int, bytes]]] = {}
-        for write in writes:
-            grouped.setdefault(write.collector_id, []).append(
-                (write.slot_index, write.payload)
-            )
-        return sum(
-            self.node_for(role).write_slots(items)
-            for role, items in grouped.items()
-        )
 
     def read_slot(self, collector_id: int, slot_index: int) -> bytes:
         """Fleet-wide slot reader (plugs into a query client).

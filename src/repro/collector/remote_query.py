@@ -18,13 +18,13 @@ fan-out is small.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro import obs
 from repro.core.addressing import DartAddressing
 from repro.obs.metrics import LATENCY_BUCKETS
 from repro.core.config import DartConfig
-from repro.core.policies import QueryResult, ReturnPolicy, resolve
+from repro.core.policies import QueryResult, ReturnPolicy, fold_slots
 from repro.collector.collector import CollectorCluster
 from repro.fabric.fabric import Fabric, InlineFabric
 from repro.hashing.hash_family import Key
@@ -227,21 +227,18 @@ class RemoteQueryClient:
         timed = self._h_query_seconds.enabled
         if timed:
             started = perf_counter()
-        collector_id = self.addressing.collector_of(key)
-        expected_checksum = self.addressing.checksum_of(key)
-        matching: List[bytes] = []
-        slots_read = 0
-        for n in range(self.config.redundancy):
-            slot_index = self.addressing.slot_index(key, n)
-            raw = self._read_slot_remote(collector_id, slot_index)
-            if raw is None:
-                continue  # lost READ: treated like an overwritten slot
-            slots_read += 1
-            stored_checksum, value = self._codec.decode(raw)
-            if stored_checksum == expected_checksum:
-                matching.append(value)
+        addressing = self.addressing
+        collector_id = addressing.collector_of(key)
+        reads = (
+            self._read_slot_remote(collector_id, addressing.slot_index(key, n))
+            for n in range(self.config.redundancy)
+        )
+        # A lost READ is treated like an overwritten slot.
+        raws = [raw for raw in reads if raw is not None]
         self.c_queries.inc()
-        result = resolve(matching, policy, slots_read=slots_read)
+        result = fold_slots(
+            self._codec, raws, addressing.checksum_of(key), policy
+        )
         total, answered = self._counters_for(policy)
         total.inc()
         if result.answered:

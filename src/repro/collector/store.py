@@ -6,18 +6,25 @@ them back.  Internally it wires a :class:`~repro.core.reporter.DartReporter`
 (the switch-side logic) to a :class:`~repro.collector.collector.CollectorCluster`
 and a :class:`~repro.core.client.DartQueryClient` (the operator-side logic).
 
-Writes use the in-process fast path (direct slot writes) by default; pass
+Writes use the in-process path (direct slot writes) by default; pass
 ``packet_level=True`` to route every write through a real switch model,
-RoCEv2 wire encoding and the NIC -- byte-identical results, 1000x slower,
-used by integration tests and the prototype benchmarks.
+RoCEv2 wire encoding and the NIC -- byte-identical results.  Either way
+the call shape picks the granularity: ``put`` is the scalar per-event
+path, ``put_many`` the columnar batch path (one resolved
+:class:`~repro.core.batch.ReportBatch` per call).  Per report, a
+packet-level batch costs about 1.5x an in-process one and packet-level
+``put`` about 30x a packet-level batch (``benchmarks/BENCH_fabric.json``).
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro import obs
+from repro.core.batch import ReportBatch
 from repro.core.client import DartQueryClient
 from repro.obs.metrics import LATENCY_BUCKETS
 from repro.core.config import DartConfig
@@ -46,12 +53,6 @@ class DartStore:
         Pass a :class:`~repro.fabric.BufferedFabric` for batched delivery
         (remember to :meth:`~repro.fabric.Fabric.flush` before querying) or
         an :class:`~repro.fabric.ImpairedFabric` for loss scenarios.
-    columnar:
-        Use the columnar batch datapath for :meth:`put_many` in
-        packet-level mode: each batch of reports travels the whole
-        switch -> fabric -> NIC -> memory pipeline as one pooled frame
-        matrix instead of per-frame Python objects.  Byte-identical store
-        state, an order of magnitude faster; requires ``packet_level``.
 
     Examples
     --------
@@ -68,18 +69,11 @@ class DartStore:
         policy: ReturnPolicy = ReturnPolicy.PLURALITY,
         packet_level: bool = False,
         fabric: Optional[Fabric] = None,
-        columnar: bool = False,
     ) -> None:
         if fabric is not None and not packet_level:
             raise ValueError(
                 "a fabric only carries RoCEv2 frames; pass packet_level=True"
             )
-        if columnar and not packet_level:
-            raise ValueError(
-                "columnar batching applies to the packet path; "
-                "pass packet_level=True"
-            )
-        self.columnar = columnar
         self.config = config
         self.cluster = CollectorCluster(config)
         self.reporter = DartReporter(config)
@@ -101,6 +95,7 @@ class DartStore:
                 self._switch, self.cluster.endpoints()
             )
         registry = obs.get_registry()
+        self._tracer = obs.get_tracer()
         self._profiler = obs.get_profiler()
         labels = registry.instance_labels("DartStore")
         #: Telemetry reports stored through this facade.
@@ -162,13 +157,14 @@ class DartStore:
         return len(writes)
 
     def put_many(self, items: Iterable[Tuple[Key, bytes]]) -> int:
-        """Batched puts: the amortised hot path for report streams.
+        """Batched puts: the columnar hot path for report streams.
 
-        In-process mode expands all reports through
-        :meth:`~repro.core.reporter.DartReporter.report_batch` (one key
-        fold per report instead of one per hash) and applies them through
-        the cluster's grouped multi-slot writes.  Packet-level mode emits
-        every report's frames into the fabric and flushes once at the end.
+        The whole batch resolves into one
+        :class:`~repro.core.batch.ReportBatch` (one key fold per report).
+        Packet-level mode encodes it as one frame matrix, emits it through
+        ``send_batch`` and flushes once; in-process mode scatters it into
+        each collector's region with one columnar write.  Store state and
+        write/overwrite counters equal looped :meth:`put` (tested).
         Returns the number of slot copies written (frames offered in
         packet-level mode).
         """
@@ -176,30 +172,58 @@ class DartStore:
         timed = self._h_put_many_seconds.enabled or profiler.enabled
         if timed:
             started = perf_counter()
-        if self._switch is not None:
-            switch = self._switch
-            if self.columnar:
-                items = list(items)
-                offered = switch.report_batch_into(items)
-                count = len(items)
-            else:
-                offered = 0
-                count = 0
-                for key, value in items:
-                    offered += switch.report_into(key, value)
-                    count += 1
-            self.c_puts.inc(count)
-            self.fabric.flush()
-            if timed:
-                self._finish_put_many(started)
-            return offered
         items = list(items)
-        self.c_puts.inc(len(items))
-        writes = self.reporter.report_batch(items)
-        written = self.cluster.write_slots(writes)
+        tracer = self._tracer
+        if self._switch is not None:
+            self.c_puts.inc(len(items))
+            written = self._switch.report_batch_into(items)
+            self.fabric.flush()
+        elif tracer.enabled and tracer.granularity != "batch":
+            # Per-report spans come from the scalar path, exactly as
+            # report_batch_into falls back to report_into.
+            written = sum(self.put(key, value) for key, value in items)
+        else:
+            self.c_puts.inc(len(items))
+            written = self._put_columnar(items)
         if timed:
             self._finish_put_many(started)
         return written
+
+    def _put_columnar(self, items: List[Tuple[Key, bytes]]) -> int:
+        """In-process batch write: one columnar scatter per collector."""
+        reporter = self.reporter
+        batch = ReportBatch.from_items(reporter.addressing, items)
+        count = batch.count
+        if count == 0:
+            return 0
+        redundancy = reporter.redundancy
+        # Rows are report-major (copies 0..N-1 of report 0, then report
+        # 1, ...): the order looped put writes them, so last-wins and
+        # overwrite accounting on repeated or colliding slots agree.
+        collectors = np.repeat(batch.collector_ids, redundancy)
+        offsets = batch.slot_indexes[:redundancy].T.reshape(-1).astype(
+            np.int64
+        ) * self.config.slot_bytes
+        for role in np.unique(batch.collector_ids).tolist():
+            rows = np.flatnonzero(collectors == role)
+            self.cluster[role].region.write_offset_columnar(
+                offsets[rows], batch.payloads[rows // redundancy]
+            )
+        reporter.c_reports.inc(count)
+        reporter.c_writes.inc(count * redundancy)
+        tracer = self._tracer
+        if tracer.enabled:
+            # Batch granularity: one span on the caller's trace or its own.
+            active = tracer.active_trace_id
+            trace_id = (
+                tracer.begin("put_many", key=f"rows={count}")
+                if active is None
+                else active
+            )
+            tracer.span(trace_id, "store.put_many", f"rows={count} copies={redundancy}")
+            if active is None:
+                tracer.end(trace_id)
+        return count * redundancy
 
     def _finish_put_many(self, started: float) -> None:
         """Record put_many timing into the histogram and stage profiler."""

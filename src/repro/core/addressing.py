@@ -97,10 +97,9 @@ class DartAddressing:
     def resolve(self, key: Key) -> ResolvedKey:
         """Resolve collector, checksum and all N slots with one key fold.
 
-        The amortised core of :meth:`DartReporter.report_batch
-        <repro.core.reporter.DartReporter.report_batch>`: the scalar
-        methods each re-encode and re-fold the key, so a full report costs
-        N+2 folds; this costs exactly one.
+        The per-key form of :meth:`resolve_folded` (which the columnar
+        batch path uses): the scalar methods each re-encode and re-fold
+        the key, so a full report costs N+2 folds; this costs exactly one.
         """
         folded = fold_key(key)
         family = self._family

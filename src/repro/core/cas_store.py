@@ -12,6 +12,9 @@ pointers).  The class below runs the real packet path: copy 0 is an
 RDMA WRITE, copy 1 an RDMA CMP_SWAP with compare=0, both crafted as
 RoCEv2 frames and executed by the NIC model.  The statistical twin for
 arbitrary slot sizes is :func:`repro.core.simulator.simulate_cas_strategy`.
+
+Kept on purpose: backs the WRITE+CAS ablation in EXPERIMENTS.md
+(``bench_ablation_cas.py``).
 """
 
 from __future__ import annotations
@@ -152,7 +155,7 @@ class CasDartStore:
         self.c_puts.inc()
 
     def put_many(self, items: Iterable[Tuple[Key, int]]) -> int:
-        """Batched puts: craft all frames, then one fabric pass + flush.
+        """Batched puts: looped :meth:`put`, then one flush.
 
         Frame order is preserved per link, so each key's WRITE lands before
         its CAS -- the ordering the strategy depends on.  Returns the
@@ -161,17 +164,14 @@ class CasDartStore:
         timed = self._h_put_many_seconds.enabled
         if timed:
             started = perf_counter()
-        frames = []
         count = 0
         for key, value in items:
-            frames.extend(self._craft_put_frames(key, value))
+            self.put(key, value)
             count += 1
-        self.fabric.send_many(CAS_ENDPOINT_ID, frames)
         self.fabric.flush()
-        self.c_puts.inc(count)
         if timed:
             self._h_put_many_seconds.observe(perf_counter() - started)
-        return len(frames)
+        return 2 * count
 
     def _craft_put_frames(self, key: Key, value: int) -> Tuple[bytes, bytes]:
         """The (WRITE, CMP_SWAP) wire frames for one put."""

@@ -16,13 +16,13 @@ packet-level collector model and historical epoch archives.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro import obs
 from repro.core.addressing import DartAddressing
 from repro.obs.metrics import LATENCY_BUCKETS
 from repro.core.config import DartConfig
-from repro.core.policies import QueryResult, ReturnPolicy, resolve
+from repro.core.policies import QueryResult, ReturnPolicy, fold_slots
 from repro.hashing.hash_family import Key
 
 #: Reads one slot: (collector_id, slot_index) -> raw slot bytes.
@@ -103,21 +103,16 @@ class DartQueryClient:
         timed = self._h_query_seconds.enabled or profiler.enabled
         if timed:
             started = perf_counter()
-        collector = self.addressing.collector_of(key)
-        expected_checksum = self.addressing.checksum_of(key)
-
-        matching: List[bytes] = []
-        slots_read = 0
-        for n in range(self.config.redundancy):
-            slot_index = self.addressing.slot_index(key, n)
-            raw = self._reader(collector, slot_index)
-            slots_read += 1
-            stored_checksum, value = self._codec.decode(raw)
-            if stored_checksum == expected_checksum:
-                matching.append(value)
-
+        addressing = self.addressing
+        collector = addressing.collector_of(key)
+        raws = [
+            self._reader(collector, addressing.slot_index(key, n))
+            for n in range(self.config.redundancy)
+        ]
         self.c_queries.inc()
-        result = resolve(matching, policy, slots_read=slots_read)
+        result = fold_slots(
+            self._codec, raws, addressing.checksum_of(key), policy
+        )
         total, answered = self._counters_for(policy)
         total.inc()
         if result.answered:

@@ -24,6 +24,9 @@ checks, not by the vote).
 Both variants cost nothing at the switch beyond selecting a hash index,
 and nothing in slot space.  The ablation benchmark measures their error
 rates against the baseline at adversarially small checksums.
+
+Kept on purpose: backs the coding-theory hardening ablation in
+EXPERIMENTS.md (``bench_ablation_coding.py``).
 """
 
 from __future__ import annotations

@@ -15,6 +15,9 @@ Reports written under different N values remain queryable because queries
 always read ``config.redundancy`` (the maximum) slots: writing fewer
 copies only leaves stale data in the unwritten slots, which checksums
 filter exactly like any other overwrite.
+
+Kept on purpose: backs the Dynamic-N ablation in EXPERIMENTS.md
+(``bench_ablation_dynamic_n.py``).
 """
 
 from __future__ import annotations

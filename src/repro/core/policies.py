@@ -114,3 +114,26 @@ def resolve(
         return base
 
     raise ValueError(f"unknown return policy: {policy!r}")
+
+
+def fold_slots(
+    codec,
+    raws: Sequence[bytes],
+    checksum: int,
+    policy: ReturnPolicy,
+) -> QueryResult:
+    """Steps 3-4 of a DART query: checksum-filter raw slots, then resolve.
+
+    ``raws`` are the raw bytes of the key's slots in copy order (callers
+    drop lost READs before calling), ``codec`` the deployment's
+    :class:`~repro.mem.slots.SlotCodec` and ``checksum`` the queried
+    key's.  The one fold behind the local client, the one-sided remote
+    client and the query front end, so their answers cannot drift apart.
+    """
+    decode = codec.decode
+    matching: List[bytes] = []
+    for raw in raws:
+        stored_checksum, value = decode(raw)
+        if stored_checksum == checksum:
+            matching.append(value)
+    return resolve(matching, policy, slots_read=len(raws))

@@ -11,12 +11,10 @@ apply them directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from repro import obs
 from repro.core.addressing import DartAddressing
-from repro.obs.metrics import DEPTH_BUCKETS, LATENCY_BUCKETS
 from repro.core.config import DartConfig
 from repro.hashing.hash_family import Key
 
@@ -70,17 +68,6 @@ class DartReporter:
         self.c_reports = registry.counter("reporter_reports", labels=labels)
         #: Redundant slot writes generated.
         self.c_writes = registry.counter("reporter_writes", labels=labels)
-        self._h_batch_reports = registry.histogram(
-            "reporter_batch_reports",
-            DEPTH_BUCKETS,
-            help="reports per report_batch call",
-        )
-        self._h_batch_seconds = registry.histogram(
-            "stage_seconds",
-            LATENCY_BUCKETS,
-            labels={"stage": "report_batch"},
-            help="wall-clock seconds per report_batch call",
-        )
 
     @property
     def reports_generated(self) -> int:
@@ -131,76 +118,6 @@ class DartReporter:
             tracer.end(trace_id)
         return writes
 
-    def report_batch(
-        self, items: Iterable[Tuple[Key, bytes]]
-    ) -> List[SlotWrite]:
-        """Expand many ``(key, value)`` reports in one amortised pass.
-
-        Produces exactly the writes that per-report :meth:`writes_for`
-        calls would (same order, bit-identical payloads -- tested), but
-        resolves each key's collector, checksum and slot indexes from a
-        single key fold instead of re-hashing the key for every family
-        member, and hoists the per-report attribute lookups out of the
-        loop.  This is the switch-side half of the batched datapath; pair
-        it with :meth:`CollectorCluster.write_slots
-        <repro.collector.collector.CollectorCluster.write_slots>` or a
-        :class:`~repro.fabric.BufferedFabric` flush on the delivery side.
-        """
-        resolve = self.addressing.resolve
-        encode = self._codec.encode
-        redundancy = self.redundancy
-        tracer = self._tracer
-        # Batch granularity records one trace for the whole expansion
-        # below instead of one per report.
-        trace = tracer.enabled and tracer.granularity != "batch"
-        timed = self._h_batch_seconds.enabled
-        if timed:
-            started = perf_counter()
-        writes: List[SlotWrite] = []
-        append = writes.append
-        reports = 0
-        for key, value in items:
-            resolved = resolve(key)
-            payload = encode(resolved.checksum, value)
-            collector_id = resolved.collector_id
-            slot_indexes = resolved.slot_indexes
-            for n in range(redundancy):
-                append(
-                    SlotWrite(
-                        collector_id=collector_id,
-                        slot_index=slot_indexes[n],
-                        copy_index=n,
-                        payload=payload,
-                    )
-                )
-            reports += 1
-            if trace:
-                trace_id = tracer.begin("report", key=repr(key))
-                tracer.span(
-                    trace_id, "reporter.report_batch", f"copies={redundancy}"
-                )
-                tracer.end(trace_id)
-        if tracer.enabled and not trace and reports:
-            active = tracer.active_trace_id
-            trace_id = (
-                tracer.begin("report_batch", key=f"reports={reports}")
-                if active is None
-                else active
-            )
-            tracer.span(
-                trace_id,
-                "reporter.report_batch",
-                f"reports={reports} copies={redundancy}",
-            )
-            if active is None:
-                tracer.end(trace_id)
-        self.c_reports.inc(reports)
-        self.c_writes.inc(len(writes))
-        if timed:
-            self._h_batch_seconds.observe(perf_counter() - started)
-            self._h_batch_reports.observe(reports)
-        return writes
-
     def write_for_copy(self, key: Key, value: bytes, copy_index: int) -> SlotWrite:
         """A single copy's write -- what one switch-crafted packet carries.
 
@@ -230,16 +147,3 @@ class DartReporter:
             raise ValueError("overhead_per_packet must be non-negative")
         return self.redundancy * (self.config.slot_bytes + overhead_per_packet)
 
-
-def apply_writes(writes: Sequence[SlotWrite], regions, codec=None) -> None:
-    """Apply slot writes directly to a list of memory regions.
-
-    ``regions[collector_id]`` must be a :class:`~repro.mem.region.MemoryRegion`.
-    This is the in-process fast path used by stores and tests; the packet
-    path goes through the switch and NIC models instead.
-    """
-    for write in writes:
-        region = regions[write.collector_id]
-        region.write_offset(
-            write.slot_index * len(write.payload), write.payload
-        )

@@ -20,6 +20,9 @@ This experiment works those details out and measures the trade:
 The crossover: continuous wins for freshly written keys at light epoch
 loads; rotate+archive wins for everything older than ~one epoch, because
 archived survival (intra-epoch aging only) beats unbounded decay.
+
+Kept on purpose: backs the section-5.2.1 epoch-persistence exhibit in
+EXPERIMENTS.md (``bench_epoch_strategies.py``).
 """
 
 from __future__ import annotations

@@ -15,8 +15,9 @@ collector fleets) stay transport-agnostic:
   reordering, exercising the RNIC's PSN and drop logic with real frames.
 
 This seam is what later scaling work (sharded collector fleets, async or
-multiprocess delivery backends) plugs into: a new transport implements the
-same three methods and every existing layer picks it up unchanged.
+multiprocess delivery backends) plugs into: a new transport implements
+``send`` (one frame), ``send_batch`` (one columnar batch) and ``poll``
+(the response leg), and every existing layer picks it up unchanged.
 """
 
 from repro.fabric.fabric import (

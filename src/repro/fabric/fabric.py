@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from time import perf_counter
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional
 
 from repro import obs
 from repro.obs.metrics import DEPTH_BUCKETS, LATENCY_BUCKETS, SIZE_BUCKETS
@@ -39,7 +39,12 @@ except ImportError:  # pragma: no cover
 
 @runtime_checkable
 class FabricPort(Protocol):
-    """What a fabric endpoint must implement: ingest frames, emit responses."""
+    """What a fabric endpoint must implement: ingest frames, emit responses.
+
+    A port may also offer ``ingest_batch(batch) -> int`` to take a whole
+    :class:`~repro.rdma.frames.FrameBatch` in one call; ports without it
+    receive a batch's rows through :meth:`receive_frame` in order.
+    """
 
     def receive_frame(self, frame: bytes) -> bool:
         """Ingest one wire frame; returns whether it was executed."""
@@ -164,10 +169,12 @@ class FabricCounters:
 class Fabric:
     """Base transport: endpoint registry plus the delivery protocol.
 
-    Subclasses implement :meth:`send`; the base class provides endpoint
-    bookkeeping, batched :meth:`send_many`, the response-path :meth:`poll`
-    that the one-sided READ flow uses, and the shared observability
-    plumbing (registry counters, frame-size histogram, tracer spans).
+    Subclasses implement :meth:`send` (one frame) and may override
+    :meth:`send_batch` (one columnar batch); the base class provides
+    endpoint bookkeeping, the reference :meth:`send_batch`, the
+    response-path :meth:`poll` that the one-sided READ flow uses, and the
+    shared observability plumbing (registry counters, frame-size
+    histogram, tracer spans).
     """
 
     def __init__(self) -> None:
@@ -251,23 +258,10 @@ class Fabric:
         """
         raise NotImplementedError
 
-    def send_many(
-        self, endpoint_id: int, frames: Iterable[bytes]
-    ) -> Optional[int]:
-        """Offer a batch of frames to one endpoint.
-
-        Returns the number executed for synchronous transports, or None
-        when delivery is deferred.  The default implementation loops over
-        :meth:`send`; transports with a cheaper bulk path override it.
-        """
-        executed: Optional[int] = 0
+    def send_many(self, endpoint_id: int, frames) -> None:
+        """Looped :meth:`send`; kept only as a `perf/` trace boundary."""
         for frame in frames:
-            result = self.send(endpoint_id, frame)
-            if result is None:
-                executed = None
-            elif executed is not None and result:
-                executed += 1
-        return executed
+            self.send(endpoint_id, frame)
 
     def send_batch(self, batch: FrameBatch) -> Optional[int]:
         """Offer a whole columnar frame batch; takes ownership of ``batch``.
@@ -363,44 +357,14 @@ class Fabric:
             )
         return executed
 
-    def _deliver_many(self, endpoint_id: int, frames: List[bytes]) -> int:
-        """Bulk-hand frames to the endpoint, via its batched path if any."""
-        port = self.port(endpoint_id)
-        tracer = self._tracer
-        if tracer.enabled:
-            for frame in frames:
-                tracer.frame_span(
-                    frame, "fabric.deliver", f"{type(self).__name__}:batched"
-                )
-        profiler = self._profiler
-        if profiler.enabled:
-            started = profiler.now()
-        ingest_many = getattr(port, "ingest_many", None)
-        if ingest_many is not None:
-            executed = ingest_many(frames)
-        else:
-            executed = sum(1 for frame in frames if port.receive_frame(frame))
-        if profiler.enabled:
-            profiler.record("fabric.deliver", started, profiler.now())
-        if tracer.enabled:
-            # The deliver spans above were recorded pre-ingest (the bulk
-            # path has no per-frame result); the journey still ends here,
-            # so release the bindings span-lessly.
-            for frame in frames:
-                tracer.release_frame(frame)
-        counters = self.counters
-        counters.c_delivered.inc(len(frames))
-        counters.c_executed.inc(executed)
-        counters.c_rejected.inc(len(frames) - executed)
-        return executed
-
     def _deliver_batch(self, endpoint_id: int, batch: FrameBatch) -> int:
         """Hand a single-endpoint frame batch to its port, counters exact.
 
         Borrows ``batch`` (the caller keeps ownership).  Ports exposing
         ``ingest_batch`` get the whole matrix in one call; others receive
-        row bytes in order.  With per-frame tracing enabled the frames are
-        materialised so every span survives.
+        row bytes in order.  With per-frame tracing enabled each row goes
+        through :meth:`_deliver`, so every frame keeps its span chain and
+        its own executed/rejected terminal span.
         """
         count = batch.count
         if count == 0:
@@ -416,9 +380,9 @@ class Fabric:
             # the vectorised path below and record one span per layer --
             # and unsampled batch-granularity batches (trace_ctx None)
             # stay vectorised too, which is what keeps head sampling free.
-            return self._deliver_many(
-                endpoint_id,
-                [batch.frame_bytes(index) for index in range(count)],
+            return sum(
+                self._deliver(endpoint_id, batch.frame_bytes(index))
+                for index in range(count)
             )
         port = self.port(endpoint_id)
         profiler = self._profiler
@@ -465,15 +429,6 @@ class InlineFabric(Fabric):
         self._observe_offered(frame)
         return self._deliver(endpoint_id, frame)
 
-    def send_many(self, endpoint_id: int, frames: Iterable[bytes]) -> int:
-        """Deliver a batch now via the endpoint's bulk path."""
-        frames = list(frames)
-        self.counters.c_offered.inc(len(frames))
-        if self._h_frame_bytes.enabled:
-            for frame in frames:
-                self._h_frame_bytes.observe(len(frame))
-        return self._deliver_many(endpoint_id, frames)
-
     def send_batch(self, batch: FrameBatch) -> int:
         """Deliver a columnar batch now, endpoint by endpoint.
 
@@ -504,9 +459,9 @@ class InlineFabric(Fabric):
 class BufferedFabric(Fabric):
     """Per-link FIFO queues with threshold-triggered or explicit flushes.
 
-    Frames accumulate in one queue per endpoint; a queue drains through the
-    endpoint's batched ingest when it reaches ``flush_threshold`` frames
-    (or only on explicit :meth:`flush` when the threshold is None).  Order
+    Frames accumulate in one queue per endpoint; a queue drains to the
+    endpoint when it reaches ``flush_threshold`` frames (or only on
+    explicit :meth:`flush` when the threshold is None).  Order
     is preserved per link, so per-QP PSN sequences arrive intact and the
     flushed result is byte-identical to inline delivery -- the fabric
     equivalence suite asserts exactly that.
@@ -583,25 +538,6 @@ class BufferedFabric(Fabric):
         self._note_enqueued(endpoint_id, 1)
         return None
 
-    def send_many(
-        self, endpoint_id: int, frames: Iterable[bytes]
-    ) -> Optional[int]:
-        """Queue a batch of frames toward one endpoint."""
-        self.port(endpoint_id)
-        queue = self._queues.setdefault(endpoint_id, deque())
-        count = 0
-        observe = (
-            self._h_frame_bytes.observe if self._h_frame_bytes.enabled else None
-        )
-        for frame in frames:
-            queue.append(frame)
-            count += 1
-            if observe is not None:
-                observe(len(frame))
-        self.counters.c_offered.inc(count)
-        self._note_enqueued(endpoint_id, count)
-        return None
-
     def send_batch(self, batch: FrameBatch) -> Optional[int]:
         """Queue a columnar batch; frames deliver at the next (auto-)flush.
 
@@ -661,14 +597,14 @@ class BufferedFabric(Fabric):
         return self._depths.get(endpoint_id, 0)
 
     def _flush_endpoint(self, endpoint_id: int) -> int:
-        """Drain one link through the endpoint's bulk ingest paths.
+        """Drain one link, entry by entry, in queue order.
 
-        Queued entries are raw frame bytes or columnar batches: runs of
-        consecutive bytes drain through ``_deliver_many`` and each batch
-        through ``_deliver_batch``, all in queue order, so per-link frame
-        order (the PSN contract) is preserved across mixed traffic.
-        Reports the drained depth on the ``fabric_queue_depth`` gauge and
-        the ``fabric_flush_frames`` histogram before delivering.
+        Queued entries are raw frame bytes or columnar batches: each frame
+        drains through ``_deliver`` and each batch through
+        ``_deliver_batch``, so per-link frame order (the PSN contract) is
+        preserved across mixed traffic.  Reports the drained depth on the
+        ``fabric_queue_depth`` gauge and the ``fabric_flush_frames``
+        histogram before delivering.
         """
         queue = self._queues.get(endpoint_id)
         if not queue:
@@ -681,35 +617,14 @@ class BufferedFabric(Fabric):
         if timed:
             self._h_flush_frames.observe(depth)
             started = perf_counter()
-        run: List[bytes] = []
         for entry in entries:
             if isinstance(entry, FrameBatch):
-                if run:
-                    self._deliver_many(endpoint_id, run)
-                    run = []
                 try:
                     self._deliver_batch(endpoint_id, entry)
                 finally:
                     entry.release()
             else:
-                run.append(entry)
-        if run:
-            self._deliver_many(endpoint_id, run)
+                self._deliver(endpoint_id, entry)
         if timed:
             self._h_flush_seconds.observe(perf_counter() - started)
         return depth
-
-
-def drain_pairs(
-    fabric: Fabric, pairs: Iterable[Tuple[int, bytes]]
-) -> Optional[int]:
-    """Send (endpoint_id, frame) pairs -- the switch report shape -- and
-    return the executed count for synchronous fabrics (None if deferred)."""
-    executed: Optional[int] = 0
-    for endpoint_id, frame in pairs:
-        result = fabric.send(endpoint_id, frame)
-        if result is None:
-            executed = None
-        elif executed is not None and result:
-            executed += 1
-    return executed

@@ -17,7 +17,7 @@ divergence between fabric counters and what endpoints saw.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -174,19 +174,6 @@ class ImpairedFabric(Fabric):
                 tracer.frame_span(frame, "fabric.impair", "duplicated")
             self.inner.send(endpoint_id, frame)
         return result
-
-    def send_many(
-        self, endpoint_id: int, frames: Iterable[bytes]
-    ) -> Optional[int]:
-        """Offer a batch, impairing each frame independently."""
-        executed: Optional[int] = 0
-        for frame in frames:
-            result = self.send(endpoint_id, frame)
-            if result is None:
-                executed = None
-            elif executed is not None and result:
-                executed += 1
-        return executed
 
     def send_batch(self, batch: FrameBatch) -> Optional[int]:
         """Offer a columnar batch, impairing each frame independently.

@@ -234,39 +234,6 @@ class MemoryRegion:
         self.c_writes.inc()
         self.c_bytes_written.inc(len(payload))
 
-    def write_offset_many(self, items) -> int:
-        """Batched local writes: ``(offset, payload)`` pairs in one call.
-
-        The multi-slot fast path behind :meth:`Collector.write_slots
-        <repro.collector.collector.Collector.write_slots>`: bounds are
-        still validated per item (a bad item raises before it is applied),
-        but buffer and size lookups are hoisted out of the loop.  Returns
-        the number of writes applied.
-        """
-        buffer = self._buffer
-        size = self.size
-        track = self._track_overwrites
-        count = 0
-        overwrites = 0
-        written = 0
-        for offset, payload in items:
-            end = offset + len(payload)
-            if offset < 0 or end > size:
-                raise RegionAccessError(
-                    f"local write [{offset}, +{len(payload)}) outside region "
-                    f"of size {size}"
-                )
-            if track and any(buffer[offset:end]):
-                overwrites += 1
-            buffer[offset:end] = payload
-            written += len(payload)
-            count += 1
-        self.c_writes.inc(count)
-        self.c_bytes_written.inc(written)
-        if overwrites:
-            self.c_slot_overwrites.inc(overwrites)
-        return count
-
     def write_offset_columnar(
         self, offsets: np.ndarray, payloads: np.ndarray
     ) -> int:

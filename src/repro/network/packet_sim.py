@@ -32,19 +32,6 @@ from repro.telemetry.int_headers import IntStack, new_probe
 
 
 @dataclass
-class DataPacket:
-    """A simplified data packet: 5-tuple addressing + raw L4 payload."""
-
-    flow: Flow
-    payload: bytes
-
-    @property
-    def five_tuple(self):
-        """The flow 5-tuple this packet belongs to."""
-        return self.flow.five_tuple
-
-
-@dataclass
 class DeliveryResult:
     """What came out the far end of one packet's journey."""
 

@@ -477,17 +477,6 @@ class Tracer:
         record.holds += 1
         self._update_bindings_gauge()
 
-    def release_frame(self, frame: bytes) -> None:
-        """Release a binding without recording a span (bulk delivery)."""
-        context = self._frames.pop(frame, None)
-        if context is None:
-            return
-        self._update_bindings_gauge()
-        record = self._traces.get(context.trace_id)
-        if record is not None:
-            record.holds = max(0, record.holds - 1)
-            self._maybe_seal(record)
-
     # ------------------------------------------------------------------
     # Batch bindings (columnar datapath)
     # ------------------------------------------------------------------
@@ -850,9 +839,6 @@ class NullTracer:
         return None
 
     def rebind_frame(self, frame, context) -> None:
-        """No-op."""
-
-    def release_frame(self, frame) -> None:
         """No-op."""
 
     def bind_batch(self, batch, trace_id, parent=None) -> None:

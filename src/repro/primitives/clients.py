@@ -164,7 +164,9 @@ class OneSidedReader:
             )
             for frame in frames:
                 tracer.bind_frame(frame, trace_id, parent=read_sid)
-        self.fabric.send_many(self.endpoint_id, frames)
+        send = self.fabric.send
+        for frame in frames:
+            send(self.endpoint_id, frame)
         self.fabric.flush()
         self.demux.poll(self.fabric, self.endpoint_id)
         by_psn: Dict[int, bytes] = {}

@@ -31,7 +31,7 @@ from repro.collector.collector import CollectorCluster
 from repro.control.shards import ShardAssignment, ShardMap
 from repro.core.addressing import DartAddressing
 from repro.core.config import DartConfig
-from repro.core.policies import QueryResult, ReturnPolicy, resolve
+from repro.core.policies import ReturnPolicy, fold_slots
 from repro.hashing.hash_family import Key
 from repro.primitives.clients import OneSidedReader
 from repro.primitives.translator import ResponseDemux
@@ -209,8 +209,8 @@ class FanoutBackend:
 
         Value-identical to :class:`~repro.core.client.DartQueryClient`
         on the same keys: the N slot addresses come from the shared
-        addressing, checksum-mismatched slots are discarded, and the
-        same :func:`~repro.core.policies.resolve` folds the survivors.
+        addressing and the same :func:`~repro.core.policies.fold_slots`
+        discards checksum-mismatched slots and applies the policy.
         """
         if not keys:
             return []
@@ -230,14 +230,11 @@ class FanoutBackend:
         )
         rows = []
         for index, key in enumerate(keys):
-            matching: List[bytes] = []
-            for copy in range(redundancy):
-                raw = payloads[index * redundancy + copy]
-                stored_checksum, value = self._codec.decode(raw)
-                if stored_checksum == checksums[index]:
-                    matching.append(value)
-            result: QueryResult = resolve(
-                matching, policy, slots_read=redundancy
+            result = fold_slots(
+                self._codec,
+                payloads[index * redundancy : (index + 1) * redundancy],
+                checksums[index],
+                policy,
             )
             rows.append(
                 {

@@ -221,19 +221,21 @@ class QueryFleet:
             self.known_keys.append(key)
 
     def put(self, key: Key, value: bytes) -> None:
-        """Store one key report through the switch datapath."""
-        self.put_many([(key, value)])
+        """Store one key report through the switch's per-event path."""
+        self._remember(key)
+        self.switch.report_into(key, value)
+        self.fabric.flush()
+        self._advance()
 
     def put_many(self, items: Iterable[Tuple[Key, bytes]]) -> int:
-        """Batched key reports: switch -> fabric -> NIC, one flush."""
-        count = 0
-        for key, value in items:
+        """Batched key reports: one columnar batch, one flush."""
+        items = list(items)
+        for key, _value in items:
             self._remember(key)
-            self.switch.report_into(key, value)
-            count += 1
+        self.switch.report_batch_into(items)
         self.fabric.flush()
-        self._advance(count)
-        return count
+        self._advance(len(items))
+        return len(items)
 
     def count(self, key: Key, amount: int = 1) -> None:
         """Count one key in its shard's counter bank (Key-Increment)."""

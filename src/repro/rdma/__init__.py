@@ -32,7 +32,6 @@ from repro.rdma.packets import (
 from repro.rdma.frames import FrameBatch, FramePool, frame_width, icrc_rows
 from repro.rdma.qp import PSN_MODULUS, QueuePair, QueuePairState
 from repro.rdma.nic import NicCounters, RdmaNic
-from repro.rdma.requester import ConnectionState, ReliableRequester
 
 __all__ = [
     "ROCEV2_UDP_PORT",
@@ -51,8 +50,6 @@ __all__ = [
     "QueuePair",
     "QueuePairState",
     "RdmaNic",
-    "ReliableRequester",
-    "ConnectionState",
     "Reth",
     "RoceV2Packet",
     "UdpHeader",

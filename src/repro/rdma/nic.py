@@ -258,6 +258,9 @@ class RdmaNic:
         This is the *entire* collection fast path: parse, validate, DMA.
         """
         self.counters.c_received.inc()
+        profiler = self._profiler
+        if profiler.enabled:
+            started = profiler.now()
         try:
             packet = RoceV2Packet.unpack(frame, validate_icrc=self.validate_icrc)
         except PacketDecodeError:
@@ -266,41 +269,20 @@ class RdmaNic:
                 self._tracer.frame_span(
                     frame, "nic.ingest", "dropped:decode", status="drop"
                 )
-            return False
-        executed = self.receive_packet(packet)
-        if self._tracer.enabled:
-            self._tracer.frame_span(
-                frame, "nic.ingest", "executed" if executed else "dropped"
-            )
+            executed = False
+        else:
+            executed = self.receive_packet(packet)
+            if self._tracer.enabled:
+                self._tracer.frame_span(
+                    frame, "nic.ingest", "executed" if executed else "dropped"
+                )
+        if profiler.enabled:
+            profiler.record("nic.ingest", started, profiler.now())
         return executed
 
     def ingest_many(self, frames: Iterable[bytes]) -> int:
-        """Ingest a batch of wire frames; returns how many were executed.
-
-        The batched hot path used by fabric flushes: one call per flush
-        instead of one per packet, with the per-frame method lookups
-        hoisted out of the loop.  Frame semantics are identical to calling
-        :meth:`receive_frame` in order.
-        """
-        receive_frame = self.receive_frame
-        profiler = self._profiler
-        timed = self._h_ingest_seconds.enabled or profiler.enabled
-        if timed:
-            started = perf_counter()
-        executed = 0
-        count = 0
-        for frame in frames:
-            count += 1
-            if receive_frame(frame):
-                executed += 1
-        if timed:
-            ended = perf_counter()
-            if self._h_ingest_seconds.enabled:
-                self._h_ingest_seconds.observe(ended - started)
-                self._h_ingest_batch.observe(count)
-            if profiler.enabled:
-                profiler.record("nic.ingest", started, ended)
-        return executed
+        """Looped :meth:`receive_frame`; kept only as a `perf/` trace boundary."""
+        return sum(self.receive_frame(frame) for frame in frames)
 
     def _batch_is_uniform_writes(self, frames: np.ndarray) -> bool:
         """Whether every row is a well-formed DART WRITE frame.
@@ -411,8 +393,9 @@ class RdmaNic:
                     )
                 return executed
         # Reference path: per-frame spans and the full drop taxonomy.
-        return self.ingest_many(
-            frames[index].tobytes() for index in range(count)
+        receive_frame = self.receive_frame
+        return sum(
+            receive_frame(frames[index].tobytes()) for index in range(count)
         )
 
     def _ingest_write_batch(self, batch: FrameBatch) -> int:

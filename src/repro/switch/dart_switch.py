@@ -266,7 +266,7 @@ class DartSwitch:
     def bind_fabric(self, fabric: Fabric) -> "DartSwitch":
         """Connect this switch's egress to a telemetry fabric.
 
-        After binding, :meth:`report_into` and :meth:`report_single_into`
+        After binding, :meth:`report_into` and :meth:`report_batch_into`
         emit frames straight into the fabric -- the deployment-shaped path
         -- while :meth:`report` keeps returning raw frames for tests and
         wire-level tooling.  Returns ``self`` for chaining.
@@ -566,16 +566,6 @@ class DartSwitch:
             return offered
         fabric.send_batch(frame_batch)
         return offered
-
-    def report_single_into(self, key: Key, value: bytes) -> Optional[bool]:
-        """Emit one RNG-chosen copy into the fabric (prototype behaviour).
-
-        Returns the fabric's delivery result: True/False for synchronous
-        transports, None when delivery is deferred.
-        """
-        fabric = self._bound_fabric()
-        collector_id, frame = self.report_single(key, value)
-        return fabric.send(collector_id, frame)
 
     # ------------------------------------------------------------------
     # Resource accounting (paper section 6 claims)

@@ -21,6 +21,9 @@ The cache is approximate in both directions:
 The suppression-ratio experiment regenerates the section-2 premise: most
 packets do not change flow state, so filtered report rates drop by orders
 of magnitude.
+
+Kept on purpose: backs the section-2 event-detection exhibit in
+EXPERIMENTS.md (``bench_event_detection.py``).
 """
 
 from __future__ import annotations

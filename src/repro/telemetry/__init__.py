@@ -16,6 +16,10 @@ Trace analysis    analysis-specific            analysis output
 Flow anomalies    (5-tuple, anomaly ID)        time, event data
 Network failures  (failure ID, location)       time, debug info
 ================  ===========================  =======================
+
+Kept on purpose: every backend module here is one row of the Table 1
+exhibit in EXPERIMENTS.md (``repro.experiments.table1``,
+``bench_table1_backends.py``).
 """
 
 from repro.telemetry.backends import TelemetryBackend, TelemetryRecord

@@ -1,5 +1,6 @@
 """Tests for collector hosts, the store facade, counters and epochs."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import DartConfig
@@ -8,6 +9,7 @@ from repro.collector.collector import Collector, CollectorCluster
 from repro.collector.counters import CounterStore
 from repro.collector.epochs import EpochArchive, EpochImageMissingError, EpochManager
 from repro.collector.store import DartStore
+from repro.rdma.frames import FrameBatch
 
 
 def small_config(**kwargs):
@@ -256,7 +258,10 @@ class TestFailureInjection:
         collector.fail()
         assert not collector.alive
         assert collector.receive_frame(b"\x00" * 64) is False
-        assert collector.ingest_many([b"\x00" * 64, b"\x01" * 64]) == 0
+        batch = FrameBatch(
+            np.zeros((2, 64), dtype=np.uint8), np.zeros(2, dtype=np.int64)
+        )
+        assert collector.ingest_batch(batch) == 0
         assert collector.transmit() == []
         assert collector.nic.counters.frames_received == 0  # NIC untouched
 

@@ -243,15 +243,14 @@ class TestStoreStateEquivalence:
         items = make_items(150)
 
         scalar = DartStore(config, packet_level=True, fabric=factory())
-        columnar = DartStore(
-            config, packet_level=True, fabric=factory(), columnar=True
-        )
-        offered_scalar = scalar.put_many(items)
+        columnar = DartStore(config, packet_level=True, fabric=factory())
+        for key, value in items:
+            scalar.put(key, value)
         offered_columnar = columnar.put_many(items)
         scalar.fabric.flush()
         columnar.fabric.flush()
 
-        assert offered_scalar == offered_columnar
+        assert offered_columnar == len(items) * config.redundancy
         assert region_snapshots(scalar) == region_snapshots(columnar)
         for left, right in zip(
             nic_counter_views(scalar), nic_counter_views(columnar)
@@ -267,9 +266,7 @@ class TestStoreStateEquivalence:
 
     def test_columnar_store_queries_answer(self):
         config = small_config()
-        store = DartStore(
-            config, packet_level=True, fabric=InlineFabric(), columnar=True
-        )
+        store = DartStore(config, packet_level=True, fabric=InlineFabric())
         items = make_items(60)
         store.put_many(items)
         hits = sum(
@@ -279,10 +276,6 @@ class TestStoreStateEquivalence:
         )
         # Collisions can cost a few keys; the vast majority must answer.
         assert hits >= 55
-
-    def test_columnar_requires_packet_level(self):
-        with pytest.raises(ValueError, match="packet_level=True"):
-            DartStore(small_config(), columnar=True)
 
 
 class TestNicBatchValidationParity:
@@ -320,8 +313,10 @@ class TestNicBatchValidationParity:
         replay = batch.select(order)
         batch.release()
 
-        raw = [replay.frame_bytes(i) for i in range(replay.count)]
-        executed_scalar = scalar.cluster[0].nic.ingest_many(raw)
+        receive_frame = scalar.cluster[0].nic.receive_frame
+        executed_scalar = sum(
+            receive_frame(replay.frame_bytes(i)) for i in range(replay.count)
+        )
         executed_columnar = columnar.cluster[0].nic.ingest_batch(replay)
         replay.release()
 

@@ -99,9 +99,7 @@ class TestNoAliasingUnderBufferedFabric:
         the buffers recycle."""
         config = small_config()
         fabric = BufferedFabric(flush_threshold=None)
-        store = DartStore(
-            config, packet_level=True, fabric=fabric, columnar=True
-        )
+        store = DartStore(config, packet_level=True, fabric=fabric)
         switch = store._switch
         pool = switch.frame_pool
 
@@ -147,10 +145,8 @@ class TestNoAliasingUnderBufferedFabric:
         config = small_config()
         inline = InlineFabric()
         buffered = BufferedFabric(flush_threshold=None)
-        a = DartStore(config, packet_level=True, fabric=inline, columnar=True)
-        b = DartStore(
-            config, packet_level=True, fabric=buffered, columnar=True
-        )
+        a = DartStore(config, packet_level=True, fabric=inline)
+        b = DartStore(config, packet_level=True, fabric=buffered)
         items = make_items(25)
         for round_tag in range(6):  # several rounds force heavy reuse
             a.put_many(items)
@@ -167,14 +163,14 @@ class TestNoAliasingUnderBufferedFabric:
         config = small_config()
         fabric = ImpairedFabric(InlineFabric(), reordering=0.5, seed=9)
         scalar_fabric = ImpairedFabric(InlineFabric(), reordering=0.5, seed=9)
-        columnar = DartStore(
-            config, packet_level=True, fabric=fabric, columnar=True
-        )
+        columnar = DartStore(config, packet_level=True, fabric=fabric)
         scalar = DartStore(config, packet_level=True, fabric=scalar_fabric)
         for round_tag in range(4):
             items = make_items(25, tag=round_tag)
             columnar.put_many(items)
-            scalar.put_many(items)
+            for key, value in items:
+                scalar.put(key, value)
+            scalar_fabric.flush()
         fabric.flush()
         scalar_fabric.flush()
         assert fabric.counters.frames_reordered > 0

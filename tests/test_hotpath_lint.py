@@ -10,8 +10,15 @@ with the offending ``file:line`` in the message.
 
 Scalar reference paths (``report_into``, ``receive_frame``, ...) are
 exempt: the rule applies only to functions whose names mark them as part
-of the batch datapath (``*batch*`` / ``*columnar*`` / ``*_many``, the
-naming convention the primitive translators' batched entry points use).
+of the batch datapath (``*batch*`` / ``*columnar*`` / ``*_many``).  The
+datapath's middle ``*_many`` tier (``send_many``, ``ingest_many``,
+``write_offset_many``) is gone bar three uncalled loops kept as ``perf/``
+trace boundaries; the ``*_many`` names that survive are
+API-level batch entry points that ride the columnar path --
+``DartStore.put_many``, ``CounterStore.add_many``,
+``MemoryRegion.dma_fetch_add_many`` and the primitive translators'
+``increment_many`` / ``append_many`` / ``update_many`` -- and stay under
+the rule.
 """
 
 import ast

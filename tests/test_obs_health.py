@@ -143,9 +143,8 @@ class TestPipelineHealthRates:
                 BufferedFabric(flush_threshold=32), loss=0.05, seed=3
             )
             store = DartStore(config, packet_level=True, fabric=fabric)
-            store.put_many(
-                ((("flow", i), b"v%d" % i) for i in range(100))
-            )
+            for i in range(100):
+                store.put(("flow", i), b"v%d" % i)
             fabric.flush()
             health = PipelineHealth.from_registry(registry)
             assert health.fabric_nic_delta == 0
@@ -170,9 +169,7 @@ class TestPipelineHealthRates:
                 reordering=0.1,
                 seed=3,
             )
-            store = DartStore(
-                config, packet_level=True, fabric=fabric, columnar=True
-            )
+            store = DartStore(config, packet_level=True, fabric=fabric)
             store.put_many(
                 [(("flow", i), b"v%d" % i) for i in range(100)]
             )
@@ -326,13 +323,18 @@ class TestBufferedFabricQueueObservability:
         finally:
             restore()
 
-    def test_send_many_respects_threshold_and_hwm(self):
+    def test_send_batch_threshold_and_hwm(self):
         _registry, restore = _with_registry()
         try:
             fabric = BufferedFabric(flush_threshold=4)
             port = _Port()
             fabric.attach(1, port)
-            fabric.send_many(1, [b"a", b"b", b"c", b"d", b"e"])
+            fabric.send_batch(
+                FrameBatch(
+                    np.frombuffer(b"abcde", dtype=np.uint8).reshape(5, 1),
+                    np.ones(5, dtype=np.int64),
+                )
+            )
             assert fabric.pending() == 0
             assert len(port.frames) == 5
             assert fabric.counters.flushes == 1

@@ -27,11 +27,11 @@ class _Port:
         return []
 
 
-def _fresh_obs():
+def _fresh_obs(**tracer_kwargs):
     """Install a fresh registry+tracer; returns (registry, tracer, restore)."""
     registry = obs.MetricsRegistry()
     previous_registry = obs.set_registry(registry)
-    tracer = obs.Tracer()  # after set_registry: its gauges land here
+    tracer = obs.Tracer(**tracer_kwargs)  # after set_registry: its gauges land here
     previous_tracer = obs.set_tracer(tracer)
 
     def restore():
@@ -317,6 +317,29 @@ class TestSamplingAndTailRetention:
             assert gauge.value == 0
         finally:
             restore()
+
+
+class TestStoreBatchTracing:
+    def test_in_process_put_many_follows_tracer_granularity(self):
+        """Batch granularity: one span for the batch; report: one trace each."""
+        from repro.collector.store import DartStore
+        from repro.core.config import DartConfig
+
+        config = DartConfig(slots_per_collector=256, num_collectors=2, redundancy=2)
+        items = [(("flow", i), bytes([i]) * 4) for i in range(5)]
+        for granularity, kind, traces, stages in (
+            ("batch", "put_many", 1, ("store.put_many",)),
+            ("report", "report", 5, ("reporter.writes_for",)),
+        ):
+            _registry, tracer, restore = _fresh_obs(granularity=granularity)
+            try:
+                store = DartStore(config)
+                assert store.put_many(items) == 10
+                records = tracer.traces(kind)
+                assert len(records) == traces == len(tracer.traces())
+                assert records[0].stages == stages
+            finally:
+                restore()
 
 
 class TestRetentionUnderImpairment:
