@@ -204,8 +204,9 @@ class Collector:
             return 0
         return self.nic.ingest_batch(batch)
 
-    def transmit(self) -> List[bytes]:
-        """Drain the NIC's outbound frames (READ responses) for the fabric.
+    def transmit(self) -> list:
+        """Drain the NIC's outbound responses (frames and READ-response
+        batches, see :meth:`RdmaNic.transmit`) for the fabric.
 
         A dead host transmits nothing -- its queued responses are lost
         with it.

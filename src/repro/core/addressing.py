@@ -177,17 +177,11 @@ class DartAddressing:
         this is what lets the columnar datapath keep the wire-format
         equality contract.
         """
-        folded = np.asarray(folded, dtype=np.uint64)
-        family = self._family
         config = self.config
-        collector_ids = family.hash_folded_array(
-            folded, COLLECTOR_FUNCTION_INDEX
-        ) % np.uint64(config.num_collectors)
+        hashes = self._family.hash_folded_array(
+            folded, (COLLECTOR_FUNCTION_INDEX, *range(config.redundancy))
+        )
+        collector_ids = hashes[0] % np.uint64(config.num_collectors)
+        slots = hashes[1:] % np.uint64(config.slots_per_collector)
         checksums = self._checksum.compute_folded_array(folded)
-        slots = np.empty((config.redundancy, len(folded)), dtype=np.uint64)
-        modulus = np.uint64(config.slots_per_collector)
-        for copy_index in range(config.redundancy):
-            slots[copy_index] = (
-                family.hash_folded_array(folded, copy_index) % modulus
-            )
         return collector_ids, checksums, slots

@@ -50,8 +50,13 @@ class FabricPort(Protocol):
         """Ingest one wire frame; returns whether it was executed."""
         ...
 
-    def transmit(self) -> List[bytes]:
-        """Drain and return queued outbound frames (READ responses, ACKs)."""
+    def transmit(self) -> list:
+        """Drain and return queued outbound responses (READ responses, ACKs).
+
+        One entry per answered request, in execution order: ``bytes`` for
+        a frame request, one :class:`~repro.rdma.frames.FrameBatch` (a row
+        per response) for a READ batch.
+        """
         ...
 
 
@@ -303,12 +308,13 @@ class Fabric:
         """Frames accepted but not yet delivered to any endpoint."""
         return 0
 
-    def poll(self, endpoint_id: int) -> List[bytes]:
-        """Drain ``endpoint_id``'s outbound frames (flushing it first).
+    def poll(self, endpoint_id: int) -> list:
+        """Drain ``endpoint_id``'s outbound responses (flushing it first).
 
         This is the response leg of one-sided READs: flush anything queued
         toward the endpoint so requests precede the poll, then collect what
-        its NIC transmitted.
+        its NIC transmitted -- the port's :meth:`FabricPort.transmit` list,
+        unchanged.
         """
         self._flush_endpoint(endpoint_id)
         return self.port(endpoint_id).transmit()

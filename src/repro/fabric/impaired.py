@@ -300,7 +300,7 @@ class ImpairedFabric(Fabric):
         """Held frames plus whatever the inner fabric has queued."""
         return len(self._held) + self.inner.pending()
 
-    def poll(self, endpoint_id: int) -> List[bytes]:
+    def poll(self, endpoint_id: int) -> list:
         """Release any held frame for the endpoint, then poll through."""
         held = self._held.pop(endpoint_id, None)
         if held is not None:

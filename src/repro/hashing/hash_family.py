@@ -169,18 +169,25 @@ class HashFamily:
         """
         return mix64(folded, self._function_seed(index))
 
-    def hash_folded_array(self, folded: np.ndarray, index: int = 0) -> np.ndarray:
+    def hash_folded_array(self, folded: np.ndarray, index=0) -> np.ndarray:
         """Vectorised :meth:`hash_folded` over a ``uint64`` lane array.
 
         Bit-identical to the scalar method element-wise (unlike
         :meth:`hash_array`, which hashes integer identities): this is the
         mixer the columnar batch path uses so that columnar addressing
-        matches scalar addressing exactly.
+        matches scalar addressing exactly.  ``index`` may be a sequence of
+        family members; the result then has one row per member, mixed in
+        one pass.
         """
         folded = np.asarray(folded, dtype=np.uint64)
-        seed = np.uint64(splitmix64(self._function_seed(index)))
-        with np.errstate(over="ignore"):
-            return _splitmix64_np(folded ^ seed)
+        if isinstance(index, int):
+            seed = np.uint64(splitmix64(self._function_seed(index)))
+        else:
+            seed = np.array(
+                [splitmix64(self._function_seed(member)) for member in index],
+                dtype=np.uint64,
+            )[:, None]
+        return _splitmix64_np(folded ^ seed)
 
     def hash_key_mod(self, key: Key, index: int, modulus: int) -> int:
         """``hash_key`` reduced to ``[0, modulus)``."""

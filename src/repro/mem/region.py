@@ -297,6 +297,25 @@ class MemoryRegion:
         self.c_bytes_written.inc(count * width)
         return count
 
+    def read_offset_columnar(self, offsets: np.ndarray, width: int) -> np.ndarray:
+        """Columnar batched reads: ``uint8[count, width]``, row ``i`` from
+        ``offsets[i]``.
+
+        The gather half of :meth:`write_offset_columnar`: each row is the
+        bytes :meth:`read_offset` returns for the same offset, copied out
+        of the region in one pass.  Bounds are validated for the whole
+        batch first.
+        """
+        offsets = np.asarray(offsets, dtype=np.int64)
+        bad = (offsets < 0) | (offsets + width > self.size)
+        if bad.any():
+            raise RegionAccessError(
+                f"local read [{int(offsets[np.argmax(bad)])}, +{width}) "
+                f"outside region of size {self.size}"
+            )
+        buffer = np.frombuffer(self._buffer, dtype=np.uint8)
+        return buffer[offsets[:, None] + np.arange(width)]
+
     def snapshot(self) -> bytes:
         """An immutable copy of the whole region (epoch persistence, tests)."""
         return bytes(self._buffer)

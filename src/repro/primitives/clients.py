@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.collector.counters import CounterStore
 
@@ -24,16 +26,38 @@ from repro import obs
 from repro.fabric.fabric import Fabric
 from repro.hashing.hash_family import Key
 from repro.primitives.append import AppendStore, RingSnapshot
-from repro.primitives.translator import ResponseDemux
+from repro.primitives.translator import ReadResponseRows, ResponseDemux
+from repro.rdma.frames import (
+    FrameBatch,
+    FramePool,
+    PSN_OFF,
+    READ_REQUEST_BYTES,
+    RETH_OFF,
+    icrc_rows,
+    write_be32,
+    write_be64,
+    write_le32,
+)
 from repro.rdma.nic import RdmaNic
 from repro.rdma.packets import Bth, Opcode, Reth, RoceV2Packet
-from repro.rdma.qp import PSN_MODULUS, PsnPolicy, QueuePair
+from repro.rdma.qp import PSN_MODULUS, PsnPolicy, QueuePair, psn_run
 
 #: Requester QP number of operator 0 reading Append rings.
 APPEND_READER_QP_BASE = 0xA00
 
 #: Requester QP number of operator 0 reading counter banks.
 COUNTER_READER_QP_BASE = 0xB00
+
+#: Shortest run :meth:`OneSidedReader.read_run` sends as one frame matrix.
+#: Measured (CHANGES.md, PR 13 crossover table): a columnar round trip
+#: costs ~130 us fixed + ~2 us/row against ~110 us per scalar READ, so
+#: on a clean fabric it wins from two rows up.  The cut still sits above
+#: the 2-3 READ runs of a point lookup: an impaired fabric splits a short
+#: batch at every held or duplicated row into one-row runs that each pay
+#: the fixed cost, and single-address retries pay it too -- with the cut
+#: at 2, ``point_p99_us`` on the lossy benchmark workload read 577 us
+#: against 490 us at 4, which is the all-scalar figure.
+COLUMNAR_MIN_READS = 4
 
 
 class OneSidedReader:
@@ -75,6 +99,8 @@ class OneSidedReader:
         self.demux = demux
         self.rkey = rkey
         self._psn = 0
+        self._pool = FramePool()
+        self._templates: Dict[int, np.ndarray] = {}
         registry = obs.get_registry()
         self._tracer = obs.get_tracer()
         labels = registry.instance_labels("OneSidedReader")
@@ -146,15 +172,22 @@ class OneSidedReader:
 
         Returns one entry per address, ``None`` where the request was
         lost.  Responses are matched by PSN, so ordering quirks in the
-        request leg cannot misattribute payloads.
+        request leg cannot misattribute payloads.  Runs of
+        :data:`COLUMNAR_MIN_READS` or more travel as one frame matrix
+        (:meth:`_read_run_batch`); shorter ones, and any run under
+        per-report tracing (which wants a span per frame), stay on this
+        scalar body, the reference the batch path is diffed against.
         """
+        tracer = self._tracer
+        per_frame = tracer.enabled and tracer.granularity != "batch"
+        if len(addresses) >= COLUMNAR_MIN_READS and not per_frame:
+            return self._read_run_batch(addresses, length)
         psns = [self._next_psn() for _address in addresses]
         frames = [
             self._craft_read(address, length, psn)
             for address, psn in zip(addresses, psns)
         ]
         self.c_reads_sent.inc(len(frames))
-        tracer = self._tracer
         trace_id = tracer.active_trace_id if tracer.enabled else None
         if trace_id is not None and frames:
             read_sid = tracer.span(
@@ -174,6 +207,63 @@ class OneSidedReader:
             if response.bth.opcode == int(Opcode.RC_RDMA_READ_RESPONSE_ONLY):
                 by_psn[response.bth.psn] = response.payload
         return [by_psn.get(psn) for psn in psns]
+
+    def _read_run_batch(
+        self, addresses: List[int], length: int
+    ) -> List[Optional[bytes]]:
+        """:meth:`read_run` as one frame matrix each way.
+
+        Requests: a template packed once by the scalar codec, broadcast
+        over a pooled matrix, then the VA and PSN columns and the
+        vectorised iCRC -- row ``i`` is byte-identical to
+        :meth:`_craft_read` on the same operands.  Responses: matrices
+        matched to requests by PSN on arrays, and the odd frame response
+        (an impaired fabric re-delivers held and duplicated rows as
+        frames) by the same rule.
+        """
+        count = len(addresses)
+        start = self._psn
+        self._psn = (start + count) % PSN_MODULUS
+        template = self._templates.get(length)
+        if template is None:
+            template = self._templates[length] = np.frombuffer(
+                self._craft_read(0, length, 0), dtype=np.uint8
+            )
+        lease, frames = self._pool.acquire(count, READ_REQUEST_BYTES)
+        frames[:] = template
+        write_be64(frames, RETH_OFF, np.asarray(addresses, dtype=np.uint64))
+        write_be32(frames, PSN_OFF, psn_run(start, count))
+        write_le32(frames, READ_REQUEST_BYTES - 4, icrc_rows(frames))
+        batch = FrameBatch(
+            frames, np.full(count, self.endpoint_id, dtype=np.int64), lease
+        )
+        self.c_reads_sent.inc(count)
+        tracer = self._tracer
+        trace_id = tracer.active_trace_id if tracer.enabled else None
+        if trace_id is not None:
+            read_sid = tracer.span(
+                trace_id, "query.read_run", f"reads={count} len={length}"
+            )
+            tracer.bind_batch(batch, trace_id, parent=read_sid)
+        self.fabric.send_batch(batch)
+        self.fabric.flush()
+        self.demux.poll(self.fabric, self.endpoint_id)
+        payloads: List[Optional[bytes]] = [None] * count
+        for response in self.demux.take(self.qp.qp_number):
+            if isinstance(response, ReadResponseRows):
+                # Position in the run = PSN distance from its first PSN;
+                # anything outside [0, count) answers someone else.
+                positions = (response.psns.astype(np.int64) - start) % PSN_MODULUS
+                mine = positions < count
+                width = response.payloads.shape[1]
+                data = response.payloads[mine].tobytes()
+                for row, position in enumerate(positions[mine].tolist()):
+                    payloads[position] = data[row * width : (row + 1) * width]
+            elif response.bth.opcode == int(Opcode.RC_RDMA_READ_RESPONSE_ONLY):
+                position = (response.bth.psn - start) % PSN_MODULUS
+                if position < count:
+                    payloads[position] = response.payload
+        return payloads
 
 
 @dataclass

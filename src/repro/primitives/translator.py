@@ -24,7 +24,7 @@ frames one at a time, so equivalence suites can diff the two paths.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -35,12 +35,19 @@ from repro.obs.metrics import LATENCY_BUCKETS
 from repro.rdma.frames import (
     ATOMIC_ETH_OFF,
     ATOMIC_FRAME_BYTES,
+    DEST_QP_OFF,
     FrameBatch,
     FramePool,
     OVERHEAD_BYTES,
     PAYLOAD_OFF,
+    PSN_OFF,
+    RESPONSE_PAYLOAD_OFF,
     RETH_OFF,
+    header_mask,
+    icrc_ok,
     icrc_rows,
+    read_be24,
+    read_be32,
     write_be32,
     write_be64,
     write_le32,
@@ -53,15 +60,13 @@ from repro.rdma.packets import (
     Reth,
     RoceV2Packet,
 )
-from repro.rdma.qp import PSN_MODULUS
+from repro.rdma.qp import PSN_MODULUS, psn_run
 
 #: Hash-family member base reserved for counter/sketch rows (shared with
 #: :class:`~repro.collector.counters.CounterStore` so switch-side and
 #: collector-side addressing agree bit for bit).
 COUNTER_FUNCTION_BASE = 0x20000000
 
-#: BTH PSN column offset within a frame row.
-_PSN_OFF = 50
 #: AtomicETH operand (swap_add) column offset.
 _ATOMIC_ADD_OFF = ATOMIC_ETH_OFF + 12
 
@@ -70,19 +75,36 @@ class AppendReserveError(RuntimeError):
     """An Append tail reservation got no response within its retry budget."""
 
 
+class ReadResponseRows(NamedTuple):
+    """The READ responses of one matrix addressed to one QP, as columns:
+    what :meth:`ResponseDemux.take` hands out for a batch response."""
+
+    psns: np.ndarray
+    #: ``uint8[rows, payload_bytes]`` -- row ``i`` is response ``i``'s payload.
+    payloads: np.ndarray
+
+
 class ResponseDemux:
-    """Buckets polled response frames by destination QP.
+    """Buckets polled responses by destination QP.
 
     ``Fabric.poll`` drains *every* queued response for an endpoint, so two
     translators polling the same collector would steal each other's atomic
     ACKs.  All requesters sharing an endpoint share one demux instead:
     :meth:`poll` drains the fabric once and files each decodable response
     under its BTH destination QP; :meth:`take` hands a requester exactly
-    its own inbox.
+    its own inbox: a packet per frame response, :class:`ReadResponseRows`
+    per batch response (decoded column-wise under the same checks).
+    Undecodable responses are dropped and counted either way.
     """
 
     def __init__(self) -> None:
-        self._inboxes: Dict[int, List[RoceV2Packet]] = {}
+        self._inboxes: Dict[int, list] = {}
+        registry = obs.get_registry()
+        #: Responses dropped: undecodable / failed iCRC.
+        self.c_dropped_decode = registry.counter(
+            "demux_dropped_decode",
+            labels=registry.instance_labels("ResponseDemux"),
+        )
 
     def __repr__(self) -> str:
         pending = sum(len(inbox) for inbox in self._inboxes.values())
@@ -91,22 +113,68 @@ class ResponseDemux:
     def poll(self, fabric: Fabric, endpoint_id: int) -> int:
         """Drain ``endpoint_id``'s responses into per-QP inboxes.
 
-        Returns the number of frames filed; undecodable frames are
-        dropped (the response leg is modelled lossless, so this only
-        fires on foreign traffic).
+        Returns the number of responses filed; undecodable ones are
+        dropped and counted (the response leg is modelled lossless, so
+        this only fires on foreign traffic).
         """
         filed = 0
-        for frame in fabric.poll(endpoint_id):
-            try:
-                packet = RoceV2Packet.unpack(frame)
-            except PacketDecodeError:
-                continue
-            self._inboxes.setdefault(packet.bth.dest_qp, []).append(packet)
-            filed += 1
+        for response in fabric.poll(endpoint_id):
+            if isinstance(response, FrameBatch):
+                filed += self._file_batch(response.frames)
+            else:
+                filed += self._file_frame(response)
         return filed
 
-    def take(self, qp_number: int) -> List[RoceV2Packet]:
-        """Remove and return every buffered response addressed to a QP."""
+    def _file_frame(self, frame: bytes) -> int:
+        """Decode and file one response frame (the scalar reference)."""
+        try:
+            packet = RoceV2Packet.unpack(frame)
+        except PacketDecodeError:
+            self.c_dropped_decode.inc()
+            return 0
+        self._inboxes.setdefault(packet.bth.dest_qp, []).append(packet)
+        return 1
+
+    def _file_batch(self, frames: np.ndarray) -> int:
+        """Decode and file one READ-response matrix, column-wise.
+
+        Rows pass exactly what :meth:`_file_frame` passes: the structural
+        checks of :func:`~repro.rdma.frames.header_mask`, then the iCRC.
+        Rows the mask cannot vouch for take the scalar decode, which
+        files or drops them on its own terms.
+        """
+        shaped = header_mask(frames, int(Opcode.RC_RDMA_READ_RESPONSE_ONLY))
+        if frames.shape[1] < RESPONSE_PAYLOAD_OFF + 4:
+            shaped[:] = False  # no room for the AETH: scalar says why
+        filed = 0
+        if not shaped.all():
+            for row in np.flatnonzero(~shaped).tolist():
+                filed += self._file_frame(frames[row].tobytes())
+            frames = frames[shaped]
+            if not len(frames):
+                return filed
+        intact = icrc_ok(frames)
+        if not intact.all():
+            self.c_dropped_decode.inc(len(frames) - int(intact.sum()))
+            frames = frames[intact]
+        dest_qps = read_be24(frames, DEST_QP_OFF)
+        qp_numbers = dict.fromkeys(dest_qps.tolist())
+        for qp_number in qp_numbers:
+            mine = frames if len(qp_numbers) == 1 else frames[dest_qps == qp_number]
+            self._inboxes.setdefault(qp_number, []).append(
+                ReadResponseRows(
+                    read_be32(mine, PSN_OFF) & 0xFFFFFF,
+                    mine[:, RESPONSE_PAYLOAD_OFF:-4],
+                )
+            )
+        return filed + len(frames)
+
+    def take(self, qp_number: int) -> list:
+        """Remove and return every buffered response addressed to a QP.
+
+        Entries are packets (frame responses) and :class:`ReadResponseRows`
+        (batch responses), in arrival order.
+        """
         return self._inboxes.pop(qp_number, [])
 
 
@@ -182,8 +250,7 @@ class PrimitiveTranslator:
         """Allocate ``count`` consecutive PSNs as a wrapped uint32 array."""
         start = self._psn
         self._psn = (start + count) % PSN_MODULUS
-        psns = (start + np.arange(count, dtype=np.int64)) % PSN_MODULUS
-        return psns.astype(np.uint32)
+        return psn_run(start, count)
 
     def craft_fetch_add(
         self, address: int, amount: int, psn: Optional[int] = None
@@ -230,7 +297,7 @@ class PrimitiveTranslator:
         frames[:] = self._fetch_add_template()
         write_be64(frames, ATOMIC_ETH_OFF, np.asarray(addresses, np.uint64))
         write_be64(frames, _ATOMIC_ADD_OFF, np.asarray(amounts, np.uint64))
-        write_be32(frames, _PSN_OFF, self._psn_sequence(count))
+        write_be32(frames, PSN_OFF, self._psn_sequence(count))
         write_le32(frames, ATOMIC_FRAME_BYTES - 4, icrc_rows(frames))
         endpoint_ids = np.full(count, self.endpoint_id, dtype=np.int64)
         return FrameBatch(frames, endpoint_ids, lease)
@@ -748,7 +815,7 @@ class AppendTranslator(PrimitiveTranslator):
         payload_view = frames[:, PAYLOAD_OFF : PAYLOAD_OFF + self.record_bytes]
         for index, record in enumerate(padded):
             payload_view[index] = np.frombuffer(record, dtype=np.uint8)
-        write_be32(frames, _PSN_OFF, self._psn_sequence(count))
+        write_be32(frames, PSN_OFF, self._psn_sequence(count))
         write_le32(frames, width - 4, icrc_rows(frames))
         endpoint_ids = np.full(count, self.endpoint_id, dtype=np.int64)
         frame_batch = FrameBatch(frames, endpoint_ids, lease)

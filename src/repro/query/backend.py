@@ -27,13 +27,15 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.collector.collector import CollectorCluster
 from repro.control.shards import ShardAssignment, ShardMap
 from repro.core.addressing import DartAddressing
 from repro.core.config import DartConfig
 from repro.core.policies import ReturnPolicy, fold_slots
-from repro.hashing.hash_family import Key
-from repro.primitives.clients import OneSidedReader
+from repro.hashing.hash_family import Key, fold_keys
+from repro.primitives.clients import COLUMNAR_MIN_READS, OneSidedReader
 from repro.primitives.translator import ResponseDemux
 
 #: Requester QP of the query front end's keys-plane reader for role 0.
@@ -215,18 +217,31 @@ class FanoutBackend:
         if not keys:
             return []
         reader = self._keys_reader(shard)
-        redundancy = self.config.redundancy
-        addresses = []
-        checksums = []
-        for key in keys:
-            resolved = self.addressing.resolve(key)
-            checksums.append(resolved.checksum)
-            for slot_index in resolved.slot_indexes:
-                addresses.append(
-                    self.addressing.slot_address(shard.base_address, slot_index)
-                )
+        config = self.config
+        redundancy = config.redundancy
+        addressing = self.addressing
+        if len(keys) * redundancy < COLUMNAR_MIN_READS:
+            # A run the reader will send frame by frame: resolve it key
+            # by key too (the array resolve costs more than three keys).
+            resolved = [addressing.resolve(key) for key in keys]
+            checksums = [entry.checksum for entry in resolved]
+            addresses = [
+                addressing.slot_address(shard.base_address, slot_index)
+                for entry in resolved
+                for slot_index in entry.slot_indexes
+            ]
+        else:
+            _collectors, checksum_column, slots = addressing.resolve_folded(
+                fold_keys(keys)
+            )
+            checksums = checksum_column.tolist()
+            # Key-major, copy-minor: the order the scalar branch reads in.
+            addresses = (
+                shard.base_address
+                + slots.T.reshape(-1).astype(np.int64) * config.slot_bytes
+            ).tolist()
         payloads = self.read_reliable(
-            reader, addresses, self.config.slot_bytes, shard
+            reader, addresses, config.slot_bytes, shard
         )
         rows = []
         for index, key in enumerate(keys):

@@ -236,7 +236,9 @@ class QueryService:
         self.max_concurrency = max_concurrency
         self.max_pending = max_pending
         self._buckets: Dict[str, TokenBucket] = {}
-        self._parsed: Dict[str, Query] = {}
+        #: Parse memo, capped at the result cache's capacity (oldest text
+        #: out first): one entry per distinct text forever is a leak.
+        self._parsed: "OrderedDict[str, Query]" = OrderedDict()
         self._semaphore: Optional[asyncio.Semaphore] = None
         self._pending = 0
         #: Internal clock used when no fleet supplies one.
@@ -356,10 +358,17 @@ class QueryService:
     # ------------------------------------------------------------------
 
     def parse(self, text: str) -> Query:
-        """Parse (and memoise) one query string."""
+        """Parse (and memoise, bounded) one query string.
+
+        Eviction is first-in-first-out, so a hit costs what it did
+        unbounded (one ``dict.get`` on the cache-hit path); a text still
+        in use when its turn comes is parsed once more and re-enters.
+        """
         query = self._parsed.get(text)
         if query is None:
             query = parse_query(text)
+            if len(self._parsed) >= self.cache.capacity:
+                self._parsed.popitem(last=False)
             self._parsed[text] = query
         return query
 

@@ -44,6 +44,19 @@ OVERHEAD_BYTES = PAYLOAD_OFF + 4
 ATOMIC_ETH_OFF = 54
 ATOMIC_FRAME_BYTES = ATOMIC_ETH_OFF + 28 + 4
 
+#: READ requests are a RETH with no payload; READ responses put a 4-byte
+#: AETH where the RETH sat, then the payload: headers(54) + AETH(4) +
+#: payload + iCRC(4).
+READ_REQUEST_BYTES = OVERHEAD_BYTES
+AETH_OFF = 54
+RESPONSE_PAYLOAD_OFF = AETH_OFF + 4
+
+#: BTH column offsets: opcode, 24-bit destination QP, and the 32-bit word
+#: whose low 24 bits are the PSN.
+OPCODE_OFF = BTH_OFF
+DEST_QP_OFF = BTH_OFF + 5
+PSN_OFF = BTH_OFF + 8
+
 #: Columns of the masked iCRC image that the RoCEv2 annex forces to 0xFF
 #: (DSCP/ECN, TTL, IPv4 checksum, UDP checksum, BTH resv8a), relative to
 #: the image layout: 8 prefix bytes then frame[14:-4].
@@ -70,6 +83,37 @@ def icrc_rows(frames: np.ndarray) -> np.ndarray:
     masked[:, 8:] = frames[:, IP_OFF : width - 4]
     masked[:, _MASKED_COLUMNS] = 0xFF
     return CRC32.compute_rows(masked)
+
+
+#: Columns :func:`header_mask` compares: ethertype (2), version/IHL,
+#: protocol, UDP destination port (2), IPv4 total length (2), BTH opcode.
+_HEADER_COLUMNS = np.array([12, 13, 14, 23, 36, 37, 16, 17, OPCODE_OFF])
+
+
+def header_mask(frames: np.ndarray, opcode: int) -> np.ndarray:
+    """Rows that are well-formed RoCEv2 frames of ``opcode``, as a bool array.
+
+    What scalar :meth:`~repro.rdma.packets.RoceV2Packet.unpack` checks
+    before the iCRC (IPv4 ethertype, version/IHL, UDP, port 4791), plus
+    the BTH opcode and an IPv4 total length equal to the matrix width.  A
+    failing row is not necessarily bad (``unpack`` tolerates trailing
+    bytes); it is one the vector paths leave to the scalar reference.
+    """
+    total_length = frames.shape[1] - IP_OFF
+    # Ethernet..BTH and the iCRC at least; at most what 16 bits can say.
+    if not RETH_OFF + 4 - IP_OFF <= total_length <= 0xFFFF:
+        return np.zeros(len(frames), dtype=bool)
+    expected = np.array(
+        [0x08, 0x00, 0x45, 17, 0x12, 0xB7, total_length >> 8, total_length & 0xFF, opcode],
+        dtype=np.uint8,
+    )
+    return (frames[:, _HEADER_COLUMNS] == expected).all(axis=1)
+
+
+def icrc_ok(frames: np.ndarray) -> np.ndarray:
+    """Rows whose trailing iCRC matches their bytes, as a bool array."""
+    wire = np.ascontiguousarray(frames[:, -4:]).view("<u4").ravel()
+    return wire == icrc_rows(frames)
 
 
 # Big-endian column readers/writers.  Column slices of a C-contiguous

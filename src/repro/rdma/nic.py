@@ -15,7 +15,7 @@ objects around.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
@@ -23,15 +23,27 @@ from repro import obs
 from repro.mem.region import MemoryRegion, RegionAccessError
 from repro.obs.metrics import DEPTH_BUCKETS, LATENCY_BUCKETS
 from repro.rdma.frames import (
+    AETH_OFF,
     ATOMIC_ETH_OFF,
     ATOMIC_FRAME_BYTES,
+    DEST_QP_OFF,
     FrameBatch,
+    IP_OFF,
+    OPCODE_OFF,
     OVERHEAD_BYTES,
+    PAYLOAD_OFF,
+    PSN_OFF,
+    READ_REQUEST_BYTES,
+    RESPONSE_PAYLOAD_OFF,
+    RETH_OFF,
+    header_mask,
+    icrc_ok,
     icrc_rows,
-    read_be16,
     read_be24,
     read_be32,
     read_be64,
+    write_be32,
+    write_le32,
 )
 from repro.rdma.packets import (
     Aeth,
@@ -45,7 +57,13 @@ from repro.rdma.packets import (
     opcode_has_atomic_eth,
     opcode_has_reth,
 )
-from repro.rdma.qp import QueuePair
+from repro.rdma.qp import PSN_MODULUS, QueuePair, psn_run
+
+#: Request columns a READ response reflects or depends on -- source MAC,
+#: source IP, UDP source port, destination QP, RETH dma_length.  A READ
+#: batch takes the vector branch only when every row agrees on all of
+#: them, so one response template serves the whole batch.
+_READ_UNIFORM_COLUMNS = np.r_[6:12, 26:30, 34:36, DEST_QP_OFF : DEST_QP_OFF + 3, 66:70]
 
 
 class NicCounters:
@@ -228,7 +246,11 @@ class RdmaNic:
         self._queue_pairs: Dict[int, QueuePair] = {}
         #: Outbound frames (READ responses, ACKs) awaiting transmission;
         #: the network model drains this with :meth:`transmit`.
-        self.tx_queue: List[bytes] = []
+        #: A scalar READ or atomic leaves one ``bytes`` frame, a READ batch
+        #: one :class:`~repro.rdma.frames.FrameBatch` whose rows are the
+        #: response frames, both in execution order.
+        self.tx_queue: List[Union[bytes, FrameBatch]] = []
+        self._read_templates: Dict[tuple, np.ndarray] = {}
 
     def __repr__(self) -> str:
         return f"RdmaNic(ip={self.ip!r}, region={self.region!r})"
@@ -284,57 +306,42 @@ class RdmaNic:
         """Looped :meth:`receive_frame`; kept only as a `perf/` trace boundary."""
         return sum(self.receive_frame(frame) for frame in frames)
 
-    def _batch_is_uniform_writes(self, frames: np.ndarray) -> bool:
-        """Whether every row is a well-formed DART WRITE frame.
+    def _batch_branch(self, frames: np.ndarray):
+        """The vector branch that can express ``frames`` exactly, or None.
 
-        The vectorised ingest handles exactly the frame shape the DART
-        switch emits: IPv4/UDP/RoCEv2, RC RDMA WRITE ONLY, RETH dma_length
-        matching the payload, consistent length fields.  Anything else
-        (truncated frames, other opcodes, foreign traffic) routes through
-        the scalar reference path, which implements the full per-frame
-        drop taxonomy.
+        Each branch takes one uniform shape (every row passing
+        :func:`~repro.rdma.frames.header_mask` for one opcode): the WRITE
+        the DART switch emits, the 86-byte FETCH_ADD of the primitive
+        translators (unless a targeted QP wants per-atomic ACKs), or the
+        READ requests of one requester.  Anything else -- truncated
+        frames, mixed opcodes, foreign traffic -- is for the scalar
+        reference path and its full per-frame drop taxonomy.
         """
         width = frames.shape[1]
         if width < OVERHEAD_BYTES:
-            return False
-        ok = (
-            (frames[:, 12] == 0x08)
-            & (frames[:, 13] == 0x00)  # ethertype IPv4
-            & (frames[:, 14] == 0x45)  # version/IHL
-            & (frames[:, 23] == 17)  # protocol UDP
-            & (frames[:, 36] == 0x12)
-            & (frames[:, 37] == 0xB7)  # dst port 4791
-            & (frames[:, 42] == int(Opcode.RC_RDMA_WRITE_ONLY))
-        )
-        if not bool(ok.all()):
-            return False
-        if not bool((read_be16(frames, 16) == width - 14).all()):
-            return False  # IPv4 total length inconsistent
-        return bool((read_be32(frames, 66) == width - OVERHEAD_BYTES).all())
-
-    def _batch_is_uniform_fetch_adds(self, frames: np.ndarray) -> bool:
-        """Whether every row is a well-formed RC FETCH_ADD frame.
-
-        The vectorised atomic ingest handles the one frame shape the
-        primitive translators emit: IPv4/UDP/RoCEv2, RC FETCH_ADD,
-        constant 86-byte geometry.  Anything else routes through the
-        scalar reference path.
-        """
-        width = frames.shape[1]
-        if width != ATOMIC_FRAME_BYTES:
-            return False
-        ok = (
-            (frames[:, 12] == 0x08)
-            & (frames[:, 13] == 0x00)  # ethertype IPv4
-            & (frames[:, 14] == 0x45)  # version/IHL
-            & (frames[:, 23] == 17)  # protocol UDP
-            & (frames[:, 36] == 0x12)
-            & (frames[:, 37] == 0xB7)  # dst port 4791
-            & (frames[:, 42] == int(Opcode.RC_FETCH_ADD))
-        )
-        if not bool(ok.all()):
-            return False
-        return bool((read_be16(frames, 16) == width - 14).all())
+            return None
+        opcode = int(frames[0, OPCODE_OFF])
+        if not header_mask(frames, opcode).all():
+            return None
+        if opcode == Opcode.RC_RDMA_WRITE_ONLY:
+            if (read_be32(frames, RETH_OFF + 12) == width - OVERHEAD_BYTES).all():
+                return self._ingest_write_batch
+        elif opcode == Opcode.RC_FETCH_ADD:
+            if width == ATOMIC_FRAME_BYTES and not self._any_qp_responds_atomics(
+                read_be24(frames, DEST_QP_OFF)
+            ):
+                return self._ingest_fetch_add_batch
+        elif opcode == Opcode.RC_RDMA_READ_REQUEST and width == READ_REQUEST_BYTES:
+            # One response template per batch needs every reflected
+            # column uniform, and the response has to fit the 16-bit
+            # IPv4 total length.
+            columns = frames[:, _READ_UNIFORM_COLUMNS]
+            length = int(read_be32(frames[:1], RETH_OFF + 12)[0])
+            if (columns == columns[0]).all() and (
+                RESPONSE_PAYLOAD_OFF + length + 4 - IP_OFF <= 0xFFFF
+            ):
+                return self._ingest_read_batch
+        return None
 
     def _any_qp_responds_atomics(self, dest_qps: np.ndarray) -> bool:
         """Whether any targeted QP wants per-atomic ACK responses.
@@ -354,13 +361,14 @@ class RdmaNic:
 
         The zero-copy fast path behind ``Fabric.send_batch``: iCRC, QP,
         PSN and access validation run as vector operations over the frame
-        matrix, and all surviving operations land in the region via one
-        columnar write (WRITE batches) or one columnar accumulate
-        (FETCH_ADD batches).  Counters, drops and the final memory image
-        are identical to feeding each row through :meth:`receive_frame`
-        in order; batches the vector paths cannot express exactly (mixed
-        opcodes, malformed rows, tracer enabled, ACK-responding QPs) fall
-        back to it.
+        matrix (:meth:`_validate_batch`), and all surviving operations
+        execute against the region in one columnar call -- a scatter
+        (WRITE), an accumulate (FETCH_ADD) or a gather whose rows leave as
+        one response matrix on :attr:`tx_queue` (READ).  Counters, drops,
+        the memory image and the response bytes are identical to feeding
+        each row through :meth:`receive_frame` in order; batches the
+        vector paths cannot express exactly (mixed opcodes, malformed
+        rows, per-report tracing, ACK-responding QPs) fall back to it.
         """
         frames = batch.frames
         count = len(frames)
@@ -376,14 +384,20 @@ class RdmaNic:
             or tracer.granularity == "batch"
             or batch.trace_ctx is not None
         ):
-            executed: Optional[int] = None
-            if self._batch_is_uniform_writes(frames):
-                executed = self._ingest_write_batch(batch)
-            elif self._batch_is_uniform_fetch_adds(
-                frames
-            ) and not self._any_qp_responds_atomics(read_be24(frames, 47)):
-                executed = self._ingest_fetch_add_batch(batch)
-            if executed is not None:
+            branch = self._batch_branch(frames)
+            if branch is not None:
+                profiler = self._profiler
+                timed = self._h_ingest_seconds.enabled or profiler.enabled
+                if timed:
+                    started = perf_counter()
+                executed = branch(batch)
+                if timed:
+                    ended = perf_counter()
+                    if self._h_ingest_seconds.enabled:
+                        self._h_ingest_seconds.observe(ended - started)
+                        self._h_ingest_batch.observe(count)
+                    if profiler.enabled:
+                        profiler.record("nic.ingest", started, ended)
                 if tracer.enabled and batch.trace_ctx is not None:
                     tracer.batch_span(
                         batch,
@@ -398,37 +412,36 @@ class RdmaNic:
             receive_frame(frames[index].tobytes()) for index in range(count)
         )
 
-    def _ingest_write_batch(self, batch: FrameBatch) -> int:
-        """The uniform-WRITE half of :meth:`ingest_batch` (vectorised)."""
-        frames = batch.frames
+    def _validate_batch(
+        self, frames: np.ndarray, span: int, alignment: int = 1
+    ):
+        """The validation every vector branch shares; returns what landed.
+
+        In the scalar path's order and with its counters: iCRC, per-QP
+        lookup and PSN acceptance in arrival order, then rkey, bounds of
+        ``[VA, VA + span)`` and ``alignment`` (RETH and AtomicETH both
+        open with VA(8) rkey(4) at byte 54).  Returns the row indexes
+        that passed everything, in arrival order, and their region
+        offsets.
+        """
         count = len(frames)
-        profiler = self._profiler
-        timed = self._h_ingest_seconds.enabled or profiler.enabled
-        if timed:
-            started = perf_counter()
         counters = self.counters
         counters.c_received.inc(count)
-
         if self.validate_icrc:
-            wire_icrc = (
-                np.ascontiguousarray(frames[:, -4:]).view("<u4").ravel()
-            )
-            decode_ok = wire_icrc == icrc_rows(frames)
-            failures = count - int(decode_ok.sum())
-            if failures:
-                counters.c_dropped_decode.inc(failures)
+            candidates = np.flatnonzero(icrc_ok(frames))
+            if len(candidates) < count:
+                counters.c_dropped_decode.inc(count - len(candidates))
         else:
-            decode_ok = np.ones(count, dtype=bool)
+            candidates = np.arange(count)
 
         executed = np.zeros(count, dtype=bool)
-        dest_qps = read_be24(frames, 47)
-        psns = read_be32(frames, 50) & 0xFFFFFF
-        candidates = np.flatnonzero(decode_ok)
+        dest_qps = read_be24(frames, DEST_QP_OFF)[candidates]
+        psns = read_be32(frames, PSN_OFF) & 0xFFFFFF
         # Per-QP acceptance, preserving arrival order within each QP --
         # the PSN state machine is sequential per queue pair.
-        for qp_number in dict.fromkeys(dest_qps[candidates].tolist()):
-            rows = candidates[dest_qps[candidates] == qp_number]
-            qp = self._queue_pairs.get(int(qp_number))
+        for qp_number in dict.fromkeys(dest_qps.tolist()):
+            rows = candidates[dest_qps == qp_number]
+            qp = self._queue_pairs.get(qp_number)
             if qp is None:
                 counters.c_dropped_unknown_qp.inc(len(rows))
                 continue
@@ -439,116 +452,92 @@ class RdmaNic:
             executed[rows[accepted]] = True
 
         landed = np.flatnonzero(executed)
-        if len(landed):
-            region = self.region
-            width = frames.shape[1]
-            payload_bytes = width - OVERHEAD_BYTES
-            addresses = read_be64(frames, 54)[landed]
-            rkeys = read_be32(frames, 62)[landed]
-            base = np.uint64(region.base_address)
-            access_ok = (
-                (rkeys == region.rkey)
-                & (addresses >= base)
-                & (addresses + np.uint64(payload_bytes) <= base + np.uint64(region.size))
-            )
-            denied = len(landed) - int(access_ok.sum())
-            if denied:
-                counters.c_dropped_access.inc(denied)
-                executed[landed[~access_ok]] = False
-                landed = landed[access_ok]
-                addresses = addresses[access_ok]
-            if len(landed):
-                region.write_offset_columnar(
-                    (addresses - base).astype(np.int64),
-                    frames[landed, 70 : 70 + payload_bytes],
-                )
-                counters.c_writes.inc(len(landed))
+        region = self.region
+        addresses = read_be64(frames, RETH_OFF)[landed]
+        base = np.uint64(region.base_address)
+        # Offsets wrap for VAs below the base; the first term rejects
+        # those rows, and comparing offsets (not VA + span) keeps a VA
+        # near 2**64 from wrapping back inside the region.
+        offsets = addresses - base
+        room = region.size - span
+        access_ok = (
+            (addresses >= base)
+            & (offsets <= np.uint64(max(room, 0)))
+            & (read_be32(frames, RETH_OFF + 8)[landed] == region.rkey)
+        )
+        if alignment > 1:
+            access_ok &= addresses % np.uint64(alignment) == 0
+        if room < 0:  # a span longer than the region fits nowhere
+            access_ok[:] = False
+        denied = len(landed) - int(access_ok.sum())
+        if denied:
+            counters.c_dropped_access.inc(denied)
+            landed = landed[access_ok]
+            offsets = offsets[access_ok]
+        return landed, offsets.astype(np.int64)
 
-        if timed:
-            ended = perf_counter()
-            if self._h_ingest_seconds.enabled:
-                self._h_ingest_seconds.observe(ended - started)
-                self._h_ingest_batch.observe(count)
-            if profiler.enabled:
-                profiler.record("nic.ingest", started, ended)
-        return int(executed.sum())
+    def _ingest_write_batch(self, batch: FrameBatch) -> int:
+        """The uniform-WRITE branch: one last-wins columnar scatter."""
+        frames = batch.frames
+        payload_bytes = frames.shape[1] - OVERHEAD_BYTES
+        landed, offsets = self._validate_batch(frames, payload_bytes)
+        if len(landed):
+            self.region.write_offset_columnar(
+                offsets, frames[landed, PAYLOAD_OFF : PAYLOAD_OFF + payload_bytes]
+            )
+            self.counters.c_writes.inc(len(landed))
+        return len(landed)
 
     def _ingest_fetch_add_batch(self, batch: FrameBatch) -> int:
-        """The uniform-FETCH_ADD half of :meth:`ingest_batch` (vectorised).
+        """The uniform-FETCH_ADD branch: one columnar accumulate.
 
-        Validation mirrors :meth:`_ingest_write_batch`; surviving operands
-        accumulate into the region through one
-        :meth:`~repro.mem.region.MemoryRegion.dma_fetch_add_many` call.
-        Adds commute, so the columnar accumulate is byte-identical to the
-        scalar path even with duplicate target cells in one batch.
+        Adds commute, so :meth:`~repro.mem.region.MemoryRegion.dma_fetch_add_many`
+        is byte-identical to the scalar path even with duplicate target
+        cells in one batch.
         """
         frames = batch.frames
-        count = len(frames)
-        profiler = self._profiler
-        timed = self._h_ingest_seconds.enabled or profiler.enabled
-        if timed:
-            started = perf_counter()
-        counters = self.counters
-        counters.c_received.inc(count)
-
-        if self.validate_icrc:
-            wire_icrc = (
-                np.ascontiguousarray(frames[:, -4:]).view("<u4").ravel()
-            )
-            decode_ok = wire_icrc == icrc_rows(frames)
-            failures = count - int(decode_ok.sum())
-            if failures:
-                counters.c_dropped_decode.inc(failures)
-        else:
-            decode_ok = np.ones(count, dtype=bool)
-
-        executed = np.zeros(count, dtype=bool)
-        dest_qps = read_be24(frames, 47)
-        psns = read_be32(frames, 50) & 0xFFFFFF
-        candidates = np.flatnonzero(decode_ok)
-        for qp_number in dict.fromkeys(dest_qps[candidates].tolist()):
-            rows = candidates[dest_qps[candidates] == qp_number]
-            qp = self._queue_pairs.get(int(qp_number))
-            if qp is None:
-                counters.c_dropped_unknown_qp.inc(len(rows))
-                continue
-            accepted = qp.accept_array(psns[rows])
-            rejected = len(rows) - int(accepted.sum())
-            if rejected:
-                counters.c_dropped_psn.inc(rejected)
-            executed[rows[accepted]] = True
-
-        landed = np.flatnonzero(executed)
+        landed, offsets = self._validate_batch(frames, 8, alignment=8)
         if len(landed):
-            region = self.region
-            addresses = read_be64(frames, ATOMIC_ETH_OFF)[landed]
-            rkeys = read_be32(frames, ATOMIC_ETH_OFF + 8)[landed]
-            base = np.uint64(region.base_address)
-            access_ok = (
-                (rkeys == region.rkey)
-                & (addresses >= base)
-                & (addresses + np.uint64(8) <= base + np.uint64(region.size))
-                & (addresses % np.uint64(8) == 0)
+            self.region.dma_fetch_add_many(
+                offsets + self.region.base_address,
+                read_be64(frames, ATOMIC_ETH_OFF + 12)[landed],
             )
-            denied = len(landed) - int(access_ok.sum())
-            if denied:
-                counters.c_dropped_access.inc(denied)
-                executed[landed[~access_ok]] = False
-                landed = landed[access_ok]
-                addresses = addresses[access_ok]
-            if len(landed):
-                addends = read_be64(frames, ATOMIC_ETH_OFF + 12)[landed]
-                region.dma_fetch_add_many(addresses, addends)
-                counters.c_atomics.inc(len(landed))
+            self.counters.c_atomics.inc(len(landed))
+        return len(landed)
 
-        if timed:
-            ended = perf_counter()
-            if self._h_ingest_seconds.enabled:
-                self._h_ingest_seconds.observe(ended - started)
-                self._h_ingest_batch.observe(count)
-            if profiler.enabled:
-                profiler.record("nic.ingest", started, ended)
-        return int(executed.sum())
+    def _ingest_read_batch(self, batch: FrameBatch) -> int:
+        """The uniform-READ branch: one gather, one response matrix.
+
+        The survivors' bytes leave as one unpooled
+        :class:`~repro.rdma.frames.FrameBatch` on :attr:`tx_queue`: the
+        scalar-packed response template with PSN, MSN, payload and iCRC
+        patched, row for row what :meth:`_enqueue_read_response` packs.
+        """
+        frames = batch.frames
+        length = int(read_be32(frames[:1], RETH_OFF + 12)[0])
+        landed, offsets = self._validate_batch(frames, length)
+        count = len(landed)
+        if count:
+            first = frames[landed[0]]
+            qp = self._queue_pairs[
+                int.from_bytes(first[DEST_QP_OFF : DEST_QP_OFF + 3].tobytes(), "big")
+            ]
+            width = RESPONSE_PAYLOAD_OFF + length + 4
+            response = np.empty((count, width), dtype=np.uint8)
+            response[:] = self._read_response_template(first, qp, length)
+            write_be32(response, PSN_OFF, read_be32(frames, PSN_OFF)[landed] & 0xFFFFFF)
+            write_be32(response, AETH_OFF, psn_run(qp.msn + 1, count))
+            qp.msn = (qp.msn + count) % PSN_MODULUS
+            response[:, RESPONSE_PAYLOAD_OFF : width - 4] = (
+                self.region.read_offset_columnar(offsets, length)
+            )
+            write_le32(response, width - 4, icrc_rows(response))
+            self.tx_queue.append(
+                FrameBatch(response, batch.endpoint_ids[landed])
+            )
+            self.counters.c_reads.inc(count)
+            self.counters.c_responses.inc(count)
+        return count
 
     def receive_packet(self, packet: RoceV2Packet) -> bool:
         """Ingest an already-parsed packet (fast path for simulations)."""
@@ -617,14 +606,13 @@ class RdmaNic:
     # Response path (READ responses; still zero host CPU)
     # ------------------------------------------------------------------
 
-    def _enqueue_read_response(
-        self, request: RoceV2Packet, qp: QueuePair, data: bytes
-    ) -> None:
-        """Craft the READ RESPONSE frame for an executed READ request.
+    def _craft_read_response(
+        self, request: RoceV2Packet, peer_qp: int, msn: int, data: bytes
+    ) -> bytes:
+        """The READ RESPONSE frame for one executed READ request.
 
         Addressing is reflected from the request (the NIC knows nothing
-        else); the response is queued on :attr:`tx_queue` for the network
-        model to deliver back to the requester.
+        else).
         """
         response = RoceV2Packet(
             eth=EthernetHeader(
@@ -634,14 +622,53 @@ class RdmaNic:
             udp=UdpHeader(src_port=request.udp.src_port),
             bth=Bth(
                 opcode=int(Opcode.RC_RDMA_READ_RESPONSE_ONLY),
-                dest_qp=qp.effective_peer_qp,
+                dest_qp=peer_qp,
                 psn=request.bth.psn,
             ),
-            aeth=Aeth(syndrome=0, msn=qp.next_msn()),
+            aeth=Aeth(syndrome=0, msn=msn),
             payload=data,
         )
-        self.tx_queue.append(response.pack())
+        return response.pack()
+
+    def _enqueue_read_response(
+        self, request: RoceV2Packet, qp: QueuePair, data: bytes
+    ) -> None:
+        """Queue the READ RESPONSE on :attr:`tx_queue` for the network
+        model to deliver back to the requester."""
+        self.tx_queue.append(
+            self._craft_read_response(
+                request, qp.effective_peer_qp, qp.next_msn(), data
+            )
+        )
         self.counters.c_responses.inc()
+
+    def _read_response_template(
+        self, request_row: np.ndarray, qp: QueuePair, length: int
+    ) -> np.ndarray:
+        """Constant bytes of the READ responses to one requester.
+
+        Packed once by the scalar codec from a decoded request row and
+        cached on everything the response reflects.
+        """
+        key = (
+            request_row[_READ_UNIFORM_COLUMNS].tobytes(),
+            qp.effective_peer_qp,
+        )
+        template = self._read_templates.get(key)
+        if template is None:
+            if len(self._read_templates) >= 64:
+                self._read_templates.clear()  # hostile reflected addresses
+            request = RoceV2Packet.unpack(
+                request_row.tobytes(), validate_icrc=False
+            )
+            template = np.frombuffer(
+                self._craft_read_response(
+                    request, qp.effective_peer_qp, 0, bytes(length)
+                ),
+                dtype=np.uint8,
+            )
+            self._read_templates[key] = template
+        return template
 
     def _enqueue_atomic_response(
         self, request: RoceV2Packet, qp: QueuePair, original: int
@@ -670,7 +697,7 @@ class RdmaNic:
         self.tx_queue.append(response.pack())
         self.counters.c_responses.inc()
 
-    def transmit(self) -> List[bytes]:
-        """Drain and return all queued outbound frames."""
+    def transmit(self) -> List[Union[bytes, FrameBatch]]:
+        """Drain and return everything queued outbound, in execution order."""
         frames, self.tx_queue = self.tx_queue, []
         return frames

@@ -32,6 +32,19 @@ def psn_distance(expected: int, received: int) -> int:
     return (received - expected) % PSN_MODULUS
 
 
+def psn_run(start: int, count: int) -> "np.ndarray":
+    """``count`` consecutive 24-bit sequence numbers from ``start``, wrapped.
+
+    The array form of a requester's PSN counter (and a responder's MSN
+    counter): element ``i`` is ``(start + i) % 2**24``, as ``uint32``.
+    """
+    import numpy as np
+
+    return ((start + np.arange(count, dtype=np.int64)) % PSN_MODULUS).astype(
+        np.uint32
+    )
+
+
 class PsnPolicy(Enum):
     """Responder behaviour when a packet's PSN is not the expected one."""
 

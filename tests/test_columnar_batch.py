@@ -333,6 +333,21 @@ class TestNicBatchValidationParity:
             == columnar.cluster[0].region.snapshot()
         )
 
+    def test_address_wrapping_past_2_64_is_an_access_drop(self):
+        """A VA a few bytes below 2**64 must not wrap back inside the
+        region's bounds check (it used to, and the scatter then raised)."""
+        config = small_config(num_collectors=1, slots_per_collector=256)
+        columnar = DartStore(config, packet_level=True, fabric=InlineFabric())
+        batch = self._encode_batch(columnar, make_items(4))
+        write_be64(
+            batch.frames[1:2], 54, np.array([(1 << 64) - 4], dtype=np.uint64)
+        )
+        write_le32(batch.frames, batch.width - 4, icrc_rows(batch.frames))
+        nic = columnar.cluster[0].nic
+        assert nic.ingest_batch(batch) == batch.count - 1
+        batch.release()
+        assert nic.counters.dropped_access == 1
+
 
 class TestRegionColumnarWrites:
     def _paired_regions(self, size=1024):

@@ -522,6 +522,25 @@ class TestSeamEnforcement:
             if callable(value) and not name.startswith("_")
         }
         assert port_surface == {"receive_frame", "transmit"}
+        # The read side: frame = read / receive_frame / dma_read, batch =
+        # read_run / ingest_batch / read_offset_columnar, and no third.
+        from repro.primitives.clients import OneSidedReader
+
+        def public(cls, word):
+            return {
+                name
+                for name, value in vars(cls).items()
+                if callable(value) and word in name and not name.startswith("_")
+            }
+
+        assert public(OneSidedReader, "read") == {"read", "read_run"}
+        assert public(RdmaNic, "ingest") | public(RdmaNic, "receive") == {
+            "receive_frame", "receive_packet", "ingest_batch", "ingest_many",
+        }
+        # read_offset is the collector CPU's local read, not a wire verb.
+        assert public(MemoryRegion, "read") == {
+            "dma_read", "read_offset", "read_offset_columnar",
+        }
 
     def test_fabric_is_abstract(self):
         fabric = Fabric()

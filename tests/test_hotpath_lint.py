@@ -40,6 +40,7 @@ HOT_PATH_MODULES = [
     SRC / "collector" / "store.py",
     SRC / "collector" / "counters.py",
     SRC / "primitives" / "translator.py",
+    SRC / "primitives" / "clients.py",
     SRC / "primitives" / "append.py",
     SRC / "primitives" / "sketch.py",
 ]
@@ -110,6 +111,38 @@ def test_no_per_report_objects_in_batch_loops():
         tree = ast.parse(path.read_text(), filename=str(path))
         for function in _batch_functions(tree):
             violations.extend(_loop_violations(function, path))
+    assert not violations, "\n".join(violations)
+
+
+#: The read quadrant's batch bodies.  They craft nothing per row: requests
+#: and responses come from a scalar-packed template patched column-wise,
+#: so a packet object or a codec call anywhere in them -- loop or not --
+#: is the per-slot round trip creeping back.
+READ_BATCH_BODIES = [
+    (SRC / "primitives" / "clients.py", "_read_run_batch"),
+    (SRC / "rdma" / "nic.py", "_ingest_read_batch"),
+    (SRC / "primitives" / "translator.py", "_file_batch"),
+    (SRC / "query" / "backend.py", "keys_rows"),
+]
+
+
+def test_read_batch_bodies_build_no_packets():
+    """No packet/header construction, ``pack`` or ``unpack`` in READ bodies."""
+    banned = PER_REPORT_CONSTRUCTORS | {"pack", "Aeth"}
+    violations = []
+    for path, name in READ_BATCH_BODIES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bodies = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == name
+        ]
+        assert len(bodies) == 1, f"{path}: expected one {name}()"
+        violations.extend(
+            f"{path}:{call.lineno}: {name}() calls {_call_name(call)}(...)"
+            for call in ast.walk(bodies[0])
+            if isinstance(call, ast.Call) and _call_name(call) in banned
+        )
     assert not violations, "\n".join(violations)
 
 

@@ -123,6 +123,18 @@ class TestServiceCaching:
         cached = service.serve(self.QUERY)
         assert cached.answer.rows == uncached.answer.rows
 
+    def test_parse_memo_is_bounded_by_cache_capacity(self, registry, fleet):
+        """Ten times capacity distinct texts leave at most capacity parsed,
+        and an evicted text parses again to an equal query."""
+        service = QueryService(fleet, cache_capacity=8)
+        first = service.parse(self.QUERY)
+        for index in range(80):
+            service.parse(f'select value from keys where key == "k-{index}"')
+        assert len(service._parsed) <= 8
+        assert self.QUERY not in service._parsed
+        assert service.parse(self.QUERY) == first
+        assert service.parse(self.QUERY) is service.parse(self.QUERY)
+
     def test_ttl_expires_on_packet_clock(self, registry, fleet):
         service = QueryService(fleet, cache_ttl_ticks=8)
         service.serve(self.QUERY)
