@@ -54,17 +54,20 @@ bench-obs-trace:
 bench-control:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_control_failover.py -q
 
-# Columnar datapath gate: packet-level put_many (whole-batch frames
-# through switch, fabric, NIC and region) must hold >= 10x over per-frame
-# packet put, and in-process put_many (the "report_batch" row, now one
-# columnar region scatter per collector) must stay within 5% of its
-# recorded speedup over per-report put (writes benchmarks/BENCH_fabric.json).
+# Columnar datapath gate, absolute rates: every fabric-delivery mode
+# (packet-level put_many and in-process put_many, and the scalar put paths
+# they are diffed against) must read >= 90% of its recorded reports/sec,
+# and per-frame packet put >= 2x what it read before its codecs went to C
+# speed; the batched/scalar ratio is recorded, not gated (rewrites
+# benchmarks/BENCH_fabric.json).
 bench-fabric-columnar:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_fabric_columnar.py -q
 
-# DTA primitive gate: the batched Append / Key-Increment / Sketch-Merge
-# lowerings must each hold >= 5x over their scalar per-op baselines
-# (writes benchmarks/BENCH_primitives.json).
+# DTA primitive gate, absolute rates: the batched and the per-op Append /
+# Key-Increment / Sketch-Merge lowerings must each read >= 90% of their
+# recorded ops/sec, and the per-op ones >= what they read before the
+# scalar codecs went to C speed; the batched/per-op ratio is recorded, not
+# gated (rewrites benchmarks/BENCH_primitives.json).
 bench-primitives:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_primitives.py -q
 

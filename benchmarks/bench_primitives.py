@@ -7,16 +7,17 @@ Each primitive is measured twice over an identical workload:
 - ``*_batch``   -- the columnar path: one pooled frame batch per call
   (template + patch encode, vectorised iCRC) through ``send_batch``.
 
-The gate asserts each batched mode holds >= 5x its own per-op baseline
-measured in the same run, then records the rows to
-``benchmarks/BENCH_primitives.json`` (same shape as ``BENCH_fabric.json``:
-every row names its ``baseline`` mode and carries a within-run
-``speedup``).
+The gate asserts absolute rates: every mode at least 90% of its recorded
+ops/sec in ``benchmarks/BENCH_primitives.json``, and every per-op mode at
+least the rate it recorded before the scalar codecs went to C speed.  It
+then records the rows to that file (same shape as ``BENCH_fabric.json``:
+every row names its ``baseline`` mode and carries a within-run ``speedup``,
+which is information, not a gate -- as one it punished making the per-op
+path faster).
 """
 
 import json
 import pathlib
-import time
 
 import numpy as np
 
@@ -24,33 +25,27 @@ from repro.collector.counters import CounterStore
 from repro.experiments.reporting import print_experiment
 from repro.primitives import AppendStore
 
+from bench_core_throughput import best_seconds, gated_rows
+
 #: Where the primitive throughput comparison records its rows.
 PRIMITIVES_ARTIFACT = pathlib.Path(__file__).parent / "BENCH_primitives.json"
 
-#: Batched lowering must beat the scalar per-op lowering by this factor.
-PRIMITIVE_SPEEDUP_FLOOR = 5.0
-
-
-def _time_best_of(func, repeats=3):
-    """Best wall-clock of ``repeats`` runs; each run builds fresh state."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        func()
-        best = min(best, time.perf_counter() - start)
-    return best
+#: ops/sec each per-op mode recorded (1 000 ops) before the zlib iCRC /
+#: one-pass codecs; the scalar lowering must not fall back under them.
+PER_OP_RATE_FLOORS = {
+    "key_increment_per_op": 5_215.1,
+    "append_per_op": 3_687.0,
+    "sketch_merge_per_op": 12_585.5,
+}
 
 
 def _rows_for(primitive, ops, per_op, batch):
     """Two rows (scalar baseline + batched) for one primitive."""
-    per_op_seconds = _time_best_of(per_op)
-    batch_seconds = _time_best_of(batch)
     baseline = f"{primitive}_per_op"
+    timings = best_seconds([(baseline, per_op), (f"{primitive}_batch", batch)])
+    per_op_seconds = timings[baseline]
     rows = []
-    for mode, seconds in (
-        (baseline, per_op_seconds),
-        (f"{primitive}_batch", batch_seconds),
-    ):
+    for mode, seconds in timings.items():
         rows.append(
             {
                 "mode": mode,
@@ -116,16 +111,17 @@ def primitive_rows(ops: int = 1_000) -> list:
 
 
 def test_primitive_batch_gate(run_once, full_scale):
-    """Every batched primitive lowering >= 5x its scalar baseline."""
-    ops = 5_000 if full_scale else 1_000
-    rows = run_once(primitive_rows, ops=ops)
+    """Every mode holds 90% of its recorded rate; per-op modes their old rate."""
+    rows, shortfalls = gated_rows(
+        run_once, primitive_rows, PRIMITIVES_ARTIFACT, "ops_per_sec", "ops",
+        ops=5_000 if full_scale else 1_000,
+    )
     print_experiment("DTA primitive lowering gate", rows)
     by_mode = {row["mode"]: row for row in rows}
-    for primitive in ("key_increment", "append", "sketch_merge"):
-        batched = by_mode[f"{primitive}_batch"]
-        assert batched["baseline"] == f"{primitive}_per_op"
-        assert batched["speedup"] >= PRIMITIVE_SPEEDUP_FLOOR, (
-            f"{primitive} batched lowering at {batched['speedup']}x its "
-            f"per-op baseline, need >= {PRIMITIVE_SPEEDUP_FLOOR}x"
+
+    assert not shortfalls, "; ".join(shortfalls)
+    for mode, floor in PER_OP_RATE_FLOORS.items():
+        assert by_mode[mode]["ops_per_sec"] >= floor, (
+            f"{mode} at {by_mode[mode]['ops_per_sec']} ops/sec, need >= {floor}"
         )
     PRIMITIVES_ARTIFACT.write_text(json.dumps(rows, indent=2) + "\n")

@@ -76,6 +76,18 @@ class CrcAlgorithm:
         object.__setattr__(
             self, "_table", _build_table(self.poly, self.width, self.reflect_in)
         )
+        # This parameterisation *is* zlib's CRC-32: one C call replaces the
+        # table loop in compute() and the position-wise loop in compute_rows().
+        object.__setattr__(
+            self,
+            "_is_zlib",
+            self.width == 32
+            and self.poly == 0x04C11DB7
+            and self.init == 0xFFFFFFFF
+            and self.xor_out == 0xFFFFFFFF
+            and self.reflect_in
+            and self.reflect_out,
+        )
 
     @property
     def mask(self) -> int:
@@ -89,6 +101,9 @@ class CrcAlgorithm:
         result; the final XOR is undone/redone so that
         ``compute(a + b) == compute(b, initial=compute(a))``.
         """
+        if self._is_zlib:  # type: ignore[attr-defined]
+            # zlib chains on the finalised value, exactly this contract.
+            return zlib.crc32(data, 0 if initial is None else initial)
         table = self._table  # type: ignore[attr-defined]
         if initial is None:
             crc = self.init
@@ -130,14 +145,10 @@ class CrcAlgorithm:
                 dtype=np.uint32,
                 count=len(rows),
             )
-        if (
-            self.poly == 0x04C11DB7
-            and self.init == 0xFFFFFFFF
-            and self.xor_out == 0xFFFFFFFF
-        ):
-            # This parameterisation *is* zlib's CRC-32; one C call per row
-            # beats the position-wise numpy loop at every batch size (the
-            # loop's cost is ~width numpy dispatches regardless of rows).
+        if self._is_zlib:  # type: ignore[attr-defined]
+            # One C call per row beats the position-wise numpy loop at
+            # every batch size (the loop's cost is ~width numpy dispatches
+            # regardless of rows).
             data = np.ascontiguousarray(rows).tobytes()
             width = rows.shape[1]
             crc32_c = zlib.crc32

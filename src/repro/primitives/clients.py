@@ -49,14 +49,15 @@ APPEND_READER_QP_BASE = 0xA00
 COUNTER_READER_QP_BASE = 0xB00
 
 #: Shortest run :meth:`OneSidedReader.read_run` sends as one frame matrix.
-#: Measured (CHANGES.md, PR 13 crossover table): a columnar round trip
-#: costs ~130 us fixed + ~2 us/row against ~110 us per scalar READ, so
-#: on a clean fabric it wins from two rows up.  The cut still sits above
-#: the 2-3 READ runs of a point lookup: an impaired fabric splits a short
-#: batch at every held or duplicated row into one-row runs that each pay
-#: the fixed cost, and single-address retries pay it too -- with the cut
-#: at 2, ``point_p99_us`` on the lossy benchmark workload read 577 us
-#: against 490 us at 4, which is the all-scalar figure.
+#: Measured (CHANGES.md, PR 14 crossover table): a columnar round trip
+#: costs ~130 us fixed + ~2 us/row against ~40 us per scalar READ, so it
+#: wins from 4 rows up on a clean fabric (145 us against 162) and from 6
+#: at 2% loss, where a batch is split at every held or duplicated row into
+#: runs that each pay the fixed cost (5 rows tie at 167 us).  The 2-3 READ
+#: runs of a point lookup and single-address retries stay scalar, a sweep's
+#: 16+ per shard columnar; no benchmark stage issues runs of 4-5, and
+#: ``point_p99_us`` on the lossy workload read the same at 3, 4 and 6
+#: (313-317 / 310-315 / 311-321 us), so the cut stays where it was.
 COLUMNAR_MIN_READS = 4
 
 

@@ -22,7 +22,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro import obs
-from repro.core.addressing import DartAddressing
+from repro.core.addressing import DartAddressing, ResolvedKey
 from repro.core.batch import ReportBatch
 from repro.core.config import DartConfig
 from repro.fabric.fabric import Fabric
@@ -278,9 +278,15 @@ class DartSwitch:
     # Data-plane: report crafting
     # ------------------------------------------------------------------
 
-    def _craft_frame(self, key: Key, value: bytes, copy_index: int) -> Tuple[int, bytes]:
-        """One RoCEv2 WRITE frame for copy ``copy_index`` of a report."""
-        collector_id = self.addressing.collector_of(key)
+    def _craft_frame(
+        self, resolved: ResolvedKey, value: bytes, copy_index: int
+    ) -> Tuple[int, bytes]:
+        """One RoCEv2 WRITE frame for copy ``copy_index`` of a resolved report."""
+        if not 0 <= copy_index < self.config.redundancy:
+            raise ValueError(
+                f"copy_index {copy_index} outside [0, {self.config.redundancy})"
+            )
+        collector_id = resolved.collector_id
         lookup = self.collector_table.lookup(collector_id)
         if lookup is None:
             self.counters.c_drops_no_entry.inc()
@@ -289,16 +295,15 @@ class DartSwitch:
             )
         _action, endpoint = lookup
 
-        slot_index = self.addressing.slot_index(key, copy_index)
         address = self.addressing.slot_address(
-            endpoint["base_address"], slot_index
+            endpoint["base_address"], resolved.slot_indexes[copy_index]
         )
-        payload = self._codec.encode(self.addressing.checksum_of(key), value)
+        payload = self._codec.encode(resolved.checksum, value)
         psn = self.psn_registers.read_and_increment(collector_id) % PSN_MODULUS
 
         # UDP source port varies with the key for ECMP entropy, like
         # requester NICs do.
-        entropy = self.addressing.checksum_of(key) & 0x3FFF
+        entropy = resolved.checksum & 0x3FFF
         packet = RoceV2Packet(
             eth=EthernetHeader(dst_mac=endpoint["mac"], src_mac=self.src_mac),
             ipv4=Ipv4Header(src_ip=self.src_ip, dst_ip=endpoint["ip"]),
@@ -317,6 +322,17 @@ class DartSwitch:
         )
         return collector_id, packet.pack()
 
+    def _mirror_and_resolve(self, key: Key, value: bytes) -> ResolvedKey:
+        """Clone the event into egress and resolve its key: one encoding, one fold.
+
+        The mirror clone carries key + raw data; the canonical key bytes it
+        needs are themselves a key that folds identically (``bytes`` encode
+        as themselves), so addressing resolves them instead of re-encoding.
+        """
+        key_bytes = stable_key_bytes(key)
+        self.mirror.clone(key_bytes + value)
+        return self.addressing.resolve(key_bytes)
+
     def report(self, key: Key, value: bytes) -> List[Tuple[int, bytes]]:
         """Emit the full redundant report: one frame per copy index.
 
@@ -325,10 +341,9 @@ class DartSwitch:
         switch generating all of them for one telemetry event.
         """
         self.counters.c_events.inc()
-        # The mirror clone carries key + raw data into egress.
-        self.mirror.clone(stable_key_bytes(key) + value)
+        resolved = self._mirror_and_resolve(key, value)
         frames = [
-            self._craft_frame(key, value, copy_index)
+            self._craft_frame(resolved, value, copy_index)
             for copy_index in range(self.config.redundancy)
         ]
         self.counters.c_reports.inc(len(frames))
@@ -355,9 +370,9 @@ class DartSwitch:
         for the same key gradually fill the N slots.
         """
         self.counters.c_events.inc()
-        self.mirror.clone(stable_key_bytes(key) + value)
+        resolved = self._mirror_and_resolve(key, value)
         copy_index = self.rng.next(self.config.redundancy)
-        frame = self._craft_frame(key, value, copy_index)
+        frame = self._craft_frame(resolved, value, copy_index)
         self.counters.c_reports.inc()
         tracer = self._tracer
         if tracer.enabled:

@@ -1,18 +1,17 @@
-"""RoCEv2 wire-format codecs.
+"""Test-only oracle: the scalar codecs as they were before they went to C speed.
 
-A RoCEv2 frame is::
+Copied verbatim from the commit that preceded the zlib iCRC / one-pass
+pack/unpack change (``0d21556``): ``repro/rdma/packets.py`` from its first
+constant to its last line, and the table-loop body of
+``CrcAlgorithm.compute`` (as :func:`table_crc`, taking the algorithm as
+its first argument and looking its table up in a memo).  Nothing under
+``src/`` imports this; ``tests/test_codec_differential.py`` diffs the live
+codecs against it.  The one place the live decoder is *meant* to differ is
+spelled out there: this ``unpack`` checksums re-packed parsed headers, so
+it treats the BTH TVer nibble and the reserved bits beside AckReq as zero
+whatever arrived.
 
-    Ethernet | IPv4 | UDP (dst port 4791) | BTH | [RETH | AtomicETH] | payload | iCRC
-
-The DART switch prototype (paper section 6) crafts these frames in the
-Tofino egress pipeline, including the invariant CRC (iCRC) produced by the
-native CRC extern.  This module provides pack/unpack for every header the
-prototype emits, plus :func:`compute_icrc` implementing the RoCEv2 masking
-rules so that the switch model and the NIC model agree bit-for-bit.
-
-Only the headers DART needs are modelled (one-sided WRITE, FETCH_ADD and
-CMP_SWAP); two-sided verbs, GRH/IPv6 and congestion-management extension
-headers are out of scope, as they are for the paper's prototype.
+Do not tidy this file -- its value is that it does not change.
 """
 
 from __future__ import annotations
@@ -21,33 +20,80 @@ import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Tuple
 
-from repro.hashing.crc import crc32
+from repro.hashing.crc import CRC32 as _CRC32_PARAMETERS
+
+
+def _reflect(value: int, width: int) -> int:
+    """Reverse the low ``width`` bits of ``value``."""
+    reflected = 0
+    for _ in range(width):
+        reflected = (reflected << 1) | (value & 1)
+        value >>= 1
+    return reflected
+
+
+def _build_table(poly: int, width: int, reflected: bool) -> Tuple[int, ...]:
+    """Precompute the 256-entry CRC table for one byte of input."""
+    mask = (1 << width) - 1
+    top_bit = 1 << (width - 1)
+    table = []
+    for byte in range(256):
+        if reflected:
+            crc = _reflect(byte, 8) << (width - 8)
+        else:
+            crc = byte << (width - 8)
+        for _ in range(8):
+            if crc & top_bit:
+                crc = ((crc << 1) ^ poly) & mask
+            else:
+                crc = (crc << 1) & mask
+        if reflected:
+            crc = _reflect(crc, width)
+        table.append(crc)
+    return tuple(table)
+
+
+_table_of = lru_cache(maxsize=None)(_build_table)  # the parent built it once per algorithm
+
+
+def table_crc(self, data: bytes, initial: int | None = None) -> int:
+    """CRC of ``data``; ``initial`` allows incremental computation.
+
+    When ``initial`` is given it must be a previous :meth:`compute`
+    result; the final XOR is undone/redone so that
+    ``compute(a + b) == compute(b, initial=compute(a))``.
+    """
+    table = _table_of(self.poly, self.width, self.reflect_in)
+    if initial is None:
+        crc = self.init
+    else:
+        crc = (initial ^ self.xor_out) & self.mask
+        if self.reflect_in != self.reflect_out:
+            crc = _reflect(crc, self.width)
+    if self.reflect_in:
+        for byte in data:
+            crc = table[(crc ^ byte) & 0xFF] ^ (crc >> 8)
+    else:
+        shift = self.width - 8
+        for byte in data:
+            crc = (table[((crc >> shift) ^ byte) & 0xFF] ^ (crc << 8)) & self.mask
+    if self.reflect_in != self.reflect_out:
+        crc = _reflect(crc, self.width)
+    return (crc ^ self.xor_out) & self.mask
+
+
+def crc32(data: bytes) -> int:
+    """Standard reflected CRC-32 of ``data``, by the table loop."""
+    return table_crc(_CRC32_PARAMETERS, data)
+
 
 #: IANA-assigned UDP destination port identifying RoCEv2.
 ROCEV2_UDP_PORT = 4791
 
 ETHERTYPE_IPV4 = 0x0800
 IP_PROTO_UDP = 17
-
-_ETH = struct.Struct(">6s6sH")
-_IPV4 = struct.Struct(">BBHHHBBH4s4s")
-_UDP = struct.Struct(">HHHH")
-_BTH = struct.Struct(">BBHBBBBI")
-_RETH = struct.Struct(">QII")
-_ATOMIC_ETH = struct.Struct(">QIQQ")
-_BE16 = struct.Struct(">H")
-_BE32 = struct.Struct(">I")
-_ICRC = struct.Struct("<I")
-
-# Frame offsets of the fixed headers (Ethernet 14 | IPv4 20 | UDP 8 | BTH 12).
-_IP_OFF, _UDP_OFF, _BTH_OFF, _EXT_OFF = 14, 34, 42, 54
-
-#: Entries each address memo below may hold.  Bounded because the
-#: addresses of a received frame are sender-chosen (the same reason
-#: ``RdmaNic._read_templates`` clears at 64); a deployment has far fewer.
-ADDRESS_MEMO_SIZE = 256
 
 
 class PacketDecodeError(Exception):
@@ -113,7 +159,6 @@ def opcode_has_aeth(opcode: int) -> bool:
     return opcode in _AETH_OPCODES
 
 
-@lru_cache(maxsize=ADDRESS_MEMO_SIZE)
 def _mac_bytes(mac: str) -> bytes:
     parts = mac.split(":")
     if len(parts) != 6:
@@ -121,37 +166,29 @@ def _mac_bytes(mac: str) -> bytes:
     return bytes(int(part, 16) for part in parts)
 
 
-@lru_cache(maxsize=ADDRESS_MEMO_SIZE)
-def _mac_text(data: bytes) -> str:
+def _mac_str(data: bytes) -> str:
     return ":".join(f"{byte:02x}" for byte in data)
 
 
-def _mac_str(data: bytes) -> str:
-    return _mac_text(bytes(data))  # any bytes-like slice; the memo needs a hashable
-
-
-@lru_cache(maxsize=ADDRESS_MEMO_SIZE)
 def _ipv4_bytes(address: str) -> bytes:
     parts = address.split(".")
     if len(parts) != 4:
         raise ValueError(f"malformed IPv4 address {address!r}")
-    return bytes(int(part) for part in parts)
-
-
-@lru_cache(maxsize=ADDRESS_MEMO_SIZE)
-def _ipv4_text(data: bytes) -> str:
-    return ".".join(str(byte) for byte in data)
+    encoded = bytes(int(part) for part in parts)
+    return encoded
 
 
 def _ipv4_str(data: bytes) -> str:
-    return _ipv4_text(bytes(data))
+    return ".".join(str(byte) for byte in data)
 
 
 def internet_checksum(data: bytes) -> int:
     """RFC 1071 ones'-complement checksum over ``data``."""
     if len(data) % 2:
-        data = data + b"\x00"  # a copy: the IPv4 packer passes its bytearray
-    total = sum(struct.unpack(f">{len(data) // 2}H", data))
+        data += b"\x00"
+    total = 0
+    for (word,) in struct.iter_unpack(">H", data):
+        total += word
     while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
     return (~total) & 0xFFFF
@@ -169,8 +206,10 @@ class EthernetHeader:
 
     def pack(self) -> bytes:
         """Serialise to wire bytes."""
-        return _ETH.pack(
-            _mac_bytes(self.dst_mac), _mac_bytes(self.src_mac), self.ethertype
+        return (
+            _mac_bytes(self.dst_mac)
+            + _mac_bytes(self.src_mac)
+            + struct.pack(">H", self.ethertype)
         )
 
     @classmethod
@@ -178,8 +217,11 @@ class EthernetHeader:
         """Parse wire bytes into a header instance."""
         if len(data) < cls.LENGTH:
             raise PacketDecodeError("truncated Ethernet header")
-        dst, src, ethertype = _ETH.unpack_from(data)
-        return cls(dst_mac=_mac_str(dst), src_mac=_mac_str(src), ethertype=ethertype)
+        return cls(
+            dst_mac=_mac_str(data[0:6]),
+            src_mac=_mac_str(data[6:12]),
+            ethertype=struct.unpack(">H", data[12:14])[0],
+        )
 
 
 @dataclass
@@ -199,24 +241,22 @@ class Ipv4Header:
 
     def pack(self, checksum: Optional[int] = None) -> bytes:
         """Serialise to wire bytes."""
-        header = bytearray(
-            _IPV4.pack(
-                0x45,
-                self.dscp_ecn,
-                self.total_length,
-                self.identification,
-                self.flags_fragment,
-                self.ttl,
-                self.protocol,
-                0,
-                _ipv4_bytes(self.src_ip),
-                _ipv4_bytes(self.dst_ip),
-            )
+        header = struct.pack(
+            ">BBHHHBBH4s4s",
+            0x45,
+            self.dscp_ecn,
+            self.total_length,
+            self.identification,
+            self.flags_fragment,
+            self.ttl,
+            self.protocol,
+            0,
+            _ipv4_bytes(self.src_ip),
+            _ipv4_bytes(self.dst_ip),
         )
         if checksum is None:
             checksum = internet_checksum(header)
-        _BE16.pack_into(header, 10, checksum)
-        return bytes(header)
+        return header[:10] + struct.pack(">H", checksum) + header[12:]
 
     @classmethod
     def unpack(cls, data: bytes) -> "Ipv4Header":
@@ -239,7 +279,7 @@ class Ipv4Header:
             _checksum,
             src,
             dst,
-        ) = _IPV4.unpack_from(data)
+        ) = struct.unpack(">BBHHHBBH4s4s", data[: cls.LENGTH])
         return cls(
             src_ip=_ipv4_str(src),
             dst_ip=_ipv4_str(dst),
@@ -265,14 +305,16 @@ class UdpHeader:
 
     def pack(self) -> bytes:
         """Serialise to wire bytes."""
-        return _UDP.pack(self.src_port, self.dst_port, self.length, self.checksum)
+        return struct.pack(
+            ">HHHH", self.src_port, self.dst_port, self.length, self.checksum
+        )
 
     @classmethod
     def unpack(cls, data: bytes) -> "UdpHeader":
         """Parse wire bytes into a header instance."""
         if len(data) < cls.LENGTH:
             raise PacketDecodeError("truncated UDP header")
-        src_port, dst_port, length, checksum = _UDP.unpack_from(data)
+        src_port, dst_port, length, checksum = struct.unpack(">HHHH", data[:8])
         return cls(src_port=src_port, dst_port=dst_port, length=length, checksum=checksum)
 
 
@@ -303,7 +345,8 @@ class Bth:
             raise ValueError(f"dest_qp {self.dest_qp} does not fit in 24 bits")
         if not 0 <= self.psn < (1 << 24):
             raise ValueError(f"psn {self.psn} does not fit in 24 bits")
-        return _BTH.pack(
+        return struct.pack(
+            ">BBHBBBBI",
             self.opcode & 0xFF,
             flags,
             self.partition_key,
@@ -319,7 +362,9 @@ class Bth:
         """Parse wire bytes into a header instance."""
         if len(data) < cls.LENGTH:
             raise PacketDecodeError("truncated BTH")
-        opcode, flags, pkey, _resv, qp2, qp1, qp0, last = _BTH.unpack_from(data)
+        opcode, flags, pkey, _resv, qp2, qp1, qp0, last = struct.unpack(
+            ">BBHBBBBI", data[: cls.LENGTH]
+        )
         return cls(
             opcode=opcode,
             solicited=bool(flags & 0x80),
@@ -344,14 +389,14 @@ class Reth:
 
     def pack(self) -> bytes:
         """Serialise to wire bytes."""
-        return _RETH.pack(self.virtual_address, self.rkey, self.dma_length)
+        return struct.pack(">QII", self.virtual_address, self.rkey, self.dma_length)
 
     @classmethod
     def unpack(cls, data: bytes) -> "Reth":
         """Parse wire bytes into a header instance."""
         if len(data) < cls.LENGTH:
             raise PacketDecodeError("truncated RETH")
-        virtual_address, rkey, dma_length = _RETH.unpack_from(data)
+        virtual_address, rkey, dma_length = struct.unpack(">QII", data[: cls.LENGTH])
         return cls(virtual_address=virtual_address, rkey=rkey, dma_length=dma_length)
 
 
@@ -368,8 +413,8 @@ class AtomicEth:
 
     def pack(self) -> bytes:
         """Serialise to wire bytes."""
-        return _ATOMIC_ETH.pack(
-            self.virtual_address, self.rkey, self.swap_add, self.compare
+        return struct.pack(
+            ">QIQQ", self.virtual_address, self.rkey, self.swap_add, self.compare
         )
 
     @classmethod
@@ -377,7 +422,9 @@ class AtomicEth:
         """Parse wire bytes into a header instance."""
         if len(data) < cls.LENGTH:
             raise PacketDecodeError("truncated AtomicETH")
-        virtual_address, rkey, swap_add, compare = _ATOMIC_ETH.unpack_from(data)
+        virtual_address, rkey, swap_add, compare = struct.unpack(
+            ">QIQQ", data[: cls.LENGTH]
+        )
         return cls(
             virtual_address=virtual_address,
             rkey=rkey,
@@ -403,23 +450,21 @@ class Aeth:
         """Serialise to wire bytes."""
         if not 0 <= self.msn < (1 << 24):
             raise ValueError(f"msn {self.msn} does not fit in 24 bits")
-        return _BE32.pack(((self.syndrome & 0xFF) << 24) | self.msn)
+        return struct.pack(">I", ((self.syndrome & 0xFF) << 24) | self.msn)
 
     @classmethod
     def unpack(cls, data: bytes) -> "Aeth":
         """Parse wire bytes into a header instance."""
         if len(data) < cls.LENGTH:
             raise PacketDecodeError("truncated AETH")
-        (word,) = _BE32.unpack_from(data)
+        (word,) = struct.unpack(">I", data[: cls.LENGTH])
         return cls(syndrome=(word >> 24) & 0xFF, msn=word & 0xFFFFFF)
 
 
-_ICRC_PREFIX = b"\xff" * 8
-
-
-def _icrc_of_wire(covered: bytes) -> int:
-    """RoCEv2 invariant CRC of ``covered``: the wire bytes of a frame from
-    the IPv4 header up to (not including) the iCRC itself.
+def compute_icrc(
+    ipv4: Ipv4Header, udp: UdpHeader, bth: Bth, after_bth: bytes
+) -> int:
+    """RoCEv2 invariant CRC over the masked packet.
 
     Per the RoCEv2 annex, the iCRC is a CRC-32 (Ethernet polynomial) over:
 
@@ -428,30 +473,27 @@ def _icrc_of_wire(covered: bytes) -> int:
       ``0xFF`` (these mutate in flight),
     - the UDP header with its checksum set to ``0xFF``,
     - the BTH with the ``resv8a`` byte set to ``0xFF``,
-    - every byte after the BTH,
+    - every byte after the BTH up to (not including) the iCRC itself,
 
-    and every other bit *as transmitted*, reserved ones included.  This is
-    the scalar twin of :func:`repro.rdma.frames.icrc_rows`: the same mask
-    over the same bytes, so both granularities accept the same frames.
+    with the final CRC transmitted little-endian.  This function returns the
+    integer value; :meth:`RoceV2Packet.pack` handles byte order.
     """
-    image = bytearray(_ICRC_PREFIX)
-    image += covered
-    image[9] = 0xFF  # DSCP/ECN
-    image[16] = 0xFF  # TTL
-    image[18:20] = b"\xff\xff"  # IPv4 header checksum
-    image[34:36] = b"\xff\xff"  # UDP checksum
-    image[40] = 0xFF  # BTH resv8a
-    return crc32(image)
+    masked_ip = bytearray(ipv4.pack())
+    masked_ip[1] = 0xFF  # DSCP/ECN
+    masked_ip[8] = 0xFF  # TTL
+    masked_ip[10] = 0xFF  # header checksum (2 bytes)
+    masked_ip[11] = 0xFF
 
+    masked_udp = bytearray(udp.pack())
+    masked_udp[6] = 0xFF  # UDP checksum (2 bytes)
+    masked_udp[7] = 0xFF
 
-def compute_icrc(
-    ipv4: Ipv4Header, udp: UdpHeader, bth: Bth, after_bth: bytes
-) -> int:
-    """The iCRC a frame built from these headers carries (see
-    :func:`_icrc_of_wire`), as an integer; the wire order is little-endian
-    and :meth:`RoceV2Packet.pack` handles it.
-    """
-    return _icrc_of_wire(ipv4.pack() + udp.pack() + bth.pack() + after_bth)
+    masked_bth = bytearray(bth.pack())
+    masked_bth[4] = 0xFF  # resv8a
+
+    covered = b"\xff" * 8 + bytes(masked_ip) + bytes(masked_udp) + bytes(masked_bth)
+    covered += after_bth
+    return crc32(covered)
 
 
 @dataclass
@@ -500,39 +542,43 @@ class RoceV2Packet:
         udp_payload_len = Bth.LENGTH + len(after_bth) + 4  # + iCRC
         self.udp.length = UdpHeader.LENGTH + udp_payload_len
         self.ipv4.total_length = Ipv4Header.LENGTH + self.udp.length
-        covered = self.ipv4.pack() + self.udp.pack() + self.bth.pack() + after_bth
-        return self.eth.pack() + covered + _ICRC.pack(_icrc_of_wire(covered))
+        icrc = compute_icrc(self.ipv4, self.udp, self.bth, after_bth)
+        return (
+            self.eth.pack()
+            + self.ipv4.pack()
+            + self.udp.pack()
+            + self.bth.pack()
+            + after_bth
+            + struct.pack("<I", icrc)
+        )
 
     @classmethod
     def unpack(cls, data: bytes, validate_icrc: bool = True) -> "RoceV2Packet":
-        """Parse wire bytes; raises :class:`PacketDecodeError` on corruption.
-
-        The iCRC is validated over the *received* bytes
-        (:func:`_icrc_of_wire` of ``data[14:end-4]``), never over re-packed
-        parsed headers: a bit the dataclasses do not model (the BTH TVer
-        nibble, the reserved bits beside AckReq) is covered as it arrived,
-        which is the annex's rule and what ``frames.icrc_rows`` does for
-        the columnar NIC.
-        """
+        """Parse wire bytes; raises :class:`PacketDecodeError` on corruption."""
+        offset = 0
         eth = EthernetHeader.unpack(data)
+        offset += EthernetHeader.LENGTH
         if eth.ethertype != ETHERTYPE_IPV4:
             raise PacketDecodeError(f"not IPv4 (ethertype {eth.ethertype:#x})")
-        ipv4 = Ipv4Header.unpack(data[_IP_OFF:_UDP_OFF])
+        ipv4 = Ipv4Header.unpack(data[offset:])
+        offset += Ipv4Header.LENGTH
         if ipv4.protocol != IP_PROTO_UDP:
             raise PacketDecodeError(f"not UDP (protocol {ipv4.protocol})")
-        udp = UdpHeader.unpack(data[_UDP_OFF:_BTH_OFF])
+        udp = UdpHeader.unpack(data[offset:])
+        offset += UdpHeader.LENGTH
         if udp.dst_port != ROCEV2_UDP_PORT:
             raise PacketDecodeError(f"not RoCEv2 (UDP port {udp.dst_port})")
-        bth = Bth.unpack(data[_BTH_OFF:_EXT_OFF])
+        bth = Bth.unpack(data[offset:])
+        offset += Bth.LENGTH
 
-        end = _IP_OFF + ipv4.total_length
-        if end > len(data) or end - 4 < _EXT_OFF:
+        end = EthernetHeader.LENGTH + ipv4.total_length
+        if end > len(data) or end - 4 < offset:
             raise PacketDecodeError("IPv4 total length inconsistent with frame")
-        after_bth = data[_EXT_OFF : end - 4]
-        (wire_icrc,) = _ICRC.unpack_from(data, end - 4)
+        after_bth = data[offset : end - 4]
+        (wire_icrc,) = struct.unpack("<I", data[end - 4 : end])
 
         if validate_icrc:
-            expected = _icrc_of_wire(data[_IP_OFF : end - 4])
+            expected = compute_icrc(ipv4, udp, bth, after_bth)
             if wire_icrc != expected:
                 raise PacketDecodeError(
                     f"iCRC mismatch: wire {wire_icrc:#010x}, computed {expected:#010x}"
@@ -566,10 +612,4 @@ class RoceV2Packet:
     @property
     def wire_length(self) -> int:
         """Frame length on the wire in bytes."""
-        opcode = self.bth.opcode
-        extension = (
-            Reth.LENGTH * opcode_has_reth(opcode)
-            + AtomicEth.LENGTH * opcode_has_atomic_eth(opcode)
-            + Aeth.LENGTH * opcode_has_aeth(opcode)
-        )
-        return _EXT_OFF + extension + len(self.payload) + 4  # + iCRC
+        return len(self.pack())

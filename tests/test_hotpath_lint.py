@@ -2,7 +2,7 @@
 
 The columnar datapath's whole point is that a batch of reports crosses
 every layer as a handful of arrays.  The easiest way to lose that (and
-the 10x packet-path win the CI gate enforces) is a well-meaning edit that
+the batch rates ``make bench-fabric-columnar`` gates) is a well-meaning edit that
 re-introduces a per-report dataclass -- a ``RoceV2Packet`` here, a
 ``SlotWrite`` there -- inside a loop of a batch function.  This test
 walks the AST of every hot-path module and fails on exactly that pattern,

@@ -222,6 +222,36 @@ class TestDartSwitch:
                     seen_copies.add(loc.copy_index)
         assert seen_copies == {0, 1}  # RNG exercises both copy slots
 
+    def test_report_folds_key_once(self, monkeypatch):
+        """One key encoding + fold per event whatever N is (N + 2 folds per
+        copy before), and still the bytes ``encode_batch`` produces."""
+        from repro.core.batch import ReportBatch
+        from repro.hashing import hash_family
+
+        _, _, switch = make_deployment(redundancy=3)
+        _, _, twin = make_deployment(redundancy=3)
+        items = [(("10.0.0.1", "10.0.0.2", 6, 1024 + i, 80), bytes([i]) * 8) for i in range(8)]
+        folds = []
+        real_fold = hash_family._fold_bytes
+        monkeypatch.setattr(
+            hash_family, "_fold_bytes", lambda data: folds.append(data) or real_fold(data)
+        )
+        frames = [frame for key, value in items for _, frame in switch.report(key, value)]
+        assert folds == [hash_family.stable_key_bytes(key) for key, _ in items]
+        switch.report_single(*items[0])
+        assert len(folds) == len(items) + 1
+        monkeypatch.undo()
+
+        rows = twin.encode_batch(ReportBatch.from_items(twin.addressing, items)).frames
+        assert frames == [row.tobytes() for row in rows]
+
+    def test_craft_frame_rejects_copy_index_out_of_range(self):
+        config, _, switch = make_deployment()
+        resolved = switch.addressing.resolve(b"flow")
+        for copy_index in (-1, config.redundancy):
+            with pytest.raises(ValueError):
+                switch._craft_frame(resolved, b"telem", copy_index)
+
     def test_missing_collector_entry_raises(self):
         config = DartConfig(slots_per_collector=64, num_collectors=2)
         switch = DartSwitch(config, switch_id=0)  # never provisioned
