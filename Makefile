@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-obs bench-obs-timeseries bench-obs-fleet bench-obs-trace bench-control bench-fabric-columnar bench-primitives bench-query experiments experiments-full examples lint ci all
+.PHONY: install test perf-smoke bench bench-obs bench-obs-timeseries bench-obs-fleet bench-obs-trace bench-control bench-fabric-columnar bench-primitives bench-query experiments experiments-full examples lint ci all
 
 install:
 	pip install -e . --no-build-isolation || \
@@ -19,8 +19,14 @@ lint:
 	  echo "ruff not installed; skipping lint (pip install -e '.[dev]')"; \
 	fi
 
-ci: lint bench-obs bench-obs-timeseries bench-obs-fleet bench-obs-trace bench-control bench-fabric-columnar bench-primitives bench-query
+ci: lint perf-smoke bench-obs bench-obs-timeseries bench-obs-fleet bench-obs-trace bench-control bench-fabric-columnar bench-primitives bench-query
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
+
+# The benchmark's own smoke test (~10 s): every frozen perf/trace.py
+# BOUNDARIES name still resolves and records, and the oracle still agrees.
+# Tier-1 (testpaths = tests) does not collect perf/, so ci runs it here.
+perf-smoke:
+	PYTHONPATH=src $(PYTHON) -m pytest perf -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q

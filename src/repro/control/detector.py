@@ -29,32 +29,26 @@ from repro.control.membership import (
     probe_endpoint,
 )
 from repro.fabric.fabric import Fabric
-from repro.rdma.packets import (
-    Bth,
-    EthernetHeader,
-    Ipv4Header,
-    Opcode,
-    PacketDecodeError,
-    Reth,
-    RoceV2Packet,
-    UdpHeader,
-)
-from repro.rdma.qp import PSN_MODULUS
+from repro.primitives.clients import OneSidedReader
+from repro.primitives.translator import ResponseDemux
 
-#: Reporter-ID namespace for probe stations, disjoint from switch IDs
-#: (small integers) and operator stations (``0x8000 + id``), so probe QPs
-#: never collide with reporting or query QPs on a collector NIC.
-PROBE_REPORTER_BASE = 0xA000
+#: Requester QP number of probe station 0 on every host's NIC, above the
+#: per-switch reporting QPs (``0x10000 + switch_id``) and the operator
+#: stations (``0x18000 + id``), so probe QPs never collide with either.
+PROBE_REPORTER_BASE = 0x1A000
 
 
 class ProbeStation:
     """Issues liveness probes as one-sided RDMA READs of slot 0.
 
-    Each host gets a dedicated probe responder QP at construction (PSNs
+    Each host gets a dedicated :class:`~repro.primitives.clients.OneSidedReader`
+    at construction, on its own ``PsnPolicy.IGNORE`` requester QP (PSNs
     are per-QP in RoCEv2, so probe traffic cannot disturb report or query
-    sequencing).  Probes address hosts by *node* through the probe port
-    address space, so standbys and displaced hosts are probeable even
-    though no keyspace role routes to them.
+    sequencing; two stations with the same ``station_id`` would share QPs,
+    so the second construction raises ``ValueError``).  Probes address
+    hosts by *node* through the probe port address space, so standbys and
+    displaced hosts are probeable even though no keyspace role routes to
+    them.
     """
 
     def __init__(
@@ -70,15 +64,19 @@ class ProbeStation:
         self.station_id = station_id
         cluster = membership.cluster
         self.config = cluster.config
-        self.mac = f"02:9b:{(station_id >> 8) & 0xFF:02x}:{station_id & 0xFF:02x}:00:01"
-        self.ip = f"192.168.{128 | ((station_id >> 8) & 0x7F)}.{station_id & 0xFF}"
         membership.attach_probes(fabric)
-        self._qps: Dict[int, int] = {}  # node -> our QP number there
-        self._psns: Dict[int, int] = {}  # node -> next request PSN
-        for node in cluster.all_nodes:
-            qp = node.create_reporter_qp(PROBE_REPORTER_BASE + station_id)
-            self._qps[node.collector_id] = qp.qp_number
-            self._psns[node.collector_id] = qp.expected_psn
+        #: node -> the reader probing it.
+        self._readers: Dict[int, OneSidedReader] = {
+            node.collector_id: OneSidedReader(
+                fabric,
+                probe_endpoint(node.collector_id),
+                node.nic,
+                PROBE_REPORTER_BASE + station_id,
+                ResponseDemux(),
+                node.region.rkey,
+            )
+            for node in cluster.all_nodes
+        }
         registry = obs.get_registry()
         labels = registry.instance_labels("ProbeStation")
         #: Probe READs issued.
@@ -91,7 +89,7 @@ class ProbeStation:
     def __repr__(self) -> str:
         return (
             f"ProbeStation(id={self.station_id}, "
-            f"nodes={len(self._qps)})"
+            f"nodes={len(self._readers)})"
         )
 
     @property
@@ -108,47 +106,19 @@ class ProbeStation:
         """One liveness READ round trip to host ``node_id``.
 
         True iff the host's NIC executed the READ and returned a valid
-        response for our PSN.  A dead host loses the request outright; a
-        live one that lost earlier probes resyncs via the QP's
-        ``RESYNC_ON_GAP`` policy, so recovery is observed without any
+        response for our PSN: the probe exercises the fabric port, the
+        host's liveness gate, iCRC, QP lookup, rkey and bounds checks, the
+        DMA read and the response leg.  A dead host loses the request
+        outright; READs are idempotent and the QP ignores PSN order, so a
+        host that lost earlier probes answers the next one with no
         probe-side bookkeeping.
         """
         node = self.membership.node(node_id)
-        endpoint_id = probe_endpoint(node_id)
-        psn = self._psns[node_id]
-        self._psns[node_id] = (psn + 1) % PSN_MODULUS
-        request = RoceV2Packet(
-            eth=EthernetHeader(dst_mac=node.nic.mac, src_mac=self.mac),
-            ipv4=Ipv4Header(src_ip=self.ip, dst_ip=node.nic.ip),
-            udp=UdpHeader(src_port=0xD100),
-            bth=Bth(
-                opcode=int(Opcode.RC_RDMA_READ_REQUEST),
-                dest_qp=self._qps[node_id],
-                psn=psn,
-            ),
-            reth=Reth(
-                virtual_address=node.region.base_address,
-                rkey=node.region.rkey,
-                dma_length=self.config.slot_bytes,
-            ),
-        )
         self.c_sent.inc()
-        if self.fabric.send(endpoint_id, request.pack()) is False:
-            self.c_failed.inc()
-            return False
-        responses = self.fabric.poll(endpoint_id)
-        if not responses:
-            self.c_failed.inc()
-            return False
-        try:
-            response = RoceV2Packet.unpack(responses[-1])
-        except PacketDecodeError:
-            self.c_failed.inc()
-            return False
-        if response.bth.opcode != Opcode.RC_RDMA_READ_RESPONSE_ONLY:
-            self.c_failed.inc()
-            return False
-        if response.bth.psn != psn:
+        (payload,) = self._readers[node_id].read_run(
+            [node.region.base_address], self.config.slot_bytes
+        )
+        if payload is None:
             self.c_failed.inc()
             return False
         return True

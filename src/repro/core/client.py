@@ -25,8 +25,9 @@ from repro.core.config import DartConfig
 from repro.core.policies import QueryResult, ReturnPolicy, fold_slots
 from repro.hashing.hash_family import Key
 
-#: Reads one slot: (collector_id, slot_index) -> raw slot bytes.
-SlotReader = Callable[[int, int], bytes]
+#: Reads one slot: (collector_id, slot_index) -> raw slot bytes, or
+#: ``None`` when the read was lost (a one-sided READ over a lossy fabric).
+SlotReader = Callable[[int, int], Optional[bytes]]
 
 
 class DartQueryClient:
@@ -37,7 +38,9 @@ class DartQueryClient:
     config:
         The shared deployment configuration.
     reader:
-        Callback that fetches raw slot bytes from a collector's region.
+        Callback that fetches raw slot bytes from a collector's region;
+        ``None`` for a read that was lost, which the query drops before
+        the fold exactly as it would a slot overwritten by another key.
     policy:
         Default return policy; individual queries may override it -- the
         paper notes the policy "can be decided on a per query basis without
@@ -59,7 +62,7 @@ class DartQueryClient:
         self._registry = registry
         self._tracer = obs.get_tracer()
         self._profiler = obs.get_profiler()
-        self._labels = registry.instance_labels("DartQueryClient")
+        self._labels = registry.instance_labels(type(self).__name__)
         #: Queries executed, across all policies.
         self.c_queries = registry.counter(
             "client_queries_executed", labels=self._labels
@@ -105,10 +108,12 @@ class DartQueryClient:
             started = perf_counter()
         addressing = self.addressing
         collector = addressing.collector_of(key)
-        raws = [
+        reads = (
             self._reader(collector, addressing.slot_index(key, n))
             for n in range(self.config.redundancy)
-        ]
+        )
+        # A lost READ is treated like an overwritten slot.
+        raws = [raw for raw in reads if raw is not None]
         self.c_queries.inc()
         result = fold_slots(
             self._codec, raws, addressing.checksum_of(key), policy

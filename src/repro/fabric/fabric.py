@@ -24,7 +24,7 @@ from time import perf_counter
 from typing import Deque, Dict, List, Optional
 
 from repro import obs
-from repro.obs.metrics import DEPTH_BUCKETS, LATENCY_BUCKETS, SIZE_BUCKETS
+from repro.obs.metrics import DEPTH_BUCKETS, LATENCY_BUCKETS, SIZE_BUCKETS, CounterView
 from repro.rdma.frames import FrameBatch
 
 try:  # pragma: no cover - Protocol is typing-only convenience on 3.9+
@@ -60,7 +60,7 @@ class FabricPort(Protocol):
         ...
 
 
-class FabricCounters:
+class FabricCounters(CounterView):
     """Frame accounting for one fabric (senders' side of the seam).
 
     A thin view over per-instance counters in the process metrics registry
@@ -75,100 +75,25 @@ class FabricCounters:
     between a sender and the NIC counters.
     """
 
-    #: (attribute, registry metric name) for every accounting series.
+    KIND = "Fabric"
     FIELDS = (
-        ("frames_offered", "fabric_frames_offered"),
-        ("frames_delivered", "fabric_frames_delivered"),
-        ("frames_executed", "fabric_frames_executed"),
-        ("frames_rejected", "fabric_frames_rejected"),
-        ("frames_dropped_loss", "fabric_frames_dropped_loss"),
-        ("frames_duplicated", "fabric_frames_duplicated"),
-        ("frames_reordered", "fabric_frames_reordered"),
-        ("flushes", "fabric_flushes"),
+        ("frames_offered", "c_offered", "fabric_frames_offered",
+         "Frames handed to the fabric by senders."),
+        ("frames_delivered", "c_delivered", "fabric_frames_delivered",
+         "Frames handed to an endpoint port (after buffering/impairments)."),
+        ("frames_executed", "c_executed", "fabric_frames_executed",
+         "Delivered frames the endpoint executed (port returned True)."),
+        ("frames_rejected", "c_rejected", "fabric_frames_rejected",
+         "Delivered frames the endpoint dropped (port returned False)."),
+        ("frames_dropped_loss", "c_dropped_loss", "fabric_frames_dropped_loss",
+         "Frames dropped in flight by an impairment (never delivered)."),
+        ("frames_duplicated", "c_duplicated", "fabric_frames_duplicated",
+         "Extra deliveries injected by a duplication impairment."),
+        ("frames_reordered", "c_reordered", "fabric_frames_reordered",
+         "Frames delivered out of order by a reordering impairment."),
+        ("flushes", "c_flushes", "fabric_flushes",
+         "Explicit and threshold-triggered flushes performed."),
     )
-
-    def __init__(self, registry=None, kind: str = "Fabric") -> None:
-        if registry is None:
-            registry = obs.get_registry()
-        labels = registry.instance_labels(kind)
-        #: Frames handed to the fabric by senders.
-        self.c_offered = registry.counter("fabric_frames_offered", labels=labels)
-        #: Frames handed to an endpoint port (after buffering/impairments).
-        self.c_delivered = registry.counter("fabric_frames_delivered", labels=labels)
-        #: Delivered frames the endpoint executed (port returned True).
-        self.c_executed = registry.counter("fabric_frames_executed", labels=labels)
-        #: Delivered frames the endpoint dropped (port returned False).
-        self.c_rejected = registry.counter("fabric_frames_rejected", labels=labels)
-        #: Frames dropped in flight by an impairment (never delivered).
-        self.c_dropped_loss = registry.counter(
-            "fabric_frames_dropped_loss", labels=labels
-        )
-        #: Extra deliveries injected by a duplication impairment.
-        self.c_duplicated = registry.counter(
-            "fabric_frames_duplicated", labels=labels
-        )
-        #: Frames delivered out of order by a reordering impairment.
-        self.c_reordered = registry.counter(
-            "fabric_frames_reordered", labels=labels
-        )
-        #: Explicit and threshold-triggered flushes performed.
-        self.c_flushes = registry.counter("fabric_flushes", labels=labels)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{name}={getattr(self, name)}" for name, _metric in self.FIELDS
-        )
-        return f"FabricCounters({fields})"
-
-    def __eq__(self, other: object) -> bool:
-        """Value equality over all accounting fields (the dataclass-era
-        contract the determinism tests rely on)."""
-        if not isinstance(other, FabricCounters):
-            return NotImplemented
-        return all(
-            getattr(self, name) == getattr(other, name)
-            for name, _metric in self.FIELDS
-        )
-
-    @property
-    def frames_offered(self) -> int:
-        """Frames handed to the fabric by senders."""
-        return self.c_offered.value
-
-    @property
-    def frames_delivered(self) -> int:
-        """Frames handed to an endpoint port (after buffering/impairments)."""
-        return self.c_delivered.value
-
-    @property
-    def frames_executed(self) -> int:
-        """Delivered frames the endpoint executed (port returned True)."""
-        return self.c_executed.value
-
-    @property
-    def frames_rejected(self) -> int:
-        """Delivered frames the endpoint dropped (port returned False)."""
-        return self.c_rejected.value
-
-    @property
-    def frames_dropped_loss(self) -> int:
-        """Frames dropped in flight by an impairment (never delivered)."""
-        return self.c_dropped_loss.value
-
-    @property
-    def frames_duplicated(self) -> int:
-        """Extra deliveries injected by a duplication impairment."""
-        return self.c_duplicated.value
-
-    @property
-    def frames_reordered(self) -> int:
-        """Frames delivered out of order by a reordering impairment."""
-        return self.c_reordered.value
-
-    @property
-    def flushes(self) -> int:
-        """Explicit and threshold-triggered flushes performed."""
-        return self.c_flushes.value
 
 
 class Fabric:

@@ -796,3 +796,49 @@ class MetricsRegistry:
     def to_json(self, indent: Optional[int] = None) -> str:
         """JSON exposition of the live registry."""
         return self.snapshot().to_json(indent=indent)
+
+
+class CounterView:
+    """A component's private counters, readable as plain live integers.
+
+    A subclass is one table: ``KIND`` (the default ``kind`` instance
+    label) and ``FIELDS``, rows of ``(attribute, handle, metric, help)``.
+    Each instance registers one ``metric`` counter per row under fresh
+    :meth:`MetricsRegistry.instance_labels` and keeps it as the plain
+    instance attribute ``handle`` -- what hot paths increment
+    (``counters.c_received.inc()``) -- while ``attribute`` is a read-only
+    property returning its current value, so diagnostics and tests read
+    ``counters.frames_received`` as an ``int``.  ``repr`` and ``==`` are
+    over those values.
+    """
+
+    KIND = ""
+    FIELDS: Tuple[Tuple[str, str, str, str], ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        for attribute, handle, _metric, help_text in cls.FIELDS:
+
+            def read(self, handle=handle) -> int:
+                return getattr(self, handle).value
+
+            read.__doc__ = help_text
+            setattr(cls, attribute, property(read))
+
+    def __init__(self, registry: "MetricsRegistry", kind: Optional[str] = None) -> None:
+        labels = registry.instance_labels(kind or self.KIND)
+        for _attribute, handle, metric, _help in self.FIELDS:
+            setattr(self, handle, registry.counter(metric, labels=labels))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{row[0]}={getattr(self, row[0])}" for row in self.FIELDS
+        )
+        return f"{type(self).__name__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        """Value equality over every field (what the determinism tests use)."""
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            getattr(self, row[0]) == getattr(other, row[0]) for row in self.FIELDS
+        )

@@ -15,7 +15,7 @@ remain the cheap option when the operator runs on the collector host.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -267,6 +267,32 @@ class OneSidedReader:
         return payloads
 
 
+def read_ring_window(
+    store: AppendStore,
+    start: int,
+    tail: int,
+    read_run: Callable[[List[int], int], List[Optional[bytes]]],
+) -> List[Tuple[int, bytes]]:
+    """Records ``[start, tail)`` of an Append ring, read through ``read_run``.
+
+    One pipelined READ per record (``read_run`` is
+    :meth:`OneSidedReader.read_run` or a retrying wrapper of it); returns
+    ``(absolute_index, bytes)`` pairs oldest first, omitting records whose
+    READ came back ``None``.
+    """
+    indexes = range(start, tail)
+    addresses = [
+        store.data_address + (index % store.capacity) * store.record_bytes
+        for index in indexes
+    ]
+    payloads = read_run(addresses, store.record_bytes)
+    return [
+        (index, payload)
+        for index, payload in zip(indexes, payloads)
+        if payload is not None
+    ]
+
+
 @dataclass
 class FollowBatch:
     """One incremental read from :meth:`AppendQueryClient.follow`.
@@ -359,19 +385,8 @@ class AppendQueryClient:
         tail = self.tail()
         if tail is None:
             return None
-        store = self.store
-        head = max(0, tail - store.capacity)
-        indexes = list(range(head, tail))
-        addresses = [
-            store.data_address + (index % store.capacity) * store.record_bytes
-            for index in indexes
-        ]
-        payloads = self.reader.read_run(addresses, store.record_bytes)
-        records = [
-            (index, payload)
-            for index, payload in zip(indexes, payloads)
-            if payload is not None
-        ]
+        head = max(0, tail - self.store.capacity)
+        records = read_ring_window(self.store, head, tail, self.reader.read_run)
         self.c_recoveries.inc()
         return RingSnapshot(head=head, tail=tail, records=records)
 
@@ -407,22 +422,11 @@ class AppendQueryClient:
         tail = self.tail()
         if tail is None:
             return None
-        store = self.store
-        head = max(0, tail - store.capacity)
+        head = max(0, tail - self.store.capacity)
         cursor = head if self._cursor is None else self._cursor
         missed = max(0, head - cursor)
         start = min(max(cursor, head), tail)
-        indexes = list(range(start, tail))
-        addresses = [
-            store.data_address + (index % store.capacity) * store.record_bytes
-            for index in indexes
-        ]
-        payloads = self.reader.read_run(addresses, store.record_bytes)
-        records = [
-            (index, payload)
-            for index, payload in zip(indexes, payloads)
-            if payload is not None
-        ]
+        records = read_ring_window(self.store, start, tail, self.reader.read_run)
         self._cursor = tail
         self.c_follows.inc()
         if missed:

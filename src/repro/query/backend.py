@@ -35,7 +35,7 @@ from repro.core.addressing import DartAddressing
 from repro.core.config import DartConfig
 from repro.core.policies import ReturnPolicy, fold_slots
 from repro.hashing.hash_family import Key, fold_keys
-from repro.primitives.clients import COLUMNAR_MIN_READS, OneSidedReader
+from repro.primitives.clients import COLUMNAR_MIN_READS, OneSidedReader, read_ring_window
 from repro.primitives.translator import ResponseDemux
 
 #: Requester QP of the query front end's keys-plane reader for role 0.
@@ -315,17 +315,13 @@ class FanoutBackend:
         reader = self._store_reader("ring", shard.role, store)
         tail_raw = self.read_reliable(reader, [store.tail_address], 8, shard)
         tail = int.from_bytes(tail_raw[0], "big")
-        head = max(0, tail - store.capacity)
-        indexes = list(range(head, tail))
-        addresses = [
-            store.data_address + (i % store.capacity) * store.record_bytes
-            for i in indexes
-        ]
-        payloads = self.read_reliable(reader, addresses, store.record_bytes, shard)
-        return [
-            {"index": index, "record": payload}
-            for index, payload in zip(indexes, payloads)
-        ]
+        records = read_ring_window(
+            store,
+            max(0, tail - store.capacity),
+            tail,
+            lambda addresses, length: self.read_reliable(reader, addresses, length, shard),
+        )
+        return [{"index": index, "record": record} for index, record in records]
 
     # ------------------------------------------------------------------
     # Entry point the planner's executor calls

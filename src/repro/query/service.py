@@ -405,7 +405,10 @@ class QueryService:
             raise QuotaExceeded(tenant)
         self.c_requests.inc()
         self._tenant_counter("query_tenant_requests_total", tenant).inc()
-        epoch = self.current_epoch
+        # One map per served query: the epoch an answer is cached under is
+        # the epoch of the map it was planned on.
+        shard_map = self._shard_map()
+        epoch = shard_map.epoch
         cache_key = self._cache_key(query, keys)
         if use_cache:
             cached = self.cache.get(cache_key, clock, epoch)
@@ -419,7 +422,7 @@ class QueryService:
                     epoch=epoch, elapsed_seconds=elapsed,
                 )
             self._tenant_counter("query_cache_misses_total", tenant).inc()
-        answer = self._execute(query, keys)
+        answer = self._execute(query, keys, shard_map)
         if use_cache and answer.complete:
             evicted = self.cache.put(cache_key, answer, clock, epoch)
             if evicted:
@@ -432,9 +435,10 @@ class QueryService:
             epoch=epoch, elapsed_seconds=elapsed,
         )
 
-    def _execute(self, query: Query, keys: Optional[List[Key]]) -> QueryAnswer:
-        """Plan against the epoch-current shard map and fan out."""
-        shard_map = self._shard_map()
+    def _execute(
+        self, query: Query, keys: Optional[List[Key]], shard_map
+    ) -> QueryAnswer:
+        """Plan against the shard map :meth:`serve` resolved and fan out."""
         candidate_keys = keys
         if candidate_keys is None and query.source is not Source.RING:
             candidate_keys = list(self._candidates())

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro import obs
 from repro.mem.region import MemoryRegion, RegionAccessError
-from repro.obs.metrics import DEPTH_BUCKETS, LATENCY_BUCKETS
+from repro.obs.metrics import DEPTH_BUCKETS, LATENCY_BUCKETS, CounterView
 from repro.rdma.frames import (
     AETH_OFF,
     ATOMIC_ETH_OFF,
@@ -66,7 +66,7 @@ from repro.rdma.qp import PSN_MODULUS, QueuePair, psn_run
 _READ_UNIFORM_COLUMNS = np.r_[6:12, 26:30, 34:36, DEST_QP_OFF : DEST_QP_OFF + 3, 66:70]
 
 
-class NicCounters:
+class NicCounters(CounterView):
     """Hardware-style drop/accept counters exposed for diagnostics.
 
     A thin view over per-NIC counters in the process metrics registry:
@@ -76,119 +76,29 @@ class NicCounters:
     (``nic_frames_received``, ``nic_dropped_<reason>``, ...).
     """
 
-    #: (attribute, registry metric name) for every accounting series.
+    KIND = "RdmaNic"
     FIELDS = (
-        ("frames_received", "nic_frames_received"),
-        ("writes_executed", "nic_writes_executed"),
-        ("atomics_executed", "nic_atomics_executed"),
-        ("reads_executed", "nic_reads_executed"),
-        ("responses_emitted", "nic_responses_emitted"),
-        ("dropped_decode", "nic_dropped_decode"),
-        ("dropped_unknown_qp", "nic_dropped_unknown_qp"),
-        ("dropped_psn", "nic_dropped_psn"),
-        ("dropped_access", "nic_dropped_access"),
-        ("dropped_opcode", "nic_dropped_opcode"),
+        ("frames_received", "c_received", "nic_frames_received",
+         "Frames handed to the NIC by the network/fabric."),
+        ("writes_executed", "c_writes", "nic_writes_executed",
+         "RDMA WRITEs applied to the region."),
+        ("atomics_executed", "c_atomics", "nic_atomics_executed",
+         "FETCH_ADD / CMP_SWAP atomics applied to the region."),
+        ("reads_executed", "c_reads", "nic_reads_executed",
+         "READ requests served from the region."),
+        ("responses_emitted", "c_responses", "nic_responses_emitted",
+         "READ responses crafted onto the TX queue."),
+        ("dropped_decode", "c_dropped_decode", "nic_dropped_decode",
+         "Frames dropped: undecodable / failed iCRC."),
+        ("dropped_unknown_qp", "c_dropped_unknown_qp", "nic_dropped_unknown_qp",
+         "Frames dropped: no such queue pair."),
+        ("dropped_psn", "c_dropped_psn", "nic_dropped_psn",
+         "Frames dropped: PSN outside the acceptance window."),
+        ("dropped_access", "c_dropped_access", "nic_dropped_access",
+         "Frames dropped: rkey/bounds violation (RegionAccessError)."),
+        ("dropped_opcode", "c_dropped_opcode", "nic_dropped_opcode",
+         "Frames dropped: opcode the responder does not implement."),
     )
-
-    def __init__(self, registry=None) -> None:
-        if registry is None:
-            registry = obs.get_registry()
-        labels = registry.instance_labels("RdmaNic")
-        #: Frames handed to the NIC by the network/fabric.
-        self.c_received = registry.counter("nic_frames_received", labels=labels)
-        #: RDMA WRITEs applied to the region.
-        self.c_writes = registry.counter("nic_writes_executed", labels=labels)
-        #: FETCH_ADD / CMP_SWAP atomics applied to the region.
-        self.c_atomics = registry.counter("nic_atomics_executed", labels=labels)
-        #: READ requests served from the region.
-        self.c_reads = registry.counter("nic_reads_executed", labels=labels)
-        #: READ responses crafted onto the TX queue.
-        self.c_responses = registry.counter(
-            "nic_responses_emitted", labels=labels
-        )
-        #: Frames dropped: undecodable / failed iCRC.
-        self.c_dropped_decode = registry.counter(
-            "nic_dropped_decode", labels=labels
-        )
-        #: Frames dropped: no such queue pair.
-        self.c_dropped_unknown_qp = registry.counter(
-            "nic_dropped_unknown_qp", labels=labels
-        )
-        #: Frames dropped: PSN outside the acceptance window.
-        self.c_dropped_psn = registry.counter("nic_dropped_psn", labels=labels)
-        #: Frames dropped: rkey/bounds violation (RegionAccessError).
-        self.c_dropped_access = registry.counter(
-            "nic_dropped_access", labels=labels
-        )
-        #: Frames dropped: opcode the responder does not implement.
-        self.c_dropped_opcode = registry.counter(
-            "nic_dropped_opcode", labels=labels
-        )
-
-    def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{name}={getattr(self, name)}" for name, _metric in self.FIELDS
-        )
-        return f"NicCounters({fields})"
-
-    def __eq__(self, other: object) -> bool:
-        """Value equality over all counters (the dataclass-era contract)."""
-        if not isinstance(other, NicCounters):
-            return NotImplemented
-        return all(
-            getattr(self, name) == getattr(other, name)
-            for name, _metric in self.FIELDS
-        )
-
-    @property
-    def frames_received(self) -> int:
-        """Frames handed to the NIC by the network/fabric."""
-        return self.c_received.value
-
-    @property
-    def writes_executed(self) -> int:
-        """RDMA WRITEs applied to the region."""
-        return self.c_writes.value
-
-    @property
-    def atomics_executed(self) -> int:
-        """FETCH_ADD / CMP_SWAP atomics applied to the region."""
-        return self.c_atomics.value
-
-    @property
-    def reads_executed(self) -> int:
-        """READ requests served from the region."""
-        return self.c_reads.value
-
-    @property
-    def responses_emitted(self) -> int:
-        """READ responses crafted onto the TX queue."""
-        return self.c_responses.value
-
-    @property
-    def dropped_decode(self) -> int:
-        """Frames dropped: undecodable / failed iCRC."""
-        return self.c_dropped_decode.value
-
-    @property
-    def dropped_unknown_qp(self) -> int:
-        """Frames dropped: no such queue pair."""
-        return self.c_dropped_unknown_qp.value
-
-    @property
-    def dropped_psn(self) -> int:
-        """Frames dropped: PSN outside the acceptance window."""
-        return self.c_dropped_psn.value
-
-    @property
-    def dropped_access(self) -> int:
-        """Frames dropped: rkey/bounds violation."""
-        return self.c_dropped_access.value
-
-    @property
-    def dropped_opcode(self) -> int:
-        """Frames dropped: opcode the responder does not implement."""
-        return self.c_dropped_opcode.value
 
     @property
     def frames_dropped(self) -> int:

@@ -27,6 +27,7 @@ from repro.core.batch import ReportBatch
 from repro.core.config import DartConfig
 from repro.fabric.fabric import Fabric
 from repro.hashing.hash_family import Key, stable_key_bytes
+from repro.obs.metrics import CounterView
 from repro.rdma.frames import (
     FrameBatch,
     FramePool,
@@ -54,7 +55,7 @@ from repro.switch.pipeline import MatchActionTable, MatchKind, TableEntry
 _UDP_SRC_BASE = 0xC000
 
 
-class SwitchCounters:
+class SwitchCounters(CounterView):
     """Per-switch diagnostic counters.
 
     A thin view over per-switch counters in the metrics registry
@@ -62,42 +63,15 @@ class SwitchCounters:
     ``switch_drops_no_collector_entry``); attribute reads stay live.
     """
 
-    def __init__(self, registry=None) -> None:
-        if registry is None:
-            registry = obs.get_registry()
-        labels = registry.instance_labels("DartSwitch")
-        #: Telemetry events offered to the report path.
-        self.c_events = registry.counter("switch_events_seen", labels=labels)
-        #: Report frames crafted (all copies).
-        self.c_reports = registry.counter(
-            "switch_reports_emitted", labels=labels
-        )
-        #: Reports dropped for lack of a collector lookup entry.
-        self.c_drops_no_entry = registry.counter(
-            "switch_drops_no_collector_entry", labels=labels
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"SwitchCounters(events_seen={self.events_seen}, "
-            f"reports_emitted={self.reports_emitted}, "
-            f"drops_no_collector_entry={self.drops_no_collector_entry})"
-        )
-
-    @property
-    def events_seen(self) -> int:
-        """Telemetry events offered to the report path."""
-        return self.c_events.value
-
-    @property
-    def reports_emitted(self) -> int:
-        """Report frames crafted (all copies)."""
-        return self.c_reports.value
-
-    @property
-    def drops_no_collector_entry(self) -> int:
-        """Reports dropped for lack of a collector lookup entry."""
-        return self.c_drops_no_entry.value
+    KIND = "DartSwitch"
+    FIELDS = (
+        ("events_seen", "c_events", "switch_events_seen",
+         "Telemetry events offered to the report path."),
+        ("reports_emitted", "c_reports", "switch_reports_emitted",
+         "Report frames crafted (all copies)."),
+        ("drops_no_collector_entry", "c_drops_no_entry", "switch_drops_no_collector_entry",
+         "Reports dropped for lack of a collector lookup entry."),
+    )
 
 
 class DartSwitch:

@@ -61,7 +61,7 @@ def frame_accounting(counters):
     """
     return {
         name: getattr(counters, name)
-        for name, _metric in counters.FIELDS
+        for name, *_ in counters.FIELDS
         if name != "flushes"
     }
 

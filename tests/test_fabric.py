@@ -542,6 +542,26 @@ class TestSeamEnforcement:
             "dma_read", "read_offset", "read_offset_columnar",
         }
 
+    def test_one_one_sided_reader(self):
+        """READ requests are built and READ responses matched in one place:
+        the codecs, ``OneSidedReader`` and the ``ResponseDemux`` decode."""
+        import repro
+        from repro.core.client import DartQueryClient
+
+        source = pathlib.Path(repro.__file__).parent
+        readers = {"primitives/clients.py", "primitives/translator.py"}
+        offenders = [
+            relative
+            for path in sorted(source.rglob("*.py"))
+            for relative in [path.relative_to(source).as_posix()]
+            if not relative.startswith("rdma/") and relative not in readers
+            if re.search(r"RC_RDMA_READ_(REQUEST|RESPONSE_ONLY)", path.read_text())
+        ]
+        assert offenders == []
+        assert issubclass(RemoteQueryClient, DartQueryClient)
+        assert "loss" not in inspect.signature(RemoteQueryClient).parameters
+        assert "query" not in vars(RemoteQueryClient)
+
     def test_fabric_is_abstract(self):
         fabric = Fabric()
         fabric.attach(0, RecordingPort())

@@ -110,7 +110,7 @@ class Rig:
             "requests": self.tap.requests,
             "responses": self.tap.responses,
             "nic": {n: getattr(self.node.nic.counters, n)
-                    for n, _ in self.node.nic.counters.FIELDS},
+                    for n, *_ in self.node.nic.counters.FIELDS},
             "offered": frame_accounting(self.fabric.counters),
             "delivered": frame_accounting(delivered),
             "msn": self.reader.qp.msn,
@@ -122,7 +122,7 @@ def frame_accounting(counters):
     """Fabric counters minus ``flushes`` (a batch crosses a buffered
     threshold once, its frames one by one; every per-frame series must
     still agree)."""
-    return {n: getattr(counters, n) for n, _ in counters.FIELDS if n != "flushes"}
+    return {n: getattr(counters, n) for n, *_ in counters.FIELDS if n != "flushes"}
 
 
 def run_both(monkeypatch, factory, runs, length, start_psn=0):

@@ -174,8 +174,17 @@ class TestRemoteQueryClient:
         self.write(cluster, reporter, b"k", b"v")
         a = RemoteQueryClient(config, cluster, operator_id=1)
         b = RemoteQueryClient(config, cluster, operator_id=2)
-        assert a.query(b"k").answered
-        assert b.query(b"k").answered  # separate QPs, no PSN interference
+        for _ in range(20):  # interleaved: separate QPs, no PSN interference
+            assert a.query(b"k").answered
+            assert b.query(b"k").answered
+
+    def test_same_operator_id_twice_refused(self):
+        """Two stations on one id would share QPs (and, before, silently
+        read EMPTY for present keys): the second construction raises."""
+        config, cluster, _ = self.make_deployment()
+        RemoteQueryClient(config, cluster)
+        with pytest.raises(ValueError, match="already exists"):
+            RemoteQueryClient(config, cluster)
 
     def test_invalid_operator_id(self):
         config, cluster, _ = self.make_deployment()
@@ -187,6 +196,7 @@ class TestLossyRemoteQueries:
     """The operator side is a reliable requester: retries recover loss."""
 
     def make(self, loss_probability, max_retries):
+        from repro.fabric import ImpairedFabric, InlineFabric
         from repro.network.simulation import LossModel
 
         config = DartConfig(
@@ -199,11 +209,12 @@ class TestLossyRemoteQueries:
                 cluster[write.collector_id].write_slot(
                     write.slot_index, write.payload
                 )
+        fabric = ImpairedFabric(
+            cluster.attach_to(InlineFabric()),
+            loss_model=LossModel(loss_probability, seed=3),
+        )
         return RemoteQueryClient(
-            config,
-            cluster,
-            loss=LossModel(loss_probability, seed=3),
-            max_retries=max_retries,
+            config, cluster, max_retries=max_retries, fabric=fabric
         )
 
     def test_no_retries_loss_degrades_queries(self):
@@ -212,9 +223,9 @@ class TestLossyRemoteQueries:
         assert answered < 95  # loss visibly hurts
 
     def test_retries_recover_lost_reads(self):
-        # Per attempt both legs must survive (0.6^2 = 0.36); with 9
-        # attempts a slot read fails with prob 0.64^9 ~ 2%, and a query
-        # needs just one of its two slot reads.
+        # Per attempt the request leg must survive (0.6); with 9 attempts
+        # a slot read fails with prob 0.4^9 ~ 0.03%, and a query needs
+        # just one of its two slot reads.
         client = self.make(loss_probability=0.4, max_retries=8)
         answered = sum(client.query(("f", i)).answered for i in range(100))
         assert answered >= 99
