@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test perf-smoke bench bench-obs bench-obs-timeseries bench-obs-fleet bench-obs-trace bench-control bench-fabric-columnar bench-primitives bench-query experiments experiments-full examples lint ci all
+.PHONY: install test perf-smoke bench bench-full bench-obs bench-obs-timeseries bench-obs-fleet bench-obs-trace bench-control bench-fabric-columnar bench-primitives bench-query experiments experiments-full examples lint loc ci all
 
 install:
 	pip install -e . --no-build-isolation || \
@@ -18,6 +18,13 @@ lint:
 	else \
 	  echo "ruff not installed; skipping lint (pip install -e '.[dev]')"; \
 	fi
+
+# The line counts ROADMAP.md and the CHANGES.md ledgers quote, the way
+# they are counted there.
+loc:
+	@for tree in src src/repro/obs tests; do \
+	  printf '%-14s %s\n' $$tree $$(find $$tree -name '*.py' | xargs cat | wc -l); \
+	done
 
 ci: lint perf-smoke bench-obs bench-obs-timeseries bench-obs-fleet bench-obs-trace bench-control bench-fabric-columnar bench-primitives bench-query
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q

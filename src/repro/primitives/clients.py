@@ -27,17 +27,7 @@ from repro.fabric.fabric import Fabric
 from repro.hashing.hash_family import Key
 from repro.primitives.append import AppendStore, RingSnapshot
 from repro.primitives.translator import ReadResponseRows, ResponseDemux
-from repro.rdma.frames import (
-    FrameBatch,
-    FramePool,
-    PSN_OFF,
-    READ_REQUEST_BYTES,
-    RETH_OFF,
-    icrc_rows,
-    write_be32,
-    write_be64,
-    write_le32,
-)
+from repro.rdma.frames import FramePool, TemplateEncoder, scalar_template
 from repro.rdma.nic import RdmaNic
 from repro.rdma.packets import Bth, Opcode, Reth, RoceV2Packet
 from repro.rdma.qp import PSN_MODULUS, PsnPolicy, QueuePair, psn_run
@@ -101,7 +91,6 @@ class OneSidedReader:
         self.rkey = rkey
         self._psn = 0
         self._pool = FramePool()
-        self._templates: Dict[int, np.ndarray] = {}
         registry = obs.get_registry()
         self._tracer = obs.get_tracer()
         labels = registry.instance_labels("OneSidedReader")
@@ -214,9 +203,7 @@ class OneSidedReader:
     ) -> List[Optional[bytes]]:
         """:meth:`read_run` as one frame matrix each way.
 
-        Requests: a template packed once by the scalar codec, broadcast
-        over a pooled matrix, then the VA and PSN columns and the
-        vectorised iCRC -- row ``i`` is byte-identical to
+        Requests: a pooled matrix whose row ``i`` is byte-identical to
         :meth:`_craft_read` on the same operands.  Responses: matrices
         matched to requests by PSN on arrays, and the odd frame response
         (an impaired fabric re-delivers held and duplicated rows as
@@ -225,18 +212,17 @@ class OneSidedReader:
         count = len(addresses)
         start = self._psn
         self._psn = (start + count) % PSN_MODULUS
-        template = self._templates.get(length)
-        if template is None:
-            template = self._templates[length] = np.frombuffer(
-                self._craft_read(0, length, 0), dtype=np.uint8
-            )
-        lease, frames = self._pool.acquire(count, READ_REQUEST_BYTES)
-        frames[:] = template
-        write_be64(frames, RETH_OFF, np.asarray(addresses, dtype=np.uint64))
-        write_be32(frames, PSN_OFF, psn_run(start, count))
-        write_le32(frames, READ_REQUEST_BYTES - 4, icrc_rows(frames))
-        batch = FrameBatch(
-            frames, np.full(count, self.endpoint_id, dtype=np.int64), lease
+        template = scalar_template(
+            ("read", self.qp.qp_number, self.rkey, length),
+            lambda: self._craft_read(0, length, 0),
+        )
+        batch = TemplateEncoder(template).stamp(
+            self._pool,
+            np.full(count, self.endpoint_id, dtype=np.int64),
+            {
+                "reth.virtual_address": np.asarray(addresses, dtype=np.uint64),
+                "bth.psn": psn_run(start, count),
+            },
         )
         self.c_reads_sent.inc(count)
         tracer = self._tracer

@@ -16,9 +16,10 @@ already executes, so the collector stays zero-CPU:
   WRITEs into the reserved ring slots (:class:`AppendTranslator`).
 
 Batched entry points encode whole FETCH_ADD / WRITE batches as pooled
-frame matrices (template + patch, vectorised iCRC) and hand them to the
-fabric's ``send_batch`` seam; scalar entry points craft byte-identical
-frames one at a time, so equivalence suites can diff the two paths.
+frame matrices (:class:`~repro.rdma.frames.TemplateEncoder` over the
+scalar crafter's own frame) and hand them to the fabric's ``send_batch``
+seam; scalar entry points craft byte-identical frames one at a time, so
+equivalence suites can diff the two paths.
 """
 
 from __future__ import annotations
@@ -33,24 +34,15 @@ from repro.fabric.fabric import Fabric
 from repro.hashing.hash_family import HashFamily, Key, fold_keys
 from repro.obs.metrics import LATENCY_BUCKETS
 from repro.rdma.frames import (
-    ATOMIC_ETH_OFF,
-    ATOMIC_FRAME_BYTES,
-    DEST_QP_OFF,
     FrameBatch,
     FramePool,
-    OVERHEAD_BYTES,
-    PAYLOAD_OFF,
-    PSN_OFF,
+    ICRC_BYTES,
     RESPONSE_PAYLOAD_OFF,
-    RETH_OFF,
+    TemplateEncoder,
     header_mask,
     icrc_ok,
-    icrc_rows,
-    read_be24,
-    read_be32,
-    write_be32,
-    write_be64,
-    write_le32,
+    read_field,
+    scalar_template,
 )
 from repro.rdma.packets import (
     AtomicEth,
@@ -66,9 +58,6 @@ from repro.rdma.qp import PSN_MODULUS, psn_run
 #: :class:`~repro.collector.counters.CounterStore` so switch-side and
 #: collector-side addressing agree bit for bit).
 COUNTER_FUNCTION_BASE = 0x20000000
-
-#: AtomicETH operand (swap_add) column offset.
-_ATOMIC_ADD_OFF = ATOMIC_ETH_OFF + 12
 
 
 class AppendReserveError(RuntimeError):
@@ -144,7 +133,7 @@ class ResponseDemux:
         files or drops them on its own terms.
         """
         shaped = header_mask(frames, int(Opcode.RC_RDMA_READ_RESPONSE_ONLY))
-        if frames.shape[1] < RESPONSE_PAYLOAD_OFF + 4:
+        if frames.shape[1] < RESPONSE_PAYLOAD_OFF + ICRC_BYTES:
             shaped[:] = False  # no room for the AETH: scalar says why
         filed = 0
         if not shaped.all():
@@ -157,14 +146,14 @@ class ResponseDemux:
         if not intact.all():
             self.c_dropped_decode.inc(len(frames) - int(intact.sum()))
             frames = frames[intact]
-        dest_qps = read_be24(frames, DEST_QP_OFF)
+        dest_qps = read_field(frames, "bth.dest_qp")
         qp_numbers = dict.fromkeys(dest_qps.tolist())
         for qp_number in qp_numbers:
             mine = frames if len(qp_numbers) == 1 else frames[dest_qps == qp_number]
             self._inboxes.setdefault(qp_number, []).append(
                 ReadResponseRows(
-                    read_be32(mine, PSN_OFF) & 0xFFFFFF,
-                    mine[:, RESPONSE_PAYLOAD_OFF:-4],
+                    read_field(mine, "bth.psn"),
+                    mine[:, RESPONSE_PAYLOAD_OFF:-ICRC_BYTES],
                 )
             )
         return filed + len(frames)
@@ -182,8 +171,8 @@ class PrimitiveTranslator:
     """Shared switch-side state for one primitive's verb lowering.
 
     Owns the requester-side PSN counter, a frame pool for columnar
-    encodes, a cached FETCH_ADD frame template, and the per-primitive
-    latency histogram.  Subclasses implement one DTA primitive each.
+    encodes, and the per-primitive latency histogram.  Subclasses
+    implement one DTA primitive each.
 
     Parameters
     ----------
@@ -227,7 +216,6 @@ class PrimitiveTranslator:
             labels={"stage": f"primitive_{self.kind}"},
             help="wall-clock seconds per batched primitive operation",
         )
-        self._atomic_template: Optional[np.ndarray] = None
 
     def __repr__(self) -> str:
         return (
@@ -270,37 +258,28 @@ class PrimitiveTranslator:
         )
         return packet.pack()
 
-    def _fetch_add_template(self) -> np.ndarray:
-        """The constant bytes of this translator's FETCH_ADD frames.
-
-        Crafted once through the scalar packer (so batch frames stay
-        byte-identical to scalar ones) with the per-frame fields -- VA,
-        operand, PSN, iCRC -- left zero for patching.
-        """
-        if self._atomic_template is None:
-            frame = self.craft_fetch_add(0, 0, psn=0)
-            self._atomic_template = np.frombuffer(frame, dtype=np.uint8)
-        return self._atomic_template
-
     def _encode_fetch_add_batch(
         self, addresses: np.ndarray, amounts: np.ndarray
     ) -> FrameBatch:
         """Encode a FETCH_ADD batch as one pooled frame matrix.
 
-        Template + patch: broadcast the cached scalar template across the
-        batch, then write the virtual-address, operand and PSN columns and
-        the vectorised iCRC.  Row ``i`` is byte-identical to
-        :meth:`craft_fetch_add` on the same operands.
+        Row ``i`` is byte-identical to :meth:`craft_fetch_add` on the
+        same operands: its zero-operand frame is the template.
         """
         count = len(addresses)
-        lease, frames = self._pool.acquire(count, ATOMIC_FRAME_BYTES)
-        frames[:] = self._fetch_add_template()
-        write_be64(frames, ATOMIC_ETH_OFF, np.asarray(addresses, np.uint64))
-        write_be64(frames, _ATOMIC_ADD_OFF, np.asarray(amounts, np.uint64))
-        write_be32(frames, PSN_OFF, self._psn_sequence(count))
-        write_le32(frames, ATOMIC_FRAME_BYTES - 4, icrc_rows(frames))
-        endpoint_ids = np.full(count, self.endpoint_id, dtype=np.int64)
-        return FrameBatch(frames, endpoint_ids, lease)
+        template = scalar_template(
+            ("fetch_add", self.qp_number, self.rkey),
+            lambda: self.craft_fetch_add(0, 0, psn=0),
+        )
+        return TemplateEncoder(template).stamp(
+            self._pool,
+            np.full(count, self.endpoint_id, dtype=np.int64),
+            {
+                "atomic_eth.virtual_address": np.asarray(addresses, np.uint64),
+                "atomic_eth.swap_add": np.asarray(amounts, np.uint64),
+                "bth.psn": self._psn_sequence(count),
+            },
+        )
 
 
 class KeyIncrementTranslator(PrimitiveTranslator):
@@ -586,12 +565,6 @@ class AppendTranslator(PrimitiveTranslator):
         self.c_reserve_retries = self._registry.counter(
             "append_reserve_retries", labels=self._labels
         )
-        self._write_template: Optional[np.ndarray] = None
-
-    @property
-    def frame_width(self) -> int:
-        """Wire bytes of one record WRITE frame."""
-        return OVERHEAD_BYTES + self.record_bytes
 
     def _pad(self, value: bytes) -> bytes:
         """Zero-pad ``value`` to the fixed record width (validating size)."""
@@ -602,13 +575,17 @@ class AppendTranslator(PrimitiveTranslator):
             )
         return value.ljust(self.record_bytes, b"\x00")
 
-    def craft_record_write(self, slot: int, value: bytes) -> bytes:
+    def craft_record_write(
+        self, slot: int, value: bytes, psn: Optional[int] = None
+    ) -> bytes:
         """One scalar WRITE frame landing ``value`` in ring ``slot``."""
+        if psn is None:
+            psn = self._next_psn()
         packet = RoceV2Packet(
             bth=Bth(
                 opcode=int(Opcode.RC_RDMA_WRITE_ONLY),
                 dest_qp=self.qp_number,
-                psn=self._next_psn(),
+                psn=psn,
             ),
             reth=Reth(
                 virtual_address=self.data_address + slot * self.record_bytes,
@@ -618,25 +595,6 @@ class AppendTranslator(PrimitiveTranslator):
             payload=self._pad(value),
         )
         return packet.pack()
-
-    def _record_write_template(self) -> np.ndarray:
-        """Constant bytes of a record WRITE frame (VA/PSN/payload zeroed)."""
-        if self._write_template is None:
-            packet = RoceV2Packet(
-                bth=Bth(
-                    opcode=int(Opcode.RC_RDMA_WRITE_ONLY),
-                    dest_qp=self.qp_number,
-                    psn=0,
-                ),
-                reth=Reth(
-                    virtual_address=0,
-                    rkey=self.rkey,
-                    dma_length=self.record_bytes,
-                ),
-                payload=b"\x00" * self.record_bytes,
-            )
-            self._write_template = np.frombuffer(packet.pack(), dtype=np.uint8)
-        return self._write_template
 
     def _account_overwrites(self, start: int, count: int) -> None:
         """Count reserved slots whose absolute index laps the capacity.
@@ -760,8 +718,9 @@ class AppendTranslator(PrimitiveTranslator):
         """Append a batch of records: one reservation, columnar WRITEs.
 
         Reserves ``len(values)`` slots with a single tail FETCH_ADD, then
-        encodes all record WRITEs as one pooled frame matrix (template +
-        patch, vectorised iCRC) offered through ``send_batch``.  Returns
+        encodes all record WRITEs as one pooled frame matrix (row ``i``
+        what :meth:`craft_record_write` packs) offered through
+        ``send_batch``.  Returns
         the first record's absolute ring index, or ``None`` for an empty
         batch.
         """
@@ -808,17 +767,18 @@ class AppendTranslator(PrimitiveTranslator):
         addresses = (
             np.uint64(self.data_address) + slots * np.uint64(self.record_bytes)
         )
-        width = self.frame_width
-        lease, frames = self._pool.acquire(count, width)
-        frames[:] = self._record_write_template()
-        write_be64(frames, RETH_OFF, addresses)
-        payload_view = frames[:, PAYLOAD_OFF : PAYLOAD_OFF + self.record_bytes]
-        for index, record in enumerate(padded):
-            payload_view[index] = np.frombuffer(record, dtype=np.uint8)
-        write_be32(frames, PSN_OFF, self._psn_sequence(count))
-        write_le32(frames, width - 4, icrc_rows(frames))
-        endpoint_ids = np.full(count, self.endpoint_id, dtype=np.int64)
-        frame_batch = FrameBatch(frames, endpoint_ids, lease)
+        template = scalar_template(
+            ("record_write", self.qp_number, self.rkey, self.record_bytes),
+            lambda: self.craft_record_write(0, b"", psn=0),
+        )
+        frame_batch = TemplateEncoder(template).stamp(
+            self._pool,
+            np.full(count, self.endpoint_id, dtype=np.int64),
+            {"reth.virtual_address": addresses, "bth.psn": self._psn_sequence(count)},
+            payload=np.frombuffer(b"".join(padded), dtype=np.uint8).reshape(
+                count, self.record_bytes
+            ),
+        )
         if tracer.enabled:
             # One batch binding covers all the record WRITEs; parented on
             # the operation root, a sibling of the reservation chain.

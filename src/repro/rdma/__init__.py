@@ -4,8 +4,14 @@ The paper's collectors are ordinary servers whose RDMA NICs execute
 one-sided operations crafted *by switches*.  No RDMA hardware is available
 in this environment, so this package is a byte-accurate software model:
 
-- :mod:`repro.rdma.packets` -- wire-format codecs for Ethernet, IPv4, UDP,
-  BTH, RETH and AtomicETH headers plus the RoCEv2 invariant CRC (iCRC).
+- :mod:`repro.rdma.layout` -- the wire format itself: one field table per
+  header (Ethernet, IPv4, UDP, BTH, RETH, AtomicETH, AETH, iCRC), the only
+  place an offset or a width is written down.
+- :mod:`repro.rdma.packets` -- scalar codecs for those headers plus the
+  RoCEv2 invariant CRC (iCRC), their ``struct`` formats derived from the
+  layout.
+- :mod:`repro.rdma.frames` -- batches of frames as pooled byte matrices,
+  and the one template-and-patch encoder that crafts them.
 - :mod:`repro.rdma.qp` -- queue-pair state with 24-bit packet sequence
   numbers (PSNs), mirroring the per-collector PSN registers the Tofino
   prototype keeps in SRAM.

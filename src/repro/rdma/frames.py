@@ -1,12 +1,13 @@
 """Pooled columnar frame batches: many RoCEv2 frames as one byte matrix.
 
-The DART report frame has a constant geometry per deployment config --
-Ethernet(14) | IPv4(20) | UDP(8) | BTH(12) | RETH(16) | payload | iCRC(4)
--- so a whole batch of frames packs naturally into one ``uint8`` matrix of
-shape ``(frames, frame_width)``.  :class:`FrameBatch` wraps that matrix
-together with the per-frame destination endpoint, and :class:`FramePool`
-recycles the backing buffers so steady-state batch traffic allocates
-nothing.
+A frame shape (the DART report, a FETCH_ADD, a READ request or response)
+has a constant geometry per deployment config, so a whole batch of frames
+packs naturally into one ``uint8`` matrix of shape ``(frames,
+frame_width)``.  :class:`FrameBatch` wraps that matrix together with the
+per-frame destination endpoint, :class:`FramePool` recycles the backing
+buffers so steady-state batch traffic allocates nothing, and
+:class:`TemplateEncoder` is the one way a batch of frames gets crafted.
+Every offset and width here is derived from :mod:`repro.rdma.layout`.
 
 Buffer ownership is refcounted: a batch and every sub-batch selected from
 it share (or copy through) a pooled lease, and the buffer only returns to
@@ -19,48 +20,65 @@ can still read it.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.hashing.crc import CRC32
+from repro.rdma.layout import (
+    AETH,
+    ATOMIC_ETH,
+    BTH,
+    ETHERNET,
+    ETHERTYPE_IPV4,
+    ICRC,
+    ICRC_MASKED_COLUMNS,
+    ICRC_PREFIX_BYTES,
+    IP_PROTO_UDP,
+    IPV4,
+    IPV4_VERSION_IHL,
+    RETH,
+    ROCEV2_UDP_PORT,
+    UDP,
+    columns,
+    packer,
+    span,
+)
 
 # ---------------------------------------------------------------------------
-# Wire geometry of a DART report frame (RC RDMA WRITE ONLY with RETH).
+# Wire geometry, derived from the layout's field tables.
 # ---------------------------------------------------------------------------
 
-ETH_OFF = 0
-IP_OFF = 14
-UDP_OFF = 34
-BTH_OFF = 42
-RETH_OFF = 54
-PAYLOAD_OFF = 70
+ETH_OFF = ETHERNET.offset
+IP_OFF = IPV4.offset
+UDP_OFF = UDP.offset
+BTH_OFF = BTH.offset
+ICRC_BYTES = ICRC.size
+
+#: A DART report is an RC RDMA WRITE ONLY: RETH, then the slot payload.
+RETH_OFF = RETH.offset
+PAYLOAD_OFF = RETH.end
 #: Bytes of a report frame that are not payload (headers + trailing iCRC).
-OVERHEAD_BYTES = PAYLOAD_OFF + 4
+OVERHEAD_BYTES = PAYLOAD_OFF + ICRC_BYTES
 
-#: Atomic (FETCH_ADD / CMP_SWAP) frames swap the RETH for a 28-byte
-#: AtomicETH at the same offset and carry no payload, so their width is a
-#: constant: headers(54) + AtomicETH(28) + iCRC(4).
-ATOMIC_ETH_OFF = 54
-ATOMIC_FRAME_BYTES = ATOMIC_ETH_OFF + 28 + 4
+#: Atomic (FETCH_ADD / CMP_SWAP) frames carry an AtomicETH where the RETH
+#: sits and no payload, so their width is a constant.
+ATOMIC_ETH_OFF = ATOMIC_ETH.offset
+ATOMIC_FRAME_BYTES = ATOMIC_ETH.end + ICRC_BYTES
 
-#: READ requests are a RETH with no payload; READ responses put a 4-byte
-#: AETH where the RETH sat, then the payload: headers(54) + AETH(4) +
-#: payload + iCRC(4).
+#: READ requests are a RETH with no payload; READ responses put an AETH
+#: where the RETH sat, then the payload.
 READ_REQUEST_BYTES = OVERHEAD_BYTES
-AETH_OFF = 54
-RESPONSE_PAYLOAD_OFF = AETH_OFF + 4
+AETH_OFF = AETH.offset
+RESPONSE_PAYLOAD_OFF = AETH.end
 
 #: BTH column offsets: opcode, 24-bit destination QP, and the 32-bit word
 #: whose low 24 bits are the PSN.
-OPCODE_OFF = BTH_OFF
-DEST_QP_OFF = BTH_OFF + 5
-PSN_OFF = BTH_OFF + 8
+OPCODE_OFF = span("bth.opcode")[0]
+DEST_QP_OFF = span("bth.dest_qp")[0]
+PSN_OFF = span("bth.ack_request")[0]
 
-#: Columns of the masked iCRC image that the RoCEv2 annex forces to 0xFF
-#: (DSCP/ECN, TTL, IPv4 checksum, UDP checksum, BTH resv8a), relative to
-#: the image layout: 8 prefix bytes then frame[14:-4].
-_MASKED_COLUMNS = np.array([9, 16, 18, 19, 34, 35, 40])
+_MASKED_COLUMNS = np.array(ICRC_MASKED_COLUMNS)
 
 
 def frame_width(payload_bytes: int) -> int:
@@ -71,23 +89,30 @@ def frame_width(payload_bytes: int) -> int:
 def icrc_rows(frames: np.ndarray) -> np.ndarray:
     """The RoCEv2 iCRC of every frame row, vectorised.
 
-    Builds the masked CRC image for all rows at once (8 bytes of 0xFF,
+    Builds the masked CRC image for all rows at once (the 0xFF prefix,
     then the frame from the IPv4 header to just before the iCRC with the
     volatile bytes forced to 0xFF) and row-CRCs it in one call.  Each
     result is bit-identical to :func:`repro.rdma.packets.compute_icrc` on
-    the scalar-decoded frame.
+    the scalar-decoded frame: both mask ``layout.ICRC_MASKED_COLUMNS``.
     """
     count, width = frames.shape
-    masked = np.empty((count, 8 + width - 4 - IP_OFF), dtype=np.uint8)
-    masked[:, :8] = 0xFF
-    masked[:, 8:] = frames[:, IP_OFF : width - 4]
+    masked = np.empty(
+        (count, ICRC_PREFIX_BYTES + width - ICRC_BYTES - IP_OFF), dtype=np.uint8
+    )
+    masked[:, :ICRC_PREFIX_BYTES] = 0xFF
+    masked[:, ICRC_PREFIX_BYTES:] = frames[:, IP_OFF : width - ICRC_BYTES]
     masked[:, _MASKED_COLUMNS] = 0xFF
     return CRC32.compute_rows(masked)
 
 
-#: Columns :func:`header_mask` compares: ethertype (2), version/IHL,
-#: protocol, UDP destination port (2), IPv4 total length (2), BTH opcode.
-_HEADER_COLUMNS = np.array([12, 13, 14, 23, 36, 37, 16, 17, OPCODE_OFF])
+#: The fields :func:`header_mask` compares: four that scalar ``unpack``
+#: holds to a constant, then the two that vary per call.
+_HEADER_FIELDS = (
+    "eth.ethertype", "ipv4.version_ihl", "ipv4.protocol", "udp.dst_port",
+    "ipv4.total_length", "bth.opcode",
+)
+_HEADER_COLUMNS = np.array(columns(*_HEADER_FIELDS))
+_HEADER_EXPECTED = packer(*_HEADER_FIELDS)
 
 
 def header_mask(frames: np.ndarray, opcode: int) -> np.ndarray:
@@ -101,10 +126,13 @@ def header_mask(frames: np.ndarray, opcode: int) -> np.ndarray:
     """
     total_length = frames.shape[1] - IP_OFF
     # Ethernet..BTH and the iCRC at least; at most what 16 bits can say.
-    if not RETH_OFF + 4 - IP_OFF <= total_length <= 0xFFFF:
+    if not BTH.end + ICRC_BYTES - IP_OFF <= total_length <= 0xFFFF:
         return np.zeros(len(frames), dtype=bool)
-    expected = np.array(
-        [0x08, 0x00, 0x45, 17, 0x12, 0xB7, total_length >> 8, total_length & 0xFF, opcode],
+    expected = np.frombuffer(
+        _HEADER_EXPECTED.pack(
+            ETHERTYPE_IPV4, IPV4_VERSION_IHL, IP_PROTO_UDP, ROCEV2_UDP_PORT,
+            total_length, opcode,
+        ),
         dtype=np.uint8,
     )
     return (frames[:, _HEADER_COLUMNS] == expected).all(axis=1)
@@ -112,69 +140,53 @@ def header_mask(frames: np.ndarray, opcode: int) -> np.ndarray:
 
 def icrc_ok(frames: np.ndarray) -> np.ndarray:
     """Rows whose trailing iCRC matches their bytes, as a bool array."""
-    wire = np.ascontiguousarray(frames[:, -4:]).view("<u4").ravel()
+    wire = np.ascontiguousarray(frames[:, -ICRC_BYTES:]).view(f"<u{ICRC_BYTES}").ravel()
     return wire == icrc_rows(frames)
 
 
-# Big-endian column readers/writers.  Column slices of a C-contiguous
-# frame matrix are strided, so readers copy the few bytes they need before
-# reinterpreting; all return/accept native-order integer arrays.
+# Big-endian field readers/writers.  Column slices of a C-contiguous frame
+# matrix are strided, so both go through a contiguous scratch as wide as
+# the next machine word; all return/accept native-order integer arrays.
 
-def read_be16(frames: np.ndarray, offset: int) -> np.ndarray:
-    """Big-endian u16 column at ``offset`` as ``uint32``."""
-    return (
-        np.ascontiguousarray(frames[:, offset : offset + 2])
-        .view(">u2")
-        .ravel()
-        .astype(np.uint32)
+_WORDS = {4: (">u4", np.uint32), 8: (">u8", np.uint64)}
+
+
+def read_field(frames: np.ndarray, name: str) -> np.ndarray:
+    """The ``"header.field"`` column of every row: ``uint32`` for fields
+    of up to four bytes, ``uint64`` for wider ones."""
+    start, stop = span(name)
+    width = stop - start
+    word = 4 if width <= 4 else 8
+    if width == word:
+        raw = np.ascontiguousarray(frames[:, start:stop])
+    else:
+        raw = np.zeros((len(frames), word), dtype=np.uint8)
+        raw[:, word - width :] = frames[:, start:stop]
+    big_endian, native = _WORDS[word]
+    return raw.view(big_endian).ravel().astype(native)
+
+
+def _write_be(frames: np.ndarray, start: int, stop: int, values: np.ndarray) -> None:
+    width = stop - start
+    word = 4 if width <= 4 else 8
+    frames[:, start:stop] = (
+        values.astype(_WORDS[word][0]).view(np.uint8).reshape(-1, word)[:, word - width :]
     )
 
 
-def read_be32(frames: np.ndarray, offset: int) -> np.ndarray:
-    """Big-endian u32 column at ``offset`` as ``uint32``."""
-    return (
-        np.ascontiguousarray(frames[:, offset : offset + 4])
-        .view(">u4")
-        .ravel()
-        .astype(np.uint32)
-    )
-
-
-def read_be64(frames: np.ndarray, offset: int) -> np.ndarray:
-    """Big-endian u64 column at ``offset`` as ``uint64``."""
-    return (
-        np.ascontiguousarray(frames[:, offset : offset + 8])
-        .view(">u8")
-        .ravel()
-        .astype(np.uint64)
-    )
-
-
-def read_be24(frames: np.ndarray, offset: int) -> np.ndarray:
-    """Big-endian u24 column at ``offset`` as ``uint32``."""
-    columns = frames[:, offset : offset + 3].astype(np.uint32)
-    return (columns[:, 0] << 16) | (columns[:, 1] << 8) | columns[:, 2]
-
-
-def write_be16(frames: np.ndarray, offset: int, values: np.ndarray) -> None:
-    """Store ``values`` as a big-endian u16 column at ``offset``."""
-    frames[:, offset : offset + 2] = (
-        values.astype(">u2").view(np.uint8).reshape(-1, 2)
-    )
+def write_field(frames: np.ndarray, name: str, values: np.ndarray) -> None:
+    """Store ``values`` as the big-endian ``"header.field"`` column."""
+    _write_be(frames, *span(name), values)
 
 
 def write_be32(frames: np.ndarray, offset: int, values: np.ndarray) -> None:
     """Store ``values`` as a big-endian u32 column at ``offset``."""
-    frames[:, offset : offset + 4] = (
-        values.astype(">u4").view(np.uint8).reshape(-1, 4)
-    )
+    _write_be(frames, offset, offset + 4, values)
 
 
 def write_be64(frames: np.ndarray, offset: int, values: np.ndarray) -> None:
     """Store ``values`` as a big-endian u64 column at ``offset``."""
-    frames[:, offset : offset + 8] = (
-        values.astype(">u8").view(np.uint8).reshape(-1, 8)
-    )
+    _write_be(frames, offset, offset + 8, values)
 
 
 def write_le32(frames: np.ndarray, offset: int, values: np.ndarray) -> None:
@@ -388,3 +400,79 @@ class FrameBatch:
         for position in np.argsort(first_seen):
             endpoint = int(unique[position])
             yield endpoint, np.flatnonzero(ids == endpoint)
+
+
+# ---------------------------------------------------------------------------
+# Template-and-patch encoding
+# ---------------------------------------------------------------------------
+
+#: Templates :func:`scalar_template` may hold before it starts over.
+#: Bounded because some of what a template reflects is sender-chosen (a
+#: READ response's addresses, a READ's length); a deployment has far fewer.
+TEMPLATE_MEMO_SIZE = 256
+
+_TEMPLATE_MEMO: Dict[tuple, np.ndarray] = {}
+
+
+def scalar_template(key: tuple, craft: Callable[[], bytes]) -> np.ndarray:
+    """The frame ``craft()`` packs, as a read-only row, memoised on ``key``.
+
+    ``craft`` is a site's own scalar crafter called with its per-frame
+    fields zeroed; ``key`` names the site and carries every value that
+    reaches a byte :meth:`TemplateEncoder.stamp` will not overwrite, so a
+    changed endpoint is a different entry, never a stale one.  The one
+    eviction rule: a full memo is cleared.
+    """
+    template = _TEMPLATE_MEMO.get(key)
+    if template is None:
+        if len(_TEMPLATE_MEMO) >= TEMPLATE_MEMO_SIZE:
+            _TEMPLATE_MEMO.clear()
+        template = _TEMPLATE_MEMO[key] = np.frombuffer(craft(), dtype=np.uint8)
+    return template
+
+
+class TemplateEncoder:
+    """Many frames of one shape from scalar-packed templates.
+
+    Every constant byte of a batch-encoded frame -- addresses, the IPv4
+    checksum, lengths, QP, rkey -- comes from a frame the scalar codec
+    packed, so the rows are byte-identical to the scalar path by
+    construction; only the fields that vary per frame are patched in.
+    ``templates`` are equally wide frames; most shapes have one, the
+    switch one per collector endpoint.
+    """
+
+    def __init__(self, *templates: np.ndarray) -> None:
+        self.templates = templates
+
+    def stamp(
+        self,
+        pool: Optional[FramePool],
+        endpoint_ids: np.ndarray,
+        fields: Dict[str, np.ndarray],
+        payload: Optional[np.ndarray] = None,
+        template_of: Optional[np.ndarray] = None,
+    ) -> FrameBatch:
+        """One frame per entry of ``endpoint_ids``, as a :class:`FrameBatch`.
+
+        Acquires the matrix from ``pool`` (``None``: a fresh array nobody
+        has to release), broadcasts the template (row ``i`` takes template
+        ``template_of[i]`` when there are several), writes each named
+        ``"header.field"`` column of ``fields``, lays ``payload`` rows
+        against the trailer, and computes the iCRC last.
+        """
+        count, width = len(endpoint_ids), len(self.templates[0])
+        if pool is None:
+            lease, frames = None, np.empty((count, width), dtype=np.uint8)
+        else:
+            lease, frames = pool.acquire(count, width)
+        if template_of is None:
+            frames[:] = self.templates[0]
+        else:
+            np.take(np.stack(self.templates), template_of, axis=0, out=frames)
+        for name, values in fields.items():
+            write_field(frames, name, values)
+        if payload is not None:
+            frames[:, -ICRC_BYTES - payload.shape[1] : -ICRC_BYTES] = payload
+        write_le32(frames, width - ICRC_BYTES, icrc_rows(frames))
+        return FrameBatch(frames, endpoint_ids, lease)

@@ -23,28 +23,22 @@ from repro import obs
 from repro.mem.region import MemoryRegion, RegionAccessError
 from repro.obs.metrics import DEPTH_BUCKETS, LATENCY_BUCKETS, CounterView
 from repro.rdma.frames import (
-    AETH_OFF,
-    ATOMIC_ETH_OFF,
     ATOMIC_FRAME_BYTES,
-    DEST_QP_OFF,
     FrameBatch,
+    ICRC_BYTES,
     IP_OFF,
     OPCODE_OFF,
     OVERHEAD_BYTES,
     PAYLOAD_OFF,
-    PSN_OFF,
     READ_REQUEST_BYTES,
     RESPONSE_PAYLOAD_OFF,
-    RETH_OFF,
+    TemplateEncoder,
     header_mask,
     icrc_ok,
-    icrc_rows,
-    read_be24,
-    read_be32,
-    read_be64,
-    write_be32,
-    write_le32,
+    read_field,
+    scalar_template,
 )
+from repro.rdma.layout import columns
 from repro.rdma.packets import (
     Aeth,
     Bth,
@@ -59,11 +53,14 @@ from repro.rdma.packets import (
 )
 from repro.rdma.qp import PSN_MODULUS, QueuePair, psn_run
 
-#: Request columns a READ response reflects or depends on -- source MAC,
-#: source IP, UDP source port, destination QP, RETH dma_length.  A READ
-#: batch takes the vector branch only when every row agrees on all of
-#: them, so one response template serves the whole batch.
-_READ_UNIFORM_COLUMNS = np.r_[6:12, 26:30, 34:36, DEST_QP_OFF : DEST_QP_OFF + 3, 66:70]
+#: Request columns a READ response reflects or depends on.  A READ batch
+#: takes the vector branch only when every row agrees on all of them, so
+#: one response template serves the whole batch.
+_READ_UNIFORM_COLUMNS = np.array(
+    columns(
+        "eth.src_mac", "ipv4.src_ip", "udp.src_port", "bth.dest_qp", "reth.dma_length"
+    )
+)
 
 
 class NicCounters(CounterView):
@@ -160,7 +157,6 @@ class RdmaNic:
         #: one :class:`~repro.rdma.frames.FrameBatch` whose rows are the
         #: response frames, both in execution order.
         self.tx_queue: List[Union[bytes, FrameBatch]] = []
-        self._read_templates: Dict[tuple, np.ndarray] = {}
 
     def __repr__(self) -> str:
         return f"RdmaNic(ip={self.ip!r}, region={self.region!r})"
@@ -234,21 +230,21 @@ class RdmaNic:
         if not header_mask(frames, opcode).all():
             return None
         if opcode == Opcode.RC_RDMA_WRITE_ONLY:
-            if (read_be32(frames, RETH_OFF + 12) == width - OVERHEAD_BYTES).all():
+            if (read_field(frames, "reth.dma_length") == width - OVERHEAD_BYTES).all():
                 return self._ingest_write_batch
         elif opcode == Opcode.RC_FETCH_ADD:
             if width == ATOMIC_FRAME_BYTES and not self._any_qp_responds_atomics(
-                read_be24(frames, DEST_QP_OFF)
+                read_field(frames, "bth.dest_qp")
             ):
                 return self._ingest_fetch_add_batch
         elif opcode == Opcode.RC_RDMA_READ_REQUEST and width == READ_REQUEST_BYTES:
             # One response template per batch needs every reflected
             # column uniform, and the response has to fit the 16-bit
             # IPv4 total length.
-            columns = frames[:, _READ_UNIFORM_COLUMNS]
-            length = int(read_be32(frames[:1], RETH_OFF + 12)[0])
-            if (columns == columns[0]).all() and (
-                RESPONSE_PAYLOAD_OFF + length + 4 - IP_OFF <= 0xFFFF
+            reflected = frames[:, _READ_UNIFORM_COLUMNS]
+            length = int(read_field(frames[:1], "reth.dma_length")[0])
+            if (reflected == reflected[0]).all() and (
+                RESPONSE_PAYLOAD_OFF + length + ICRC_BYTES - IP_OFF <= 0xFFFF
             ):
                 return self._ingest_read_batch
         return None
@@ -329,8 +325,8 @@ class RdmaNic:
 
         In the scalar path's order and with its counters: iCRC, per-QP
         lookup and PSN acceptance in arrival order, then rkey, bounds of
-        ``[VA, VA + span)`` and ``alignment`` (RETH and AtomicETH both
-        open with VA(8) rkey(4) at byte 54).  Returns the row indexes
+        ``[VA, VA + span)`` and ``alignment`` (RETH and AtomicETH open
+        with the same virtual_address and rkey fields).  Returns the row indexes
         that passed everything, in arrival order, and their region
         offsets.
         """
@@ -345,8 +341,8 @@ class RdmaNic:
             candidates = np.arange(count)
 
         executed = np.zeros(count, dtype=bool)
-        dest_qps = read_be24(frames, DEST_QP_OFF)[candidates]
-        psns = read_be32(frames, PSN_OFF) & 0xFFFFFF
+        dest_qps = read_field(frames, "bth.dest_qp")[candidates]
+        psns = read_field(frames, "bth.psn")
         # Per-QP acceptance, preserving arrival order within each QP --
         # the PSN state machine is sequential per queue pair.
         for qp_number in dict.fromkeys(dest_qps.tolist()):
@@ -363,7 +359,7 @@ class RdmaNic:
 
         landed = np.flatnonzero(executed)
         region = self.region
-        addresses = read_be64(frames, RETH_OFF)[landed]
+        addresses = read_field(frames, "reth.virtual_address")[landed]
         base = np.uint64(region.base_address)
         # Offsets wrap for VAs below the base; the first term rejects
         # those rows, and comparing offsets (not VA + span) keeps a VA
@@ -373,7 +369,7 @@ class RdmaNic:
         access_ok = (
             (addresses >= base)
             & (offsets <= np.uint64(max(room, 0)))
-            & (read_be32(frames, RETH_OFF + 8)[landed] == region.rkey)
+            & (read_field(frames, "reth.rkey")[landed] == region.rkey)
         )
         if alignment > 1:
             access_ok &= addresses % np.uint64(alignment) == 0
@@ -410,7 +406,7 @@ class RdmaNic:
         if len(landed):
             self.region.dma_fetch_add_many(
                 offsets + self.region.base_address,
-                read_be64(frames, ATOMIC_ETH_OFF + 12)[landed],
+                read_field(frames, "atomic_eth.swap_add")[landed],
             )
             self.counters.c_atomics.inc(len(landed))
         return len(landed)
@@ -420,31 +416,37 @@ class RdmaNic:
 
         The survivors' bytes leave as one unpooled
         :class:`~repro.rdma.frames.FrameBatch` on :attr:`tx_queue`: the
-        scalar-packed response template with PSN, MSN, payload and iCRC
-        patched, row for row what :meth:`_enqueue_read_response` packs.
+        first survivor's response with PSN, MSN and payload patched, row
+        for row what :meth:`_enqueue_read_response` packs.
         """
         frames = batch.frames
-        length = int(read_be32(frames[:1], RETH_OFF + 12)[0])
+        length = int(read_field(frames[:1], "reth.dma_length")[0])
         landed, offsets = self._validate_batch(frames, length)
         count = len(landed)
         if count:
             first = frames[landed[0]]
             qp = self._queue_pairs[
-                int.from_bytes(first[DEST_QP_OFF : DEST_QP_OFF + 3].tobytes(), "big")
+                int(read_field(frames[landed[:1]], "bth.dest_qp")[0])
             ]
-            width = RESPONSE_PAYLOAD_OFF + length + 4
-            response = np.empty((count, width), dtype=np.uint8)
-            response[:] = self._read_response_template(first, qp, length)
-            write_be32(response, PSN_OFF, read_be32(frames, PSN_OFF)[landed] & 0xFFFFFF)
-            write_be32(response, AETH_OFF, psn_run(qp.msn + 1, count))
-            qp.msn = (qp.msn + count) % PSN_MODULUS
-            response[:, RESPONSE_PAYLOAD_OFF : width - 4] = (
-                self.region.read_offset_columnar(offsets, length)
+            peer_qp = qp.effective_peer_qp
+            template = scalar_template(
+                # Everything the response reflects, plus this NIC's own half.
+                ("read_response", self.mac, self.ip, peer_qp,
+                 first[_READ_UNIFORM_COLUMNS].tobytes()),
+                lambda: self._blank_read_response(first, peer_qp, length),
             )
-            write_le32(response, width - 4, icrc_rows(response))
             self.tx_queue.append(
-                FrameBatch(response, batch.endpoint_ids[landed])
+                TemplateEncoder(template).stamp(
+                    None,
+                    batch.endpoint_ids[landed],
+                    {
+                        "bth.psn": read_field(frames, "bth.psn")[landed],
+                        "aeth.msn": psn_run(qp.msn + 1, count),
+                    },
+                    payload=self.region.read_offset_columnar(offsets, length),
+                )
             )
+            qp.msn = (qp.msn + count) % PSN_MODULUS
             self.counters.c_reads.inc(count)
             self.counters.c_responses.inc(count)
         return count
@@ -552,33 +554,13 @@ class RdmaNic:
         )
         self.counters.c_responses.inc()
 
-    def _read_response_template(
-        self, request_row: np.ndarray, qp: QueuePair, length: int
-    ) -> np.ndarray:
-        """Constant bytes of the READ responses to one requester.
-
-        Packed once by the scalar codec from a decoded request row and
-        cached on everything the response reflects.
-        """
-        key = (
-            request_row[_READ_UNIFORM_COLUMNS].tobytes(),
-            qp.effective_peer_qp,
-        )
-        template = self._read_templates.get(key)
-        if template is None:
-            if len(self._read_templates) >= 64:
-                self._read_templates.clear()  # hostile reflected addresses
-            request = RoceV2Packet.unpack(
-                request_row.tobytes(), validate_icrc=False
-            )
-            template = np.frombuffer(
-                self._craft_read_response(
-                    request, qp.effective_peer_qp, 0, bytes(length)
-                ),
-                dtype=np.uint8,
-            )
-            self._read_templates[key] = template
-        return template
+    def _blank_read_response(
+        self, request_row: np.ndarray, peer_qp: int, length: int
+    ) -> bytes:
+        """The READ RESPONSE to the request in ``request_row`` with MSN 0
+        and ``length`` zero bytes of payload."""
+        request = RoceV2Packet.unpack(request_row.tobytes(), validate_icrc=False)
+        return self._craft_read_response(request, peer_qp, 0, bytes(length))
 
     def _enqueue_atomic_response(
         self, request: RoceV2Packet, qp: QueuePair, original: int

@@ -24,29 +24,45 @@ from functools import lru_cache
 from typing import Optional
 
 from repro.hashing.crc import crc32
+from repro.rdma.layout import (
+    AETH,
+    ATOMIC_ETH,
+    BTH,
+    ETHERNET,
+    ETHERTYPE_IPV4,
+    ICRC,
+    ICRC_MASKED_COLUMNS,
+    ICRC_PREFIX_BYTES,
+    IP_PROTO_UDP,
+    IPV4,
+    IPV4_VERSION_IHL,
+    RETH,
+    ROCEV2_UDP_PORT,
+    UDP,
+    packer,
+)
 
-#: IANA-assigned UDP destination port identifying RoCEv2.
-ROCEV2_UDP_PORT = 4791
+_ETH = ETHERNET.struct
+_IPV4 = IPV4.struct
+_UDP = UDP.struct
+_BTH = BTH.struct
+_RETH = RETH.struct
+_ATOMIC_ETH = ATOMIC_ETH.struct
+_AETH = AETH.struct
+_ICRC = ICRC.struct
+_IPV4_CHECKSUM = packer("ipv4.checksum")
+_IPV4_CHECKSUM_AT = IPV4["checksum"].offset
+# ``struct`` has no 24-bit code: these pack as byte strings of the table's width.
+_DEST_QP_BYTES = BTH["dest_qp"].width
+_PSN_BYTES = BTH["psn"].width
+_MSN_BYTES = AETH["msn"].width
 
-ETHERTYPE_IPV4 = 0x0800
-IP_PROTO_UDP = 17
-
-_ETH = struct.Struct(">6s6sH")
-_IPV4 = struct.Struct(">BBHHHBBH4s4s")
-_UDP = struct.Struct(">HHHH")
-_BTH = struct.Struct(">BBHBBBBI")
-_RETH = struct.Struct(">QII")
-_ATOMIC_ETH = struct.Struct(">QIQQ")
-_BE16 = struct.Struct(">H")
-_BE32 = struct.Struct(">I")
-_ICRC = struct.Struct("<I")
-
-# Frame offsets of the fixed headers (Ethernet 14 | IPv4 20 | UDP 8 | BTH 12).
-_IP_OFF, _UDP_OFF, _BTH_OFF, _EXT_OFF = 14, 34, 42, 54
+_IP_OFF, _UDP_OFF, _BTH_OFF, _EXT_OFF = IPV4.offset, UDP.offset, BTH.offset, BTH.end
 
 #: Entries each address memo below may hold.  Bounded because the
 #: addresses of a received frame are sender-chosen (the same reason
-#: ``RdmaNic._read_templates`` clears at 64); a deployment has far fewer.
+#: ``repro.rdma.frames.scalar_template`` is bounded); a deployment has
+#: far fewer.
 ADDRESS_MEMO_SIZE = 256
 
 
@@ -159,13 +175,13 @@ def internet_checksum(data: bytes) -> int:
 
 @dataclass
 class EthernetHeader:
-    """14-byte Ethernet II header."""
+    """Ethernet II header."""
 
     dst_mac: str = "ff:ff:ff:ff:ff:ff"
     src_mac: str = "00:00:00:00:00:00"
     ethertype: int = ETHERTYPE_IPV4
 
-    LENGTH = 14
+    LENGTH = ETHERNET.size
 
     def pack(self) -> bytes:
         """Serialise to wire bytes."""
@@ -184,7 +200,7 @@ class EthernetHeader:
 
 @dataclass
 class Ipv4Header:
-    """20-byte IPv4 header (no options)."""
+    """IPv4 header (no options)."""
 
     src_ip: str = "0.0.0.0"
     dst_ip: str = "0.0.0.0"
@@ -195,13 +211,13 @@ class Ipv4Header:
     identification: int = 0
     flags_fragment: int = 0x4000  # don't-fragment
 
-    LENGTH = 20
+    LENGTH = IPV4.size
 
     def pack(self, checksum: Optional[int] = None) -> bytes:
         """Serialise to wire bytes."""
         header = bytearray(
             _IPV4.pack(
-                0x45,
+                IPV4_VERSION_IHL,
                 self.dscp_ecn,
                 self.total_length,
                 self.identification,
@@ -215,7 +231,7 @@ class Ipv4Header:
         )
         if checksum is None:
             checksum = internet_checksum(header)
-        _BE16.pack_into(header, 10, checksum)
+        _IPV4_CHECKSUM.pack_into(header, _IPV4_CHECKSUM_AT, checksum)
         return bytes(header)
 
     @classmethod
@@ -224,7 +240,7 @@ class Ipv4Header:
         if len(data) < cls.LENGTH:
             raise PacketDecodeError("truncated IPv4 header")
         version_ihl = data[0]
-        if version_ihl != 0x45:
+        if version_ihl != IPV4_VERSION_IHL:
             raise PacketDecodeError(
                 f"unsupported IPv4 version/IHL byte {version_ihl:#x}"
             )
@@ -254,14 +270,14 @@ class Ipv4Header:
 
 @dataclass
 class UdpHeader:
-    """8-byte UDP header; RoCEv2 uses destination port 4791."""
+    """UDP header; RoCEv2 uses destination port 4791."""
 
     src_port: int = 0
     dst_port: int = ROCEV2_UDP_PORT
     length: int = 0
     checksum: int = 0  # RoCEv2 senders commonly emit 0 (checksum disabled)
 
-    LENGTH = 8
+    LENGTH = UDP.size
 
     def pack(self) -> bytes:
         """Serialise to wire bytes."""
@@ -278,7 +294,7 @@ class UdpHeader:
 
 @dataclass
 class Bth:
-    """12-byte Base Transport Header."""
+    """Base Transport Header."""
 
     opcode: int = int(Opcode.RC_RDMA_WRITE_ONLY)
     solicited: bool = False
@@ -289,7 +305,7 @@ class Bth:
     ack_request: bool = False
     psn: int = 0
 
-    LENGTH = 12
+    LENGTH = BTH.size
 
     def pack(self) -> bytes:
         """Serialise to wire bytes."""
@@ -308,10 +324,9 @@ class Bth:
             flags,
             self.partition_key,
             0,  # resv8a -- masked in the iCRC
-            (self.dest_qp >> 16) & 0xFF,
-            (self.dest_qp >> 8) & 0xFF,
-            self.dest_qp & 0xFF,
-            (int(self.ack_request) << 31) | self.psn,
+            int(self.dest_qp).to_bytes(_DEST_QP_BYTES, "big"),
+            int(self.ack_request) << 7,
+            int(self.psn).to_bytes(_PSN_BYTES, "big"),
         )
 
     @classmethod
@@ -319,28 +334,28 @@ class Bth:
         """Parse wire bytes into a header instance."""
         if len(data) < cls.LENGTH:
             raise PacketDecodeError("truncated BTH")
-        opcode, flags, pkey, _resv, qp2, qp1, qp0, last = _BTH.unpack_from(data)
+        opcode, flags, pkey, _resv, dest_qp, ack, psn = _BTH.unpack_from(data)
         return cls(
             opcode=opcode,
             solicited=bool(flags & 0x80),
             mig_req=bool(flags & 0x40),
             pad_count=(flags >> 4) & 0x3,
             partition_key=pkey,
-            dest_qp=(qp2 << 16) | (qp1 << 8) | qp0,
-            ack_request=bool(last >> 31),
-            psn=last & 0xFFFFFF,
+            dest_qp=int.from_bytes(dest_qp, "big"),
+            ack_request=bool(ack >> 7),
+            psn=int.from_bytes(psn, "big"),
         )
 
 
 @dataclass
 class Reth:
-    """16-byte RDMA Extended Transport Header (WRITE / READ requests)."""
+    """RDMA Extended Transport Header (WRITE / READ requests)."""
 
     virtual_address: int = 0
     rkey: int = 0
     dma_length: int = 0
 
-    LENGTH = 16
+    LENGTH = RETH.size
 
     def pack(self) -> bytes:
         """Serialise to wire bytes."""
@@ -357,14 +372,14 @@ class Reth:
 
 @dataclass
 class AtomicEth:
-    """28-byte Atomic Extended Transport Header (FETCH_ADD / CMP_SWAP)."""
+    """Atomic Extended Transport Header (FETCH_ADD / CMP_SWAP)."""
 
     virtual_address: int = 0
     rkey: int = 0
     swap_add: int = 0
     compare: int = 0
 
-    LENGTH = 28
+    LENGTH = ATOMIC_ETH.size
 
     def pack(self) -> bytes:
         """Serialise to wire bytes."""
@@ -388,7 +403,7 @@ class AtomicEth:
 
 @dataclass
 class Aeth:
-    """4-byte ACK Extended Transport Header (read responses / ACKs).
+    """ACK Extended Transport Header (read responses / ACKs).
 
     ``syndrome`` encodes ACK/NAK and credits; 0 is a plain ACK.  ``msn``
     is the responder's 24-bit message sequence number.
@@ -397,24 +412,24 @@ class Aeth:
     syndrome: int = 0
     msn: int = 0
 
-    LENGTH = 4
+    LENGTH = AETH.size
 
     def pack(self) -> bytes:
         """Serialise to wire bytes."""
         if not 0 <= self.msn < (1 << 24):
             raise ValueError(f"msn {self.msn} does not fit in 24 bits")
-        return _BE32.pack(((self.syndrome & 0xFF) << 24) | self.msn)
+        return _AETH.pack(self.syndrome & 0xFF, int(self.msn).to_bytes(_MSN_BYTES, "big"))
 
     @classmethod
     def unpack(cls, data: bytes) -> "Aeth":
         """Parse wire bytes into a header instance."""
         if len(data) < cls.LENGTH:
             raise PacketDecodeError("truncated AETH")
-        (word,) = _BE32.unpack_from(data)
-        return cls(syndrome=(word >> 24) & 0xFF, msn=word & 0xFFFFFF)
+        syndrome, msn = _AETH.unpack_from(data)
+        return cls(syndrome=syndrome, msn=int.from_bytes(msn, "big"))
 
 
-_ICRC_PREFIX = b"\xff" * 8
+_ICRC_PREFIX = b"\xff" * ICRC_PREFIX_BYTES
 
 
 def _icrc_of_wire(covered: bytes) -> int:
@@ -436,11 +451,8 @@ def _icrc_of_wire(covered: bytes) -> int:
     """
     image = bytearray(_ICRC_PREFIX)
     image += covered
-    image[9] = 0xFF  # DSCP/ECN
-    image[16] = 0xFF  # TTL
-    image[18:20] = b"\xff\xff"  # IPv4 header checksum
-    image[34:36] = b"\xff\xff"  # UDP checksum
-    image[40] = 0xFF  # BTH resv8a
+    for column in ICRC_MASKED_COLUMNS:
+        image[column] = 0xFF
     return crc32(image)
 
 
@@ -497,7 +509,7 @@ class RoceV2Packet:
     def pack(self) -> bytes:
         """Serialise to wire bytes, computing lengths, checksums and iCRC."""
         after_bth = self._after_bth()
-        udp_payload_len = Bth.LENGTH + len(after_bth) + 4  # + iCRC
+        udp_payload_len = Bth.LENGTH + len(after_bth) + ICRC.size
         self.udp.length = UdpHeader.LENGTH + udp_payload_len
         self.ipv4.total_length = Ipv4Header.LENGTH + self.udp.length
         covered = self.ipv4.pack() + self.udp.pack() + self.bth.pack() + after_bth
@@ -508,7 +520,7 @@ class RoceV2Packet:
         """Parse wire bytes; raises :class:`PacketDecodeError` on corruption.
 
         The iCRC is validated over the *received* bytes
-        (:func:`_icrc_of_wire` of ``data[14:end-4]``), never over re-packed
+        (:func:`_icrc_of_wire` of IPv4 header up to the iCRC), never over re-packed
         parsed headers: a bit the dataclasses do not model (the BTH TVer
         nibble, the reserved bits beside AckReq) is covered as it arrived,
         which is the annex's rule and what ``frames.icrc_rows`` does for
@@ -526,13 +538,13 @@ class RoceV2Packet:
         bth = Bth.unpack(data[_BTH_OFF:_EXT_OFF])
 
         end = _IP_OFF + ipv4.total_length
-        if end > len(data) or end - 4 < _EXT_OFF:
+        if end > len(data) or end - ICRC.size < _EXT_OFF:
             raise PacketDecodeError("IPv4 total length inconsistent with frame")
-        after_bth = data[_EXT_OFF : end - 4]
-        (wire_icrc,) = _ICRC.unpack_from(data, end - 4)
+        after_bth = data[_EXT_OFF : end - ICRC.size]
+        (wire_icrc,) = _ICRC.unpack_from(data, end - ICRC.size)
 
         if validate_icrc:
-            expected = _icrc_of_wire(data[_IP_OFF : end - 4])
+            expected = _icrc_of_wire(data[_IP_OFF : end - ICRC.size])
             if wire_icrc != expected:
                 raise PacketDecodeError(
                     f"iCRC mismatch: wire {wire_icrc:#010x}, computed {expected:#010x}"
@@ -572,4 +584,4 @@ class RoceV2Packet:
             + AtomicEth.LENGTH * opcode_has_atomic_eth(opcode)
             + Aeth.LENGTH * opcode_has_aeth(opcode)
         )
-        return _EXT_OFF + extension + len(self.payload) + 4  # + iCRC
+        return _EXT_OFF + extension + len(self.payload) + ICRC.size

@@ -31,12 +31,8 @@ from repro.obs.metrics import CounterView
 from repro.rdma.frames import (
     FrameBatch,
     FramePool,
-    frame_width,
-    icrc_rows,
-    write_be16,
-    write_be32,
-    write_be64,
-    write_le32,
+    TemplateEncoder,
+    scalar_template,
 )
 from repro.rdma.packets import (
     Bth,
@@ -274,14 +270,26 @@ class DartSwitch:
         )
         payload = self._codec.encode(resolved.checksum, value)
         psn = self.psn_registers.read_and_increment(collector_id) % PSN_MODULUS
-
         # UDP source port varies with the key for ECMP entropy, like
         # requester NICs do.
         entropy = resolved.checksum & 0x3FFF
+        return collector_id, self._pack_write(
+            endpoint, address, psn, _UDP_SRC_BASE | entropy, payload
+        )
+
+    def _pack_write(
+        self,
+        endpoint: Dict[str, Any],
+        address: int,
+        psn: int,
+        src_port: int,
+        payload: bytes,
+    ) -> bytes:
+        """The deparser: one WRITE frame to ``endpoint``, no switch state touched."""
         packet = RoceV2Packet(
             eth=EthernetHeader(dst_mac=endpoint["mac"], src_mac=self.src_mac),
             ipv4=Ipv4Header(src_ip=self.src_ip, dst_ip=endpoint["ip"]),
-            udp=UdpHeader(src_port=_UDP_SRC_BASE | entropy),
+            udp=UdpHeader(src_port=src_port),
             bth=Bth(
                 opcode=int(Opcode.RC_RDMA_WRITE_ONLY),
                 dest_qp=endpoint["qp_number"],
@@ -294,7 +302,7 @@ class DartSwitch:
             ),
             payload=payload,
         )
-        return collector_id, packet.pack()
+        return packet.pack()
 
     def _mirror_and_resolve(self, key: Key, value: bytes) -> ResolvedKey:
         """Clone the event into egress and resolve its key: one encoding, one fold.
@@ -307,18 +315,16 @@ class DartSwitch:
         self.mirror.clone(key_bytes + value)
         return self.addressing.resolve(key_bytes)
 
-    def report(self, key: Key, value: bytes) -> List[Tuple[int, bytes]]:
-        """Emit the full redundant report: one frame per copy index.
-
-        RDMA supports only one memory instruction per packet, so filling
-        all N slots requires N packets (paper section 3.1); this models the
-        switch generating all of them for one telemetry event.
-        """
+    def _emit(
+        self, key: Key, value: bytes, copy_indexes: Iterable[int], noun: str, shown: int
+    ) -> List[Tuple[int, bytes]]:
+        """One event's frames for ``copy_indexes``, counted and traced
+        (the span detail reads ``<noun>=<shown>``)."""
         self.counters.c_events.inc()
         resolved = self._mirror_and_resolve(key, value)
         frames = [
             self._craft_frame(resolved, value, copy_index)
-            for copy_index in range(self.config.redundancy)
+            for copy_index in copy_indexes
         ]
         self.counters.c_reports.inc(len(frames))
         tracer = self._tracer
@@ -327,7 +333,7 @@ class DartSwitch:
             tracer.span(
                 trace_id,
                 "switch.report",
-                f"switch={self.switch_id} copies={len(frames)}",
+                f"switch={self.switch_id} {noun}={shown}",
             )
             for _collector_id, frame in frames:
                 tracer.bind_frame(frame, trace_id)
@@ -336,6 +342,16 @@ class DartSwitch:
             tracer.end(trace_id)
         return frames
 
+    def report(self, key: Key, value: bytes) -> List[Tuple[int, bytes]]:
+        """Emit the full redundant report: one frame per copy index.
+
+        RDMA supports only one memory instruction per packet, so filling
+        all N slots requires N packets (paper section 3.1); this models the
+        switch generating all of them for one telemetry event.
+        """
+        redundancy = self.config.redundancy
+        return self._emit(key, value, range(redundancy), "copies", redundancy)
+
     def report_single(self, key: Key, value: bytes) -> Tuple[int, bytes]:
         """Emit one frame with an RNG-chosen copy index.
 
@@ -343,55 +359,12 @@ class DartSwitch:
         Tofino RNG picks n per mirrored report packet, and repeated events
         for the same key gradually fill the N slots.
         """
-        self.counters.c_events.inc()
-        resolved = self._mirror_and_resolve(key, value)
         copy_index = self.rng.next(self.config.redundancy)
-        frame = self._craft_frame(resolved, value, copy_index)
-        self.counters.c_reports.inc()
-        tracer = self._tracer
-        if tracer.enabled:
-            trace_id = tracer.begin("switch_report", key=repr(key))
-            tracer.span(
-                trace_id,
-                "switch.report",
-                f"switch={self.switch_id} copy={copy_index}",
-            )
-            tracer.bind_frame(frame[1], trace_id)
-            tracer.end(trace_id)
-        return frame
+        return self._emit(key, value, (copy_index,), "copy", copy_index)[0]
 
     # ------------------------------------------------------------------
     # Data-plane: columnar report crafting
     # ------------------------------------------------------------------
-
-    def _frame_template(self, endpoint: Dict[str, Any]) -> bytes:
-        """One fully packed frame with the per-frame fields zeroed.
-
-        Built with the scalar packer so every constant byte -- Ethernet,
-        IPv4 (checksum included), UDP length, BTH flags/QP, RETH
-        rkey/dma_length -- is identical to what the scalar path emits.
-        The columnar encoder stamps this template per frame and patches
-        only the fields that vary: UDP source port, PSN, virtual address,
-        payload and iCRC.
-        """
-        slot_bytes = self.config.slot_bytes
-        packet = RoceV2Packet(
-            eth=EthernetHeader(dst_mac=endpoint["mac"], src_mac=self.src_mac),
-            ipv4=Ipv4Header(src_ip=self.src_ip, dst_ip=endpoint["ip"]),
-            udp=UdpHeader(src_port=_UDP_SRC_BASE),
-            bth=Bth(
-                opcode=int(Opcode.RC_RDMA_WRITE_ONLY),
-                dest_qp=endpoint["qp_number"],
-                psn=0,
-            ),
-            reth=Reth(
-                virtual_address=endpoint["base_address"],
-                rkey=endpoint["rkey"],
-                dma_length=slot_bytes,
-            ),
-            payload=b"\x00" * slot_bytes,
-        )
-        return packet.pack()
 
     def encode_batch(self, batch: ReportBatch) -> FrameBatch:
         """Craft every redundant frame of a report batch as one matrix.
@@ -401,7 +374,8 @@ class DartSwitch:
         advancing through the same register cells.  Each row's bytes equal
         the corresponding scalar :meth:`report` frame (the equivalence
         suite diffs them), so downstream NIC validation cannot tell the
-        paths apart.
+        paths apart: each collector's constant bytes are :meth:`_pack_write`'s,
+        memoised on the installed endpoint's values.
 
         Raises LookupError (after counting the drop) if any targeted
         collector has no lookup entry, like the scalar path does on its
@@ -414,7 +388,6 @@ class DartSwitch:
         slot_bytes = config.slot_bytes
         report_count = batch.count
         total = report_count * redundancy
-        width = frame_width(slot_bytes)
 
         collector_ids = batch.collector_ids
         roles = np.unique(collector_ids)
@@ -427,11 +400,17 @@ class DartSwitch:
                     f"no collector lookup entry for collector {int(role)}"
                 )
             endpoints.append(lookup[1])
-        templates = np.empty((len(roles), width), dtype=np.uint8)
-        for position, endpoint in enumerate(endpoints):
-            templates[position] = np.frombuffer(
-                self._frame_template(endpoint), dtype=np.uint8
+        encoder = TemplateEncoder(
+            *(
+                scalar_template(
+                    ("report", self.src_mac, self.src_ip, endpoint["mac"],
+                     endpoint["ip"], endpoint["qp_number"], endpoint["rkey"],
+                     slot_bytes),
+                    lambda: self._pack_write(endpoint, 0, 0, 0, bytes(slot_bytes)),
+                )
+                for endpoint in endpoints
             )
+        )
 
         self.counters.c_events.inc(report_count)
         self.mirror.c_clones.inc(report_count)
@@ -439,28 +418,11 @@ class DartSwitch:
 
         frame_collectors = np.repeat(collector_ids, redundancy)
         role_positions = np.searchsorted(roles, frame_collectors)
-        lease, frames = self.frame_pool.acquire(total, width)
-        np.take(templates, role_positions, axis=0, out=frames)
-
-        # UDP source port: ECMP entropy from the key checksum.
         checksums = np.repeat(batch.checksums, redundancy)
-        write_be16(
-            frames,
-            34,
-            np.uint64(_UDP_SRC_BASE) | (checksums & np.uint64(0x3FFF)),
-        )
-
-        # RETH virtual address: copy n of report i -> its resolved slot.
         slot_rows = batch.slot_indexes.T.reshape(-1)
         base_addresses = np.array(
             [endpoint["base_address"] for endpoint in endpoints],
             dtype=np.uint64,
-        )
-        write_be64(
-            frames,
-            54,
-            base_addresses[role_positions]
-            + slot_rows * np.uint64(slot_bytes),
         )
 
         # Per-collector PSNs: the register cell advances once per frame,
@@ -474,13 +436,22 @@ class DartSwitch:
             ) & np.uint64(0xFFFFFFFF)
             psns[rows] = sequence % np.uint64(PSN_MODULUS)
             self.psn_registers.write(int(role), base_psn + len(rows))
-        write_be32(frames, 50, psns)
 
-        frames[:, 70 : 70 + slot_bytes] = batch.payloads[
-            np.repeat(np.arange(report_count), redundancy)
-        ]
-        write_le32(frames, width - 4, icrc_rows(frames))
-        return FrameBatch(frames, frame_collectors.astype(np.int64), lease)
+        return encoder.stamp(
+            self.frame_pool,
+            frame_collectors.astype(np.int64),
+            {
+                # ECMP entropy from the key checksum.
+                "udp.src_port": np.uint64(_UDP_SRC_BASE)
+                | (checksums & np.uint64(0x3FFF)),
+                # Copy n of report i -> its resolved slot.
+                "reth.virtual_address": base_addresses[role_positions]
+                + slot_rows * np.uint64(slot_bytes),
+                "bth.psn": psns,
+            },
+            payload=batch.payloads[np.repeat(np.arange(report_count), redundancy)],
+            template_of=role_positions,
+        )
 
     # ------------------------------------------------------------------
     # Data-plane: fabric egress

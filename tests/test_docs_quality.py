@@ -6,7 +6,9 @@ enforce it mechanically so regressions fail CI rather than review.
 
 import importlib
 import inspect
+import pathlib
 import pkgutil
+import re
 
 import repro
 
@@ -96,3 +98,26 @@ class TestDocstrings:
 
     def test_version_exported(self):
         assert repro.__version__
+
+
+def test_design_wire_layout_table_matches_the_module():
+    """DESIGN.md's "Wire layout" table is the field table, row for row."""
+    from repro.rdma import layout
+
+    design = pathlib.Path(__file__).resolve().parent.parent / "DESIGN.md"
+    section = design.read_text().split("## Wire layout", 1)[1].split("\n## ", 1)[0]
+    documented = [
+        (name, int(offset), int(size), re.findall(r"`(\w+):(\d+)`", fields))
+        for name, offset, size, fields in re.findall(
+            r"^\| `(\w+)` \| (-?\d+) \| (\d+) \| (.+) \|$", section, re.MULTILINE
+        )
+    ]
+    assert documented == [
+        (
+            header.name,
+            header.offset,
+            header.size,
+            [(field.name, str(field.width)) for field in header.fields],
+        )
+        for header in layout.HEADERS
+    ]

@@ -19,10 +19,16 @@ API-level batch entry points that ride the columnar path --
 ``MemoryRegion.dma_fetch_add_many`` and the primitive translators'
 ``increment_many`` / ``append_many`` / ``update_many`` -- and stay under
 the rule.
+
+The second half pins where the RoCEv2 wire format is written down: one
+module (``repro.rdma.layout``) states offsets and widths, everything else
+names fields; and one encoder (``TemplateEncoder.stamp``) turns a
+scalar-packed template into a batch, so nothing else computes a batch iCRC.
 """
 
 import ast
 import pathlib
+import re
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -158,3 +164,170 @@ def test_lint_catches_a_seeded_violation():
     function = next(_batch_functions(tree))
     flagged = list(_loop_violations(function, pathlib.Path("seeded.py")))
     assert len(flagged) == 1 and "RoceV2Packet" in flagged[0]
+
+
+# ---------------------------------------------------------------------------
+# One wire layout, one template-and-patch encoder
+# ---------------------------------------------------------------------------
+
+LAYOUT_MODULE = SRC / "rdma" / "layout.py"
+
+#: Column helpers that take a raw frame offset (the named-field ones,
+#: ``read_field`` / ``write_field``, take a ``"header.field"`` string).
+_OFFSET_HELPER = re.compile(r"^(read_be\d*|write_be\d*|write_le32)$")
+
+
+def _positive_int(node) -> bool:
+    return (
+        isinstance(node, ast.Constant)
+        and type(node.value) is int
+        and node.value > 0
+    )
+
+
+def _spells_a_column_number(node) -> bool:
+    """``[9, 16, OFF]`` / ``6:12, 34`` -- a bracketed list with a literal in it."""
+    return isinstance(node, (ast.List, ast.Tuple, ast.Slice)) and any(
+        _positive_int(part) for part in ast.walk(node)
+    )
+
+
+def _layout_violations(tree: ast.AST, path):
+    """Wire offsets or widths spelled as literals in one parsed module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = _call_name(node)
+            if (
+                _OFFSET_HELPER.match(name)
+                and len(node.args) > 1
+                and any(_positive_int(part) for part in ast.walk(node.args[1]))
+            ):
+                yield f"{path}:{node.lineno}: {name}() at a literal offset"
+            if name == "Struct" and node.args and isinstance(node.args[0], ast.Constant):
+                if "rdma" in pathlib.Path(path).parts:
+                    yield f"{path}:{node.lineno}: struct format spelled out"
+        elif (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.slice, ast.Tuple)
+            and getattr(node.value, "attr", "") != "r_"
+        ):
+            # matrix[rows, a:b] with a literal column bound.
+            for index in node.slice.elts[1:]:
+                if isinstance(index, ast.Slice) and (
+                    _positive_int(index.lower) or _positive_int(index.upper)
+                ):
+                    yield f"{path}:{node.lineno}: literal column bound"
+    for node in getattr(tree, "body", []):
+        if not isinstance(node, ast.Assign):
+            continue
+        named = any(
+            isinstance(target, ast.Name) and target.id.endswith("_COLUMNS")
+            for target in node.targets
+        )
+        value = node.value
+        literal = (
+            isinstance(value, ast.Call)
+            and _call_name(value) == "array"
+            and value.args
+            and _spells_a_column_number(value.args[0])
+        ) or (
+            isinstance(value, ast.Subscript)
+            and isinstance(value.value, ast.Attribute)
+            and value.value.attr == "r_"
+            and _spells_a_column_number(value.slice)
+        )
+        if named and literal:
+            yield f"{path}:{node.lineno}: column set spelled as literals"
+
+
+def _source_modules():
+    return sorted(path for path in SRC.rglob("*.py") if path != LAYOUT_MODULE)
+
+
+def test_only_the_layout_module_states_offsets():
+    """Outside ``rdma/layout.py`` the wire format is named, never numbered."""
+    assert LAYOUT_MODULE.is_file()
+    violations = []
+    for path in _source_modules():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        violations.extend(_layout_violations(tree, path.relative_to(SRC.parent)))
+    assert not violations, "\n".join(violations)
+
+
+def test_one_encoder_computes_batch_icrcs():
+    """``icrc_rows`` is called by the encoder and by ``icrc_ok``, full stop."""
+    callers = []
+    for path in [LAYOUT_MODULE, *_source_modules()]:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                callers.extend(
+                    f"{path.name}:{function.name}"
+                    for call in ast.walk(function)
+                    if isinstance(call, ast.Call) and _call_name(call) == "icrc_rows"
+                )
+    assert sorted(callers) == ["frames.py:icrc_ok", "frames.py:stamp"]
+
+
+#: The five batch encoders, and the private templates they used to keep.
+BATCH_ENCODERS = [
+    (SRC / "switch" / "dart_switch.py", "encode_batch"),
+    (SRC / "primitives" / "translator.py", "_encode_fetch_add_batch"),
+    (SRC / "primitives" / "translator.py", "append_many"),
+    (SRC / "primitives" / "clients.py", "_read_run_batch"),
+    (SRC / "rdma" / "nic.py", "_ingest_read_batch"),
+]
+RETIRED_TEMPLATES = (
+    "_frame_template", "_fetch_add_template", "_record_write_template",
+    "_read_response_template", "_atomic_template", "_write_template",
+    "_templates", "_read_templates",
+)
+
+
+def test_five_batch_encoders_one_template_type_one_memo():
+    for path, name in BATCH_ENCODERS:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        (body,) = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == name
+        ]
+        calls = {_call_name(call) for call in ast.walk(body) if isinstance(call, ast.Call)}
+        assert {"scalar_template", "TemplateEncoder", "stamp"} <= calls, f"{path}: {name}"
+    identifiers = set()
+    memos = 0
+    for path in _source_modules():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Attribute, ast.Name, ast.FunctionDef, ast.ClassDef)):
+                identifiers.add(
+                    getattr(node, "attr", None) or getattr(node, "id", None) or node.name
+                )
+            # A template memo is a dict some code stores a crafted frame in.
+            memos += isinstance(node, ast.AnnAssign) and "template" in ast.unparse(node).lower()
+    assert not identifiers & set(RETIRED_TEMPLATES)
+    assert {"scalar_template", "TemplateEncoder"} <= identifiers
+    assert memos == 1
+
+
+def test_layout_lint_catches_seeded_violations():
+    """Each rule flags its own synthetic offender, and only that."""
+    seeded = {
+        "literal offset": "write_be32(frames, 50, psns)\n",
+        "read_be32() at a literal": "read_be32(frames, RETH_OFF + 12)\n",
+        "literal column bound": "frames[:, 70 : 70 + slot_bytes] = payloads\n",
+        "spelled as literals": "_UNIFORM_COLUMNS = np.r_[6:12, 26:30]\n",
+        "column set spelled": "_MASKED_COLUMNS = np.array([9, 16, 18])\n",
+        "struct format": "_BTH = struct.Struct('>BBHBBBBI')\n",
+    }
+    for expected, source in seeded.items():
+        flagged = list(_layout_violations(ast.parse(source), "rdma/seeded.py"))
+        assert len(flagged) == 1 and expected in flagged[0], (source, flagged)
+    clean = (
+        "write_be32(frames, offset, psns)\n"
+        "read_field(frames, 'bth.psn')\n"
+        "frames[:, PAYLOAD_OFF:-ICRC_BYTES] = payloads\n"
+        "wide[:, start - stop :] = frames[:, start:stop]\n"
+        "_MASKED_COLUMNS = np.array(ICRC_MASKED_COLUMNS)\n"
+        "addresses[:, 1]\n"
+    )
+    assert list(_layout_violations(ast.parse(clean), "rdma/seeded.py")) == []
