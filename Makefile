@@ -55,8 +55,8 @@ bench-obs-timeseries:
 bench-obs-fleet:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_obs_fleet.py -q
 
-# Causal-tracing gate: 1% head-sampled batch-granularity tracing must
-# cost at most 10% on the columnar packet datapath (writes
+# Causal-tracing gate: a default Tracer at 1% head sampling must cost at
+# most 10% on the columnar packet datapath (writes
 # benchmarks/BENCH_obs_trace.json).
 bench-obs-trace:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_obs_trace.py -q

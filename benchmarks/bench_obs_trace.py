@@ -2,8 +2,8 @@
 bench-obs-trace``).
 
 The causal tracing subsystem promises that production-shaped sampling
-(``sample_rate=0.01``, ``granularity="batch"``) costs at most 10% on the
-columnar packet datapath -- the hottest path in the repo.  At 1% head
+(``Tracer(sample_rate=0.01)``, as a user constructs it) costs at most 10%
+on the columnar packet datapath -- the hottest path in the repo.  At 1% head
 sampling, 99% of ``begin()`` calls allocate no trace record, so
 ``bind_batch`` no-ops, ``FrameBatch.trace_ctx`` stays ``None``, and the
 switch/fabric/NIC vector paths run exactly as they do untraced.
@@ -12,8 +12,8 @@ Two modes, recorded to ``BENCH_obs_trace.json``:
 
 - *untraced*: the shared :data:`~repro.obs.NULL_TRACER` (baseline by
   construction);
-- *sampled*: a real :class:`~repro.obs.Tracer` at 1% head sampling with
-  batch granularity, the configuration the docs recommend for fleets.
+- *sampled*: a real :class:`~repro.obs.Tracer` at 1% head sampling, the
+  configuration the docs recommend for fleets.
 """
 
 import json
@@ -66,7 +66,7 @@ def trace_overhead_rows(reports: int = 4_000) -> list:
 
         return run
 
-    sampled = obs.Tracer(sample_rate=SAMPLE_RATE, granularity="batch")
+    sampled = obs.Tracer(sample_rate=SAMPLE_RATE)
     timings = {
         "untraced": _time_best_of(run_with(obs.NULL_TRACER)),
         "sampled": _time_best_of(run_with(sampled)),
@@ -101,7 +101,7 @@ def test_obs_trace_overhead(run_once, full_scale):
 def test_unsampled_batches_stay_columnar():
     """An unsampled run leaves no trace state behind: the vector paths
     never saw a bound batch, so nothing accumulates and nothing leaks."""
-    tracer = obs.Tracer(sample_rate=0.0, granularity="batch")
+    tracer = obs.Tracer(sample_rate=0.0)
     previous = obs.set_tracer(tracer)
     try:
         store = DartStore(

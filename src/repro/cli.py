@@ -149,19 +149,16 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     from repro.fabric.impaired import ImpairedFabric
 
     mode = args.mode
-    # A fresh registry/tracer/profiler/journal so the run covers exactly
+    # A fresh registry/tracer/journal so the run covers exactly
     # this pipeline; the previous defaults are restored before returning.
     registry = obs.MetricsRegistry(enabled=True)
-    tracer = obs.Tracer(
-        sample_rate=args.sample_rate, granularity=args.granularity
-    )
+    tracer = obs.Tracer(sample_rate=args.sample_rate)
     journal = obs.EventJournal()
-    profiler = (
-        obs.StageProfiler(registry) if mode == "profile" else obs.NULL_PROFILER
-    )
+    if mode == "profile":
+        profiler = obs.StageProfiler()
+        registry.attach_profiler(profiler)
     previous_registry = obs.set_registry(registry)
     previous_tracer = obs.set_tracer(tracer)
-    previous_profiler = obs.set_profiler(profiler)
     previous_journal = obs.set_journal(journal)
     try:
         config = DartConfig(
@@ -326,14 +323,13 @@ def _cmd_obs(args: argparse.Namespace) -> int:
                     print(obs.render_fleet(snapshot))
         if args.trace and mode != "trace":
             print()
-            print(f"== first {args.trace} report traces ==")
-            for record in tracer.traces(kind="switch_report")[: args.trace]:
+            print(f"== first {args.trace} report-batch traces ==")
+            for record in tracer.traces(kind="switch_batch")[: args.trace]:
                 print(record.render())
         return 0
     finally:
         obs.set_registry(previous_registry)
         obs.set_tracer(previous_tracer)
-        obs.set_profiler(previous_profiler)
         obs.set_journal(previous_journal)
 
 
@@ -733,7 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs_p.add_argument(
         "--trace", type=int, default=0, metavar="K",
-        help="also print the first K per-report traces (in trace mode: "
+        help="also print the first K report-batch traces (in trace mode: "
              "how many waterfalls to show, default 3)",
     )
     obs_p.add_argument(
@@ -745,11 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sample-rate", type=float, default=1.0,
         help="head-sampling probability for new traces (deterministic "
              "hash of the trace id)",
-    )
-    obs_p.add_argument(
-        "--granularity", choices=["report", "batch"], default="report",
-        help="trace each report's frames individually, or whole "
-             "columnar batches (keeps the datapath vectorised)",
     )
     obs_p.add_argument(
         "--rounds", type=int, default=4,

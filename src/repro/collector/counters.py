@@ -25,14 +25,12 @@ commute through the atomic adds.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.core.config import DartConfig
-from repro.obs.metrics import LATENCY_BUCKETS
 from repro.fabric.fabric import Fabric, InlineFabric
 from repro.hashing.hash_family import HashFamily, Key
 from repro.mem.region import MemoryRegion
@@ -133,12 +131,6 @@ class CounterStore:
         self.c_estimates = registry.counter(
             "counter_store_estimates", labels=labels
         )
-        self._h_add_many_seconds = registry.histogram(
-            "stage_seconds",
-            LATENCY_BUCKETS,
-            labels={"stage": "counter_add_many"},
-            help="wall-clock seconds per batched FETCH_ADD pass",
-        )
 
     def __repr__(self) -> str:
         return f"CounterStore(cells_per_row={self.cells_per_row}, rows={self.rows})"
@@ -180,14 +172,9 @@ class CounterStore:
         deferring fabrics apply everything before returning.  Zero-amount
         items are skipped entirely.  Returns the number of frames offered.
         """
-        timed = self._h_add_many_seconds.enabled
-        if timed:
-            started = perf_counter()
         before = self.translator.c_increments.value
         offered = self.translator.increment_many(items)
         self.c_adds.inc(self.translator.c_increments.value - before)
-        if timed:
-            self._h_add_many_seconds.observe(perf_counter() - started)
         return offered
 
     # ------------------------------------------------------------------

@@ -52,9 +52,9 @@ class RemoteQueryClient(DartQueryClient):
 
     Series: queries count under the inherited
     ``client_queries_executed{kind=RemoteQueryClient}``, the per-policy
-    ``queries_total`` / ``queries_answered`` and ``stage_seconds{stage=query}``;
-    READ frames under the readers' ``primitive_read_requests``; retries
-    under ``remote_read_retries``.
+    ``queries_total`` / ``queries_answered`` and
+    ``stage_seconds{stage=client.query}``; READ frames under the readers'
+    ``primitive_read_requests``; retries under ``remote_read_retries``.
 
     Parameters
     ----------

@@ -18,7 +18,6 @@ packet-level batch costs about 1.5x an in-process one and packet-level
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -26,7 +25,6 @@ import numpy as np
 from repro import obs
 from repro.core.batch import ReportBatch
 from repro.core.client import DartQueryClient
-from repro.obs.metrics import LATENCY_BUCKETS
 from repro.core.config import DartConfig
 from repro.core.policies import QueryResult, ReturnPolicy
 from repro.core.reporter import DartReporter
@@ -96,18 +94,12 @@ class DartStore:
             )
         registry = obs.get_registry()
         self._tracer = obs.get_tracer()
-        self._profiler = obs.get_profiler()
         labels = registry.instance_labels("DartStore")
         #: Telemetry reports stored through this facade.
         self.c_puts = registry.counter("store_puts", labels=labels)
         #: Key queries served through this facade.
         self.c_gets = registry.counter("store_gets", labels=labels)
-        self._h_put_many_seconds = registry.histogram(
-            "stage_seconds",
-            LATENCY_BUCKETS,
-            labels={"stage": "store_put_many"},
-            help="wall-clock seconds per batched put",
-        )
+        self._t_put_many = registry.stage("store.put_many")
 
     @property
     def puts(self) -> int:
@@ -168,25 +160,15 @@ class DartStore:
         Returns the number of slot copies written (frames offered in
         packet-level mode).
         """
-        profiler = self._profiler
-        timed = self._h_put_many_seconds.enabled or profiler.enabled
-        if timed:
-            started = perf_counter()
+        started = self._t_put_many.start()
         items = list(items)
-        tracer = self._tracer
+        self.c_puts.inc(len(items))
         if self._switch is not None:
-            self.c_puts.inc(len(items))
             written = self._switch.report_batch_into(items)
             self.fabric.flush()
-        elif tracer.enabled and tracer.granularity != "batch":
-            # Per-report spans come from the scalar path, exactly as
-            # report_batch_into falls back to report_into.
-            written = sum(self.put(key, value) for key, value in items)
         else:
-            self.c_puts.inc(len(items))
             written = self._put_columnar(items)
-        if timed:
-            self._finish_put_many(started)
+        self._t_put_many.stop(started)
         return written
 
     def _put_columnar(self, items: List[Tuple[Key, bytes]]) -> int:
@@ -213,25 +195,11 @@ class DartStore:
         reporter.c_writes.inc(count * redundancy)
         tracer = self._tracer
         if tracer.enabled:
-            # Batch granularity: one span on the caller's trace or its own.
-            active = tracer.active_trace_id
-            trace_id = (
-                tracer.begin("put_many", key=f"rows={count}")
-                if active is None
-                else active
-            )
-            tracer.span(trace_id, "store.put_many", f"rows={count} copies={redundancy}")
-            if active is None:
-                tracer.end(trace_id)
+            with tracer.joined("put_many", key=f"rows={count}") as trace_id:
+                tracer.span(
+                    trace_id, "store.put_many", f"rows={count} copies={redundancy}"
+                )
         return count * redundancy
-
-    def _finish_put_many(self, started: float) -> None:
-        """Record put_many timing into the histogram and stage profiler."""
-        ended = perf_counter()
-        if self._h_put_many_seconds.enabled:
-            self._h_put_many_seconds.observe(ended - started)
-        if self._profiler.enabled:
-            self._profiler.record("store.put_many", started, ended)
 
     # ------------------------------------------------------------------
     # Read path

@@ -19,12 +19,10 @@ Kept on purpose: backs the WRITE+CAS ablation in EXPERIMENTS.md
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Iterable, Optional, Tuple
 
 from repro import obs
 from repro.core.addressing import DartAddressing
-from repro.obs.metrics import LATENCY_BUCKETS
 from repro.core.config import DartConfig
 from repro.fabric.fabric import Fabric, InlineFabric
 from repro.mem.region import MemoryRegion
@@ -120,12 +118,7 @@ class CasDartStore:
         self.c_gets_answered = registry.counter(
             "cas_store_gets_answered", labels=labels
         )
-        self._h_put_many_seconds = registry.histogram(
-            "stage_seconds",
-            LATENCY_BUCKETS,
-            labels={"stage": "cas_put_many"},
-            help="wall-clock seconds per batched WRITE+CAS put",
-        )
+        self._t_put_many = registry.stage("cas_put_many")
 
     @property
     def puts(self) -> int:
@@ -161,16 +154,13 @@ class CasDartStore:
         its CAS -- the ordering the strategy depends on.  Returns the
         number of frames offered.
         """
-        timed = self._h_put_many_seconds.enabled
-        if timed:
-            started = perf_counter()
+        started = self._t_put_many.start()
         count = 0
         for key, value in items:
             self.put(key, value)
             count += 1
         self.fabric.flush()
-        if timed:
-            self._h_put_many_seconds.observe(perf_counter() - started)
+        self._t_put_many.stop(started)
         return 2 * count
 
     def _craft_put_frames(self, key: Key, value: int) -> Tuple[bytes, bytes]:

@@ -15,12 +15,10 @@ packet-level collector model and historical epoch archives.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Callable, Dict, Optional, Tuple
 
 from repro import obs
 from repro.core.addressing import DartAddressing
-from repro.obs.metrics import LATENCY_BUCKETS
 from repro.core.config import DartConfig
 from repro.core.policies import QueryResult, ReturnPolicy, fold_slots
 from repro.hashing.hash_family import Key
@@ -61,7 +59,6 @@ class DartQueryClient:
         registry = obs.get_registry()
         self._registry = registry
         self._tracer = obs.get_tracer()
-        self._profiler = obs.get_profiler()
         self._labels = registry.instance_labels(type(self).__name__)
         #: Queries executed, across all policies.
         self.c_queries = registry.counter(
@@ -69,12 +66,7 @@ class DartQueryClient:
         )
         #: Per-policy (total, answered) counters, created on first use.
         self._policy_counters: Dict[str, Tuple[object, object]] = {}
-        self._h_query_seconds = registry.histogram(
-            "stage_seconds",
-            LATENCY_BUCKETS,
-            labels={"stage": "query"},
-            help="wall-clock seconds per key query",
-        )
+        self._t_query = registry.stage("client.query")
 
     @property
     def queries_executed(self) -> int:
@@ -102,10 +94,7 @@ class DartQueryClient:
         """Run a key query and return the resolved result."""
         if policy is None:
             policy = self.policy
-        profiler = self._profiler
-        timed = self._h_query_seconds.enabled or profiler.enabled
-        if timed:
-            started = perf_counter()
+        started = self._t_query.start()
         addressing = self.addressing
         collector = addressing.collector_of(key)
         reads = (
@@ -125,33 +114,17 @@ class DartQueryClient:
         tracer = self._tracer
         trace_id = 0
         if tracer.enabled:
-            # Join the operation in flight (one tree across planes) or
-            # start a fresh query trace.
-            active = tracer.active_trace_id
-            trace_id = (
-                tracer.begin("query", key=repr(key)) if active is None
-                else active
-            )
-            tracer.span(
-                trace_id,
-                "client.query",
-                f"policy={policy.name} outcome={result.outcome.name}",
-                status="ok" if result.answered else "miss",
-            )
-            if active is None:
-                tracer.end(trace_id)
-        if timed:
-            ended = perf_counter()
-            if self._h_query_seconds.enabled:
-                if trace_id:
-                    # Exemplar: a p99 bucket links back to this trace.
-                    self._h_query_seconds.observe_exemplar(
-                        ended - started, trace_id
-                    )
-                else:
-                    self._h_query_seconds.observe(ended - started)
-            if profiler.enabled:
-                profiler.record("client.query", started, ended)
+            # One tree across planes: a query inside a larger operation
+            # is a span of it, a standalone one its own trace.
+            with tracer.joined("query", key=repr(key)) as trace_id:
+                tracer.span(
+                    trace_id,
+                    "client.query",
+                    f"policy={policy.name} outcome={result.outcome.name}",
+                    status="ok" if result.answered else "miss",
+                )
+        # Exemplar: a p99 bucket links back to this trace.
+        self._t_query.stop(started, trace_id or None)
         return result
 
     def query_value(

@@ -20,11 +20,10 @@ delivery records per-frame spans when a real tracer is installed.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from time import perf_counter
 from typing import Deque, Dict, List, Optional
 
 from repro import obs
-from repro.obs.metrics import DEPTH_BUCKETS, LATENCY_BUCKETS, SIZE_BUCKETS, CounterView
+from repro.obs.metrics import DEPTH_BUCKETS, SIZE_BUCKETS, CounterView
 from repro.rdma.frames import FrameBatch
 
 try:  # pragma: no cover - Protocol is typing-only convenience on 3.9+
@@ -111,7 +110,7 @@ class Fabric:
         registry = obs.get_registry()
         self._registry = registry
         self._tracer = obs.get_tracer()
-        self._profiler = obs.get_profiler()
+        self._t_deliver = registry.stage("fabric.deliver")
         self.counters = FabricCounters(registry, kind=type(self).__name__)
         self._h_frame_bytes = registry.histogram(
             "fabric_frame_bytes",
@@ -260,13 +259,13 @@ class Fabric:
 
     def _deliver(self, endpoint_id: int, frame: bytes) -> bool:
         """Hand one frame to the endpoint port, keeping the counters exact."""
-        profiler = self._profiler
-        if profiler.enabled:
-            started = profiler.now()
-            executed = self.port(endpoint_id).receive_frame(frame)
-            profiler.record("fabric.deliver", started, profiler.now())
-        else:
-            executed = self.port(endpoint_id).receive_frame(frame)
+        timer = self._t_deliver
+        profiled = timer.profiler is not None
+        if profiled:
+            started = timer.start()
+        executed = self.port(endpoint_id).receive_frame(frame)
+        if profiled:
+            timer.stop(started)
         counters = self.counters
         counters.c_delivered.inc()
         if executed:
@@ -293,32 +292,18 @@ class Fabric:
 
         Borrows ``batch`` (the caller keeps ownership).  Ports exposing
         ``ingest_batch`` get the whole matrix in one call; others receive
-        row bytes in order.  With per-frame tracing enabled each row goes
-        through :meth:`_deliver`, so every frame keeps its span chain and
-        its own executed/rejected terminal span.
+        row bytes in order.  A bound batch records one terminal span; an
+        unbound one (untraced, or head-sampled out) records nothing.
         """
         count = batch.count
         if count == 0:
             return 0
         tracer = self._tracer
-        if (
-            tracer.enabled
-            and tracer.granularity != "batch"
-            and batch.trace_ctx is None
-        ):
-            # Per-report tracing: materialise the rows so every frame
-            # keeps its own span chain.  Batch-granularity traces stay on
-            # the vectorised path below and record one span per layer --
-            # and unsampled batch-granularity batches (trace_ctx None)
-            # stay vectorised too, which is what keeps head sampling free.
-            return sum(
-                self._deliver(endpoint_id, batch.frame_bytes(index))
-                for index in range(count)
-            )
         port = self.port(endpoint_id)
-        profiler = self._profiler
-        if profiler.enabled:
-            started = profiler.now()
+        timer = self._t_deliver
+        profiled = timer.profiler is not None
+        if profiled:
+            started = timer.start()
         ingest_batch = getattr(port, "ingest_batch", None)
         if ingest_batch is not None:
             executed = ingest_batch(batch)
@@ -329,8 +314,8 @@ class Fabric:
             for index in range(count):
                 if receive_frame(frames[index].tobytes()):
                     executed += 1
-        if profiler.enabled:
-            profiler.record("fabric.deliver", started, profiler.now())
+        if profiled:
+            timer.stop(started)
         if tracer.enabled and batch.trace_ctx is not None:
             tracer.finish_batch(
                 batch,
@@ -437,12 +422,7 @@ class BufferedFabric(Fabric):
             DEPTH_BUCKETS,
             help="frames drained per flush",
         )
-        self._h_flush_seconds = registry.histogram(
-            "stage_seconds",
-            LATENCY_BUCKETS,
-            labels={"stage": "fabric_flush"},
-            help="wall-clock seconds per per-link flush",
-        )
+        self._t_flush = registry.stage("fabric_flush")
 
     def __repr__(self) -> str:
         return (
@@ -544,10 +524,8 @@ class BufferedFabric(Fabric):
         queue.clear()
         depth = self._depths.pop(endpoint_id, 0)
         self._g_depth.set(depth)
-        timed = self._h_flush_seconds.enabled
-        if timed:
-            self._h_flush_frames.observe(depth)
-            started = perf_counter()
+        self._h_flush_frames.observe(depth)
+        started = self._t_flush.start()
         for entry in entries:
             if isinstance(entry, FrameBatch):
                 try:
@@ -556,6 +534,5 @@ class BufferedFabric(Fabric):
                     entry.release()
             else:
                 self._deliver(endpoint_id, entry)
-        if timed:
-            self._h_flush_seconds.observe(perf_counter() - started)
+        self._t_flush.stop(started)
         return depth

@@ -187,16 +187,6 @@ class ImpairedFabric(Fabric):
         the return value just as :meth:`send` ignores them.
         """
         tracer = self._tracer
-        if (
-            tracer.enabled
-            and tracer.granularity != "batch"
-            and batch.trace_ctx is None
-        ):
-            # Per-frame impairment spans need the scalar path; the base
-            # reference loop draws the identical RNG sequence.  Batches
-            # at batch granularity stay columnar whether sampled (trace_ctx
-            # set, aggregate impairment spans below) or not.
-            return super().send_batch(batch)
         count = batch.count
         counters = self.counters
         counters.c_offered.inc(count)

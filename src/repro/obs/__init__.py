@@ -8,19 +8,20 @@ with paper-model conformance rules (:mod:`repro.obs.slo`), and a stage
 profiler with Chrome ``trace_event`` export (:mod:`repro.obs.profile`).
 Every datapath layer -- fabric, NIC, memory region, switch, stores, query
 clients -- instruments itself through the accessors below, capturing its
-metrics at construction:
+metrics and stage timers at construction:
 
 >>> from repro import obs
 >>> registry = obs.get_registry()          # the process default (enabled)
->>> obs.set_tracer(obs.Tracer())           # opt into per-report tracing
->>> obs.set_profiler(obs.StageProfiler())  # opt into stage timing
+>>> obs.set_tracer(obs.Tracer())           # opt into tracing
+>>> registry.attach_profiler(obs.StageProfiler())  # opt into stage profiles
 
 Metrics are on by default (plain integer adds; the structural counters the
-tests reconcile live here).  Tracing and profiling default to the no-op
-:data:`~repro.obs.tracing.NULL_TRACER` and
-:data:`~repro.obs.profile.NULL_PROFILER`.  For a fully zero-cost hot path,
-install a disabled registry -- components built afterwards receive shared
-no-op metrics (``MetricsRegistry(enabled=False)``); the ``bench-obs`` and
+tests reconcile live here).  Tracing defaults to the no-op
+:data:`~repro.obs.tracing.NULL_TRACER` and no profiler is attached; neither
+picks the datapath -- the call shape alone decides whether spans are per
+batch or per frame.  For a fully zero-cost hot path, install a disabled
+registry -- components built afterwards receive shared no-op metrics
+(``MetricsRegistry(enabled=False)``); the ``bench-obs`` and
 ``bench-obs-timeseries`` targets prove the overhead budgets either way.
 """
 
@@ -64,7 +65,7 @@ from repro.obs.journal import (
     decode_event,
     encode_event,
 )
-from repro.obs.profile import NULL_PROFILER, NullProfiler, StageProfiler, StageStats
+from repro.obs.profile import StageProfiler, StageStats
 from repro.obs.selftel import SelfTelemetryExporter
 from repro.obs.slo import (
     Alert,
@@ -103,8 +104,6 @@ from repro.obs.tracing import (
 _registry: MetricsRegistry = MetricsRegistry(enabled=True)
 #: The process-wide default tracer (tracing off).
 _tracer = NULL_TRACER
-#: The process-wide default stage profiler (profiling off).
-_profiler = NULL_PROFILER
 #: The process-wide default flight-recorder journal (journalling off).
 _journal = NULL_JOURNAL
 
@@ -137,24 +136,6 @@ def set_tracer(tracer) -> object:
     global _tracer
     previous = _tracer
     _tracer = tracer
-    return previous
-
-
-def get_profiler():
-    """The stage profiler components record timings against by default."""
-    return _profiler
-
-
-def set_profiler(profiler) -> object:
-    """Install ``profiler`` as the process default; returns the previous one.
-
-    Like the registry and tracer, components capture the profiler at
-    construction -- install a real :class:`StageProfiler` *before*
-    building the pipeline under measurement.
-    """
-    global _profiler
-    previous = _profiler
-    _profiler = profiler
     return previous
 
 
@@ -198,8 +179,6 @@ __all__ = [
     "Counter",
     "EVICTED_TRACE",
     "MetricsScraper",
-    "NULL_PROFILER",
-    "NullProfiler",
     "Series",
     "SloEngine",
     "SloRule",
@@ -209,8 +188,6 @@ __all__ = [
     "default_rules",
     "query_rules",
     "expected_success",
-    "get_profiler",
-    "set_profiler",
     "load_jsonl",
     "sparkline",
     "trend_diff",

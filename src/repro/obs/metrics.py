@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from contextlib import contextmanager
+from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 #: A label set: sorted tuple of (key, value) pairs.  Hashable, so it can
@@ -404,6 +405,42 @@ NULL_HISTOGRAM = NullHistogram()
 Metric = Union[Counter, Gauge, Histogram, NullCounter, NullGauge, NullHistogram]
 
 
+class StageTimer:
+    """The one clock of a timed stage, from :meth:`MetricsRegistry.stage`.
+
+    A site brackets its work with ``started = timer.start()`` and
+    ``timer.stop(started)``: ``stop`` reads the clock once and hands the
+    pair to every sink -- the ``stage_seconds{stage=...}`` histogram and,
+    while one is attached to the registry, its stage profiler.  Per-frame
+    sites bracket only while ``timer.profiler is not None``, so they read
+    no clock unless someone is profiling.
+    """
+
+    __slots__ = ("stage", "histogram", "profiler")
+
+    #: The stage clock (``perf_counter``).
+    start = staticmethod(perf_counter)
+
+    def __init__(self, stage: str, histogram, profiler) -> None:
+        self.stage = stage
+        self.histogram = histogram
+        self.profiler = profiler
+
+    def __repr__(self) -> str:
+        return f"StageTimer({self.stage}, profiled={self.profiler is not None})"
+
+    def stop(self, started: float, exemplar: object = None) -> None:
+        """End the stage begun at ``started``; ``exemplar`` (a trace id)
+        is stamped on the histogram bucket the duration lands in."""
+        ended = perf_counter()
+        if exemplar is None:
+            self.histogram.observe(ended - started)
+        else:
+            self.histogram.observe_exemplar(ended - started, exemplar)
+        if self.profiler is not None:
+            self.profiler.record(self.stage, started, ended)
+
+
 class MetricsSnapshot:
     """An immutable copy of a registry's series at one point in time.
 
@@ -624,6 +661,9 @@ class MetricsRegistry:
         self.enabled = enabled
         #: name -> {labels -> metric}
         self._series: Dict[str, Dict[Labels, Metric]] = {}
+        self._stages: Dict[str, StageTimer] = {}
+        #: The attached stage profiler (see :meth:`attach_profiler`).
+        self.profiler = None
         self._instance_seq = 0
         #: Fleet node the registry currently attributes new instances to;
         #: see :meth:`node_scope`.
@@ -681,6 +721,30 @@ class MetricsRegistry:
         return self._get_or_create(
             name, labels, lambda key: Histogram(name, buckets, key, help), "histogram"
         )
+
+    def stage(self, name: str) -> StageTimer:
+        """The :class:`StageTimer` of stage ``name``, shared by its sites."""
+        timer = self._stages.get(name)
+        if timer is None:
+            histogram = self.histogram(
+                "stage_seconds",
+                LATENCY_BUCKETS,
+                labels={"stage": name},
+                help="wall-clock seconds per timed stage",
+            )
+            timer = self._stages[name] = StageTimer(name, histogram, self.profiler)
+        return timer
+
+    def attach_profiler(self, profiler) -> None:
+        """Make ``profiler`` a sink of every stage timer (``None`` detaches).
+
+        Takes effect at once, for stages of components already built and
+        of those built later: anything with ``record(stage, started,
+        ended)``, in practice a :class:`~repro.obs.profile.StageProfiler`.
+        """
+        self.profiler = profiler
+        for timer in self._stages.values():
+            timer.profiler = profiler
 
     def instance_labels(self, kind: str) -> Labels:
         """A fresh per-instance label set: ``kind=<kind>, instance=<seq>``.

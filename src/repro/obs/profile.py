@@ -2,15 +2,16 @@
 
 The tracer (:mod:`repro.obs.tracing`) answers "which stages did this
 report cross" on a logical clock; this module answers "how long does each
-stage take" on the wall clock.  A :class:`StageProfiler` is installed
-process-wide (like the tracer, opt-in with a :data:`NULL_PROFILER`
-default) and the instrumented layers -- fabric delivery, NIC ingest,
-store puts, client queries -- record begin/end timestamps around their
-hot paths when it is enabled:
+stage take" on the wall clock.  A :class:`StageProfiler` owns no clock:
+it is a *sink* of the registry's stage timers
+(:meth:`~repro.obs.metrics.MetricsRegistry.stage`), the same clock pairs
+that feed the ``stage_seconds`` histograms.  Attach one with
+``registry.attach_profiler(profiler)`` -- before or after the pipeline
+is built -- and every timed stage (fabric delivery, NIC ingest, store
+puts, client queries, ...) lands in:
 
 - per-stage aggregates (count / total / min / max seconds) for the
-  ``repro obs profile`` table, also fed into the registry's
-  ``stage_seconds`` histograms so profiling composes with the dashboard;
+  ``repro obs profile`` table;
 - a bounded ring of raw timed events exportable as Chrome ``trace_event``
   JSON (:meth:`StageProfiler.to_chrome_trace`), loadable directly in
   ``chrome://tracing`` or Perfetto for flame-style inspection of a run.
@@ -23,11 +24,10 @@ concurrent stages stack into separate tracks.
 from __future__ import annotations
 
 import json
+from collections import deque
 from contextlib import contextmanager
 from time import perf_counter
-from typing import Dict, List, Optional
-
-from repro.obs.metrics import LATENCY_BUCKETS, MetricsRegistry
+from typing import Deque, Dict, List
 
 
 class StageStats:
@@ -79,30 +79,18 @@ class StageProfiler:
 
     Parameters
     ----------
-    registry:
-        When given, every recorded stage also lands in that registry's
-        ``stage_seconds{stage=...}`` histogram, so profiled runs keep the
-        dashboard's latency section accurate.
     max_events:
         Ring capacity for raw events (oldest dropped beyond it); the
         aggregates keep counting regardless, so the stats table stays
         exact even when the event ring wraps.
     """
 
-    enabled = True
-
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        max_events: int = 65536,
-    ) -> None:
+    def __init__(self, max_events: int = 65536) -> None:
         if max_events < 1:
             raise ValueError(f"max_events must be >= 1, got {max_events}")
         self.max_events = max_events
-        self._registry = registry
-        self._histograms: Dict[str, object] = {}
         #: Raw events: (stage, start_seconds, duration_seconds), ring-bounded.
-        self._events: List[tuple] = []
+        self._events: Deque[tuple] = deque(maxlen=max_events)
         self._dropped_events = 0
         self._stats: Dict[str, StageStats] = {}
         self._epoch = perf_counter()
@@ -117,16 +105,11 @@ class StageProfiler:
     # Recording
     # ------------------------------------------------------------------
 
-    def now(self) -> float:
-        """The profiler clock (``perf_counter``), for begin/end recording."""
-        return perf_counter()
-
     def record(self, stage: str, started: float, ended: float) -> None:
-        """Record one timed stage from ``now()`` begin/end readings.
+        """Record one timed stage from its ``perf_counter`` begin/end pair.
 
-        The hot-path shape: callers guard on :attr:`enabled`, grab two
-        clock readings around the work and hand them over -- no context
-        manager allocation on the datapath.
+        What an attached :class:`~repro.obs.metrics.StageTimer` calls
+        from ``stop`` -- no context manager allocation on the datapath.
         """
         seconds = ended - started
         if seconds < 0.0:
@@ -136,25 +119,9 @@ class StageProfiler:
             stats = StageStats(stage)
             self._stats[stage] = stats
         stats.add(seconds)
-        if len(self._events) >= self.max_events:
-            # Ring behaviour: drop the oldest half in one amortised slice
-            # rather than popping per event.
-            keep = self.max_events // 2
-            self._dropped_events += len(self._events) - keep
-            self._events = self._events[-keep:]
+        if len(self._events) == self.max_events:
+            self._dropped_events += 1  # the append below evicts the oldest
         self._events.append((stage, started - self._epoch, seconds))
-        if self._registry is not None:
-            histogram = self._histograms.get(stage)
-            if histogram is None:
-                histogram = self._registry.histogram(
-                    "stage_seconds",
-                    LATENCY_BUCKETS,
-                    labels={"stage": stage},
-                    help="wall-clock seconds per profiled stage",
-                )
-                self._histograms[stage] = histogram
-            if histogram.enabled:
-                histogram.observe(seconds)
 
     @contextmanager
     def stage(self, name: str):
@@ -262,43 +229,3 @@ class StageProfiler:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(trace, handle)
         return trace
-
-
-class NullProfiler:
-    """The no-op profiler installed by default: every method does nothing."""
-
-    enabled = False
-    max_events = 0
-    dropped_events = 0
-
-    def now(self) -> float:
-        """Always 0.0 (never read: hot paths gate on ``enabled``)."""
-        return 0.0
-
-    def record(self, stage: str, started: float, ended: float) -> None:
-        """No-op."""
-
-    @contextmanager
-    def stage(self, name: str):
-        """No-op context manager."""
-        yield
-
-    def stats(self) -> list:
-        """Always empty."""
-        return []
-
-    def events(self) -> list:
-        """Always empty."""
-        return []
-
-    def render(self) -> str:
-        """A fixed 'profiling disabled' banner."""
-        return "== stage profile == (profiling disabled)"
-
-    def to_chrome_trace(self, process_name: str = "repro-pipeline") -> dict:
-        """An empty but schema-valid trace object."""
-        return {"traceEvents": [], "displayTimeUnit": "ms"}
-
-
-#: Shared no-op profiler singleton (the process default).
-NULL_PROFILER = NullProfiler()

@@ -26,9 +26,8 @@ copy on the wire.
 Sampling is two-sided, the way production tracing systems do it:
 
 - **Head sampling** is a deterministic pure function of the trace id
-  (``sample_rate``): unsampled traces allocate an id and nothing else,
-  so the columnar datapath stays vectorised at 1% sampling
-  (``make bench-obs-trace`` holds the overhead bound).
+  (``sample_rate``): unsampled traces allocate an id and nothing else
+  (``make bench-obs-trace`` holds the overhead bound at 1% sampling).
 - **Tail retention** force-keeps interesting traces regardless of later
   ring eviction: any span recorded with a non-``ok`` status (a dropped
   frame, a reservation retry, a decode error) tags the trace, and a
@@ -48,6 +47,14 @@ numbers), so span order is deterministic and survives impairment
 reordering tests without wall-clock flakiness; wall-clock timestamps ride
 along for waterfall/critical-path analysis only.
 
+The tracer watches; it never steers.  Span granularity follows the
+call shape and nothing else: a frame entry (``put``, ``report``,
+``send``, ``receive_frame``, ``read``) records per-frame spans, a batch
+entry (``put_many``, ``send_batch``, ``ingest_batch``, ...) runs its
+batch body whatever tracer is installed and records one aggregate span
+per layer when its batch is bound (:meth:`Tracer.bind_batch`) -- an
+unbound or head-sampled-out batch records nothing and costs nothing.
+
 Tracing is opt-in: the process default is :data:`NULL_TRACER`, whose
 methods are no-ops, so the report hot path pays one guarded no-op call per
 layer when tracing is off.
@@ -56,7 +63,7 @@ layer when tracing is off.
 from __future__ import annotations
 
 from collections import OrderedDict
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -267,12 +274,6 @@ class Tracer:
         anomaly (non-ok span status, explicit :meth:`keep`, a firing SLO
         via :meth:`keep_live`) survive here after the live ring evicts
         them, oldest-kept evicted first.
-    granularity:
-        ``"report"`` (default) keeps the historical behaviour: columnar
-        batch paths fall back to per-report scalar traces so every frame
-        keeps per-frame spans.  ``"batch"`` traces whole columnar
-        batches as single spans per layer instead, keeping the datapath
-        vectorised -- the mode the sampled-overhead bench gate runs.
     node:
         Default node label stamped on spans (see :meth:`node_scope`).
     """
@@ -284,7 +285,6 @@ class Tracer:
         max_traces: int = 4096,
         sample_rate: float = 1.0,
         max_kept: int = 256,
-        granularity: str = "report",
         node: str = "",
     ) -> None:
         if max_traces < 1:
@@ -293,14 +293,9 @@ class Tracer:
             raise ValueError(
                 f"sample_rate must be in [0, 1], got {sample_rate}"
             )
-        if granularity not in ("report", "batch"):
-            raise ValueError(
-                f"granularity must be 'report' or 'batch', got {granularity!r}"
-            )
         self.max_traces = max_traces
         self.sample_rate = sample_rate
         self.max_kept = max_kept
-        self.granularity = granularity
         self.node = node
         self._traces: "OrderedDict[int, TraceRecord]" = OrderedDict()
         self._kept: "OrderedDict[int, TraceRecord]" = OrderedDict()
@@ -414,6 +409,25 @@ class Tracer:
             yield trace_id
         finally:
             self.active_trace_id = previous
+
+    @contextmanager
+    def joined(self, kind: str, key: str = ""):
+        """Join the operation in flight, or run the block as its own trace.
+
+        Yields the ambient trace id when one is active; otherwise begins
+        a ``kind`` trace, keeps it ambient for the block and ends it on
+        exit.  Every layer that can be either a step of a larger
+        operation or an operation of its own enters its spans this way.
+        """
+        if self.active_trace_id is not None:
+            yield self.active_trace_id
+            return
+        trace_id = self.begin(kind, key)
+        try:
+            with self.activate(trace_id):
+                yield trace_id
+        finally:
+            self.end(trace_id)
 
     def node_scope(self, node: str):
         """Context manager stamping ``node`` on spans recorded inside it."""
@@ -806,7 +820,6 @@ class NullTracer:
     max_traces = 0
     max_kept = 0
     sample_rate = 0.0
-    granularity = "report"
     node = ""
     active_trace_id: Optional[int] = None
     bindings_live = 0
@@ -822,6 +835,10 @@ class NullTracer:
     def activate(self, trace_id: int):
         """No-op context manager."""
         yield trace_id
+
+    def joined(self, kind: str, key: str = ""):
+        """No-op context manager; yields trace id 0."""
+        return nullcontext(0)
 
     def node_scope(self, node: str):
         """No-op context manager."""

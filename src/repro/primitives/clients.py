@@ -164,14 +164,13 @@ class OneSidedReader:
         lost.  Responses are matched by PSN, so ordering quirks in the
         request leg cannot misattribute payloads.  Runs of
         :data:`COLUMNAR_MIN_READS` or more travel as one frame matrix
-        (:meth:`_read_run_batch`); shorter ones, and any run under
-        per-report tracing (which wants a span per frame), stay on this
-        scalar body, the reference the batch path is diffed against.
+        (:meth:`_read_run_batch`, one span per layer when traced);
+        shorter ones stay on this scalar body with its per-frame spans,
+        the reference the batch path is diffed against.
         """
-        tracer = self._tracer
-        per_frame = tracer.enabled and tracer.granularity != "batch"
-        if len(addresses) >= COLUMNAR_MIN_READS and not per_frame:
+        if len(addresses) >= COLUMNAR_MIN_READS:
             return self._read_run_batch(addresses, length)
+        tracer = self._tracer
         psns = [self._next_psn() for _address in addresses]
         frames = [
             self._craft_read(address, length, psn)

@@ -24,7 +24,6 @@ equivalence suites can diff the two paths.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -32,7 +31,6 @@ import numpy as np
 from repro import obs
 from repro.fabric.fabric import Fabric
 from repro.hashing.hash_family import HashFamily, Key, fold_keys
-from repro.obs.metrics import LATENCY_BUCKETS
 from repro.rdma.frames import (
     FrameBatch,
     FramePool,
@@ -210,12 +208,7 @@ class PrimitiveTranslator:
         self._registry = registry
         self._tracer = obs.get_tracer()
         self._labels = registry.instance_labels(type(self).__name__)
-        self._h_seconds = registry.histogram(
-            "stage_seconds",
-            LATENCY_BUCKETS,
-            labels={"stage": f"primitive_{self.kind}"},
-            help="wall-clock seconds per batched primitive operation",
-        )
+        self._t_batch = registry.stage(f"primitive_{self.kind}")
 
     def __repr__(self) -> str:
         return (
@@ -370,9 +363,7 @@ class KeyIncrementTranslator(PrimitiveTranslator):
         scalar path: all rows of item 0, then item 1, ...  Zero-amount
         items are skipped.  Returns the number of frames offered.
         """
-        timed = self._h_seconds.enabled
-        if timed:
-            started = perf_counter()
+        started = self._t_batch.start()
         keys: List[Key] = []
         amounts: List[int] = []
         for key, amount in items:
@@ -401,8 +392,7 @@ class KeyIncrementTranslator(PrimitiveTranslator):
         self.fabric.send_batch(batch)
         self.fabric.flush()
         self.c_increments.inc(len(keys))
-        if timed:
-            self._h_seconds.observe(perf_counter() - started)
+        self._t_batch.stop(started)
         return offered
 
 
@@ -462,9 +452,7 @@ class SketchMergeTranslator(PrimitiveTranslator):
         ``rows x cells`` count-min matrix); zero cells cost nothing on
         the wire.  Returns the number of frames offered.
         """
-        timed = self._h_seconds.enabled
-        if timed:
-            started = perf_counter()
+        started = self._t_batch.start()
         addresses, addends = self._nonzero_cells(cells)
         offered = len(addresses)
         if offered:
@@ -473,8 +461,7 @@ class SketchMergeTranslator(PrimitiveTranslator):
             self.fabric.flush()
         self.c_merges.inc()
         self.c_merge_cells.inc(offered)
-        if timed:
-            self._h_seconds.observe(perf_counter() - started)
+        self._t_batch.stop(started)
         return offered
 
     def merge_scalar(self, cells) -> int:
@@ -680,37 +667,18 @@ class AppendTranslator(PrimitiveTranslator):
         """
         padded = self._pad(value)
         tracer = self._tracer
-        if tracer.enabled:
-            active = tracer.active_trace_id
-            owned = active is None
-            trace_id = (
-                tracer.begin("append", key=f"writer={self.writer_id}")
-                if owned
-                else active
-            )
+        with tracer.joined("append", key=f"writer={self.writer_id}") as trace_id:
             root_sid = tracer.span(
-                trace_id,
-                "primitive.append",
-                f"writer={self.writer_id} count=1",
+                trace_id, "primitive.append", f"writer={self.writer_id} count=1"
             )
-            with tracer.activate(trace_id):
-                start = self._reserve(1)
-                self._account_overwrites(start, 1)
-                frame = self.craft_record_write(start % self.capacity, padded)
-                # Parent explicitly on the operation root: the WRITE is a
-                # sibling of the reservation chain, not its child.
-                tracer.bind_frame(frame, trace_id, parent=root_sid)
-                self.fabric.send(self.endpoint_id, frame)
-                self.fabric.flush()
-            if owned:
-                tracer.end(trace_id)
-            self.c_appends.inc()
-            return start
-        start = self._reserve(1)
-        self._account_overwrites(start, 1)
-        frame = self.craft_record_write(start % self.capacity, padded)
-        self.fabric.send(self.endpoint_id, frame)
-        self.fabric.flush()
+            start = self._reserve(1)
+            self._account_overwrites(start, 1)
+            frame = self.craft_record_write(start % self.capacity, padded)
+            # Parent explicitly on the operation root: the WRITE is a
+            # sibling of the reservation chain, not its child.
+            tracer.bind_frame(frame, trace_id, parent=root_sid)
+            self.fabric.send(self.endpoint_id, frame)
+            self.fabric.flush()
         self.c_appends.inc()
         return start
 
@@ -728,68 +696,39 @@ class AppendTranslator(PrimitiveTranslator):
         count = len(padded)
         if count == 0:
             return None
-        timed = self._h_seconds.enabled
-        if timed:
-            started = perf_counter()
+        started = self._t_batch.start()
         tracer = self._tracer
-        trace_id = 0
-        root_sid = 0
-        owned = False
-        active = None
-        if tracer.enabled:
-            active = tracer.active_trace_id
-            owned = active is None
-            trace_id = (
-                tracer.begin("append", key=f"writer={self.writer_id}")
-                if owned
-                else active
-            )
+        # The trace is ambient for the reservation and any journal events
+        # (ring overwrites) the batch triggers.
+        with tracer.joined("append", key=f"writer={self.writer_id}") as trace_id:
             root_sid = tracer.span(
-                trace_id,
-                "primitive.append",
-                f"writer={self.writer_id} count={count}",
+                trace_id, "primitive.append", f"writer={self.writer_id} count={count}"
             )
-            # Make this the ambient trace for the reservation and any
-            # journal events (ring overwrites) the batch triggers.
-            tracer.active_trace_id = trace_id
-        try:
             start = self._reserve(count)
-        except AppendReserveError:
-            if tracer.enabled:
-                tracer.active_trace_id = active
-                if owned:
-                    tracer.end(trace_id)
-            raise
-        self._account_overwrites(start, count)
-        slots = (
-            np.uint64(start) + np.arange(count, dtype=np.uint64)
-        ) % np.uint64(self.capacity)
-        addresses = (
-            np.uint64(self.data_address) + slots * np.uint64(self.record_bytes)
-        )
-        template = scalar_template(
-            ("record_write", self.qp_number, self.rkey, self.record_bytes),
-            lambda: self.craft_record_write(0, b"", psn=0),
-        )
-        frame_batch = TemplateEncoder(template).stamp(
-            self._pool,
-            np.full(count, self.endpoint_id, dtype=np.int64),
-            {"reth.virtual_address": addresses, "bth.psn": self._psn_sequence(count)},
-            payload=np.frombuffer(b"".join(padded), dtype=np.uint8).reshape(
-                count, self.record_bytes
-            ),
-        )
-        if tracer.enabled:
+            self._account_overwrites(start, count)
+            slots = (
+                np.uint64(start) + np.arange(count, dtype=np.uint64)
+            ) % np.uint64(self.capacity)
+            addresses = (
+                np.uint64(self.data_address) + slots * np.uint64(self.record_bytes)
+            )
+            template = scalar_template(
+                ("record_write", self.qp_number, self.rkey, self.record_bytes),
+                lambda: self.craft_record_write(0, b"", psn=0),
+            )
+            frame_batch = TemplateEncoder(template).stamp(
+                self._pool,
+                np.full(count, self.endpoint_id, dtype=np.int64),
+                {"reth.virtual_address": addresses, "bth.psn": self._psn_sequence(count)},
+                payload=np.frombuffer(b"".join(padded), dtype=np.uint8).reshape(
+                    count, self.record_bytes
+                ),
+            )
             # One batch binding covers all the record WRITEs; parented on
             # the operation root, a sibling of the reservation chain.
             tracer.bind_batch(frame_batch, trace_id, parent=root_sid)
-        self.fabric.send_batch(frame_batch)
-        self.fabric.flush()
-        if tracer.enabled:
-            tracer.active_trace_id = active
-            if owned:
-                tracer.end(trace_id)
+            self.fabric.send_batch(frame_batch)
+            self.fabric.flush()
         self.c_appends.inc(count)
-        if timed:
-            self._h_seconds.observe(perf_counter() - started)
+        self._t_batch.stop(started)
         return start

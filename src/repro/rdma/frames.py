@@ -303,7 +303,7 @@ class FrameBatch:
         self.endpoint_ids = endpoint_ids
         self._lease = lease
         #: Causal trace context (:class:`repro.obs.tracing.SpanContext`)
-        #: when batch-granularity tracing bound this batch; None otherwise.
+        #: when a tracer bound this batch (``bind_batch``); None otherwise.
         self.trace_ctx = None
 
     def __len__(self) -> int:

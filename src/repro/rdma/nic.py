@@ -14,14 +14,13 @@ objects around.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
 from repro import obs
 from repro.mem.region import MemoryRegion, RegionAccessError
-from repro.obs.metrics import DEPTH_BUCKETS, LATENCY_BUCKETS, CounterView
+from repro.obs.metrics import DEPTH_BUCKETS, CounterView
 from repro.rdma.frames import (
     ATOMIC_FRAME_BYTES,
     FrameBatch,
@@ -137,19 +136,13 @@ class RdmaNic:
         self.validate_icrc = validate_icrc
         registry = obs.get_registry()
         self._tracer = obs.get_tracer()
-        self._profiler = obs.get_profiler()
         self.counters = NicCounters(registry)
         self._h_ingest_batch = registry.histogram(
             "nic_ingest_batch_frames",
             DEPTH_BUCKETS,
             help="frames per batched ingest call",
         )
-        self._h_ingest_seconds = registry.histogram(
-            "stage_seconds",
-            LATENCY_BUCKETS,
-            labels={"stage": "nic_ingest"},
-            help="wall-clock seconds per batched NIC ingest",
-        )
+        self._t_ingest = registry.stage("nic.ingest")
         self._queue_pairs: Dict[int, QueuePair] = {}
         #: Outbound frames (READ responses, ACKs) awaiting transmission;
         #: the network model drains this with :meth:`transmit`.
@@ -186,9 +179,10 @@ class RdmaNic:
         This is the *entire* collection fast path: parse, validate, DMA.
         """
         self.counters.c_received.inc()
-        profiler = self._profiler
-        if profiler.enabled:
-            started = profiler.now()
+        timer = self._t_ingest
+        profiled = timer.profiler is not None
+        if profiled:
+            started = timer.start()
         try:
             packet = RoceV2Packet.unpack(frame, validate_icrc=self.validate_icrc)
         except PacketDecodeError:
@@ -204,8 +198,8 @@ class RdmaNic:
                 self._tracer.frame_span(
                     frame, "nic.ingest", "executed" if executed else "dropped"
                 )
-        if profiler.enabled:
-            profiler.record("nic.ingest", started, profiler.now())
+        if profiled:
+            timer.stop(started)
         return executed
 
     def ingest_many(self, frames: Iterable[bytes]) -> int:
@@ -274,49 +268,33 @@ class RdmaNic:
         the memory image and the response bytes are identical to feeding
         each row through :meth:`receive_frame` in order; batches the
         vector paths cannot express exactly (mixed opcodes, malformed
-        rows, per-report tracing, ACK-responding QPs) fall back to it.
+        rows, ACK-responding QPs) fall back to it.  A bound batch records
+        one aggregate span; an unbound one records and pays nothing.
         """
         frames = batch.frames
         count = len(frames)
         if count == 0:
             return 0
+        branch = self._batch_branch(frames)
+        if branch is None:
+            # Reference path: the full per-frame drop taxonomy.
+            receive_frame = self.receive_frame
+            return sum(
+                receive_frame(frames[index].tobytes()) for index in range(count)
+            )
+        started = self._t_ingest.start()
+        executed = branch(batch)
+        self._t_ingest.stop(started)
+        self._h_ingest_batch.observe(count)
         tracer = self._tracer
-        # Batch-granularity tracing keeps the vector paths -- sampled
-        # batches (trace_ctx set) record one aggregate span, unsampled
-        # batches pay nothing; per-report tracing needs the scalar
-        # reference path for per-frame spans.
-        if (
-            not tracer.enabled
-            or tracer.granularity == "batch"
-            or batch.trace_ctx is not None
-        ):
-            branch = self._batch_branch(frames)
-            if branch is not None:
-                profiler = self._profiler
-                timed = self._h_ingest_seconds.enabled or profiler.enabled
-                if timed:
-                    started = perf_counter()
-                executed = branch(batch)
-                if timed:
-                    ended = perf_counter()
-                    if self._h_ingest_seconds.enabled:
-                        self._h_ingest_seconds.observe(ended - started)
-                        self._h_ingest_batch.observe(count)
-                    if profiler.enabled:
-                        profiler.record("nic.ingest", started, ended)
-                if tracer.enabled and batch.trace_ctx is not None:
-                    tracer.batch_span(
-                        batch,
-                        "nic.ingest",
-                        f"rows={count} executed={executed}",
-                        status="ok" if executed == count else "drop",
-                    )
-                return executed
-        # Reference path: per-frame spans and the full drop taxonomy.
-        receive_frame = self.receive_frame
-        return sum(
-            receive_frame(frames[index].tobytes()) for index in range(count)
-        )
+        if tracer.enabled and batch.trace_ctx is not None:
+            tracer.batch_span(
+                batch,
+                "nic.ingest",
+                f"rows={count} executed={executed}",
+                status="ok" if executed == count else "drop",
+            )
+        return executed
 
     def _validate_batch(
         self, frames: np.ndarray, span: int, alignment: int = 1

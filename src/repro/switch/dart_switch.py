@@ -486,45 +486,29 @@ class DartSwitch:
 
         One :class:`~repro.core.batch.ReportBatch` resolution, one frame
         matrix, one ``send_batch`` -- the datapath BENCH_fabric's
-        ``packet_columnar`` mode measures.  Returns frames offered.  A
-        report-granularity tracer routes the batch through the scalar
-        reference path so every frame keeps its spans; a
-        batch-granularity tracer binds the whole frame batch to one
-        trace and stays columnar.
+        ``packet_columnar`` mode measures.  Returns frames offered.
+        Under a tracer the whole frame batch is bound to one trace (the
+        caller's active one, or its own) and records one span per layer.
         """
         fabric = self._bound_fabric()
         items = list(items) if not isinstance(items, (list, tuple)) else items
-        tracer = self._tracer
-        if tracer.enabled and tracer.granularity != "batch":
-            offered = 0
-            for key, value in items:
-                offered += self.report_into(key, value)
-            return offered
         batch = ReportBatch.from_items(self.addressing, items)
         frame_batch = self.encode_batch(batch)
         offered = frame_batch.count
-        if tracer.enabled:
-            # Batch granularity: one trace (or the caller's active one)
-            # covers the whole columnar batch, so the datapath stays
-            # vectorised end to end.  Head-sampled-out ids leave the
-            # batch unbound -- zero per-layer cost.
-            active = tracer.active_trace_id
-            trace_id = (
-                tracer.begin("switch_batch", key=f"rows={offered}")
-                if active is None
-                else active
-            )
+        tracer = self._tracer
+        if not tracer.enabled:
+            fabric.send_batch(frame_batch)
+            return offered
+        with tracer.joined("switch_batch", key=f"rows={offered}") as trace_id:
             tracer.span(
                 trace_id,
                 "switch.report_batch",
                 f"switch={self.switch_id} rows={offered}",
             )
+            # A head-sampled-out id leaves the batch unbound: no layer
+            # below records or pays anything for it.
             tracer.bind_batch(frame_batch, trace_id)
             fabric.send_batch(frame_batch)
-            if active is None:
-                tracer.end(trace_id)
-            return offered
-        fabric.send_batch(frame_batch)
         return offered
 
     # ------------------------------------------------------------------

@@ -117,9 +117,11 @@ class TestObs:
     def test_trace_output(self, capsys):
         assert main(self.SMALL + ["--trace", "2"]) == 0
         out = capsys.readouterr().out
-        assert "== first 2 report traces ==" in out
-        assert "kind=switch_report" in out
-        assert "switch.report" in out
+        # put_many is a batch entry: one trace per batch, one span per layer.
+        assert "== first 2 report-batch traces ==" in out
+        assert out.count("kind=switch_batch") == 2
+        assert "switch.report_batch" in out
+        assert "nic.ingest (rows=" in out
         assert "fabric.deliver" in out
 
     def test_restores_process_defaults(self):
@@ -127,11 +129,10 @@ class TestObs:
 
         registry_before = obs.get_registry()
         tracer_before = obs.get_tracer()
-        profiler_before = obs.get_profiler()
         assert main(self.SMALL) == 0
         assert obs.get_registry() is registry_before
         assert obs.get_tracer() is tracer_before
-        assert obs.get_profiler() is profiler_before
+        assert registry_before.profiler is None
 
     def test_watch_mode_renders_per_tick_frames_with_sparklines(self, capsys):
         args = ["obs", "watch"] + self.SMALL[1:] + ["--rounds", "3"]

@@ -24,6 +24,11 @@ The second half pins where the RoCEv2 wire format is written down: one
 module (``repro.rdma.layout``) states offsets and widths, everything else
 names fields; and one encoder (``TemplateEncoder.stamp``) turns a
 scalar-packed template into a batch, so nothing else computes a batch iCRC.
+
+The third pins that watching does not steer: no body can ask a tracer
+for a ``granularity`` to pick its path by, and a stage is timed by the
+registry's one stage timer -- no second clock, profiler capture or
+``stage_seconds`` series spelled at the site.
 """
 
 import ast
@@ -331,3 +336,83 @@ def test_layout_lint_catches_seeded_violations():
         "addresses[:, 1]\n"
     )
     assert list(_layout_violations(ast.parse(clean), "rdma/seeded.py")) == []
+
+
+# ---------------------------------------------------------------------------
+# Watching must not steer; one stage timer
+# ---------------------------------------------------------------------------
+
+#: Modules whose stages go through ``registry.stage(...)`` and so read no
+#: clock of their own.  (``query/service.py``, ``query/loadgen.py`` and
+#: ``experiments/`` time a caller-visible duration, not a stage.)
+STAGE_TIMED_MODULES = {
+    "repro/collector/store.py", "repro/collector/counters.py",
+    "repro/core/client.py", "repro/core/cas_store.py", "repro/rdma/nic.py",
+    "repro/fabric/fabric.py", "repro/primitives/translator.py",
+}
+_PROFILER_CAPTURES = {"get_profiler", "set_profiler", "_profiler"}
+
+
+def _identifiers(node):
+    """Every name a node binds, reads or passes: not prose."""
+    if isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, ast.Attribute):
+        yield node.attr
+    elif isinstance(node, (ast.arg, ast.keyword)):
+        yield node.arg
+    elif isinstance(node, ast.alias):
+        yield node.name
+
+
+def _watching_violations(tree: ast.AST, path):
+    """Knobs and second clocks in one parsed module (``path`` from ``src/``)."""
+    path = str(path)
+    in_obs = path.startswith("repro/obs/")
+    for node in ast.walk(tree):
+        line = getattr(node, "lineno", 0)
+        for name in _identifiers(node):
+            if name == "granularity":
+                yield f"{path}:{line}: a granularity knob"
+            if name in _PROFILER_CAPTURES and not in_obs:
+                yield f"{path}:{line}: {name}: profiler captured outside repro.obs"
+            if name == "perf_counter" and path in STAGE_TIMED_MODULES:
+                yield f"{path}:{line}: perf_counter beside the stage timer"
+        if isinstance(node, ast.Constant) and node.value == "stage_seconds" and not in_obs:
+            yield f"{path}:{line}: stage_seconds spelled outside repro.obs"
+
+
+def test_no_granularity_knob_and_one_stage_timer():
+    for module in STAGE_TIMED_MODULES:
+        assert (SRC.parent / module).is_file(), module
+    violations = []
+    for path in [LAYOUT_MODULE, *_source_modules()]:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        relative = path.relative_to(SRC.parent).as_posix()
+        violations.extend(_watching_violations(tree, relative))
+    assert not violations, "\n".join(violations)
+
+
+def test_watching_lint_catches_seeded_violations():
+    """Each rule flags its own synthetic offender, where it applies."""
+    seeded = {
+        "granularity knob": "if tracer.enabled and tracer.granularity != 'batch':\n    pass\n",
+        "a granularity": "def __init__(self, granularity='report'):\n    pass\n",
+        "granularity k": "Tracer(granularity='batch')\n",
+        "get_profiler": "self._p = obs.get_profiler()\n",
+        "_profiler: profiler captured": "profiler = self._profiler\n",
+        "perf_counter beside": "from time import perf_counter\n",
+        "perf_counter": "started = perf_counter()\n",
+        "stage_seconds spelled": "registry.histogram('stage_seconds', B, labels={'stage': 'x'})\n",
+    }
+    for expected, source in seeded.items():
+        flagged = list(_watching_violations(ast.parse(source), "repro/rdma/nic.py"))
+        assert len(flagged) == 1 and expected in flagged[0], (source, flagged)
+    # Inside repro.obs the profiler and the series name are at home; a
+    # module that times a caller-visible duration may read the clock.
+    at_home = "self._profiler = p\nregistry.histogram('stage_seconds', B)\n"
+    assert list(_watching_violations(ast.parse(at_home), "repro/obs/metrics.py")) == []
+    exempt = "from time import perf_counter\nelapsed = perf_counter() - started\n"
+    assert list(_watching_violations(ast.parse(exempt), "repro/query/service.py")) == []
+    prose = '"""Call shape, not a granularity option, picks stage_seconds spans."""\n'
+    assert list(_watching_violations(ast.parse(prose), "repro/rdma/nic.py")) == []

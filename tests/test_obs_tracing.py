@@ -1,5 +1,7 @@
 """Tests for repro.obs.tracing: span ordering, frame binding, eviction."""
 
+import pytest
+
 from repro import obs
 from repro.fabric.fabric import BufferedFabric, InlineFabric
 from repro.fabric.impaired import ImpairedFabric
@@ -10,7 +12,9 @@ from repro.obs.tracing import (
     UNSAMPLED_TRACE,
     Tracer,
 )
-from repro.primitives import AppendStore
+from repro.primitives import AppendStore, SketchStore, SwitchSketch
+
+from .test_read_columnar import Tap
 
 
 class _Port:
@@ -319,27 +323,150 @@ class TestSamplingAndTailRetention:
             restore()
 
 
+def _tap_call_shapes(fabric):
+    """Tap every endpoint and the sender-side entries of ``fabric``;
+    returns a reader of the call counts, by shape."""
+    taps = []
+    for endpoint_id in fabric.endpoint_ids():
+        taps.append(Tap(fabric.port(endpoint_id)))
+        fabric.rebind(endpoint_id, taps[-1])
+    calls = {"send": 0, "send_batch": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _entry=getattr(fabric, name)):
+            calls[_name] += 1
+            return _entry(*args)
+
+        setattr(fabric, name, counted)
+    return lambda: dict(
+        calls,
+        ingest_batch=sum(tap.batches for tap in taps),
+        frames_ingested=sum(len(tap.requests) for tap in taps),
+    )
+
+
+def _values(view):
+    return {name: getattr(view, name) for name, *_ in view.FIELDS}
+
+
+_PARITY_FABRICS = {
+    "in_process": lambda: None,
+    "inline": InlineFabric,
+    "buffered": lambda: BufferedFabric(flush_threshold=7),
+    "impaired": lambda: ImpairedFabric(
+        BufferedFabric(flush_threshold=7),
+        loss=0.1, duplication=0.1, reordering=0.1, seed=11,
+    ),
+}
+
+
+def _put_many(fabric):
+    from repro.collector.store import DartStore
+    from repro.core.config import DartConfig
+
+    config = DartConfig(slots_per_collector=256, num_collectors=2, redundancy=2, seed=3)
+    store = DartStore(config, packet_level=fabric is not None, fabric=fabric)
+    items = [(("flow", i), bytes([i]) * 4) for i in range(60)]
+    return lambda: store.put_many(items), list(store.cluster)
+
+
+def _increment_many(fabric):
+    store = SketchStore(cells_per_row=64, rows=2, fabric=fabric)
+    items = [(f"flow-{i % 17}", 1 + i % 3) for i in range(50)]
+    return lambda: store.translator.increment_many(items), [store]
+
+
+def _merge(fabric):
+    store = SketchStore(cells_per_row=64, rows=2, fabric=fabric)
+    sketch = SwitchSketch(cells_per_row=64, rows=2)
+    for i in range(50):
+        sketch.update(f"flow-{i % 17}", 1 + i % 3)
+    return lambda: store.merger().merge(sketch.cells), [store]
+
+
+def _append_many(fabric):
+    store = AppendStore(capacity=64, record_bytes=16, fabric=fabric)
+    writer = store.register_writer(0)
+    return lambda: writer.append_many([b"rec-%03d" % i for i in range(40)]), [store]
+
+
+#: Every batch entry over every fabric (only DartStore runs in-process).
+_PARITY_CASES = [
+    (build, fabric_name)
+    for build in (_put_many, _increment_many, _merge, _append_many)
+    for fabric_name in _PARITY_FABRICS
+    if fabric_name != "in_process" or build is _put_many
+]
+
+
 class TestStoreBatchTracing:
-    def test_in_process_put_many_follows_tracer_granularity(self):
-        """Batch granularity: one span for the batch; report: one trace each."""
+    @pytest.mark.parametrize(
+        "build, fabric_name",
+        _PARITY_CASES,
+        ids=[f"{build.__name__[1:]}-{name}" for build, name in _PARITY_CASES],
+    )
+    def test_watching_does_not_steer_the_batch(self, build, fabric_name):
+        """A batch entry runs the same body -- same bytes in memory, same
+        counters, same calls in the same shapes -- with no tracer, with
+        one that samples nothing and with the default ``Tracer()``."""
+        seen = {}
+        for watcher in ("none", "unsampled", "default"):
+            previous_registry = obs.set_registry(obs.MetricsRegistry())
+            tracer = {
+                "none": lambda: NULL_TRACER,
+                "unsampled": lambda: obs.Tracer(sample_rate=0.0),
+                "default": obs.Tracer,
+            }[watcher]()
+            previous_tracer = obs.set_tracer(tracer)
+            try:
+                fabric = _PARITY_FABRICS[fabric_name]()
+                run, hosts = build(fabric)
+                shapes = _tap_call_shapes(fabric) if fabric is not None else dict
+                run()
+                if fabric is not None:
+                    fabric.flush()
+                assert tracer.bindings_live == 0
+                if watcher == "unsampled":
+                    assert tracer.spans_recorded == 0 and tracer.traces() == []
+                if watcher == "default" and build in (_put_many, _append_many):
+                    assert tracer.spans_recorded > 0  # FETCH_ADD banks bind nothing
+                seen[watcher] = {
+                    "memory": [host.region.snapshot() for host in hosts],
+                    "nic": [_values(host.nic.counters) for host in hosts],
+                    "fabric": fabric and _values(fabric.counters),
+                    "delivered": isinstance(fabric, ImpairedFabric)
+                    and _values(fabric.delivered),
+                    "shapes": shapes(),
+                }
+            finally:
+                obs.set_registry(previous_registry)
+                obs.set_tracer(previous_tracer)
+        assert seen["unsampled"] == seen["none"]
+        assert seen["default"] == seen["none"]
+        if fabric_name != "in_process":
+            assert seen["none"]["shapes"]["send_batch"] == 1
+            assert seen["none"]["shapes"]["ingest_batch"] >= 1
+
+    def test_in_process_put_many_follows_call_shape(self):
+        """One tracer: ``put_many`` is one span for the batch, looped
+        ``put`` one trace per report."""
         from repro.collector.store import DartStore
         from repro.core.config import DartConfig
 
         config = DartConfig(slots_per_collector=256, num_collectors=2, redundancy=2)
         items = [(("flow", i), bytes([i]) * 4) for i in range(5)]
-        for granularity, kind, traces, stages in (
-            ("batch", "put_many", 1, ("store.put_many",)),
-            ("report", "report", 5, ("reporter.writes_for",)),
-        ):
-            _registry, tracer, restore = _fresh_obs(granularity=granularity)
-            try:
-                store = DartStore(config)
-                assert store.put_many(items) == 10
-                records = tracer.traces(kind)
-                assert len(records) == traces == len(tracer.traces())
-                assert records[0].stages == stages
-            finally:
-                restore()
+        _registry, tracer, restore = _fresh_obs()
+        try:
+            store = DartStore(config)
+            assert store.put_many(items) == 10
+            (record,) = tracer.traces()
+            assert (record.kind, record.stages) == ("put_many", ("store.put_many",))
+            assert sum(store.put(key, value) for key, value in items) == 10
+            records = tracer.traces("report")
+            assert len(records) == 5 == len(tracer.traces()) - 1
+            assert records[0].stages == ("reporter.writes_for",)
+        finally:
+            restore()
 
 
 class TestRetentionUnderImpairment:

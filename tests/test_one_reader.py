@@ -113,6 +113,24 @@ class TestInheritedObservability:
         finally:
             obs.set_tracer(previous)
 
+    def test_traced_query_stamps_its_trace_id_as_the_stage_exemplar(self, registry):
+        """The README's promise: the ``stage_seconds{stage="client.query"}``
+        bucket a traced query landed in links back to its trace."""
+        config, cluster, _keys = populated_cluster()
+        histogram = registry.stage("client.query").histogram
+        DartQueryClient(config, reader=cluster.read_slot).query(("flow", 1))
+        assert histogram.count == 1 and histogram.exemplar(0.5) is None
+        registry.reset()
+        tracer = obs.Tracer()
+        previous = obs.set_tracer(tracer)
+        try:
+            DartQueryClient(config, reader=cluster.read_slot).query(("flow", 1))
+        finally:
+            obs.set_tracer(previous)
+        (record,) = tracer.traces("query")
+        assert histogram.count == 1
+        assert histogram.exemplar(0.5) == record.trace_id
+
     def test_remote_counts_under_its_own_kind(self, registry):
         config, cluster, _keys = populated_cluster()
         remote = RemoteQueryClient(config, cluster)

@@ -393,13 +393,13 @@ def fresh_obs(**tracer_kwargs):
 
 
 class TestTracingParity:
-    def traced_run(self, **tracer_kwargs):
+    def traced_run(self, reads=6, **tracer_kwargs):
         tracer, restore = fresh_obs(**tracer_kwargs)
         try:
             rig = Rig(InlineFabric())
             trace_id = tracer.begin("query")
             with tracer.activate(trace_id):
-                got = rig.reader.read_run([rig.address(s) for s in range(6)], 24)
+                got = rig.reader.read_run([rig.address(s) for s in range(reads)], 24)
             tracer.end(trace_id)
             assert None not in got
             assert tracer.bindings_live == 0
@@ -408,15 +408,40 @@ class TestTracingParity:
         finally:
             restore()
 
-    def test_per_report_tracer_keeps_per_frame_spans(self):
-        _tracer, record, rig = self.traced_run(granularity="report")
+    def test_run_length_picks_span_granularity(self):
+        """The same tracer: a run below the size cut keeps a span per
+        frame, a run at or above it records one span per layer."""
+        short = COLUMNAR_MIN_READS - 1
+        _tracer, record, rig = self.traced_run(reads=short)
         assert rig.tap.batches == 0
         assert record.stages.count("query.read_run") == 1
-        assert record.stages.count("nic.ingest") == 6
-        assert record.stages.count("fabric.deliver") == 6
+        assert record.stages.count("nic.ingest") == short
+        assert record.stages.count("fabric.deliver") == short
+        _tracer, record, rig = self.traced_run(reads=COLUMNAR_MIN_READS)
+        assert rig.tap.batches == 1
+        assert record.stages == ("query.read_run", "nic.ingest", "fabric.deliver")
+
+    def test_watching_does_not_steer_the_run(self):
+        """Untraced, sampled out or traced, a long run is one matrix each
+        way: same wire bytes, same counters, same call shapes."""
+        states = {}
+        for watcher, kwargs in (
+            ("none", None), ("unsampled", {"sample_rate": 0.0}), ("default", {}),
+        ):
+            if kwargs is None:
+                rig = Rig(InlineFabric())
+                rig.reader.read_run([rig.address(s) for s in range(6)], 24)
+            else:
+                tracer, _record, rig = self.traced_run(**kwargs)
+                assert (tracer.spans_recorded == 0) == (watcher == "unsampled")
+            states[watcher] = dict(
+                rig.state(), batches=rig.tap.batches, memory=rig.node.region.snapshot()
+            )
+        assert states["unsampled"] == states["none"] == states["default"]
+        assert states["none"]["batches"] == 1
 
     def test_batch_tracer_records_one_span_per_layer(self):
-        _tracer, record, rig = self.traced_run(granularity="batch")
+        _tracer, record, rig = self.traced_run()
         assert rig.tap.batches == 1
         assert record.stages == ("query.read_run", "nic.ingest", "fabric.deliver")
         details = {span.stage: span.detail for span in record.spans}
@@ -424,7 +449,7 @@ class TestTracingParity:
         assert details["nic.ingest"] == "rows=6 executed=6"
 
     def test_unsampled_allocates_nothing(self):
-        tracer, record, rig = self.traced_run(granularity="batch", sample_rate=0.0)
+        tracer, record, rig = self.traced_run(sample_rate=0.0)
         assert rig.tap.batches == 1
         assert record is obs.tracing.UNSAMPLED_TRACE and tracer.spans_recorded == 0
 
