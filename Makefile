@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test perf-smoke bench bench-full bench-obs bench-obs-timeseries bench-obs-fleet bench-obs-trace bench-control bench-fabric-columnar bench-primitives bench-query experiments experiments-full examples lint loc ci all
+.PHONY: install test perf-smoke audit bench bench-full bench-obs bench-obs-timeseries bench-obs-fleet bench-obs-trace bench-control bench-fabric-columnar bench-primitives bench-query experiments experiments-full examples lint loc ci all
 
 install:
 	pip install -e . --no-build-isolation || \
@@ -25,6 +25,12 @@ loc:
 	@for tree in src src/repro/obs tests; do \
 	  printf '%-14s %s\n' $$tree $$(find $$tree -name '*.py' | xargs cat | wc -l); \
 	done
+
+# Reachability audit (~30 min, not part of ci): which src/repro functions
+# does no test module, experiment, benchmark, perf workload or example
+# ever call?  Prints the per-file table; see tests/reachability_audit.py.
+audit:
+	$(PYTHON) tests/reachability_audit.py --without-tests
 
 ci: lint perf-smoke bench-obs bench-obs-timeseries bench-obs-fleet bench-obs-trace bench-control bench-fabric-columnar bench-primitives bench-query
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q

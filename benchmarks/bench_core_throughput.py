@@ -11,14 +11,13 @@ import json
 import pathlib
 import time
 
-import numpy as np
-
 from repro.core.addressing import DartAddressing
 from repro.core.config import DartConfig
 from repro.core.simulator import SimulationSpec, simulate
 from repro.collector.store import DartStore
 from repro.experiments.reporting import print_experiment
 from repro.fabric import InlineFabric
+from repro.hashing.hash_family import fold_keys
 from repro.rdma.packets import Bth, Opcode, Reth, RoceV2Packet
 
 #: Where the fabric delivery comparison records its rows.
@@ -62,19 +61,19 @@ def test_addressing_kernel(benchmark):
     addressing = DartAddressing(DartConfig(slots_per_collector=1 << 20))
     counter = [0]
 
-    def locate():
+    def resolve():
         counter[0] += 1
-        return addressing.locate(("flow", counter[0]))
+        return addressing.resolve(("flow", counter[0]))
 
-    locations = benchmark(locate)
-    assert len(locations) == 2
+    resolved = benchmark(resolve)
+    assert len(resolved.slot_indexes) == 2
 
 
 def test_addressing_vectorised_kernel(benchmark):
     addressing = DartAddressing(DartConfig(slots_per_collector=1 << 20))
-    keys = np.arange(1 << 16, dtype=np.uint64)
-    slots = benchmark(addressing.slot_indexes_array, keys, 0)
-    assert slots.shape == keys.shape
+    lanes = fold_keys(range(1 << 16))
+    _collectors, _checksums, slots = benchmark(addressing.resolve_folded, lanes)
+    assert slots.shape == (2, len(lanes))
 
 
 #: How far under its recorded rate a mode may read before a gate fails:

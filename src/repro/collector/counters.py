@@ -9,9 +9,9 @@ keeping per-flow state locally.
 
 The switch half of the lowering lives in
 :class:`~repro.primitives.translator.KeyIncrementTranslator` (the DTA
-Key-Increment primitive); this store wires one translator to its own bank
-and keeps the historical ``add``/``add_many``/``craft_add_frames`` API as
-thin delegates.  Merging another sketch goes through
+Key-Increment primitive, which also owns the count-min cell addressing);
+this store wires one translator -- ``store.translator`` -- to its own
+bank.  Merging another sketch goes through
 :class:`~repro.primitives.translator.SketchMergeTranslator` -- real
 FETCH_ADD frames through the fabric and NIC, so ``total_adds()`` and the
 ``PipelineHealth`` reconciliation see merges like any other traffic.
@@ -25,7 +25,7 @@ commute through the atomic adds.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,17 +35,12 @@ from repro.fabric.fabric import Fabric, InlineFabric
 from repro.hashing.hash_family import HashFamily, Key
 from repro.mem.region import MemoryRegion
 from repro.primitives.translator import (
-    COUNTER_FUNCTION_BASE,
     KeyIncrementTranslator,
     ResponseDemux,
     SketchMergeTranslator,
 )
 from repro.rdma.nic import RdmaNic
 from repro.rdma.qp import PsnPolicy, QueuePair
-
-#: Hash-family member base reserved for counter rows (re-exported from the
-#: translator module, which owns the addressing contract).
-_COUNTER_FUNCTION_BASE = COUNTER_FUNCTION_BASE
 
 #: Fabric endpoint ID the counter bank's NIC is attached at.
 COUNTER_ENDPOINT_ID = 0
@@ -96,7 +91,6 @@ class CounterStore:
         #: Fabric endpoint this bank's NIC is attached at.
         self.endpoint_id = endpoint_id
         seed = config.seed if config is not None else 0
-        self._family = HashFamily(seed=seed)
         self.region = MemoryRegion(
             size=cells_per_row * rows * 8, base_address=base_address, rkey=0x77
         )
@@ -120,7 +114,12 @@ class CounterStore:
             rkey=self.region.rkey,
             cells_per_row=cells_per_row,
             rows=rows,
-            family=self._family,
+            family=HashFamily(seed=seed),
+        )
+        self._read_cells = self.translator.cell_reader(
+            lambda addresses, length: [
+                self.region.dma_read(address, length) for address in addresses
+            ]
         )
         self._merger: Optional[SketchMergeTranslator] = None
         registry = obs.get_registry()
@@ -135,24 +134,9 @@ class CounterStore:
     def __repr__(self) -> str:
         return f"CounterStore(cells_per_row={self.cells_per_row}, rows={self.rows})"
 
-    @property
-    def _psn(self) -> int:
-        """The translator's next PSN (kept for PSN-accounting tests)."""
-        return self.translator.psn
-
-    def _cell_address(self, key: Key, row: int) -> int:
-        return self.translator.cell_address(key, row)
-
     # ------------------------------------------------------------------
     # Write path: switches emit FETCH_ADD frames
     # ------------------------------------------------------------------
-
-    def craft_add_frames(self, key: Key, amount: int = 1) -> List[bytes]:
-        """The RoCEv2 FETCH_ADD frames a switch emits to count ``key``.
-
-        Zero-amount adds craft nothing: no frames, no PSNs burned.
-        """
-        return self.translator.craft_add_frames(key, amount)
 
     def add(self, key: Key, amount: int = 1) -> None:
         """Count ``key`` through the full packet path (switch -> NIC -> DMA).
@@ -172,9 +156,15 @@ class CounterStore:
         deferring fabrics apply everything before returning.  Zero-amount
         items are skipped entirely.  Returns the number of frames offered.
         """
-        before = self.translator.c_increments.value
-        offered = self.translator.increment_many(items)
-        self.c_adds.inc(self.translator.c_increments.value - before)
+        return self._credit(self.translator.increment_many(items))
+
+    def add_folded(self, lanes: np.ndarray, amounts: Sequence[int]) -> int:
+        """:meth:`add_many` for keys a caller has already folded."""
+        return self._credit(self.translator.increment_folded(lanes, amounts))
+
+    def _credit(self, offered: int) -> int:
+        """Count the keys behind ``offered`` frames (``rows`` frames per key)."""
+        self.c_adds.inc(offered // self.rows)
         return offered
 
     # ------------------------------------------------------------------
@@ -184,11 +174,7 @@ class CounterStore:
     def estimate(self, key: Key) -> int:
         """Count estimate for ``key`` (an upper bound, as in count-min)."""
         self.c_estimates.inc()
-        values = []
-        for row in range(self.rows):
-            address = self._cell_address(key, row)
-            values.append(int.from_bytes(self.region.dma_read(address, 8), "big"))
-        return min(values)
+        return self.translator.addressing.estimate(key, self._read_cells)
 
     def total_adds(self) -> int:
         """Number of atomic operations the NIC has executed."""
@@ -272,10 +258,6 @@ class CounterStore:
         "network-wide aggregation of sketches" of paper section 7, e.g.
         folding per-collector sketches into a global one.
         """
-        if (
-            other.cells_per_row != self.cells_per_row
-            or other.rows != self.rows
-            or other._family != self._family
-        ):
+        if other.translator.addressing != self.translator.addressing:
             raise ValueError("sketches are not mergeable (shape/seed differ)")
         self.merger().merge(other.cell_matrix())

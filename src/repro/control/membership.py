@@ -102,9 +102,6 @@ class FleetMembership:
     def __len__(self) -> int:
         return len(self._members)
 
-    def __iter__(self):
-        return iter(self.members)
-
     def __repr__(self) -> str:
         counts = {}
         for member in self._members.values():

@@ -19,7 +19,7 @@ current table-version epoch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 from repro.collector.collector import CollectorCluster
 
@@ -39,14 +39,6 @@ class ShardAssignment:
     base_address: int
     alive: bool
 
-    def describe(self) -> str:
-        """One-line operator rendering of the assignment."""
-        state = "up" if self.alive else "down"
-        return (
-            f"role {self.role} -> node {self.node_id} "
-            f"(rkey={self.rkey:#x}, base={self.base_address:#x}, {state})"
-        )
-
 
 @dataclass(frozen=True)
 class ShardMap:
@@ -54,12 +46,6 @@ class ShardMap:
 
     epoch: int
     assignments: Tuple[ShardAssignment, ...]
-
-    def __len__(self) -> int:
-        return len(self.assignments)
-
-    def __iter__(self):
-        return iter(self.assignments)
 
     def assignment(self, role: int) -> ShardAssignment:
         """The assignment serving keyspace ``role`` (KeyError if unknown)."""
@@ -76,16 +62,6 @@ class ShardMap:
     def roles(self) -> Tuple[int, ...]:
         """All keyspace roles, in role order."""
         return tuple(a.role for a in self.assignments)
-
-    def as_dict(self) -> Dict[int, int]:
-        """The plain ``{role: node_id}`` routing table."""
-        return {a.role: a.node_id for a in self.assignments}
-
-    def describe(self) -> str:
-        """Multi-line operator rendering (epoch header + one row per shard)."""
-        lines = [f"shard map @ epoch {self.epoch} ({len(self)} shards)"]
-        lines.extend(f"  {a.describe()}" for a in self.assignments)
-        return "\n".join(lines)
 
 
 def shard_map_of(cluster: CollectorCluster, epoch: int = 0) -> ShardMap:

@@ -22,7 +22,7 @@ independent of any particular wire format or switch model:
 """
 
 from repro.core.config import DartConfig
-from repro.core.addressing import DartAddressing, SlotLocation
+from repro.core.addressing import DartAddressing, ResolvedKey
 from repro.core.batch import ReportBatch
 from repro.core.policies import QueryOutcome, QueryResult, ReturnPolicy
 from repro.core.reporter import DartReporter, SlotWrite
@@ -36,7 +36,7 @@ __all__ = [
     "QueryOutcome",
     "QueryResult",
     "ReportBatch",
+    "ResolvedKey",
     "ReturnPolicy",
-    "SlotLocation",
     "SlotWrite",
 ]

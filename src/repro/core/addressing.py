@@ -10,6 +10,12 @@ every query client evaluates the same pure functions of (config, key):
 
 No state, no coordination, no per-switch regions: collisions between keys
 are expected and handled probabilistically by redundancy plus checksums.
+
+The expensive part -- byte-encoding the key and folding it into a 64-bit
+lane -- happens once per key, here or in the caller's
+:func:`~repro.hashing.hash_family.fold_keys`; the collector, the N slots
+and the checksum are all cheap mixes of that lane, so lanes (not keys) are
+what the layers below an entry point pass each other.
 """
 
 from __future__ import annotations
@@ -27,25 +33,19 @@ from repro.hashing.hash_family import Key, fold_key
 #: index, so collector selection gets a distinct constant.
 COLLECTOR_FUNCTION_INDEX = 0x40000000
 
-
-@dataclass(frozen=True)
-class SlotLocation:
-    """A fully resolved storage location for one copy of a key."""
-
-    collector_id: int
-    slot_index: int
-    copy_index: int  # n in [0, N)
+#: Shortest lane run resolved as one array pass.  Measured: an array pass
+#: costs ~11 us per member row whatever its length, a scalar mix ~1 us,
+#: so a point lookup's single lane (and a retry's few) stay scalar.
+_ARRAY_MIN_LANES = 4
 
 
 @dataclass(frozen=True)
 class ResolvedKey:
     """Everything addressing derives from one key, computed in one pass.
 
-    The batched write path resolves each key once -- one byte encoding and
-    one fold instead of one per hash-family member -- and reads the
-    collector, checksum and all N slot indexes off this record.  Values are
-    bit-identical to the scalar ``collector_of`` / ``checksum_of`` /
-    ``slot_index`` calls (property-tested).
+    One byte encoding and one fold per key instead of one per hash-family
+    member; the collector, checksum and all N slot indexes are read off
+    this record.
     """
 
     collector_id: int
@@ -71,14 +71,16 @@ class DartAddressing:
         return hash(("DartAddressing", self.config))
 
     # ------------------------------------------------------------------
-    # Scalar interface (switches, query clients)
+    # Key interface: one fold, then the lane interface
     # ------------------------------------------------------------------
+
+    def resolve(self, key: Key) -> ResolvedKey:
+        """Resolve collector, checksum and all N slots with one key fold."""
+        return self.resolve_lane(fold_key(key))
 
     def collector_of(self, key: Key) -> int:
         """Collector ID in [0, num_collectors) holding all copies of ``key``."""
-        return self._family.hash_key_mod(
-            key, COLLECTOR_FUNCTION_INDEX, self.config.num_collectors
-        )
+        return self.resolve(key).collector_id
 
     def slot_index(self, key: Key, copy_index: int) -> int:
         """Slot index of copy ``copy_index`` within the collector's region."""
@@ -86,45 +88,11 @@ class DartAddressing:
             raise ValueError(
                 f"copy_index {copy_index} outside [0, {self.config.redundancy})"
             )
-        return self._family.hash_key_mod(
-            key, copy_index, self.config.slots_per_collector
-        )
+        return self.resolve(key).slot_indexes[copy_index]
 
     def checksum_of(self, key: Key) -> int:
         """The b-bit key checksum stored in each slot."""
-        return self._checksum.compute(key)
-
-    def resolve(self, key: Key) -> ResolvedKey:
-        """Resolve collector, checksum and all N slots with one key fold.
-
-        The per-key form of :meth:`resolve_folded` (which the columnar
-        batch path uses): the scalar methods each re-encode and re-fold
-        the key, so a full report costs N+2 folds; this costs exactly one.
-        """
-        folded = fold_key(key)
-        family = self._family
-        config = self.config
-        return ResolvedKey(
-            collector_id=family.hash_folded(folded, COLLECTOR_FUNCTION_INDEX)
-            % config.num_collectors,
-            checksum=self._checksum.compute_folded(folded),
-            slot_indexes=tuple(
-                family.hash_folded(folded, n) % config.slots_per_collector
-                for n in range(config.redundancy)
-            ),
-        )
-
-    def locate(self, key: Key) -> List[SlotLocation]:
-        """All N storage locations of ``key`` (same collector by design)."""
-        collector = self.collector_of(key)
-        return [
-            SlotLocation(
-                collector_id=collector,
-                slot_index=self.slot_index(key, n),
-                copy_index=n,
-            )
-            for n in range(self.config.redundancy)
-        ]
+        return self.resolve(key).checksum
 
     def slot_address(self, base_address: int, slot_index: int) -> int:
         """Virtual memory address of ``slot_index`` in a region at ``base_address``."""
@@ -136,32 +104,22 @@ class DartAddressing:
         return base_address + slot_index * self.config.slot_bytes
 
     # ------------------------------------------------------------------
-    # Vectorised interface (statistical simulator)
+    # Lane interface: everything below a fold
     # ------------------------------------------------------------------
 
-    def collectors_of_array(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorised collector selection for integer key identities."""
-        return self._family.hash_array_mod(
-            keys, COLLECTOR_FUNCTION_INDEX, self.config.num_collectors
+    def resolve_lane(self, lane: int) -> ResolvedKey:
+        """:meth:`resolve` from a :func:`~repro.hashing.hash_family.fold_key` lane."""
+        family = self._family
+        config = self.config
+        return ResolvedKey(
+            collector_id=family.hash_folded(lane, COLLECTOR_FUNCTION_INDEX)
+            % config.num_collectors,
+            checksum=self._checksum.compute_folded(lane),
+            slot_indexes=tuple(
+                family.hash_folded(lane, n) % config.slots_per_collector
+                for n in range(config.redundancy)
+            ),
         )
-
-    def slot_indexes_array(self, keys: np.ndarray, copy_index: int) -> np.ndarray:
-        """Vectorised slot indexes of copy ``copy_index`` for integer keys."""
-        if not 0 <= copy_index < self.config.redundancy:
-            raise ValueError(
-                f"copy_index {copy_index} outside [0, {self.config.redundancy})"
-            )
-        return self._family.hash_array_mod(
-            keys, copy_index, self.config.slots_per_collector
-        )
-
-    def checksums_array(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorised checksums for integer key identities."""
-        return self._checksum.compute_array(keys)
-
-    # ------------------------------------------------------------------
-    # Columnar interface (bit-exact batch resolution)
-    # ------------------------------------------------------------------
 
     def resolve_folded(
         self, folded: np.ndarray
@@ -171,11 +129,10 @@ class DartAddressing:
         ``folded`` is a ``uint64`` array of :func:`~repro.hashing.hash_family.fold_key`
         lanes.  Returns ``(collector_ids, checksums, slot_indexes)`` where
         ``slot_indexes`` has shape ``(redundancy, n)`` -- row ``n`` holds
-        copy ``n``'s slot index for every key.  Unlike the simulator-only
-        ``*_array`` methods above, every value is bit-identical to the
-        scalar :meth:`resolve` on the original keys (property-tested);
-        this is what lets the columnar datapath keep the wire-format
-        equality contract.
+        copy ``n``'s slot index for every key.  Every value is
+        bit-identical to the scalar :meth:`resolve` on the original keys
+        (property-tested); this is what lets the columnar datapath keep
+        the wire-format equality contract.
         """
         config = self.config
         hashes = self._family.hash_folded_array(
@@ -185,3 +142,39 @@ class DartAddressing:
         slots = hashes[1:] % np.uint64(config.slots_per_collector)
         checksums = self._checksum.compute_folded_array(folded)
         return collector_ids, checksums, slots
+
+    def collectors_folded(self, lanes: np.ndarray) -> List[int]:
+        """The collector role of every lane of a run (what a planner groups by).
+
+        Short runs mix lane by lane, longer ones in one array pass; the
+        values are the same either way.
+        """
+        count = self.config.num_collectors
+        if len(lanes) < _ARRAY_MIN_LANES:
+            mix = self._family.hash_folded
+            return [
+                mix(lane, COLLECTOR_FUNCTION_INDEX) % count for lane in lanes.tolist()
+            ]
+        hashes = self._family.hash_folded_array(lanes, COLLECTOR_FUNCTION_INDEX)
+        return (hashes % np.uint64(count)).tolist()
+
+    def reads_folded(
+        self, lanes: np.ndarray, base_address: int
+    ) -> Tuple[List[int], List[int]]:
+        """What a query of a run of lanes reads from a region at ``base_address``.
+
+        Returns ``(checksums, addresses)``: one expected checksum per lane
+        and its N slot addresses, lane-major and copy-minor.  Run length
+        picks scalar or array resolution as in :meth:`collectors_folded`.
+        """
+        slot_bytes = self.config.slot_bytes
+        if len(lanes) < _ARRAY_MIN_LANES:
+            resolved = [self.resolve_lane(lane) for lane in lanes.tolist()]
+            return [entry.checksum for entry in resolved], [
+                base_address + slot_index * slot_bytes
+                for entry in resolved
+                for slot_index in entry.slot_indexes
+            ]
+        _collectors, checksums, slots = self.resolve_folded(lanes)
+        addresses = base_address + slots.T.reshape(-1).astype(np.int64) * slot_bytes
+        return checksums.tolist(), addresses.tolist()

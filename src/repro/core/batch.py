@@ -10,8 +10,8 @@ stack.  Every column is bit-identical to what the scalar path derives for
 the same items (the byte-equivalence tests pin this), so the wire-format
 contract survives the representation change.
 
-The only scalar work left is the per-key fold (arbitrary Python keys must
-be byte-encoded and chunk-mixed one at a time); everything derived from
+The per-key fold (:func:`~repro.hashing.hash_family.fold_keys`, called
+once, here) is the only per-key Python work left; everything derived from
 the folded lanes is vectorised via
 :meth:`~repro.core.addressing.DartAddressing.resolve_folded`.
 """
@@ -60,9 +60,6 @@ class ReportBatch:
         self.checksums = checksums
         self.slot_indexes = slot_indexes
         self.payloads = payloads
-
-    def __len__(self) -> int:
-        return len(self.collector_ids)
 
     @property
     def count(self) -> int:

@@ -120,21 +120,11 @@ class CasDartStore:
         )
         self._t_put_many = registry.stage("cas_put_many")
 
-    @property
-    def puts(self) -> int:
-        """WRITE+CAS puts issued (registry-backed)."""
-        return self.c_puts.value
-
     def __repr__(self) -> str:
-        return f"CasDartStore(num_slots={self.num_slots}, puts={self.puts})"
+        return f"CasDartStore(num_slots={self.num_slots})"
 
-    def _slot_address(self, key: Key, copy_index: int) -> int:
-        slot = self.addressing.slot_index(key, copy_index)
-        return self.region.base_address + slot * 8
-
-    def _packed_word(self, key: Key, value: int) -> int:
-        word = pack_compact_slot(self.addressing.checksum_of(key), value)
-        return word if word != 0 else 1
+    def _slot_address(self, slot_index: int) -> int:
+        return self.region.base_address + slot_index * 8
 
     # ------------------------------------------------------------------
     # Write path: one WRITE frame + one CMP_SWAP frame
@@ -165,13 +155,16 @@ class CasDartStore:
 
     def _craft_put_frames(self, key: Key, value: int) -> Tuple[bytes, bytes]:
         """The (WRITE, CMP_SWAP) wire frames for one put."""
-        word = self._packed_word(key, value)
+        resolved = self.addressing.resolve(key)
+        # A stored 0 means "empty", so a real word of 0 is remapped to 1.
+        word = pack_compact_slot(resolved.checksum, value) or 1
+        write_slot, cas_slot = resolved.slot_indexes
         payload = word.to_bytes(8, "big")
 
         write = RoceV2Packet(
             bth=Bth(opcode=int(Opcode.RC_RDMA_WRITE_ONLY), dest_qp=0x300),
             reth=Reth(
-                virtual_address=self._slot_address(key, 0),
+                virtual_address=self._slot_address(write_slot),
                 rkey=self.region.rkey,
                 dma_length=8,
             ),
@@ -180,7 +173,7 @@ class CasDartStore:
         cas = RoceV2Packet(
             bth=Bth(opcode=int(Opcode.RC_CMP_SWAP), dest_qp=0x300),
             atomic_eth=AtomicEth(
-                virtual_address=self._slot_address(key, 1),
+                virtual_address=self._slot_address(cas_slot),
                 rkey=self.region.rkey,
                 swap_add=word,
                 compare=0,  # fill only if the slot is still empty
@@ -198,15 +191,15 @@ class CasDartStore:
         Reads both slots, keeps checksum matches, and prefers the WRITE
         slot (it holds the freshest data when both match but disagree).
         """
-        expected = self.addressing.checksum_of(key)
+        resolved = self.addressing.resolve(key)
         matches = []
-        for copy_index in (0, 1):
-            raw = self.region.dma_read(self._slot_address(key, copy_index), 8)
+        for slot_index in resolved.slot_indexes:
+            raw = self.region.dma_read(self._slot_address(slot_index), 8)
             word = int.from_bytes(raw, "big")
             if word == 0:
                 continue
             checksum, value = unpack_compact_slot(word)
-            if checksum == expected:
+            if checksum == resolved.checksum:
                 matches.append(value)
         self.c_gets.inc()
         if not matches:

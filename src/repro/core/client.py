@@ -95,18 +95,15 @@ class DartQueryClient:
         if policy is None:
             policy = self.policy
         started = self._t_query.start()
-        addressing = self.addressing
-        collector = addressing.collector_of(key)
+        resolved = self.addressing.resolve(key)
         reads = (
-            self._reader(collector, addressing.slot_index(key, n))
-            for n in range(self.config.redundancy)
+            self._reader(resolved.collector_id, slot_index)
+            for slot_index in resolved.slot_indexes
         )
         # A lost READ is treated like an overwritten slot.
         raws = [raw for raw in reads if raw is not None]
         self.c_queries.inc()
-        result = fold_slots(
-            self._codec, raws, addressing.checksum_of(key), policy
-        )
+        result = fold_slots(self._codec, raws, resolved.checksum, policy)
         total, answered = self._counters_for(policy)
         total.inc()
         if result.answered:

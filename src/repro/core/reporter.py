@@ -84,11 +84,6 @@ class DartReporter:
             f"DartReporter(config={self.config!r}, redundancy={self.redundancy})"
         )
 
-    def encode_slot(self, key: Key, value: bytes) -> bytes:
-        """The slot bytes stored for ``key``: checksum || padded value."""
-        checksum = self.addressing.checksum_of(key)
-        return self._codec.encode(checksum, value)
-
     def writes_for(self, key: Key, value: bytes) -> List[SlotWrite]:
         """All redundant slot writes for one telemetry report.
 
@@ -96,12 +91,12 @@ class DartReporter:
         All copies target the same collector (paper section 3.1: queries
         then run locally on one collector without inter-collector traffic).
         """
-        payload = self.encode_slot(key, value)
-        collector = self.addressing.collector_of(key)
+        resolved = self.addressing.resolve(key)
+        payload = self._codec.encode(resolved.checksum, value)
         writes = [
             SlotWrite(
-                collector_id=collector,
-                slot_index=self.addressing.slot_index(key, n),
+                collector_id=resolved.collector_id,
+                slot_index=resolved.slot_indexes[n],
                 copy_index=n,
                 payload=payload,
             )
@@ -128,12 +123,13 @@ class DartReporter:
             raise ValueError(
                 f"copy_index {copy_index} outside [0, {self.config.redundancy})"
             )
+        resolved = self.addressing.resolve(key)
         self.c_writes.inc()
         return SlotWrite(
-            collector_id=self.addressing.collector_of(key),
-            slot_index=self.addressing.slot_index(key, copy_index),
+            collector_id=resolved.collector_id,
+            slot_index=resolved.slot_indexes[copy_index],
             copy_index=copy_index,
-            payload=self.encode_slot(key, value),
+            payload=self._codec.encode(resolved.checksum, value),
         )
 
     def network_bytes_per_report(self, overhead_per_packet: int = 0) -> int:

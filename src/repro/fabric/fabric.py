@@ -98,10 +98,9 @@ class FabricCounters(CounterView):
 class Fabric:
     """Base transport: endpoint registry plus the delivery protocol.
 
-    Subclasses implement :meth:`send` (one frame) and may override
-    :meth:`send_batch` (one columnar batch); the base class provides
-    endpoint bookkeeping, the reference :meth:`send_batch`, the
-    response-path :meth:`poll` that the one-sided READ flow uses, and the
+    Subclasses implement :meth:`send` (one frame) and :meth:`send_batch`
+    (one columnar batch); the base class provides endpoint bookkeeping,
+    the response-path :meth:`poll` that the one-sided READ flow uses, and the
     shared observability plumbing (registry counters, frame-size
     histogram, tracer spans).
     """
@@ -200,29 +199,11 @@ class Fabric:
         no longer needs the bytes.  Returns the executed count for
         synchronous transports, or None when any delivery was deferred.
 
-        This default is the reference implementation -- per-frame
-        :meth:`send` in emission order, so any subclass is batch-correct
-        by construction; Inline/Buffered/Impaired override it with
-        vectorised paths whose results are provably identical.
+        Every transport implements it (Inline/Buffered/Impaired with
+        vectorised paths whose results match per-frame :meth:`send` in
+        emission order).
         """
-        try:
-            executed: Optional[int] = 0
-            for endpoint_id, frame in batch.iter_pairs():
-                result = self.send(endpoint_id, frame)
-                if result is None:
-                    executed = None
-                elif executed is not None and result:
-                    executed += 1
-            tracer = self._tracer
-            if tracer.enabled and batch.trace_ctx is not None:
-                tracer.finish_batch(
-                    batch,
-                    "fabric.deliver",
-                    f"{type(self).__name__}:scalar rows={batch.count}",
-                )
-            return executed
-        finally:
-            batch.release()
+        raise NotImplementedError
 
     def flush(self) -> int:
         """Deliver everything in flight; returns frames delivered now."""

@@ -77,7 +77,7 @@ class CrcAlgorithm:
             self, "_table", _build_table(self.poly, self.width, self.reflect_in)
         )
         # This parameterisation *is* zlib's CRC-32: one C call replaces the
-        # table loop in compute() and the position-wise loop in compute_rows().
+        # table loop in compute() and, per row, in compute_rows().
         object.__setattr__(
             self,
             "_is_zlib",
@@ -123,60 +123,34 @@ class CrcAlgorithm:
         return (crc ^ self.xor_out) & self.mask
 
     def compute_rows(self, rows: np.ndarray) -> np.ndarray:
-        """CRC of every row of a ``uint8`` matrix at once (vectorised).
+        """CRC of every row of a ``uint8`` matrix at once.
 
         ``rows`` has shape ``(n, width)``; the result is a ``uint32`` array
         of ``n`` CRCs, bit-identical to calling :meth:`compute` on each
-        row's bytes.  The trick is to iterate over byte *positions* (the
-        row width, e.g. ~88 for a masked RoCEv2 report frame) while the
-        table lookup and xor/shift run as numpy vector operations over all
-        rows -- this is what makes whole-batch iCRC generation and
-        validation cheap.
-
-        Only reflected 32-bit algorithms are supported (the iCRC family);
-        anything else falls back to a per-row scalar loop.
+        row's bytes.  The iCRC polynomial (the only one batches use) takes
+        one C call per row over a single contiguous copy; any other
+        algorithm loops the scalar :meth:`compute`.
         """
         rows = np.asarray(rows, dtype=np.uint8)
         if rows.ndim != 2:
             raise ValueError(f"expected a 2-D byte matrix, got shape {rows.shape}")
-        if not (self.width == 32 and self.reflect_in and self.reflect_out):
+        if not self._is_zlib:  # type: ignore[attr-defined]
             return np.fromiter(
                 (self.compute(row.tobytes()) for row in rows),
                 dtype=np.uint32,
                 count=len(rows),
             )
-        if self._is_zlib:  # type: ignore[attr-defined]
-            # One C call per row beats the position-wise numpy loop at
-            # every batch size (the loop's cost is ~width numpy dispatches
-            # regardless of rows).
-            data = np.ascontiguousarray(rows).tobytes()
-            width = rows.shape[1]
-            crc32_c = zlib.crc32
-            return np.fromiter(
-                (
-                    crc32_c(data[start:start + width])
-                    for start in range(0, len(data), width)
-                ),
-                dtype=np.uint32,
-                count=len(rows),
-            )
-        table = self._np_table
-        crc = np.full(len(rows), self.init, dtype=np.uint32)
-        eight = np.uint32(8)
-        for position in range(rows.shape[1]):
-            crc = table[(crc ^ rows[:, position]) & np.uint32(0xFF)] ^ (
-                crc >> eight
-            )
-        return crc ^ np.uint32(self.xor_out)
-
-    @property
-    def _np_table(self) -> np.ndarray:
-        """The lookup table as a ``uint32`` array (built once, cached)."""
-        cached = getattr(self, "_np_table_cache", None)
-        if cached is None:
-            cached = np.array(self._table, dtype=np.uint32)  # type: ignore[attr-defined]
-            object.__setattr__(self, "_np_table_cache", cached)
-        return cached
+        data = np.ascontiguousarray(rows).tobytes()
+        width = rows.shape[1]
+        crc32_c = zlib.crc32
+        return np.fromiter(
+            (
+                crc32_c(data[start:start + width])
+                for start in range(0, len(data), width)
+            ),
+            dtype=np.uint32,
+            count=len(rows),
+        )
 
     def verify(self) -> bool:
         """Check the algorithm against its catalogue check value."""

@@ -16,6 +16,7 @@ statistical simulator, which needs to hash tens of millions of keys.
 
 from __future__ import annotations
 
+import operator
 import struct
 from typing import Iterable, Union
 
@@ -96,10 +97,10 @@ def _fold_bytes(data: bytes) -> int:
 def fold_keys(keys: Iterable[Key]) -> np.ndarray:
     """Fold many keys into a ``uint64`` lane array (one :func:`fold_key` each).
 
-    The per-key fold is irreducibly scalar (arbitrary Python keys, chunked
-    byte mixing), but it is the *only* scalar work the columnar batch path
-    performs; every downstream family hash finishes vectorised via
-    :meth:`HashFamily.hash_folded_array`.
+    This is the single fold site of every batch path: a key-taking entry
+    point calls it once, and the lanes -- not the keys -- are what crosses
+    layer boundaries below it.  Every downstream family hash finishes
+    vectorised via :meth:`HashFamily.hash_folded_array`.
     """
     keys = list(keys) if not isinstance(keys, (list, tuple)) else keys
     return np.fromiter(
@@ -180,13 +181,15 @@ class HashFamily:
         one pass.
         """
         folded = np.asarray(folded, dtype=np.uint64)
-        if isinstance(index, int):
-            seed = np.uint64(splitmix64(self._function_seed(index)))
-        else:
+        try:
+            member = operator.index(index)
+        except TypeError:
             seed = np.array(
                 [splitmix64(self._function_seed(member)) for member in index],
                 dtype=np.uint64,
             )[:, None]
+        else:
+            seed = np.uint64(splitmix64(self._function_seed(member)))
         return _splitmix64_np(folded ^ seed)
 
     def hash_key_mod(self, key: Key, index: int, modulus: int) -> int:

@@ -72,9 +72,6 @@ class MemoryRegion:
         """Atomic operations applied to the region."""
         return self.c_atomics.value
 
-    def __len__(self) -> int:
-        return self.size
-
     def __repr__(self) -> str:
         return (
             f"MemoryRegion(size={self.size}, "

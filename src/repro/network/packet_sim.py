@@ -136,12 +136,6 @@ class PacketLevelIntNetwork:
         """Chaos hook: crash one collector host mid-run."""
         self.cluster.node(node_id).fail()
 
-    def recover_collector(self, node_id: int) -> None:
-        """Chaos hook: revive a crashed host and rejoin it as a standby."""
-        self.cluster.node(node_id).recover()
-        if self.controller is not None:
-            self.controller.rejoin(node_id)
-
     def send(self, flow: Flow, user_payload: bytes = b"app-data") -> DeliveryResult:
         """Send one INT-enabled datagram from src to dst host."""
         self.packets_sent += 1

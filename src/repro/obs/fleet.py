@@ -146,10 +146,6 @@ class FleetRegistry:
             },
         )
 
-    def render(self) -> str:
-        """The ``repro obs fleet`` dashboard text."""
-        return render_fleet(self.snapshot())
-
 
 def _fleet_row(label: str, snapshot: MetricsSnapshot) -> str:
     """One dashboard row: a node's key health figures."""

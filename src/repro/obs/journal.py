@@ -239,13 +239,6 @@ class EventJournal:
         )
         return "\n".join([head] + [event.render() for event in events])
 
-    def reset(self) -> None:
-        """Drop every event and restart seq/clock (tests, fresh windows)."""
-        self._events.clear()
-        self._next_seq = 0
-        self.tick = 0
-        self.overwritten = 0
-
 
 class NullJournal:
     """No-op journal: the process default when flight recording is off."""
@@ -281,9 +274,6 @@ class NullJournal:
     def render(self, count=None) -> str:
         """Fixed marker."""
         return "== journal (disabled) =="
-
-    def reset(self) -> None:
-        """No-op."""
 
 
 #: Shared no-op singleton; see :func:`repro.obs.set_journal`.

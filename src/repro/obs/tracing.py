@@ -176,10 +176,6 @@ class TraceRecord:
                 return span
         return None
 
-    def children(self, span_id: int) -> List[Span]:
-        """Direct children of ``span_id`` in seq order."""
-        return [span for span in self.spans if span.parent_id == span_id]
-
     def walk(self) -> Iterator[Tuple[Span, int]]:
         """Depth-first ``(span, depth)`` from the root, children by seq.
 
@@ -275,7 +271,7 @@ class Tracer:
         via :meth:`keep_live`) survive here after the live ring evicts
         them, oldest-kept evicted first.
     node:
-        Default node label stamped on spans (see :meth:`node_scope`).
+        Node label stamped on spans.
     """
 
     enabled = True
@@ -428,10 +424,6 @@ class Tracer:
                 yield trace_id
         finally:
             self.end(trace_id)
-
-    def node_scope(self, node: str):
-        """Context manager stamping ``node`` on spans recorded inside it."""
-        return _NodeScope(self, node)
 
     # ------------------------------------------------------------------
     # Frame bindings
@@ -796,23 +788,6 @@ class Tracer:
         self._g_bindings.set(0.0)
 
 
-class _NodeScope:
-    """Context manager behind :meth:`Tracer.node_scope`."""
-
-    def __init__(self, tracer: Tracer, node: str) -> None:
-        self._tracer = tracer
-        self._node = node
-        self._previous = ""
-
-    def __enter__(self) -> Tracer:
-        self._previous = self._tracer.node
-        self._tracer.node = self._node
-        return self._tracer
-
-    def __exit__(self, *exc) -> None:
-        self._tracer.node = self._previous
-
-
 class NullTracer:
     """The no-op tracer installed by default: every method does nothing."""
 
@@ -839,10 +814,6 @@ class NullTracer:
     def joined(self, kind: str, key: str = ""):
         """No-op context manager; yields trace id 0."""
         return nullcontext(0)
-
-    def node_scope(self, node: str):
-        """No-op context manager."""
-        return self.activate(0)
 
     def sampled(self, trace_id: int) -> bool:
         """Always False."""

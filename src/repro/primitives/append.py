@@ -162,10 +162,6 @@ class AppendStore:
         """Absolute appends ever reserved (the shared tail pointer)."""
         return int.from_bytes(self.region.read_offset(0, 8), "big")
 
-    def head(self) -> int:
-        """Absolute index of the oldest record still in the ring."""
-        return max(0, self.tail() - self.capacity)
-
     def record_at(self, index: int) -> bytes:
         """The record slot for absolute ``index`` (``index % capacity``)."""
         slot = index % self.capacity

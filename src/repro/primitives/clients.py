@@ -450,6 +450,7 @@ class CounterQueryClient:
             store.demux,
             store.region.rkey,
         )
+        self._read_cells = store.translator.cell_reader(self.reader.read_run)
         registry = obs.get_registry()
         labels = registry.instance_labels("CounterQueryClient")
         #: Remote estimates served.
@@ -466,18 +467,5 @@ class CounterQueryClient:
         Pipelines one READ per row and takes the minimum of the cells
         that came back; ``None`` when every READ was lost.
         """
-        store = self.store
-        addresses = [
-            store.translator.cell_address(key, row)
-            for row in range(store.rows)
-        ]
-        payloads = self.reader.read_run(addresses, 8)
-        values = [
-            int.from_bytes(payload, "big")
-            for payload in payloads
-            if payload is not None
-        ]
         self.c_estimates.inc()
-        if not values:
-            return None
-        return min(values)
+        return self.store.translator.addressing.estimate(key, self._read_cells)

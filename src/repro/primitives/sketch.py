@@ -5,9 +5,9 @@ Switches keep a local count-min sketch in register arrays
 through the :class:`~repro.primitives.translator.SketchMergeTranslator`
 -- one FETCH_ADD per non-zero cell.  The collector side
 (:class:`SketchStore`) is a :class:`~repro.collector.counters.CounterStore`
-bank plus merge plumbing; both sides share the global hash family and the
-``COUNTER_FUNCTION_BASE`` member indexes, so a key hashes to the same
-cells on the switch and in the collector bank.
+bank plus merge plumbing; both sides address cells through the same
+:class:`~repro.primitives.translator.CountMinAddressing`, so a key hashes to
+the same cells on the switch and in the collector bank.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from repro.collector.counters import CounterStore
 from repro.core.config import DartConfig
 from repro.hashing.hash_family import HashFamily, Key
-from repro.primitives.translator import COUNTER_FUNCTION_BASE
+from repro.primitives.translator import CountMinAddressing, check_amount
 
 
 class SwitchSketch:
@@ -52,27 +52,18 @@ class SwitchSketch:
         self.cells_per_row = cells_per_row
         self.rows = rows
         seed = config.seed if config is not None else 0
-        self.family = HashFamily(seed=seed)
+        #: Cell addressing, equal to a mergeable bank's ``translator.addressing``.
+        self.addressing = CountMinAddressing(HashFamily(seed=seed), rows, cells_per_row)
         #: The register arrays: ``uint64[rows, cells_per_row]``.
         self.cells = np.zeros((rows, cells_per_row), dtype=np.uint64)
 
     def __repr__(self) -> str:
-        return (
-            f"SwitchSketch(cells_per_row={self.cells_per_row}, "
-            f"rows={self.rows}, total={self.total_count()})"
-        )
-
-    def _cell_index(self, key: Key, row: int) -> int:
-        return self.family.hash_key_mod(
-            key, COUNTER_FUNCTION_BASE + row, self.cells_per_row
-        )
+        return f"SwitchSketch(cells_per_row={self.cells_per_row}, rows={self.rows})"
 
     def update(self, key: Key, amount: int = 1) -> None:
         """Count ``key`` in every row (a register increment per row)."""
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
-        for row in range(self.rows):
-            self.cells[row, self._cell_index(key, row)] += np.uint64(amount)
+        check_amount(amount)
+        self.cells.reshape(-1)[self.addressing.key_cells(key)] += np.uint64(amount)
 
     def update_many(self, items: Iterable[Tuple[Key, int]]) -> int:
         """Count a batch of ``(key, amount)`` pairs; returns keys counted."""
@@ -84,28 +75,14 @@ class SwitchSketch:
 
     def estimate(self, key: Key) -> int:
         """Local count-min estimate (minimum across rows)."""
-        return int(
-            min(
-                self.cells[row, self._cell_index(key, row)]
-                for row in range(self.rows)
-            )
+        registers = self.cells.reshape(-1)
+        return self.addressing.estimate(
+            key, lambda cells: registers[cells].tolist()
         )
-
-    def total_count(self) -> int:
-        """Sum of all increments (read off row 0, which sees every one)."""
-        return int(self.cells[0].sum())
-
-    def clear(self) -> None:
-        """Zero every register (after a merge flushes the sketch out)."""
-        self.cells[:] = 0
 
     def compatible_with(self, store: CounterStore) -> bool:
         """Whether this sketch addresses cells exactly like ``store``."""
-        return (
-            store.cells_per_row == self.cells_per_row
-            and store.rows == self.rows
-            and store._family == self.family
-        )
+        return store.translator.addressing == self.addressing
 
 
 class SketchStore(CounterStore):
@@ -122,8 +99,8 @@ class SketchStore(CounterStore):
         """Fold a switch sketch into this bank; returns frames offered.
 
         One FETCH_ADD per non-zero sketch cell.  The sketch itself is
-        left untouched (callers typically :meth:`SwitchSketch.clear`
-        after a successful merge).
+        left untouched (callers zero ``sketch.cells`` after a successful
+        merge).
         """
         if not sketch.compatible_with(self):
             raise ValueError("sketch is not mergeable (shape/seed differ)")

@@ -24,13 +24,13 @@ equivalence suites can diff the two paths.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.fabric.fabric import Fabric
-from repro.hashing.hash_family import HashFamily, Key, fold_keys
+from repro.hashing.hash_family import HashFamily, Key, fold_key, fold_keys
 from repro.rdma.frames import (
     FrameBatch,
     FramePool,
@@ -52,10 +52,79 @@ from repro.rdma.packets import (
 )
 from repro.rdma.qp import PSN_MODULUS, psn_run
 
-#: Hash-family member base reserved for counter/sketch rows (shared with
-#: :class:`~repro.collector.counters.CounterStore` so switch-side and
-#: collector-side addressing agree bit for bit).
+#: Hash-family member base reserved for counter/sketch rows; row ``r`` of
+#: every count-min bank is addressed by member ``COUNTER_FUNCTION_BASE + r``.
 COUNTER_FUNCTION_BASE = 0x20000000
+
+#: Reads flat count-min cells: cell numbers in, one word per cell out
+#: (``None`` for a cell whose READ was lost).
+CellReader = Callable[[List[int]], Sequence[Optional[int]]]
+
+
+class CountMinAddressing(NamedTuple):
+    """Where a folded key lives in a ``rows x cells_per_row`` count-min bank.
+
+    The one place count-min addressing is written down: switch sketches,
+    the Key-Increment lowering and every estimate reader derive cells
+    here, from the key's lane.  A cell is its flat number in the row-major
+    matrix (``row * cells_per_row + index``); two banks address alike
+    exactly when these tuples are equal.
+    """
+
+    family: HashFamily
+    rows: int
+    cells_per_row: int
+
+    def cells(self, lane: int) -> List[int]:
+        """The lane's cell in every row, row 0 first."""
+        mix, width = self.family.hash_folded, self.cells_per_row
+        return [
+            row * width + mix(lane, COUNTER_FUNCTION_BASE + row) % width
+            for row in range(self.rows)
+        ]
+
+    def cells_array(self, lanes: np.ndarray) -> np.ndarray:
+        """:meth:`cells` over a lane array: ``uint64[n, rows]``, one mix pass."""
+        rows, width = self.rows, np.uint64(self.cells_per_row)
+        indexes = self.family.hash_folded_array(
+            lanes, range(COUNTER_FUNCTION_BASE, COUNTER_FUNCTION_BASE + rows)
+        ) % width
+        return (indexes + np.arange(rows, dtype=np.uint64)[:, None] * width).T
+
+    def key_cells(self, key: Key) -> List[int]:
+        """:meth:`cells` for a key: the one fold of a scalar count-min update."""
+        return self.cells(fold_key(key))
+
+    def estimates(
+        self, lanes: Iterable[int], read_cells: CellReader
+    ) -> List[Optional[int]]:
+        """The count-min read: per lane, the minimum across its row cells.
+
+        Every lane's cells go to ``read_cells`` in one call (lane-major),
+        so a remote reader pipelines the whole run; lost cells are left
+        out of the minimum and a lane with none left estimates ``None``.
+        """
+        rows = self.rows
+        words = read_cells([cell for lane in lanes for cell in self.cells(int(lane))])
+        return [
+            min(
+                (word for word in words[start : start + rows] if word is not None),
+                default=None,
+            )
+            for start in range(0, len(words), rows)
+        ]
+
+    def estimate(self, key: Key, read_cells: CellReader) -> Optional[int]:
+        """:meth:`estimates` for one key: the one fold of a scalar estimate."""
+        return self.estimates((fold_key(key),), read_cells)[0]
+
+
+def check_amount(amount: int) -> None:
+    """Reject an increment a FETCH_ADD cannot carry, before any side effect."""
+    if not 0 <= amount < 1 << 64:
+        raise ValueError(
+            f"amount must be a non-negative 64-bit addend, got {amount}"
+        )
 
 
 class AppendReserveError(RuntimeError):
@@ -307,20 +376,12 @@ class KeyIncrementTranslator(PrimitiveTranslator):
     ) -> None:
         super().__init__(fabric, endpoint_id, qp_number, rkey=rkey, psn=psn)
         self.base_address = base_address
-        self.cells_per_row = cells_per_row
-        self.rows = rows
-        self.family = family
+        #: The target bank's count-min addressing.
+        self.addressing = CountMinAddressing(family, rows, cells_per_row)
         #: Keys incremented (an increment spans ``rows`` frames).
         self.c_increments = self._registry.counter(
             "increments_total", labels=self._labels
         )
-
-    def cell_address(self, key: Key, row: int) -> int:
-        """Virtual address of ``key``'s cell in ``row`` of the bank."""
-        index = self.family.hash_key_mod(
-            key, COUNTER_FUNCTION_BASE + row, self.cells_per_row
-        )
-        return self.base_address + (row * self.cells_per_row + index) * 8
 
     def craft_add_frames(self, key: Key, amount: int = 1) -> List[bytes]:
         """The FETCH_ADD frames a switch emits to count ``key``.
@@ -328,16 +389,13 @@ class KeyIncrementTranslator(PrimitiveTranslator):
         One frame per count-min row; zero-amount adds are a no-op and
         craft nothing (no frames, no PSNs burned).
         """
-        if amount < 0:
-            raise ValueError("amount must be non-negative")
+        check_amount(amount)
         if amount == 0:
             return []
-        frames = []
-        for row in range(self.rows):
-            frames.append(
-                self.craft_fetch_add(self.cell_address(key, row), amount)
-            )
-        return frames
+        return [
+            self.craft_fetch_add(self.base_address + cell * 8, amount)
+            for cell in self.addressing.key_cells(key)
+        ]
 
     def increment(self, key: Key, amount: int = 1) -> int:
         """Count ``key`` once through the scalar frame path.
@@ -354,46 +412,62 @@ class KeyIncrementTranslator(PrimitiveTranslator):
         return len(frames)
 
     def increment_many(self, items: Iterable[Tuple[Key, int]]) -> int:
-        """Batched counting through the columnar FETCH_ADD path.
+        """Batched counting: one fold per key, then :meth:`increment_folded`."""
+        items = list(items)
+        return self.increment_folded(
+            fold_keys([key for key, _amount in items]),
+            [amount for _key, amount in items],
+        )
 
-        Folds every key once, derives all ``keys x rows`` cell addresses
-        with the vectorised hash family (bit-identical to the scalar
-        addressing), encodes one pooled frame batch and offers it through
-        ``send_batch`` (then flushes).  Frame emission order matches the
-        scalar path: all rows of item 0, then item 1, ...  Zero-amount
-        items are skipped.  Returns the number of frames offered.
+    def increment_folded(self, lanes: np.ndarray, amounts: Sequence[int]) -> int:
+        """Count pre-folded keys through the columnar FETCH_ADD path.
+
+        Derives all ``lanes x rows`` cell addresses in one vectorised pass
+        (bit-identical to the scalar addressing), encodes one pooled frame
+        batch and offers it through ``send_batch`` (then flushes).  Frame
+        emission order matches the scalar path: all rows of item 0, then
+        item 1, ...  Zero-amount items are skipped.  Returns the number of
+        frames offered.
         """
         started = self._t_batch.start()
-        keys: List[Key] = []
-        amounts: List[int] = []
-        for key, amount in items:
-            if amount < 0:
-                raise ValueError("amount must be non-negative")
-            if amount == 0:
-                continue
-            keys.append(key)
-            amounts.append(amount)
-        if not keys:
+        for amount in amounts:
+            check_amount(amount)
+        addends = np.asarray(amounts, dtype=np.uint64)
+        counted = np.flatnonzero(addends)
+        if not len(counted):
             return 0
-        rows, cells = self.rows, self.cells_per_row
-        folded = fold_keys(keys)
-        cell_numbers = np.empty((len(keys), rows), dtype=np.uint64)
-        for row in range(rows):
-            indexes = self.family.hash_folded_array(
-                folded, COUNTER_FUNCTION_BASE + row
-            ) % np.uint64(cells)
-            cell_numbers[:, row] = np.uint64(row * cells) + indexes
-        addresses = (
-            np.uint64(self.base_address) + cell_numbers.reshape(-1) * np.uint64(8)
+        rows = self.addressing.rows
+        cells = self.addressing.cells_array(lanes[counted])
+        addresses = np.uint64(self.base_address) + cells.reshape(-1) * np.uint64(8)
+        batch = self._encode_fetch_add_batch(
+            addresses, np.repeat(addends[counted], rows)
         )
-        operands = np.repeat(np.asarray(amounts, dtype=np.uint64), rows)
-        batch = self._encode_fetch_add_batch(addresses, operands)
         offered = batch.count
         self.fabric.send_batch(batch)
         self.fabric.flush()
-        self.c_increments.inc(len(keys))
+        self.c_increments.inc(len(counted))
         self._t_batch.stop(started)
         return offered
+
+    def cell_reader(
+        self, read_run: Callable[[List[int], int], Sequence[Optional[bytes]]]
+    ) -> CellReader:
+        """What :meth:`CountMinAddressing.estimates` reads this bank through.
+
+        ``read_run(addresses, length)`` -- ``OneSidedReader.read_run``, a
+        retrying wrapper of it, or a local region read -- returns one
+        big-endian word per address, ``None`` for a lost READ.
+        """
+        base = self.base_address
+
+        def read_cells(cells: List[int]) -> List[Optional[int]]:
+            payloads = read_run([base + cell * 8 for cell in cells], 8)
+            return [
+                None if payload is None else int.from_bytes(payload, "big")
+                for payload in payloads
+            ]
+
+        return read_cells
 
 
 class SketchMergeTranslator(PrimitiveTranslator):

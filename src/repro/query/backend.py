@@ -25,7 +25,7 @@ Two properties the query front end depends on:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from repro.core.addressing import DartAddressing
 from repro.core.config import DartConfig
 from repro.core.policies import ReturnPolicy, fold_slots
 from repro.hashing.hash_family import Key, fold_keys
-from repro.primitives.clients import COLUMNAR_MIN_READS, OneSidedReader, read_ring_window
+from repro.primitives.clients import OneSidedReader, read_ring_window
 from repro.primitives.translator import ResponseDemux
 
 #: Requester QP of the query front end's keys-plane reader for role 0.
@@ -206,40 +206,23 @@ class FanoutBackend:
         shard: ShardAssignment,
         keys: List[Key],
         policy: ReturnPolicy,
+        lanes: np.ndarray,
     ) -> List[Dict[str, object]]:
         """Key-query rows for one shard: DART slot reads + return policy.
 
-        Value-identical to :class:`~repro.core.client.DartQueryClient`
-        on the same keys: the N slot addresses come from the shared
-        addressing and the same :func:`~repro.core.policies.fold_slots`
-        discards checksum-mismatched slots and applies the policy.
+        ``lanes`` are the keys' folds, as :meth:`shards_for` handed them
+        down.  Value-identical to
+        :class:`~repro.core.client.DartQueryClient` on the same keys: the
+        N slot addresses come from the shared addressing and the same
+        :func:`~repro.core.policies.fold_slots` discards
+        checksum-mismatched slots and applies the policy.
         """
         if not keys:
             return []
         reader = self._keys_reader(shard)
         config = self.config
         redundancy = config.redundancy
-        addressing = self.addressing
-        if len(keys) * redundancy < COLUMNAR_MIN_READS:
-            # A run the reader will send frame by frame: resolve it key
-            # by key too (the array resolve costs more than three keys).
-            resolved = [addressing.resolve(key) for key in keys]
-            checksums = [entry.checksum for entry in resolved]
-            addresses = [
-                addressing.slot_address(shard.base_address, slot_index)
-                for entry in resolved
-                for slot_index in entry.slot_indexes
-            ]
-        else:
-            _collectors, checksum_column, slots = addressing.resolve_folded(
-                fold_keys(keys)
-            )
-            checksums = checksum_column.tolist()
-            # Key-major, copy-minor: the order the scalar branch reads in.
-            addresses = (
-                shard.base_address
-                + slots.T.reshape(-1).astype(np.int64) * config.slot_bytes
-            ).tolist()
+        checksums, addresses = self.addressing.reads_folded(lanes, shard.base_address)
         payloads = self.read_reliable(
             reader, addresses, config.slot_bytes, shard
         )
@@ -263,44 +246,30 @@ class FanoutBackend:
     def _estimate_rows(
         self,
         source: str,
-        stores: Dict[int, object],
         shard: ShardAssignment,
         keys: List[Key],
+        lanes: np.ndarray,
     ) -> List[Dict[str, object]]:
         """Count-min estimate rows for one counter/sketch shard."""
         if not keys:
             return []
+        stores = self.counter_stores if source == "counters" else self.sketch_stores
         store = stores.get(shard.role)
         if store is None:
             raise ShardUnavailable(shard.role, shard.node_id)
         reader = self._store_reader(source, shard.role, store)
-        addresses = []
-        for key in keys:
-            for row in range(store.rows):
-                addresses.append(store.translator.cell_address(key, row))
-        payloads = self.read_reliable(reader, addresses, 8, shard)
-        rows = []
-        for index, key in enumerate(keys):
-            cells = [
-                int.from_bytes(
-                    payloads[index * store.rows + row], "big"
+        estimates = store.translator.addressing.estimates(
+            lanes,
+            store.translator.cell_reader(
+                lambda addresses, length: self.read_reliable(
+                    reader, addresses, length, shard
                 )
-                for row in range(store.rows)
-            ]
-            rows.append({"key": key_text(key), "est": min(cells)})
-        return rows
-
-    def counter_rows(
-        self, shard: ShardAssignment, keys: List[Key]
-    ) -> List[Dict[str, object]]:
-        """Counter-bank estimate rows for one shard (min across rows)."""
-        return self._estimate_rows("counters", self.counter_stores, shard, keys)
-
-    def sketch_rows(
-        self, shard: ShardAssignment, keys: List[Key]
-    ) -> List[Dict[str, object]]:
-        """Sketch-bank estimate rows for one shard (min across rows)."""
-        return self._estimate_rows("sketch", self.sketch_stores, shard, keys)
+            ),
+        )
+        return [
+            {"key": key_text(key), "est": estimate}
+            for key, estimate in zip(keys, estimates)
+        ]
 
     def ring_rows(self, shard: ShardAssignment) -> List[Dict[str, object]]:
         """Append-ring rows for one shard: remote tail + readable window.
@@ -333,33 +302,47 @@ class FanoutBackend:
         shard: ShardAssignment,
         keys: List[Key],
         policy: ReturnPolicy,
+        lanes: np.ndarray,
     ) -> List[Dict[str, object]]:
         """Dispatch one shard read by source name (the planner's seam)."""
         if source == "keys":
-            return self.keys_rows(shard, keys, policy)
-        if source == "counters":
-            return self.counter_rows(shard, keys)
-        if source == "sketch":
-            return self.sketch_rows(shard, keys)
+            return self.keys_rows(shard, keys, policy, lanes)
+        if source in ("counters", "sketch"):
+            return self._estimate_rows(source, shard, keys, lanes)
         if source == "ring":
             return self.ring_rows(shard)
         raise ValueError(f"unknown source {source!r}")
 
+    def route(
+        self, keys: Sequence[Key]
+    ) -> Dict[int, Tuple[List[int], np.ndarray]]:
+        """Fold ``keys`` once and group them by the shard (role) storing them.
+
+        Returns ``{role: (positions into keys, those keys' lanes)}`` in
+        first-seen role order.  This is the query side's only fold: the
+        lanes travel with the keys from here on.
+        """
+        lanes = fold_keys(keys)
+        positions: Dict[int, List[int]] = {}
+        for position, role in enumerate(self.addressing.collectors_folded(lanes)):
+            positions.setdefault(role, []).append(position)
+        return {role: (where, lanes[where]) for role, where in positions.items()}
+
     def shards_for(
         self, shard_map: ShardMap, keys: Optional[List[Key]]
-    ) -> Dict[int, List[Key]]:
-        """Group candidate keys by the shard (role) that stores them.
+    ) -> Dict[int, Tuple[List[Key], np.ndarray]]:
+        """Group candidate keys, with their lanes, by the shard storing them.
 
         ``None`` keys (key-less sources like ``ring``) map every shard to
         an empty candidate list -- the fan-out still covers the fleet.
         """
-        grouped: Dict[int, List[Key]] = {}
         if keys is None:
-            return {role: [] for role in shard_map.roles()}
-        for key in keys:
-            role = self.addressing.collector_of(key)
-            grouped.setdefault(role, []).append(key)
-        return grouped
+            no_lanes = np.empty(0, dtype=np.uint64)
+            return {role: ([], no_lanes) for role in shard_map.roles()}
+        return {
+            role: ([keys[position] for position in where], lanes)
+            for role, (where, lanes) in self.route(keys).items()
+        }
 
 
 #: A provider the planner polls for the epoch-current shard map.

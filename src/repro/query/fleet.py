@@ -9,7 +9,7 @@ the full read surface behind one object:
   by a :class:`~repro.switch.control_plane.SwitchControlPlane`;
 - a **store plane**: per-role Key-Increment counter banks, Sketch-Merge
   banks and Append rings on a second fabric of the same flavour, routed
-  by the shared addressing (``collector_of``), so every substrate is
+  by the collector role read off each key's lane, so every substrate is
   sharded exactly like the keyspace;
 - an optional **fleet controller** (:meth:`enable_control`) ticked on the
   fleet's logical clock, which is what makes the shard map *move*:
@@ -183,13 +183,6 @@ class QueryFleet:
         )
         return self.controller
 
-    @property
-    def current_epoch(self) -> int:
-        """The fleet's table-version epoch (0 without a controller)."""
-        if self.controller is not None:
-            return self.controller.current_epoch
-        return 0
-
     def shard_map(self) -> ShardMap:
         """The epoch-current shard map (live controller state when enabled)."""
         if self.controller is not None:
@@ -220,13 +213,6 @@ class QueryFleet:
             self._known.add(key)
             self.known_keys.append(key)
 
-    def put(self, key: Key, value: bytes) -> None:
-        """Store one key report through the switch's per-event path."""
-        self._remember(key)
-        self.switch.report_into(key, value)
-        self.fabric.flush()
-        self._advance()
-
     def put_many(self, items: Iterable[Tuple[Key, bytes]]) -> int:
         """Batched key reports: one columnar batch, one flush."""
         items = list(items)
@@ -237,37 +223,26 @@ class QueryFleet:
         self._advance(len(items))
         return len(items)
 
-    def count(self, key: Key, amount: int = 1) -> None:
-        """Count one key in its shard's counter bank (Key-Increment)."""
-        self.count_many([(key, amount)])
-
     def count_many(self, items: Iterable[Tuple[Key, int]]) -> int:
         """Batched counting, routed to each key's shard bank."""
-        grouped: Dict[int, List[Tuple[Key, int]]] = {}
-        count = 0
-        for key, amount in items:
-            self._remember(key)
-            role = self.backend.addressing.collector_of(key)
-            grouped.setdefault(role, []).append((key, amount))
-            count += 1
-        for role, shard_items in grouped.items():
-            self.counter_stores[role].add_many(shard_items)
-        self._advance(count)
-        return count
+        return self._add_sharded(self.counter_stores, items)
 
     def sketch_many(self, items: Iterable[Tuple[Key, int]]) -> int:
         """Batched sketch updates, routed to each key's shard bank."""
-        grouped: Dict[int, List[Tuple[Key, int]]] = {}
-        count = 0
-        for key, amount in items:
+        return self._add_sharded(self.sketch_stores, items)
+
+    def _add_sharded(self, stores, items: Iterable[Tuple[Key, int]]) -> int:
+        """One fold per key, then each shard bank counts its own lanes."""
+        items = list(items)
+        keys = [key for key, _amount in items]
+        for key in keys:
             self._remember(key)
-            role = self.backend.addressing.collector_of(key)
-            grouped.setdefault(role, []).append((key, amount))
-            count += 1
-        for role, shard_items in grouped.items():
-            self.sketch_stores[role].add_many(shard_items)
-        self._advance(count)
-        return count
+        for role, (where, lanes) in self.backend.route(keys).items():
+            stores[role].add_folded(
+                lanes, [items[position][1] for position in where]
+            )
+        self._advance(len(items))
+        return len(items)
 
     def append(self, key: Key, record: bytes) -> None:
         """Append one record to the ring of the shard storing ``key``."""

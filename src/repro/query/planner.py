@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.control.shards import ShardMap
 from repro.core.policies import ReturnPolicy
 from repro.hashing.hash_family import Key
@@ -38,6 +40,9 @@ class ShardPlan:
     node_id: int
     #: Candidate keys this shard stores (empty for key-less sources).
     keys: Tuple[Key, ...]
+    #: The keys' folded lanes, one per key: the planner folds once and
+    #: every shard read derives its locations from these.
+    lanes: np.ndarray = field(compare=False, repr=False)
 
     def describe(self) -> str:
         """One-line operator rendering of the shard slice."""
@@ -197,6 +202,7 @@ class QueryPlan:
                 self.shard_map.assignment(shard.role),
                 list(shard.keys),
                 self.policy,
+                shard.lanes,
             )
         except ShardUnavailable:
             outcome.failed = True
@@ -267,9 +273,10 @@ def plan_query(
     ``keys`` is the candidate key set (DART stores cannot enumerate
     keys; the operator or service supplies candidates).  Key predicates
     prune it *here* -- before any shard is contacted -- and the
-    survivors are grouped by :meth:`DartAddressing.collector_of
-    <repro.core.addressing.DartAddressing.collector_of>` so each shard
-    receives exactly the keys it stores.  Shards with no candidates are
+    survivors are folded once and grouped by the collector role read off
+    their lanes (:meth:`FanoutBackend.shards_for
+    <repro.query.backend.FanoutBackend.shards_for>`), so each shard
+    receives exactly the keys it stores, lanes attached.  Shards with no candidates are
     dropped from the fan-out entirely (except for key-less sources,
     which always cover the fleet).
     """
@@ -286,14 +293,15 @@ def plan_query(
     grouped = backend.shards_for(shard_map, keys if keyed_source else None)
     shards = []
     for role in sorted(grouped):
-        shard_keys = tuple(grouped[role])
+        shard_keys, lanes = grouped[role]
         if keyed_source and not shard_keys:
             continue
         shards.append(
             ShardPlan(
                 role=role,
                 node_id=shard_map.node_for(role),
-                keys=shard_keys,
+                keys=tuple(shard_keys),
+                lanes=lanes,
             )
         )
     policy = query.policy if query.policy is not None else default_policy

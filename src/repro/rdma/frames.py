@@ -31,6 +31,7 @@ from repro.rdma.layout import (
     BTH,
     ETHERNET,
     ETHERTYPE_IPV4,
+    FIELD_NAMES,
     ICRC,
     ICRC_MASKED_COLUMNS,
     ICRC_PREFIX_BYTES,
@@ -145,48 +146,58 @@ def icrc_ok(frames: np.ndarray) -> np.ndarray:
 
 
 # Big-endian field readers/writers.  Column slices of a C-contiguous frame
-# matrix are strided, so both go through a contiguous scratch as wide as
-# the next machine word; all return/accept native-order integer arrays.
+# matrix are strided, so both go through a contiguous copy; all return /
+# accept native-order integer arrays (``uint32`` for fields of up to four
+# bytes, ``uint64`` for wider ones).
 
-_WORDS = {4: (">u4", np.uint32), 8: (">u8", np.uint64)}
+
+def _column(start: int, stop: int) -> Tuple[int, int, int, str, type]:
+    """``(start, stop, pad, big-endian view, native dtype)`` of a column.
+
+    A width numpy has an integer for is viewed as is (``pad`` 0); any
+    other (the 24-bit QP / PSN / MSN, a MAC) is right-aligned in the next
+    machine word, ``pad`` zero bytes in front.
+    """
+    width = stop - start
+    word = width if width in (1, 2, 4, 8) else 4 if width < 4 else 8
+    return start, stop, word - width, f">u{word}", np.uint32 if word <= 4 else np.uint64
+
+
+#: Every ``"header.field"`` of the layout as a column, resolved once at import.
+_COLUMNS = {name: _column(*span(name)) for name in FIELD_NAMES}
 
 
 def read_field(frames: np.ndarray, name: str) -> np.ndarray:
-    """The ``"header.field"`` column of every row: ``uint32`` for fields
-    of up to four bytes, ``uint64`` for wider ones."""
-    start, stop = span(name)
-    width = stop - start
-    word = 4 if width <= 4 else 8
-    if width == word:
-        raw = np.ascontiguousarray(frames[:, start:stop])
+    """The ``"header.field"`` column of every row, as native integers."""
+    start, stop, pad, big_endian, native = _COLUMNS[name]
+    if pad:
+        raw = np.zeros((len(frames), stop - start + pad), dtype=np.uint8)
+        raw[:, pad:] = frames[:, start:stop]
     else:
-        raw = np.zeros((len(frames), word), dtype=np.uint8)
-        raw[:, word - width :] = frames[:, start:stop]
-    big_endian, native = _WORDS[word]
+        raw = np.ascontiguousarray(frames[:, start:stop])
     return raw.view(big_endian).ravel().astype(native)
 
 
-def _write_be(frames: np.ndarray, start: int, stop: int, values: np.ndarray) -> None:
-    width = stop - start
-    word = 4 if width <= 4 else 8
+def _write_column(frames: np.ndarray, column: tuple, values: np.ndarray) -> None:
+    start, stop, pad, big_endian, _native = column
     frames[:, start:stop] = (
-        values.astype(_WORDS[word][0]).view(np.uint8).reshape(-1, word)[:, word - width :]
+        values.astype(big_endian).view(np.uint8).reshape(len(values), -1)[:, pad:]
     )
 
 
 def write_field(frames: np.ndarray, name: str, values: np.ndarray) -> None:
     """Store ``values`` as the big-endian ``"header.field"`` column."""
-    _write_be(frames, *span(name), values)
+    _write_column(frames, _COLUMNS[name], values)
 
 
 def write_be32(frames: np.ndarray, offset: int, values: np.ndarray) -> None:
     """Store ``values`` as a big-endian u32 column at ``offset``."""
-    _write_be(frames, offset, offset + 4, values)
+    _write_column(frames, _column(offset, offset + 4), values)
 
 
 def write_be64(frames: np.ndarray, offset: int, values: np.ndarray) -> None:
     """Store ``values`` as a big-endian u64 column at ``offset``."""
-    _write_be(frames, offset, offset + 8, values)
+    _write_column(frames, _column(offset, offset + 8), values)
 
 
 def write_le32(frames: np.ndarray, offset: int, values: np.ndarray) -> None:
@@ -368,13 +379,6 @@ class FrameBatch:
     def frame_bytes(self, index: int) -> bytes:
         """Frame ``index`` as standalone wire bytes (scalar-path bridge)."""
         return self.frames[index].tobytes()
-
-    def iter_pairs(self) -> Iterator[Tuple[int, bytes]]:
-        """Yield ``(endpoint_id, frame_bytes)`` in emission order."""
-        endpoint_ids = self.endpoint_ids
-        frames = self.frames
-        for index in range(len(frames)):
-            yield int(endpoint_ids[index]), frames[index].tobytes()
 
     def single_endpoint(self) -> Optional[int]:
         """The one endpoint every frame targets, or None if mixed."""

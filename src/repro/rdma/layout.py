@@ -140,6 +140,8 @@ _SPANS: Dict[str, Tuple[int, int]] = {
     name: (header.offset + field.offset, header.offset + field.offset + field.width)
     for name, (header, field) in _FIELDS.items()
 }
+#: Every ``"header.field"`` name :func:`span` knows, in wire order.
+FIELD_NAMES: Tuple[str, ...] = tuple(_SPANS)
 
 
 def span(name: str) -> Tuple[int, int]:

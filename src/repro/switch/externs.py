@@ -34,9 +34,6 @@ class RegisterArray:
         self._mask = (1 << width_bits) - 1
         self._cells: List[int] = [0] * size
 
-    def __len__(self) -> int:
-        return self.size
-
     def __repr__(self) -> str:
         return f"RegisterArray(name={self.name!r}, size={self.size}, width={self.width_bits})"
 

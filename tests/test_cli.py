@@ -336,3 +336,16 @@ class TestQueryCommand:
         before = obs.get_registry()
         assert main(["query", "select count(*) from ring"]) == 0
         assert obs.get_registry() is before
+
+
+class TestPrimitivesCommand:
+    @pytest.mark.parametrize("fabric", ["inline", "impaired"])
+    def test_demo_runs_and_reconciles(self, fabric, capsys):
+        code = main(["primitives", "--fabric", fabric, "--events", "48"])
+        out = capsys.readouterr().out
+        assert code == 0
+        for primitive in ("append", "key_increment", "sketch_merge"):
+            assert primitive in out
+        assert "== reconciliation ==" in out
+        # Every atomic the NIC executed reached memory through it.
+        assert "atomic bypass delta     0" in out

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.addressing import DartAddressing
+from repro.core.addressing import COLLECTOR_FUNCTION_INDEX, DartAddressing
 from repro.core.config import DartConfig
+from repro.hashing.hash_family import fold_key, fold_keys
+from repro.primitives.translator import COUNTER_FUNCTION_BASE, CountMinAddressing
 
 key_strategy = st.one_of(
     st.binary(min_size=1, max_size=16),
@@ -67,18 +69,16 @@ class TestLocate:
         """Paper section 3.1: duplicates of any key stay on one collector."""
         addressing = make_addressing()
         for i in range(200):
-            locations = addressing.locate(("flow", i))
-            collectors = {loc.collector_id for loc in locations}
-            assert len(collectors) == 1
+            resolved = addressing.resolve(("flow", i))
+            assert resolved.collector_id == addressing.collector_of(("flow", i))
 
     def test_locate_structure(self):
         addressing = make_addressing(redundancy=3)
-        locations = addressing.locate(b"key")
-        assert [loc.copy_index for loc in locations] == [0, 1, 2]
-        assert all(
-            loc.slot_index == addressing.slot_index(b"key", loc.copy_index)
-            for loc in locations
-        )
+        resolved = addressing.resolve(b"key")
+        assert resolved.checksum == addressing.checksum_of(b"key")
+        assert list(resolved.slot_indexes) == [
+            addressing.slot_index(b"key", n) for n in range(3)
+        ]
 
     def test_copies_usually_distinct_slots(self):
         """Independent hashes rarely collide in a 4096-slot region."""
@@ -126,19 +126,105 @@ class TestDistribution:
 class TestVectorised:
     def test_matches_scalar_distribution_bounds(self):
         addressing = make_addressing()
-        keys = np.arange(10000, dtype=np.uint64)
-        collectors = addressing.collectors_of_array(keys)
-        slots = addressing.slot_indexes_array(keys, 1)
-        checksums = addressing.checksums_array(keys)
+        lanes = fold_keys(range(10000))
+        collectors, checksums, slots = addressing.resolve_folded(lanes)
+        assert slots.shape == (3, 10000)
         assert int(collectors.max()) < 4
         assert int(slots.max()) < (1 << 12)
         assert int(checksums.max()) < (1 << 32)
 
-    def test_copy_index_validated(self):
-        addressing = make_addressing(redundancy=2)
-        with pytest.raises(ValueError):
-            addressing.slot_indexes_array(np.arange(4, dtype=np.uint64), 2)
-
     def test_equality(self):
         assert make_addressing() == make_addressing()
         assert make_addressing(seed=1) != make_addressing(seed=2)
+
+
+# ----------------------------------------------------------------------
+# Differential: everything derived from a lane equals the reference that
+# hashes the key itself (HashFamily.hash_key_mod / KeyChecksum.compute).
+# ----------------------------------------------------------------------
+
+_atoms = st.one_of(
+    st.integers(min_value=0, max_value=2**64),
+    st.text(min_size=1, max_size=16),
+    st.binary(min_size=1, max_size=64),
+)
+mixed_keys = st.one_of(
+    _atoms,
+    st.tuples(_atoms, _atoms),
+    st.tuples(st.text(max_size=15), st.text(max_size=15), *[st.integers(0, 65535)] * 3),
+    st.tuples(st.integers(0, 2**32), st.tuples(_atoms, st.integers(0, 255))),
+)
+
+
+class TestLanePathMatchesKeyReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        keys=st.lists(mixed_keys, min_size=1, max_size=12),
+        redundancy=st.sampled_from([1, 2, 3, 4, 8]),
+        checksum_bits=st.sampled_from([8, 16, 32]),
+        rows=st.sampled_from([1, 2, 4]),
+        seed=st.integers(0, 3),
+    )
+    def test_every_location_bit_identical(
+        self, keys, redundancy, checksum_bits, rows, seed
+    ):
+        config = DartConfig(
+            slots_per_collector=1 << 10, num_collectors=5, seed=seed,
+            redundancy=redundancy, checksum_bits=checksum_bits,
+        )
+        addressing = DartAddressing(config)
+        family, checksum = config.hash_family(), config.key_checksum()
+        count_min = CountMinAddressing(family, rows, 97)
+        base = 0x4000
+
+        collectors = [
+            family.hash_key_mod(key, COLLECTOR_FUNCTION_INDEX, 5) for key in keys
+        ]
+        checksums = [checksum.compute(key) for key in keys]
+        slots = [
+            [family.hash_key_mod(key, n, 1 << 10) for n in range(redundancy)]
+            for key in keys
+        ]
+        cells = [
+            [
+                row * 97 + family.hash_key_mod(key, COUNTER_FUNCTION_BASE + row, 97)
+                for row in range(rows)
+            ]
+            for key in keys
+        ]
+        addresses = [
+            base + slot * config.slot_bytes for copies in slots for slot in copies
+        ]
+
+        # Scalar forms, from the key and from its lane.
+        for index, key in enumerate(keys):
+            resolved = addressing.resolve(key)
+            assert resolved == addressing.resolve_lane(fold_key(key))
+            assert resolved.collector_id == collectors[index]
+            assert resolved.checksum == checksums[index]
+            assert list(resolved.slot_indexes) == slots[index]
+            assert count_min.key_cells(key) == cells[index]
+
+        # Array forms, and the run forms on both sides of their length cut.
+        lanes = fold_keys(keys)
+        got_collectors, got_checksums, got_slots = addressing.resolve_folded(lanes)
+        assert got_collectors.tolist() == collectors
+        assert got_checksums.tolist() == checksums
+        assert got_slots.T.tolist() == slots
+        assert count_min.cells_array(lanes).tolist() == cells
+        for run in (lanes, lanes[:1]):
+            assert addressing.collectors_folded(run) == collectors[: len(run)]
+            assert addressing.reads_folded(run, base) == (
+                checksums[: len(run)],
+                addresses[: len(run) * redundancy],
+            )
+
+    def test_array_mix_accepts_any_integral_member(self):
+        """``hash_folded_array`` took ``np.int64(3)`` for a sequence."""
+        family = DartConfig().hash_family()
+        lanes = fold_keys([b"a", b"b"])
+        assert (
+            family.hash_folded_array(lanes, np.int64(3)).tolist()
+            == family.hash_folded_array(lanes, 3).tolist()
+            == [family.hash_folded(lane, 3) for lane in lanes.tolist()]
+        )

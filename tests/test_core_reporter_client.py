@@ -125,9 +125,9 @@ class TestWriteReadRoundtrip:
         config, cluster, reporter, client = self.make_pair()
         self.apply(cluster, reporter.writes_for(b"victim", b"truth"))
         # Manually stomp one of the victim's two slots with garbage.
-        loc = reporter.addressing.locate(b"victim")[0]
-        cluster[loc.collector_id].write_slot(
-            loc.slot_index, b"\xff" * config.slot_bytes
+        victim = reporter.addressing.resolve(b"victim")
+        cluster[victim.collector_id].write_slot(
+            victim.slot_indexes[0], b"\xff" * config.slot_bytes
         )
         result = client.query(b"victim")
         assert result.answered and result.value == b"truth\x00\x00\x00"
@@ -136,9 +136,10 @@ class TestWriteReadRoundtrip:
     def test_full_overwrite_yields_empty(self):
         config, cluster, reporter, client = self.make_pair()
         self.apply(cluster, reporter.writes_for(b"victim", b"truth"))
-        for loc in reporter.addressing.locate(b"victim"):
-            cluster[loc.collector_id].write_slot(
-                loc.slot_index, b"\x00" * config.slot_bytes
+        victim = reporter.addressing.resolve(b"victim")
+        for slot_index in victim.slot_indexes:
+            cluster[victim.collector_id].write_slot(
+                slot_index, b"\x00" * config.slot_bytes
             )
         # Zeroed slots have checksum 0; victim's checksum is almost surely
         # not 0, so the query comes back empty (not an error).

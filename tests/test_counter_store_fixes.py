@@ -53,12 +53,12 @@ class TestHeavyHittersSingleEstimate:
 class TestZeroAmountShortCircuit:
     def test_zero_add_moves_nothing(self):
         store = CounterStore(cells_per_row=64, rows=2)
-        psn_before = store._psn
+        psn_before = store.translator.psn
         store.add(("flow", 1), 0)
         assert store.c_adds.value == 0
-        assert store._psn == psn_before
+        assert store.translator.psn == psn_before
         assert store.total_adds() == 0
-        assert store.craft_add_frames(("flow", 1), 0) == []
+        assert store.translator.craft_add_frames(("flow", 1), 0) == []
 
     def test_psn_and_c_adds_stay_consistent_through_mixed_batch(self):
         """PSNs advance exactly one per offered frame; c_adds one per
@@ -72,23 +72,30 @@ class TestZeroAmountShortCircuit:
         ]
         offered = store.add_many(items)
         assert offered == 4  # 2 non-zero keys x 2 rows
-        assert store._psn == offered
+        assert store.translator.psn == offered
         assert store.c_adds.value == 2
         assert store.total_adds() == offered
         # Scalar path agrees.
         store.add(("flow", 5), 0)
         store.add(("flow", 6), 1)
-        assert store._psn == offered + store.rows
+        assert store.translator.psn == offered + store.rows
         assert store.c_adds.value == 3
 
     def test_negative_amount_rejected_without_side_effects(self):
-        store = CounterStore(cells_per_row=64, rows=1)
-        with pytest.raises(ValueError):
-            store.add(("flow", 1), -1)
-        with pytest.raises(ValueError):
-            store.add_many([(("flow", 1), -5)])
+        """An addend FETCH_ADD cannot carry is a ``ValueError`` on both
+        paths before anything moves (``1 << 64`` used to burn a PSN on
+        ``add`` and raise ``OverflowError`` from ``add_many``)."""
+        store = CounterStore(cells_per_row=64, rows=2)
+        for amount in (-1, -5, 1 << 64):
+            with pytest.raises(ValueError):
+                store.add(("flow", 1), amount)
+            with pytest.raises(ValueError):
+                store.add_many([(("flow", 2), 1), (("flow", 1), amount)])
         assert store.c_adds.value == 0
-        assert store._psn == 0
+        assert store.translator.psn == 0
+        assert store.fabric.counters.frames_offered == 0
+        store.add(("flow", 1), (1 << 64) - 1)
+        assert store.estimate(("flow", 1)) == (1 << 64) - 1
 
 
 class TestMergeOnTheWire:

@@ -60,7 +60,7 @@ HOT_PATH_MODULES = [
 #: once per report inside a batch loop defeats the columnar layout.
 PER_REPORT_CONSTRUCTORS = {
     "SlotWrite",
-    "SlotLocation",
+    "ResolvedKey",
     "RoceV2Packet",
     "EthernetHeader",
     "Ipv4Header",
@@ -416,3 +416,82 @@ def test_watching_lint_catches_seeded_violations():
     assert list(_watching_violations(ast.parse(exempt), "repro/query/service.py")) == []
     prose = '"""Call shape, not a granularity option, picks stage_seconds spans."""\n'
     assert list(_watching_violations(ast.parse(prose), "repro/rdma/nic.py")) == []
+
+
+# ---------------------------------------------------------------------------
+# Fold a key once, in one place
+# ---------------------------------------------------------------------------
+
+#: The fold (``stable_key_bytes`` + the word mix) is the expensive part of
+#: every hash; a module that can import it can re-fold a key its caller
+#: already folded.  Only these may: the hash family itself, the two
+#: addressing entry points, the count-min owner, the query side's one
+#: folding site, and the switch (its mirror clone carries the key bytes).
+FOLD_NAMES = {"fold_key", "fold_keys", "stable_key_bytes"}
+MAY_FOLD = {
+    "repro/core/addressing.py", "repro/core/batch.py",
+    "repro/primitives/translator.py", "repro/query/backend.py",
+    "repro/switch/dart_switch.py",
+}
+#: Family members whose key -> location mapping has exactly one owner.
+OWNED_MEMBERS = {
+    "COLLECTOR_FUNCTION_INDEX": "repro/core/addressing.py",
+    "COUNTER_FUNCTION_BASE": "repro/primitives/translator.py",
+}
+
+
+def _fold_violations(tree: ast.AST, path):
+    """Second fold sites in one parsed module (``path`` from ``src/``)."""
+    path = str(path)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and not (
+            path.startswith("repro/hashing/") or path in MAY_FOLD
+        ):
+            for alias in node.names:
+                if alias.name in FOLD_NAMES:
+                    yield f"{path}:{node.lineno}: imports {alias.name}"
+        if isinstance(node, ast.Call) and _call_name(node) == "hash_key_mod":
+            named = {
+                name
+                for argument in node.args
+                for part in ast.walk(argument)
+                for name in _identifiers(part)
+            }
+            for member, owner in OWNED_MEMBERS.items():
+                if member in named and path != owner:
+                    yield (
+                        f"{path}:{node.lineno}: hash_key_mod(..., {member}) "
+                        f"re-derives its owner's mapping"
+                    )
+
+
+def test_one_fold_site_per_layer():
+    for module in MAY_FOLD | set(OWNED_MEMBERS.values()):
+        assert (SRC.parent / module).is_file(), module
+    violations = []
+    for path in [LAYOUT_MODULE, *_source_modules()]:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        relative = path.relative_to(SRC.parent).as_posix()
+        violations.extend(_fold_violations(tree, relative))
+    assert not violations, "\n".join(violations)
+
+
+def test_fold_lint_catches_seeded_violations():
+    seeded = {
+        "imports fold_keys": "from repro.hashing.hash_family import Key, fold_keys\n",
+        "imports stable_key_bytes": "from repro.hashing import stable_key_bytes\n",
+        "COUNTER_FUNCTION_BASE": (
+            "family.hash_key_mod(key, COUNTER_FUNCTION_BASE + row, cells)\n"
+        ),
+        "COLLECTOR_FUNCTION_INDEX": (
+            "self._family.hash_key_mod(key, COLLECTOR_FUNCTION_INDEX, count)\n"
+        ),
+    }
+    for expected, source in seeded.items():
+        flagged = list(_fold_violations(ast.parse(source), "repro/query/fleet.py"))
+        assert len(flagged) == 1 and expected in flagged[0], (source, flagged)
+    at_home = "from repro.hashing.hash_family import fold_keys\n"
+    assert list(_fold_violations(ast.parse(at_home), "repro/query/backend.py")) == []
+    assert list(_fold_violations(ast.parse(at_home), "repro/hashing/__init__.py")) == []
+    reference = "self._ecmp.hash_key_mod((flow_key, stage), 0, len(choices))\n"
+    assert list(_fold_violations(ast.parse(reference), "repro/network/topology.py")) == []

@@ -78,9 +78,9 @@ class TestThreeClientsOneAnswer:
         } == expected
 
         shard_map = shard_map_of(cluster)
-        for role, mine in backend.shards_for(shard_map, keys).items():
+        for role, (mine, lanes) in backend.shards_for(shard_map, keys).items():
             rows = backend.keys_rows(
-                shard_map.assignment(role), mine, ReturnPolicy.PLURALITY
+                shard_map.assignment(role), mine, ReturnPolicy.PLURALITY, lanes
             )
             assert [(row["value"], row["answered"]) for row in rows] == [
                 expected[key] for key in mine

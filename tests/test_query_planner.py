@@ -148,10 +148,10 @@ class TestExecutionAndMerge:
         )
         assert len(plan.shards) > 1
 
-        def broken_rows_for(source, shard, keys, policy, _orig=fleet.backend.rows_for):
+        def broken_rows_for(source, shard, *rest, _orig=fleet.backend.rows_for):
             if shard.role == plan.shards[0].role:
                 raise ShardUnavailable(shard.role, shard.node_id)
-            return _orig(source, shard, keys, policy)
+            return _orig(source, shard, *rest)
 
         fleet.backend.rows_for = broken_rows_for
         outcomes = [

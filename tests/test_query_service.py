@@ -240,10 +240,10 @@ class TestFanoutHealthRegression:
 
         original = fleet.backend.rows_for
 
-        def flaky_rows_for(source, shard, keys, policy):
+        def flaky_rows_for(source, shard, *rest):
             if shard.role == 0:
                 raise ShardUnavailable(shard.role, shard.node_id)
-            return original(source, shard, keys, policy)
+            return original(source, shard, *rest)
 
         fleet.backend.rows_for = flaky_rows_for
         result = service.serve("select sum(est) from counters")
@@ -265,10 +265,10 @@ class TestFanoutHealthRegression:
 
         original = fleet.backend.rows_for
 
-        def flaky_rows_for(source, shard, keys, policy):
+        def flaky_rows_for(source, shard, *rest):
             if shard.role == 0:
                 raise ShardUnavailable(shard.role, shard.node_id)
-            return original(source, shard, keys, policy)
+            return original(source, shard, *rest)
 
         fleet.backend.rows_for = flaky_rows_for
         assert not service.serve("select sum(est) from counters").answer.complete
@@ -312,7 +312,7 @@ class TestSloRules:
 
         service = QueryService(fleet, cache_ttl_ticks=1)
 
-        def dead_rows_for(source, shard, keys, policy):
+        def dead_rows_for(source, shard, *rest):
             raise ShardUnavailable(shard.role, shard.node_id)
 
         fleet.backend.rows_for = dead_rows_for

@@ -480,9 +480,9 @@ class TestFanoutBackend:
         def check():
             shard_map = shard_map_of(cluster)
             for subset in (keys, keys[:3]):
-                for role, mine in backend.shards_for(shard_map, subset).items():
+                for role, (mine, lanes) in backend.shards_for(shard_map, subset).items():
                     rows = backend.keys_rows(
-                        shard_map.assignment(role), mine, ReturnPolicy.PLURALITY
+                        shard_map.assignment(role), mine, ReturnPolicy.PLURALITY, lanes
                     )
                     assert [row["value"] for row in rows] == [
                         direct.query(key, policy=ReturnPolicy.PLURALITY).value

@@ -183,12 +183,12 @@ class TestDartSwitch:
     def test_frames_target_addressed_slots(self):
         config, _, switch = make_deployment()
         frames = switch.report(b"flow", b"telem")
-        locations = switch.addressing.locate(b"flow")
+        resolved = switch.addressing.resolve(b"flow")
         base = 0x100000  # DEFAULT_BASE_ADDRESS
-        for (collector_id, frame), loc in zip(frames, locations):
+        for (collector_id, frame), slot_index in zip(frames, resolved.slot_indexes):
             packet = RoceV2Packet.unpack(frame)
-            assert collector_id == loc.collector_id
-            expected = base + loc.slot_index * config.slot_bytes
+            assert collector_id == resolved.collector_id
+            expected = base + slot_index * config.slot_bytes
             assert packet.reth.virtual_address == expected
 
     def test_psn_advances_per_collector(self):
@@ -215,11 +215,11 @@ class TestDartSwitch:
         for _ in range(50):
             collector_id, frame = switch.report_single(b"flow", b"telem")
             packet = RoceV2Packet.unpack(frame)
-            locations = switch.addressing.locate(b"flow")
+            slot_indexes = switch.addressing.resolve(b"flow").slot_indexes
             base = 0x100000
-            for loc in locations:
-                if packet.reth.virtual_address == base + loc.slot_index * 12:
-                    seen_copies.add(loc.copy_index)
+            for copy_index, slot_index in enumerate(slot_indexes):
+                if packet.reth.virtual_address == base + slot_index * 12:
+                    seen_copies.add(copy_index)
         assert seen_copies == {0, 1}  # RNG exercises both copy slots
 
     def test_report_folds_key_once(self, monkeypatch):
