@@ -9,6 +9,7 @@ per-report vs batched fabric delivery paths (recorded to
 
 import json
 import pathlib
+import random
 import time
 
 from repro.core.addressing import DartAddressing
@@ -17,7 +18,7 @@ from repro.core.simulator import SimulationSpec, simulate
 from repro.collector.store import DartStore
 from repro.experiments.reporting import print_experiment
 from repro.fabric import InlineFabric
-from repro.hashing.hash_family import fold_keys
+from repro.hashing.hash_family import fold_key, fold_keys
 from repro.rdma.packets import Bth, Opcode, Reth, RoceV2Packet
 
 #: Where the fabric delivery comparison records its rows.
@@ -74,6 +75,24 @@ def test_addressing_vectorised_kernel(benchmark):
     lanes = fold_keys(range(1 << 16))
     _collectors, _checksums, slots = benchmark(addressing.resolve_folded, lanes)
     assert slots.shape == (2, len(lanes))
+
+
+def test_fold_kernel(benchmark):
+    """The batch key fold on the two key shapes ``perf/`` writes: flow
+    5-tuples (stores) and flow strings (fleets), 4096 of each per call."""
+    rng = random.Random(7)
+    tuples = [
+        (f"10.{rng.randrange(256)}.{rng.randrange(256)}.{rng.randrange(256)}",
+         f"10.{rng.randrange(256)}.{rng.randrange(256)}.{rng.randrange(256)}",
+         rng.randrange(1024, 65536), rng.randrange(1, 1024), 6)
+        for _ in range(4096)
+    ]
+    texts = ["%s:%d>%s:%d/%d" % (src, sport, dst, dport, proto)
+             for src, dst, sport, dport, proto in tuples]
+    tuple_lanes, text_lanes = benchmark(lambda: (fold_keys(tuples), fold_keys(texts)))
+    sample = range(0, 4096, 64)
+    assert [tuple_lanes[i] for i in sample] == [fold_key(tuples[i]) for i in sample]
+    assert [text_lanes[i] for i in sample] == [fold_key(texts[i]) for i in sample]
 
 
 #: How far under its recorded rate a mode may read before a gate fails:

@@ -10,21 +10,21 @@ stack.  Every column is bit-identical to what the scalar path derives for
 the same items (the byte-equivalence tests pin this), so the wire-format
 contract survives the representation change.
 
-The per-key fold (:func:`~repro.hashing.hash_family.fold_keys`, called
-once, here) is the only per-key Python work left; everything derived from
-the folded lanes is vectorised via
-:meth:`~repro.core.addressing.DartAddressing.resolve_folded`.
+The keys are folded once, here, by
+:func:`~repro.hashing.hash_family.fold_keys` -- itself a matrix pass over
+the batch -- and everything derived from the folded lanes is vectorised
+via :meth:`~repro.core.addressing.DartAddressing.resolve_folded`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
 from repro.core.addressing import DartAddressing
 from repro.core.config import DartConfig
-from repro.hashing.hash_family import Key, fold_keys
+from repro.hashing.hash_family import Key, fold_keys, pad_rows
 
 
 class ReportBatch:
@@ -85,33 +85,22 @@ class ReportBatch:
         ``ValueError`` the slot codec raises, before anything is emitted.
         """
         items = list(items) if not isinstance(items, (list, tuple)) else items
-        config = addressing.config
-        layout = config.layout
-        value_bytes = layout.value_bytes
-        checksum_bytes = layout.checksum_bytes
-        n = len(items)
-
-        parts: List[bytes] = []
-        for _key, value in items:
-            if len(value) > value_bytes:
-                raise ValueError(
-                    f"value of {len(value)} bytes exceeds layout value size "
-                    f"{value_bytes}"
-                )
-            parts.append(value.ljust(value_bytes, b"\x00"))
-
-        folded = fold_keys([key for key, _value in items])
-        collector_ids, checksums, slot_indexes = addressing.resolve_folded(folded)
-
+        keys, values = zip(*items) if items else ((), ())
+        config, n = addressing.config, len(keys)
+        value_bytes = config.layout.value_bytes
+        checksum_bytes = config.layout.checksum_bytes
+        lengths = np.fromiter(map(len, values), dtype=np.int64, count=n)
+        if n and lengths.max() > value_bytes:
+            raise ValueError(
+                f"value of {lengths[lengths > value_bytes][0]} bytes exceeds "
+                f"layout value size {value_bytes}"
+            )
+        lanes = fold_keys(keys)
+        collector_ids, checksums, slot_indexes = addressing.resolve_folded(lanes)
         payloads = np.empty((n, checksum_bytes + value_bytes), dtype=np.uint8)
         # Big-endian checksum bytes: view the u64 column as 8 bytes per row
         # and keep the low `checksum_bytes` of them.
-        checksum_matrix = (
-            checksums.astype(">u8").view(np.uint8).reshape(n, 8)
-        )
+        checksum_matrix = checksums.astype(">u8").view(np.uint8).reshape(n, 8)
         payloads[:, :checksum_bytes] = checksum_matrix[:, 8 - checksum_bytes :]
-        if n:
-            payloads[:, checksum_bytes:] = np.frombuffer(
-                b"".join(parts), dtype=np.uint8
-            ).reshape(n, value_bytes)
+        payloads[:, checksum_bytes:] = pad_rows(b"".join(values), lengths, value_bytes)
         return cls(config, collector_ids, checksums, slot_indexes, payloads)

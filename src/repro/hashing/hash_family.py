@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import operator
 import struct
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -94,18 +94,132 @@ def _fold_bytes(data: bytes) -> int:
     return splitmix64((acc ^ len(data)) & _U64)
 
 
-def fold_keys(keys: Iterable[Key]) -> np.ndarray:
-    """Fold many keys into a ``uint64`` lane array (one :func:`fold_key` each).
+#: Runs shorter than this stay a loop of :func:`fold_key`.  Measured on
+#: ``perf/``'s flow 5-tuples and flow strings: the matrix pass costs a fixed
+#: 90-220 us, the scalar fold 5-11 us a key, crossover at 16-32 keys (at 32:
+#: 336 -> 211 us, 150 -> 93 us); one key alone is 10-30x slower through numpy.
+_MATRIX_MIN_KEYS = 32
+#: The padded matrix (rows x longest row) may be at most this multiple of the
+#: bytes encoded; a batch with a row long enough to break that folds key by key.
+_PAD_SLACK = 4
 
-    This is the single fold site of every batch path: a key-taking entry
-    point calls it once, and the lanes -- not the keys -- are what crosses
-    layer boundaries below it.  Every downstream family hash finishes
-    vectorised via :meth:`HashFamily.hash_folded_array`.
+
+def fold_keys(keys: Iterable[Key]) -> np.ndarray:
+    """Fold many keys into a ``uint64`` lane array: :func:`fold_key` of each, in order.
+
+    The single fold site of every batch path.  Row ``i`` is bit-identical to
+    ``fold_key(keys[i])`` and a rejected key raises the same exception.  Bare
+    ``int`` / ``str`` / ``bytes`` keys, or flat same-arity tuples, whose columns
+    are each all ``int`` in ``[0, 2**64)``, all ASCII ``str`` or all ``bytes``
+    (the key shapes of the paper's Table 1) are encoded a column at a time
+    into one zero-padded byte matrix and the word mix runs down its columns.
+    Every other batch loops over :func:`fold_key`: nested, mixed or non-ASCII
+    keys, one whose matrix would exceed ``_PAD_SLACK`` times the bytes encoded
+    (temporaries stay bounded however long the longest key), and runs below
+    ``_MATRIX_MIN_KEYS`` (a point lookup, a ``put``, an ``add``): faster there.
     """
     keys = list(keys) if not isinstance(keys, (list, tuple)) else keys
-    return np.fromiter(
-        (fold_key(key) for key in keys), dtype=np.uint64, count=len(keys)
-    )
+    count = len(keys)
+    encoded = _encode_columns(keys) if count >= _MATRIX_MIN_KEYS else None
+    if encoded is None:
+        return np.fromiter(map(fold_key, keys), dtype=np.uint64, count=count)
+    return _fold_rows(*encoded)
+
+
+def _encode_columns(keys: Sequence[Key]):
+    """``(flat, lengths)``: the batch's encodings end to end and the size of each,
+    built a column at a time; ``None`` leaves the batch to :func:`fold_key`.
+    """
+    tupled = type(keys[0]) is tuple  # a bare batch is kind-checked as one column
+    if tupled and (set(map(type, keys)) != {tuple} or len(set(map(len, keys))) != 1):
+        return None
+    fields = [_encode_column(column) for column in (zip(*keys) if tupled else (keys,))]
+    if None in fields or not fields:
+        return None
+    count, prefix = len(keys), 4 * tupled  # the ``>I`` length before an element
+    lengths = sum(sizes + prefix for _flat, sizes in fields)
+    slots = [int(sizes.max()) for _flat, sizes in fields]
+    width = sum(slots) + prefix * len(fields)
+    if width * count > _PAD_SLACK * int(lengths.sum()):
+        return None
+    if not tupled:
+        return fields[0]
+    # Each element sits behind its length in a slot as wide as its column's
+    # longest; one masked read then squeezes the unused tails out, row-major.
+    wide = np.empty((count, width), dtype=np.uint8)
+    used = np.ones((count, width), dtype=bool)  # the prefixes stay
+    cursor = 0
+    for (flat, sizes), slot in zip(fields, slots):
+        body = cursor + prefix
+        wide[:, cursor:body] = sizes.astype(">u4").view(np.uint8).reshape(count, prefix)
+        wide[:, body : body + slot] = pad_rows(flat, sizes, slot)
+        used[:, body : body + slot] = _row_mask(sizes, slot)
+        cursor = body + slot
+    return wide[used], lengths
+
+
+def _encode_column(column: Sequence[Key]):
+    """``(flat, lengths)`` of a column of one encodable kind, else ``None``.
+    Kinds are checked on the exact type: numpy would coerce a ``bool``.
+    """
+    kinds, count = set(map(type, column)), len(column)
+    if kinds == {int}:
+        if min(column) < 0:  # numpy below 2 would wrap it into a valid key
+            return None
+        try:
+            values = np.array(column, dtype=np.uint64)
+        except OverflowError:  # wider than the 8-byte form
+            return None
+        return values.astype(">u8").tobytes(), np.full(count, 8)
+    if kinds == {bytes}:
+        flat = b"".join(column)
+    elif kinds == {str} and (text := "".join(column)).isascii():
+        flat = text.encode("ascii")
+    else:
+        return None
+    return flat, np.fromiter(map(len, column), dtype=np.int64, count=count)
+
+
+def pad_rows(flat: bytes, lengths: np.ndarray, width: int) -> np.ndarray:
+    """Ragged rows laid end to end in ``flat`` as a ``uint8[len(lengths), width]``:
+    row ``i`` is the next ``lengths[i]`` bytes, then zeros (none may be longer
+    than ``width``; when all fill it the result is a read-only view of ``flat``).
+    """
+    data = np.frombuffer(flat, dtype=np.uint8)
+    if len(data) == len(lengths) * width:
+        return data.reshape(len(lengths), width)
+    padded = np.zeros((len(lengths), width), dtype=np.uint8)
+    padded[_row_mask(lengths, width)] = data  # fills row-major: ``flat``'s order
+    return padded
+
+
+def _row_mask(lengths: np.ndarray, width: int) -> np.ndarray:
+    """``bool[len(lengths), width]``, true on the first ``lengths[i]`` of row ``i``."""
+    # The comparison is the cost; one-byte lanes run it 4x faster than int64.
+    columns = np.arange(width, dtype=np.min_scalar_type(width))
+    return columns < lengths.astype(columns.dtype)[:, None]
+
+
+def _fold_rows(flat: bytes, lengths: np.ndarray) -> np.ndarray:
+    """:func:`_fold_bytes` of every row of ``flat`` (rows as for :func:`pad_rows`):
+    one vectorised splitmix64 per 8-byte word column instead of a word loop
+    per key; a row stops mixing past its own last word.
+    """
+    nwords = (lengths + 7) >> 3
+    padded = pad_rows(flat, lengths, 8 * int(nwords.max()))
+    # One contiguous row per word column, in native byte order.
+    words = padded.view(">u8").T.astype(np.uint64, order="C")
+    # ``int.from_bytes(chunk, "big")`` right-aligns a short last chunk: a row
+    # not a multiple of 8 long has its last word shifted down the missing bytes.
+    ragged = np.flatnonzero(lengths & 7)
+    shifts = 8 * (8 - (lengths[ragged] & 7))
+    words[nwords[ragged] - 1, ragged] >>= shifts.astype(np.uint64)
+    acc = np.full(len(lengths), 0xCBF29CE484222325, dtype=np.uint64)
+    shortest = int(nwords.min())
+    for position, column in enumerate(words):
+        mixed = _splitmix64_np(acc ^ column)
+        acc = mixed if position < shortest else np.where(nwords > position, mixed, acc)
+    return _splitmix64_np(acc ^ lengths.astype(np.uint64))
 
 
 def _splitmix64_np(values: np.ndarray) -> np.ndarray:
@@ -158,8 +272,7 @@ class HashFamily:
 
     def hash_key(self, key: Key, index: int = 0) -> int:
         """64-bit hash of ``key`` under family member ``index``."""
-        folded = _fold_bytes(stable_key_bytes(key))
-        return mix64(folded, self._function_seed(index))
+        return mix64(fold_key(key), self._function_seed(index))
 
     def hash_folded(self, folded: int, index: int = 0) -> int:
         """Finish a :func:`fold_key` lane under family member ``index``.

@@ -257,8 +257,7 @@ class QueryFleet:
 
     def direct_estimate(self, key: Key, source: str = "counters") -> int:
         """The local (collector-CPU) count-min estimate for one key."""
-        role = self.backend.addressing.collector_of(key)
-        stores = (
-            self.counter_stores if source == "counters" else self.sketch_stores
-        )
-        return stores[role].estimate(key)
+        ((role, (_where, lanes)),) = self.backend.route([key]).items()
+        stores = self.counter_stores if source == "counters" else self.sketch_stores
+        store = stores[role]
+        return store.translator.addressing.estimates(lanes, store._read_cells)[0]

@@ -8,6 +8,8 @@ shapes ``perf/`` drives: a ``DartStore`` with its own counter bank and
 query service, and a ``QueryFleet``.
 """
 
+import sys
+
 import pytest
 
 from repro.collector.counters import CounterStore
@@ -54,11 +56,39 @@ def fleet_rig():
 
 @pytest.fixture
 def folds(monkeypatch):
-    """Every ``_fold_bytes`` call made while the fixture is live."""
+    """One entry per key folded while the fixture is live.
+
+    The fold has three ways in -- ``fold_key``, ``fold_keys`` (a batch
+    never reaches ``_fold_bytes``: it is mixed as a matrix) and
+    ``HashFamily.hash_key`` -- and each is wrapped where a fold site
+    imported it, not inside ``hash_family`` (a short ``fold_keys`` run
+    loops over ``fold_key`` there and would count twice).
+    """
     calls = []
-    real_fold = hash_family._fold_bytes
+
+    def counted(real, keys_of):
+        def wrapper(*args):
+            calls.extend(keys_of(args))
+            return real(*args)
+
+        return wrapper
+
+    one_key = counted(hash_family.fold_key, lambda args: [args[0]])
+    many_keys = counted(hash_family.fold_keys, lambda args: list(args[0]))
+    sites = 0
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro.") and module is not hash_family:
+            if getattr(module, "fold_key", None) is hash_family.fold_key:
+                monkeypatch.setattr(module, "fold_key", one_key)
+                sites += 1
+            if getattr(module, "fold_keys", None) is hash_family.fold_keys:
+                monkeypatch.setattr(module, "fold_keys", many_keys)
+                sites += 1
+    assert sites >= 5  # addressing, batch, translator (both), backend
     monkeypatch.setattr(
-        hash_family, "_fold_bytes", lambda data: calls.append(data) or real_fold(data)
+        hash_family.HashFamily,
+        "hash_key",
+        counted(hash_family.HashFamily.hash_key, lambda args: [args[1]]),
     )
     return calls
 
@@ -83,7 +113,9 @@ def test_fleet_increments_fold_each_key_once(method, folds):
     getattr(fleet, method)([(key, 1) for key in KEYS])
     assert len(folds) == 64
     source = "counters" if method == "count_many" else "sketch"
+    del folds[:]
     assert fleet.direct_estimate(KEYS[0], source) == 1
+    assert len(folds) == 1
 
 
 def test_store_and_primitive_entry_points_fold_once(folds):

@@ -1,17 +1,30 @@
 """Tests for the global hash family (repro.hashing.hash_family)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.collector.counters import CounterStore
+from repro.collector.store import DartStore
+from repro.control.shards import shard_map_of
+from repro.core.config import DartConfig
+from repro.hashing import hash_family
 from repro.hashing.hash_family import (
     HashFamily,
+    fold_key,
+    fold_keys,
     hash_distribution_chi2,
     mix64,
     splitmix64,
     stable_key_bytes,
 )
+from repro.query.backend import FanoutBackend
+from repro.query.service import QueryService
+
+from .test_core_addressing import mixed_keys
 
 key_strategy = st.one_of(
     st.binary(min_size=0, max_size=32),
@@ -176,3 +189,114 @@ class TestVectorisedHashing:
 def test_chi2_empty_rejected():
     with pytest.raises(ValueError):
         hash_distribution_chi2([], buckets=8)
+
+
+# ----------------------------------------------------------------------
+# Differential: the batch fold (column-wise encoding + matrix word mix)
+# against the scalar definition it must equal row for row.
+# ----------------------------------------------------------------------
+
+_u64 = st.integers(0, 2**64 - 1) | st.sampled_from([0, 2**64 - 1])
+_ascii = st.text(st.characters(max_codepoint=127), max_size=20)
+_bytes = st.binary(max_size=40) | st.sampled_from(
+    [b"", b"7 bytes", b"8  bytes", b"9   bytes", b"sixteen bytes .."]
+)
+_KINDS = (
+    _u64,
+    _ascii,
+    st.text(max_size=12),
+    _bytes,
+    st.tuples(_ascii, _ascii, _u64, _u64, _u64),
+    st.tuples(st.text(max_size=6), _bytes, _u64),
+    st.tuples(_u64, _u64, _u64),
+)
+
+
+def _batches(element):
+    """Runs on both sides of the scalar/matrix threshold (32 keys)."""
+    return st.lists(element, max_size=40) | st.lists(element, min_size=32, max_size=200)
+
+
+def assert_folds_like_scalar(keys):
+    lanes = fold_keys(keys)
+    assert lanes.dtype == np.uint64
+    assert lanes.tolist() == [fold_key(key) for key in keys]
+
+
+class TestFoldKeysMatchesFoldKey:
+    @settings(max_examples=60, deadline=None)
+    @given(keys=st.one_of(*map(_batches, _KINDS)))
+    def test_homogeneous_batches(self, keys):
+        assert_folds_like_scalar(keys)
+
+    @settings(max_examples=40, deadline=None)
+    @given(keys=_batches(mixed_keys) | _batches(st.one_of(mixed_keys, *_KINDS)))
+    def test_mixed_shapes_types_and_arities_in_one_batch(self, keys):
+        assert_folds_like_scalar(keys)
+
+    @pytest.mark.parametrize(
+        "wrap", [bytes, lambda row: (7, row), lambda row: row.decode()],
+        ids=["bytes", "tuple", "str"],
+    )
+    def test_every_row_length_1_to_17(self, wrap):
+        """The scalar fold right-aligns a short last word; so must each row."""
+        rows = [bytes(range(65, 65 + length)) for length in range(1, 18)]
+        assert_folds_like_scalar([wrap(row) for row in rows] * 3)
+
+    @pytest.mark.parametrize(
+        "bad", [True, -1, 3.14, (1, True), (1, -1), "lone \ud800 surrogate"], ids=repr
+    )
+    @pytest.mark.parametrize(
+        "fill", [lambda i: i, lambda i: "flow-%d" % i, lambda i: (i, i)], ids=["int", "str", "tuple"]
+    )
+    def test_rejected_key_raises_what_the_scalar_fold_raises(self, bad, fill):
+        with pytest.raises((TypeError, ValueError)) as scalar:
+            fold_key(bad)
+        keys = [fill(i) for i in range(64)]
+        keys[40] = bad
+        with pytest.raises(scalar.type) as batch:
+            fold_keys(keys)
+        assert str(batch.value) == str(scalar.value)
+
+    def test_any_iterable_of_keys(self):
+        keys = ["flow-%d" % i for i in range(80)]
+        expected = [fold_key(key) for key in keys]
+        table = dict.fromkeys(keys)
+        for shape in (iter(keys), tuple(keys), table.keys(), table, (k for k in keys)):
+            assert fold_keys(shape).tolist() == expected
+        assert fold_keys(range(80)).tolist() == [fold_key(i) for i in range(80)]
+        assert fold_keys(()).shape == (0,)
+
+    def test_one_long_key_does_not_widen_the_matrix_for_all(self):
+        keys = [i.to_bytes(8, "big") for i in range(4095)] + [bytes(1 << 20)]
+        tracemalloc.start()
+        try:
+            lanes = fold_keys(keys)
+            _now, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+        assert lanes[-1] == fold_key(keys[-1])
+        assert lanes[:-1].tolist() == [fold_key(key) for key in keys[:-1]]
+
+    def test_single_key_operations_never_enter_the_matrix(self, monkeypatch):
+        """A point lookup, a ``put`` and an ``add`` fold one key the scalar way."""
+        def forbidden(*_args):
+            raise AssertionError("matrix fold on a single-key path")
+
+        monkeypatch.setattr(hash_family, "_fold_rows", forbidden)
+        config = DartConfig(slots_per_collector=1 << 10, num_collectors=4, redundancy=2)
+        store = DartStore(config, packet_level=True)
+        assert store.put("flow-7", b"v") == 2
+        bank = CounterStore(cells_per_row=64, rows=3)
+        bank.add("flow-7", 5)
+        assert bank.add_many([("flow-7", 1)]) == 3
+        shard_map = shard_map_of(store.cluster)
+        service = QueryService(
+            backend=FanoutBackend(config, store.cluster, store.fabric),
+            shard_map_provider=lambda: shard_map,
+        )
+        point = 'select value from keys where key == "flow-7"'
+        assert len(service.serve(point, "t", ["flow-7"], False).answer.rows) == 1
+        with pytest.raises(AssertionError, match="matrix fold"):
+            store.put_many([("flow-%d" % i, b"v") for i in range(64)])
