@@ -27,8 +27,10 @@ loc:
 	done
 
 # Reachability audit (~30 min, not part of ci): which src/repro functions
-# does no test module, experiment, benchmark, perf workload or example
-# ever call?  Prints the per-file table; see tests/reachability_audit.py.
+# does no test module, experiment, benchmark, perf workload, example or
+# README CLI line ever call?  Prints the per-file table; see
+# tests/reachability_audit.py (its --options report, 1.5 s, lists the
+# defaulted parameters no caller outside tests/ sets).
 audit:
 	$(PYTHON) tests/reachability_audit.py --without-tests
 

@@ -105,13 +105,11 @@ class CostModel:
         """Storage-insertion cycles for ``reports`` reports."""
         return reports * self.storage_cycles_per_report
 
-    def cores_for_rate(self, reports_per_second: float, cpu_ghz: float = 3.0) -> float:
-        """Sustained cores needed to ingest ``reports_per_second``."""
+    def cores_for_rate(self, reports_per_second: float) -> float:
+        """Sustained 3 GHz cores needed to ingest ``reports_per_second``."""
         if reports_per_second < 0:
             raise ValueError("reports_per_second must be non-negative")
-        if cpu_ghz <= 0:
-            raise ValueError("cpu_ghz must be positive")
-        return reports_per_second * self.total_cycles_per_report / (cpu_ghz * 1e9)
+        return reports_per_second * self.total_cycles_per_report / 3e9
 
 
 #: The two stacks of Figure 1(b).

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 from typing import List, Optional
 
 from repro.core import theory
@@ -302,7 +303,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             )
             for record in records[:limit]:
                 print()
-                print(analyzer.render_waterfall(record, node=args.node))
+                print(analyzer.render_waterfall(record))
                 if args.critical_path:
                     print(analyzer.render_critical_path(record))
         elif mode == "snapshot":
@@ -573,8 +574,14 @@ def _query_demo_fleet(args: argparse.Namespace):
 
 def _cmd_query(args: argparse.Namespace) -> int:
     from repro import obs
-    from repro.query import QueryService
+    from repro.query import QueryParseError, QueryService, parse_query
 
+    # Parse before anything is built: a malformed query costs one line.
+    try:
+        parse_query(args.query)
+    except QueryParseError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     registry = obs.MetricsRegistry(enabled=True)
     previous_registry = obs.set_registry(registry)
     try:
@@ -585,18 +592,18 @@ def _cmd_query(args: argparse.Namespace) -> int:
             return 0
         result = service.serve(args.query)
         answer = result.answer
+        rows = [
+            {
+                key: (
+                    value.decode("latin-1").rstrip("\x00")
+                    if isinstance(value, bytes)
+                    else value
+                )
+                for key, value in row.items()
+            }
+            for row in answer.rows
+        ]
         if args.json:
-            rows = [
-                {
-                    key: (
-                        value.decode("latin-1").rstrip("\x00")
-                        if isinstance(value, bytes)
-                        else value
-                    )
-                    for key, value in row.items()
-                }
-                for row in answer.rows
-            ]
             print(
                 json.dumps(
                     {
@@ -619,22 +626,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
         )
         if answer.value is not None:
             print(f"value:  {answer.value:g}")
-        if answer.rows:
-            print(
-                format_table(
-                    [
-                        {
-                            key: (
-                                value.decode("latin-1").rstrip("\x00")
-                                if isinstance(value, bytes)
-                                else value
-                            )
-                            for key, value in row.items()
-                        }
-                        for row in answer.rows
-                    ]
-                )
-            )
+        if rows:
+            print(format_table(rows))
         elif answer.value is None:
             print("(no rows)")
         return 0
@@ -709,8 +702,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs_p.add_argument(
         "--node", default=None, metavar="NODE",
-        help="restrict output to one node's samples, e.g. collector-0 "
-             "or switch-0",
+        help="snapshot, watch, fleet: restrict output to one node's "
+             "samples, e.g. collector-0 or switch-0",
     )
     obs_p.add_argument(
         "--bundle-dir", default="bundles", metavar="DIR",
@@ -853,7 +846,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "obs" and args.mode == "trace" and args.node:
+        # Spans carry no node; the registry's node label feeds the rest.
+        parser.error("--node does not apply to obs trace")
     return args.func(args)
 
 

@@ -210,9 +210,9 @@ class DartStore:
         self.c_gets.inc()
         return self.client.query(key, policy=policy)
 
-    def get_value(self, key: Key, policy: Optional[ReturnPolicy] = None) -> Optional[bytes]:
+    def get_value(self, key: Key) -> Optional[bytes]:
         """The queried value, or ``None`` on an empty return."""
-        return self.get(key, policy=policy).value
+        return self.get(key).value
 
     # ------------------------------------------------------------------
     # Introspection

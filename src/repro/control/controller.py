@@ -104,7 +104,6 @@ class FleetController:
         epoch_manager: Optional[EpochManager] = None,
         fail_after: int = 2,
         tick_interval: int = 50,
-        station_id: int = 0,
     ) -> None:
         if tick_interval < 1:
             raise ValueError(f"tick_interval must be >= 1, got {tick_interval}")
@@ -114,7 +113,7 @@ class FleetController:
         self.epoch_manager = epoch_manager
         self.tick_interval = tick_interval
         self.membership = FleetMembership(cluster)
-        self.probes = ProbeStation(self.membership, fabric, station_id=station_id)
+        self.probes = ProbeStation(self.membership, fabric)
         self.detector = FailureDetector(
             self.probes, self.membership, fail_after=fail_after
         )

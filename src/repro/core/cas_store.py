@@ -72,20 +72,13 @@ class CasDartStore:
     ----------
     num_slots:
         Region size in 8-byte slots.
-    seed:
-        Global hash-family seed shared with queriers.
     fabric:
         The transport WRITE/CMP_SWAP frames traverse; defaults to a
         private :class:`~repro.fabric.InlineFabric`.  The store NIC is
         attached at endpoint :data:`CAS_ENDPOINT_ID`.
     """
 
-    def __init__(
-        self,
-        num_slots: int = 1 << 16,
-        seed: int = 0,
-        fabric: Optional[Fabric] = None,
-    ) -> None:
+    def __init__(self, num_slots: int = 1 << 16, fabric: Optional[Fabric] = None) -> None:
         if num_slots < 1:
             raise ValueError(f"num_slots must be >= 1, got {num_slots}")
         self.num_slots = num_slots
@@ -96,7 +89,6 @@ class CasDartStore:
             value_bytes=5,  # 40 bits, packed into the atomic word
             slots_per_collector=num_slots,
             num_collectors=1,
-            seed=seed,
         )
         self.addressing = DartAddressing(self.config)
         self.region = MemoryRegion(

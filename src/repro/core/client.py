@@ -124,15 +124,7 @@ class DartQueryClient:
         self._t_query.stop(started, trace_id or None)
         return result
 
-    def query_value(
-        self, key: Key, policy: Optional[ReturnPolicy] = None
-    ) -> Optional[bytes]:
-        """Convenience: the returned value, or ``None`` on an empty return."""
-        return self.query(key, policy=policy).value
-
-    def query_many(
-        self, keys, policy: Optional[ReturnPolicy] = None
-    ) -> "dict[Key, QueryResult]":
+    def query_many(self, keys) -> "dict[Key, QueryResult]":
         """Batch query: ``{key: QueryResult}`` for each distinct key.
 
         Operators typically sweep whole key populations (every flow seen
@@ -142,15 +134,13 @@ class DartQueryClient:
         results: dict = {}
         for key in keys:
             if key not in results:
-                results[key] = self.query(key, policy=policy)
+                results[key] = self.query(key)
         return results
 
-    def success_fraction(
-        self, keys, policy: Optional[ReturnPolicy] = None
-    ) -> float:
+    def success_fraction(self, keys) -> float:
         """Fraction of ``keys`` whose query answered (operator dashboard
         number; ground-truth correctness needs the evaluation harnesses)."""
-        results = self.query_many(keys, policy=policy)
+        results = self.query_many(keys)
         if not results:
             raise ValueError("no keys supplied")
         return sum(r.answered for r in results.values()) / len(results)

@@ -130,8 +130,6 @@ class DynamicRedundancyController:
                 self.switches += 1
         return self.current
 
-    def predicted_queryability(self, load_factor: Optional[float] = None) -> float:
+    def predicted_queryability(self) -> float:
         """Predicted average queryability under the current N."""
-        if load_factor is None:
-            load_factor = self.estimator.estimate
-        return float(theory.average_queryability(load_factor, self.current))
+        return float(theory.average_queryability(self.estimator.estimate, self.current))

@@ -339,14 +339,7 @@ def simulate_cas_strategy(spec: SimulationSpec) -> SimulationResult:
 
 
 def sweep_load_factors(
-    load_factors,
-    redundancy: int,
-    *,
-    num_slots: int = 1 << 20,
-    checksum_bits: int = 32,
-    policy: ReturnPolicy = ReturnPolicy.PLURALITY,
-    seed: int = 0,
-    strategy: str = "write",
+    load_factors, redundancy: int, *, num_slots: int = 1 << 20, strategy: str = "write"
 ) -> list:
     """Average success rate at each load factor (Figure 3 series).
 
@@ -358,35 +351,7 @@ def sweep_load_factors(
     results = []
     for alpha in load_factors:
         num_keys = max(1, int(round(alpha * num_slots)))
-        spec = SimulationSpec(
-            num_keys=num_keys,
-            num_slots=num_slots,
-            redundancy=redundancy,
-            checksum_bits=checksum_bits,
-            seed=seed,
-            policy=policy,
-        )
+        spec = SimulationSpec(num_keys=num_keys, num_slots=num_slots, redundancy=redundancy)
         run = simulate(spec) if strategy == "write" else simulate_cas_strategy(spec)
         results.append((float(alpha), run.success_rate))
     return results
-
-
-def error_rate_experiment(
-    *,
-    num_keys: int,
-    num_slots: int,
-    checksum_bits: int,
-    redundancy: int = 2,
-    policy: ReturnPolicy = ReturnPolicy.PLURALITY,
-    seed: int = 0,
-) -> SimulationResult:
-    """One run configured for measuring return errors (Figure 5)."""
-    spec = SimulationSpec(
-        num_keys=num_keys,
-        num_slots=num_slots,
-        redundancy=redundancy,
-        checksum_bits=checksum_bits,
-        seed=seed,
-        policy=policy,
-    )
-    return simulate(spec)

@@ -20,20 +20,11 @@ delivery records per-frame spans when a real tracer is installed.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Protocol, runtime_checkable
 
 from repro import obs
 from repro.obs.metrics import DEPTH_BUCKETS, SIZE_BUCKETS, CounterView
 from repro.rdma.frames import FrameBatch
-
-try:  # pragma: no cover - Protocol is typing-only convenience on 3.9+
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        """Fallback no-op decorator when typing.Protocol is unavailable."""
-        return cls
 
 
 @runtime_checkable

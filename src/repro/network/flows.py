@@ -119,19 +119,15 @@ class FlowGenerator:
 
         return _generate()
 
-    def packet_counts(
-        self, num_flows: int, mean: float = 50.0, heavy_fraction: float = 0.05
-    ) -> np.ndarray:
-        """Per-flow packet counts: mostly mice, a few elephants.
+    def packet_counts(self, num_flows: int) -> np.ndarray:
+        """Per-flow packet counts: mostly mice (mean 50), 5% elephants.
 
         Used by the event-triggered backends to decide which flows emit
         multiple telemetry events.
         """
         if num_flows < 0:
             raise ValueError("num_flows must be non-negative")
-        if not 0 <= heavy_fraction <= 1:
-            raise ValueError("heavy_fraction must be in [0, 1]")
-        mice = self._rng.geometric(1.0 / mean, size=num_flows)
-        heavy = self._rng.random(num_flows) < heavy_fraction
-        elephants = self._rng.geometric(1.0 / (mean * 100), size=num_flows)
+        mice = self._rng.geometric(1.0 / 50.0, size=num_flows)
+        heavy = self._rng.random(num_flows) < 0.05
+        elephants = self._rng.geometric(1.0 / 5000.0, size=num_flows)
         return np.where(heavy, elephants, mice).astype(np.int64)

@@ -198,11 +198,9 @@ class IntSimulation:
     # Evaluation
     # ------------------------------------------------------------------
 
-    def query_path(
-        self, flow: Flow, policy: Optional[ReturnPolicy] = None
-    ) -> QueryResult:
+    def query_path(self, flow: Flow) -> QueryResult:
         """Query the stored path of one flow."""
-        return self.client.query(flow.five_tuple, policy=policy)
+        return self.client.query(flow.five_tuple)
 
     def evaluate(self, policy: Optional[ReturnPolicy] = None) -> "IntEvaluation":
         """Query every traced flow and compare against ground truth.

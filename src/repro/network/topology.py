@@ -46,15 +46,13 @@ class FatTreeTopology:
     k:
         Fat-tree arity; must be even and >= 2.  Hosts = k^3/4,
         switches = 5k^2/4.
-    ecmp_seed:
-        Seed of the hash used for ECMP next-hop selection.
     """
 
-    def __init__(self, k: int = 4, ecmp_seed: int = 0) -> None:
+    def __init__(self, k: int = 4) -> None:
         if k < 2 or k % 2:
             raise ValueError(f"fat-tree arity k must be even and >= 2, got {k}")
         self.k = k
-        self._ecmp = HashFamily(seed=ecmp_seed)
+        self._ecmp = HashFamily(seed=0)
         self.graph = nx.Graph()
         self.switches: List[SwitchNode] = []
         self._build()

@@ -75,7 +75,6 @@ from repro.obs.slo import (
     conformance_rules,
     default_rules,
     expected_success,
-    query_rules,
 )
 from repro.obs.timeseries import (
     MetricsScraper,
@@ -186,7 +185,6 @@ __all__ = [
     "StageStats",
     "conformance_rules",
     "default_rules",
-    "query_rules",
     "expected_success",
     "load_jsonl",
     "sparkline",

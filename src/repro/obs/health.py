@@ -252,7 +252,7 @@ class PipelineHealth:
         }
 
 
-def render_histogram(histogram: Histogram, width: int = 32) -> str:
+def render_histogram(histogram: Histogram) -> str:
     """ASCII rendering of one histogram's buckets (empty buckets elided)."""
     lines = [
         f"count={histogram.count} mean={histogram.mean:.3g} "
@@ -266,7 +266,7 @@ def render_histogram(histogram: Histogram, width: int = 32) -> str:
     for bound, count in zip(bounds, counts):
         if not count:
             continue
-        bar = "#" * max(1, round(width * count / peak))
+        bar = "#" * max(1, round(32 * count / peak))
         lines.append(f"  {bound:>12} {count:>8} {bar}")
     return "\n".join(lines)
 

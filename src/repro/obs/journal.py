@@ -73,12 +73,12 @@ class JournalEvent:
     trace_id: Optional[int] = None
     attrs: Tuple[Tuple[str, str], ...] = ()
 
-    def attr(self, key: str, default: Optional[str] = None) -> Optional[str]:
-        """One attr value by key (None/default when absent)."""
+    def attr(self, key: str) -> Optional[str]:
+        """One attr value by key (None when absent)."""
         for k, v in self.attrs:
             if k == key:
                 return v
-        return default
+        return None
 
     def to_row(self) -> Dict[str, object]:
         """JSON-friendly dict (bundle and CLI output)."""
@@ -209,11 +209,9 @@ class EventJournal:
         """The seq the next recorded event will get (cursor high-water)."""
         return self._next_seq
 
-    def events(self, kind: Optional[str] = None) -> List[JournalEvent]:
-        """Retained events oldest-first, optionally filtered by kind."""
-        if kind is None:
-            return list(self._events)
-        return [event for event in self._events if event.kind == kind]
+    def events(self) -> List[JournalEvent]:
+        """Retained events oldest-first."""
+        return list(self._events)
 
     def events_since(self, seq: int) -> List[JournalEvent]:
         """Retained events with ``event.seq >= seq``, oldest first.
@@ -230,14 +228,13 @@ class EventJournal:
             return []
         return list(self._events)[-count:]
 
-    def render(self, count: Optional[int] = None) -> str:
-        """Multi-line human rendering of the tail (all events by default)."""
-        events = self.events() if count is None else self.tail(count)
+    def render(self) -> str:
+        """Multi-line human rendering of every retained event."""
         head = (
             f"== journal ({len(self)} retained, {self._next_seq} recorded, "
             f"{self.overwritten} overwritten) =="
         )
-        return "\n".join([head] + [event.render() for event in events])
+        return "\n".join([head] + [event.render() for event in self._events])
 
 
 class NullJournal:
@@ -259,7 +256,7 @@ class NullJournal:
         """No-op; returns None (callers must not rely on the event)."""
         return None
 
-    def events(self, kind=None) -> List[JournalEvent]:
+    def events(self) -> List[JournalEvent]:
         """Always empty."""
         return []
 
@@ -271,7 +268,7 @@ class NullJournal:
         """Always empty."""
         return []
 
-    def render(self, count=None) -> str:
+    def render(self) -> str:
         """Fixed marker."""
         return "== journal (disabled) =="
 

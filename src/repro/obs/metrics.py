@@ -811,17 +811,6 @@ class MetricsRegistry:
                 out += metric.value
         return out
 
-    def histogram_family(self, name: str, **label_filters: str) -> List[Histogram]:
-        """All histograms under ``name`` whose labels match the filters."""
-        out = []
-        for labels, metric in self._series.get(name, {}).items():
-            if metric.kind != "histogram":
-                continue
-            label_map = dict(labels)
-            if all(label_map.get(k) == v for k, v in label_filters.items()):
-                out.append(metric)
-        return out
-
     def names(self) -> List[str]:
         """All registered metric names, sorted."""
         return sorted(self._series)
@@ -856,10 +845,6 @@ class MetricsRegistry:
     def to_prometheus(self, prefix: str = "repro_") -> str:
         """Prometheus text exposition of the live registry."""
         return self.snapshot().to_prometheus(prefix=prefix)
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """JSON exposition of the live registry."""
-        return self.snapshot().to_json(indent=indent)
 
 
 class CounterView:

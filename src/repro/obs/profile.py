@@ -176,7 +176,7 @@ class StageProfiler:
     # Chrome trace_event export
     # ------------------------------------------------------------------
 
-    def to_chrome_trace(self, process_name: str = "repro-pipeline") -> dict:
+    def to_chrome_trace(self) -> dict:
         """The retained events as a Chrome ``trace_event`` JSON object.
 
         Emits the JSON-object format (``{"traceEvents": [...]}``) with one
@@ -208,7 +208,7 @@ class StageProfiler:
                 "name": "process_name",
                 "ph": "M",
                 "pid": 1,
-                "args": {"name": process_name},
+                "args": {"name": "repro-pipeline"},
             }
         ]
         for stage, tid in sorted(tids.items(), key=lambda item: item[1]):
@@ -223,9 +223,9 @@ class StageProfiler:
             )
         return {"traceEvents": metadata + events, "displayTimeUnit": "ms"}
 
-    def write_chrome_trace(self, path, process_name: str = "repro-pipeline") -> dict:
+    def write_chrome_trace(self, path) -> dict:
         """Write :meth:`to_chrome_trace` to ``path``; returns the object."""
-        trace = self.to_chrome_trace(process_name=process_name)
+        trace = self.to_chrome_trace()
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(trace, handle)
         return trace

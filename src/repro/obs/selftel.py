@@ -63,6 +63,15 @@ RING_ENDPOINT = 1
 COUNTER_BANK_ADDRESS = 0x900000
 RING_ADDRESS = 0xA00000
 
+#: Telemetry count-min geometry (distinct keys are ~families x nodes, so a
+#: few thousand cells suffice).
+CELLS_PER_ROW = 1 << 12
+ROWS = 2
+#: Telemetry Append ring geometry; events are truncated to
+#: ``RECORD_BYTES`` on the wire (header + payload).
+RING_CAPACITY = 1024
+RECORD_BYTES = 64
+
 
 class SelfTelemetryExporter:
     """Rides scraper ticks, exporting metric deltas and journal events.
@@ -81,12 +90,6 @@ class SelfTelemetryExporter:
         plane to the same loss as the datapath.  Defaults to a private
         :class:`~repro.fabric.InlineFabric`.  The counter bank attaches
         at endpoint 0, the ring at endpoint 1.
-    cells_per_row / rows:
-        Telemetry count-min geometry (distinct keys are ~families x
-        nodes, so a few thousand cells suffice).
-    ring_capacity / record_bytes:
-        Telemetry Append ring geometry; events are truncated to
-        ``record_bytes`` on the wire (header + payload).
     export_every:
         Export on every Nth scrape the exporter observes (default 4).
         Deltas merge across skipped scrapes, so nothing is lost -- the
@@ -103,10 +106,6 @@ class SelfTelemetryExporter:
         registry: Optional[MetricsRegistry] = None,
         journal=None,
         fabric: Optional["Fabric"] = None,
-        cells_per_row: int = 1 << 12,
-        rows: int = 2,
-        ring_capacity: int = 1024,
-        record_bytes: int = 64,
         export_every: int = 4,
     ) -> None:
         # Imported lazily: repro.obs re-exports this module at package
@@ -125,7 +124,6 @@ class SelfTelemetryExporter:
             raise ValueError(f"export_every must be >= 1, got {export_every}")
         self.registry = registry
         self.journal = journal
-        self.record_bytes = record_bytes
         self.export_every = export_every
         self._scrapes_seen = 0
         #: The export plane's own metrics -- kept out of the exported
@@ -136,15 +134,15 @@ class SelfTelemetryExporter:
         try:
             self.fabric = fabric if fabric is not None else InlineFabric()
             self.counter_store = CounterStore(
-                cells_per_row=cells_per_row,
-                rows=rows,
+                cells_per_row=CELLS_PER_ROW,
+                rows=ROWS,
                 base_address=COUNTER_BANK_ADDRESS,
                 fabric=self.fabric,
                 endpoint_id=COUNTER_ENDPOINT,
             )
             self.ring = AppendStore(
-                capacity=ring_capacity,
-                record_bytes=record_bytes,
+                capacity=RING_CAPACITY,
+                record_bytes=RECORD_BYTES,
                 base_address=RING_ADDRESS,
                 fabric=self.fabric,
                 endpoint_id=RING_ENDPOINT,
@@ -244,7 +242,7 @@ class SelfTelemetryExporter:
         events = self.journal.events_since(self._journal_cursor)
         if events:
             self.writer.append_many(
-                [encode_event(event, self.record_bytes) for event in events]
+                [encode_event(event, RECORD_BYTES) for event in events]
             )
             self._journal_cursor = events[-1].seq + 1
             self.c_events.inc(len(events))

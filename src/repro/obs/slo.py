@@ -81,8 +81,6 @@ class EvalContext:
     registry: MetricsRegistry
     health: PipelineHealth
     tick: int
-    #: Default window (scrape points) for rate/delta string expressions.
-    window: Optional[int] = None
 
 
 Expr = Union[str, Callable[[EvalContext], Optional[float]]]
@@ -140,8 +138,8 @@ class SloRule:
             if not series:
                 return None
             if fn == "rate":
-                return sum(s.rate(context.window) for s in series)
-            return context.scraper.total_delta(metric, context.window)
+                return sum(s.rate() for s in series)
+            return context.scraper.total_delta(metric)
         return float(context.registry.total(expr))
 
     def breached(self, value: Optional[float]) -> bool:
@@ -225,11 +223,9 @@ class SloEngine:
         self,
         scraper: MetricsScraper,
         registry: Optional[MetricsRegistry] = None,
-        window: Optional[int] = None,
     ) -> None:
         self.scraper = scraper
         self.registry = registry if registry is not None else scraper.registry
-        self.window = window
         self._alerts: "Dict[str, Alert]" = {}
         self._fire_hooks: List[Callable[[Alert, int], None]] = []
         self.evaluations = 0
@@ -291,7 +287,6 @@ class SloEngine:
             registry=self.registry,
             health=PipelineHealth.from_registry(self.registry),
             tick=tick,
-            window=self.window,
         )
         # Imported lazily: repro.obs re-exports this module at import time.
         from repro import obs
@@ -373,11 +368,7 @@ class SloEngine:
 # ----------------------------------------------------------------------
 
 
-def default_rules(
-    loss_tolerance: float = 0.05,
-    reconcile_tolerance: int = 0,
-    for_ticks: int = 2,
-) -> List[SloRule]:
+def default_rules() -> List[SloRule]:
     """The stock pipeline-health rules every deployment wants.
 
     Frame-loss rate, NIC drop deltas and fabric-vs-NIC reconciliation --
@@ -388,8 +379,8 @@ def default_rules(
             name="frame-loss-rate",
             expr="health.loss_rate",
             comparator=">",
-            threshold=loss_tolerance,
-            for_ticks=for_ticks,
+            threshold=0.05,
+            for_ticks=2,
             description="impairment-layer frame loss above tolerance",
         ),
         SloRule(
@@ -397,18 +388,24 @@ def default_rules(
             expr="health.nic_frames_dropped",
             comparator=">",
             threshold=0,
-            for_ticks=for_ticks,
+            for_ticks=2,
             description="NIC silently dropping frames (decode/QP/PSN/access)",
         ),
         SloRule(
             name="fabric-nic-reconciliation",
             expr=lambda ctx: float(abs(ctx.health.fabric_nic_delta)),
             comparator=">",
-            threshold=float(reconcile_tolerance),
-            for_ticks=for_ticks,
+            threshold=0.0,
+            for_ticks=2,
             description="delivered-vs-received frame accounting diverged",
         ),
     ]
+
+
+#: How far measured success may sit below the section-4 model.
+CONFORMANCE_TOLERANCE = 0.1
+#: Queries a policy must have served before its rule evaluates at all.
+CONFORMANCE_MIN_QUERIES = 32
 
 
 def expected_success(config, keys_written: int) -> float:
@@ -426,119 +423,48 @@ def expected_success(config, keys_written: int) -> float:
     return float(theory.average_queryability(alpha, config.redundancy))
 
 
-def conformance_rules(
-    config,
-    policies=("PLURALITY",),
-    tolerance: float = 0.1,
-    for_ticks: int = 2,
-    min_queries: int = 32,
-    keys_metric: str = "store_puts",
-) -> List[SloRule]:
-    """Model-vs-measured conformance rules for the paper's success model.
+def conformance_rules(config, for_ticks: int = 2) -> List[SloRule]:
+    """The model-vs-measured conformance rule for the paper's success model.
 
-    One rule per return policy: each evaluation recomputes the expected
-    success probability from the run's live ``(N, b, load factor)`` via
-    :func:`expected_success` (load factor from the ``keys_metric`` counter
-    family, ``store_puts`` by default) and compares it with the measured
-    per-policy success rate from :class:`~repro.obs.health.PipelineHealth`.
-    The rule breaches when the measurement falls below the model by more
-    than ``tolerance`` -- i.e. the pipeline is losing reports or corrupting
-    slots in a way redundancy can't explain -- and fires after
+    Each evaluation recomputes the expected PLURALITY success probability
+    from the run's live ``(N, b, load factor)`` via
+    :func:`expected_success` (load factor from the ``store_puts`` counter
+    family) and compares it with the measured success rate from
+    :class:`~repro.obs.health.PipelineHealth`.  The rule breaches when
+    the measurement falls below the model by more than
+    :data:`CONFORMANCE_TOLERANCE` -- i.e. the pipeline is losing reports or
+    corrupting slots in a way redundancy can't explain -- and fires after
     ``for_ticks`` consecutive breached scrapes.
 
-    Evaluations return None (never breach) until ``min_queries`` queries
-    ran under the policy, so cold starts don't flap.
+    Evaluations return None (never breach) until
+    :data:`CONFORMANCE_MIN_QUERIES` queries ran under the policy, so cold
+    starts don't flap.
     """
 
-    def shortfall_for(policy: str) -> Callable[[EvalContext], Optional[float]]:
-        def shortfall(context: EvalContext) -> Optional[float]:
-            """Model-minus-measured success for one policy (None = no data)."""
-            measured = None
-            for query in context.health.queries:
-                if query.policy == policy and query.total >= min_queries:
-                    measured = query.success_rate
-            if measured is None:
-                return None
-            keys_written = int(context.registry.total(keys_metric))
-            if keys_written == 0:
-                return None
-            return expected_success(config, keys_written) - measured
+    def shortfall(context: EvalContext) -> Optional[float]:
+        """Model-minus-measured success (None = no data)."""
+        measured = None
+        for query in context.health.queries:
+            if query.policy == "PLURALITY" and query.total >= CONFORMANCE_MIN_QUERIES:
+                measured = query.success_rate
+        if measured is None:
+            return None
+        keys_written = int(context.registry.total("store_puts"))
+        if keys_written == 0:
+            return None
+        return expected_success(config, keys_written) - measured
 
-        return shortfall
-
-    rules = []
-    for policy in policies:
-        rules.append(
-            SloRule(
-                name=f"conformance-{policy}",
-                expr=shortfall_for(policy),
-                comparator=">",
-                threshold=tolerance,
-                for_ticks=for_ticks,
-                description=(
-                    f"measured {policy} success below the section-4 model "
-                    f"(N={config.redundancy}, b={config.checksum_bits}) "
-                    f"by more than {tolerance:g}"
-                ),
-            )
-        )
-    return rules
-
-
-def _query_p99(context: EvalContext) -> Optional[float]:
-    """Worst per-tenant p99 of ``query_service_seconds`` (None = no data).
-
-    The max (not a merged quantile) is deliberate: the quota design
-    promises that one abusive tenant cannot degrade another's latency,
-    so the SLO must hold for *every* tenant, not on average.
-    """
-    worst = None
-    for _labels, metric in context.registry.samples("query_service_seconds"):
-        if metric.kind != "histogram" or not metric.count:
-            continue
-        p99 = metric.quantile(0.99)
-        if worst is None or p99 > worst:
-            worst = p99
-    return worst
-
-
-def query_rules(
-    p99_seconds: float = 0.25,
-    shard_failure_tolerance: float = 0.0,
-    for_ticks: int = 2,
-) -> List[SloRule]:
-    """SLO rules for the :mod:`repro.query` front end.
-
-    Three watchdogs: the worst per-tenant query p99 (the latency SLO the
-    load generator exercises), the fan-out shard-failure rate (partial
-    answers are invisible in results -- this is where they must alarm),
-    and admission sheds (the service running past its pending budget).
-    """
     return [
         SloRule(
-            name="query-p99-latency",
-            expr=_query_p99,
+            name="conformance-PLURALITY",
+            expr=shortfall,
             comparator=">",
-            threshold=p99_seconds,
+            threshold=CONFORMANCE_TOLERANCE,
             for_ticks=for_ticks,
             description=(
-                f"worst per-tenant query p99 above {p99_seconds:g}s"
+                f"measured PLURALITY success below the section-4 model "
+                f"(N={config.redundancy}, b={config.checksum_bits}) "
+                f"by more than {CONFORMANCE_TOLERANCE:g}"
             ),
-        ),
-        SloRule(
-            name="query-shard-failures",
-            expr="health.shard_failure_rate",
-            comparator=">",
-            threshold=shard_failure_tolerance,
-            for_ticks=for_ticks,
-            description="fan-out sub-queries finding shards unreachable",
-        ),
-        SloRule(
-            name="query-admission-sheds",
-            expr="query_admission_rejections_total",
-            comparator=">",
-            threshold=0,
-            for_ticks=for_ticks,
-            description="queries shed at the admission gate",
-        ),
+        )
     ]

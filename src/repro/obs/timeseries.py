@@ -149,25 +149,6 @@ class Series:
         span = ticks[-1] - ticks[0]
         return self.delta(window) / span if span else 0.0
 
-    def deltas(self, window: Optional[int] = None) -> List[float]:
-        """Per-scrape deltas inside the window (sparkline fodder).
-
-        Counter resets clamp each step to 0.0, like :meth:`delta`; gauges
-        return their raw readings instead (a gauge step is rarely
-        meaningful, the reading is).
-        """
-        _ticks, values = self._window(window)
-        if self.kind == "gauge":
-            return [float(v) for v in values]
-        if self.kind == "histogram":
-            totals = [float(sum(counts)) for counts, _sum in values]
-        else:
-            totals = [float(v) for v in values]
-        steps = []
-        for before, after in zip(totals, totals[1:]):
-            steps.append(max(0.0, after - before))
-        return steps
-
     def quantile(self, q: float, window: Optional[int] = None) -> float:
         """Approximate windowed quantile for a histogram series.
 
@@ -354,31 +335,27 @@ class MetricsScraper:
                 by_tick[tick] = by_tick.get(tick, 0.0) + float(value)
         return sorted(by_tick.items())
 
-    def delta(self, name: str, labels=None, window: Optional[int] = None) -> float:
-        """Windowed delta for one series (0.0 when the series is unknown)."""
-        series = self.series(name, labels)
-        return series.delta(window) if series is not None else 0.0
+    def delta(self, name: str) -> float:
+        """Delta of the unlabelled series (0.0 when the series is unknown)."""
+        series = self.series(name)
+        return series.delta() if series is not None else 0.0
 
-    def rate(self, name: str, labels=None, window: Optional[int] = None) -> float:
-        """Windowed per-tick rate for one series (0.0 when unknown)."""
-        series = self.series(name, labels)
-        return series.rate(window) if series is not None else 0.0
+    def rate(self, name: str) -> float:
+        """Per-tick rate of the unlabelled series (0.0 when unknown)."""
+        series = self.series(name)
+        return series.rate() if series is not None else 0.0
 
-    def total_delta(self, name: str, window: Optional[int] = None) -> float:
-        """Windowed delta of the family-wide total (counter resets clamp)."""
+    def total_delta(self, name: str) -> float:
+        """Delta of the family-wide total (counter resets clamp)."""
         points = self.total_series(name)
-        if window is not None and window > 0:
-            points = points[-window:]
         if len(points) < 2:
             return 0.0
         return max(0.0, points[-1][1] - points[0][1])
 
-    def quantile(
-        self, name: str, q: float, labels=None, window: Optional[int] = None
-    ) -> float:
-        """Windowed quantile of one histogram series (0.0 when unknown)."""
-        series = self.series(name, labels)
-        return series.quantile(q, window) if series is not None else 0.0
+    def quantile(self, name: str, q: float) -> float:
+        """Quantile of the unlabelled histogram series (0.0 when unknown)."""
+        series = self.series(name)
+        return series.quantile(q) if series is not None else 0.0
 
 
 def load_jsonl(path) -> List[dict]:

@@ -16,10 +16,10 @@ On top of self time, the analyzer reconstructs the causal tree
 - the **critical path** -- the root-to-leaf walk that always descends
   into the child with the largest inclusive time, i.e. the chain of
   stages that actually bounded end-to-end latency;
-- the **dominant stage/node** -- the single largest self-time
-  contributor on that path, which is the "which stage was slow?" answer
-  the ``repro obs trace --critical-path`` CLI prints;
-- per-stage and per-node aggregates for fleet dashboards.
+- the **dominant stage** -- the single largest self-time contributor on
+  that path, which is the "which stage was slow?" answer the
+  ``repro obs trace --critical-path`` CLI prints;
+- per-stage aggregates for fleet dashboards.
 
 It also validates **completeness**: every tail-retained trace is
 supposed to hold a full root-to-leaf story (unique span ids, every
@@ -62,8 +62,6 @@ class TraceAnalysis:
     critical_path: List[SpanTiming] = field(default_factory=list)
     #: Self-time seconds attributed to each stage name.
     by_stage: Dict[str, float] = field(default_factory=dict)
-    #: Self-time seconds attributed to each node label ("" = unlabelled).
-    by_node: Dict[str, float] = field(default_factory=dict)
     #: Structural problems found (empty = complete causal tree).
     problems: List[str] = field(default_factory=list)
 
@@ -84,12 +82,6 @@ class TraceAnalysis:
         """Stage name of :attr:`dominant` ("" when there is none)."""
         timing = self.dominant
         return "" if timing is None else timing.span.stage
-
-    @property
-    def dominant_node(self) -> str:
-        """Node label of :attr:`dominant` ("" when there is none)."""
-        timing = self.dominant
-        return "" if timing is None else timing.span.node
 
 
 class TraceAnalyzer:
@@ -158,8 +150,6 @@ class TraceAnalyzer:
             analysis.timings.append(timing)
             stage_total = analysis.by_stage.get(span.stage, 0.0)
             analysis.by_stage[span.stage] = stage_total + timing.self_time
-            node_total = analysis.by_node.get(span.node, 0.0)
-            analysis.by_node[span.node] = node_total + timing.self_time
 
         # Critical path: from the heaviest root, always descend into the
         # child with the largest inclusive time.
@@ -211,17 +201,9 @@ class TraceAnalyzer:
     # Rendering
     # ------------------------------------------------------------------
 
-    def render_waterfall(
-        self,
-        record: TraceRecord,
-        width: int = 40,
-        node: Optional[str] = None,
-    ) -> str:
-        """An indented waterfall: offset, self time, and a duration bar.
-
-        ``node`` filters the rows to one node label (the tree structure
-        is still computed over every span, so timings stay correct).
-        """
+    def render_waterfall(self, record: TraceRecord) -> str:
+        """An indented waterfall: offset, self time, and a duration bar."""
+        width = 40
         analysis = self.analyze(record)
         head = f"trace {record.trace_id} kind={record.kind}"
         if record.key:
@@ -234,8 +216,6 @@ class TraceAnalyzer:
         lines = [head]
         scale = analysis.duration or 1.0
         for timing in analysis.timings:
-            if node is not None and timing.span.node != node:
-                continue
             offset_cols = int(round((timing.offset / scale) * width))
             bar_cols = int(round((timing.self_time / scale) * width))
             bar = " " * min(offset_cols, width) + "#" * max(
@@ -246,8 +226,6 @@ class TraceAnalyzer:
                 label += f" ({timing.span.detail})"
             if timing.span.status != "ok":
                 label += f" !{timing.span.status}"
-            if timing.span.node:
-                label += f" @{timing.span.node}"
             lines.append(
                 f"  {timing.offset * 1e6:9.1f}us "
                 f"{timing.self_time * 1e6:9.1f}us |{bar:<{width}}| {label}"
@@ -270,21 +248,12 @@ class TraceAnalyzer:
             label = timing.span.stage
             if timing.span.detail:
                 label += f" ({timing.span.detail})"
-            if timing.span.node:
-                label += f" @{timing.span.node}"
             marker = " <-- dominant" if timing is analysis.dominant else ""
             lines.append(
                 f"  {timing.self_time * 1e6:9.1f}us {share:5.1f}%  {label}{marker}"
             )
         if analysis.dominant is not None:
-            lines.append(
-                f"  dominant stage: {analysis.dominant_stage}"
-                + (
-                    f" @{analysis.dominant_node}"
-                    if analysis.dominant_node
-                    else ""
-                )
-            )
+            lines.append(f"  dominant stage: {analysis.dominant_stage}")
         if not analysis.complete:
             for problem in analysis.problems:
                 lines.append(f"  ! {problem}")
@@ -300,17 +269,14 @@ class TraceAnalyzer:
             "complete": analysis.complete,
             "problems": list(analysis.problems),
             "dominant_stage": analysis.dominant_stage,
-            "dominant_node": analysis.dominant_node,
             "critical_path": [
                 {
                     "stage": t.span.stage,
                     "detail": t.span.detail,
-                    "node": t.span.node,
                     "status": t.span.status,
                     "self_seconds": t.self_time,
                 }
                 for t in analysis.critical_path
             ],
             "by_stage": dict(analysis.by_stage),
-            "by_node": dict(analysis.by_node),
         }

@@ -92,7 +92,6 @@ class Span:
     detail: str = ""
     span_id: int = 0
     parent_id: int = 0
-    node: str = ""
     status: str = "ok"
     t: float = 0.0
 
@@ -102,8 +101,6 @@ class Span:
         )
         if self.status != "ok":
             text += f" !{self.status}"
-        if self.node:
-            text += f" @{self.node}"
         return text
 
 
@@ -226,7 +223,6 @@ class TraceRecord:
                     "stage": span.stage,
                     "detail": span.detail,
                     "status": span.status,
-                    "node": span.node,
                     "t": span.t,
                 }
                 for span in self.spans
@@ -270,8 +266,6 @@ class Tracer:
         anomaly (non-ok span status, explicit :meth:`keep`, a firing SLO
         via :meth:`keep_live`) survive here after the live ring evicts
         them, oldest-kept evicted first.
-    node:
-        Node label stamped on spans.
     """
 
     enabled = True
@@ -281,7 +275,6 @@ class Tracer:
         max_traces: int = 4096,
         sample_rate: float = 1.0,
         max_kept: int = 256,
-        node: str = "",
     ) -> None:
         if max_traces < 1:
             raise ValueError(f"max_traces must be >= 1, got {max_traces}")
@@ -292,7 +285,6 @@ class Tracer:
         self.max_traces = max_traces
         self.sample_rate = sample_rate
         self.max_kept = max_kept
-        self.node = node
         self._traces: "OrderedDict[int, TraceRecord]" = OrderedDict()
         self._kept: "OrderedDict[int, TraceRecord]" = OrderedDict()
         self._frames: Dict[bytes, SpanContext] = {}
@@ -512,7 +504,6 @@ class Tracer:
         stage: str,
         detail: str = "",
         status: str = "ok",
-        node: Optional[str] = None,
     ) -> int:
         """Record one span against a bound batch (0 if unbound/finished)."""
         context = getattr(batch, "trace_ctx", None)
@@ -521,9 +512,7 @@ class Tracer:
         record = self._traces.get(context.trace_id)
         if record is None:
             return 0
-        span_id = self._record_span(
-            record, stage, detail, status, context.span_id, node
-        )
+        span_id = self._record_span(record, stage, detail, status, context.span_id)
         context.span_id = span_id
         return span_id
 
@@ -533,7 +522,6 @@ class Tracer:
         stage: str,
         detail: str = "",
         status: str = "ok",
-        node: Optional[str] = None,
     ) -> int:
         """Record the batch's terminal span and release its binding.
 
@@ -553,9 +541,7 @@ class Tracer:
         record = self._traces.get(context.trace_id)
         if record is None:
             return 0
-        span_id = self._record_span(
-            record, stage, detail, status, context.span_id, node
-        )
+        span_id = self._record_span(record, stage, detail, status, context.span_id)
         record.holds = max(0, record.holds - 1)
         self._maybe_seal(record)
         return span_id
@@ -571,7 +557,6 @@ class Tracer:
         detail: str = "",
         status: str = "ok",
         parent: Optional[int] = None,
-        node: Optional[str] = None,
     ) -> int:
         """Record one span on a trace (ignored for unknown/evicted ids).
 
@@ -584,12 +569,7 @@ class Tracer:
         if record is None:
             return 0
         return self._record_span(
-            record,
-            stage,
-            detail,
-            status,
-            record.root_span_id if parent is None else parent,
-            node,
+            record, stage, detail, status, record.root_span_id if parent is None else parent
         )
 
     def frame_span(
@@ -598,7 +578,6 @@ class Tracer:
         stage: str,
         detail: str = "",
         status: str = "ok",
-        node: Optional[str] = None,
     ) -> int:
         """Record a span against whatever trace ``frame`` is bound to.
 
@@ -612,9 +591,7 @@ class Tracer:
         record = self._traces.get(context.trace_id)
         if record is None:
             return 0
-        span_id = self._record_span(
-            record, stage, detail, status, context.span_id, node
-        )
+        span_id = self._record_span(record, stage, detail, status, context.span_id)
         context.span_id = span_id
         return span_id
 
@@ -624,7 +601,6 @@ class Tracer:
         stage: str,
         detail: str = "",
         status: str = "ok",
-        node: Optional[str] = None,
     ) -> int:
         """Record the frame's terminal span and release its binding.
 
@@ -639,21 +615,13 @@ class Tracer:
         record = self._traces.get(context.trace_id)
         if record is None:
             return 0
-        span_id = self._record_span(
-            record, stage, detail, status, context.span_id, node
-        )
+        span_id = self._record_span(record, stage, detail, status, context.span_id)
         record.holds = max(0, record.holds - 1)
         self._maybe_seal(record)
         return span_id
 
     def _record_span(
-        self,
-        record: TraceRecord,
-        stage: str,
-        detail: str,
-        status: str,
-        parent_id: int,
-        node: Optional[str],
+        self, record: TraceRecord, stage: str, detail: str, status: str, parent_id: int
     ) -> int:
         self._clock += 1
         self.spans_recorded += 1
@@ -666,7 +634,6 @@ class Tracer:
                 detail=detail,
                 span_id=span_id,
                 parent_id=parent_id,
-                node=self.node if node is None else node,
                 status=status,
                 t=perf_counter(),
             )
@@ -710,12 +677,9 @@ class Tracer:
             tagged += 1
         return tagged
 
-    def kept(self, kind: Optional[str] = None) -> List[TraceRecord]:
-        """Tail-retained traces, oldest first, optionally by kind."""
-        records = list(self._kept.values())
-        if kind is not None:
-            records = [r for r in records if r.kind == kind]
-        return records
+    def kept(self) -> List[TraceRecord]:
+        """Tail-retained traces, oldest first."""
+        return list(self._kept.values())
 
     def _keep_record(self, record: TraceRecord) -> None:
         self._kept[record.trace_id] = record
@@ -795,7 +759,6 @@ class NullTracer:
     max_traces = 0
     max_kept = 0
     sample_rate = 0.0
-    node = ""
     active_trace_id: Optional[int] = None
     bindings_live = 0
 
@@ -832,25 +795,23 @@ class NullTracer:
     def bind_batch(self, batch, trace_id, parent=None) -> None:
         """No-op."""
 
-    def batch_span(self, batch, stage, detail="", status="ok", node=None) -> int:
+    def batch_span(self, batch, stage, detail="", status="ok") -> int:
         """No-op; returns 0."""
         return 0
 
-    def finish_batch(self, batch, stage, detail="", status="ok", node=None) -> int:
+    def finish_batch(self, batch, stage, detail="", status="ok") -> int:
         """No-op; returns 0."""
         return 0
 
-    def span(
-        self, trace_id, stage, detail="", status="ok", parent=None, node=None
-    ) -> int:
+    def span(self, trace_id, stage, detail="", status="ok", parent=None) -> int:
         """No-op; returns 0."""
         return 0
 
-    def frame_span(self, frame, stage, detail="", status="ok", node=None) -> int:
+    def frame_span(self, frame, stage, detail="", status="ok") -> int:
         """No-op; returns 0."""
         return 0
 
-    def finish_frame(self, frame, stage, detail="", status="ok", node=None) -> int:
+    def finish_frame(self, frame, stage, detail="", status="ok") -> int:
         """No-op; returns 0."""
         return 0
 
@@ -861,7 +822,7 @@ class NullTracer:
         """No-op; returns 0."""
         return 0
 
-    def kept(self, kind: Optional[str] = None) -> list:
+    def kept(self) -> list:
         """Always empty."""
         return []
 

@@ -121,9 +121,7 @@ class AppendStore:
         """Virtual address of ring slot 0."""
         return self.region.base_address + 8
 
-    def register_writer(
-        self, writer_id: int, psn: int = 0, max_retries: int = 16
-    ) -> AppendTranslator:
+    def register_writer(self, writer_id: int, max_retries: int = 16) -> AppendTranslator:
         """Bring up one switch-side writer: its QP plus its translator.
 
         Each writer gets a dedicated responder QP (``WRITER_QP_BASE +
@@ -134,7 +132,6 @@ class AppendStore:
         qp = self.nic.create_queue_pair(
             QueuePair(
                 qp_number=WRITER_QP_BASE + writer_id,
-                expected_psn=psn,
                 policy=PsnPolicy.RESYNC_ON_GAP,
                 respond_atomics=True,
             )
@@ -150,7 +147,6 @@ class AppendStore:
             rkey=self.region.rkey,
             demux=self.demux,
             writer_id=writer_id,
-            psn=psn,
             max_retries=max_retries,
         )
 

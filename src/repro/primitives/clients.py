@@ -311,21 +311,14 @@ class AppendQueryClient:
         The ring to read (supplies region geometry, NIC and demux).
     operator_id:
         Distinguishes operator stations; each gets its own requester QP.
-    fabric:
-        Optional override transport; defaults to the store's fabric.
     """
 
-    def __init__(
-        self,
-        store: AppendStore,
-        operator_id: int = 0,
-        fabric: Optional[Fabric] = None,
-    ) -> None:
+    def __init__(self, store: AppendStore, operator_id: int = 0) -> None:
         if operator_id < 0:
             raise ValueError("operator_id must be non-negative")
         self.store = store
         self.reader = OneSidedReader(
-            fabric if fabric is not None else store.fabric,
+            store.fabric,
             store.endpoint_id,
             store.nic,
             APPEND_READER_QP_BASE + operator_id,
@@ -380,7 +373,7 @@ class AppendQueryClient:
         """The absolute index the next :meth:`follow` resumes from."""
         return self._cursor
 
-    def reset_cursor(self, cursor: Optional[int] = None) -> None:
+    def reset_cursor(self, cursor: Optional[int]) -> None:
         """Rewind (or fast-forward) the follow cursor.
 
         ``None`` restarts from the ring's current head on the next
@@ -429,21 +422,14 @@ class CounterQueryClient:
         :class:`~repro.primitives.sketch.SketchStore`) to read.
     operator_id:
         Distinguishes operator stations; each gets its own requester QP.
-    fabric:
-        Optional override transport; defaults to the store's fabric.
     """
 
-    def __init__(
-        self,
-        store: "CounterStore",
-        operator_id: int = 0,
-        fabric: Optional[Fabric] = None,
-    ) -> None:
+    def __init__(self, store: "CounterStore", operator_id: int = 0) -> None:
         if operator_id < 0:
             raise ValueError("operator_id must be non-negative")
         self.store = store
         self.reader = OneSidedReader(
-            fabric if fabric is not None else store.fabric,
+            store.fabric,
             store.endpoint_id,
             store.nic,
             COUNTER_READER_QP_BASE + operator_id,

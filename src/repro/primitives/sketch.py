@@ -12,12 +12,11 @@ the same cells on the switch and in the collector bank.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
 from repro.collector.counters import CounterStore
-from repro.core.config import DartConfig
 from repro.hashing.hash_family import HashFamily, Key
 from repro.primitives.translator import CountMinAddressing, check_amount
 
@@ -35,25 +34,17 @@ class SwitchSketch:
     ----------
     cells_per_row / rows:
         Sketch shape (must match the target bank to merge).
-    config:
-        Optional deployment config supplying the hash-family seed.
     """
 
-    def __init__(
-        self,
-        cells_per_row: int = 1 << 12,
-        rows: int = 2,
-        config: Optional[DartConfig] = None,
-    ) -> None:
+    def __init__(self, cells_per_row: int = 1 << 12, rows: int = 2) -> None:
         if cells_per_row < 1:
             raise ValueError(f"cells_per_row must be >= 1, got {cells_per_row}")
         if rows < 1:
             raise ValueError(f"rows must be >= 1, got {rows}")
         self.cells_per_row = cells_per_row
         self.rows = rows
-        seed = config.seed if config is not None else 0
         #: Cell addressing, equal to a mergeable bank's ``translator.addressing``.
-        self.addressing = CountMinAddressing(HashFamily(seed=seed), rows, cells_per_row)
+        self.addressing = CountMinAddressing(HashFamily(seed=0), rows, cells_per_row)
         #: The register arrays: ``uint64[rows, cells_per_row]``.
         self.cells = np.zeros((rows, cells_per_row), dtype=np.uint64)
 

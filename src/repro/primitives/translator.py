@@ -251,8 +251,6 @@ class PrimitiveTranslator:
         Destination QP stamped into every request BTH.
     rkey:
         Remote key of the collector memory region.
-    psn:
-        Initial PSN (advertised by the control plane at bring-up).
     """
 
     #: Primitive name, used as the latency histogram's stage label.
@@ -265,13 +263,12 @@ class PrimitiveTranslator:
         qp_number: int,
         *,
         rkey: int,
-        psn: int = 0,
     ) -> None:
         self.fabric = fabric
         self.endpoint_id = endpoint_id
         self.qp_number = qp_number
         self.rkey = rkey
-        self._psn = psn % PSN_MODULUS
+        self._psn = 0
         self._pool = FramePool()
         registry = obs.get_registry()
         self._registry = registry
@@ -372,9 +369,8 @@ class KeyIncrementTranslator(PrimitiveTranslator):
         cells_per_row: int,
         rows: int,
         family: HashFamily,
-        psn: int = 0,
     ) -> None:
-        super().__init__(fabric, endpoint_id, qp_number, rkey=rkey, psn=psn)
+        super().__init__(fabric, endpoint_id, qp_number, rkey=rkey)
         self.base_address = base_address
         #: The target bank's count-min addressing.
         self.addressing = CountMinAddressing(family, rows, cells_per_row)
@@ -496,9 +492,8 @@ class SketchMergeTranslator(PrimitiveTranslator):
         *,
         base_address: int,
         rkey: int,
-        psn: int = 0,
     ) -> None:
-        super().__init__(fabric, endpoint_id, qp_number, rkey=rkey, psn=psn)
+        super().__init__(fabric, endpoint_id, qp_number, rkey=rkey)
         self.base_address = base_address
         #: Whole-sketch merges performed.
         self.c_merges = self._registry.counter(
@@ -603,10 +598,9 @@ class AppendTranslator(PrimitiveTranslator):
         rkey: int,
         demux: ResponseDemux,
         writer_id: int = 0,
-        psn: int = 0,
         max_retries: int = 16,
     ) -> None:
-        super().__init__(fabric, endpoint_id, qp_number, rkey=rkey, psn=psn)
+        super().__init__(fabric, endpoint_id, qp_number, rkey=rkey)
         self.tail_address = tail_address
         self.data_address = data_address
         self.capacity = capacity

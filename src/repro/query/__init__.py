@@ -23,7 +23,6 @@ users" reading the collected state back.  It layers, bottom-up:
 """
 
 from repro.query.backend import (
-    DEFAULT_READ_ATTEMPTS,
     QUERY_KEYS_QP_BASE,
     QUERY_STORE_QP_BASE,
     FanoutBackend,
@@ -64,7 +63,6 @@ from repro.query.service import (
 )
 
 __all__ = [
-    "DEFAULT_READ_ATTEMPTS",
     "QUERY_KEYS_QP_BASE",
     "QUERY_STORE_QP_BASE",
     "AdmissionRejected",

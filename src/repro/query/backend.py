@@ -44,8 +44,9 @@ QUERY_KEYS_QP_BASE = 0xC00
 #: Requester QP of the front end's counter/sketch/ring readers.
 QUERY_STORE_QP_BASE = 0xD00
 
-#: Default bounded-retry rounds against request-leg loss.
-DEFAULT_READ_ATTEMPTS = 16
+#: Bounded retry rounds per read batch against request-leg loss, before a
+#: shard is declared unavailable.
+READ_ATTEMPTS = 16
 
 
 class ShardUnavailable(RuntimeError):
@@ -83,9 +84,6 @@ class FanoutBackend:
     counter_stores / sketch_stores / ring_stores:
         Per-role primitive stores (may be empty dicts for keys-only
         deployments); each store carries its own fabric/NIC/demux.
-    read_attempts:
-        Bounded retry rounds per read batch before a shard is declared
-        unavailable.
     """
 
     def __init__(
@@ -96,17 +94,13 @@ class FanoutBackend:
         counter_stores: Optional[Dict[int, object]] = None,
         sketch_stores: Optional[Dict[int, object]] = None,
         ring_stores: Optional[Dict[int, object]] = None,
-        read_attempts: int = DEFAULT_READ_ATTEMPTS,
     ) -> None:
-        if read_attempts < 1:
-            raise ValueError(f"read_attempts must be >= 1, got {read_attempts}")
         self.config = config
         self.cluster = cluster
         self.keys_fabric = keys_fabric
         self.counter_stores = counter_stores or {}
         self.sketch_stores = sketch_stores or {}
         self.ring_stores = ring_stores or {}
-        self.read_attempts = read_attempts
         self.addressing = DartAddressing(config)
         self._codec = config.slot_codec()
         #: (role, node_id) -> keys-plane reader; rebuilt on failover.
@@ -183,7 +177,7 @@ class FanoutBackend:
             return []
         results: List[Optional[bytes]] = [None] * len(addresses)
         pending = list(range(len(addresses)))
-        for _attempt in range(self.read_attempts):
+        for _attempt in range(READ_ATTEMPTS):
             batch = [addresses[i] for i in pending]
             payloads = reader.read_run(batch, length)
             still_pending = []

@@ -44,10 +44,16 @@ COUNTER_SHARD_ENDPOINT_BASE = 2000
 SKETCH_SHARD_ENDPOINT_BASE = 3000
 RING_SHARD_ENDPOINT_BASE = 4000
 
+#: Shape of each per-role counter/sketch bank.
+COUNTER_CELLS = 1 << 10
+COUNTER_ROWS = 2
+#: Geometry of each per-role Append ring.
+RING_CAPACITY = 128
+RING_RECORD_BYTES = 16
+
 
 def fabric_flavour(
-    flavour: str, *, loss: float = 0.05, seed: int = 0,
-    flush_threshold: int = 64,
+    flavour: str, *, loss: float = 0.05, seed: int = 0
 ) -> Callable[[], Fabric]:
     """A factory for one of the three canonical fabric flavours.
 
@@ -58,7 +64,7 @@ def fabric_flavour(
     if flavour == "inline":
         return InlineFabric
     if flavour == "buffered":
-        return lambda: BufferedFabric(flush_threshold=flush_threshold)
+        return BufferedFabric
     if flavour == "impaired":
         return lambda: ImpairedFabric(InlineFabric(), loss=loss, seed=seed)
     raise ValueError(
@@ -80,10 +86,6 @@ class QueryFleet:
         to :class:`~repro.fabric.InlineFabric`.
     num_standbys:
         Warm spares for failover (0 disables).
-    counter_cells / counter_rows:
-        Shape of each per-role counter/sketch bank.
-    ring_capacity / ring_record_bytes:
-        Geometry of each per-role Append ring.
     """
 
     def __init__(
@@ -92,10 +94,6 @@ class QueryFleet:
         *,
         fabric_factory: Optional[Callable[[], Fabric]] = None,
         num_standbys: int = 0,
-        counter_cells: int = 1 << 10,
-        counter_rows: int = 2,
-        ring_capacity: int = 128,
-        ring_record_bytes: int = 16,
     ) -> None:
         if config is None:
             config = DartConfig(
@@ -118,24 +116,24 @@ class QueryFleet:
         self._ring_writers: Dict[int, object] = {}
         for role in range(config.num_collectors):
             self.counter_stores[role] = CounterStore(
-                cells_per_row=counter_cells,
-                rows=counter_rows,
+                cells_per_row=COUNTER_CELLS,
+                rows=COUNTER_ROWS,
                 config=config,
                 base_address=0x200000 + role * 0x100000,
                 fabric=self.store_fabric,
                 endpoint_id=COUNTER_SHARD_ENDPOINT_BASE + role,
             )
             self.sketch_stores[role] = SketchStore(
-                cells_per_row=counter_cells,
-                rows=counter_rows,
+                cells_per_row=COUNTER_CELLS,
+                rows=COUNTER_ROWS,
                 config=config,
                 base_address=0x1200000 + role * 0x100000,
                 fabric=self.store_fabric,
                 endpoint_id=SKETCH_SHARD_ENDPOINT_BASE + role,
             )
             ring = AppendStore(
-                capacity=ring_capacity,
-                record_bytes=ring_record_bytes,
+                capacity=RING_CAPACITY,
+                record_bytes=RING_RECORD_BYTES,
                 base_address=0x2200000 + role * 0x100000,
                 fabric=self.store_fabric,
                 endpoint_id=RING_SHARD_ENDPOINT_BASE + role,
@@ -255,7 +253,7 @@ class QueryFleet:
     # Direct read surface (ground truth for the identity tests)
     # ------------------------------------------------------------------
 
-    def direct_estimate(self, key: Key, source: str = "counters") -> int:
+    def direct_estimate(self, key: Key, source: str) -> int:
         """The local (collector-CPU) count-min estimate for one key."""
         ((role, (_where, lanes)),) = self.backend.route([key]).items()
         stores = self.counter_stores if source == "counters" else self.sketch_stores

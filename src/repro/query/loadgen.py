@@ -195,7 +195,6 @@ def hot_keyset_scripts(
     keys: Sequence[Key],
     *,
     tenants: Sequence[str] = ("default",),
-    policy: Optional[str] = None,
 ) -> List[UserScript]:
     """Scripts for a hot-keyset workload: point lookups over ``keys``.
 
@@ -203,14 +202,12 @@ def hot_keyset_scripts(
     keyset this produces the cache-friendly load the bench gate uses to
     separate the cached and uncached serving paths.
     """
-    suffix = f" policy {policy}" if policy else ""
     scripts = []
     for index, key in enumerate(keys):
         tenant = tenants[index % len(tenants)]
         scripts.append(
             UserScript(
-                text=f'select value from keys where key == "{key_text(key)}"'
-                + suffix,
+                text=f'select value from keys where key == "{key_text(key)}"',
                 tenant=tenant,
                 keys=list(keys),
             )

@@ -473,11 +473,11 @@ class QueryService:
                     total.inc(len(outcome.plan.keys))
         return answer
 
-    def explain(self, text: str, keys: Optional[List[Key]] = None) -> str:
+    def explain(self, text: str) -> str:
         """The plan (without executing it) for one query string."""
         query = self.parse(text)
-        candidate_keys = keys
-        if candidate_keys is None and query.source is not Source.RING:
+        candidate_keys = None
+        if query.source is not Source.RING:
             candidate_keys = list(self._candidates())
         plan = plan_query(
             query,
@@ -502,7 +502,6 @@ class QueryService:
         text: str,
         tenant: str = "default",
         keys: Optional[List[Key]] = None,
-        use_cache: bool = True,
     ) -> ServiceResult:
         """Serve one query through admission control (the tenant API)."""
         if self._pending >= self.max_pending:
@@ -514,6 +513,6 @@ class QueryService:
                 # Yield once so concurrent tenants interleave at the
                 # gate even though each fan-out runs synchronously.
                 await asyncio.sleep(0)
-                return self.serve(text, tenant=tenant, keys=keys, use_cache=use_cache)
+                return self.serve(text, tenant=tenant, keys=keys)
         finally:
             self._pending -= 1

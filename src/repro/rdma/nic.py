@@ -118,9 +118,6 @@ class RdmaNic:
     mac / ip:
         The NIC's L2/L3 addresses, advertised to switches via the control
         plane's collector lookup table.
-    validate_icrc:
-        Whether to verify the invariant CRC of each frame.  On by default;
-        benchmarks may disable it to isolate DMA costs.
     """
 
     def __init__(
@@ -128,12 +125,10 @@ class RdmaNic:
         region: MemoryRegion,
         mac: str = "02:00:00:00:00:01",
         ip: str = "10.0.0.1",
-        validate_icrc: bool = True,
     ) -> None:
         self.region = region
         self.mac = mac
         self.ip = ip
-        self.validate_icrc = validate_icrc
         registry = obs.get_registry()
         self._tracer = obs.get_tracer()
         self.counters = NicCounters(registry)
@@ -184,7 +179,7 @@ class RdmaNic:
         if profiled:
             started = timer.start()
         try:
-            packet = RoceV2Packet.unpack(frame, validate_icrc=self.validate_icrc)
+            packet = RoceV2Packet.unpack(frame)
         except PacketDecodeError:
             self.counters.c_dropped_decode.inc()
             if self._tracer.enabled:
@@ -311,12 +306,9 @@ class RdmaNic:
         count = len(frames)
         counters = self.counters
         counters.c_received.inc(count)
-        if self.validate_icrc:
-            candidates = np.flatnonzero(icrc_ok(frames))
-            if len(candidates) < count:
-                counters.c_dropped_decode.inc(count - len(candidates))
-        else:
-            candidates = np.arange(count)
+        candidates = np.flatnonzero(icrc_ok(frames))
+        if len(candidates) < count:
+            counters.c_dropped_decode.inc(count - len(candidates))
 
         executed = np.zeros(count, dtype=bool)
         dest_qps = read_field(frames, "bth.dest_qp")[candidates]

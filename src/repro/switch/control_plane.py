@@ -44,7 +44,6 @@ class SwitchControlPlane:
         switch: DartSwitch,
         endpoints: Mapping[int, CollectorEndpoint],
         initial_psns: Mapping[int, int] | None = None,
-        epoch: int = 0,
     ) -> int:
         """Install every collector endpoint into one switch.
 
@@ -82,7 +81,6 @@ class SwitchControlPlane:
                 rkey=endpoint.rkey,
                 base_address=endpoint.base_address,
                 initial_psn=psn,
-                epoch=epoch,
             )
             installed += 1
         self.switches_provisioned += 1

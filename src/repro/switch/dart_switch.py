@@ -90,12 +90,12 @@ class DartSwitch:
         config: DartConfig,
         switch_id: int,
         max_collectors: int = 65536,
-        rng_seed: Optional[int] = None,
         fabric: Optional[Fabric] = None,
     ) -> None:
         self.config = config
         self.switch_id = switch_id
-        #: The transport report frames egress into (see :meth:`bind_fabric`).
+        #: The transport :meth:`report_into` and :meth:`report_batch_into`
+        #: emit frames into; :meth:`report` returns raw frames regardless.
         self.fabric = fabric
         self.addressing = DartAddressing(config)
         self._codec = config.slot_codec()
@@ -117,9 +117,7 @@ class DartSwitch:
         self.psn_registers = RegisterArray(
             size=max_collectors, width_bits=32, name="dart_psn"
         )
-        self.rng = TofinoRng(
-            seed=switch_id if rng_seed is None else rng_seed
-        )
+        self.rng = TofinoRng(seed=switch_id)
         self.mirror = MirrorSession(session_id=1, truncate_to=128)
         #: Recycled frame-matrix buffers for the columnar encode path.
         self.frame_pool = FramePool()
@@ -232,17 +230,6 @@ class DartSwitch:
         if installed is None:
             return None
         return dict(installed.params)
-
-    def bind_fabric(self, fabric: Fabric) -> "DartSwitch":
-        """Connect this switch's egress to a telemetry fabric.
-
-        After binding, :meth:`report_into` and :meth:`report_batch_into`
-        emit frames straight into the fabric -- the deployment-shaped path
-        -- while :meth:`report` keeps returning raw frames for tests and
-        wire-level tooling.  Returns ``self`` for chaining.
-        """
-        self.fabric = fabric
-        return self
 
     # ------------------------------------------------------------------
     # Data-plane: report crafting
@@ -460,8 +447,8 @@ class DartSwitch:
     def _bound_fabric(self) -> Fabric:
         if self.fabric is None:
             raise RuntimeError(
-                "switch has no fabric bound; call bind_fabric() (or pass "
-                "fabric=... at construction) before report_into()"
+                "switch has no fabric bound; pass fabric=... at construction "
+                "before report_into()"
             )
         return self.fabric
 

@@ -13,7 +13,7 @@ import random
 from typing import List, Optional
 
 from repro import obs
-from repro.hashing.crc import CRC32, CrcAlgorithm
+from repro.hashing.crc import CRC32
 
 
 class RegisterArray:
@@ -53,11 +53,11 @@ class RegisterArray:
         self._check_index(index)
         self._cells[index] = value & self._mask
 
-    def read_and_increment(self, index: int, amount: int = 1) -> int:
+    def read_and_increment(self, index: int) -> int:
         """Atomic read-then-increment -- the PSN counter's access pattern."""
         self._check_index(index)
         value = self._cells[index]
-        self._cells[index] = (value + amount) & self._mask
+        self._cells[index] = (value + 1) & self._mask
         return value
 
     @property
@@ -91,8 +91,7 @@ class CrcEngine:
     same two operations.
     """
 
-    def __init__(self, algorithm: CrcAlgorithm = CRC32) -> None:
-        self.algorithm = algorithm
+    algorithm = CRC32
 
     def hash_fields(self, *fields: bytes) -> int:
         """CRC over the concatenation of fields (the hashing use)."""

@@ -191,11 +191,12 @@ def fixup_icrc(frame: bytes, phv) -> bytes:
 # Program construction
 # ----------------------------------------------------------------------
 
-def build_dart_program(
-    config: DartConfig,
-    switch_id: int,
-    max_collectors: int = 65536,
-) -> P4Program:
+#: Capacity of the collector lookup table and its PSN register array
+#: (``DartSwitch``'s default).
+MAX_COLLECTORS = 65536
+
+
+def build_dart_program(config: DartConfig, switch_id: int) -> P4Program:
     """Build the DART egress program for one switch.
 
     The returned program shares the deployment's global hash family and
@@ -207,7 +208,7 @@ def build_dart_program(
         key_checksum=config.key_checksum(),
         registers={
             "psn_counters": RegisterArray(
-                size=max_collectors, width_bits=32, name="psn_counters"
+                size=MAX_COLLECTORS, width_bits=32, name="psn_counters"
             )
         },
     )
@@ -271,7 +272,7 @@ def build_dart_program(
     collector_table = MatchActionTable(
         name="collector_lookup",
         match_kinds=[MatchKind.EXACT],
-        max_entries=max_collectors,
+        max_entries=MAX_COLLECTORS,
         entry_value_bytes=25,
     )
 

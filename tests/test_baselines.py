@@ -100,8 +100,6 @@ class TestCostModel:
             SOCKET_KAFKA_MODEL.cycles_for(-1)
         with pytest.raises(ValueError):
             SOCKET_KAFKA_MODEL.cores_for_rate(-1)
-        with pytest.raises(ValueError):
-            SOCKET_KAFKA_MODEL.cores_for_rate(1, cpu_ghz=0)
 
 
 class TestReportCodec:

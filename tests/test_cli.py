@@ -186,6 +186,18 @@ class TestObs:
         names = {e["name"] for e in trace["traceEvents"] if e["ph"] == "X"}
         assert "client.query" in names
 
+    def test_node_filters_fleet_and_is_rejected_for_trace(self, capsys):
+        """The registry's node label feeds ``--node``; spans carry none."""
+        fleet = ["obs", "fleet"] + self.SMALL[1:] + ["--rounds", "2"]
+        assert main(fleet + ["--node", "collector-0"]) == 0
+        out = capsys.readouterr().out
+        assert "== fleet (1 nodes," in out
+        assert "collector-0" in out and "switch-0" not in out
+        with pytest.raises(SystemExit) as rejected:
+            main(["obs", "trace"] + self.SMALL[1:] + ["--node", "collector-0"])
+        assert rejected.value.code == 2
+        assert "--node does not apply to obs trace" in capsys.readouterr().err
+
     def test_persist_writes_scrape_lines(self, tmp_path, capsys):
         from repro.obs.timeseries import load_jsonl
 
@@ -324,11 +336,22 @@ class TestQueryCommand:
         value = int(out.split("value:")[1].strip())
         assert 0 < value <= 528
 
-    def test_parse_error_surfaces(self, capsys):
-        from repro.query import QueryParseError
+    def test_parse_error_surfaces(self, capsys, monkeypatch):
+        """One ``error:`` line, exit code 2, and no fleet built to say it."""
+        import repro.cli
 
-        with pytest.raises(QueryParseError):
-            main(["query", "select nope from nowhere"])
+        monkeypatch.setattr(
+            repro.cli, "_query_demo_fleet", lambda args: pytest.fail("fleet built")
+        )
+        for text in (
+            "select nope from nowhere",
+            "select * from ring",
+            "select value from keys where",
+        ):
+            assert main(["query", text]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_restores_process_registry(self):
         from repro import obs

@@ -169,7 +169,7 @@ class TestWriteReadRoundtrip:
     def test_queries_executed_counter(self):
         _, _, _, client = self.make_pair()
         client.query(b"a")
-        client.query_value(b"b")
+        client.query(b"b")
         assert client.queries_executed == 2
 
 

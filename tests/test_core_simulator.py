@@ -8,7 +8,6 @@ from repro.core.config import DartConfig
 from repro.core.policies import ReturnPolicy
 from repro.core.simulator import (
     SimulationSpec,
-    error_rate_experiment,
     simulate,
     simulate_cas_strategy,
     sweep_load_factors,
@@ -117,16 +116,16 @@ class TestAgainstTheory:
         """Return errors at b=8 sit below the oldest-key upper bound and
         above the freshest-key lower bound (age-averaged)."""
         alpha = 2.0
-        result = error_rate_experiment(
-            num_keys=1 << 19, num_slots=1 << 18, checksum_bits=8
+        result = simulate(
+            SimulationSpec(num_keys=1 << 19, num_slots=1 << 18, checksum_bits=8)
         )
         _, upper = theory.return_error_bounds(alpha, 2, 8)
         assert 0 < result.error_rate < upper
 
     def test_32bit_checksum_errors_unreproducible(self):
         """Paper section 5.3: 32-bit checksums fail to reproduce errors."""
-        result = error_rate_experiment(
-            num_keys=1 << 19, num_slots=1 << 17, checksum_bits=32
+        result = simulate(
+            SimulationSpec(num_keys=1 << 19, num_slots=1 << 17, checksum_bits=32)
         )
         assert result.error_rate == 0.0
 

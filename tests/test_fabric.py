@@ -428,9 +428,9 @@ class TestFabricIntegration:
             assert inline.estimate(key) == batched.estimate(key)
 
     def test_cas_store_over_fabric(self):
-        store_a = CasDartStore(num_slots=1 << 10, seed=2)
+        store_a = CasDartStore(num_slots=1 << 10)
         store_b = CasDartStore(
-            num_slots=1 << 10, seed=2, fabric=BufferedFabric(flush_threshold=None)
+            num_slots=1 << 10, fabric=BufferedFabric(flush_threshold=None)
         )
         items = [((f"k{i}",), i) for i in range(40)]
         for key, value in items:

@@ -29,11 +29,17 @@ The third pins that watching does not steer: no body can ask a tracer
 for a ``granularity`` to pick its path by, and a stage is timed by the
 registry's one stage timer -- no second clock, profiler capture or
 ``stage_seconds`` series spelled at the site.
+
+The last is the Options rule: a defaulted parameter of a public callable
+is set by some caller outside ``tests/``, or it is a constant.
 """
 
 import ast
+import functools
 import pathlib
 import re
+
+from . import reachability_audit as audit
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -73,14 +79,13 @@ PER_REPORT_CONSTRUCTORS = {
 }
 
 
-def _call_name(node: ast.Call) -> str:
-    """The terminal identifier of a call target (``a.b.C(...)`` -> ``C``)."""
-    func = node.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return ""
+_call_name = audit.call_name
+
+
+@functools.lru_cache(maxsize=None)
+def _parsed(path: pathlib.Path) -> ast.AST:
+    """One parse per module for the whole lint (no rule mutates a tree)."""
+    return ast.parse(path.read_text(), filename=str(path))
 
 
 def _batch_functions(tree: ast.AST):
@@ -119,7 +124,7 @@ def test_no_per_report_objects_in_batch_loops():
     """Batch functions never allocate per-report objects per iteration."""
     violations = []
     for path in HOT_PATH_MODULES:
-        tree = ast.parse(path.read_text(), filename=str(path))
+        tree = _parsed(path)
         for function in _batch_functions(tree):
             violations.extend(_loop_violations(function, path))
     assert not violations, "\n".join(violations)
@@ -142,7 +147,7 @@ def test_read_batch_bodies_build_no_packets():
     banned = PER_REPORT_CONSTRUCTORS | {"pack", "Aeth"}
     violations = []
     for path, name in READ_BATCH_BODIES:
-        tree = ast.parse(path.read_text(), filename=str(path))
+        tree = _parsed(path)
         bodies = [
             node
             for node in ast.walk(tree)
@@ -254,7 +259,7 @@ def test_only_the_layout_module_states_offsets():
     assert LAYOUT_MODULE.is_file()
     violations = []
     for path in _source_modules():
-        tree = ast.parse(path.read_text(), filename=str(path))
+        tree = _parsed(path)
         violations.extend(_layout_violations(tree, path.relative_to(SRC.parent)))
     assert not violations, "\n".join(violations)
 
@@ -263,7 +268,7 @@ def test_one_encoder_computes_batch_icrcs():
     """``icrc_rows`` is called by the encoder and by ``icrc_ok``, full stop."""
     callers = []
     for path in [LAYOUT_MODULE, *_source_modules()]:
-        tree = ast.parse(path.read_text(), filename=str(path))
+        tree = _parsed(path)
         for function in ast.walk(tree):
             if isinstance(function, ast.FunctionDef):
                 callers.extend(
@@ -291,7 +296,7 @@ RETIRED_TEMPLATES = (
 
 def test_five_batch_encoders_one_template_type_one_memo():
     for path, name in BATCH_ENCODERS:
-        tree = ast.parse(path.read_text(), filename=str(path))
+        tree = _parsed(path)
         (body,) = [
             node for node in ast.walk(tree)
             if isinstance(node, ast.FunctionDef) and node.name == name
@@ -301,7 +306,7 @@ def test_five_batch_encoders_one_template_type_one_memo():
     identifiers = set()
     memos = 0
     for path in _source_modules():
-        tree = ast.parse(path.read_text(), filename=str(path))
+        tree = _parsed(path)
         for node in ast.walk(tree):
             if isinstance(node, (ast.Attribute, ast.Name, ast.FunctionDef, ast.ClassDef)):
                 identifiers.add(
@@ -387,7 +392,7 @@ def test_no_granularity_knob_and_one_stage_timer():
         assert (SRC.parent / module).is_file(), module
     violations = []
     for path in [LAYOUT_MODULE, *_source_modules()]:
-        tree = ast.parse(path.read_text(), filename=str(path))
+        tree = _parsed(path)
         relative = path.relative_to(SRC.parent).as_posix()
         violations.extend(_watching_violations(tree, relative))
     assert not violations, "\n".join(violations)
@@ -470,7 +475,7 @@ def test_one_fold_site_per_layer():
         assert (SRC.parent / module).is_file(), module
     violations = []
     for path in [LAYOUT_MODULE, *_source_modules()]:
-        tree = ast.parse(path.read_text(), filename=str(path))
+        tree = _parsed(path)
         relative = path.relative_to(SRC.parent).as_posix()
         violations.extend(_fold_violations(tree, relative))
     assert not violations, "\n".join(violations)
@@ -495,3 +500,105 @@ def test_fold_lint_catches_seeded_violations():
     assert list(_fold_violations(ast.parse(at_home), "repro/hashing/__init__.py")) == []
     reference = "self._ecmp.hash_key_mod((flow_key, stage), 0, len(choices))\n"
     assert list(_fold_violations(ast.parse(reference), "repro/network/topology.py")) == []
+
+
+# ---------------------------------------------------------------------------
+# Options: a default nobody overrides is a constant
+# ---------------------------------------------------------------------------
+
+#: Defaulted parameters only ``tests/`` set, each with why it is still a
+#: parameter.  Exhibit harnesses (``experiments/``, ``*_rows``) are not
+#: under the rule: their defaults are the recorded inputs.
+ONLY_TESTS_SET = {
+    # The way a test reaches a boundary, a fault or a second instance cheaply.
+    ("main", "argv"): "tests drive the CLI in-process",
+    ("EventJournal.__init__", "capacity"): "ring wrap-around in a handful of events",
+    ("Tracer.__init__", "max_traces"): "live-ring eviction in a handful of traces",
+    ("Tracer.__init__", "max_kept"): "tail-retention eviction likewise",
+    ("StageProfiler.__init__", "max_events"): "event-ring trimming (the PR 17 bug)",
+    ("MetricsScraper.__init__", "capacity"): "series retention bound",
+    ("AutoBundler.__init__", "max_bundles"): "the automatic-dump cap",
+    ("AppendStore.register_writer", "max_retries"): "AppendReserveError after two lost reservations",
+    ("PacketLevelIntNetwork.__init__", "max_int_hops"): "the INT hop-limit truncation path",
+    ("RemoteQueryClient.__init__", "max_retries"): "retry budget 0 vs 8 under 40% loss",
+    ("RemoteQueryClient.__init__", "fabric"): "the lossy request leg (ImpairedFabric) of remote queries",
+    ("ImpairedFabric.__init__", "loss_model"): "a shared, pre-seeded LossModel for reproducible drops",
+    ("SelfTelemetryExporter.__init__", "fabric"): "telemetry plane under the datapath's loss regime",
+    ("SelfTelemetryExporter.__init__", "export_every"): "cadence merging of skipped windows",
+    ("IntSimulation.__init__", "fabric"): "buffered / pre-attached fabrics under the INT driver",
+    ("CasDartStore.__init__", "fabric"): "WRITE+CAS over a buffered fabric (put_many parity)",
+    ("IntSimulation.__init__", "scraper"): "scrape cadence on the report clock",
+    ("PacketLevelIntNetwork.__init__", "scraper"): "scrape cadence on the packet clock",
+    ("conformance_rules", "for_ticks"): "fire on the first breached scrape",
+    ("ProbeStation.__init__", "station_id"): "two stations on one cluster need distinct QPs (PR 15 bug)",
+    ("AppendQueryClient.__init__", "operator_id"): "two followers interleaving on one demux",
+    ("CounterQueryClient.__init__", "operator_id"): "two operators interleaving on one demux",
+    ("Histogram.exemplar", "q"): "reads the bucket a given quantile falls in",
+    ("NullHistogram.exemplar", "q"): "mirrors Histogram.exemplar",
+    # Safety: an input check on a value that arrives from outside.
+    ("MemoryRegion.dma_fetch_add_many", "rkey"): "rkey validation, as dma_fetch_add has",
+    ("CrcAlgorithm.compute", "initial"): "CRC chaining; the codec differential diffs it",
+    # Named by an exhibit or ablation, or under the P4 exhibit.
+    ("simulate", "chunk_size"): "DESIGN.md chunked-simulation ablation",
+    ("P4Program.process_phv", "metadata"): "switch/p4 byte-equivalence exhibit",
+    ("FleetController.__init__", "epoch_manager"): "epoch-rotating failover (section 5.2.1)",
+    ("DartReporter.__init__", "redundancy"): "dynamic-N (section 5.1): fewer copies, same addressing",
+    ("DynamicRedundancyController.__init__", "hysteresis"): "dynamic-N switch damping",
+    ("AutoBundler.__init__", "controller"): "membership section of the failover postmortem",
+    # Owed: the callable itself is reached by tier-1 only and goes, with
+    # its tests, when the cap on removed tests per PR allows.
+    ("sweep_load_factors", "num_slots"): "test-only callable",
+    ("sweep_load_factors", "strategy"): "test-only callable",
+    ("FlowGenerator.zipf", "skew"): "test-only callable",
+    ("FlowGenerator.stream", "batch"): "test-only callable",
+    ("EpochManager.note_report", "count"): "test-only callable",
+    ("DartReporter.network_bytes_per_report", "overhead_per_packet"): "test-only callable",
+    ("FleetRegistry.__init__", "registry"): "test-only callable",
+    ("trend_diff", "group_label"): "test-only callable",
+    ("sparkline", "width"): "only its width test sets it",
+    ("SocketKafkaCollector.__init__", "partitions"): "only its validation test sets it",
+    ("RemoteQueryClient.__init__", "policy"): "only its override test sets it",
+    ("DartConfig.for_memory_budget", "num_collectors"): "only its split-budget test sets it",
+}
+
+
+def _options_nobody_sets(sources, callers):
+    return {
+        (option.qualname, option.parameter): option
+        for option in audit.unset_options(sources, callers)
+        if not option.exhibit
+    }
+
+
+def test_every_option_is_set_by_some_caller_outside_tests():
+    sources = {
+        path.relative_to(SRC.parent).as_posix(): _parsed(path)
+        for path in [LAYOUT_MODULE, *_source_modules()]
+    }
+    callers = list(sources.values())
+    for tree in audit.TRAFFIC_TREES[1:]:
+        callers.extend(audit.parse_tree(audit.ROOT / tree).values())
+    unset = _options_nobody_sets(sources, callers)
+    constants = sorted(str(unset[key]) for key in unset.keys() - ONLY_TESTS_SET.keys())
+    assert not constants, "no caller outside tests/ sets:\n" + "\n".join(constants)
+    stale = sorted(ONLY_TESTS_SET.keys() - unset.keys())
+    assert not stale, f"allow-listed but set by traffic, or gone: {stale}"
+    assert len(ONLY_TESTS_SET) <= 45
+
+
+def test_options_lint_catches_a_seeded_violation():
+    source = (
+        "def craft(frame, validate=True, *, width=4):\n    pass\n"
+        "class Nic:\n"
+        "    def __init__(self, region, mtu=1500):\n        pass\n"
+        "    def poll(self, budget=8):\n        pass\n"
+        "    def _drain(self, limit=1):\n        pass\n"
+        "class Sub(Nic):\n    pass\n"
+        "def capacity_rows(cores=16):\n    pass\n"
+    )
+    sources = {"repro/rdma/seeded.py": ast.parse(source)}
+    traffic = ast.parse("craft(f, width=2)\nSub(r, 9000)\nnic.poll(**options)\n")
+    assert set(_options_nobody_sets(sources, [traffic])) == {("craft", "validate")}
+    assert set(_options_nobody_sets(sources, [ast.parse("craft(f, False)")])) == {
+        ("craft", "width"), ("Nic.__init__", "mtu"), ("Nic.poll", "budget"),
+    }

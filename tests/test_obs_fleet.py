@@ -324,7 +324,7 @@ class TestBundles:
         assert pathlib.Path(path).name == "bundle-0000-on-demand.json"
         bundle = json.loads(pathlib.Path(path).read_text())
         assert bundle["reason"] == "on-demand"
-        events = journal.events(kind="bundle")
+        events = [e for e in journal.events() if e.kind == "bundle"]
         assert len(events) == 1 and events[0].attr("path") == path
 
     def test_firing_alert_auto_dumps_once(self, tmp_path):

@@ -187,7 +187,7 @@ class TestExposition:
         registry = MetricsRegistry()
         registry.counter("c").inc()
         registry.histogram("h", buckets=(1.0,)).observe(0.5)
-        rows = json.loads(registry.to_json())
+        rows = json.loads(registry.snapshot().to_json())
         by_name = {row["name"]: row for row in rows}
         assert by_name["c"]["value"] == 1
         assert by_name["h"]["count"] == 1

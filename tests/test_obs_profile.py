@@ -126,14 +126,14 @@ class TestChromeTraceExport:
         profiler.record("fabric.deliver", base + 0.001, base + 0.002)
         profiler.record("nic.ingest", base + 0.002, base + 0.0025)
         profiler.record("fabric.deliver", base + 0.003, base + 0.004)
-        trace = profiler.to_chrome_trace(process_name="unit-test")
+        trace = profiler.to_chrome_trace()
         self._validate_trace(trace)
         events = [e for e in trace["traceEvents"] if e["ph"] == "X"]
         metadata = [e for e in trace["traceEvents"] if e["ph"] == "M"]
         assert len(events) == 3
         # One process_name plus one thread_name per distinct stage.
         assert len(metadata) == 3
-        assert metadata[0]["args"]["name"] == "unit-test"
+        assert metadata[0]["args"]["name"] == "repro-pipeline"
         # Same stage shares a tid; distinct stages get distinct tids.
         tids = {e["name"]: e["tid"] for e in events}
         assert len(set(tids.values())) == 2

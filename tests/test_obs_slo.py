@@ -240,7 +240,7 @@ class TestConformance:
     def test_conformance_none_until_min_queries(self):
         registry, scraper, engine = _engine()
         config = DartConfig(slots_per_collector=1024, redundancy=2)
-        engine.add_rules(conformance_rules(config, min_queries=32))
+        engine.add_rules(conformance_rules(config))
         registry.counter("store_puts").inc(10)
         labels = {"policy": "PLURALITY"}
         registry.counter("queries_total", labels=labels).inc(5)
@@ -254,9 +254,7 @@ class TestConformance:
     def test_conformance_breaches_on_measured_shortfall(self):
         registry, scraper, engine = _engine()
         config = DartConfig(slots_per_collector=4096, redundancy=2)
-        engine.add_rules(
-            conformance_rules(config, tolerance=0.1, for_ticks=1)
-        )
+        engine.add_rules(conformance_rules(config, for_ticks=1))
         registry.counter("store_puts").inc(256)
         labels = {"policy": "PLURALITY"}
         registry.counter("queries_total", labels=labels).inc(100)
@@ -285,9 +283,7 @@ def _run_pipeline(fabric, config, rounds=2, keys_per_round=192):
         store = DartStore(config, packet_level=True, fabric=fabric)
         scraper = MetricsScraper(registry)
         engine = SloEngine(scraper, registry)
-        engine.add_rules(
-            conformance_rules(config, tolerance=0.1, for_ticks=2)
-        )
+        engine.add_rules(conformance_rules(config))
         for tick in range(1, rounds + 1):
             base = (tick - 1) * keys_per_round
             chunk = [

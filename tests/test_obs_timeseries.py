@@ -68,15 +68,12 @@ class TestSeries:
         series.append(0, 100)
         series.append(1, 5)  # registry reset mid-run
         assert series.delta() == 0.0
-        assert series.deltas() == [0.0]
 
     def test_gauge_delta_may_go_negative(self):
         series = Series("g", (), "gauge", capacity=8)
         series.append(0, 10)
         series.append(1, 4)
         assert series.delta() == -6.0
-        # Gauges report readings, not steps.
-        assert series.deltas() == [10.0, 4.0]
 
     def test_empty_windows_are_zero(self):
         series = Series("c", (), "counter", capacity=8)

@@ -215,7 +215,7 @@ class TestTailFollow:
         writer.append_many(records)
         client = AppendQueryClient(store)
         client.follow()
-        client.reset_cursor()  # back to the ring's head
+        client.reset_cursor(None)  # back to the ring's head
         assert client.follow().values() == records
         client.reset_cursor(4)  # resume from an absolute index
         assert client.follow().values() == records[4:]

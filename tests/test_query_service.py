@@ -286,40 +286,3 @@ class TestFanoutHealthRegression:
         assert "PLURALITY" in by_policy
         assert by_policy["PLURALITY"].total == len(fleet.known_keys)
         assert by_policy["PLURALITY"].answered == len(fleet.known_keys)
-
-
-class TestSloRules:
-    def test_query_rules_watch_latency_and_shards(self, registry, fleet):
-        from repro.obs.timeseries import MetricsScraper
-
-        service = QueryService(fleet)
-        service.serve("select sum(est) from counters")
-        scraper = MetricsScraper(registry)
-        engine = obs.SloEngine(scraper, registry)
-        engine.add_rules(
-            obs.query_rules(p99_seconds=10.0, for_ticks=1)
-        )
-        scraper.scrape(tick=1)
-        alerts = {a.rule.name: a for a in engine.evaluate(tick=1)}
-        assert not alerts["query-p99-latency"].firing
-        assert alerts["query-p99-latency"].value is not None
-        assert not alerts["query-shard-failures"].firing
-        assert not alerts["query-admission-sheds"].firing
-
-    def test_shard_failure_rule_fires(self, registry, fleet):
-        from repro.obs.timeseries import MetricsScraper
-        from repro.query.backend import ShardUnavailable
-
-        service = QueryService(fleet, cache_ttl_ticks=1)
-
-        def dead_rows_for(source, shard, *rest):
-            raise ShardUnavailable(shard.role, shard.node_id)
-
-        fleet.backend.rows_for = dead_rows_for
-        service.serve("select sum(est) from counters")
-        scraper = MetricsScraper(registry)
-        engine = obs.SloEngine(scraper, registry)
-        engine.add_rules(obs.query_rules(for_ticks=1))
-        scraper.scrape(tick=1)
-        alerts = {a.rule.name: a for a in engine.evaluate(tick=1)}
-        assert alerts["query-shard-failures"].firing

@@ -149,7 +149,7 @@ class TestRemoteQueryClient:
         config, cluster, _ = self.make_deployment()
         client = RemoteQueryClient(config, cluster)
         assert client.query(b"nothing").outcome is QueryOutcome.EMPTY
-        assert client.query_value(b"nothing") is None
+        assert client.query(b"nothing").value is None
 
     def test_policy_override(self):
         config, cluster, reporter = self.make_deployment()

@@ -14,13 +14,12 @@ from repro.obs.trace_analysis import TraceAnalyzer
 from repro.obs.tracing import Span, TraceRecord
 
 
-def _span(seq, stage, span_id, parent_id=0, t=0.0, node="", status="ok"):
+def _span(seq, stage, span_id, parent_id=0, t=0.0, status="ok"):
     return Span(
         seq=seq,
         stage=stage,
         span_id=span_id,
         parent_id=parent_id,
-        node=node,
         status=status,
         t=t,
     )
@@ -47,10 +46,10 @@ def tree_record():
     return _record(
         [
             _span(1, "primitive.append", 1, 0, t=0.000),
-            _span(2, "append.reserve", 2, 1, t=0.001, node="sw0"),
+            _span(2, "append.reserve", 2, 1, t=0.001),
             _span(3, "append.reserve.retry", 3, 2, t=0.002, status="retry"),
-            _span(4, "rdma.write", 4, 1, t=0.005, node="nic0"),
-            _span(5, "fabric.deliver", 5, 4, t=0.009, node="nic0"),
+            _span(4, "rdma.write", 4, 1, t=0.005),
+            _span(5, "fabric.deliver", 5, 4, t=0.009),
         ]
     )
 
@@ -106,14 +105,10 @@ def test_critical_path_descends_heaviest_child():
     assert analysis.dominant_stage == "rdma.write"
 
 
-def test_dominant_node_and_aggregates(tree_record):
+def test_stage_aggregates_conserve_wall_clock(tree_record):
     analysis = TraceAnalyzer().analyze(tree_record)
     assert math.isclose(analysis.by_stage["append.reserve.retry"], 0.003)
-    assert math.isclose(analysis.by_node["nic0"], 0.004)
-    assert math.isclose(analysis.by_node["sw0"], 0.001)
-    # Aggregates conserve wall-clock too.
     assert math.isclose(sum(analysis.by_stage.values()), analysis.duration)
-    assert math.isclose(sum(analysis.by_node.values()), analysis.duration)
 
 
 def test_complete_tree_validates(tree_record):
@@ -154,17 +149,12 @@ def test_empty_record_reports_no_spans():
     assert analysis.dominant_stage == ""
 
 
-def test_waterfall_renders_rows_and_filters_by_node(tree_record):
-    analyzer = TraceAnalyzer()
-    text = analyzer.render_waterfall(tree_record)
+def test_waterfall_renders_rows(tree_record):
+    text = TraceAnalyzer().render_waterfall(tree_record)
     assert text.splitlines()[0].startswith("trace 7 kind=append")
     assert "append.reserve.retry" in text
     assert "!retry" in text
-    assert "@nic0" in text
     assert "#" in text
-    filtered = analyzer.render_waterfall(tree_record, node="nic0")
-    assert "rdma.write" in filtered
-    assert "append.reserve.retry" not in filtered
 
 
 def test_waterfall_surfaces_problems():

@@ -292,7 +292,8 @@ def shape_report(draw):
 def shape_fetch_add(draw):
     """``PrimitiveTranslator._encode_fetch_add_batch``."""
     qp, rkey, psn, count = draw(qps), draw(rkeys), draw(near_wrap), draw(counts)
-    translator = PrimitiveTranslator(RecordingFabric(), 3, qp, rkey=rkey, psn=psn)
+    translator = PrimitiveTranslator(RecordingFabric(), 3, qp, rkey=rkey)
+    translator._psn = psn
     addresses = draw(st.lists(st.integers(0, U64), min_size=count, max_size=count))
     amounts = draw(st.lists(st.integers(0, U64), min_size=count, max_size=count))
     rows = translator._encode_fetch_add_batch(
@@ -318,8 +319,9 @@ def shape_record_write(draw):
     fabric = RecordingFabric()
     writer = AppendTranslator(
         fabric, 3, qp, tail_address=0, data_address=data_address, capacity=capacity,
-        record_bytes=record_bytes, rkey=rkey, demux=ResponseDemux(), psn=psn,
+        record_bytes=record_bytes, rkey=rkey, demux=ResponseDemux(),
     )
+    writer._psn = psn
     writer._reserve = lambda reserved: start
     records = draw(st.lists(st.binary(max_size=record_bytes), min_size=count, max_size=count))
     assert writer.append_many(records) == start
