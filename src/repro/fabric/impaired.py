@@ -17,7 +17,7 @@ divergence between fabric counters and what endpoints saw.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -115,10 +115,26 @@ class ImpairedFabric(Fabric):
     # Impairment draws
     # ------------------------------------------------------------------
 
-    def _lost(self) -> bool:
+    def _impair(self, overtaking: bool) -> Optional[int]:
+        """One frame's draws, in the one order both entry points share.
+
+        Returns the copies to deliver now: 0 for a frame lost in flight,
+        2 for a duplicated one, None for a frame held for reordering
+        (never one ``overtaking`` a frame already held for its endpoint).
+        """
+        rng = self._rng
         if self._loss_model is not None:
-            return not self._loss_model.deliver()
-        return self.loss > 0.0 and self._rng.random() < self.loss
+            if not self._loss_model.deliver():
+                return 0
+        elif self.loss > 0.0 and rng.random() < self.loss:
+            return 0
+        if not overtaking and self.reordering > 0.0 and (
+            rng.random() < self.reordering
+        ):
+            return None
+        if self.duplication > 0.0 and rng.random() < self.duplication:
+            return 2
+        return 1
 
     # ------------------------------------------------------------------
     # Data plane
@@ -135,43 +151,35 @@ class ImpairedFabric(Fabric):
         counters.c_offered.inc()
         self._observe_offered(frame)
         tracer = self._tracer
-        if self._lost():
+        copies = self._impair(endpoint_id in self._held)
+        if copies == 0:
             counters.c_dropped_loss.inc()
-            if tracer.enabled:
-                # A lost frame's journey ends here: terminal span, and
-                # the drop status tail-retains its trace.
-                tracer.finish_frame(
-                    frame, "fabric.impair", "dropped:loss", status="drop"
-                )
+            # A lost frame's journey ends here: terminal span, and the
+            # drop status tail-retains its trace.
+            tracer.finish_frame(
+                frame, "fabric.impair", "dropped:loss", status="drop"
+            )
             return False
-
-        held = self._held.pop(endpoint_id, None)
-        if held is None and self.reordering > 0.0 and (
-            self._rng.random() < self.reordering
-        ):
+        if copies is None:
             # Hold this frame; the next frame to this endpoint overtakes it.
             self._held[endpoint_id] = frame
             counters.c_reordered.inc()
-            if tracer.enabled:
-                tracer.frame_span(frame, "fabric.impair", "held:reorder")
+            tracer.frame_span(frame, "fabric.impair", "held:reorder")
             return None
 
         # Inner delivery may finish the frame's trace binding; snapshot
         # the causal position first so a duplicate can fork from it.
-        dup_ctx = None
-        if tracer.enabled and self.duplication > 0.0:
-            dup_ctx = tracer.frame_context(frame)
+        dup_ctx = tracer.frame_context(frame) if copies == 2 else None
         result = self.inner.send(endpoint_id, frame)
+        held = self._held.pop(endpoint_id, None)
         if held is not None:
             # The held frame lands *after* the newer one: an adjacent swap.
-            if tracer.enabled:
-                tracer.frame_span(held, "fabric.impair", "released:reorder")
+            tracer.frame_span(held, "fabric.impair", "released:reorder")
             self.inner.send(endpoint_id, held)
-        if self.duplication > 0.0 and self._rng.random() < self.duplication:
+        if copies == 2:
             counters.c_duplicated.inc()
-            if tracer.enabled:
-                tracer.rebind_frame(frame, dup_ctx)
-                tracer.frame_span(frame, "fabric.impair", "duplicated")
+            tracer.rebind_frame(frame, dup_ctx)
+            tracer.frame_span(frame, "fabric.impair", "duplicated")
             self.inner.send(endpoint_id, frame)
         return result
 
@@ -180,11 +188,16 @@ class ImpairedFabric(Fabric):
 
         Impairment draws happen per frame in emission order -- the exact
         RNG sequence of per-frame :meth:`send` on the same frames -- so a
-        seeded scenario impairs identically on both paths.  Surviving rows
-        then reach the inner fabric as columnar runs; held (reordered) and
-        duplicated frames are materialised as bytes, exactly as the scalar
-        path would deliver them, and their delivery results are ignored in
-        the return value just as :meth:`send` ignores them.
+        seeded scenario impairs identically on both paths.  Their outcome
+        is one array of row indexes -- survivors in emission order, a row
+        held inside this batch right after the same-endpoint row that
+        overtakes it, a duplicate as its row repeated -- that reaches the
+        inner fabric as one sub-batch (the batch itself when nothing was
+        impaired).  Only a frame carried in from an earlier call is bytes,
+        sent between the rows either side of it; a row still held at the
+        end is kept as bytes.  Returns the executed count, or None when a
+        row was held (no result yet) or duplicated (the copy travels as a
+        row, so its execution would be counted too).
         """
         tracer = self._tracer
         count = batch.count
@@ -195,41 +208,41 @@ class ImpairedFabric(Fabric):
         try:
             if count == 0:
                 return 0
-            frames = batch.frames
-            endpoint_ids = batch.endpoint_ids
-            # Plan entries: a row index (primary delivery, kept columnar)
-            # or an (endpoint_id, bytes) side delivery (released hold or
-            # duplicate) whose result the scalar path also discards.
-            plan: List[Union[int, Tuple[int, bytes]]] = []
+            held = self._held
+            impair = self._impair
+            # Rows held inside this batch, by endpoint (``held`` has bytes).
+            waiting: Dict[int, int] = {}
+            order: List[int] = []
+            # Frames released from ``held`` (at most one per endpoint), and
+            # how many rows of ``order`` go before each.
+            carried: List[Tuple[int, bytes]] = []
+            cuts: List[int] = []
             lost = reordered = duplicated = 0
-            for row in range(count):
-                endpoint_id = int(endpoint_ids[row])
-                if self._lost():
+            for row, endpoint_id in enumerate(batch.endpoint_ids.tolist()):
+                copies = impair(endpoint_id in waiting or endpoint_id in held)
+                if copies == 0:
                     lost += 1
                     continue
-                held = self._held.pop(endpoint_id, None)
-                if held is None and self.reordering > 0.0 and (
-                    self._rng.random() < self.reordering
-                ):
-                    self._held[endpoint_id] = frames[row].tobytes()
+                if copies is None:
+                    waiting[endpoint_id] = row
                     reordered += 1
                     continue
-                plan.append(row)
-                if held is not None:
-                    plan.append((endpoint_id, held))
-                if self.duplication > 0.0 and (
-                    self._rng.random() < self.duplication
-                ):
+                order.append(row)
+                if endpoint_id in waiting:
+                    order.append(waiting.pop(endpoint_id))
+                elif endpoint_id in held:
+                    carried.append((endpoint_id, held.pop(endpoint_id)))
+                    cuts.append(len(order))
+                if copies == 2:
                     duplicated += 1
-                    plan.append((endpoint_id, frames[row].tobytes()))
-            if lost:
-                counters.c_dropped_loss.inc(lost)
-            if reordered:
-                counters.c_reordered.inc(reordered)
-            if duplicated:
-                counters.c_duplicated.inc(duplicated)
-            traced = tracer.enabled and batch.trace_ctx is not None
-            if traced and (lost or reordered or duplicated):
+                    order.append(row)
+            for endpoint_id, row in waiting.items():
+                held[endpoint_id] = batch.frame_bytes(row)
+            counters.c_dropped_loss.inc(lost)
+            counters.c_reordered.inc(reordered)
+            counters.c_duplicated.inc(duplicated)
+            impaired = lost or reordered or duplicated
+            if impaired:
                 tracer.batch_span(
                     batch,
                     "fabric.impair",
@@ -237,43 +250,28 @@ class ImpairedFabric(Fabric):
                     f"duplicated={duplicated}",
                     status="drop" if lost else "ok",
                 )
-            executed: Optional[int] = 0
-            run: List[int] = []
-
-            def flush_run() -> None:
-                nonlocal executed
-                if not run:
-                    return
-                result = self.inner.send_batch(
-                    batch.select(np.asarray(run, dtype=np.int64))
-                )
-                if result is None:
-                    executed = None
-                elif executed is not None:
-                    executed += result
-                del run[:]
-
-            for item in plan:
-                if isinstance(item, tuple):
-                    flush_run()
-                    self.inner.send(*item)
-                else:
-                    run.append(item)
-            flush_run()
-            if traced and batch.trace_ctx is not None:
-                # Surviving runs finished the shared context through the
-                # inner fabric's delivery; if nothing survived, this is
-                # the terminal span (first-finish-wins makes it a no-op
-                # otherwise).
+            if impaired or carried:
+                results = []
+                runs = np.split(np.asarray(order, dtype=np.int64), cuts)
+                for rows, released in zip(runs, [*carried, None]):
+                    if len(rows):
+                        results.append(self.inner.send_batch(batch.select(rows)))
+                    if released is not None:
+                        self.inner.send(*released)
+            else:
+                results = [self.inner.send_batch(batch)]
+            if not order:
+                # Nothing survived to be finished by the inner fabric's
+                # delivery: this is the shared context's terminal span.
                 tracer.finish_batch(
                     batch,
                     "fabric.deliver",
                     f"{type(self.inner).__name__}:rows=0 executed=0",
                     status="drop",
                 )
-            if reordered:
-                executed = None
-            return executed
+            if reordered or duplicated or None in results:
+                return None
+            return sum(results)
         finally:
             batch.release()
 

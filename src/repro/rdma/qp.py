@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
+import numpy as np
+
 #: PSNs are 24-bit counters, compared modulo this.
 PSN_MODULUS = 1 << 24
 
@@ -32,14 +34,12 @@ def psn_distance(expected: int, received: int) -> int:
     return (received - expected) % PSN_MODULUS
 
 
-def psn_run(start: int, count: int) -> "np.ndarray":
+def psn_run(start: int, count: int) -> np.ndarray:
     """``count`` consecutive 24-bit sequence numbers from ``start``, wrapped.
 
     The array form of a requester's PSN counter (and a responder's MSN
     counter): element ``i`` is ``(start + i) % 2**24``, as ``uint32``.
     """
-    import numpy as np
-
     return ((start + np.arange(count, dtype=np.int64)) % PSN_MODULUS).astype(
         np.uint32
     )
@@ -132,17 +132,17 @@ class QueuePair:
         self.accepted += 1
         return True
 
-    def accept_array(self, psns) -> "np.ndarray":
-        """Vectorised :meth:`accept` over an in-order PSN sequence.
+    def accept_array(self, psns) -> np.ndarray:
+        """Vectorised :meth:`accept` over a PSN sequence in arrival order.
 
         Returns a boolean array, one entry per PSN, identical to calling
         :meth:`accept` on each in order.  Strictly consecutive sequences
         starting at the expected PSN -- the shape every healthy batch has
-        -- advance the QP in O(1); anything else (duplicates, gaps from an
-        impaired fabric) falls back to the exact scalar state machine.
+        -- advance the QP in O(1); the gaps, duplicates and swaps of an
+        impaired fabric are judged in one pass.  Only a gap under
+        ``STRICT`` or a PSN from behind the batch's start falls back to
+        the exact scalar state machine.
         """
-        import numpy as np
-
         psns = np.asarray(psns, dtype=np.int64)
         count = len(psns)
         if count and self.state is QueuePairState.READY:
@@ -156,6 +156,23 @@ class QueuePair:
                 self.expected_psn = int((psns[-1] + 1) % PSN_MODULUS)
                 self.accepted += count
                 return np.ones(count, dtype=bool)
+            # Distances from the batch's start.  With all of them inside
+            # the stale window both ways round, a PSN is accepted when it
+            # lies beyond everything before it, a gap when it skips one.
+            ahead = (psns - self.expected_psn) % PSN_MODULUS
+            furthest = int(ahead.max())
+            if furthest < min(self.stale_window, PSN_MODULUS - self.stale_window):
+                before = np.concatenate(([-1], np.maximum.accumulate(ahead)[:-1]))
+                jumps = ahead - before
+                gaps = int(np.count_nonzero(jumps > 1))
+                if not gaps or self.policy is PsnPolicy.RESYNC_ON_GAP:
+                    accepted = jumps > 0
+                    landed = int(np.count_nonzero(accepted))
+                    self.accepted += landed
+                    self.duplicates_dropped += count - landed
+                    self.gaps_observed += gaps
+                    self.expected_psn = (self.expected_psn + furthest + 1) % PSN_MODULUS
+                    return accepted
         return np.fromiter(
             (self.accept(int(psn)) for psn in psns), dtype=bool, count=count
         )

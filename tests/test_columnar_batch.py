@@ -227,7 +227,32 @@ FABRIC_FACTORIES = [
             seed=23,
         ),
     ),
+    (
+        "impaired_swap_heavy",
+        lambda: ImpairedFabric(
+            InlineFabric(),
+            loss=0.1,
+            duplication=0.2,
+            reordering=0.5,
+            seed=5,
+        ),
+    ),
 ]
+
+#: The fabrics that can leave a frame held between calls.
+HOLDING_FACTORIES = [
+    (name, factory)
+    for name, factory in FABRIC_FACTORIES
+    if getattr(factory(), "reordering", 0.0)
+]
+
+
+def impairment_state(fabric):
+    """What an impaired fabric carries into its next call: the frames it
+    holds (in hold order) and where its draws stand."""
+    if not isinstance(fabric, ImpairedFabric):
+        return None
+    return list(fabric._held.items()), fabric._rng.getstate()
 
 
 class TestStoreStateEquivalence:
@@ -247,10 +272,42 @@ class TestStoreStateEquivalence:
         for key, value in items:
             scalar.put(key, value)
         offered_columnar = columnar.put_many(items)
+        assert offered_columnar == len(items) * config.redundancy
+        self.assert_same_state(scalar, columnar)
+
+    @pytest.mark.parametrize(
+        "factory", [f for _name, f in HOLDING_FACTORIES],
+        ids=[name for name, _f in HOLDING_FACTORIES],
+    )
+    def test_batch_overtakes_frames_held_by_earlier_sends(self, factory):
+        """A frame a scalar ``send`` left held is released by the batch
+        row that overtakes it, at the position ``send`` would have."""
+        config = small_config(num_collectors=3, slots_per_collector=512)
+        items = make_items(150)
+
+        scalar = DartStore(config, packet_level=True, fabric=factory())
+        columnar = DartStore(config, packet_level=True, fabric=factory())
+        carried = 0
+        while not columnar.fabric._held:
+            for store in (scalar, columnar):
+                store.put(*items[carried])
+            carried += 1
+        for key, value in items[carried:]:
+            scalar.put(key, value)
+        # Not ``put_many``: its closing flush would release what is held.
+        columnar._switch.report_batch_into(items[carried:])
+        assert impairment_state(scalar.fabric) == impairment_state(
+            columnar.fabric
+        )
+        self.assert_same_state(scalar, columnar)
+
+    @staticmethod
+    def assert_same_state(scalar, columnar):
         scalar.fabric.flush()
         columnar.fabric.flush()
-
-        assert offered_columnar == len(items) * config.redundancy
+        assert impairment_state(scalar.fabric) == impairment_state(
+            columnar.fabric
+        )
         assert region_snapshots(scalar) == region_snapshots(columnar)
         for left, right in zip(
             nic_counter_views(scalar), nic_counter_views(columnar)

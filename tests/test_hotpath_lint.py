@@ -30,6 +30,9 @@ for a ``granularity`` to pick its path by, and a stage is timed by the
 registry's one stage timer -- no second clock, profiler capture or
 ``stage_seconds`` series spelled at the site.
 
+The fourth keeps a lossy batch a batch: ``ImpairedFabric.send_batch``
+delivers, copies and materialises nothing inside a loop over rows.
+
 The last is the Options rule: a defaulted parameter of a public callable
 is set by some caller outside ``tests/``, or it is a constant.
 """
@@ -500,6 +503,111 @@ def test_fold_lint_catches_seeded_violations():
     assert list(_fold_violations(ast.parse(at_home), "repro/hashing/__init__.py")) == []
     reference = "self._ecmp.hash_key_mod((flow_key, stage), 0, len(choices))\n"
     assert list(_fold_violations(ast.parse(reference), "repro/network/topology.py")) == []
+
+
+# ---------------------------------------------------------------------------
+# A lossy batch stays a batch
+# ---------------------------------------------------------------------------
+
+IMPAIRED_MODULE = SRC / "fabric" / "impaired.py"
+
+#: Delivering (``send_batch``), copying rows out (``select``) and turning a
+#: row into bytes (``tobytes`` / ``frame_bytes``) each cost a fixed price per
+#: call; inside a loop over a batch's rows they are the cut into short runs
+#: creeping back.
+PER_RUN_CALLS = {"send_batch", "select", "tobytes", "frame_bytes"}
+#: The loops of ``ImpairedFabric.send_batch`` that may: over the frames
+#: carried in from earlier calls and over the rows still held at the end,
+#: each at most one entry per endpoint.
+PER_ENDPOINT_ITERABLES = {"carried", "waiting"}
+
+_LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _iterated(loop) -> set:
+    """Every identifier in what ``loop`` iterates over."""
+    if isinstance(loop, ast.For):
+        sources = [loop.iter]
+    elif isinstance(loop, ast.While):
+        sources = [loop.test]
+    else:
+        sources = [generator.iter for generator in loop.generators]
+    return {
+        name for source in sources for part in ast.walk(source)
+        for name in _identifiers(part)
+    }
+
+
+def _row_loop_violations(tree: ast.AST, path):
+    """Per-run calls inside the row loops of ``ImpairedFabric.send_batch``.
+
+    A call to another method of the class, or to a function nested in
+    ``send_batch``, counts as the per-run calls its body makes.
+    """
+    for cls in ast.walk(tree):
+        if not (isinstance(cls, ast.ClassDef) and cls.name == "ImpairedFabric"):
+            continue
+        helpers = {
+            node.name: {
+                _call_name(call) for call in ast.walk(node) if isinstance(call, ast.Call)
+            } & PER_RUN_CALLS
+            for node in ast.walk(cls)
+            if isinstance(node, ast.FunctionDef) and node.name != "send_batch"
+        }
+        for body in cls.body:
+            if not (isinstance(body, ast.FunctionDef) and body.name == "send_batch"):
+                continue
+            for loop in ast.walk(body):
+                if not isinstance(loop, _LOOPS) or (
+                    _iterated(loop) & PER_ENDPOINT_ITERABLES
+                ):
+                    continue
+                for call in ast.walk(loop):
+                    if not isinstance(call, ast.Call):
+                        continue
+                    name = _call_name(call)
+                    for made in sorted(
+                        {name} & PER_RUN_CALLS or helpers.get(name, ())
+                    ):
+                        yield (
+                            f"{path}:{call.lineno}: send_batch() reaches "
+                            f"{made}(...) inside a loop over rows"
+                        )
+
+
+def test_impaired_send_batch_delivers_outside_its_row_loop():
+    tree = _parsed(IMPAIRED_MODULE)
+    assert any(
+        isinstance(node, ast.FunctionDef) and node.name == "send_batch"
+        for node in ast.walk(tree)
+    )
+    violations = list(_row_loop_violations(tree, IMPAIRED_MODULE))
+    assert not violations, "\n".join(violations)
+
+
+def test_row_loop_lint_catches_seeded_violations():
+    template = (
+        "class ImpairedFabric:\n"
+        "    def _flush_run(self, batch, run):\n"
+        "        self.inner.send_batch(batch.select(run))\n"
+        "    def send_batch(self, batch):\n"
+        "        for row in range(batch.count):\n"
+        "            %s\n"
+        "        for stop, endpoint_id, frame in carried:\n"
+        "            self.inner.send_batch(batch.select(plan[:stop]))\n"
+    )
+    seeded = {
+        "self._held[row] = batch.frames[row].tobytes()": {"tobytes"},
+        "self.inner.send_batch(batch.select(rows))": {"select", "send_batch"},
+        "self._flush_run(batch, run)": {"select", "send_batch"},
+        "sent = [batch.select(run) for run in runs]": {"select"},
+    }
+    for line, expected in seeded.items():
+        flagged = list(_row_loop_violations(ast.parse(template % line), "seeded.py"))
+        assert {message.split()[3][:-5] for message in flagged} == expected, flagged
+        assert all(message.startswith("seeded.py:6:") for message in flagged)
+    clean = list(_row_loop_violations(ast.parse(template % "order.append(row)"), "s.py"))
+    assert clean == []
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,8 @@ from repro.rdma.frames import FrameBatch, icrc_rows, write_be32, write_be64, wri
 from repro.rdma.packets import AtomicEth, Bth, Opcode, Reth, RoceV2Packet
 from repro.rdma.qp import PSN_MODULUS, PsnPolicy, QueuePair
 
+from .test_columnar_batch import impairment_state
+
 SLOTS = 256
 READER_QP = 0xC00
 
@@ -115,6 +117,7 @@ class Rig:
             "delivered": frame_accounting(delivered),
             "msn": self.reader.qp.msn,
             "psn": self.reader._psn,
+            "impairment": impairment_state(self.fabric),
         }
 
 
@@ -170,6 +173,26 @@ class TestReadRunEquivalence:
         assert got == expected
         left, right = looped.state(), columnar.state()
         assert left == right
+
+    @pytest.mark.parametrize("name", ["impaired_inline", "impaired_buffered"])
+    def test_run_overtakes_a_frame_held_by_an_earlier_send(self, monkeypatch, name):
+        """A matrix run releases a frame a scalar ``send`` left held at
+        the position the scalar body would."""
+        states = []
+        for cut in (1 << 30, 1):
+            monkeypatch.setattr(clients, "COLUMNAR_MIN_READS", cut)
+            rig = Rig(FABRICS[name]())
+            strays = request_matrix(rig, range(40), qp=0x123456)
+            sent = 0
+            while not rig.fabric._held:
+                rig.fabric.send(0, strays[sent].tobytes())
+                sent += 1
+            slots = list(range(0, 3 * COLUMNAR_MIN_READS * 4, 3))
+            payloads = rig.reader.read_run([rig.address(s) for s in slots], 24)
+            assert rig.reader._pool.in_flight == 0
+            states.append((sent, payloads, rig.state()))
+        assert states[0] == states[1]
+        assert states[1][2]["nic"]["dropped_unknown_qp"] > 0
 
     def test_psn_wraps_at_24_bits(self, monkeypatch):
         scalar, columnar = run_both(
