@@ -12,8 +12,9 @@ RoCEv2 wire encoding and the NIC -- byte-identical results.  Either way
 the call shape picks the granularity: ``put`` is the scalar per-event
 path, ``put_many`` the columnar batch path (one resolved
 :class:`~repro.core.batch.ReportBatch` per call).  Per report, a
-packet-level batch costs about 1.5x an in-process one and packet-level
-``put`` about 30x a packet-level batch (``benchmarks/BENCH_fabric.json``).
+packet-level batch costs about 1.5x an in-process one
+(``benchmarks/BENCH_fabric.json``) and packet-level ``put`` about 15x a
+packet-level batch (``perf/``'s ``ingest_perframe`` against ``ingest_columnar``).
 """
 
 from __future__ import annotations

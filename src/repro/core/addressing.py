@@ -33,10 +33,10 @@ from repro.hashing.hash_family import Key, fold_key
 #: index, so collector selection gets a distinct constant.
 COLLECTOR_FUNCTION_INDEX = 0x40000000
 
-#: Shortest lane run resolved as one array pass.  Measured: an array pass
-#: costs ~11 us per member row whatever its length, a scalar mix ~1 us,
-#: so a point lookup's single lane (and a retry's few) stay scalar.
-_ARRAY_MIN_LANES = 4
+#: Shortest lane run resolved as one array pass.  Measured (DESIGN.md, "The
+#: run-length cuts"): routing plus reads of a run cost ~50 us as arrays whatever
+#: its length, ~6 us a lane scalar; level at 7 lanes, the arrays ahead from 8.
+_ARRAY_MIN_LANES = 8
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ and checksum -- the coordination-free property at the heart of the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.hashing.checksum import KeyChecksum
 from repro.hashing.hash_family import HashFamily
@@ -68,17 +69,18 @@ class DartConfig:
 
     # ------------------------------------------------------------------
     # Derived components (constructed on demand; all pure functions of
-    # the frozen fields, so equal configs yield equal components).
+    # the frozen fields, so equal configs yield equal components).  Layout
+    # and slot size are read per report: cached outside the compared fields.
     # ------------------------------------------------------------------
 
-    @property
+    @cached_property
     def layout(self) -> SlotLayout:
         """The slot layout implied by the checksum and value sizes."""
         return SlotLayout(
             checksum_bits=self.checksum_bits, value_bytes=self.value_bytes
         )
 
-    @property
+    @cached_property
     def slot_bytes(self) -> int:
         """Size of one slot in bytes (checksum + value)."""
         return self.layout.slot_bytes

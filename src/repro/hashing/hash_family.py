@@ -66,8 +66,9 @@ def splitmix64(value: int) -> int:
     return value ^ (value >> 31)
 
 
-def mix64(value: int, seed: int = 0) -> int:
-    """Strong 64-bit avalanche mix of ``value`` under ``seed``."""
+def mix64(value: int, seed: int) -> int:
+    """Strong 64-bit avalanche mix of ``value`` under ``seed``: the definition
+    :meth:`HashFamily.hash_folded` computes with ``splitmix64(seed)`` cached."""
     return splitmix64((value ^ splitmix64(seed)) & _U64)
 
 
@@ -84,20 +85,28 @@ def fold_key(key: Key) -> int:
 
 
 def _fold_bytes(data: bytes) -> int:
-    """Fold arbitrary-length bytes into a 64-bit lane with mixing per word."""
+    """Fold arbitrary-length bytes into a 64-bit lane with mixing per word: the
+    per-key cost of every scalar hash, so the words come out of one ``struct``
+    call (a short last word right-aligned) and :func:`splitmix64` is inline."""
     acc = 0xCBF29CE484222325  # FNV offset basis, an arbitrary non-zero start
-    for offset in range(0, len(data), 8):
-        chunk = data[offset : offset + 8]
-        word = int.from_bytes(chunk, "big")
-        acc = splitmix64((acc ^ word) & _U64)
+    size = len(data)
+    full, tail = divmod(size, 8)
+    words = struct.unpack_from(f">{full}Q", data)
+    if tail:
+        words += (int.from_bytes(data[-tail:], "big"),)
+    for word in words:
+        acc = (acc ^ word) + 0x9E3779B97F4A7C15 & _U64
+        acc = (acc ^ acc >> 30) * 0xBF58476D1CE4E5B9 & _U64
+        acc = (acc ^ acc >> 27) * 0x94D049BB133111EB & _U64
+        acc ^= acc >> 31
     # Mix in the length so prefixes don't collide with padded keys.
-    return splitmix64((acc ^ len(data)) & _U64)
+    return splitmix64(acc ^ size)
 
 
 #: Runs shorter than this stay a loop of :func:`fold_key`.  Measured on
 #: ``perf/``'s flow 5-tuples and flow strings: the matrix pass costs a fixed
-#: 90-220 us, the scalar fold 5-11 us a key, crossover at 16-32 keys (at 32:
-#: 336 -> 211 us, 150 -> 93 us); one key alone is 10-30x slower through numpy.
+#: 80-200 us, the scalar fold 3-8 us a key, crossover at 24-32 keys (at 32:
+#: 255 -> 204 us, 98 -> 83 us); one key alone is 10-30x slower through numpy.
 _MATRIX_MIN_KEYS = 32
 #: The padded matrix (rows x longest row) may be at most this multiple of the
 #: bytes encoded; a batch with a row long enough to break that folds key by key.
@@ -250,7 +259,7 @@ class HashFamily:
             raise ValueError("seed must be non-negative")
         self.seed = seed
         self._base = splitmix64(seed & _U64)
-        self._seed_cache: dict = {}
+        self._mixed_seeds: dict = {}  # member index -> splitmix64 of its seed
 
     def __repr__(self) -> str:
         return f"HashFamily(seed={self.seed})"
@@ -262,26 +271,29 @@ class HashFamily:
         return hash(("HashFamily", self.seed))
 
     def _function_seed(self, index: int) -> int:
-        seed = self._seed_cache.get(index)
-        if seed is None:
-            if index < 0:
-                raise ValueError("hash function index must be non-negative")
-            seed = splitmix64((self._base ^ (index * 0xA24BAED4963EE407)) & _U64)
-            self._seed_cache[index] = seed
-        return seed
+        if index < 0:
+            raise ValueError("hash function index must be non-negative")
+        return splitmix64((self._base ^ (index * 0xA24BAED4963EE407)) & _U64)
+
+    def _mixed_seed(self, index: int) -> int:
+        mixed = self._mixed_seeds.get(index)
+        if mixed is None:
+            mixed = self._mixed_seeds[index] = splitmix64(self._function_seed(index))
+        return mixed
 
     def hash_key(self, key: Key, index: int = 0) -> int:
         """64-bit hash of ``key`` under family member ``index``."""
-        return mix64(fold_key(key), self._function_seed(index))
+        return self.hash_folded(fold_key(key), index)
 
     def hash_folded(self, folded: int, index: int = 0) -> int:
-        """Finish a :func:`fold_key` lane under family member ``index``.
+        """Finish a :func:`fold_key` lane under family member ``index``:
+        :func:`mix64` under the member's seed, whose own mix is cached.
 
         Equals ``hash_key(key, index)`` when ``folded == fold_key(key)``;
         the batch addressing path folds each key once and calls this per
         family member.
         """
-        return mix64(folded, self._function_seed(index))
+        return splitmix64((folded ^ self._mixed_seed(index)) & _U64)
 
     def hash_folded_array(self, folded: np.ndarray, index=0) -> np.ndarray:
         """Vectorised :meth:`hash_folded` over a ``uint64`` lane array.
@@ -298,11 +310,10 @@ class HashFamily:
             member = operator.index(index)
         except TypeError:
             seed = np.array(
-                [splitmix64(self._function_seed(member)) for member in index],
-                dtype=np.uint64,
+                [self._mixed_seed(member) for member in index], dtype=np.uint64
             )[:, None]
         else:
-            seed = np.uint64(splitmix64(self._function_seed(member)))
+            seed = np.uint64(self._mixed_seed(member))
         return _splitmix64_np(folded ^ seed)
 
     def hash_key_mod(self, key: Key, index: int, modulus: int) -> int:

@@ -27,7 +27,7 @@ from repro.fabric.fabric import Fabric
 from repro.hashing.hash_family import Key
 from repro.primitives.append import AppendStore, RingSnapshot
 from repro.primitives.translator import ReadResponseRows, ResponseDemux
-from repro.rdma.frames import FramePool, TemplateEncoder, scalar_template
+from repro.rdma.frames import FramePool, TemplateEncoder, scalar_template, stamp_frame
 from repro.rdma.nic import RdmaNic
 from repro.rdma.packets import Bth, Opcode, Reth, RoceV2Packet
 from repro.rdma.qp import PSN_MODULUS, PsnPolicy, QueuePair, psn_run
@@ -39,16 +39,11 @@ APPEND_READER_QP_BASE = 0xA00
 COUNTER_READER_QP_BASE = 0xB00
 
 #: Shortest run :meth:`OneSidedReader.read_run` sends as one frame matrix.
-#: Measured (CHANGES.md, PR 14 crossover table): a columnar round trip
-#: costs ~130 us fixed + ~2 us/row against ~40 us per scalar READ, so it
-#: wins from 4 rows up on a clean fabric (145 us against 162) and from 6
-#: at 2% loss, where a batch is split at every held or duplicated row into
-#: runs that each pay the fixed cost (5 rows tie at 167 us).  The 2-3 READ
-#: runs of a point lookup and single-address retries stay scalar, a sweep's
-#: 16+ per shard columnar; no benchmark stage issues runs of 4-5, and
-#: ``point_p99_us`` on the lossy workload read the same at 3, 4 and 6
-#: (313-317 / 310-315 / 311-321 us), so the cut stays where it was.
-COLUMNAR_MIN_READS = 4
+#: Measured (DESIGN.md, "The run-length cuts"): a matrix round trip costs
+#: ~180 us whatever the run, a stamped scalar READ ~22 us, so the matrix is
+#: level at 8 and ahead from 9 on a clean and a 2%-loss fabric alike.  The
+#: 2-3 READs of a point lookup stay scalar, a sweep's 16+ per shard columnar.
+COLUMNAR_MIN_READS = 9
 
 
 class OneSidedReader:
@@ -110,18 +105,22 @@ class OneSidedReader:
         self._psn = (psn + 1) % PSN_MODULUS
         return psn
 
-    def _craft_read(self, address: int, length: int, psn: int) -> bytes:
-        request = RoceV2Packet(
-            bth=Bth(
-                opcode=int(Opcode.RC_RDMA_READ_REQUEST),
-                dest_qp=self.qp.qp_number,
-                psn=psn,
-            ),
-            reth=Reth(
-                virtual_address=address, rkey=self.rkey, dma_length=length
-            ),
+    def _request_template(self, length: int) -> np.ndarray:
+        """The READ of ``length`` bytes both granularities stamp: VA and PSN zeroed."""
+        qp_number = self.qp.qp_number
+        return scalar_template(
+            ("read", qp_number, self.rkey, length),
+            lambda: RoceV2Packet(
+                bth=Bth(opcode=int(Opcode.RC_RDMA_READ_REQUEST), dest_qp=qp_number),
+                reth=Reth(rkey=self.rkey, dma_length=length),
+            ).pack(),
         )
-        return request.pack()
+
+    def _craft_read(self, address: int, length: int, psn: int) -> bytes:
+        return stamp_frame(
+            self._request_template(length),
+            {"reth.virtual_address": address, "bth.psn": psn},
+        )
 
     def read(self, address: int, length: int) -> Optional[bytes]:
         """One READ round trip; ``None`` if the request was lost/rejected."""
@@ -202,20 +201,16 @@ class OneSidedReader:
     ) -> List[Optional[bytes]]:
         """:meth:`read_run` as one frame matrix each way.
 
-        Requests: a pooled matrix whose row ``i`` is byte-identical to
-        :meth:`_craft_read` on the same operands.  Responses: matrices
-        matched to requests by PSN on arrays, and the odd frame response
-        (an impaired fabric re-delivers held and duplicated rows as
-        frames) by the same rule.
+        Requests: a pooled matrix stamped from :meth:`_request_template`,
+        row ``i`` what :meth:`_craft_read` stamps on the same operands.
+        Responses: matrices matched to requests by PSN on arrays, and the
+        odd frame response (an impaired fabric re-delivers held and
+        duplicated rows as frames) by the same rule.
         """
         count = len(addresses)
         start = self._psn
         self._psn = (start + count) % PSN_MODULUS
-        template = scalar_template(
-            ("read", self.qp.qp_number, self.rkey, length),
-            lambda: self._craft_read(0, length, 0),
-        )
-        batch = TemplateEncoder(template).stamp(
+        batch = TemplateEncoder(self._request_template(length)).stamp(
             self._pool,
             np.full(count, self.endpoint_id, dtype=np.int64),
             {

@@ -15,11 +15,10 @@ already executes, so the collector stays zero-CPU:
   slot reservation via the returned original value) followed by RDMA
   WRITEs into the reserved ring slots (:class:`AppendTranslator`).
 
-Batched entry points encode whole FETCH_ADD / WRITE batches as pooled
-frame matrices (:class:`~repro.rdma.frames.TemplateEncoder` over the
-scalar crafter's own frame) and hand them to the fabric's ``send_batch``
-seam; scalar entry points craft byte-identical frames one at a time, so
-equivalence suites can diff the two paths.
+Both granularities stamp one memoised template per frame shape: batched
+entry points a pooled matrix (:class:`~repro.rdma.frames.TemplateEncoder`)
+for the fabric's ``send_batch`` seam, scalar ones a frame at a time
+(:func:`~repro.rdma.frames.stamp_frame`), so the two emit the same bytes.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ from repro.rdma.frames import (
     icrc_ok,
     read_field,
     scalar_template,
+    stamp_frame,
 )
 from repro.rdma.packets import (
     AtomicEth,
@@ -299,38 +299,39 @@ class PrimitiveTranslator:
         self._psn = (start + count) % PSN_MODULUS
         return psn_run(start, count)
 
-    def craft_fetch_add(
-        self, address: int, amount: int, psn: Optional[int] = None
-    ) -> bytes:
-        """One scalar FETCH_ADD frame (the per-operation reference path)."""
+    def _add_template(self) -> np.ndarray:
+        """The FETCH_ADD both granularities stamp: VA, addend and PSN zeroed."""
+        return scalar_template(
+            ("fetch_add", self.qp_number, self.rkey),
+            lambda: RoceV2Packet(
+                bth=Bth(opcode=int(Opcode.RC_FETCH_ADD), dest_qp=self.qp_number),
+                atomic_eth=AtomicEth(rkey=self.rkey),
+            ).pack(),
+        )
+
+    def craft_fetch_add(self, address: int, amount: int, psn: Optional[int] = None) -> bytes:
+        """One FETCH_ADD frame (the per-operation path)."""
         if psn is None:
             psn = self._next_psn()
-        packet = RoceV2Packet(
-            bth=Bth(
-                opcode=int(Opcode.RC_FETCH_ADD),
-                dest_qp=self.qp_number,
-                psn=psn,
-            ),
-            atomic_eth=AtomicEth(
-                virtual_address=address, rkey=self.rkey, swap_add=amount
-            ),
+        return stamp_frame(
+            self._add_template(),
+            {
+                "atomic_eth.virtual_address": address,
+                "atomic_eth.swap_add": amount,
+                "bth.psn": psn,
+            },
         )
-        return packet.pack()
 
     def _encode_fetch_add_batch(
         self, addresses: np.ndarray, amounts: np.ndarray
     ) -> FrameBatch:
         """Encode a FETCH_ADD batch as one pooled frame matrix.
 
-        Row ``i`` is byte-identical to :meth:`craft_fetch_add` on the
-        same operands: its zero-operand frame is the template.
+        Row ``i`` is what :meth:`craft_fetch_add` stamps on the same
+        operands, from the same template.
         """
         count = len(addresses)
-        template = scalar_template(
-            ("fetch_add", self.qp_number, self.rkey),
-            lambda: self.craft_fetch_add(0, 0, psn=0),
-        )
-        return TemplateEncoder(template).stamp(
+        return TemplateEncoder(self._add_template()).stamp(
             self._pool,
             np.full(count, self.endpoint_id, dtype=np.int64),
             {
@@ -630,26 +631,27 @@ class AppendTranslator(PrimitiveTranslator):
             )
         return value.ljust(self.record_bytes, b"\x00")
 
-    def craft_record_write(
-        self, slot: int, value: bytes, psn: Optional[int] = None
-    ) -> bytes:
-        """One scalar WRITE frame landing ``value`` in ring ``slot``."""
-        if psn is None:
-            psn = self._next_psn()
-        packet = RoceV2Packet(
-            bth=Bth(
-                opcode=int(Opcode.RC_RDMA_WRITE_ONLY),
-                dest_qp=self.qp_number,
-                psn=psn,
-            ),
-            reth=Reth(
-                virtual_address=self.data_address + slot * self.record_bytes,
-                rkey=self.rkey,
-                dma_length=self.record_bytes,
-            ),
-            payload=self._pad(value),
+    def _record_template(self) -> np.ndarray:
+        """The record WRITE both granularities stamp: VA, PSN and record zeroed."""
+        return scalar_template(
+            ("record_write", self.qp_number, self.rkey, self.record_bytes),
+            lambda: RoceV2Packet(
+                bth=Bth(opcode=int(Opcode.RC_RDMA_WRITE_ONLY), dest_qp=self.qp_number),
+                reth=Reth(rkey=self.rkey, dma_length=self.record_bytes),
+                payload=bytes(self.record_bytes),
+            ).pack(),
         )
-        return packet.pack()
+
+    def craft_record_write(self, slot: int, value: bytes) -> bytes:
+        """One WRITE frame landing ``value`` in ring ``slot``."""
+        return stamp_frame(
+            self._record_template(),
+            {
+                "reth.virtual_address": self.data_address + slot * self.record_bytes,
+                "bth.psn": self._next_psn(),
+            },
+            self._pad(value),
+        )
 
     def _account_overwrites(self, start: int, count: int) -> None:
         """Count reserved slots whose absolute index laps the capacity.
@@ -755,7 +757,7 @@ class AppendTranslator(PrimitiveTranslator):
 
         Reserves ``len(values)`` slots with a single tail FETCH_ADD, then
         encodes all record WRITEs as one pooled frame matrix (row ``i``
-        what :meth:`craft_record_write` packs) offered through
+        what :meth:`craft_record_write` stamps) offered through
         ``send_batch``.  Returns
         the first record's absolute ring index, or ``None`` for an empty
         batch.
@@ -780,11 +782,7 @@ class AppendTranslator(PrimitiveTranslator):
             addresses = (
                 np.uint64(self.data_address) + slots * np.uint64(self.record_bytes)
             )
-            template = scalar_template(
-                ("record_write", self.qp_number, self.rkey, self.record_bytes),
-                lambda: self.craft_record_write(0, b"", psn=0),
-            )
-            frame_batch = TemplateEncoder(template).stamp(
+            frame_batch = TemplateEncoder(self._record_template()).stamp(
                 self._pool,
                 np.full(count, self.endpoint_id, dtype=np.int64),
                 {"reth.virtual_address": addresses, "bth.psn": self._psn_sequence(count)},

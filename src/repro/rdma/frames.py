@@ -45,6 +45,7 @@ from repro.rdma.layout import (
     packer,
     span,
 )
+from repro.rdma.packets import _icrc_of_wire
 
 # ---------------------------------------------------------------------------
 # Wire geometry, derived from the layout's field tables.
@@ -480,3 +481,35 @@ class TemplateEncoder:
             frames[:, -ICRC_BYTES - payload.shape[1] : -ICRC_BYTES] = payload
         write_le32(frames, width - ICRC_BYTES, icrc_rows(frames))
         return FrameBatch(frames, endpoint_ids, lease)
+
+
+
+#: ``"header.field"`` -> ``(start, packer, bits)``; ``bits`` is set where ``struct`` packs
+#: bytes (the 24-bit QP / PSN / MSN): :func:`stamp_frame` range-checks those itself.
+_FRAME_FIELDS = {
+    name: (span(name)[0], field, 8 * field.size if field.format.endswith("s") else 0)
+    for name, field in zip(FIELD_NAMES, map(packer, FIELD_NAMES))
+}
+
+
+def stamp_frame(template: np.ndarray, fields: Dict[str, int], payload: bytes = b"") -> bytes:
+    """:meth:`TemplateEncoder.stamp` for one frame: copy the :func:`scalar_template`
+    row, write each named ``"header.field"``, lay ``payload`` against the trailer,
+    stamp the iCRC (the scalar :func:`~repro.rdma.packets._icrc_of_wire`) last.
+
+    A value its field cannot hold raises what the header's ``pack`` raises:
+    ``ValueError`` for a 24-bit field, ``struct.error`` for the others.
+    """
+    frame = bytearray(template)
+    for name, value in fields.items():
+        start, field, bits = _FRAME_FIELDS[name]
+        if bits:
+            if not 0 <= value < 1 << bits:
+                raise ValueError(f"{name.partition('.')[2]} {value} does not fit in {bits} bits")
+            value = value.to_bytes(bits >> 3, "big")
+        field.pack_into(frame, start, value)
+    end = len(frame) - ICRC_BYTES
+    if payload:
+        frame[end - len(payload) : end] = payload
+    ICRC.struct.pack_into(frame, end, _icrc_of_wire(frame[IP_OFF:end]))
+    return bytes(frame)

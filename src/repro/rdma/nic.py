@@ -36,8 +36,9 @@ from repro.rdma.frames import (
     icrc_ok,
     read_field,
     scalar_template,
+    stamp_frame,
 )
-from repro.rdma.layout import columns
+from repro.rdma.layout import BTH, columns, packer
 from repro.rdma.packets import (
     Aeth,
     Bth,
@@ -47,19 +48,25 @@ from repro.rdma.packets import (
     PacketDecodeError,
     RoceV2Packet,
     UdpHeader,
+    _ipv4_bytes,
+    _ipv4_str,
+    _mac_bytes,
+    _mac_str,
     opcode_has_atomic_eth,
     opcode_has_reth,
 )
 from repro.rdma.qp import PSN_MODULUS, QueuePair, psn_run
 
-#: Request columns a READ response reflects or depends on.  A READ batch
+#: Request fields a READ response reflects or depends on.  A READ batch
 #: takes the vector branch only when every row agrees on all of them, so
 #: one response template serves the whole batch.
-_READ_UNIFORM_COLUMNS = np.array(
-    columns(
-        "eth.src_mac", "ipv4.src_ip", "udp.src_port", "bth.dest_qp", "reth.dma_length"
-    )
+_REFLECTED_FIELDS = (
+    "eth.src_mac", "ipv4.src_ip", "udp.src_port", "bth.dest_qp", "reth.dma_length"
 )
+_READ_UNIFORM_COLUMNS = np.array(columns(*_REFLECTED_FIELDS))
+#: Those fields' bytes, back to back: what a response template is keyed on.
+_REFLECTED = packer(*_REFLECTED_FIELDS)
+_QP_BYTES = BTH["dest_qp"].width
 
 
 class NicCounters(CounterView):
@@ -385,9 +392,10 @@ class RdmaNic:
         """The uniform-READ branch: one gather, one response matrix.
 
         The survivors' bytes leave as one unpooled
-        :class:`~repro.rdma.frames.FrameBatch` on :attr:`tx_queue`: the
-        first survivor's response with PSN, MSN and payload patched, row
-        for row what :meth:`_enqueue_read_response` packs.
+        :class:`~repro.rdma.frames.FrameBatch` on :attr:`tx_queue`,
+        stamped from the first survivor's :meth:`_response_template`
+        with PSN, MSN and payload patched: row for row what
+        :meth:`_enqueue_read_response` stamps.
         """
         frames = batch.frames
         length = int(read_field(frames[:1], "reth.dma_length")[0])
@@ -398,12 +406,8 @@ class RdmaNic:
             qp = self._queue_pairs[
                 int(read_field(frames[landed[:1]], "bth.dest_qp")[0])
             ]
-            peer_qp = qp.effective_peer_qp
-            template = scalar_template(
-                # Everything the response reflects, plus this NIC's own half.
-                ("read_response", self.mac, self.ip, peer_qp,
-                 first[_READ_UNIFORM_COLUMNS].tobytes()),
-                lambda: self._blank_read_response(first, peer_qp, length),
+            template = self._response_template(
+                first[_READ_UNIFORM_COLUMNS].tobytes(), qp.effective_peer_qp
             )
             self.tx_queue.append(
                 TemplateEncoder(template).stamp(
@@ -488,49 +492,40 @@ class RdmaNic:
     # Response path (READ responses; still zero host CPU)
     # ------------------------------------------------------------------
 
-    def _craft_read_response(
-        self, request: RoceV2Packet, peer_qp: int, msn: int, data: bytes
-    ) -> bytes:
-        """The READ RESPONSE frame for one executed READ request.
+    def _response_template(self, reflected: bytes, peer_qp: int) -> np.ndarray:
+        """The READ RESPONSE both granularities stamp (PSN, MSN and payload
+        zeroed) to a request whose :data:`_READ_UNIFORM_COLUMNS` hold ``reflected``:
+        addressing is reflected from it, the NIC knows nothing else."""
 
-        Addressing is reflected from the request (the NIC knows nothing
-        else).
-        """
-        response = RoceV2Packet(
-            eth=EthernetHeader(
-                dst_mac=request.eth.src_mac, src_mac=self.mac
-            ),
-            ipv4=Ipv4Header(src_ip=self.ip, dst_ip=request.ipv4.src_ip),
-            udp=UdpHeader(src_port=request.udp.src_port),
-            bth=Bth(
-                opcode=int(Opcode.RC_RDMA_READ_RESPONSE_ONLY),
-                dest_qp=peer_qp,
-                psn=request.bth.psn,
-            ),
-            aeth=Aeth(syndrome=0, msn=msn),
-            payload=data,
+        def craft() -> bytes:
+            src_mac, src_ip, src_port, _qp, length = _REFLECTED.unpack(reflected)
+            return RoceV2Packet(
+                eth=EthernetHeader(dst_mac=_mac_str(src_mac), src_mac=self.mac),
+                ipv4=Ipv4Header(src_ip=self.ip, dst_ip=_ipv4_str(src_ip)),
+                udp=UdpHeader(src_port=src_port),
+                bth=Bth(opcode=int(Opcode.RC_RDMA_READ_RESPONSE_ONLY), dest_qp=peer_qp),
+                aeth=Aeth(),
+                payload=bytes(length),
+            ).pack()
+
+        return scalar_template(
+            ("read_response", self.mac, self.ip, peer_qp, reflected), craft
         )
-        return response.pack()
 
     def _enqueue_read_response(
         self, request: RoceV2Packet, qp: QueuePair, data: bytes
     ) -> None:
         """Queue the READ RESPONSE on :attr:`tx_queue` for the network
         model to deliver back to the requester."""
-        self.tx_queue.append(
-            self._craft_read_response(
-                request, qp.effective_peer_qp, qp.next_msn(), data
-            )
+        fields = {"bth.psn": request.bth.psn, "aeth.msn": qp.next_msn()}
+        reflected = _REFLECTED.pack(
+            _mac_bytes(request.eth.src_mac), _ipv4_bytes(request.ipv4.src_ip),
+            request.udp.src_port, request.bth.dest_qp.to_bytes(_QP_BYTES, "big"),
+            request.reth.dma_length,
         )
+        template = self._response_template(reflected, qp.effective_peer_qp)
+        self.tx_queue.append(stamp_frame(template, fields, data))
         self.counters.c_responses.inc()
-
-    def _blank_read_response(
-        self, request_row: np.ndarray, peer_qp: int, length: int
-    ) -> bytes:
-        """The READ RESPONSE to the request in ``request_row`` with MSN 0
-        and ``length`` zero bytes of payload."""
-        request = RoceV2Packet.unpack(request_row.tobytes(), validate_icrc=False)
-        return self._craft_read_response(request, peer_qp, 0, bytes(length))
 
     def _enqueue_atomic_response(
         self, request: RoceV2Packet, qp: QueuePair, original: int

@@ -30,6 +30,7 @@ from repro.rdma.layout import (
     BTH,
     ETHERNET,
     ETHERTYPE_IPV4,
+    FIELD_NAMES,
     ICRC,
     ICRC_MASKED_COLUMNS,
     ICRC_PREFIX_BYTES,
@@ -58,6 +59,8 @@ _PSN_BYTES = BTH["psn"].width
 _MSN_BYTES = AETH["msn"].width
 
 _IP_OFF, _UDP_OFF, _BTH_OFF, _EXT_OFF = IPV4.offset, UDP.offset, BTH.offset, BTH.end
+#: Every field from Ethernet to the BTH: what :meth:`RoceV2Packet.unpack` parses in one pass.
+_FIXED = packer(*FIELD_NAMES[: FIELD_NAMES.index("bth.psn") + 1])
 
 #: Entries each address memo below may hold.  Bounded because the
 #: addresses of a received frame are sender-chosen (the same reason
@@ -526,19 +529,34 @@ class RoceV2Packet:
         which is the annex's rule and what ``frames.icrc_rows`` does for
         the columnar NIC.
         """
-        eth = EthernetHeader.unpack(data)
-        if eth.ethertype != ETHERTYPE_IPV4:
-            raise PacketDecodeError(f"not IPv4 (ethertype {eth.ethertype:#x})")
-        ipv4 = Ipv4Header.unpack(data[_IP_OFF:_UDP_OFF])
-        if ipv4.protocol != IP_PROTO_UDP:
-            raise PacketDecodeError(f"not UDP (protocol {ipv4.protocol})")
-        udp = UdpHeader.unpack(data[_UDP_OFF:_BTH_OFF])
-        if udp.dst_port != ROCEV2_UDP_PORT:
-            raise PacketDecodeError(f"not RoCEv2 (UDP port {udp.dst_port})")
-        bth = Bth.unpack(data[_BTH_OFF:_EXT_OFF])
+        size = len(data)
+        (
+            dst_mac, src_mac, ethertype, version_ihl, dscp_ecn, total_length, identification,
+            flags_fragment, ttl, protocol, _checksum, src_ip, dst_ip, src_port, dst_port,
+            udp_length, udp_checksum, opcode, flags, partition_key, _resv8a, dest_qp,
+            ack_request, psn,
+        ) = _FIXED.unpack_from(data if size >= _EXT_OFF else bytes(data).ljust(_EXT_OFF, b"\0"))
+        # A short frame was zero-filled above; each length test guards the
+        # checks after it, so it fails exactly where the header it cuts does.
+        if size < _IP_OFF:
+            raise PacketDecodeError("truncated Ethernet header")
+        if ethertype != ETHERTYPE_IPV4:
+            raise PacketDecodeError(f"not IPv4 (ethertype {ethertype:#x})")
+        if size < _UDP_OFF:
+            raise PacketDecodeError("truncated IPv4 header")
+        if version_ihl != IPV4_VERSION_IHL:
+            raise PacketDecodeError(f"unsupported IPv4 version/IHL byte {version_ihl:#x}")
+        if protocol != IP_PROTO_UDP:
+            raise PacketDecodeError(f"not UDP (protocol {protocol})")
+        if size < _BTH_OFF:
+            raise PacketDecodeError("truncated UDP header")
+        if dst_port != ROCEV2_UDP_PORT:
+            raise PacketDecodeError(f"not RoCEv2 (UDP port {dst_port})")
+        if size < _EXT_OFF:
+            raise PacketDecodeError("truncated BTH")
 
-        end = _IP_OFF + ipv4.total_length
-        if end > len(data) or end - ICRC.size < _EXT_OFF:
+        end = _IP_OFF + total_length
+        if end > size or end - ICRC.size < _EXT_OFF:
             raise PacketDecodeError("IPv4 total length inconsistent with frame")
         after_bth = data[_EXT_OFF : end - ICRC.size]
         (wire_icrc,) = _ICRC.unpack_from(data, end - ICRC.size)
@@ -550,29 +568,33 @@ class RoceV2Packet:
                     f"iCRC mismatch: wire {wire_icrc:#010x}, computed {expected:#010x}"
                 )
 
-        reth = None
-        atomic_eth = None
-        aeth = None
+        reth = atomic_eth = aeth = None
         cursor = 0
-        if opcode_has_reth(bth.opcode):
+        if opcode in _RETH_OPCODES:
             reth = Reth.unpack(after_bth)
             cursor = Reth.LENGTH
-        elif opcode_has_atomic_eth(bth.opcode):
+        elif opcode in _ATOMIC_OPCODES:
             atomic_eth = AtomicEth.unpack(after_bth)
             cursor = AtomicEth.LENGTH
-        elif opcode_has_aeth(bth.opcode):
+        elif opcode in _AETH_OPCODES:
             aeth = Aeth.unpack(after_bth)
             cursor = Aeth.LENGTH
-        payload = after_bth[cursor:]
         return cls(
-            eth=eth,
-            ipv4=ipv4,
-            udp=udp,
-            bth=bth,
-            reth=reth,
-            atomic_eth=atomic_eth,
-            aeth=aeth,
-            payload=payload,
+            EthernetHeader(_mac_text(dst_mac), _mac_text(src_mac), ethertype),
+            Ipv4Header(
+                _ipv4_text(src_ip), _ipv4_text(dst_ip), total_length, ttl, protocol,
+                dscp_ecn, identification, flags_fragment,
+            ),
+            UdpHeader(src_port, dst_port, udp_length, udp_checksum),
+            Bth(
+                opcode, bool(flags & 0x80), bool(flags & 0x40), (flags >> 4) & 0x3,
+                partition_key, int.from_bytes(dest_qp, "big"), bool(ack_request >> 7),
+                int.from_bytes(psn, "big"),
+            ),
+            reth,
+            atomic_eth,
+            aeth,
+            after_bth[cursor:],
         )
 
     @property

@@ -33,16 +33,9 @@ from repro.rdma.frames import (
     FramePool,
     TemplateEncoder,
     scalar_template,
+    stamp_frame,
 )
-from repro.rdma.packets import (
-    Bth,
-    EthernetHeader,
-    Ipv4Header,
-    Opcode,
-    Reth,
-    RoceV2Packet,
-    UdpHeader,
-)
+from repro.rdma.packets import Bth, EthernetHeader, Ipv4Header, Opcode, Reth, RoceV2Packet
 from repro.rdma.qp import PSN_MODULUS
 from repro.switch.externs import MirrorSession, RegisterArray, TofinoRng
 from repro.switch.pipeline import MatchActionTable, MatchKind, TableEntry
@@ -256,40 +249,29 @@ class DartSwitch:
             endpoint["base_address"], resolved.slot_indexes[copy_index]
         )
         payload = self._codec.encode(resolved.checksum, value)
-        psn = self.psn_registers.read_and_increment(collector_id) % PSN_MODULUS
-        # UDP source port varies with the key for ECMP entropy, like
-        # requester NICs do.
-        entropy = resolved.checksum & 0x3FFF
-        return collector_id, self._pack_write(
-            endpoint, address, psn, _UDP_SRC_BASE | entropy, payload
-        )
+        fields = {
+            # ECMP entropy from the key, as requester NICs vary the source port.
+            "udp.src_port": _UDP_SRC_BASE | (resolved.checksum & 0x3FFF),
+            "reth.virtual_address": address,
+            "bth.psn": self.psn_registers.read_and_increment(collector_id) % PSN_MODULUS,
+        }
+        return collector_id, stamp_frame(self._report_template(endpoint), fields, payload)
 
-    def _pack_write(
-        self,
-        endpoint: Dict[str, Any],
-        address: int,
-        psn: int,
-        src_port: int,
-        payload: bytes,
-    ) -> bytes:
-        """The deparser: one WRITE frame to ``endpoint``, no switch state touched."""
-        packet = RoceV2Packet(
-            eth=EthernetHeader(dst_mac=endpoint["mac"], src_mac=self.src_mac),
-            ipv4=Ipv4Header(src_ip=self.src_ip, dst_ip=endpoint["ip"]),
-            udp=UdpHeader(src_port=src_port),
-            bth=Bth(
-                opcode=int(Opcode.RC_RDMA_WRITE_ONLY),
-                dest_qp=endpoint["qp_number"],
-                psn=psn,
-            ),
-            reth=Reth(
-                virtual_address=address,
-                rkey=endpoint["rkey"],
-                dma_length=len(payload),
-            ),
-            payload=payload,
+    def _report_template(self, endpoint: Dict[str, Any]) -> np.ndarray:
+        """The deparser: the WRITE to ``endpoint`` with its per-report fields
+        zeroed, which both granularities stamp; no switch state touched."""
+        slot_bytes = self.config.slot_bytes
+        return scalar_template(
+            ("report", self.src_mac, self.src_ip, endpoint["mac"], endpoint["ip"],
+             endpoint["qp_number"], endpoint["rkey"], slot_bytes),
+            lambda: RoceV2Packet(
+                eth=EthernetHeader(dst_mac=endpoint["mac"], src_mac=self.src_mac),
+                ipv4=Ipv4Header(src_ip=self.src_ip, dst_ip=endpoint["ip"]),
+                bth=Bth(opcode=int(Opcode.RC_RDMA_WRITE_ONLY), dest_qp=endpoint["qp_number"]),
+                reth=Reth(rkey=endpoint["rkey"], dma_length=slot_bytes),
+                payload=bytes(slot_bytes),
+            ).pack(),
         )
-        return packet.pack()
 
     def _mirror_and_resolve(self, key: Key, value: bytes) -> ResolvedKey:
         """Clone the event into egress and resolve its key: one encoding, one fold.
@@ -361,8 +343,8 @@ class DartSwitch:
         advancing through the same register cells.  Each row's bytes equal
         the corresponding scalar :meth:`report` frame (the equivalence
         suite diffs them), so downstream NIC validation cannot tell the
-        paths apart: each collector's constant bytes are :meth:`_pack_write`'s,
-        memoised on the installed endpoint's values.
+        paths apart: both stamp :meth:`_report_template`, memoised on the
+        installed endpoint's values.
 
         Raises LookupError (after counting the drop) if any targeted
         collector has no lookup entry, like the scalar path does on its
@@ -387,17 +369,7 @@ class DartSwitch:
                     f"no collector lookup entry for collector {int(role)}"
                 )
             endpoints.append(lookup[1])
-        encoder = TemplateEncoder(
-            *(
-                scalar_template(
-                    ("report", self.src_mac, self.src_ip, endpoint["mac"],
-                     endpoint["ip"], endpoint["qp_number"], endpoint["rkey"],
-                     slot_bytes),
-                    lambda: self._pack_write(endpoint, 0, 0, 0, bytes(slot_bytes)),
-                )
-                for endpoint in endpoints
-            )
-        )
+        encoder = TemplateEncoder(*(self._report_template(e) for e in endpoints))
 
         self.counters.c_events.inc(report_count)
         self.mirror.c_clones.inc(report_count)

@@ -79,7 +79,7 @@ class TestMixers:
 
     @given(value=st.integers(min_value=0, max_value=2**64 - 1))
     def test_mix64_stays_in_64_bits(self, value):
-        assert 0 <= mix64(value) < 2**64
+        assert 0 <= mix64(value, 0) < 2**64
 
     @given(value=st.integers(min_value=0, max_value=2**64 - 1))
     def test_mix64_seed_changes_output(self, value):

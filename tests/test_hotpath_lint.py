@@ -22,8 +22,9 @@ the rule.
 
 The second half pins where the RoCEv2 wire format is written down: one
 module (``repro.rdma.layout``) states offsets and widths, everything else
-names fields; and one encoder (``TemplateEncoder.stamp``) turns a
-scalar-packed template into a batch, so nothing else computes a batch iCRC.
+names fields; one template per site, stamped into a batch
+(``TemplateEncoder.stamp``) or into one frame (``stamp_frame``), so nothing
+else computes a batch iCRC and no frame sender builds header dataclasses.
 
 The third pins that watching does not steer: no body can ask a tracer
 for a ``granularity`` to pick its path by, and a stage is timed by the
@@ -282,44 +283,157 @@ def test_one_encoder_computes_batch_icrcs():
     assert sorted(callers) == ["frames.py:icrc_ok", "frames.py:stamp"]
 
 
-#: The five batch encoders, and the private templates they used to keep.
-BATCH_ENCODERS = [
-    (SRC / "switch" / "dart_switch.py", "encode_batch"),
-    (SRC / "primitives" / "translator.py", "_encode_fetch_add_batch"),
-    (SRC / "primitives" / "translator.py", "append_many"),
-    (SRC / "primitives" / "clients.py", "_read_run_batch"),
-    (SRC / "rdma" / "nic.py", "_ingest_read_batch"),
+def test_one_scalar_icrc():
+    """``_icrc_of_wire`` is the iCRC of every scalar frame: packed, parsed or stamped."""
+    callers = sorted(
+        f"{path.name}:{function.name}"
+        for path in _source_modules()
+        for function in ast.walk(_parsed(path))
+        if isinstance(function, ast.FunctionDef)
+        for call in ast.walk(function)
+        if isinstance(call, ast.Call) and _call_name(call) == "_icrc_of_wire"
+    )
+    assert callers == [
+        "frames.py:stamp_frame", "packets.py:compute_icrc", "packets.py:pack",
+        "packets.py:unpack",
+    ]
+
+
+#: The five template sites: the module, the accessor holding the site's one
+#: ``scalar_template`` key and craft, the batch body that stamps a matrix from
+#: it and the frame body that stamps one frame from it.
+TEMPLATE_SITES = [
+    (SRC / "switch" / "dart_switch.py", "_report_template", "encode_batch", "_craft_frame"),
+    (SRC / "primitives" / "translator.py", "_add_template", "_encode_fetch_add_batch",
+     "craft_fetch_add"),
+    (SRC / "primitives" / "translator.py", "_record_template", "append_many",
+     "craft_record_write"),
+    (SRC / "primitives" / "clients.py", "_request_template", "_read_run_batch", "_craft_read"),
+    (SRC / "rdma" / "nic.py", "_response_template", "_ingest_read_batch",
+     "_enqueue_read_response"),
 ]
+#: Private templates and per-site crafters earlier encoders kept.
 RETIRED_TEMPLATES = (
     "_frame_template", "_fetch_add_template", "_record_write_template",
     "_read_response_template", "_atomic_template", "_write_template",
-    "_templates", "_read_templates",
+    "_templates", "_read_templates", "_pack_write", "_craft_read_response",
+    "_blank_read_response",
 )
 
 
-def test_five_batch_encoders_one_template_type_one_memo():
-    for path, name in BATCH_ENCODERS:
-        tree = _parsed(path)
-        (body,) = [
-            node for node in ast.walk(tree)
-            if isinstance(node, ast.FunctionDef) and node.name == name
-        ]
-        calls = {_call_name(call) for call in ast.walk(body) if isinstance(call, ast.Call)}
-        assert {"scalar_template", "TemplateEncoder", "stamp"} <= calls, f"{path}: {name}"
+def _function(path: pathlib.Path, name: str) -> ast.FunctionDef:
+    (body,) = [
+        node for node in ast.walk(_parsed(path))
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    ]
+    return body
+
+
+def _names_used(function: ast.AST) -> set:
+    """Every called name and every attribute read in ``function``."""
+    return {
+        _call_name(node) if isinstance(node, ast.Call) else node.attr
+        for node in ast.walk(function)
+        if isinstance(node, (ast.Call, ast.Attribute))
+    }
+
+
+def test_five_sites_two_granularities_one_memo():
+    """Each site's accessor is the only place its template is keyed and
+    crafted; its batch body and its frame body both stamp from it."""
+    for path, accessor, batch, frame in TEMPLATE_SITES:
+        used = {name: _names_used(_function(path, name)) for name in (accessor, batch, frame)}
+        assert "scalar_template" in used[accessor], f"{path}: {accessor}"
+        assert {accessor, "TemplateEncoder", "stamp"} <= used[batch], f"{path}: {batch}"
+        assert {accessor, "stamp_frame"} <= used[frame], f"{path}: {frame}"
+    keyed_by = []
     identifiers = set()
     memos = 0
     for path in _source_modules():
         tree = _parsed(path)
         for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and "scalar_template" in {
+                _call_name(call) for call in ast.walk(node) if isinstance(call, ast.Call)
+            }:
+                keyed_by.append(f"{path.name}:{node.name}")
             if isinstance(node, (ast.Attribute, ast.Name, ast.FunctionDef, ast.ClassDef)):
                 identifiers.add(
                     getattr(node, "attr", None) or getattr(node, "id", None) or node.name
                 )
             # A template memo is a dict some code stores a crafted frame in.
             memos += isinstance(node, ast.AnnAssign) and "template" in ast.unparse(node).lower()
+    assert sorted(keyed_by) == sorted(
+        f"{path.name}:{accessor}" for path, accessor, _batch, _frame in TEMPLATE_SITES
+    )
     assert not identifiers & set(RETIRED_TEMPLATES)
-    assert {"scalar_template", "TemplateEncoder"} <= identifiers
+    assert {"scalar_template", "TemplateEncoder", "stamp_frame"} <= identifiers
     assert memos == 1
+
+
+#: Modules of the five sites, and the one body in them that still builds a
+#: frame from dataclasses: the atomic ACK, which has no batch twin.
+SITE_MODULES = sorted({path for path, *_names in TEMPLATE_SITES})
+UNTEMPLATED_SENDERS = {"_enqueue_atomic_response"}
+PACKET_CONSTRUCTORS = {
+    "RoceV2Packet", "EthernetHeader", "Ipv4Header", "UdpHeader", "Bth", "Reth",
+    "AtomicEth", "Aeth",
+}
+
+
+def _constructions_outside_crafts(tree: ast.AST, path):
+    """Packet / header dataclasses built anywhere but in a template's craft
+    (the lambda, or the nested function named, handed to ``scalar_template``)."""
+    allowed = set()
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        crafts = [function] if function.name in UNTEMPLATED_SENDERS else []
+        for call in ast.walk(function):
+            if isinstance(call, ast.Call) and _call_name(call) == "scalar_template":
+                for craft in call.args[1:]:
+                    if isinstance(craft, ast.Name):
+                        craft = next(
+                            (node for node in ast.walk(function)
+                             if isinstance(node, ast.FunctionDef) and node.name == craft.id),
+                            craft,
+                        )
+                    crafts.append(craft)
+        allowed.update(id(node) for craft in crafts for node in ast.walk(craft))
+    for call in ast.walk(tree):
+        if (
+            isinstance(call, ast.Call)
+            and _call_name(call) in PACKET_CONSTRUCTORS
+            and id(call) not in allowed
+        ):
+            yield f"{path}:{call.lineno}: {_call_name(call)}(...) outside a template's craft"
+
+
+def test_frame_senders_stamp_their_template():
+    """Per-frame send bodies build no packet or header dataclass: every frame
+    the five sites emit is stamped from its template."""
+    violations = []
+    for path in SITE_MODULES:
+        violations.extend(_constructions_outside_crafts(_parsed(path), path))
+    assert not violations, "\n".join(violations)
+
+
+def test_frame_sender_lint_catches_a_seeded_violation():
+    tree = ast.parse(
+        "class Site:\n"
+        "    def _lambda_template(self):\n"
+        "        return scalar_template(key, lambda: RoceV2Packet(bth=Bth()).pack())\n"
+        "    def _nested_template(self):\n"
+        "        def craft():\n"
+        "            return RoceV2Packet(aeth=Aeth()).pack()\n"
+        "        return scalar_template(key, craft)\n"
+        "    def craft_frame(self, psn):\n"
+        "        return RoceV2Packet(bth=Bth(psn=psn)).pack()\n"
+    )
+    flagged = list(_constructions_outside_crafts(tree, "seeded.py"))
+    assert sorted(flagged) == [
+        "seeded.py:9: Bth(...) outside a template's craft",
+        "seeded.py:9: RoceV2Packet(...) outside a template's craft",
+    ]
 
 
 def test_layout_lint_catches_seeded_violations():

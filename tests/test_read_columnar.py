@@ -416,7 +416,7 @@ def fresh_obs(**tracer_kwargs):
 
 
 class TestTracingParity:
-    def traced_run(self, reads=6, **tracer_kwargs):
+    def traced_run(self, reads=12, **tracer_kwargs):
         tracer, restore = fresh_obs(**tracer_kwargs)
         try:
             rig = Rig(InlineFabric())
@@ -453,7 +453,7 @@ class TestTracingParity:
         ):
             if kwargs is None:
                 rig = Rig(InlineFabric())
-                rig.reader.read_run([rig.address(s) for s in range(6)], 24)
+                rig.reader.read_run([rig.address(s) for s in range(12)], 24)
             else:
                 tracer, _record, rig = self.traced_run(**kwargs)
                 assert (tracer.spans_recorded == 0) == (watcher == "unsampled")
@@ -468,8 +468,8 @@ class TestTracingParity:
         assert rig.tap.batches == 1
         assert record.stages == ("query.read_run", "nic.ingest", "fabric.deliver")
         details = {span.stage: span.detail for span in record.spans}
-        assert details["query.read_run"] == "reads=6 len=24"
-        assert details["nic.ingest"] == "rows=6 executed=6"
+        assert details["query.read_run"] == "reads=12 len=24"
+        assert details["nic.ingest"] == "rows=12 executed=12"
 
     def test_unsampled_allocates_nothing(self):
         tracer, record, rig = self.traced_run(sample_rate=0.0)
