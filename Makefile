@@ -84,11 +84,11 @@ bench-control:
 bench-fabric-columnar:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_fabric_columnar.py -q
 
-# DTA primitive gate, absolute rates: the batched and the per-op Append /
-# Key-Increment / Sketch-Merge lowerings must each read >= 90% of their
-# recorded ops/sec, and the per-op ones >= what they read before the
-# scalar codecs went to C speed; the batched/per-op ratio is recorded, not
-# gated (rewrites benchmarks/BENCH_primitives.json).
+# DTA primitive gate, absolute rates: the batched Append / Key-Increment /
+# Sketch-Merge lowerings and the per-op Append / Key-Increment ones must
+# each read >= 90% of their recorded ops/sec, and the per-op ones >= what
+# they read before the scalar codecs went to C speed; the batched/per-op
+# ratio is recorded, not gated (rewrites benchmarks/BENCH_primitives.json).
 bench-primitives:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_primitives.py -q
 

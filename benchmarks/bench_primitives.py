@@ -1,8 +1,9 @@
 """CI gate for the DTA primitive translators (``make bench-primitives``).
 
-Each primitive is measured twice over an identical workload:
+Key-Increment and Append are measured twice over an identical workload,
+Sketch-Merge (which has no per-op entry) once:
 
-- ``*_per_op``  -- the scalar reference path, one frame craft and one
+- ``*_per_op``  -- the scalar path, one stamped frame and one
   ``fabric.send`` per operation (per-record tail reservation for Append);
 - ``*_batch``   -- the columnar path: one pooled frame batch per call
   (template + patch encode, vectorised iCRC) through ``send_batch``.
@@ -11,9 +12,9 @@ The gate asserts absolute rates: every mode at least 90% of its recorded
 ops/sec in ``benchmarks/BENCH_primitives.json``, and every per-op mode at
 least the rate it recorded before the scalar codecs went to C speed.  It
 then records the rows to that file (same shape as ``BENCH_fabric.json``:
-every row names its ``baseline`` mode and carries a within-run ``speedup``,
-which is information, not a gate -- as one it punished making the per-op
-path faster).
+every row names its ``baseline`` mode, its primitive's first, and carries a
+within-run ``speedup``, which is information, not a gate -- as one it
+punished making the per-op path faster).
 """
 
 import json
@@ -35,14 +36,13 @@ PRIMITIVES_ARTIFACT = pathlib.Path(__file__).parent / "BENCH_primitives.json"
 PER_OP_RATE_FLOORS = {
     "key_increment_per_op": 5_215.1,
     "append_per_op": 3_687.0,
-    "sketch_merge_per_op": 12_585.5,
 }
 
 
-def _rows_for(primitive, ops, per_op, batch):
-    """Two rows (scalar baseline + batched) for one primitive."""
-    baseline = f"{primitive}_per_op"
-    timings = best_seconds([(baseline, per_op), (f"{primitive}_batch", batch)])
+def _rows_for(ops, *modes):
+    """One row per ``(mode, func)`` of a primitive; the first is the baseline."""
+    baseline = modes[0][0]
+    timings = best_seconds(modes)
     per_op_seconds = timings[baseline]
     rows = []
     for mode, seconds in timings.items():
@@ -60,7 +60,7 @@ def _rows_for(primitive, ops, per_op, batch):
 
 
 def primitive_rows(ops: int = 1_000) -> list:
-    """Per-op vs batched lowering for Append / Key-Increment / Sketch-Merge.
+    """Per-op vs batched lowering for Append / Key-Increment, batched Sketch-Merge.
 
     The workloads run the full packet path -- translator encode, fabric
     delivery, NIC validation, region DMA -- against fresh collector-side
@@ -80,7 +80,9 @@ def primitive_rows(ops: int = 1_000) -> list:
     def increment_batch():
         CounterStore(cells_per_row=1 << 12, rows=2).add_many(items)
 
-    rows += _rows_for("key_increment", ops, increment_per_op, increment_batch)
+    rows += _rows_for(
+        ops, ("key_increment_per_op", increment_per_op), ("key_increment_batch", increment_batch)
+    )
 
     # Append: `ops` fixed-width records into a ring that wraps ~4 times.
     records = [i.to_bytes(8, "big") for i in range(ops)]
@@ -94,19 +96,16 @@ def primitive_rows(ops: int = 1_000) -> list:
         writer = AppendStore(capacity=max(ops // 4, 8)).register_writer(0)
         writer.append_many(records)
 
-    rows += _rows_for("append", ops, append_per_op, append_batch)
+    rows += _rows_for(ops, ("append_per_op", append_per_op), ("append_batch", append_batch))
 
     # Sketch-Merge: a source matrix with exactly `ops` non-zero cells.
     cells = np.zeros((2, 1 << 12), dtype=np.uint64)
     cells.reshape(-1)[:ops] = 1 + np.arange(ops, dtype=np.uint64) % 251
 
-    def merge_per_op():
-        CounterStore(cells_per_row=1 << 12, rows=2).merger().merge_scalar(cells)
-
     def merge_batch():
         CounterStore(cells_per_row=1 << 12, rows=2).merger().merge(cells)
 
-    rows += _rows_for("sketch_merge", ops, merge_per_op, merge_batch)
+    rows += _rows_for(ops, ("sketch_merge_batch", merge_batch))
     return rows
 
 

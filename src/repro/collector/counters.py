@@ -142,7 +142,8 @@ class CounterStore:
         """Count ``key`` through the full packet path (switch -> NIC -> DMA).
 
         A zero ``amount`` is a no-op: nothing is offered to the fabric
-        and ``c_adds`` does not move.
+        and ``c_adds`` does not move.  Kept beside :meth:`add_many`: a batch
+        of one costs ~5x a frame (DESIGN.md, "Batch of one").
         """
         if self.translator.increment(key, amount):
             self.c_adds.inc()

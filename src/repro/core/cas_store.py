@@ -9,8 +9,8 @@ RDMA atomics operate on a single 8-byte word, so this strategy applies to
 *compact* slots: checksum and value packed into 64 bits (e.g. a 24-bit
 checksum plus a 40-bit value -- enough for counters, event codes or record
 pointers).  The class below runs the real packet path: copy 0 is an
-RDMA WRITE, copy 1 an RDMA CMP_SWAP with compare=0, both crafted as
-RoCEv2 frames and executed by the NIC model.  The statistical twin for
+RDMA WRITE, copy 1 an RDMA CMP_SWAP with compare=0, both stamped from
+RoCEv2 templates and executed by the NIC model.  The statistical twin for
 arbitrary slot sizes is :func:`repro.core.simulator.simulate_cas_strategy`.
 
 Kept on purpose: backs the WRITE+CAS ablation in EXPERIMENTS.md
@@ -21,24 +21,24 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Tuple
 
+import numpy as np
+
 from repro import obs
 from repro.core.addressing import DartAddressing
 from repro.core.config import DartConfig
 from repro.fabric.fabric import Fabric, InlineFabric
 from repro.mem.region import MemoryRegion
+from repro.rdma.frames import scalar_template, stamp_frame
 from repro.rdma.nic import RdmaNic
-from repro.rdma.packets import (
-    AtomicEth,
-    Bth,
-    Opcode,
-    Reth,
-    RoceV2Packet,
-)
+from repro.rdma.packets import AtomicEth, Bth, Opcode, Reth, RoceV2Packet
 from repro.rdma.qp import PsnPolicy, QueuePair
 from repro.hashing.hash_family import Key
 
 #: Fabric endpoint ID the CAS store's NIC is attached at.
 CAS_ENDPOINT_ID = 0
+
+#: The store NIC's responder QP, the destination of every put frame.
+CAS_QP = 0x300
 
 #: Compact-slot geometry: 24-bit checksum, 40-bit value, one 8-byte word.
 CHECKSUM_BITS = 24
@@ -96,7 +96,7 @@ class CasDartStore:
         )
         self.nic = RdmaNic(self.region)
         self.qp = self.nic.create_queue_pair(
-            QueuePair(qp_number=0x300, policy=PsnPolicy.IGNORE)
+            QueuePair(qp_number=CAS_QP, policy=PsnPolicy.IGNORE)
         )
         self.fabric = fabric if fabric is not None else InlineFabric()
         self.fabric.attach(CAS_ENDPOINT_ID, self.nic)
@@ -123,7 +123,9 @@ class CasDartStore:
     # ------------------------------------------------------------------
 
     def put(self, key: Key, value: int) -> None:
-        """Store a 40-bit value under ``key`` via WRITE + CAS frames."""
+        """Store a 40-bit value under ``key`` via WRITE + CAS frames: the
+        body :meth:`put_many` loops, one key's WRITE before its CAS (DESIGN.md,
+        "Batch of one")."""
         write, cas = self._craft_put_frames(key, value)
         self.fabric.send(CAS_ENDPOINT_ID, write)
         self.fabric.send(CAS_ENDPOINT_ID, cas)
@@ -145,33 +147,37 @@ class CasDartStore:
         self._t_put_many.stop(started)
         return 2 * count
 
+    def _put_template(self, opcode: int) -> np.ndarray:
+        """The put's 8-byte WRITE or its CMP_SWAP (compare=0), VA and word
+        zeroed; ``pack`` keeps the RETH or the AtomicETH the opcode has."""
+        rkey = self.region.rkey
+        return scalar_template(
+            ("cas_put", opcode, rkey),
+            lambda: RoceV2Packet(
+                bth=Bth(opcode=int(opcode), dest_qp=CAS_QP),
+                reth=Reth(rkey=rkey, dma_length=8),
+                atomic_eth=AtomicEth(rkey=rkey),
+                payload=bytes(8 if opcode == Opcode.RC_RDMA_WRITE_ONLY else 0),
+            ).pack(),
+        )
+
     def _craft_put_frames(self, key: Key, value: int) -> Tuple[bytes, bytes]:
         """The (WRITE, CMP_SWAP) wire frames for one put."""
         resolved = self.addressing.resolve(key)
         # A stored 0 means "empty", so a real word of 0 is remapped to 1.
         word = pack_compact_slot(resolved.checksum, value) or 1
         write_slot, cas_slot = resolved.slot_indexes
-        payload = word.to_bytes(8, "big")
-
-        write = RoceV2Packet(
-            bth=Bth(opcode=int(Opcode.RC_RDMA_WRITE_ONLY), dest_qp=0x300),
-            reth=Reth(
-                virtual_address=self._slot_address(write_slot),
-                rkey=self.region.rkey,
-                dma_length=8,
-            ),
-            payload=payload,
+        write = stamp_frame(
+            self._put_template(Opcode.RC_RDMA_WRITE_ONLY),
+            {"reth.virtual_address": self._slot_address(write_slot)},
+            word.to_bytes(8, "big"),
         )
-        cas = RoceV2Packet(
-            bth=Bth(opcode=int(Opcode.RC_CMP_SWAP), dest_qp=0x300),
-            atomic_eth=AtomicEth(
-                virtual_address=self._slot_address(cas_slot),
-                rkey=self.region.rkey,
-                swap_add=word,
-                compare=0,  # fill only if the slot is still empty
-            ),
+        cas = stamp_frame(
+            self._put_template(Opcode.RC_CMP_SWAP),
+            {"atomic_eth.virtual_address": self._slot_address(cas_slot),
+             "atomic_eth.swap_add": word},
         )
-        return write.pack(), cas.pack()
+        return write, cas
 
     # ------------------------------------------------------------------
     # Read path

@@ -272,9 +272,13 @@ class MemoryRegion:
             # First write per slot overwrites iff the slot was live before
             # the batch; each repeat overwrites iff the preceding write to
             # the same slot carried non-zero bytes.
-            first_offsets = sorted_offsets[is_first]
-            windows = first_offsets[:, None] + np.arange(width)
-            overwrites = int(buffer[windows].any(axis=1).sum())
+            # Row ``o`` of this view (only read) is ``buffer[o : o + width]``:
+            # no ``count x width`` index matrix, and none of the per-call
+            # checks that make ``sliding_window_view`` cost a small batch more.
+            windows = np.ndarray(
+                (self.size - width + 1, width), np.uint8, self._buffer, 0, (1, 1)
+            )
+            overwrites = int(windows[sorted_offsets[is_first]].any(axis=1).sum())
             repeat_positions = np.flatnonzero(~is_first)
             if len(repeat_positions):
                 previous_rows = order[repeat_positions - 1]

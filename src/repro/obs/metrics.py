@@ -27,7 +27,7 @@ import json
 from bisect import bisect_left
 from contextlib import contextmanager
 from time import perf_counter
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 #: A label set: sorted tuple of (key, value) pairs.  Hashable, so it can
 #: key the registry's series maps.
@@ -53,6 +53,19 @@ SIZE_BUCKETS: Tuple[float, ...] = (
 DEPTH_BUCKETS: Tuple[float, ...] = (
     1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096,
 )
+
+
+def bucket_of_quantile(counts: Sequence[int], q: float) -> Optional[int]:
+    """Index of the bucket holding the ``q``-th of ``counts``' observations
+    (None when there are none): the one rank walk every quantile reads."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile must be in [0, 1], got {q}")
+    rank, running = q * sum(counts), 0
+    for index, count in enumerate(counts):
+        running += count
+        if running >= rank and count:
+            return index
+    return None
 
 
 def _normalise_labels(labels) -> Labels:
@@ -239,17 +252,10 @@ class Histogram:
         exemplar is an observation from the exact bucket that quantile
         reports.  None when empty or the bucket never saw an exemplar.
         """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if not self._count or self._exemplars is None:
+        index = bucket_of_quantile(self._counts, q)
+        if index is None or self._exemplars is None:
             return None
-        rank = q * self._count
-        running = 0
-        for index, count in enumerate(self._counts):
-            running += count
-            if running >= rank and count:
-                return self._exemplars[index]
-        return None
+        return self._exemplars[index]
 
     @property
     def counts(self) -> Tuple[int, ...]:
@@ -288,17 +294,8 @@ class Histogram:
         when empty.  Good enough for dashboards -- exact quantiles would
         need per-observation storage.
         """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if not self._count:
-            return 0.0
-        rank = q * self._count
-        running = 0
-        for bound, count in zip(self.bounds, self._counts):
-            running += count
-            if running >= rank and count:
-                return bound
-        return self.bounds[-1]
+        index = bucket_of_quantile(self._counts, q)
+        return 0.0 if index is None else self.bounds[min(index, len(self.bounds) - 1)]
 
     def reset(self) -> None:
         """Zero all buckets."""

@@ -32,6 +32,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     MetricsSnapshot,
     _normalise_labels,
+    bucket_of_quantile,
 )
 
 #: Unicode blocks for :func:`sparkline`, shallowest to tallest.
@@ -153,30 +154,19 @@ class Series:
         """Approximate windowed quantile for a histogram series.
 
         Subtracts the oldest from the newest cumulative bucket counts in
-        the window and walks the bucket bounds, exactly like
+        the window and walks them with
+        :func:`~repro.obs.metrics.bucket_of_quantile`, as
         :meth:`~repro.obs.metrics.Histogram.quantile` does for all-time
         data.  Returns 0.0 for empty windows; raises for non-histograms.
         """
         if self.kind != "histogram":
             raise ValueError(f"quantile needs a histogram series, not {self.kind}")
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
         _ticks, values = self._window(window)
-        if len(values) < 2:
+        first, last = (values[0][0], values[-1][0]) if len(values) > 1 else ((), ())
+        index = bucket_of_quantile([max(0, b - a) for a, b in zip(first, last)], q)
+        if index is None or not self.bounds:
             return 0.0
-        first_counts, _first_sum = values[0]
-        last_counts, _last_sum = values[-1]
-        counts = [max(0, b - a) for a, b in zip(first_counts, last_counts)]
-        total = sum(counts)
-        if not total:
-            return 0.0
-        rank = q * total
-        running = 0
-        for bound, count in zip(self.bounds, counts):
-            running += count
-            if running >= rank and count:
-                return bound
-        return self.bounds[-1] if self.bounds else 0.0
+        return self.bounds[min(index, len(self.bounds) - 1)]
 
 
 class MetricsScraper:

@@ -25,7 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 from repro import obs
 from repro.fabric.fabric import Fabric
 from repro.hashing.hash_family import Key
-from repro.primitives.append import AppendStore, RingSnapshot
+from repro.primitives.append import AppendStore
 from repro.primitives.translator import ReadResponseRows, ResponseDemux
 from repro.rdma.frames import FramePool, TemplateEncoder, scalar_template, stamp_frame
 from repro.rdma.nic import RdmaNic
@@ -121,40 +121,6 @@ class OneSidedReader:
             self._request_template(length),
             {"reth.virtual_address": address, "bth.psn": psn},
         )
-
-    def read(self, address: int, length: int) -> Optional[bytes]:
-        """One READ round trip; ``None`` if the request was lost/rejected."""
-        psn = self._next_psn()
-        self.c_reads_sent.inc()
-        frame = self._craft_read(address, length, psn)
-        tracer = self._tracer
-        trace_id = tracer.active_trace_id if tracer.enabled else None
-        if trace_id is not None:
-            # Queries join whatever operation is in flight -- the READ
-            # leg lands in the same tree as the data-plane WRITEs.
-            read_sid = tracer.span(
-                trace_id,
-                "query.read",
-                f"addr={address:#x} len={length}",
-            )
-            tracer.bind_frame(frame, trace_id, parent=read_sid)
-        self.fabric.send(self.endpoint_id, frame)
-        self.demux.poll(self.fabric, self.endpoint_id)
-        for response in self.demux.take(self.qp.qp_number):
-            if (
-                response.bth.opcode == int(Opcode.RC_RDMA_READ_RESPONSE_ONLY)
-                and response.bth.psn == psn
-            ):
-                return response.payload
-        if trace_id is not None:
-            tracer.span(
-                trace_id,
-                "query.read.lost",
-                f"psn={psn}",
-                status="drop",
-                parent=read_sid,
-            )
-        return None
 
     def read_run(self, addresses: List[int], length: int) -> List[Optional[bytes]]:
         """Pipelined READs: all requests first, then one response drain.
@@ -325,10 +291,6 @@ class AppendQueryClient:
         self._cursor: Optional[int] = None
         registry = obs.get_registry()
         labels = registry.instance_labels("AppendQueryClient")
-        #: Remote ring recoveries served.
-        self.c_recoveries = registry.counter(
-            "append_remote_recoveries", labels=labels
-        )
         #: Incremental follow reads served.
         self.c_follows = registry.counter(
             "append_remote_follows", labels=labels
@@ -343,25 +305,10 @@ class AppendQueryClient:
 
     def tail(self) -> Optional[int]:
         """The ring's absolute tail, read over the wire (None if lost)."""
-        raw = self.reader.read(self.store.tail_address, 8)
+        (raw,) = self.reader.read_run([self.store.tail_address], 8)
         if raw is None:
             return None
         return int.from_bytes(raw, "big")
-
-    def snapshot(self) -> Optional[RingSnapshot]:
-        """Remote head/tail recovery, mirroring ``AppendStore.recover``.
-
-        Reads the tail pointer, then pipelines one READ per readable
-        slot.  Records whose READ was lost are omitted.  Returns ``None``
-        only when the tail read itself was lost.
-        """
-        tail = self.tail()
-        if tail is None:
-            return None
-        head = max(0, tail - self.store.capacity)
-        records = read_ring_window(self.store, head, tail, self.reader.read_run)
-        self.c_recoveries.inc()
-        return RingSnapshot(head=head, tail=tail, records=records)
 
     @property
     def cursor(self) -> Optional[int]:
@@ -385,7 +332,7 @@ class AppendQueryClient:
         journal follower and any log-shipping operator tail a busy ring
         without re-scanning it on every poll.  The first call establishes
         the cursor at the ring's head, returning everything readable
-        (like :meth:`snapshot`); later calls return only the delta.
+        (``AppendStore.recover``'s records); later calls only the delta.
 
         Records the ring overwrote before the follower caught up are
         counted in ``missed`` (and the ``append_follow_missed`` series)

@@ -12,8 +12,6 @@ the same cells on the switch and in the collector bank.
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
-
 import numpy as np
 
 from repro.collector.counters import CounterStore
@@ -55,14 +53,6 @@ class SwitchSketch:
         """Count ``key`` in every row (a register increment per row)."""
         check_amount(amount)
         self.cells.reshape(-1)[self.addressing.key_cells(key)] += np.uint64(amount)
-
-    def update_many(self, items: Iterable[Tuple[Key, int]]) -> int:
-        """Count a batch of ``(key, amount)`` pairs; returns keys counted."""
-        count = 0
-        for key, amount in items:
-            self.update(key, amount)
-            count += 1
-        return count
 
     def estimate(self, key: Key) -> int:
         """Local count-min estimate (minimum across rows)."""

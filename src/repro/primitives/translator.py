@@ -398,7 +398,8 @@ class KeyIncrementTranslator(PrimitiveTranslator):
         """Count ``key`` once through the scalar frame path.
 
         Returns the number of frames offered to the fabric (0 for a
-        zero-amount no-op, ``rows`` otherwise).
+        zero-amount no-op, ``rows`` otherwise).  Kept beside
+        :meth:`increment_many`: a batch of one costs ~5x a frame (DESIGN.md, "Batch of one").
         """
         frames = self.craft_add_frames(key, amount)
         if not frames:
@@ -533,23 +534,6 @@ class SketchMergeTranslator(PrimitiveTranslator):
         self.c_merge_cells.inc(offered)
         self._t_batch.stop(started)
         return offered
-
-    def merge_scalar(self, cells) -> int:
-        """Merge via one scalar FETCH_ADD frame per non-zero cell.
-
-        The per-operation reference path: byte-identical frames to
-        :meth:`merge`, offered one ``send`` at a time.  Kept for the
-        equivalence suite and the benchmark baseline.
-        """
-        addresses, addends = self._nonzero_cells(cells)
-        for address, addend in zip(addresses.tolist(), addends.tolist()):
-            self.fabric.send(
-                self.endpoint_id, self.craft_fetch_add(address, addend)
-            )
-        self.fabric.flush()
-        self.c_merges.inc()
-        self.c_merge_cells.inc(len(addresses))
-        return len(addresses)
 
 
 class AppendTranslator(PrimitiveTranslator):
@@ -733,7 +717,8 @@ class AppendTranslator(PrimitiveTranslator):
         """Append one record through the scalar frame path.
 
         Returns the record's absolute ring index (monotonic across the
-        ring's life; ``index % capacity`` is its slot).
+        ring's life; ``index % capacity`` is its slot).  Kept beside
+        :meth:`append_many`: a batch of one costs 3-4x a frame (DESIGN.md, "Batch of one").
         """
         padded = self._pad(value)
         tracer = self._tracer

@@ -395,7 +395,7 @@ class RdmaNic:
         :class:`~repro.rdma.frames.FrameBatch` on :attr:`tx_queue`,
         stamped from the first survivor's :meth:`_response_template`
         with PSN, MSN and payload patched: row for row what
-        :meth:`_enqueue_read_response` stamps.
+        :meth:`_enqueue_response` stamps.
         """
         frames = batch.frames
         length = int(read_field(frames[:1], "reth.dma_length")[0])
@@ -407,7 +407,9 @@ class RdmaNic:
                 int(read_field(frames[landed[:1]], "bth.dest_qp")[0])
             ]
             template = self._response_template(
-                first[_READ_UNIFORM_COLUMNS].tobytes(), qp.effective_peer_qp
+                Opcode.RC_RDMA_READ_RESPONSE_ONLY,
+                first[_READ_UNIFORM_COLUMNS].tobytes(),
+                qp.effective_peer_qp,
             )
             self.tx_queue.append(
                 TemplateEncoder(template).stamp(
@@ -459,7 +461,7 @@ class RdmaNic:
                     reth.virtual_address, reth.dma_length, rkey=reth.rkey
                 )
                 self.counters.c_reads.inc()
-                self._enqueue_read_response(packet, qp, data)
+                self._enqueue_response(packet, qp, Opcode.RC_RDMA_READ_RESPONSE_ONLY, data)
                 return True
             if opcode_has_atomic_eth(opcode):
                 atomic = packet.atomic_eth
@@ -479,7 +481,8 @@ class RdmaNic:
                     )
                 self.counters.c_atomics.inc()
                 if qp.respond_atomics:
-                    self._enqueue_atomic_response(packet, qp, original)
+                    ack = original.to_bytes(8, "big")
+                    self._enqueue_response(packet, qp, Opcode.RC_ATOMIC_ACKNOWLEDGE, ack)
                 return True
         except RegionAccessError:
             self.counters.c_dropped_access.inc()
@@ -489,13 +492,14 @@ class RdmaNic:
         return False
 
     # ------------------------------------------------------------------
-    # Response path (READ responses; still zero host CPU)
+    # Response path (READ responses, atomic ACKs; still zero host CPU)
     # ------------------------------------------------------------------
 
-    def _response_template(self, reflected: bytes, peer_qp: int) -> np.ndarray:
-        """The READ RESPONSE both granularities stamp (PSN, MSN and payload
-        zeroed) to a request whose :data:`_READ_UNIFORM_COLUMNS` hold ``reflected``:
-        addressing is reflected from it, the NIC knows nothing else."""
+    def _response_template(self, opcode: int, reflected: bytes, peer_qp: int) -> np.ndarray:
+        """The READ RESPONSE or ATOMIC ACKNOWLEDGE both granularities stamp
+        (PSN, MSN and payload zeroed) to a request whose :data:`_READ_UNIFORM_COLUMNS`
+        hold ``reflected``: addressing is reflected from it, the NIC knows
+        nothing else.  An atomic's ``reflected`` length is its 8-byte payload."""
 
         def craft() -> bytes:
             src_mac, src_ip, src_port, _qp, length = _REFLECTED.unpack(reflected)
@@ -503,55 +507,30 @@ class RdmaNic:
                 eth=EthernetHeader(dst_mac=_mac_str(src_mac), src_mac=self.mac),
                 ipv4=Ipv4Header(src_ip=self.ip, dst_ip=_ipv4_str(src_ip)),
                 udp=UdpHeader(src_port=src_port),
-                bth=Bth(opcode=int(Opcode.RC_RDMA_READ_RESPONSE_ONLY), dest_qp=peer_qp),
+                bth=Bth(opcode=int(opcode), dest_qp=peer_qp),
                 aeth=Aeth(),
                 payload=bytes(length),
             ).pack()
 
         return scalar_template(
-            ("read_response", self.mac, self.ip, peer_qp, reflected), craft
+            ("response", opcode, self.mac, self.ip, peer_qp, reflected), craft
         )
 
-    def _enqueue_read_response(
-        self, request: RoceV2Packet, qp: QueuePair, data: bytes
+    def _enqueue_response(
+        self, request: RoceV2Packet, qp: QueuePair, opcode: int, data: bytes
     ) -> None:
-        """Queue the READ RESPONSE on :attr:`tx_queue` for the network
-        model to deliver back to the requester."""
+        """Queue the response ``opcode`` carrying ``data`` on :attr:`tx_queue`
+        for the network model to deliver back to the requester: a READ's
+        bytes, or an atomic's pre-operation value (8 bytes, big-endian) --
+        the half of the FETCH_ADD contract Append's tail reservation needs."""
         fields = {"bth.psn": request.bth.psn, "aeth.msn": qp.next_msn()}
         reflected = _REFLECTED.pack(
             _mac_bytes(request.eth.src_mac), _ipv4_bytes(request.ipv4.src_ip),
             request.udp.src_port, request.bth.dest_qp.to_bytes(_QP_BYTES, "big"),
-            request.reth.dma_length,
+            len(data),
         )
-        template = self._response_template(reflected, qp.effective_peer_qp)
+        template = self._response_template(opcode, reflected, qp.effective_peer_qp)
         self.tx_queue.append(stamp_frame(template, fields, data))
-        self.counters.c_responses.inc()
-
-    def _enqueue_atomic_response(
-        self, request: RoceV2Packet, qp: QueuePair, original: int
-    ) -> None:
-        """Craft the ATOMIC ACKNOWLEDGE frame for an executed atomic.
-
-        Carries the pre-operation value as an 8-byte big-endian payload
-        after the AETH -- the half of the FETCH_ADD contract the Append
-        primitive's tail reservation depends on.  Addressing is reflected
-        from the request, like READ responses.
-        """
-        response = RoceV2Packet(
-            eth=EthernetHeader(
-                dst_mac=request.eth.src_mac, src_mac=self.mac
-            ),
-            ipv4=Ipv4Header(src_ip=self.ip, dst_ip=request.ipv4.src_ip),
-            udp=UdpHeader(src_port=request.udp.src_port),
-            bth=Bth(
-                opcode=int(Opcode.RC_ATOMIC_ACKNOWLEDGE),
-                dest_qp=qp.effective_peer_qp,
-                psn=request.bth.psn,
-            ),
-            aeth=Aeth(syndrome=0, msn=qp.next_msn()),
-            payload=original.to_bytes(8, "big"),
-        )
-        self.tx_queue.append(response.pack())
         self.counters.c_responses.inc()
 
     def transmit(self) -> List[Union[bytes, FrameBatch]]:

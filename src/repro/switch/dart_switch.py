@@ -316,7 +316,8 @@ class DartSwitch:
 
         RDMA supports only one memory instruction per packet, so filling
         all N slots requires N packets (paper section 3.1); this models the
-        switch generating all of them for one telemetry event.
+        switch generating all of them for one telemetry event.  Kept beside
+        :meth:`encode_batch`: a batch of one costs 4-5x (DESIGN.md, "Batch of one").
         """
         redundancy = self.config.redundancy
         return self._emit(key, value, range(redundancy), "copies", redundancy)

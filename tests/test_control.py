@@ -13,7 +13,6 @@ import inspect
 
 import pytest
 
-from repro import obs
 from repro.core import theory
 from repro.core.config import DartConfig
 from repro.collector.collector import Collector, CollectorCluster, CollectorEndpoint
@@ -40,22 +39,7 @@ from repro.rdma.qp import PSN_MODULUS, PsnPolicy, QueuePair, QueuePairState
 from repro.switch.control_plane import SwitchControlPlane
 from repro.switch.dart_switch import DartSwitch
 
-
-def small_config(**kwargs):
-    defaults = dict(
-        slots_per_collector=1 << 10, num_collectors=2, redundancy=2, value_bytes=8
-    )
-    defaults.update(kwargs)
-    return DartConfig(**defaults)
-
-
-@pytest.fixture
-def registry():
-    """A fresh enabled registry installed for the duration of one test."""
-    fresh = obs.MetricsRegistry(enabled=True)
-    previous = obs.set_registry(fresh)
-    yield fresh
-    obs.set_registry(previous)
+from .test_collector import small_config
 
 
 def build_fleet(*, num_standbys=1, num_switches=2, config=None):

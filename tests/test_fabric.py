@@ -522,8 +522,8 @@ class TestSeamEnforcement:
             if callable(value) and not name.startswith("_")
         }
         assert port_surface == {"receive_frame", "transmit"}
-        # The read side: frame = read / receive_frame / dma_read, batch =
-        # read_run / ingest_batch / read_offset_columnar, and no third.
+        # The read side: frame = a short read_run / receive_frame / dma_read,
+        # batch = a long read_run / ingest_batch / read_offset_columnar.
         from repro.primitives.clients import OneSidedReader
 
         def public(cls, word):
@@ -533,7 +533,7 @@ class TestSeamEnforcement:
                 if callable(value) and word in name and not name.startswith("_")
             }
 
-        assert public(OneSidedReader, "read") == {"read", "read_run"}
+        assert public(OneSidedReader, "read") == {"read_run"}
         assert public(RdmaNic, "ingest") | public(RdmaNic, "receive") == {
             "receive_frame", "receive_packet", "ingest_batch", "ingest_many",
         }

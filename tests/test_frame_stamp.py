@@ -1,9 +1,10 @@
 """The frame granularity stamps the batch granularity's templates.
 
-Every per-frame sender of the five template sites -- the switch WRITE, the
-FETCH_ADD, the Append record WRITE, the READ request and the NIC's READ
-response -- copies its site's memoised template and writes the fields that
-vary (:func:`repro.rdma.frames.stamp_frame`).  What must not move is the
+Every per-frame sender of the template sites -- the switch WRITE, the
+FETCH_ADD, the Append record WRITE, the READ request, the NIC's READ response
+and ATOMIC ACKNOWLEDGE, and the WRITE+CAS store's 8-byte WRITE and CMP_SWAP --
+copies its site's memoised template and writes the fields that vary
+(:func:`repro.rdma.frames.stamp_frame`).  What must not move is the
 wire: every stamped frame equals ``RoceV2Packet.pack`` of the same fields,
 a value a field cannot hold raises what ``pack`` raises, and a re-pointed
 collector never gets the old template.  The scalar hashing that rides
@@ -14,12 +15,14 @@ previous definitions here too.
 
 import random
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.cas_store import CasDartStore
 from repro.core.config import DartConfig
 from repro.hashing.hash_family import HashFamily, _fold_bytes, fold_key, mix64, splitmix64
 from repro.mem.region import MemoryRegion
@@ -132,7 +135,7 @@ def shape_record_write(draw):
 
 
 def shape_read(draw):
-    """``OneSidedReader._craft_read``, the frame body of ``read`` / ``read_run``."""
+    """``OneSidedReader._craft_read``, the frame body of a short ``read_run``."""
     qp, rkey, psn = draw(u24), draw(rkeys), draw(psns)
     address, length = draw(vas), draw(st.integers(0, (1 << 32) - 1))
     return make_reader(qp, rkey)._craft_read(address, length, psn), RoceV2Packet(
@@ -141,36 +144,81 @@ def shape_read(draw):
     )
 
 
-def shape_read_response(draw):
-    """``RdmaNic._enqueue_read_response`` for a parsed request."""
+def shape_response(draw, read=True):
+    """``RdmaNic._enqueue_response`` for a parsed READ or FETCH_ADD request."""
     nic = RdmaNic(MemoryRegion(64), mac=draw(macs), ip=draw(ips))
     qp = QueuePair(qp_number=draw(u24), policy=PsnPolicy.IGNORE, peer_qp=draw(u24))
     qp.msn = draw(psns)
-    data = draw(st.binary(min_size=1, max_size=41))
+    if read:
+        data = draw(st.binary(min_size=1, max_size=41))
+        request, response = Opcode.RC_RDMA_READ_REQUEST, Opcode.RC_RDMA_READ_RESPONSE_ONLY
+    else:
+        data = draw(st.integers(0, U64)).to_bytes(8, "big")
+        request, response = Opcode.RC_FETCH_ADD, Opcode.RC_ATOMIC_ACKNOWLEDGE
     request = RoceV2Packet.unpack(RoceV2Packet(
         eth=EthernetHeader(dst_mac=nic.mac, src_mac=draw(macs)),
         ipv4=Ipv4Header(src_ip=draw(ips), dst_ip=nic.ip),
         udp=UdpHeader(src_port=draw(st.integers(0, 0xFFFF))),
-        bth=Bth(opcode=int(Opcode.RC_RDMA_READ_REQUEST), dest_qp=qp.qp_number, psn=draw(psns)),
+        bth=Bth(opcode=int(request), dest_qp=qp.qp_number, psn=draw(psns)),
         reth=Reth(draw(vas), draw(rkeys), len(data)),
+        atomic_eth=AtomicEth(draw(vas), draw(rkeys), draw(st.integers(0, U64))),
     ).pack())
     msn = (qp.msn + 1) % PSN_MODULUS
-    nic._enqueue_read_response(request, qp, data)
+    nic._enqueue_response(request, qp, response, data)
     (frame,) = nic.transmit()
     return frame, RoceV2Packet(
         eth=EthernetHeader(dst_mac=request.eth.src_mac, src_mac=nic.mac),
         ipv4=Ipv4Header(src_ip=nic.ip, dst_ip=request.ipv4.src_ip),
         udp=UdpHeader(src_port=request.udp.src_port),
-        bth=Bth(
-            opcode=int(Opcode.RC_RDMA_READ_RESPONSE_ONLY), dest_qp=qp.peer_qp,
-            psn=request.bth.psn,
-        ),
+        bth=Bth(opcode=int(response), dest_qp=qp.peer_qp, psn=request.bth.psn),
         aeth=Aeth(msn=msn),
         payload=data,
     )
 
 
-SHAPES = [shape_report, shape_fetch_add, shape_record_write, shape_read, shape_read_response]
+def shape_read_response(draw):
+    return shape_response(draw)
+
+
+def shape_atomic_ack(draw):
+    return shape_response(draw, read=False)
+
+
+def cas_put(draw):
+    """``CasDartStore._craft_put_frames`` for a drawn checksum, value and slot
+    pair; a zero checksum and value pack to the word 0, stored as 1."""
+    store = CasDartStore(num_slots=64)
+    checksum = draw(st.one_of(st.just(0), st.integers(0, (1 << 24) - 1)))
+    value = draw(st.one_of(st.just(0), st.integers(0, (1 << 40) - 1)))
+    slots = draw(st.tuples(st.integers(0, 63), st.integers(0, 63)))
+    resolved = SimpleNamespace(checksum=checksum, slot_indexes=slots)
+    store.addressing = SimpleNamespace(resolve=lambda key: resolved)
+    word = (checksum << 40 | value) or 1
+    addresses = [store.region.base_address + 8 * slot for slot in slots]
+    return store._craft_put_frames(b"key", value), word, addresses, store.region.rkey
+
+
+def shape_cas_write(draw):
+    (write, _cas), word, (address, _), rkey = cas_put(draw)
+    return write, RoceV2Packet(
+        bth=Bth(opcode=int(Opcode.RC_RDMA_WRITE_ONLY), dest_qp=0x300),
+        reth=Reth(address, rkey, 8),
+        payload=word.to_bytes(8, "big"),
+    )
+
+
+def shape_cmp_swap(draw):
+    (_write, cas), word, (_, address), rkey = cas_put(draw)
+    return cas, RoceV2Packet(
+        bth=Bth(opcode=int(Opcode.RC_CMP_SWAP), dest_qp=0x300),
+        atomic_eth=AtomicEth(address, rkey, swap_add=word, compare=0),
+    )
+
+
+SHAPES = [
+    shape_report, shape_fetch_add, shape_record_write, shape_read, shape_read_response,
+    shape_atomic_ack, shape_cas_write, shape_cmp_swap,
+]
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda shape: shape.__name__)

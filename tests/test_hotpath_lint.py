@@ -17,14 +17,14 @@ trace boundaries; the ``*_many`` names that survive are
 API-level batch entry points that ride the columnar path --
 ``DartStore.put_many``, ``CounterStore.add_many``,
 ``MemoryRegion.dma_fetch_add_many`` and the primitive translators'
-``increment_many`` / ``append_many`` / ``update_many`` -- and stay under
-the rule.
+``increment_many`` / ``append_many`` -- and stay under the rule.
 
 The second half pins where the RoCEv2 wire format is written down: one
 module (``repro.rdma.layout``) states offsets and widths, everything else
 names fields; one template per site, stamped into a batch
 (``TemplateEncoder.stamp``) or into one frame (``stamp_frame``), so nothing
-else computes a batch iCRC and no frame sender builds header dataclasses.
+else computes a batch iCRC and no code outside the codec and the P4 exhibit
+builds header dataclasses but a template's craft.
 
 The third pins that watching does not steer: no body can ask a tracer
 for a ``granularity`` to pick its path by, and a stage is timed by the
@@ -299,9 +299,9 @@ def test_one_scalar_icrc():
     ]
 
 
-#: The five template sites: the module, the accessor holding the site's one
+#: The template sites: the module, the accessor holding the site's one
 #: ``scalar_template`` key and craft, the batch body that stamps a matrix from
-#: it and the frame body that stamps one frame from it.
+#: it (None for a frame-only site) and the frame body that stamps one frame.
 TEMPLATE_SITES = [
     (SRC / "switch" / "dart_switch.py", "_report_template", "encode_batch", "_craft_frame"),
     (SRC / "primitives" / "translator.py", "_add_template", "_encode_fetch_add_batch",
@@ -309,15 +309,15 @@ TEMPLATE_SITES = [
     (SRC / "primitives" / "translator.py", "_record_template", "append_many",
      "craft_record_write"),
     (SRC / "primitives" / "clients.py", "_request_template", "_read_run_batch", "_craft_read"),
-    (SRC / "rdma" / "nic.py", "_response_template", "_ingest_read_batch",
-     "_enqueue_read_response"),
+    (SRC / "rdma" / "nic.py", "_response_template", "_ingest_read_batch", "_enqueue_response"),
+    (SRC / "core" / "cas_store.py", "_put_template", None, "_craft_put_frames"),
 ]
 #: Private templates and per-site crafters earlier encoders kept.
 RETIRED_TEMPLATES = (
     "_frame_template", "_fetch_add_template", "_record_write_template",
     "_read_response_template", "_atomic_template", "_write_template",
     "_templates", "_read_templates", "_pack_write", "_craft_read_response",
-    "_blank_read_response",
+    "_blank_read_response", "_enqueue_read_response", "_enqueue_atomic_response",
 )
 
 
@@ -338,14 +338,15 @@ def _names_used(function: ast.AST) -> set:
     }
 
 
-def test_five_sites_two_granularities_one_memo():
+def test_every_site_keys_one_template_in_one_memo():
     """Each site's accessor is the only place its template is keyed and
-    crafted; its batch body and its frame body both stamp from it."""
+    crafted; its batch body, if it has one, and its frame body stamp from it."""
     for path, accessor, batch, frame in TEMPLATE_SITES:
-        used = {name: _names_used(_function(path, name)) for name in (accessor, batch, frame)}
-        assert "scalar_template" in used[accessor], f"{path}: {accessor}"
-        assert {accessor, "TemplateEncoder", "stamp"} <= used[batch], f"{path}: {batch}"
-        assert {accessor, "stamp_frame"} <= used[frame], f"{path}: {frame}"
+        assert "scalar_template" in _names_used(_function(path, accessor)), f"{path}: {accessor}"
+        if batch is not None:
+            used = _names_used(_function(path, batch))
+            assert {accessor, "TemplateEncoder", "stamp"} <= used, f"{path}: {batch}"
+        assert {accessor, "stamp_frame"} <= _names_used(_function(path, frame)), f"{path}: {frame}"
     keyed_by = []
     identifiers = set()
     memos = 0
@@ -370,10 +371,9 @@ def test_five_sites_two_granularities_one_memo():
     assert memos == 1
 
 
-#: Modules of the five sites, and the one body in them that still builds a
-#: frame from dataclasses: the atomic ACK, which has no batch twin.
-SITE_MODULES = sorted({path for path, *_names in TEMPLATE_SITES})
-UNTEMPLATED_SENDERS = {"_enqueue_atomic_response"}
+#: Where a packet may be built outside a craft: the codec itself, and the P4
+#: deparser of the section 6 byte-equivalence exhibit.
+PACKING_MODULES = (SRC / "rdma" / "packets.py", SRC / "switch" / "p4")
 PACKET_CONSTRUCTORS = {
     "RoceV2Packet", "EthernetHeader", "Ipv4Header", "UdpHeader", "Bth", "Reth",
     "AtomicEth", "Aeth",
@@ -387,7 +387,7 @@ def _constructions_outside_crafts(tree: ast.AST, path):
     for function in ast.walk(tree):
         if not isinstance(function, ast.FunctionDef):
             continue
-        crafts = [function] if function.name in UNTEMPLATED_SENDERS else []
+        crafts = []
         for call in ast.walk(function):
             if isinstance(call, ast.Call) and _call_name(call) == "scalar_template":
                 for craft in call.args[1:]:
@@ -409,11 +409,12 @@ def _constructions_outside_crafts(tree: ast.AST, path):
 
 
 def test_frame_senders_stamp_their_template():
-    """Per-frame send bodies build no packet or header dataclass: every frame
-    the five sites emit is stamped from its template."""
+    """Outside the codec and the P4 exhibit no module builds a packet or
+    header dataclass: every frame ``src`` sends is stamped from a template."""
     violations = []
-    for path in SITE_MODULES:
-        violations.extend(_constructions_outside_crafts(_parsed(path), path))
+    for path in _source_modules():
+        if not any(path == root or root in path.parents for root in PACKING_MODULES):
+            violations.extend(_constructions_outside_crafts(_parsed(path), path))
     assert not violations, "\n".join(violations)
 
 
@@ -428,12 +429,18 @@ def test_frame_sender_lint_catches_a_seeded_violation():
         "        return scalar_template(key, craft)\n"
         "    def craft_frame(self, psn):\n"
         "        return RoceV2Packet(bth=Bth(psn=psn)).pack()\n"
+        "    def _craft_put_frames(self, word):\n"
+        "        write = RoceV2Packet(bth=Bth(opcode=W), reth=Reth(va, rkey, 8), payload=word)\n"
+        "        cas = RoceV2Packet(bth=Bth(opcode=C), atomic_eth=AtomicEth(va, rkey, word))\n"
+        "        return write.pack(), cas.pack()\n"
     )
     flagged = list(_constructions_outside_crafts(tree, "seeded.py"))
-    assert sorted(flagged) == [
-        "seeded.py:9: Bth(...) outside a template's craft",
-        "seeded.py:9: RoceV2Packet(...) outside a template's craft",
-    ]
+    assert sorted(flagged) == sorted(
+        f"seeded.py:{line}: {name}(...) outside a template's craft"
+        for line, name in [(9, "Bth"), (9, "RoceV2Packet"), (11, "Bth"), (11, "Reth"),
+                           (11, "RoceV2Packet"), (12, "AtomicEth"), (12, "Bth"),
+                           (12, "RoceV2Packet")]
+    )
 
 
 def test_layout_lint_catches_seeded_violations():
@@ -755,6 +762,7 @@ ONLY_TESTS_SET = {
     ("ProbeStation.__init__", "station_id"): "two stations on one cluster need distinct QPs (PR 15 bug)",
     ("AppendQueryClient.__init__", "operator_id"): "two followers interleaving on one demux",
     ("CounterQueryClient.__init__", "operator_id"): "two operators interleaving on one demux",
+    ("SwitchSketch.update", "amount"): "weighted register updates, as CounterStore.add takes",
     ("Histogram.exemplar", "q"): "reads the bucket a given quantile falls in",
     ("NullHistogram.exemplar", "q"): "mirrors Histogram.exemplar",
     # Safety: an input check on a value that arrives from outside.

@@ -12,19 +12,7 @@ from repro.mem.region import MemoryRegion
 from repro.obs.health import PipelineHealth, render_dashboard, render_histogram
 from repro.rdma.frames import FrameBatch
 
-
-class _Port:
-    """Minimal fabric endpoint that accepts every frame."""
-
-    def __init__(self):
-        self.frames = []
-
-    def receive_frame(self, frame):
-        self.frames.append(frame)
-        return True
-
-    def transmit(self):
-        return []
+from .test_fabric import RecordingPort
 
 
 def _with_registry():
@@ -41,7 +29,7 @@ class TestPipelineHealthRates:
             fabric = ImpairedFabric(
                 InlineFabric(), loss=0.2, duplication=0.1, seed=7
             )
-            fabric.attach(1, _Port())
+            fabric.attach(1, RecordingPort())
             for index in range(200):
                 fabric.send(1, b"frame-%03d" % index)
             fabric.flush()
@@ -53,7 +41,7 @@ class TestPipelineHealthRates:
             assert health.loss_rate == counters.frames_dropped_loss / 200
             assert health.duplication_rate == counters.frames_duplicated / 200
             # Every delivered frame reached the port: delta must be... well,
-            # the _Port here is not a NIC, so nic_frames_received is 0 and
+            # the RecordingPort here is not a NIC, so nic_frames_received is 0 and
             # the delivered count belongs to the inner fabric.
             assert health.frames_delivered == fabric.delivered.frames_delivered
             assert (
@@ -69,7 +57,7 @@ class TestPipelineHealthRates:
         registry, restore = _with_registry()
         try:
             fabric = InlineFabric()
-            fabric.attach(1, _Port())
+            fabric.attach(1, RecordingPort())
             for _ in range(10):
                 fabric.send(1, b"frame")
             health = PipelineHealth.from_registry(registry)
@@ -201,7 +189,7 @@ class TestDashboardRendering:
         registry, restore = _with_registry()
         try:
             fabric = InlineFabric()
-            fabric.attach(1, _Port())
+            fabric.attach(1, RecordingPort())
             fabric.send(1, b"frame")
             text = render_dashboard(registry)
             assert "== pipeline health ==" in text
@@ -239,7 +227,7 @@ class TestEveryFabricCountsDeliveries:
                     fabric = cls()
                 except TypeError:
                     fabric = cls(InlineFabric())
-                fabric.attach(1, _Port())
+                fabric.attach(1, RecordingPort())
                 fabric.send(1, b"meta-test-frame")
                 fabric.flush()
                 delivered = registry.total("fabric_frames_delivered")
@@ -264,7 +252,7 @@ class TestEveryFabricCountsDeliveries:
                     fabric = cls()
                 except TypeError:
                     fabric = cls(InlineFabric())
-                fabric.attach(1, _Port())
+                fabric.attach(1, RecordingPort())
                 batch = FrameBatch(
                     np.zeros((3, 16), dtype=np.uint8),
                     np.ones(3, dtype=np.int64),
@@ -290,7 +278,7 @@ class TestBufferedFabricQueueObservability:
         try:
             threshold = 8
             fabric = BufferedFabric(flush_threshold=threshold)
-            port = _Port()
+            port = RecordingPort()
             fabric.attach(1, port)
             for index in range(threshold - 1):
                 fabric.send(1, b"frame-%d" % index)
@@ -310,7 +298,7 @@ class TestBufferedFabricQueueObservability:
         _registry, restore = _with_registry()
         try:
             fabric = BufferedFabric(flush_threshold=None)
-            fabric.attach(1, _Port())
+            fabric.attach(1, RecordingPort())
             for index in range(5):
                 fabric.send(1, b"frame-%d" % index)
             assert fabric.queue_depth_high_water == 5
@@ -327,7 +315,7 @@ class TestBufferedFabricQueueObservability:
         _registry, restore = _with_registry()
         try:
             fabric = BufferedFabric(flush_threshold=4)
-            port = _Port()
+            port = RecordingPort()
             fabric.attach(1, port)
             fabric.send_batch(
                 FrameBatch(

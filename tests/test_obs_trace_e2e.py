@@ -12,7 +12,7 @@ One trace must tell the whole story:
 - the ``trace_seconds`` histogram's p99 bucket exposes an exemplar trace
   id that resolves to a tail-retained trace;
 - :class:`~repro.obs.TraceAnalyzer` names the injected-delay stage
-  (``query.read`` against the slowed NIC) as the critical path.
+  (``query.read_run`` against the slowed NIC) as the critical path.
 """
 
 import time
@@ -87,7 +87,7 @@ def run_scenario(seed=SEED, delay=DELAY):
                 writer.append(b"solo-%04d" % i)
             # Query plane: a one-sided READ against the slowed NIC.
             slow.delay = delay
-            payload = reader.read(store.data_address, store.record_bytes)
+            (payload,) = reader.read_run([store.data_address], store.record_bytes)
             slow.delay = 0.0
         tracer.end(trace_id)
         record = tracer.trace(trace_id)
@@ -111,7 +111,7 @@ def test_one_causal_tree_spans_both_planes(scenario):
     assert "nic.ingest" in record.stages
     assert "fabric.deliver" in record.stages
     # Query plane, in the same tree.
-    assert "query.read" in record.stages
+    assert "query.read_run" in record.stages
     assert payload is not None and payload.startswith(b"batch-000")
     # It really is one tree: a single root, structurally complete.
     analysis = TraceAnalyzer().analyze(record)
@@ -151,10 +151,10 @@ def test_injected_delay_stage_is_the_critical_path(scenario):
     analysis = TraceAnalyzer().analyze(record)
     path_stages = [t.span.stage for t in analysis.critical_path]
     assert path_stages[0] == "test.scenario"
-    assert "query.read" in path_stages
-    # The slowed NIC owns the wall-clock: query.read is dominant and
+    assert "query.read_run" in path_stages
+    # The slowed NIC owns the wall-clock: query.read_run is dominant and
     # holds the majority of the end-to-end duration.
-    assert analysis.dominant_stage == "query.read"
+    assert analysis.dominant_stage == "query.read_run"
     assert analysis.dominant.self_time >= 0.5 * analysis.duration
 
 
@@ -164,4 +164,4 @@ def test_scenario_without_delay_is_append_bound():
     _tracer, _registry, record, _payload = run_scenario(delay=0.0)
     analysis = TraceAnalyzer().analyze(record)
     assert analysis.complete, analysis.problems
-    assert analysis.dominant_stage != "query.read"
+    assert analysis.dominant_stage != "query.read_run"

@@ -14,21 +14,8 @@ from repro.obs.tracing import (
 )
 from repro.primitives import AppendStore, SketchStore, SwitchSketch
 
+from .test_fabric import RecordingPort
 from .test_read_columnar import Tap
-
-
-class _Port:
-    """Minimal fabric endpoint that accepts every frame."""
-
-    def __init__(self):
-        self.frames = []
-
-    def receive_frame(self, frame):
-        self.frames.append(frame)
-        return True
-
-    def transmit(self):
-        return []
 
 
 def _fresh_obs(**tracer_kwargs):
@@ -158,7 +145,7 @@ class TestSpanOrderingUnderReordering:
         _registry, tracer, restore = _fresh_obs()
         try:
             fabric = ImpairedFabric(InlineFabric(), reordering=1.0, seed=0)
-            fabric.attach(1, _Port())
+            fabric.attach(1, RecordingPort())
             held_frame, overtaking_frame = b"frame-A", b"frame-B"
             trace_a = tracer.begin("report", key="A")
             trace_b = tracer.begin("report", key="B")
@@ -190,7 +177,7 @@ class TestSpanOrderingUnderReordering:
         _registry, tracer, restore = _fresh_obs()
         try:
             fabric = ImpairedFabric(InlineFabric(), reordering=1.0, seed=0)
-            fabric.attach(1, _Port())
+            fabric.attach(1, RecordingPort())
             trace_id = tracer.begin("report")
             tracer.bind_frame(b"only-frame", trace_id)
             assert fabric.send(1, b"only-frame") is None
@@ -205,7 +192,7 @@ class TestSpanOrderingUnderReordering:
         _registry, tracer, restore = _fresh_obs()
         try:
             fabric = ImpairedFabric(InlineFabric(), duplication=1.0, seed=0)
-            port = _Port()
+            port = RecordingPort()
             fabric.attach(1, port)
             trace_id = tracer.begin("report")
             tracer.bind_frame(b"dup-frame", trace_id)
@@ -223,7 +210,7 @@ class TestSpanOrderingUnderReordering:
         _registry, tracer, restore = _fresh_obs()
         try:
             fabric = ImpairedFabric(InlineFabric(), loss=1.0, seed=0)
-            fabric.attach(1, _Port())
+            fabric.attach(1, RecordingPort())
             trace_id = tracer.begin("report")
             tracer.bind_frame(b"doomed", trace_id)
             assert fabric.send(1, b"doomed") is False
@@ -304,13 +291,13 @@ class TestSamplingAndTailRetention:
         try:
             gauge = registry.gauge("tracer_bindings_live")
             fabric = ImpairedFabric(InlineFabric(), loss=1.0, seed=0)
-            fabric.attach(1, _Port())
+            fabric.attach(1, RecordingPort())
             delivered = tracer.begin("report")
             tracer.bind_frame(b"ok-frame", delivered)
             assert tracer.bindings_live == 1
             assert gauge.value == 1
             lossless = ImpairedFabric(InlineFabric(), seed=0)
-            lossless.attach(1, _Port())
+            lossless.attach(1, RecordingPort())
             lossless.send(1, b"ok-frame")
             assert tracer.bindings_live == 0
             # A lost frame's binding is released by the drop span too.

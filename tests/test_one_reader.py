@@ -31,15 +31,6 @@ FABRICS = {
 }
 
 
-@pytest.fixture
-def registry():
-    """A fresh enabled registry installed for the duration of one test."""
-    fresh = obs.MetricsRegistry(enabled=True)
-    previous = obs.set_registry(fresh)
-    yield fresh
-    obs.set_registry(previous)
-
-
 def populated_cluster():
     """A small fleet written locally: 160 keys into 2 x 128 slots at N=2,
     so some keys lose every copy to a later writer (overwritten)."""

@@ -227,9 +227,9 @@ class TestRemoteRecovery:
         writer = store.register_writer(0)
         writer.append_many([b"rec-%03d" % i for i in range(12)])
         client = AppendQueryClient(store)
-        snapshot = client.snapshot()
+        first = client.follow()  # a fresh follower reads the whole window
         local = store.recover()
-        assert snapshot is not None
-        assert (snapshot.head, snapshot.tail) == (local.head, local.tail)
-        assert snapshot.records == local.records
+        assert first is not None and first.missed == 0
+        assert first.cursor == local.tail
+        assert first.records == local.records
         assert client.tail() == 12

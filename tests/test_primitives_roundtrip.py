@@ -64,7 +64,8 @@ class TestRoundTrips:
 
     def test_sketch_merge_round_trip(self, kind):
         sketch = SwitchSketch(cells_per_row=256, rows=2)
-        sketch.update_many([(("flow", i % 20), 1 + i % 3) for i in range(100)])
+        for i in range(100):
+            sketch.update(("flow", i % 20), 1 + i % 3)
         store = SketchStore(cells_per_row=256, rows=2, fabric=_make_fabric(kind))
         store.merge_sketch(sketch)
         # Cell-wise identical to the switch-resident matrix.

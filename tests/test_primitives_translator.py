@@ -63,11 +63,16 @@ class TestScalarColumnarParity:
         import numpy as np
 
         cells = np.arange(32, dtype=np.uint64).reshape(2, 16)
-        scalar_fabric, batch_fabric = _CaptureFabric(), _CaptureFabric()
+        batch_fabric = _CaptureFabric()
         args = dict(base_address=0x200000, rkey=0x77)
-        SketchMergeTranslator(scalar_fabric, 0, 0x201, **args).merge_scalar(cells)
         SketchMergeTranslator(batch_fabric, 0, 0x201, **args).merge(cells)
-        assert batch_fabric.frames == scalar_fabric.frames
+        # Row for row the per-cell FETCH_ADD stamp of each non-zero cell.
+        stamper = SketchMergeTranslator(_CaptureFabric(), 0, 0x201, **args)
+        assert batch_fabric.frames == [
+            stamper.craft_fetch_add(0x200000 + 8 * cell, addend)
+            for cell, addend in enumerate(cells.reshape(-1).tolist())
+            if addend
+        ]
         # Zero cells cost nothing on the wire: 31 non-zero of 32.
         assert len(batch_fabric.frames) == 31
 

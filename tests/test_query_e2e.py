@@ -9,7 +9,6 @@ standby under the service's feet.
 
 import pytest
 
-from repro import obs
 from repro.core.client import DartQueryClient
 from repro.core.policies import ReturnPolicy
 from repro.query.fleet import QueryFleet, fabric_flavour
@@ -23,14 +22,6 @@ FLAVOURS = ("inline", "buffered", "impaired")
 #: controller on it would declare every host dead; its identity legs run
 #: without a controller.)
 CONTROLLED_FLAVOURS = ("inline", "impaired")
-
-
-@pytest.fixture
-def registry():
-    registry = obs.MetricsRegistry(enabled=True)
-    previous = obs.set_registry(registry)
-    yield registry
-    obs.set_registry(previous)
 
 
 def build_fleet(flavour, registry, standbys=0):

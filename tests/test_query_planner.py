@@ -2,19 +2,10 @@
 
 import pytest
 
-from repro import obs
 from repro.query.backend import ShardUnavailable
 from repro.query.fleet import QueryFleet
 from repro.query.lang import Aggregate, parse_query
 from repro.query.planner import PartialAggregate, plan_query
-
-
-@pytest.fixture
-def registry():
-    registry = obs.MetricsRegistry(enabled=True)
-    previous = obs.set_registry(registry)
-    yield registry
-    obs.set_registry(previous)
 
 
 @pytest.fixture

@@ -18,14 +18,6 @@ from repro.query.service import (
 
 
 @pytest.fixture
-def registry():
-    registry = obs.MetricsRegistry(enabled=True)
-    previous = obs.set_registry(registry)
-    yield registry
-    obs.set_registry(previous)
-
-
-@pytest.fixture
 def fleet(registry):
     fleet = QueryFleet(num_standbys=1)
     fleet.put_many((f"flow-{i}", b"v%d" % i) for i in range(16))

@@ -169,7 +169,7 @@ class TestReadRunEquivalence:
         columnar = Rig(FABRICS[name]())
         got = columnar.reader.read_run([columnar.address(s) for s in slots], 8)
         looped = Rig(FABRICS[name]())
-        expected = [looped.reader.read(looped.address(s), 8) for s in slots]
+        expected = [looped.reader.read_run([looped.address(s)], 8)[0] for s in slots]
         assert got == expected
         left, right = looped.state(), columnar.state()
         assert left == right
