@@ -117,9 +117,13 @@ class CounterStore:
             family=HashFamily(seed=seed),
         )
         self._read_cells = self.translator.cell_reader(
-            lambda addresses, length: [
-                self.region.dma_read(address, length) for address in addresses
-            ]
+            lambda addresses, length: (
+                self.region.read_offset_columnar(
+                    np.asarray(addresses, dtype=np.int64) - self.region.base_address,
+                    length,
+                ),
+                np.ones(len(addresses), dtype=bool),
+            )
         )
         self._merger: Optional[SketchMergeTranslator] = None
         registry = obs.get_registry()

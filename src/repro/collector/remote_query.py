@@ -133,7 +133,7 @@ class RemoteQueryClient(DartQueryClient):
         for attempt in range(self.max_retries + 1):
             if attempt:
                 self.c_retries.inc()
-            (payload,) = reader.read_run(addresses, self.config.slot_bytes)
-            if payload is not None:
-                return payload
+            payloads, answered = reader.read_run(addresses, self.config.slot_bytes)
+            if answered[0]:
+                return payloads[0].tobytes()
         return None

@@ -115,10 +115,10 @@ class ProbeStation:
         """
         node = self.membership.node(node_id)
         self.c_sent.inc()
-        (payload,) = self._readers[node_id].read_run(
+        _payloads, answered = self._readers[node_id].read_run(
             [node.region.base_address], self.config.slot_bytes
         )
-        if payload is None:
+        if not answered[0]:
             self.c_failed.inc()
             return False
         return True

@@ -33,10 +33,11 @@ from repro.hashing.hash_family import Key, fold_key
 #: index, so collector selection gets a distinct constant.
 COLLECTOR_FUNCTION_INDEX = 0x40000000
 
-#: Shortest lane run resolved as one array pass.  Measured (DESIGN.md, "The
-#: run-length cuts"): routing plus reads of a run cost ~50 us as arrays whatever
-#: its length, ~6 us a lane scalar; level at 7 lanes, the arrays ahead from 8.
-_ARRAY_MIN_LANES = 8
+#: Shortest lane run resolved as one array pass, and whose slots a served
+#: query folds as one matrix.  Measured (DESIGN.md, "The run-length cuts"):
+#: resolving and folding a run costs ~60 us as arrays whatever its length,
+#: ~10 us a lane scalar; level at 5 lanes, the arrays ahead from 6.
+_ARRAY_MIN_LANES = 6
 
 
 @dataclass(frozen=True)
@@ -127,14 +128,22 @@ class DartAddressing:
         """Resolve a whole batch of pre-folded key lanes at once.
 
         ``folded`` is a ``uint64`` array of :func:`~repro.hashing.hash_family.fold_key`
-        lanes.  Returns ``(collector_ids, checksums, slot_indexes)`` where
-        ``slot_indexes`` has shape ``(redundancy, n)`` -- row ``n`` holds
-        copy ``n``'s slot index for every key.  Every value is
-        bit-identical to the scalar :meth:`resolve` on the original keys
-        (property-tested); this is what lets the columnar datapath keep
-        the wire-format equality contract.
+        lanes.  Returns ``uint64`` arrays ``(collector_ids, checksums,
+        slot_indexes)`` where ``slot_indexes`` has shape ``(redundancy, n)``
+        -- row ``n`` holds copy ``n``'s slot index for every key.  Every
+        value is bit-identical to the scalar :meth:`resolve` on the
+        original keys (property-tested); this is what lets the columnar
+        datapath keep the wire-format equality contract.  Short runs are
+        resolved lane by lane, as in :meth:`collectors_folded`.
         """
         config = self.config
+        if len(folded) < _ARRAY_MIN_LANES:
+            rows = [
+                (entry.collector_id, entry.checksum, *entry.slot_indexes)
+                for entry in map(self.resolve_lane, folded.tolist())
+            ]
+            table = np.array(rows, dtype=np.uint64).reshape(-1, 2 + config.redundancy).T
+            return table[0], table[1], table[2:]
         hashes = self._family.hash_folded_array(
             folded, (COLLECTOR_FUNCTION_INDEX, *range(config.redundancy))
         )
@@ -157,24 +166,3 @@ class DartAddressing:
             ]
         hashes = self._family.hash_folded_array(lanes, COLLECTOR_FUNCTION_INDEX)
         return (hashes % np.uint64(count)).tolist()
-
-    def reads_folded(
-        self, lanes: np.ndarray, base_address: int
-    ) -> Tuple[List[int], List[int]]:
-        """What a query of a run of lanes reads from a region at ``base_address``.
-
-        Returns ``(checksums, addresses)``: one expected checksum per lane
-        and its N slot addresses, lane-major and copy-minor.  Run length
-        picks scalar or array resolution as in :meth:`collectors_folded`.
-        """
-        slot_bytes = self.config.slot_bytes
-        if len(lanes) < _ARRAY_MIN_LANES:
-            resolved = [self.resolve_lane(lane) for lane in lanes.tolist()]
-            return [entry.checksum for entry in resolved], [
-                base_address + slot_index * slot_bytes
-                for entry in resolved
-                for slot_index in entry.slot_indexes
-            ]
-        _collectors, checksums, slots = self.resolve_folded(lanes)
-        addresses = base_address + slots.T.reshape(-1).astype(np.int64) * slot_bytes
-        return checksums.tolist(), addresses.tolist()

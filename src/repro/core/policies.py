@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 
 class ReturnPolicy(Enum):
     """How the N slot reads are resolved into a query answer."""
@@ -30,6 +32,11 @@ class ReturnPolicy(Enum):
     PLURALITY = "plurality"
     CONSENSUS_2 = "consensus_2"
     FIRST_MATCH = "first_match"
+
+    @property
+    def agreement(self) -> int:
+        """Matching copies a value with no rival needs to answer: 2 for consensus, else 1."""
+        return 2 if self is ReturnPolicy.CONSENSUS_2 else 1
 
 
 class QueryOutcome(Enum):
@@ -80,29 +87,29 @@ def resolve(
     if not matching_values:
         return base
 
-    if policy is ReturnPolicy.FIRST_MATCH:
-        base.outcome = QueryOutcome.ANSWERED
-        base.value = matching_values[0]
-        return base
-
     counts = Counter(matching_values)
 
-    if policy is ReturnPolicy.SINGLE_VALUE:
-        if len(counts) == 1:
+    if len(counts) == 1 or policy is ReturnPolicy.FIRST_MATCH:
+        # The matching copies agree (or only the first counts): the
+        # policy's agreement threshold alone decides.
+        if len(matching_values) >= policy.agreement:
             base.outcome = QueryOutcome.ANSWERED
             base.value = matching_values[0]
+        return base
+
+    if policy is ReturnPolicy.SINGLE_VALUE:
         return base
 
     ranked: List[Tuple[bytes, int]] = counts.most_common()
 
     if policy is ReturnPolicy.PLURALITY:
-        if len(ranked) == 1 or ranked[0][1] > ranked[1][1]:
+        if ranked[0][1] > ranked[1][1]:
             base.outcome = QueryOutcome.ANSWERED
             base.value = ranked[0][0]
         return base
 
     if policy is ReturnPolicy.CONSENSUS_2:
-        qualified = [value for value, count in ranked if count >= 2]
+        qualified = [value for value, count in ranked if count >= policy.agreement]
         if len(qualified) == 1:
             base.outcome = QueryOutcome.ANSWERED
             base.value = qualified[0]
@@ -137,3 +144,35 @@ def fold_slots(
         if stored_checksum == checksum:
             matching.append(value)
     return resolve(matching, policy, slots_read=len(raws))
+
+
+def fold_matrix(
+    codec, payloads: np.ndarray, checksums: np.ndarray, policy: ReturnPolicy
+) -> Tuple[List[Optional[bytes]], List[bool]]:
+    """:func:`fold_slots`'s ``(value, answered)`` for every key of
+    ``payloads`` (``uint8[keys, N, slot_bytes]``, no READ lost) at once.
+
+    A key whose checksum-matching copies all agree is decided by
+    ``policy.agreement`` alone; any other key by :func:`resolve`.
+    """
+    layout = codec.layout
+    width = layout.checksum_bytes
+    keys, copies, _slot_bytes = payloads.shape
+    # The big-endian checksum field, right-aligned in a word for one view.
+    words = np.zeros((keys, copies, 8), dtype=np.uint8)
+    words[..., 8 - width :] = payloads[..., :width]
+    stored = words.view(">u8")[..., 0] & np.uint64((1 << layout.checksum_bits) - 1)
+    matching = stored == checksums[:, None]
+    values = payloads[..., width:]
+    chosen = values[np.arange(keys), matching.argmax(axis=1)]
+    agree = ((values == chosen[:, None]).all(axis=2) | ~matching).all(axis=1)
+    answered = (agree & (matching.sum(axis=1) >= policy.agreement)).tolist()
+    out = [value.tobytes() if ok else None for value, ok in zip(chosen, answered)]
+    for key in np.flatnonzero(~agree).tolist():
+        result = resolve(
+            [values[key, copy].tobytes() for copy in np.flatnonzero(matching[key])],
+            policy,
+            slots_read=copies,
+        )
+        out[key], answered[key] = result.value, result.answered
+    return out, answered

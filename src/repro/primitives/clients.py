@@ -15,7 +15,7 @@ remain the cheap option when the operator runs on the collector host.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -26,8 +26,14 @@ from repro import obs
 from repro.fabric.fabric import Fabric
 from repro.hashing.hash_family import Key
 from repro.primitives.append import AppendStore
-from repro.primitives.translator import ReadResponseRows, ResponseDemux
-from repro.rdma.frames import FramePool, TemplateEncoder, scalar_template, stamp_frame
+from repro.primitives.translator import ReadResponseRows, ReadRun, ResponseDemux
+from repro.rdma.frames import (
+    FrameBatch,
+    FramePool,
+    TemplateEncoder,
+    scalar_template,
+    stamp_frame,
+)
 from repro.rdma.nic import RdmaNic
 from repro.rdma.packets import Bth, Opcode, Reth, RoceV2Packet
 from repro.rdma.qp import PSN_MODULUS, PsnPolicy, QueuePair, psn_run
@@ -40,10 +46,10 @@ COUNTER_READER_QP_BASE = 0xB00
 
 #: Shortest run :meth:`OneSidedReader.read_run` sends as one frame matrix.
 #: Measured (DESIGN.md, "The run-length cuts"): a matrix round trip costs
-#: ~180 us whatever the run, a stamped scalar READ ~22 us, so the matrix is
-#: level at 8 and ahead from 9 on a clean and a 2%-loss fabric alike.  The
+#: ~145 us fixed + ~2 us a row, a stamped scalar READ ~22 us, so the matrix is
+#: level at 7 and ahead from 8 on a clean and a 2%-loss fabric alike.  The
 #: 2-3 READs of a point lookup stay scalar, a sweep's 16+ per shard columnar.
-COLUMNAR_MIN_READS = 9
+COLUMNAR_MIN_READS = 8
 
 
 class OneSidedReader:
@@ -122,61 +128,66 @@ class OneSidedReader:
             {"reth.virtual_address": address, "bth.psn": psn},
         )
 
-    def read_run(self, addresses: List[int], length: int) -> List[Optional[bytes]]:
+    def read_run(self, addresses: Sequence[int], length: int) -> Tuple[np.ndarray, np.ndarray]:
         """Pipelined READs: all requests first, then one response drain.
 
-        Returns one entry per address, ``None`` where the request was
-        lost.  Responses are matched by PSN, so ordering quirks in the
-        request leg cannot misattribute payloads.  Runs of
+        Returns ``(payloads, answered)``: ``uint8[n, length]``, row ``i``
+        the bytes at ``addresses[i]``, and ``bool[n]``, False where the
+        request was lost (that row stays zero).  Runs of
         :data:`COLUMNAR_MIN_READS` or more travel as one frame matrix
-        (:meth:`_read_run_batch`, one span per layer when traced);
-        shorter ones stay on this scalar body with its per-frame spans,
-        the reference the batch path is diffed against.
-        """
-        if len(addresses) >= COLUMNAR_MIN_READS:
-            return self._read_run_batch(addresses, length)
-        tracer = self._tracer
-        psns = [self._next_psn() for _address in addresses]
-        frames = [
-            self._craft_read(address, length, psn)
-            for address, psn in zip(addresses, psns)
-        ]
-        self.c_reads_sent.inc(len(frames))
-        trace_id = tracer.active_trace_id if tracer.enabled else None
-        if trace_id is not None and frames:
-            read_sid = tracer.span(
-                trace_id,
-                "query.read_run",
-                f"reads={len(frames)} len={length}",
-            )
-            for frame in frames:
-                tracer.bind_frame(frame, trace_id, parent=read_sid)
-        send = self.fabric.send
-        for frame in frames:
-            send(self.endpoint_id, frame)
-        self.fabric.flush()
-        self.demux.poll(self.fabric, self.endpoint_id)
-        by_psn: Dict[int, bytes] = {}
-        for response in self.demux.take(self.qp.qp_number):
-            if response.bth.opcode == int(Opcode.RC_RDMA_READ_RESPONSE_ONLY):
-                by_psn[response.bth.psn] = response.payload
-        return [by_psn.get(psn) for psn in psns]
-
-    def _read_run_batch(
-        self, addresses: List[int], length: int
-    ) -> List[Optional[bytes]]:
-        """:meth:`read_run` as one frame matrix each way.
-
-        Requests: a pooled matrix stamped from :meth:`_request_template`,
-        row ``i`` what :meth:`_craft_read` stamps on the same operands.
-        Responses: matrices matched to requests by PSN on arrays, and the
-        odd frame response (an impaired fabric re-delivers held and
-        duplicated rows as frames) by the same rule.
+        (:meth:`_read_run_batch`, one span per layer when traced); shorter
+        ones as frames with per-frame spans, the reference the batch path
+        is diffed against.  One match serves both: responses are placed by
+        PSN, a response matrix in one scatter, so ordering quirks in the
+        request leg cannot misattribute payloads.
         """
         count = len(addresses)
         start = self._psn
+        tracer = self._tracer
+        trace_id = tracer.active_trace_id if tracer.enabled else None
+        read_sid = None
+        if trace_id is not None and count:
+            read_sid = tracer.span(
+                trace_id, "query.read_run", f"reads={count} len={length}"
+            )
+        if count >= COLUMNAR_MIN_READS:
+            batch = self._read_run_batch(addresses, length)
+            if read_sid is not None:
+                tracer.bind_batch(batch, trace_id, parent=read_sid)
+            self.fabric.send_batch(batch)
+        else:
+            for address in addresses:
+                frame = self._craft_read(address, length, self._next_psn())
+                if read_sid is not None:
+                    tracer.bind_frame(frame, trace_id, parent=read_sid)
+                self.fabric.send(self.endpoint_id, frame)
+        self.c_reads_sent.inc(count)
+        self.fabric.flush()
+        self.demux.poll(self.fabric, self.endpoint_id)
+        payloads = np.zeros((count, length), dtype=np.uint8)
+        answered = np.zeros(count, dtype=bool)
+        for response in self.demux.take(self.qp.qp_number):
+            if isinstance(response, ReadResponseRows):
+                # Position in the run = PSN distance from its first PSN;
+                # anything outside [0, count) answers someone else.
+                positions = (response.psns.astype(np.int64) - start) % PSN_MODULUS
+                mine = positions < count
+                payloads[positions[mine]] = response.payloads[mine]
+                answered[positions[mine]] = True
+            elif response.bth.opcode == int(Opcode.RC_RDMA_READ_RESPONSE_ONLY):
+                position = (response.bth.psn - start) % PSN_MODULUS
+                if position < count:
+                    payloads[position] = np.frombuffer(response.payload, np.uint8)
+                    answered[position] = True
+        return payloads, answered
+
+    def _read_run_batch(self, addresses: Sequence[int], length: int) -> FrameBatch:
+        """:meth:`read_run`'s requests as one pooled matrix on the next PSNs:
+        row ``i`` is what :meth:`_craft_read` stamps on the same operands."""
+        count = len(addresses)
+        start = self._psn
         self._psn = (start + count) % PSN_MODULUS
-        batch = TemplateEncoder(self._request_template(length)).stamp(
+        return TemplateEncoder(self._request_template(length)).stamp(
             self._pool,
             np.full(count, self.endpoint_id, dtype=np.int64),
             {
@@ -184,58 +195,31 @@ class OneSidedReader:
                 "bth.psn": psn_run(start, count),
             },
         )
-        self.c_reads_sent.inc(count)
-        tracer = self._tracer
-        trace_id = tracer.active_trace_id if tracer.enabled else None
-        if trace_id is not None:
-            read_sid = tracer.span(
-                trace_id, "query.read_run", f"reads={count} len={length}"
-            )
-            tracer.bind_batch(batch, trace_id, parent=read_sid)
-        self.fabric.send_batch(batch)
-        self.fabric.flush()
-        self.demux.poll(self.fabric, self.endpoint_id)
-        payloads: List[Optional[bytes]] = [None] * count
-        for response in self.demux.take(self.qp.qp_number):
-            if isinstance(response, ReadResponseRows):
-                # Position in the run = PSN distance from its first PSN;
-                # anything outside [0, count) answers someone else.
-                positions = (response.psns.astype(np.int64) - start) % PSN_MODULUS
-                mine = positions < count
-                width = response.payloads.shape[1]
-                data = response.payloads[mine].tobytes()
-                for row, position in enumerate(positions[mine].tolist()):
-                    payloads[position] = data[row * width : (row + 1) * width]
-            elif response.bth.opcode == int(Opcode.RC_RDMA_READ_RESPONSE_ONLY):
-                position = (response.bth.psn - start) % PSN_MODULUS
-                if position < count:
-                    payloads[position] = response.payload
-        return payloads
 
 
 def read_ring_window(
     store: AppendStore,
     start: int,
     tail: int,
-    read_run: Callable[[List[int], int], List[Optional[bytes]]],
+    read_run: ReadRun,
 ) -> List[Tuple[int, bytes]]:
     """Records ``[start, tail)`` of an Append ring, read through ``read_run``.
 
     One pipelined READ per record (``read_run`` is
     :meth:`OneSidedReader.read_run` or a retrying wrapper of it); returns
     ``(absolute_index, bytes)`` pairs oldest first, omitting records whose
-    READ came back ``None``.
+    READ went unanswered.
     """
     indexes = range(start, tail)
     addresses = [
         store.data_address + (index % store.capacity) * store.record_bytes
         for index in indexes
     ]
-    payloads = read_run(addresses, store.record_bytes)
+    payloads, answered = read_run(addresses, store.record_bytes)
     return [
-        (index, payload)
-        for index, payload in zip(indexes, payloads)
-        if payload is not None
+        (index, payload.tobytes())
+        for index, payload, ok in zip(indexes, payloads, answered.tolist())
+        if ok
     ]
 
 
@@ -305,10 +289,8 @@ class AppendQueryClient:
 
     def tail(self) -> Optional[int]:
         """The ring's absolute tail, read over the wire (None if lost)."""
-        (raw,) = self.reader.read_run([self.store.tail_address], 8)
-        if raw is None:
-            return None
-        return int.from_bytes(raw, "big")
+        payloads, answered = self.reader.read_run([self.store.tail_address], 8)
+        return int(payloads.view(">u8")[0, 0]) if answered[0] else None
 
     @property
     def cursor(self) -> Optional[int]:

@@ -60,6 +60,10 @@ COUNTER_FUNCTION_BASE = 0x20000000
 #: (``None`` for a cell whose READ was lost).
 CellReader = Callable[[List[int]], Sequence[Optional[int]]]
 
+#: Reads a run of addresses as ``OneSidedReader.read_run`` does:
+#: ``(addresses, length) -> (uint8[n, length] payloads, bool[n] answered)``.
+ReadRun = Callable[[Sequence[int], int], Tuple[np.ndarray, np.ndarray]]
+
 
 class CountMinAddressing(NamedTuple):
     """Where a folded key lives in a ``rows x cells_per_row`` count-min bank.
@@ -447,9 +451,7 @@ class KeyIncrementTranslator(PrimitiveTranslator):
         self._t_batch.stop(started)
         return offered
 
-    def cell_reader(
-        self, read_run: Callable[[List[int], int], Sequence[Optional[bytes]]]
-    ) -> CellReader:
+    def cell_reader(self, read_run: ReadRun) -> CellReader:
         """What :meth:`CountMinAddressing.estimates` reads this bank through.
 
         ``read_run(addresses, length)`` -- ``OneSidedReader.read_run``, a
@@ -459,11 +461,9 @@ class KeyIncrementTranslator(PrimitiveTranslator):
         base = self.base_address
 
         def read_cells(cells: List[int]) -> List[Optional[int]]:
-            payloads = read_run([base + cell * 8 for cell in cells], 8)
-            return [
-                None if payload is None else int.from_bytes(payload, "big")
-                for payload in payloads
-            ]
+            payloads, answered = read_run([base + cell * 8 for cell in cells], 8)
+            words = payloads.view(">u8").ravel().tolist()
+            return [word if ok else None for word, ok in zip(words, answered.tolist())]
 
         return read_cells
 

@@ -25,15 +25,15 @@ Two properties the query front end depends on:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.collector.collector import CollectorCluster
 from repro.control.shards import ShardAssignment, ShardMap
-from repro.core.addressing import DartAddressing
+from repro.core.addressing import _ARRAY_MIN_LANES, DartAddressing
 from repro.core.config import DartConfig
-from repro.core.policies import ReturnPolicy, fold_slots
+from repro.core.policies import ReturnPolicy, fold_matrix, fold_slots
 from repro.hashing.hash_family import Key, fold_keys
 from repro.primitives.clients import OneSidedReader, read_ring_window
 from repro.primitives.translator import ResponseDemux
@@ -59,6 +59,16 @@ class ShardUnavailable(RuntimeError):
         )
         self.role = role
         self.node_id = node_id
+
+
+class ShardLanes(NamedTuple):
+    """One shard's keys in the query's one resolve pass: their ``uint64``
+    lanes and checksums, and ``(redundancy, n)`` slot indexes, key ``i``
+    in column ``i`` (:meth:`DartAddressing.resolve_folded`'s layout)."""
+
+    lanes: np.ndarray
+    checksums: np.ndarray
+    slot_indexes: np.ndarray
 
 
 def key_text(key: Key) -> str:
@@ -161,35 +171,28 @@ class FanoutBackend:
     def read_reliable(
         self,
         reader: OneSidedReader,
-        addresses: List[int],
+        addresses: Sequence[int],
         length: int,
         shard: ShardAssignment,
-    ) -> List[bytes]:
-        """Pipelined READs with bounded retry of the lost request legs.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`OneSidedReader.read_run`, retrying only the unanswered rows.
 
-        Returns one payload per address, complete or not at all: if any
-        address is still unanswered after the retry budget the shard is
-        declared :class:`ShardUnavailable` (the dead-node signature is
-        *every* frame vanishing, and partial results would break the
-        byte-identity contract with direct reads).
+        Complete or not at all: a row still unanswered after the retry
+        budget declares the shard :class:`ShardUnavailable` (the dead-node
+        signature is *every* frame vanishing, and partial results would
+        break the byte-identity contract with direct reads).
         """
-        if not addresses:
-            return []
-        results: List[Optional[bytes]] = [None] * len(addresses)
-        pending = list(range(len(addresses)))
-        for _attempt in range(READ_ATTEMPTS):
-            batch = [addresses[i] for i in pending]
-            payloads = reader.read_run(batch, length)
-            still_pending = []
-            for index, payload in zip(pending, payloads):
-                if payload is None:
-                    still_pending.append(index)
-                else:
-                    results[index] = payload
-            pending = still_pending
-            if not pending:
-                return [payload for payload in results if payload is not None]
-        raise ShardUnavailable(shard.role, shard.node_id)
+        payloads, answered = reader.read_run(addresses, length)
+        retries = READ_ATTEMPTS - 1
+        while np.count_nonzero(answered) < len(answered):
+            if not retries:
+                raise ShardUnavailable(shard.role, shard.node_id)
+            retries -= 1
+            lost = np.flatnonzero(~answered)
+            payloads[lost], answered[lost] = reader.read_run(
+                [addresses[index] for index in lost.tolist()], length
+            )
+        return payloads, answered
 
     # ------------------------------------------------------------------
     # Source row readers (one shard each)
@@ -200,42 +203,37 @@ class FanoutBackend:
         shard: ShardAssignment,
         keys: List[Key],
         policy: ReturnPolicy,
-        lanes: np.ndarray,
+        resolved: ShardLanes,
     ) -> List[Dict[str, object]]:
         """Key-query rows for one shard: DART slot reads + return policy.
 
-        ``lanes`` are the keys' folds, as :meth:`shards_for` handed them
-        down.  Value-identical to
-        :class:`~repro.core.client.DartQueryClient` on the same keys: the
-        N slot addresses come from the shared addressing and the same
-        :func:`~repro.core.policies.fold_slots` discards
-        checksum-mismatched slots and applies the policy.
+        ``resolved`` is the keys' slice of :meth:`shards_for`'s pass.
+        Value-identical to :class:`~repro.core.client.DartQueryClient`: the
+        N slots per key come back as one matrix, folded as arrays
+        (``fold_matrix``) for runs of ``_ARRAY_MIN_LANES`` keys or more and
+        key by key (``fold_slots``, the reference) below that.
         """
         if not keys:
             return []
-        reader = self._keys_reader(shard)
-        config = self.config
-        redundancy = config.redundancy
-        checksums, addresses = self.addressing.reads_folded(lanes, shard.base_address)
-        payloads = self.read_reliable(
-            reader, addresses, config.slot_bytes, shard
+        config, codec = self.config, self._codec
+        slots = resolved.slot_indexes.T.ravel().tolist()  # key-major, copy-minor
+        addresses = [shard.base_address + slot * config.slot_bytes for slot in slots]
+        payloads, _answered = self.read_reliable(
+            self._keys_reader(shard), addresses, config.slot_bytes, shard
         )
-        rows = []
-        for index, key in enumerate(keys):
-            result = fold_slots(
-                self._codec,
-                payloads[index * redundancy : (index + 1) * redundancy],
-                checksums[index],
-                policy,
+        copies = payloads.reshape(len(keys), config.redundancy, config.slot_bytes)
+        if len(keys) >= _ARRAY_MIN_LANES:
+            folded = zip(*fold_matrix(codec, copies, resolved.checksums, policy))
+        else:
+            results = (
+                fold_slots(codec, [row.tobytes() for row in rows], checksum, policy)
+                for rows, checksum in zip(copies, resolved.checksums.tolist())
             )
-            rows.append(
-                {
-                    "key": key_text(key),
-                    "value": result.value,
-                    "answered": result.answered,
-                }
-            )
-        return rows
+            folded = ((result.value, result.answered) for result in results)
+        return [
+            {"key": key_text(key), "value": value, "answered": ok}
+            for key, (value, ok) in zip(keys, folded)
+        ]
 
     def _estimate_rows(
         self,
@@ -268,16 +266,16 @@ class FanoutBackend:
     def ring_rows(self, shard: ShardAssignment) -> List[Dict[str, object]]:
         """Append-ring rows for one shard: remote tail + readable window.
 
-        Mirrors :meth:`~repro.primitives.clients.AppendQueryClient.snapshot`
-        but with flushed, retried reads, so the window is complete (not
-        best-effort) and the same records come back over any fabric.
+        The READs of a fresh :meth:`~repro.primitives.clients.AppendQueryClient.follow`,
+        but retried, so the window is complete (not best-effort) and the
+        same records come back over any fabric.
         """
         store = self.ring_stores.get(shard.role)
         if store is None:
             raise ShardUnavailable(shard.role, shard.node_id)
         reader = self._store_reader("ring", shard.role, store)
-        tail_raw = self.read_reliable(reader, [store.tail_address], 8, shard)
-        tail = int.from_bytes(tail_raw[0], "big")
+        tail_raw, _answered = self.read_reliable(reader, [store.tail_address], 8, shard)
+        tail = int(tail_raw.view(">u8")[0, 0])
         records = read_ring_window(
             store,
             max(0, tail - store.capacity),
@@ -296,13 +294,13 @@ class FanoutBackend:
         shard: ShardAssignment,
         keys: List[Key],
         policy: ReturnPolicy,
-        lanes: np.ndarray,
+        resolved: Optional[ShardLanes],
     ) -> List[Dict[str, object]]:
         """Dispatch one shard read by source name (the planner's seam)."""
         if source == "keys":
-            return self.keys_rows(shard, keys, policy, lanes)
+            return self.keys_rows(shard, keys, policy, resolved)
         if source in ("counters", "sketch"):
-            return self._estimate_rows(source, shard, keys, lanes)
+            return self._estimate_rows(source, shard, keys, resolved.lanes)
         if source == "ring":
             return self.ring_rows(shard)
         raise ValueError(f"unknown source {source!r}")
@@ -313,30 +311,44 @@ class FanoutBackend:
         """Fold ``keys`` once and group them by the shard (role) storing them.
 
         Returns ``{role: (positions into keys, those keys' lanes)}`` in
-        first-seen role order.  This is the query side's only fold: the
-        lanes travel with the keys from here on.
+        first-seen role order: the collector alone, for callers that
+        derive no slot (counting, direct estimates).
         """
         lanes = fold_keys(keys)
-        positions: Dict[int, List[int]] = {}
-        for position, role in enumerate(self.addressing.collectors_folded(lanes)):
-            positions.setdefault(role, []).append(position)
-        return {role: (where, lanes[where]) for role, where in positions.items()}
+        return {
+            role: (where, lanes[where])
+            for role, where in _by_role(self.addressing.collectors_folded(lanes)).items()
+        }
 
     def shards_for(
         self, shard_map: ShardMap, keys: Optional[List[Key]]
-    ) -> Dict[int, Tuple[List[Key], np.ndarray]]:
-        """Group candidate keys, with their lanes, by the shard storing them.
+    ) -> Dict[int, Tuple[List[Key], Optional[ShardLanes]]]:
+        """A served query's one fold and one resolve pass, grouped by its
+        collector column: ``{role: (keys, their ShardLanes)}``.
 
         ``None`` keys (key-less sources like ``ring``) map every shard to
         an empty candidate list -- the fan-out still covers the fleet.
         """
         if keys is None:
-            no_lanes = np.empty(0, dtype=np.uint64)
-            return {role: ([], no_lanes) for role in shard_map.roles()}
-        return {
-            role: ([keys[position] for position in where], lanes)
-            for role, (where, lanes) in self.route(keys).items()
-        }
+            return {role: ([], None) for role in shard_map.roles()}
+        lanes = fold_keys(keys)
+        collectors, checksums, slots = self.addressing.resolve_folded(lanes)
+        grouped = {}
+        for role, where in _by_role(collectors.tolist()).items():
+            index = np.array(where) if len(where) < len(keys) else slice(None)
+            grouped[role] = (
+                [keys[position] for position in where],
+                ShardLanes(lanes[index], checksums[index], slots[:, index]),
+            )
+        return grouped
+
+
+def _by_role(collectors: List[int]) -> Dict[int, List[int]]:
+    """Positions grouped by collector role, roles in first-seen order."""
+    positions: Dict[int, List[int]] = {}
+    for position, role in enumerate(collectors):
+        positions.setdefault(role, []).append(position)
+    return positions
 
 
 #: A provider the planner polls for the epoch-current shard map.

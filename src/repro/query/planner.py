@@ -23,12 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.control.shards import ShardMap
 from repro.core.policies import ReturnPolicy
 from repro.hashing.hash_family import Key
-from repro.query.backend import FanoutBackend, ShardUnavailable, key_text
+from repro.query.backend import FanoutBackend, ShardLanes, ShardUnavailable, key_text
 from repro.query.lang import Aggregate, Predicate, Query, Source
 
 
@@ -40,9 +38,9 @@ class ShardPlan:
     node_id: int
     #: Candidate keys this shard stores (empty for key-less sources).
     keys: Tuple[Key, ...]
-    #: The keys' folded lanes, one per key: the planner folds once and
-    #: every shard read derives its locations from these.
-    lanes: np.ndarray = field(compare=False, repr=False)
+    #: The keys' slice of the query's one fold and resolve pass (None for
+    #: key-less sources): every shard read takes its locations from it.
+    resolved: Optional[ShardLanes] = field(compare=False, repr=False)
 
     def describe(self) -> str:
         """One-line operator rendering of the shard slice."""
@@ -202,7 +200,7 @@ class QueryPlan:
                 self.shard_map.assignment(shard.role),
                 list(shard.keys),
                 self.policy,
-                shard.lanes,
+                shard.resolved,
             )
         except ShardUnavailable:
             outcome.failed = True
@@ -273,10 +271,10 @@ def plan_query(
     ``keys`` is the candidate key set (DART stores cannot enumerate
     keys; the operator or service supplies candidates).  Key predicates
     prune it *here* -- before any shard is contacted -- and the
-    survivors are folded once and grouped by the collector role read off
-    their lanes (:meth:`FanoutBackend.shards_for
+    survivors are folded and resolved once and grouped by collector role
+    (:meth:`FanoutBackend.shards_for
     <repro.query.backend.FanoutBackend.shards_for>`), so each shard
-    receives exactly the keys it stores, lanes attached.  Shards with no candidates are
+    receives exactly the keys it stores, slots attached.  Shards with no candidates are
     dropped from the fan-out entirely (except for key-less sources,
     which always cover the fleet).
     """
@@ -293,7 +291,7 @@ def plan_query(
     grouped = backend.shards_for(shard_map, keys if keyed_source else None)
     shards = []
     for role in sorted(grouped):
-        shard_keys, lanes = grouped[role]
+        shard_keys, resolved = grouped[role]
         if keyed_source and not shard_keys:
             continue
         shards.append(
@@ -301,7 +299,7 @@ def plan_query(
                 role=role,
                 node_id=shard_map.node_for(role),
                 keys=tuple(shard_keys),
-                lanes=lanes,
+                resolved=resolved,
             )
         )
     policy = query.policy if query.policy is not None else default_policy

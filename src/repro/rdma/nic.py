@@ -242,7 +242,7 @@ class RdmaNic:
             if (reflected == reflected[0]).all() and (
                 RESPONSE_PAYLOAD_OFF + length + ICRC_BYTES - IP_OFF <= 0xFFFF
             ):
-                return self._ingest_read_batch
+                return lambda batch: self._ingest_read_batch(batch, length)
         return None
 
     def _any_qp_responds_atomics(self, dest_qps: np.ndarray) -> bool:
@@ -307,8 +307,9 @@ class RdmaNic:
         lookup and PSN acceptance in arrival order, then rkey, bounds of
         ``[VA, VA + span)`` and ``alignment`` (RETH and AtomicETH open
         with the same virtual_address and rkey fields).  Returns the row indexes
-        that passed everything, in arrival order, and their region
-        offsets.
+        that passed everything, in arrival order, their region offsets,
+        every row's PSN and the queue pair the last QP group was looked up
+        as (a READ batch has one group: its ``bth.dest_qp`` is uniform).
         """
         count = len(frames)
         counters = self.counters
@@ -320,6 +321,7 @@ class RdmaNic:
         executed = np.zeros(count, dtype=bool)
         dest_qps = read_field(frames, "bth.dest_qp")[candidates]
         psns = read_field(frames, "bth.psn")
+        qp = None
         # Per-QP acceptance, preserving arrival order within each QP --
         # the PSN state machine is sequential per queue pair.
         for qp_number in dict.fromkeys(dest_qps.tolist()):
@@ -357,13 +359,13 @@ class RdmaNic:
             counters.c_dropped_access.inc(denied)
             landed = landed[access_ok]
             offsets = offsets[access_ok]
-        return landed, offsets.astype(np.int64)
+        return landed, offsets.astype(np.int64), psns, qp
 
     def _ingest_write_batch(self, batch: FrameBatch) -> int:
         """The uniform-WRITE branch: one last-wins columnar scatter."""
         frames = batch.frames
         payload_bytes = frames.shape[1] - OVERHEAD_BYTES
-        landed, offsets = self._validate_batch(frames, payload_bytes)
+        landed, offsets, _psns, _qp = self._validate_batch(frames, payload_bytes)
         if len(landed):
             self.region.write_offset_columnar(
                 offsets, frames[landed, PAYLOAD_OFF : PAYLOAD_OFF + payload_bytes]
@@ -379,7 +381,7 @@ class RdmaNic:
         cells in one batch.
         """
         frames = batch.frames
-        landed, offsets = self._validate_batch(frames, 8, alignment=8)
+        landed, offsets, _psns, _qp = self._validate_batch(frames, 8, alignment=8)
         if len(landed):
             self.region.dma_fetch_add_many(
                 offsets + self.region.base_address,
@@ -388,24 +390,21 @@ class RdmaNic:
             self.counters.c_atomics.inc(len(landed))
         return len(landed)
 
-    def _ingest_read_batch(self, batch: FrameBatch) -> int:
+    def _ingest_read_batch(self, batch: FrameBatch, length: int) -> int:
         """The uniform-READ branch: one gather, one response matrix.
 
-        The survivors' bytes leave as one unpooled
-        :class:`~repro.rdma.frames.FrameBatch` on :attr:`tx_queue`,
-        stamped from the first survivor's :meth:`_response_template`
-        with PSN, MSN and payload patched: row for row what
-        :meth:`_enqueue_response` stamps.
+        ``length`` is the batch's one ``reth.dma_length``, as
+        :meth:`_batch_branch` read it.  The survivors' bytes leave as one
+        unpooled :class:`~repro.rdma.frames.FrameBatch` on
+        :attr:`tx_queue`, stamped from the first survivor's
+        :meth:`_response_template` with PSN, MSN and payload patched: row
+        for row what :meth:`_enqueue_response` stamps.
         """
         frames = batch.frames
-        length = int(read_field(frames[:1], "reth.dma_length")[0])
-        landed, offsets = self._validate_batch(frames, length)
+        landed, offsets, psns, qp = self._validate_batch(frames, length)
         count = len(landed)
         if count:
             first = frames[landed[0]]
-            qp = self._queue_pairs[
-                int(read_field(frames[landed[:1]], "bth.dest_qp")[0])
-            ]
             template = self._response_template(
                 Opcode.RC_RDMA_READ_RESPONSE_ONLY,
                 first[_READ_UNIFORM_COLUMNS].tobytes(),
@@ -416,7 +415,7 @@ class RdmaNic:
                     None,
                     batch.endpoint_ids[landed],
                     {
-                        "bth.psn": read_field(frames, "bth.psn")[landed],
+                        "bth.psn": psns[landed],
                         "aeth.msn": psn_run(qp.msn + 1, count),
                     },
                     payload=self.region.read_offset_columnar(offsets, length),

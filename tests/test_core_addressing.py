@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.addressing as addressing_module
 from repro.core.addressing import COLLECTOR_FUNCTION_INDEX, DartAddressing
 from repro.core.config import DartConfig
 from repro.hashing.hash_family import fold_key, fold_keys
@@ -175,7 +176,6 @@ class TestLanePathMatchesKeyReference:
         addressing = DartAddressing(config)
         family, checksum = config.hash_family(), config.key_checksum()
         count_min = CountMinAddressing(family, rows, 97)
-        base = 0x4000
 
         collectors = [
             family.hash_key_mod(key, COLLECTOR_FUNCTION_INDEX, 5) for key in keys
@@ -192,9 +192,6 @@ class TestLanePathMatchesKeyReference:
             ]
             for key in keys
         ]
-        addresses = [
-            base + slot * config.slot_bytes for copies in slots for slot in copies
-        ]
 
         # Scalar forms, from the key and from its lane.
         for index, key in enumerate(keys):
@@ -205,19 +202,18 @@ class TestLanePathMatchesKeyReference:
             assert list(resolved.slot_indexes) == slots[index]
             assert count_min.key_cells(key) == cells[index]
 
-        # Array forms, and the run forms on both sides of their length cut.
+        # Run forms, resolved as arrays and lane by lane (the length cut forced).
         lanes = fold_keys(keys)
-        got_collectors, got_checksums, got_slots = addressing.resolve_folded(lanes)
-        assert got_collectors.tolist() == collectors
-        assert got_checksums.tolist() == checksums
-        assert got_slots.T.tolist() == slots
         assert count_min.cells_array(lanes).tolist() == cells
-        for run in (lanes, lanes[:1]):
-            assert addressing.collectors_folded(run) == collectors[: len(run)]
-            assert addressing.reads_folded(run, base) == (
-                checksums[: len(run)],
-                addresses[: len(run) * redundancy],
-            )
+        for cut in (1, 1 << 30):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(addressing_module, "_ARRAY_MIN_LANES", cut)
+                got_collectors, got_checksums, got_slots = addressing.resolve_folded(lanes)
+                assert got_collectors.tolist() == collectors
+                assert got_checksums.tolist() == checksums
+                assert got_slots.shape == (redundancy, len(keys))
+                assert got_slots.T.tolist() == slots
+                assert addressing.collectors_folded(lanes) == collectors
 
     def test_array_mix_accepts_any_integral_member(self):
         """``hash_folded_array`` took ``np.int64(3)`` for a sequence."""

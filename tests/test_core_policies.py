@@ -1,10 +1,18 @@
 """Tests for query return policies (repro.core.policies)."""
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.policies import QueryOutcome, ReturnPolicy, resolve
+from repro.core.policies import (
+    QueryOutcome,
+    ReturnPolicy,
+    fold_matrix,
+    fold_slots,
+    resolve,
+)
+from repro.mem.slots import SlotCodec, SlotLayout
 
 A, B, C = b"value-a", b"value-b", b"value-c"
 
@@ -122,3 +130,51 @@ class TestInvariants:
         plurality = resolve(matching, ReturnPolicy.PLURALITY, slots_read=8)
         if consensus.answered and plurality.answered:
             assert consensus.value == plurality.value
+
+
+class TestMatrixFold:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        policy=st.sampled_from(list(ReturnPolicy)),
+        copies=st.integers(1, 4),
+        checksum_bits=st.sampled_from([8, 16, 32]),
+        data=st.data(),
+    )
+    def test_matrix_fold_equals_per_key_fold(self, policy, copies, checksum_bits, data):
+        """``fold_matrix`` over K <= 64 keys is ``fold_slots`` key by key.
+
+        Three checksums and three values per draw, so keys whose copies
+        collide on the checksum, disagree, and tie are the common case.
+        """
+        codec = SlotCodec(SlotLayout(checksum_bits=checksum_bits, value_bytes=3))
+        checksums = st.sampled_from([0, 1, (1 << checksum_bits) - 1])
+        slot = st.tuples(checksums, st.sampled_from([b"aaa", b"bbb", b"ccc"]))
+        keys = data.draw(
+            st.lists(
+                st.tuples(checksums, st.lists(slot, min_size=copies, max_size=copies)),
+                min_size=1, max_size=64,
+            )
+        )
+        raws = [[codec.encode(*stored) for stored in slots] for _checksum, slots in keys]
+        payloads = np.frombuffer(b"".join(map(b"".join, raws)), dtype=np.uint8)
+        expected = [expected for expected, _slots in keys]
+        values, answered = fold_matrix(
+            codec,
+            payloads.reshape(len(keys), copies, -1),
+            np.array(expected, dtype=np.uint64),
+            policy,
+        )
+        results = [
+            fold_slots(codec, slots, checksum, policy)
+            for slots, checksum in zip(raws, expected)
+        ]
+        assert values == [result.value for result in results]
+        assert answered == [result.answered for result in results]
+        # Against the paper's wording, not the code: an answer is a value
+        # enough matching copies carry (two for consensus).
+        for (checksum, slots), value, ok in zip(keys, values, answered):
+            matching = [stored for stored_checksum, stored in slots if stored_checksum == checksum]
+            assert ok == (value is not None)
+            if ok:
+                needed = 2 if policy is ReturnPolicy.CONSENSUS_2 else 1
+                assert matching.count(value) >= needed

@@ -15,6 +15,7 @@ import pytest
 from repro.collector.counters import CounterStore
 from repro.collector.store import DartStore
 from repro.control.shards import shard_map_of
+from repro.core.addressing import DartAddressing
 from repro.core.cas_store import CasDartStore
 from repro.core.client import DartQueryClient
 from repro.core.config import DartConfig
@@ -94,14 +95,22 @@ def folds(monkeypatch):
 
 
 @pytest.mark.parametrize("rig", [store_rig, fleet_rig])
-def test_served_lookups_fold_each_candidate_once(rig, folds):
+def test_served_lookups_fold_each_candidate_once(rig, folds, monkeypatch):
+    """...and resolve them in one pass: one ``resolve_folded`` per served query."""
     service, local = rig()
+    passes = []
+    resolve_folded = DartAddressing.resolve_folded
+    monkeypatch.setattr(
+        DartAddressing,
+        "resolve_folded",
+        lambda self, lanes: passes.append(len(lanes)) or resolve_folded(self, lanes),
+    )
     del folds[:]
     assert len(service.serve(POINT, "t", [KEYS[7]], False).answer.rows) == 1
-    assert len(folds) == 1
-    del folds[:]
+    assert len(folds) == 1 and passes == [1]
+    del folds[:], passes[:]
     assert len(service.serve(SWEEP, "t", KEYS, False).answer.rows) == 64
-    assert len(folds) == 64
+    assert len(folds) == 64 and passes == [64]
     del folds[:]
     assert local.query(KEYS[7]).answered
     assert len(folds) == 1

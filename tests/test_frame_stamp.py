@@ -238,9 +238,9 @@ def test_both_granularities_stamp_one_memo_entry():
     single = [reader._craft_read(address, 8, psn) for psn, address in enumerate(addresses)]
     (row,) = frames._TEMPLATE_MEMO.values()
     reader._psn = 0
-    assert reader._read_run_batch(addresses, 8) == [None] * 4
+    batch = reader._read_run_batch(addresses, 8)
     assert list(frames._TEMPLATE_MEMO.values()) == [row]
-    assert [matrix.tobytes() for matrix in reader.fabric.matrices[0]] == single
+    assert [matrix.tobytes() for matrix in batch.frames] == single
 
 
 # ---------------------------------------------------------------------------

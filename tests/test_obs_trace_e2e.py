@@ -87,7 +87,8 @@ def run_scenario(seed=SEED, delay=DELAY):
                 writer.append(b"solo-%04d" % i)
             # Query plane: a one-sided READ against the slowed NIC.
             slow.delay = delay
-            (payload,) = reader.read_run([store.data_address], store.record_bytes)
+            payloads, answered = reader.read_run([store.data_address], store.record_bytes)
+            payload = payloads[0].tobytes() if answered[0] else None
             slow.delay = 0.0
         tracer.end(trace_id)
         record = tracer.trace(trace_id)

@@ -69,9 +69,9 @@ class TestThreeClientsOneAnswer:
         } == expected
 
         shard_map = shard_map_of(cluster)
-        for role, (mine, lanes) in backend.shards_for(shard_map, keys).items():
+        for role, (mine, resolved) in backend.shards_for(shard_map, keys).items():
             rows = backend.keys_rows(
-                shard_map.assignment(role), mine, ReturnPolicy.PLURALITY, lanes
+                shard_map.assignment(role), mine, ReturnPolicy.PLURALITY, resolved
             )
             assert [(row["value"], row["answered"]) for row in rows] == [
                 expected[key] for key in mine

@@ -4,7 +4,8 @@
 as one request matrix and gets one response matrix back; shorter runs stay
 on the pipelined scalar body.  Every test here pins the contract that
 makes the batch path safe: *identical request bytes, response bytes (MSN
-sequence included), payloads and counters* to the scalar reference, over
+sequence included), payload matrices, answered masks and counters* to the
+scalar reference, over
 every fabric, with the same drop taxonomy and no leaked pool lease.
 
 The reference for pipelined runs is ``read_run``'s own scalar body (forced
@@ -128,16 +129,21 @@ def frame_accounting(counters):
     return {n: getattr(counters, n) for n, *_ in counters.FIELDS if n != "flushes"}
 
 
+def read(rig, slots, length):
+    """One ``read_run`` of ``slots``: its payload matrix and answered mask, as lists."""
+    payloads, answered = rig.reader.read_run([rig.address(s) for s in slots], length)
+    assert payloads.dtype == np.uint8 and payloads.shape == (len(slots), length)
+    assert answered.dtype == bool and not payloads[~answered].any()
+    return payloads.tolist(), answered.tolist()
+
+
 def run_both(monkeypatch, factory, runs, length, start_psn=0):
     """The same runs through the scalar body and the batch path."""
     results = {}
     for path, cut in (("scalar", 1 << 30), ("columnar", 1)):
         monkeypatch.setattr(clients, "COLUMNAR_MIN_READS", cut)
         rig = Rig(factory(), start_psn)
-        payloads = [
-            rig.reader.read_run([rig.address(s) for s in slots], length)
-            for slots in runs
-        ]
+        payloads = [read(rig, slots, length) for slots in runs]
         assert rig.reader._pool.in_flight == 0
         assert (rig.tap.batches > 0) == (path == "columnar")
         results[path] = (payloads, rig.state())
@@ -158,8 +164,13 @@ class TestReadRunEquivalence:
         assert state["nic"]["reads_executed"] == state["nic"]["responses_emitted"]
         if name in ("inline", "buffered_5"):
             rig = Rig(FABRICS[name]())
-            for slots, got in zip(runs, payloads):
-                assert got == [rig.node.region.dma_read(rig.address(s), 24) for s in slots]
+            for slots, (rows, answered) in zip(runs, payloads):
+                assert all(answered)
+                assert [bytes(row) for row in rows] == [
+                    rig.node.region.dma_read(rig.address(s), 24) for s in slots
+                ]
+        else:
+            assert not all(ok for _rows, answered in payloads for ok in answered)
 
     @pytest.mark.parametrize("name", ["inline", "buffered_5"])
     def test_run_matches_looped_scalar_read(self, monkeypatch, name):
@@ -167,10 +178,10 @@ class TestReadRunEquivalence:
         slots = [5, 5, 17, 250, 0, 99, 17]
         monkeypatch.setattr(clients, "COLUMNAR_MIN_READS", 1)
         columnar = Rig(FABRICS[name]())
-        got = columnar.reader.read_run([columnar.address(s) for s in slots], 8)
+        got = read(columnar, slots, 8)
         looped = Rig(FABRICS[name]())
-        expected = [looped.reader.read_run([looped.address(s)], 8)[0] for s in slots]
-        assert got == expected
+        rows, answered = zip(*(read(looped, [s], 8) for s in slots))
+        assert got == ([row for (row,) in rows], [ok for (ok,) in answered])
         left, right = looped.state(), columnar.state()
         assert left == right
 
@@ -188,7 +199,7 @@ class TestReadRunEquivalence:
                 rig.fabric.send(0, strays[sent].tobytes())
                 sent += 1
             slots = list(range(0, 3 * COLUMNAR_MIN_READS * 4, 3))
-            payloads = rig.reader.read_run([rig.address(s) for s in slots], 24)
+            payloads = read(rig, slots, 24)
             assert rig.reader._pool.in_flight == 0
             states.append((sent, payloads, rig.state()))
         assert states[0] == states[1]
@@ -201,7 +212,7 @@ class TestReadRunEquivalence:
         )
         assert scalar == columnar
         assert columnar[1]["psn"] == 7
-        assert None not in columnar[0][0]
+        assert all(all(answered) for _rows, answered in columnar[0])
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -220,10 +231,10 @@ class TestReadRunEquivalence:
 
     def test_size_cut_selects_the_path(self):
         rig = Rig(InlineFabric())
-        short = [rig.address(s) for s in range(COLUMNAR_MIN_READS - 1)]
-        assert None not in rig.reader.read_run(short, 24)
+        short = list(range(COLUMNAR_MIN_READS - 1))
+        assert all(read(rig, short, 24)[1])
         assert rig.tap.batches == 0
-        assert None not in rig.reader.read_run(short + [rig.address(9)], 24)
+        assert all(read(rig, short + [9], 24)[1])
         assert rig.tap.batches == 1
 
     def test_dead_collector_answers_nothing(self, monkeypatch):
@@ -231,7 +242,7 @@ class TestReadRunEquivalence:
             monkeypatch.setattr(clients, "COLUMNAR_MIN_READS", cut)
             rig = Rig(InlineFabric())
             rig.node.fail()
-            assert rig.reader.read_run([rig.address(s) for s in range(5)], 24) == [None] * 5
+            assert read(rig, range(5), 24) == ([[0] * 24] * 5, [False] * 5)
             assert rig.node.nic.counters.frames_received == 0
             assert rig.fabric.counters.frames_rejected == 5
             assert rig.reader._pool.in_flight == 0
@@ -268,7 +279,7 @@ def ingest_both(matrix, prepare=lambda rig: None, vectorised=True):
         if columnar:
             branch_calls = []
             branch = nic._ingest_read_batch
-            nic._ingest_read_batch = lambda batch: branch_calls.append(1) or branch(batch)
+            nic._ingest_read_batch = lambda *args: branch_calls.append(1) or branch(*args)
             executed = nic.ingest_batch(
                 FrameBatch(matrix.copy(), np.zeros(len(matrix), dtype=np.int64))
             )
@@ -422,9 +433,9 @@ class TestTracingParity:
             rig = Rig(InlineFabric())
             trace_id = tracer.begin("query")
             with tracer.activate(trace_id):
-                got = rig.reader.read_run([rig.address(s) for s in range(reads)], 24)
+                _rows, answered = read(rig, range(reads), 24)
             tracer.end(trace_id)
-            assert None not in got
+            assert all(answered)
             assert tracer.bindings_live == 0
             assert rig.reader._pool.in_flight == 0
             return tracer, tracer.trace(trace_id), rig
@@ -503,9 +514,9 @@ class TestFanoutBackend:
         def check():
             shard_map = shard_map_of(cluster)
             for subset in (keys, keys[:3]):
-                for role, (mine, lanes) in backend.shards_for(shard_map, subset).items():
+                for role, (mine, resolved) in backend.shards_for(shard_map, subset).items():
                     rows = backend.keys_rows(
-                        shard_map.assignment(role), mine, ReturnPolicy.PLURALITY, lanes
+                        shard_map.assignment(role), mine, ReturnPolicy.PLURALITY, resolved
                     )
                     assert [row["value"] for row in rows] == [
                         direct.query(key, policy=ReturnPolicy.PLURALITY).value
