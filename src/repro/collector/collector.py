@@ -293,6 +293,9 @@ class CollectorCluster:
         self._standby_ids: List[int] = list(
             range(config.num_collectors, config.num_collectors + num_standbys)
         )
+        #: The :func:`~repro.control.shards.shard_map_of` memo: the last map
+        #: frozen of the role map, dropped by its one writer, :meth:`promote`.
+        self.frozen_map = None
 
     @property
     def collectors(self) -> List[Collector]:
@@ -359,6 +362,7 @@ class CollectorCluster:
         displaced = self._nodes[self._role_map[role]]
         self._standby_ids.remove(node_id)
         self._role_map[role] = node_id
+        self.frozen_map = None
         return displaced
 
     def withdraw(self, node_id: int) -> Collector:

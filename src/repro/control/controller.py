@@ -39,6 +39,7 @@ from repro.control.plan import (
     apply_plan,
     build_failover_plan,
 )
+from repro.control.shards import shard_map_of
 from repro.fabric.fabric import Fabric
 from repro.obs.metrics import DEPTH_BUCKETS
 from repro.switch.control_plane import SwitchControlPlane
@@ -175,15 +176,14 @@ class FleetController:
     def shard_map(self):
         """The epoch-current keyspace shard map (the query-plane lookup API).
 
-        Freezes the cluster's live role assignments under this
-        controller's table-version epoch into an immutable
-        :class:`~repro.control.shards.ShardMap`.  Consumers (the
-        :mod:`repro.query` planner, result caches) compare a plan's or
-        cache entry's epoch against a fresh map's to detect that a
-        failover has remapped shards underneath them.
+        The cluster's live role assignments under this controller's
+        table-version epoch, as the immutable
+        :class:`~repro.control.shards.ShardMap` frozen once per (epoch,
+        role map).  Consumers (the :mod:`repro.query` planner, result
+        caches) compare a plan's or cache entry's epoch against the
+        current map's to detect that a failover has remapped shards
+        underneath them.
         """
-        from repro.control.shards import shard_map_of
-
         return shard_map_of(self.cluster, epoch=self.current_epoch)
 
     def _publish_state(self) -> None:

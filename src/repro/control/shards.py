@@ -10,9 +10,11 @@ version and detect staleness (a cached result or an in-flight plan whose
 ``epoch`` no longer matches the current map must be re-planned).
 
 :func:`shard_map_of` derives a map from any
-:class:`~repro.collector.collector.CollectorCluster`;
-:meth:`~repro.control.controller.FleetController.shard_map` is the live
-lookup API deployments use, tagging the map with the controller's
+:class:`~repro.collector.collector.CollectorCluster` and keeps it on the
+cluster, so one map serves every query until the epoch moves or
+:meth:`~repro.collector.collector.CollectorCluster.promote` rewires a
+role; :meth:`~repro.control.controller.FleetController.shard_map` is the
+live lookup API deployments use, tagging the map with the controller's
 current table-version epoch.
 """
 
@@ -28,16 +30,16 @@ from repro.collector.collector import CollectorCluster
 class ShardAssignment:
     """One keyspace shard binding: role -> serving node, frozen at read.
 
-    Carries the node's region coordinates (rkey, base address, liveness)
-    so a query backend can build one-sided readers without re-deriving
-    them from mutable cluster state mid-plan.
+    Carries the node's region coordinates (rkey, base address) so a query
+    backend can build one-sided readers without re-deriving them from
+    mutable cluster state mid-plan.  No liveness: a crashed node keeps its
+    binding (its READs go unanswered) until a standby is promoted.
     """
 
     role: int
     node_id: int
     rkey: int
     base_address: int
-    alive: bool
 
 
 @dataclass(frozen=True)
@@ -69,18 +71,22 @@ def shard_map_of(cluster: CollectorCluster, epoch: int = 0) -> ShardMap:
 
     Deployments without a fleet controller (fixed fleets, unit tests) can
     still hand the query planner an epoch-tagged map; ``epoch`` defaults
-    to 0, matching the controller's pre-failover table version.
+    to 0, matching the controller's pre-failover table version.  One map
+    is frozen per (epoch, role map) and kept on the cluster until the
+    epoch moves or :meth:`CollectorCluster.promote` drops it.
     """
-    assignments = []
-    for role in range(len(cluster)):
-        node = cluster.node_for(role)
-        assignments.append(
-            ShardAssignment(
-                role=role,
-                node_id=node.collector_id,
-                rkey=node.region.rkey,
-                base_address=node.region.base_address,
-                alive=node.alive,
-            )
+    frozen = cluster.frozen_map
+    if frozen is None or frozen.epoch != epoch:
+        frozen = cluster.frozen_map = ShardMap(
+            epoch=epoch,
+            assignments=tuple(
+                ShardAssignment(
+                    role=role,
+                    node_id=node.collector_id,
+                    rkey=node.region.rkey,
+                    base_address=node.region.base_address,
+                )
+                for role, node in enumerate(cluster)
+            ),
         )
-    return ShardMap(epoch=epoch, assignments=tuple(assignments))
+    return frozen

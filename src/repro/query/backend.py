@@ -25,7 +25,7 @@ Two properties the query front end depends on:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from repro.control.shards import ShardAssignment, ShardMap
 from repro.core.addressing import _ARRAY_MIN_LANES, DartAddressing
 from repro.core.config import DartConfig
 from repro.core.policies import ReturnPolicy, fold_matrix, fold_slots
-from repro.hashing.hash_family import Key, fold_keys
+from repro.hashing.hash_family import Key, fold_key, fold_keys
 from repro.primitives.clients import OneSidedReader, read_ring_window
 from repro.primitives.translator import ResponseDemux
 
@@ -64,11 +64,15 @@ class ShardUnavailable(RuntimeError):
 class ShardLanes(NamedTuple):
     """One shard's keys in the query's one resolve pass: their ``uint64``
     lanes and checksums, and ``(redundancy, n)`` slot indexes, key ``i``
-    in column ``i`` (:meth:`DartAddressing.resolve_folded`'s layout)."""
+    in column ``i`` (:meth:`DartAddressing.resolve_folded`'s layout).
 
-    lanes: np.ndarray
-    checksums: np.ndarray
-    slot_indexes: np.ndarray
+    A shard of ``_ARRAY_MIN_LANES`` keys or more holds numpy arrays, a
+    shorter one the same values as lists of ints (its fold is key by key).
+    """
+
+    lanes: Union[np.ndarray, List[int]]
+    checksums: Union[np.ndarray, List[int]]
+    slot_indexes: Union[np.ndarray, List[List[int]]]
 
 
 def key_text(key: Key) -> str:
@@ -201,7 +205,7 @@ class FanoutBackend:
     def keys_rows(
         self,
         shard: ShardAssignment,
-        keys: List[Key],
+        keys: Sequence[Key],
         policy: ReturnPolicy,
         resolved: ShardLanes,
     ) -> List[Dict[str, object]]:
@@ -215,21 +219,27 @@ class FanoutBackend:
         """
         if not keys:
             return []
-        config, codec = self.config, self._codec
-        slots = resolved.slot_indexes.T.ravel().tolist()  # key-major, copy-minor
-        addresses = [shard.base_address + slot * config.slot_bytes for slot in slots]
-        payloads, _answered = self.read_reliable(
-            self._keys_reader(shard), addresses, config.slot_bytes, shard
+        codec, redundancy, slot_bytes = self._codec, self.config.redundancy, self.config.slot_bytes
+        short = len(keys) < _ARRAY_MIN_LANES  # ``resolved`` holds lists
+        slots = (  # key-major, copy-minor
+            [slot for copies in zip(*resolved.slot_indexes) for slot in copies]
+            if short else resolved.slot_indexes.T.ravel().tolist()
         )
-        copies = payloads.reshape(len(keys), config.redundancy, config.slot_bytes)
-        if len(keys) >= _ARRAY_MIN_LANES:
-            folded = zip(*fold_matrix(codec, copies, resolved.checksums, policy))
-        else:
+        addresses = [shard.base_address + slot * slot_bytes for slot in slots]
+        payloads, _answered = self.read_reliable(
+            self._keys_reader(shard), addresses, slot_bytes, shard
+        )
+        if short:  # one bytes object sliced per slot, no per-row array
+            raw = payloads.tobytes()
+            rows = [raw[at : at + slot_bytes] for at in range(0, len(raw), slot_bytes)]
             results = (
-                fold_slots(codec, [row.tobytes() for row in rows], checksum, policy)
-                for rows, checksum in zip(copies, resolved.checksums.tolist())
+                fold_slots(codec, rows[at : at + redundancy], checksum, policy)
+                for at, checksum in zip(range(0, len(rows), redundancy), resolved.checksums)
             )
             folded = ((result.value, result.answered) for result in results)
+        else:
+            copies = payloads.reshape(len(keys), redundancy, slot_bytes)
+            folded = zip(*fold_matrix(codec, copies, resolved.checksums, policy))
         return [
             {"key": key_text(key), "value": value, "answered": ok}
             for key, (value, ok) in zip(keys, folded)
@@ -239,8 +249,8 @@ class FanoutBackend:
         self,
         source: str,
         shard: ShardAssignment,
-        keys: List[Key],
-        lanes: np.ndarray,
+        keys: Sequence[Key],
+        lanes: Union[np.ndarray, List[int]],
     ) -> List[Dict[str, object]]:
         """Count-min estimate rows for one counter/sketch shard."""
         if not keys:
@@ -292,7 +302,7 @@ class FanoutBackend:
         self,
         source: str,
         shard: ShardAssignment,
-        keys: List[Key],
+        keys: Sequence[Key],
         policy: ReturnPolicy,
         resolved: Optional[ShardLanes],
     ) -> List[Dict[str, object]]:
@@ -328,18 +338,35 @@ class FanoutBackend:
 
         ``None`` keys (key-less sources like ``ring``) map every shard to
         an empty candidate list -- the fan-out still covers the fleet.
+        A run shorter than ``_ARRAY_MIN_LANES`` resolves lane by lane
+        straight into lists, so a point lookup builds no array before its
+        READs.
         """
         if keys is None:
             return {role: ([], None) for role in shard_map.roles()}
+        grouped = {}
+        if len(keys) < _ARRAY_MIN_LANES:
+            for key in keys:
+                lane = fold_key(key)
+                entry = self.addressing.resolve_lane(lane)
+                mine, (lanes, checksums, slots) = grouped.setdefault(
+                    entry.collector_id,
+                    ([], ShardLanes([], [], [[] for _copy in entry.slot_indexes])),
+                )
+                mine.append(key)
+                lanes.append(lane)
+                checksums.append(entry.checksum)
+                for copy, slot in zip(slots, entry.slot_indexes):
+                    copy.append(slot)
+            return grouped
         lanes = fold_keys(keys)
         collectors, checksums, slots = self.addressing.resolve_folded(lanes)
-        grouped = {}
         for role, where in _by_role(collectors.tolist()).items():
             index = np.array(where) if len(where) < len(keys) else slice(None)
-            grouped[role] = (
-                [keys[position] for position in where],
-                ShardLanes(lanes[index], checksums[index], slots[:, index]),
-            )
+            shard = ShardLanes(lanes[index], checksums[index], slots[:, index])
+            if len(where) < _ARRAY_MIN_LANES:
+                shard = ShardLanes._make(part.tolist() for part in shard)
+            grouped[role] = ([keys[position] for position in where], shard)
         return grouped
 
 

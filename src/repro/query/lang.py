@@ -27,20 +27,26 @@ Grammar (case-insensitive keywords; see DESIGN.md for the worked form)::
     pred    := field op literal
     op      := "==" | "!=" | ">=" | "<=" | ">" | "<" | "contains"
     literal := NUMBER | "quoted string" | bareword
+    NUMBER  := -?DIGITS[.DIGITS]
 
 Everything parses into an immutable :class:`Query`; malformed text
 raises :class:`QueryParseError` with the offending token.  The parsed
 form is *typed*: fields are checked against the source, aggregates
 against field numericity, so planner and service never see a query that
-cannot execute.
+cannot execute.  Only a NUMBER token is a number (bareword ``nan`` is
+text); :meth:`Query.canonical` renders each literal to parse back to it.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Optional, Tuple, Union
+from functools import cached_property
+from typing import Dict, List, NoReturn, Optional, Tuple, Union
+
+import numpy as np
 
 from repro.core.policies import ReturnPolicy
 
@@ -90,33 +96,25 @@ KEY_ONLY_FIELDS = frozenset({"key"})
 
 _PREDICATE_OPS = ("==", "!=", ">=", "<=", ">", "<", "contains")
 
+#: One token: word, string, NUMBER or operator (no two kinds start with the
+#: same character, so the order is only speed: words are the most common).
 _TOKEN = re.compile(
-    r"""\s*(?:
-        (?P<string>"[^"]*"|'[^']*')
-      | (?P<number>-?\d+(?:\.\d+)?)
-      | (?P<op>==|!=|>=|<=|>|<|\(|\)|\*)
-      | (?P<word>[A-Za-z_][\w.\-]*)
-    )""",
-    re.VERBOSE,
+    r"[A-Za-z_][\w.\-]*"
+    r'|"[^"]*"'
+    r"|'[^']*'"
+    r"|-?\d+(?:\.\d+)?"
+    r"|==|!=|>=|<=|>|<|\(|\)|\*"
 )
+#: A token or, where none lexes, the rest of the text (which is rejected).
+_LEXEME = re.compile(rf"{_TOKEN.pattern}|\S.*", re.DOTALL)
 
 
-def _tokenize(text: str) -> Tuple[str, ...]:
-    """Split query text into tokens; rejects unlexable characters."""
-    tokens = []
-    position = 0
-    while position < len(text):
-        match = _TOKEN.match(text, position)
-        if match is None:
-            remainder = text[position:].strip()
-            if not remainder:
-                break
-            raise QueryParseError(
-                f"cannot lex query at {remainder[:20]!r}"
-            )
-        tokens.append(match.group().strip())
-        position = match.end()
-    return tuple(token for token in tokens if token)
+def _tokenize(text: str) -> List[str]:
+    """Split query text into tokens in one regex pass; rejects unlexable text."""
+    tokens = _LEXEME.findall(text)
+    if tokens and _TOKEN.fullmatch(tokens[-1]) is None:
+        raise QueryParseError(f"cannot lex query at {tokens[-1].strip()[:20]!r}")
+    return tokens
 
 
 @dataclass(frozen=True)
@@ -133,10 +131,15 @@ class Predicate:
     literal: LiteralValue
 
     def describe(self) -> str:
-        """The clause in canonical query-text form."""
+        """The clause in canonical query-text form, which parses back to it:
+        a string in double quotes (single when it holds one), a number as a
+        NUMBER token (a float keeps its point and has no exponent)."""
         literal = self.literal
         if isinstance(literal, str):
-            literal = f'"{literal}"'
+            quote = "'" if '"' in literal else '"'
+            literal = f"{quote}{literal}{quote}"
+        elif isinstance(literal, float):
+            literal = np.format_float_positional(literal, trim="0")
         return f"{self.field} {self.op} {literal}"
 
     def _coerce(self, value: object) -> object:
@@ -179,7 +182,9 @@ class Query:
     """A fully parsed, type-checked query (the planner's input).
 
     ``canonical()`` is the normalized text form -- the result cache keys
-    on it, so two spellings of the same query share one cache entry.
+    on it, so two spellings of the same query share one cache entry, and
+    two different queries never do (it parses back to the query).  It and
+    the key/row predicate split are computed once per query.
     """
 
     source: Source
@@ -192,6 +197,10 @@ class Query:
 
     def canonical(self) -> str:
         """Normalized query text (whitespace/case-insensitive identity)."""
+        return self._canonical
+
+    @cached_property
+    def _canonical(self) -> str:
         if self.aggregate is Aggregate.PROJECT:
             target = self.field
         else:
@@ -206,14 +215,14 @@ class Query:
             parts.append(f"policy {self.policy.value}")
         return " ".join(parts)
 
-    @property
+    @cached_property
     def key_predicates(self) -> Tuple[Predicate, ...]:
         """Clauses decidable from the key alone (pruned before any read)."""
         return tuple(
             p for p in self.predicates if p.field in KEY_ONLY_FIELDS
         )
 
-    @property
+    @cached_property
     def row_predicates(self) -> Tuple[Predicate, ...]:
         """Clauses needing read data (evaluated per shard, post-read)."""
         return tuple(
@@ -221,55 +230,42 @@ class Query:
         )
 
 
-class _TokenStream:
-    """Cursor over the token tuple with one-token lookahead."""
+def _end(expected: str = "a token") -> NoReturn:
+    """Raise the error for a read past the last token."""
+    raise QueryParseError(f"unexpected end of query (expected {expected})")
 
-    def __init__(self, tokens: Tuple[str, ...]) -> None:
-        self.tokens = tokens
-        self.position = 0
 
-    def peek(self) -> Optional[str]:
-        """The next token, or None at end of input."""
-        if self.position >= len(self.tokens):
-            return None
-        return self.tokens[self.position]
-
-    def next(self, expected: Optional[str] = None) -> str:
-        """Consume one token, optionally requiring an exact keyword."""
-        token = self.peek()
-        if token is None:
-            raise QueryParseError(
-                f"unexpected end of query (expected {expected or 'a token'})"
-            )
-        if expected is not None and token.lower() != expected:
-            raise QueryParseError(
-                f"expected {expected!r}, got {token!r}"
-            )
-        self.position += 1
-        return token
+def _expect(token: Optional[str], keyword: str) -> None:
+    """Require ``keyword`` (in any case) as the token read."""
+    if token is None:
+        _end(keyword)
+    if token.lower() != keyword:
+        raise QueryParseError(f"expected {keyword!r}, got {token!r}")
 
 
 def _parse_literal(token: str) -> LiteralValue:
-    """A predicate literal from one token (number / quoted / bareword)."""
-    if token and token[0] in "\"'":
+    """A predicate literal: a quoted string's text, a NUMBER token's number,
+    any other token (a bareword, ``nan`` included) as written."""
+    first = token[0]
+    if first in "\"'":
         return token[1:-1]
-    try:
-        if re.fullmatch(r"-?\d+", token):
-            return int(token)
-        return float(token)
-    except ValueError:
+    if first != "-" and not first.isdecimal():
         return token
+    try:
+        number = float(token) if "." in token else int(token)
+    except ValueError:  # more digits than int() converts
+        number = math.inf
+    if number in (math.inf, -math.inf):
+        raise QueryParseError(f"number out of range at {token[:20]!r}")
+    return number
 
 
-def _check_field(source: Source, field: str) -> str:
-    """Validate ``field`` against the source's row shape."""
-    fields = SOURCE_FIELDS[source]
-    if field not in fields:
-        raise QueryParseError(
-            f"unknown field {field!r} for source {source.value!r} "
-            f"(fields: {', '.join(fields)})"
-        )
-    return field
+def _unknown_field(source: Source, field: str) -> QueryParseError:
+    """The error for a ``field`` the source's rows do not carry."""
+    return QueryParseError(
+        f"unknown field {field!r} for source {source.value!r} "
+        f"(fields: {', '.join(SOURCE_FIELDS[source])})"
+    )
 
 
 def parse_query(text: str) -> Query:
@@ -279,64 +275,69 @@ def parse_query(text: str) -> Query:
     ... # doctest: +ELLIPSIS
     Query(...)
     """
-    stream = _TokenStream(_tokenize(text))
-    stream.next("select")
+    tokens: List[Optional[str]] = _tokenize(text)
+    tokens.append(None)  # the end: reading it raises, looking at it stops
+    _expect(tokens[0], "select")
 
     # Target: field, agg(field) or count(*).
-    head = stream.next().lower()
+    head = (tokens[1] or _end()).lower()
     aggregate = Aggregate.PROJECT
-    if head in ("sum", "count", "avg", "min", "max") and stream.peek() == "(":
+    position = 2
+    if head in ("sum", "count", "avg", "min", "max") and tokens[2] == "(":
         aggregate = Aggregate(head)
-        stream.next("(")
-        field = stream.next().lower()
-        stream.next(")")
+        field = (tokens[3] or _end()).lower()
+        _expect(tokens[4], ")")
+        position = 5
     else:
         field = head
     if field == "*" and aggregate is not Aggregate.COUNT:
         raise QueryParseError("'*' is only valid inside count(*)")
 
-    stream.next("from")
-    source_token = stream.next().lower()
-    try:
-        source = Source(source_token)
-    except ValueError:
+    _expect(tokens[position], "from")
+    source_token = (tokens[position + 1] or _end()).lower()
+    position += 2
+    source = Source._value2member_map_.get(source_token)  # Source(), without the call
+    if source is None:
         raise QueryParseError(
             f"unknown source {source_token!r} "
             f"(sources: {', '.join(s.value for s in Source)})"
-        ) from None
-    if field != "*":
-        _check_field(source, field)
-    if aggregate in (Aggregate.SUM, Aggregate.AVG, Aggregate.MIN, Aggregate.MAX):
-        if field not in NUMERIC_FIELDS:
-            raise QueryParseError(
-                f"{aggregate.value}() needs a numeric field, got {field!r} "
-                f"(numeric: {', '.join(sorted(NUMERIC_FIELDS))})"
-            )
+        )
+    fields = SOURCE_FIELDS[source]
+    if field not in fields and field != "*":
+        raise _unknown_field(source, field)
+    if aggregate not in (Aggregate.PROJECT, Aggregate.COUNT) and field not in NUMERIC_FIELDS:
+        raise QueryParseError(
+            f"{aggregate.value}() needs a numeric field, got {field!r} "
+            f"(numeric: {', '.join(sorted(NUMERIC_FIELDS))})"
+        )
 
     predicates = []
     top_k: Optional[int] = None
     order_field: Optional[str] = None
     policy: Optional[ReturnPolicy] = None
-    while stream.peek() is not None:
-        clause = stream.next().lower()
+    while tokens[position] is not None:
+        clause = tokens[position].lower()
+        position += 1
         if clause == "where":
             while True:
-                pred_field = _check_field(source, stream.next().lower())
-                op = stream.next().lower()
+                pred_field = (tokens[position] or _end()).lower()
+                if pred_field not in fields:
+                    raise _unknown_field(source, pred_field)
+                op = (tokens[position + 1] or _end()).lower()
                 if op not in _PREDICATE_OPS:
                     raise QueryParseError(
                         f"unknown operator {op!r} "
                         f"(operators: {', '.join(_PREDICATE_OPS)})"
                     )
-                literal = _parse_literal(stream.next())
-                predicates.append(
-                    Predicate(field=pred_field, op=op, literal=literal)
-                )
-                if (stream.peek() or "").lower() != "and":
+                literal = _parse_literal(tokens[position + 2] or _end())
+                position += 3
+                predicates.append(Predicate(pred_field, op, literal))
+                if (tokens[position] or "").lower() != "and":
                     break
-                stream.next("and")
+                position += 1
         elif clause == "top":
-            count_token = stream.next()
+            count_token = tokens[position] or _end()
+            position += 1
             try:
                 top_k = int(count_token)
             except ValueError:
@@ -345,9 +346,11 @@ def parse_query(text: str) -> Query:
                 ) from None
             if top_k < 1:
                 raise QueryParseError(f"top must be >= 1, got {top_k}")
-            if (stream.peek() or "").lower() == "by":
-                stream.next("by")
-                order_field = _check_field(source, stream.next().lower())
+            if (tokens[position] or "").lower() == "by":
+                order_field = (tokens[position + 1] or _end()).lower()
+                if order_field not in fields:
+                    raise _unknown_field(source, order_field)
+                position += 2
             else:
                 # Default order: the source's natural magnitude field.
                 order_field = "est" if source in (
@@ -362,7 +365,8 @@ def parse_query(text: str) -> Query:
                 raise QueryParseError(
                     "policy applies only to the keys source"
                 )
-            policy_token = stream.next().lower()
+            policy_token = (tokens[position] or _end()).lower()
+            position += 1
             try:
                 policy = ReturnPolicy(policy_token)
             except ValueError:
@@ -376,11 +380,5 @@ def parse_query(text: str) -> Query:
     if top_k is not None and aggregate is not Aggregate.PROJECT:
         raise QueryParseError("top-k applies to projections, not aggregates")
     return Query(
-        source=source,
-        field=field,
-        aggregate=aggregate,
-        predicates=tuple(predicates),
-        top_k=top_k,
-        order_field=order_field,
-        policy=policy,
+        source, field, aggregate, tuple(predicates), top_k, order_field, policy
     )

@@ -198,7 +198,7 @@ class QueryPlan:
             rows = backend.rows_for(
                 query.source.value,
                 self.shard_map.assignment(shard.role),
-                list(shard.keys),
+                shard.keys,
                 self.policy,
                 shard.resolved,
             )
@@ -279,11 +279,12 @@ def plan_query(
     which always cover the fleet).
     """
     pruned = 0
-    if keys is not None and query.key_predicates:
+    key_predicates = query.key_predicates
+    if keys is not None and key_predicates:
         survivors = []
         for key in keys:
             row = {"key": key_text(key)}
-            if all(p.matches(row) for p in query.key_predicates):
+            if all(p.matches(row) for p in key_predicates):
                 survivors.append(key)
         pruned = len(keys) - len(survivors)
         keys = survivors

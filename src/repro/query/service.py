@@ -383,7 +383,7 @@ class QueryService:
         """
         if keys is None:
             return (query.canonical(), "default", len(self._candidates()))
-        return (query.canonical(), tuple(key_text(key) for key in keys))
+        return (query.canonical(), tuple(map(key_text, keys)))
 
     def serve(
         self,
@@ -405,12 +405,14 @@ class QueryService:
             raise QuotaExceeded(tenant)
         self.c_requests.inc()
         self._tenant_counter("query_tenant_requests_total", tenant).inc()
-        # One map per served query: the epoch an answer is cached under is
-        # the epoch of the map it was planned on.
+        # One map per served query (frozen once per epoch and role map by
+        # the provider): the epoch an answer is cached under is the epoch
+        # of the map it was planned on.
         shard_map = self._shard_map()
         epoch = shard_map.epoch
-        cache_key = self._cache_key(query, keys)
         if use_cache:
+            # The cache identity is computed only where the cache is read.
+            cache_key = self._cache_key(query, keys)
             cached = self.cache.get(cache_key, clock, epoch)
             self.g_cache_entries.set(float(len(self.cache)))
             if cached is not None:

@@ -96,14 +96,21 @@ def folds(monkeypatch):
 
 @pytest.mark.parametrize("rig", [store_rig, fleet_rig])
 def test_served_lookups_fold_each_candidate_once(rig, folds, monkeypatch):
-    """...and resolve them in one pass: one ``resolve_folded`` per served query."""
+    """...and resolve them once: one ``resolve_folded`` pass per served sweep,
+    one ``resolve_lane`` per key of a point lookup (a short run makes no array).
+    """
     service, local = rig()
     passes = []
-    resolve_folded = DartAddressing.resolve_folded
+    resolve_folded, resolve_lane = DartAddressing.resolve_folded, DartAddressing.resolve_lane
     monkeypatch.setattr(
         DartAddressing,
         "resolve_folded",
         lambda self, lanes: passes.append(len(lanes)) or resolve_folded(self, lanes),
+    )
+    monkeypatch.setattr(
+        DartAddressing,
+        "resolve_lane",
+        lambda self, lane: passes.append(1) or resolve_lane(self, lane),
     )
     del folds[:]
     assert len(service.serve(POINT, "t", [KEYS[7]], False).answer.rows) == 1

@@ -1,11 +1,16 @@
 """The declarative query language: parsing, typing, canonical form."""
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from repro.core.policies import ReturnPolicy
 from repro.query.lang import (
+    NUMERIC_FIELDS,
+    SOURCE_FIELDS,
     Aggregate,
     Predicate,
+    Query,
     QueryParseError,
     Source,
     parse_query,
@@ -164,3 +169,129 @@ class TestCanonicalForm:
     def test_policy_in_canonical(self):
         query = parse_query("select value from keys policy first_match")
         assert "policy first_match" in query.canonical()
+
+
+class TestLiterals:
+    """Only a NUMBER token is a number, and every literal renders in a form
+    that lexes back to itself."""
+
+    @pytest.mark.parametrize("bareword", ["nan", "NaN", "inf", "Infinity"])
+    def test_barewords_are_text(self, bareword):
+        query = parse_query(f"select value from keys where value == {bareword}")
+        assert query.predicates[0].literal == bareword
+
+    @pytest.mark.parametrize(
+        "number",
+        ["9" * 400 + ".5", "-" + "9" * 400 + ".0", "9" * 5000],
+        ids=["float", "negative-float", "int-past-str-digits"],
+    )
+    def test_out_of_range_number_is_a_parse_error(self, number):
+        with pytest.raises(QueryParseError, match="out of range"):
+            parse_query(f"select est from counters where est > {number}")
+
+    @pytest.mark.parametrize(
+        "literal, rendered",
+        [
+            (1e-07, "0.0000001"),
+            (1.2345678901234567e19, "12345678901234567000.0"),
+            (-2.5, "-2.5"),
+            (3.0, "3.0"),
+            (-7, "-7"),
+            ('say "hi"', """'say "hi"'"""),
+            ("it's", '"it\'s"'),
+        ],
+    )
+    def test_rendering(self, literal, rendered):
+        assert Predicate("est", "==", literal).describe() == f"est == {rendered}"
+
+    def test_one_predicate_is_not_two(self):
+        one = parse_query("""select key from keys where key != 'x" and key != "y'""")
+        two = parse_query('select key from keys where key != "x" and key != "y"')
+        assert len(one.predicates) == 1 and len(two.predicates) == 2
+        assert one.canonical() != two.canonical()
+
+
+OPS = ("==", "!=", ">=", "<=", ">", "<", "contains")
+
+literals = st.one_of(
+    st.text(max_size=12).filter(lambda text: not ('"' in text and "'" in text)),
+    st.sampled_from(["nan", "-inf", "Infinity", 'a "b"', "c'd", "", " and "]),
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e-07, 5e-324, -1e-300, 1.2345678901234567e19, 1e22, -0.0]),
+)
+
+
+@st.composite
+def queries(draw):
+    """Any query the parser can return, by construction."""
+    source = draw(st.sampled_from(list(Source)))
+    fields = SOURCE_FIELDS[source]
+    numeric = [name for name in fields if name in NUMERIC_FIELDS]
+    aggregate = draw(st.sampled_from(list(Aggregate)))
+    if aggregate is Aggregate.PROJECT:
+        field = draw(st.sampled_from(fields))
+    elif aggregate is Aggregate.COUNT:
+        field = draw(st.sampled_from(("*",) + fields))
+    else:
+        field = draw(st.sampled_from(numeric))
+    predicates = draw(
+        st.lists(
+            st.builds(Predicate, st.sampled_from(fields), st.sampled_from(OPS), literals),
+            max_size=3,
+        )
+    )
+    top_k = order_field = None
+    if aggregate is Aggregate.PROJECT and draw(st.booleans()):
+        top_k = draw(st.integers(min_value=1, max_value=10**9))
+        order_field = draw(st.sampled_from(numeric))
+    policy = None
+    if source is Source.KEYS:
+        policy = draw(st.none() | st.sampled_from(list(ReturnPolicy)))
+    return Query(source, field, aggregate, tuple(predicates), top_k, order_field, policy)
+
+
+class TestCanonicalRoundTrip:
+    @settings(max_examples=300, deadline=None)
+    @given(query=queries())
+    def test_canonical_parses_back_to_the_query(self, query):
+        parsed = parse_query(query.canonical())
+        assert parsed == query
+        assert [type(p.literal) for p in parsed.predicates] == [
+            type(p.literal) for p in query.predicates
+        ]
+        assert parsed.canonical() == query.canonical()
+
+
+VOCABULARY = [
+    "select", "from", "where", "and", "top", "by", "policy", "keys", "counters",
+    "sketch", "ring", "key", "value", "est", "index", "record", "answered", "sum",
+    "count", "avg", "min", "max", "(", ")", "*", "==", "!=", ">=", "<", "contains",
+    '"a b"', "'c'", '"', "'", "-1", "2.5", "0", "nan", "plurality", "consensus_2",
+    "$", "=", "9" * 400 + ".5", "\n",
+]
+
+
+class TestParserFuzz:
+    """Hostile text yields a Query or the typed error, nothing else."""
+
+    @seed(28)
+    @settings(max_examples=400, deadline=None)
+    @given(
+        text=st.one_of(
+            st.text(max_size=40),
+            st.lists(
+                st.sampled_from(VOCABULARY) | st.text(max_size=3), max_size=14
+            ).map(" ".join),
+            st.lists(st.sampled_from(VOCABULARY), max_size=14).map(
+                lambda words: "select value from keys " + " ".join(words)
+            ),
+        )
+    )
+    def test_any_text_parses_or_raises_the_typed_error(self, text):
+        try:
+            query = parse_query(text)
+        except QueryParseError:
+            return
+        assert isinstance(query, Query)
+        assert parse_query(query.canonical()) == query

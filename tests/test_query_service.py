@@ -115,6 +115,20 @@ class TestServiceCaching:
         cached = service.serve(self.QUERY)
         assert cached.answer.rows == uncached.answer.rows
 
+    def test_different_queries_never_share_an_entry(self, registry):
+        """One predicate whose literal holds double quotes, and two
+        predicates, used to render the same canonical text."""
+        fleet = QueryFleet()
+        fleet.put_many([("x", b"1"), ("y", b"2"), ("z", b"3")])
+        service = QueryService(fleet)
+        one = """select key from keys where key != 'x" and key != "y'"""
+        two = 'select key from keys where key != "x" and key != "y"'
+        assert sorted(service.serve(one).answer.projected()) == ["x", "y", "z"]
+        second = service.serve(two)
+        assert not second.cached
+        assert second.answer.projected() == ["z"]
+        assert service.serve(two, use_cache=False).answer.projected() == ["z"]
+
     def test_parse_memo_is_bounded_by_cache_capacity(self, registry, fleet):
         """Ten times capacity distinct texts leave at most capacity parsed,
         and an evicted text parses again to an equal query."""
