@@ -18,6 +18,7 @@ via :meth:`~repro.core.addressing.DartAddressing.resolve_folded`.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Tuple
 
 import numpy as np
@@ -85,7 +86,8 @@ class ReportBatch:
         ``ValueError`` the slot codec raises, before anything is emitted.
         """
         items = list(items) if not isinstance(items, (list, tuple)) else items
-        keys, values = zip(*items) if items else ((), ())
+        keys = list(map(itemgetter(0), items))
+        values = list(map(itemgetter(1), items))
         config, n = addressing.config, len(keys)
         value_bytes = config.layout.value_bytes
         checksum_bytes = config.layout.checksum_bytes

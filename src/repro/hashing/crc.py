@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Tuple
 
 import numpy as np
@@ -122,35 +123,31 @@ class CrcAlgorithm:
             crc = _reflect(crc, self.width)
         return (crc ^ self.xor_out) & self.mask
 
-    def compute_rows(self, rows: np.ndarray) -> np.ndarray:
+    def compute_rows(self, rows: np.ndarray, initial: int | None = None) -> np.ndarray:
         """CRC of every row of a ``uint8`` matrix at once.
 
         ``rows`` has shape ``(n, width)``; the result is a ``uint32`` array
         of ``n`` CRCs, bit-identical to calling :meth:`compute` on each
-        row's bytes.  The iCRC polynomial (the only one batches use) takes
-        one C call per row over a single contiguous copy; any other
-        algorithm loops the scalar :meth:`compute`.
+        row's bytes with the same ``initial`` (so a shared prefix can be
+        CRC'd once and chained into every row).  The iCRC polynomial (the
+        only one batches use) is one ``zlib.crc32`` mapped over the rows as
+        ``bytes`` records, all in C; any other algorithm, and a zero-width
+        matrix, loops the scalar :meth:`compute`.
         """
         rows = np.asarray(rows, dtype=np.uint8)
         if rows.ndim != 2:
             raise ValueError(f"expected a 2-D byte matrix, got shape {rows.shape}")
-        if not self._is_zlib:  # type: ignore[attr-defined]
+        count, width = rows.shape
+        if not (self._is_zlib and width):  # type: ignore[attr-defined]
             return np.fromiter(
-                (self.compute(row.tobytes()) for row in rows),
+                (self.compute(row.tobytes(), initial) for row in rows),
                 dtype=np.uint32,
-                count=len(rows),
+                count=count,
             )
-        data = np.ascontiguousarray(rows).tobytes()
-        width = rows.shape[1]
-        crc32_c = zlib.crc32
-        return np.fromiter(
-            (
-                crc32_c(data[start:start + width])
-                for start in range(0, len(data), width)
-            ),
-            dtype=np.uint32,
-            count=len(rows),
-        )
+        # One void record per row: ``tolist`` hands back one ``bytes`` each.
+        records = np.ascontiguousarray(rows).view(f"V{width}").ravel().tolist()
+        seed = repeat(0 if initial is None else initial)
+        return np.fromiter(map(zlib.crc32, records, seed), dtype=np.uint32, count=count)
 
     def verify(self) -> bool:
         """Check the algorithm against its catalogue check value."""

@@ -161,8 +161,12 @@ def _encode_columns(keys: Sequence[Key]):
     for (flat, sizes), slot in zip(fields, slots):
         body = cursor + prefix
         wide[:, cursor:body] = sizes.astype(">u4").view(np.uint8).reshape(count, prefix)
-        wide[:, body : body + slot] = pad_rows(flat, sizes, slot)
-        used[:, body : body + slot] = _row_mask(sizes, slot)
+        data = np.frombuffer(flat, dtype=np.uint8)
+        if len(data) == count * slot:  # every element fills its slot
+            wide[:, body : body + slot] = data.reshape(count, slot)
+        else:  # the tails stay unset: the masked read skips them
+            fills = used[:, body : body + slot] = _row_mask(sizes, slot)
+            wide[:, body : body + slot][fills] = data
         cursor = body + slot
     return wide[used], lengths
 

@@ -102,6 +102,17 @@ class MemoryRegion:
             )
         return address - self.base_address
 
+    def _windows(self, width: int) -> np.ndarray:
+        """A strided view whose row ``o`` is ``buffer[o : o + width]``.
+
+        Every columnar gather and scatter indexes it by offset: no ``count x
+        width`` index matrix, and none of the per-call checks that make
+        ``sliding_window_view`` cost a small batch more.  Writing a row
+        writes the region.  Callers validate bounds first.
+        """
+        rows = max(self.size - width + 1, 0)
+        return np.ndarray((rows, width), np.uint8, self._buffer, 0, (1, 1))
+
     # ------------------------------------------------------------------
     # DMA operations (performed by the NIC model)
     # ------------------------------------------------------------------
@@ -174,12 +185,11 @@ class MemoryRegion:
         unique, inverse = np.unique(offsets, return_inverse=True)
         sums = np.zeros(len(unique), dtype=np.uint64)
         np.add.at(sums, inverse, addends)
-        buffer = np.frombuffer(self._buffer, dtype=np.uint8)
-        windows = unique[:, None] + np.arange(8)
-        cells = np.ascontiguousarray(buffer[windows]).view(">u8").ravel()
+        windows = self._windows(8)
+        cells = windows[unique].view(">u8").ravel()
         with np.errstate(over="ignore"):
             updated = cells.astype(np.uint64) + sums
-        buffer[windows] = updated.astype(">u8").view(np.uint8).reshape(-1, 8)
+        windows[unique] = updated.astype(">u8").view(np.uint8).reshape(-1, 8)
         self.c_atomics.inc(count)
         return count
 
@@ -250,17 +260,13 @@ class MemoryRegion:
         if count == 0:
             return 0
         width = payloads.shape[1]
-        if ((offsets < 0) | (offsets + width > self.size)).any():
-            bad = int(
-                offsets[
-                    np.argmax((offsets < 0) | (offsets + width > self.size))
-                ]
-            )
+        bad = (offsets < 0) | (offsets + width > self.size)
+        if bad.any():
             raise RegionAccessError(
-                f"local write [{bad}, +{width}) outside region "
-                f"of size {self.size}"
+                f"local write [{int(offsets[np.argmax(bad)])}, +{width}) "
+                f"outside region of size {self.size}"
             )
-        buffer = np.frombuffer(self._buffer, dtype=np.uint8)
+        windows = self._windows(width)
         # Group rows by offset, stable, so "previous write to this slot"
         # is well defined for both overwrite accounting and last-wins.
         order = np.argsort(offsets, kind="stable")
@@ -272,12 +278,6 @@ class MemoryRegion:
             # First write per slot overwrites iff the slot was live before
             # the batch; each repeat overwrites iff the preceding write to
             # the same slot carried non-zero bytes.
-            # Row ``o`` of this view (only read) is ``buffer[o : o + width]``:
-            # no ``count x width`` index matrix, and none of the per-call
-            # checks that make ``sliding_window_view`` cost a small batch more.
-            windows = np.ndarray(
-                (self.size - width + 1, width), np.uint8, self._buffer, 0, (1, 1)
-            )
             overwrites = int(windows[sorted_offsets[is_first]].any(axis=1).sum())
             repeat_positions = np.flatnonzero(~is_first)
             if len(repeat_positions):
@@ -291,9 +291,7 @@ class MemoryRegion:
         is_last[-1] = True
         is_last[:-1] = sorted_offsets[1:] != sorted_offsets[:-1]
         final_rows = order[is_last]
-        buffer[offsets[final_rows][:, None] + np.arange(width)] = payloads[
-            final_rows
-        ]
+        windows[sorted_offsets[is_last]] = payloads[final_rows]
         self.c_writes.inc(count)
         self.c_bytes_written.inc(count * width)
         return count
@@ -314,8 +312,7 @@ class MemoryRegion:
                 f"local read [{int(offsets[np.argmax(bad)])}, +{width}) "
                 f"outside region of size {self.size}"
             )
-        buffer = np.frombuffer(self._buffer, dtype=np.uint8)
-        return buffer[offsets[:, None] + np.arange(width)]
+        return self._windows(width)[offsets]
 
     def snapshot(self) -> bytes:
         """An immutable copy of the whole region (epoch persistence, tests)."""

@@ -20,6 +20,7 @@ can still read it.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -82,29 +83,43 @@ PSN_OFF = span("bth.ack_request")[0]
 
 _MASKED_COLUMNS = np.array(ICRC_MASKED_COLUMNS)
 
+#: Templates :func:`scalar_template` may hold before it starts over, and
+#: iCRC OR rows :func:`icrc_rows` keeps.  Bounded because some of what a
+#: template reflects is sender-chosen (a READ response's addresses, a READ's
+#: length, and so a response's width); a deployment has far fewer.
+TEMPLATE_MEMO_SIZE = 256
+
+#: The CRC of the iCRC image's 0xFF prefix: every row's CRC chains from it.
+_ICRC_SEED = CRC32.compute(b"\xff" * ICRC_PREFIX_BYTES)
+
 
 def frame_width(payload_bytes: int) -> int:
     """Total wire bytes of a report frame carrying ``payload_bytes``."""
     return OVERHEAD_BYTES + payload_bytes
 
 
+@functools.lru_cache(maxsize=TEMPLATE_MEMO_SIZE)
+def _icrc_or_row(covered: int) -> np.ndarray:
+    """0xFF on the masked columns of a ``covered``-byte iCRC span, else 0."""
+    row = np.zeros(covered, dtype=np.uint8)
+    row[_MASKED_COLUMNS - ICRC_PREFIX_BYTES] = 0xFF
+    row.flags.writeable = False  # shared by every caller of this width
+    return row
+
+
 def icrc_rows(frames: np.ndarray) -> np.ndarray:
     """The RoCEv2 iCRC of every frame row, vectorised.
 
-    Builds the masked CRC image for all rows at once (the 0xFF prefix,
-    then the frame from the IPv4 header to just before the iCRC with the
-    volatile bytes forced to 0xFF) and row-CRCs it in one call.  Each
+    The masked image of every row (the frame from the IPv4 header to just
+    before the iCRC, its volatile bytes forced to 0xFF) is one OR against a
+    per-width row, and the CRC of the constant 0xFF prefix seeds each row's
+    CRC through zlib's chaining, so the prefix is never copied.  Each
     result is bit-identical to :func:`repro.rdma.packets.compute_icrc` on
     the scalar-decoded frame: both mask ``layout.ICRC_MASKED_COLUMNS``.
     """
-    count, width = frames.shape
-    masked = np.empty(
-        (count, ICRC_PREFIX_BYTES + width - ICRC_BYTES - IP_OFF), dtype=np.uint8
-    )
-    masked[:, :ICRC_PREFIX_BYTES] = 0xFF
-    masked[:, ICRC_PREFIX_BYTES:] = frames[:, IP_OFF : width - ICRC_BYTES]
-    masked[:, _MASKED_COLUMNS] = 0xFF
-    return CRC32.compute_rows(masked)
+    covered = frames[:, IP_OFF : frames.shape[1] - ICRC_BYTES]
+    masked = np.bitwise_or(covered, _icrc_or_row(covered.shape[1]))
+    return CRC32.compute_rows(masked, _ICRC_SEED)
 
 
 #: The fields :func:`header_mask` compares: four that scalar ``unpack``
@@ -410,11 +425,6 @@ class FrameBatch:
 # ---------------------------------------------------------------------------
 # Template-and-patch encoding
 # ---------------------------------------------------------------------------
-
-#: Templates :func:`scalar_template` may hold before it starts over.
-#: Bounded because some of what a template reflects is sender-chosen (a
-#: READ response's addresses, a READ's length); a deployment has far fewer.
-TEMPLATE_MEMO_SIZE = 256
 
 _TEMPLATE_MEMO: Dict[tuple, np.ndarray] = {}
 

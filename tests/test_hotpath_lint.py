@@ -34,6 +34,11 @@ registry's one stage timer -- no second clock, profiler capture or
 The fourth keeps a lossy batch a batch: ``ImpairedFabric.send_batch``
 delivers, copies and materialises nothing inside a loop over rows.
 
+The fifth keeps the per-row kernels in C: the iCRC, ``compute_rows``' zlib
+branch and the region's columnar scatter and gather hold no Python loop,
+and the region indexes its strided window, never a ``count x width`` index
+matrix.
+
 The last is the Options rule: a defaulted parameter of a public callable
 is set by some caller outside ``tests/``, or it is a constant.
 """
@@ -732,6 +737,88 @@ def test_row_loop_lint_catches_seeded_violations():
 
 
 # ---------------------------------------------------------------------------
+# Per-row kernels run in C
+# ---------------------------------------------------------------------------
+
+REGION_MODULE = SRC / "mem" / "region.py"
+
+#: Batch kernels whose rows go through one C-level pass: no Python loop or
+#: comprehension anywhere in them, bar ``compute_rows``'s scalar fallback
+#: (an ``if`` on ``_is_zlib``: other polynomials, a zero-width matrix).
+ROW_KERNELS = [
+    (SRC / "rdma" / "frames.py", "icrc_rows"),
+    (SRC / "hashing" / "crc.py", "compute_rows"),
+    (REGION_MODULE, "write_offset_columnar"),
+    (REGION_MODULE, "read_offset_columnar"),
+]
+
+
+def _row_kernel_violations(function: ast.AST, path):
+    """Python loops in a row kernel, outside its ``_is_zlib`` fallback."""
+    fallback = {
+        id(inner)
+        for node in ast.walk(function)
+        if isinstance(node, ast.If) and "_is_zlib" in ast.unparse(node.test)
+        for statement in node.body
+        for inner in ast.walk(statement)
+    }
+    for node in ast.walk(function):
+        if isinstance(node, _LOOPS) and id(node) not in fallback:
+            yield f"{path}:{node.lineno}: {function.name}() loops over rows in Python"
+
+
+def _index_matrix_violations(tree: ast.AST, path):
+    """``offsets[:, None] + np.arange(width)``: a ``count x width`` index matrix."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)):
+            continue
+        sides = (node.left, node.right)
+        lifted = any(
+            isinstance(side, ast.Subscript)
+            and isinstance(side.slice, ast.Tuple)
+            and any(getattr(part, "value", 0) is None for part in side.slice.elts)
+            for side in sides
+        )
+        if lifted and any(
+            isinstance(side, ast.Call) and _call_name(side) == "arange" for side in sides
+        ):
+            yield f"{path}:{node.lineno}: an index matrix instead of the region's window"
+
+
+def test_row_kernels_loop_in_c():
+    violations = []
+    for path, name in ROW_KERNELS:
+        violations.extend(_row_kernel_violations(_function(path, name), path))
+    violations.extend(_index_matrix_violations(_parsed(REGION_MODULE), REGION_MODULE))
+    assert not violations, "\n".join(violations)
+
+
+def test_row_kernel_lint_catches_seeded_violations():
+    seeded = {
+        "def icrc_rows(frames):\n    return [crc(row) for row in frames]\n": 1,
+        "def read_offset_columnar(self, offsets, width):\n"
+        "    for offset in offsets:\n        out.append(self.read_offset(offset, width))\n": 1,
+        "def compute_rows(self, rows, initial=None):\n"
+        "    if not self._is_zlib:\n        return fromiter(self.compute(r) for r in rows)\n"
+        "    return fromiter((crc32(data[s:s + w]) for s in range(0, n, w)))\n": 1,
+        "def compute_rows(self, rows, initial=None):\n"
+        "    if not (self._is_zlib and width):\n        return fromiter(self.compute(r) for r in rows)\n"
+        "    return fromiter(map(crc32, records, repeat(seed)))\n": 0,
+    }
+    for source, expected in seeded.items():
+        function = ast.parse(source).body[0]
+        flagged = list(_row_kernel_violations(function, "seeded.py"))
+        assert len(flagged) == expected, (source, flagged)
+    for source in (
+        "buffer[offsets[:, None] + np.arange(width)] = payloads\n",
+        "cells = buffer[np.arange(8) + unique[:, None]]\n",
+    ):
+        assert len(list(_index_matrix_violations(ast.parse(source), "seeded.py"))) == 1
+    clean = "windows[offsets] = payloads\nrows = np.arange(count) + base\n"
+    assert list(_index_matrix_violations(ast.parse(clean), "seeded.py")) == []
+
+
+# ---------------------------------------------------------------------------
 # Options: a default nobody overrides is a constant
 # ---------------------------------------------------------------------------
 
@@ -767,7 +854,6 @@ ONLY_TESTS_SET = {
     ("NullHistogram.exemplar", "q"): "mirrors Histogram.exemplar",
     # Safety: an input check on a value that arrives from outside.
     ("MemoryRegion.dma_fetch_add_many", "rkey"): "rkey validation, as dma_fetch_add has",
-    ("CrcAlgorithm.compute", "initial"): "CRC chaining; the codec differential diffs it",
     # Named by an exhibit or ablation, or under the P4 exhibit.
     ("simulate", "chunk_size"): "DESIGN.md chunked-simulation ablation",
     ("P4Program.process_phv", "metadata"): "switch/p4 byte-equivalence exhibit",
@@ -813,7 +899,7 @@ def test_every_option_is_set_by_some_caller_outside_tests():
     assert not constants, "no caller outside tests/ sets:\n" + "\n".join(constants)
     stale = sorted(ONLY_TESTS_SET.keys() - unset.keys())
     assert not stale, f"allow-listed but set by traffic, or gone: {stale}"
-    assert len(ONLY_TESTS_SET) <= 45
+    assert len(ONLY_TESTS_SET) <= 44
 
 
 def test_options_lint_catches_a_seeded_violation():
