@@ -851,6 +851,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "obs" and args.mode == "trace" and args.node:
         # Spans carry no node; the registry's node label feeds the rest.
         parser.error("--node does not apply to obs trace")
+    if args.command == "simulate":
+        if args.load <= 0:
+            parser.error(f"--load must be positive, got {args.load}")
+        if args.cas and args.redundancy != 2:
+            parser.error("--cas is defined for --redundancy 2")
     return args.func(args)
 
 

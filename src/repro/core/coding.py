@@ -35,16 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.policies import ReturnPolicy
-from repro.core.simulator import (
-    SimulationResult,
-    SimulationSpec,
-    _resolve_vectorised,
-    _SENTINEL,
-    _slot_addresses,
-)
+from repro.core.policies import ReturnPolicy, resolve_matrix
+from repro.core.simulator import SimulationResult, SimulationSpec, _Keys
 from repro.hashing.checksum import CHECKSUM_FUNCTION_INDEX
-from repro.hashing.hash_family import HashFamily
 
 #: Hash indexes for per-location checksum functions start here; they must
 #: not collide with slot addressing [0, N), the collector index, or the
@@ -71,74 +64,47 @@ class CodedSpec:
         return " + ".join(parts) if parts else "baseline"
 
 
-def _checksum_matrix(spec: SimulationSpec, keys: np.ndarray, per_location: bool) -> np.ndarray:
-    """(K, N) checksums: column n is copy n's checksum of each key."""
-    family = HashFamily(seed=spec.seed)
-    mask = np.uint64((1 << spec.checksum_bits) - 1)
-    columns = []
-    for copy in range(spec.redundancy):
-        index = (
-            _PER_LOCATION_CHECKSUM_BASE + copy
-            if per_location
-            else CHECKSUM_FUNCTION_INDEX
-        )
-        columns.append((family.hash_array(keys, index) & mask).astype(np.int64))
-    return np.stack(columns, axis=1)
-
-
 def simulate_coded(coded: CodedSpec) -> SimulationResult:
     """Slot-level simulation with the chosen coding options.
 
-    Mechanics mirror :func:`repro.core.simulator.simulate`, with two
-    twists: the stored checksum of a slot is computed under the *owner's*
-    copy index (relevant when per-location checksums are on), and under
-    XOR masking a checksum-matching slot owned by a different key yields a
-    slot-unique garbage value rather than the owner's identity.
+    Mechanics mirror :func:`repro.core.simulator.simulate` (same folded
+    keys, same slots, same fold), with two twists: the stored checksum of
+    a slot is computed under the *owner's* copy index (relevant when
+    per-location checksums are on), and under XOR masking a
+    checksum-matching slot owned by a different key yields a slot-unique
+    garbage value rather than the owner's identity.
     """
     spec = coded.base
-    keys = np.arange(spec.num_keys, dtype=np.uint64)
-    addresses = _slot_addresses(spec, keys)
-    checksums = _checksum_matrix(spec, keys, coded.per_location_checksums)
-
-    # Track (owner, owner's copy index) per slot: writes happen in key
-    # order and, within a key, in copy order, so the maximum of
-    # key * N + copy is the final writer.
-    redundancy = spec.redundancy
-    combined = np.full(spec.num_slots, -1, dtype=np.int64)
-    key_ids = np.repeat(np.arange(spec.num_keys, dtype=np.int64), redundancy)
-    copy_ids = np.tile(np.arange(redundancy, dtype=np.int64), spec.num_keys)
-    np.maximum.at(combined, addresses.ravel(), key_ids * redundancy + copy_ids)
-
-    owner = np.where(combined >= 0, combined // redundancy, -1)
-    owner_copy = np.where(combined >= 0, combined % redundancy, 0)
-
-    owners_read = owner[addresses]  # (K, N)
-    owner_copies_read = owner_copy[addresses]
-    written = owners_read >= 0
-
-    safe_owner = np.clip(owners_read, 0, None)
-    stored_checksums = np.where(
-        written,
-        checksums[safe_owner, owner_copies_read],
-        -1,
+    redundancy, num_keys = spec.redundancy, spec.num_keys
+    keys = _Keys(spec, [(0, num_keys)])
+    _checksums, slots = keys.resolve(0, num_keys)  # (N, K)
+    indexes = (
+        range(_PER_LOCATION_CHECKSUM_BASE, _PER_LOCATION_CHECKSUM_BASE + redundancy)
+        if coded.per_location_checksums
+        else [CHECKSUM_FUNCTION_INDEX] * redundancy
     )
-    # The reader compares against its own copy-n checksum of the key.
-    reader_checksums = checksums  # (K, N), column n read at copy n
-    match = written & (stored_checksums == reader_checksums)
+    # Row n is copy n's checksum of every key.
+    checksums = spec.config.hash_family().hash_folded_array(keys.lanes, indexes)
+    checksums &= np.uint64((1 << spec.checksum_bits) - 1)
 
-    matched_values = np.where(match, owners_read, _SENTINEL)
+    # Writes happen in key order and, within a key, in copy order, so the
+    # maximum of key * N + copy is a slot's final (owner, owner's copy).
+    key_ids = np.arange(num_keys)
+    writes = key_ids * redundancy + np.arange(redundancy)[:, None]
+    combined = np.zeros(spec.num_slots, dtype=np.int64)
+    np.maximum.at(combined, slots.ravel(), writes.ravel())
+    owners, owner_copies = np.divmod(combined[slots], redundancy)
+    # The reader compares its own copy-n checksum of the key.
+    match = checksums[owner_copies, owners] == checksums
 
     if coded.xor_masking:
         # A matching slot whose owner differs decodes to garbage unique to
-        # that (row, column) cell -- wrong values can never agree.
-        rows, cols = np.indices(matched_values.shape)
-        key_column = np.arange(spec.num_keys, dtype=np.int64)[:, None]
-        garbage = spec.num_keys + rows * spec.redundancy + cols
-        wrong_owner = match & (matched_values != key_column)
-        matched_values = np.where(wrong_owner, garbage, matched_values)
+        # that (copy, key) cell -- wrong values can never agree.
+        garbage = num_keys + writes
+        owners = np.where(match & (owners != key_ids), garbage, owners)
 
-    answered, value = _resolve_vectorised(matched_values, spec.policy)
-    correct = answered & (value == np.arange(spec.num_keys, dtype=np.int64))
+    answered, pick = resolve_matrix(owners.T, match.T, spec.policy)
+    correct = answered & (owners[pick, key_ids] == key_ids)
     return SimulationResult(spec=spec, correct=correct, answered=answered)
 
 

@@ -146,14 +146,42 @@ def fold_slots(
     return resolve(matching, policy, slots_read=len(raws))
 
 
+def resolve_matrix(
+    codes: np.ndarray, valid: np.ndarray, policy: ReturnPolicy
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`resolve` for every row of a ``(K, N)`` matrix of copies at once.
+
+    ``codes`` are int64 equality codes (two copies hold the same value iff
+    their codes are equal) and ``valid`` marks the checksum-matching copies.
+    Returns ``(answered, pick)``: whether each row answers, and the index of
+    a copy holding its answer.  One ``(N, K)`` pass per copy and no
+    ``(K, N, N)`` temporary, so simulator chunks stay bounded.
+    """
+    if policy is ReturnPolicy.FIRST_MATCH:
+        return valid.any(axis=1), valid.argmax(axis=1)
+    columns, matching = codes.T, valid.T
+    # counts[i, k]: row k's matching copies that share copy i's value.
+    counts = matching * sum(
+        (columns == other) & matched for other, matched in zip(columns, matching)
+    )
+    pick = counts.argmax(axis=0)
+    top = counts.max(axis=0)
+    second = np.where(columns != codes[np.arange(len(codes)), pick], counts, 0).max(axis=0)
+    if policy is ReturnPolicy.SINGLE_VALUE:
+        return (top > 0) & (second == 0), pick
+    # Plurality and consensus: enough copies, and no rival as good.
+    needed = policy.agreement
+    return (top >= needed) & ((second < needed) | (top > second)), pick
+
+
 def fold_matrix(
     codec, payloads: np.ndarray, checksums: np.ndarray, policy: ReturnPolicy
 ) -> Tuple[List[Optional[bytes]], List[bool]]:
     """:func:`fold_slots`'s ``(value, answered)`` for every key of
     ``payloads`` (``uint8[keys, N, slot_bytes]``, no READ lost) at once.
 
-    A key whose checksum-matching copies all agree is decided by
-    ``policy.agreement`` alone; any other key by :func:`resolve`.
+    Each copy's value bytes are coded by the index of the first copy
+    holding the same bytes, and :func:`resolve_matrix` decides.
     """
     layout = codec.layout
     width = layout.checksum_bytes
@@ -162,17 +190,9 @@ def fold_matrix(
     words = np.zeros((keys, copies, 8), dtype=np.uint8)
     words[..., 8 - width :] = payloads[..., :width]
     stored = words.view(">u8")[..., 0] & np.uint64((1 << layout.checksum_bits) - 1)
-    matching = stored == checksums[:, None]
     values = payloads[..., width:]
-    chosen = values[np.arange(keys), matching.argmax(axis=1)]
-    agree = ((values == chosen[:, None]).all(axis=2) | ~matching).all(axis=1)
-    answered = (agree & (matching.sum(axis=1) >= policy.agreement)).tolist()
-    out = [value.tobytes() if ok else None for value, ok in zip(chosen, answered)]
-    for key in np.flatnonzero(~agree).tolist():
-        result = resolve(
-            [values[key, copy].tobytes() for copy in np.flatnonzero(matching[key])],
-            policy,
-            slots_read=copies,
-        )
-        out[key], answered[key] = result.value, result.answered
-    return out, answered
+    codes = (values[:, :, None] == values[:, None]).all(axis=3).argmax(axis=2)
+    answered, pick = resolve_matrix(codes, stored == checksums[:, None], policy)
+    chosen = values[np.arange(keys), pick]
+    answered = answered.tolist()
+    return [value.tobytes() if ok else None for value, ok in zip(chosen, answered)], answered

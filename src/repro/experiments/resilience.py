@@ -31,6 +31,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.core.addressing import COLLECTOR_FUNCTION_INDEX
+from repro.core.simulator import key_lanes
 from repro.hashing.hash_family import HashFamily
 
 
@@ -54,24 +55,16 @@ def failure_unreadable_fraction(
         raise ValueError("num_collectors must be >= 1")
     if not set(failed) <= set(range(num_collectors)):
         raise ValueError("failed collector IDs out of range")
-    family = HashFamily(seed=seed)
-    keys = np.arange(num_keys, dtype=np.uint64)
     failed_set = np.zeros(num_collectors, dtype=bool)
     failed_set[list(failed)] = True
-
-    if not spread:
-        collectors = family.hash_array_mod(
-            keys, COLLECTOR_FUNCTION_INDEX, num_collectors
-        ).astype(np.int64)
-        return float(failed_set[collectors].mean())
-
-    dead = np.ones(num_keys, dtype=bool)
-    for copy in range(redundancy):
-        collectors = family.hash_array_mod(
-            keys, COLLECTOR_FUNCTION_INDEX + 1 + copy, num_collectors
-        ).astype(np.int64)
-        dead &= failed_set[collectors]
-    return float(dead.mean())
+    # One collector per key, or copy n's own independently hashed one.
+    members = (
+        range(COLLECTOR_FUNCTION_INDEX + 1, COLLECTOR_FUNCTION_INDEX + 1 + redundancy)
+        if spread
+        else [COLLECTOR_FUNCTION_INDEX]
+    )
+    hashes = HashFamily(seed=seed).hash_folded_array(key_lanes(0, num_keys), members)
+    return float(failed_set[hashes % np.uint64(num_collectors)].all(axis=0).mean())
 
 
 def resilience_rows(

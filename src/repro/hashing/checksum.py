@@ -77,14 +77,9 @@ class KeyChecksum:
         """Vectorised :meth:`compute_folded` over a lane array.
 
         Bit-identical to the scalar method element-wise; the columnar
-        batch path derives every report's stored checksum this way.
+        batch path and the simulator derive every stored checksum this way.
         """
         hashes = self.family.hash_folded_array(folded, CHECKSUM_FUNCTION_INDEX)
-        return hashes & np.uint64(self._mask)
-
-    def compute_array(self, keys: np.ndarray) -> np.ndarray:
-        """Vectorised checksum of integer key identities."""
-        hashes = self.family.hash_array(keys, CHECKSUM_FUNCTION_INDEX)
         return hashes & np.uint64(self._mask)
 
     def matches(self, key: Key, stored: int) -> bool:

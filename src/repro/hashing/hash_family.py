@@ -10,8 +10,9 @@ xxhash-style avalanche) over a canonical byte encoding of the key, seeded per
 function index.  Mixers of this form are well-distributed and pass avalanche
 tests, which the property-based test-suite checks directly.
 
-Vectorised variants (numpy ``uint64`` arrays in, arrays out) power the
-statistical simulator, which needs to hash tens of millions of keys.
+Vectorised variants (numpy ``uint64`` arrays in, arrays out) are bit-identical
+to the scalar ones; the batch datapath and the statistical simulator, which
+hashes tens of millions of keys, both run on them.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ _MATRIX_MIN_KEYS = 32
 _PAD_SLACK = 4
 
 
-def fold_keys(keys: Iterable[Key]) -> np.ndarray:
+def fold_keys(keys: Union[Iterable[Key], np.ndarray]) -> np.ndarray:
     """Fold many keys into a ``uint64`` lane array: :func:`fold_key` of each, in order.
 
     The single fold site of every batch path.  Row ``i`` is bit-identical to
@@ -126,7 +127,14 @@ def fold_keys(keys: Iterable[Key]) -> np.ndarray:
     keys, one whose matrix would exceed ``_PAD_SLACK`` times the bytes encoded
     (temporaries stay bounded however long the longest key), and runs below
     ``_MATRIX_MIN_KEYS`` (a point lookup, a ``put``, an ``add``): faster there.
+    A ``uint64`` array holds integer keys (the simulator's identities): from
+    ``_MATRIX_MIN_KEYS`` on, it goes to the matrix as an ``int`` column would,
+    with no Python int in between.
     """
+    if isinstance(keys, np.ndarray):
+        if keys.dtype == np.uint64 and len(keys) >= _MATRIX_MIN_KEYS:
+            return _fold_rows(*_int_rows(keys))
+        keys = keys.tolist()
     keys = list(keys) if not isinstance(keys, (list, tuple)) else keys
     count = len(keys)
     encoded = _encode_columns(keys) if count >= _MATRIX_MIN_KEYS else None
@@ -183,7 +191,7 @@ def _encode_column(column: Sequence[Key]):
             values = np.array(column, dtype=np.uint64)
         except OverflowError:  # wider than the 8-byte form
             return None
-        return values.astype(">u8").tobytes(), np.full(count, 8)
+        return _int_rows(values)
     if kinds == {bytes}:
         flat = b"".join(column)
     elif kinds == {str} and (text := "".join(column)).isascii():
@@ -191,6 +199,11 @@ def _encode_column(column: Sequence[Key]):
     else:
         return None
     return flat, np.fromiter(map(len, column), dtype=np.int64, count=count)
+
+
+def _int_rows(values: np.ndarray):
+    """``(flat, lengths)`` of ``uint64`` keys: each one's 8-byte big-endian form."""
+    return values.astype(">u8").tobytes(), np.full(len(values), 8)
 
 
 def pad_rows(flat: bytes, lengths: np.ndarray, width: int) -> np.ndarray:
@@ -302,12 +315,11 @@ class HashFamily:
     def hash_folded_array(self, folded: np.ndarray, index=0) -> np.ndarray:
         """Vectorised :meth:`hash_folded` over a ``uint64`` lane array.
 
-        Bit-identical to the scalar method element-wise (unlike
-        :meth:`hash_array`, which hashes integer identities): this is the
-        mixer the columnar batch path uses so that columnar addressing
-        matches scalar addressing exactly.  ``index`` may be a sequence of
-        family members; the result then has one row per member, mixed in
-        one pass.
+        Bit-identical to the scalar method element-wise: this is the mixer
+        the columnar batch path and the simulator use so that columnar
+        addressing matches scalar addressing exactly.  ``index`` may be a
+        sequence of family members; the result then has one row per member,
+        mixed in one pass.
         """
         folded = np.asarray(folded, dtype=np.uint64)
         try:
@@ -329,30 +341,6 @@ class HashFamily:
     def hash_many(self, key: Key, count: int) -> list:
         """The first ``count`` family hashes of ``key``."""
         return [self.hash_key(key, index) for index in range(count)]
-
-    # ------------------------------------------------------------------
-    # Vectorised interface (statistical simulator path)
-    # ------------------------------------------------------------------
-
-    def hash_array(self, keys: np.ndarray, index: int = 0) -> np.ndarray:
-        """Vectorised 64-bit hash of integer keys under member ``index``.
-
-        ``keys`` is interpreted as identities (e.g. flow numbers); the result
-        matches what a scalar path hashing the same integer identity would
-        produce only in distribution, not bit-for-bit -- the simulator cares
-        about uniformity and independence, not wire-format equality.
-        """
-        keys = np.asarray(keys, dtype=np.uint64)
-        seed = np.uint64(self._function_seed(index))
-        return _splitmix64_np(keys ^ seed)
-
-    def hash_array_mod(
-        self, keys: np.ndarray, index: int, modulus: int
-    ) -> np.ndarray:
-        """Vectorised ``hash_array`` reduced to ``[0, modulus)``."""
-        if modulus <= 0:
-            raise ValueError("modulus must be positive")
-        return self.hash_array(keys, index) % np.uint64(modulus)
 
 
 def hash_distribution_chi2(samples: Iterable[int], buckets: int) -> float:

@@ -33,8 +33,17 @@ class TestSimulate:
         )
 
     def test_bad_policy_rejected(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as error:
             main(["simulate", "--policy", "bogus"])
+        assert error.value.code == 2
+
+    @pytest.mark.parametrize(
+        "bad", [["--cas", "--redundancy", "3"], ["--load", "0"], ["--load", "-1"]]
+    )
+    def test_bad_input_rejected(self, bad):
+        with pytest.raises(SystemExit) as error:
+            main(["simulate", *bad])
+        assert error.value.code == 2
 
 
 class TestPlan:

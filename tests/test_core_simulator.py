@@ -2,16 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.collector.store import DartStore
 from repro.core import theory
+from repro.core.addressing import DartAddressing
 from repro.core.config import DartConfig
-from repro.core.policies import ReturnPolicy
+from repro.core.policies import ReturnPolicy, fold_matrix, resolve
 from repro.core.simulator import (
     SimulationSpec,
+    key_lanes,
     simulate,
     simulate_cas_strategy,
-    sweep_load_factors,
 )
+from repro.hashing.hash_family import fold_keys
 
 
 class TestSpec:
@@ -31,15 +36,6 @@ class TestSpec:
 
     def test_load_factor(self):
         assert SimulationSpec(num_keys=100, num_slots=400).load_factor == 0.25
-
-    def test_from_config(self):
-        config = DartConfig(slots_per_collector=1 << 10, num_collectors=2, seed=7)
-        spec = SimulationSpec.from_config(config, num_keys=100)
-        assert spec.num_slots == 2048
-        assert spec.seed == 7
-        assert spec.redundancy == config.redundancy
-        override = SimulationSpec.from_config(config, num_keys=100, redundancy=4)
-        assert override.redundancy == 4
 
 
 class TestBasicBehaviour:
@@ -173,29 +169,68 @@ class TestVectorisedMatchesScalar:
     """The simulator must agree with the scalar resolve() on the same data."""
 
     def test_cross_validation_small_scale(self):
-        from repro.core.policies import resolve
-
-        rng = np.random.default_rng(0)
-        for policy in (
-            ReturnPolicy.SINGLE_VALUE,
-            ReturnPolicy.PLURALITY,
-            ReturnPolicy.CONSENSUS_2,
-            ReturnPolicy.FIRST_MATCH,
-        ):
-            from repro.core.simulator import _SENTINEL, _resolve_vectorised
-
-            rows = rng.integers(0, 5, size=(500, 4)).astype(np.int64)
-            mask = rng.random((500, 4)) < 0.4
-            values = np.where(mask, rows, _SENTINEL)
-            answered, value = _resolve_vectorised(values, policy)
-            for i in range(500):
+        """Four copies, 4-bit checksums and load 2 make mismatches, checksum
+        collisions and ties common; last write wins is replayed key by key."""
+        lanes = key_lanes(0, 500)
+        for policy in ReturnPolicy:
+            spec = SimulationSpec(500, 256, 4, checksum_bits=4, seed=3, policy=policy)
+            result = simulate(spec)
+            _collectors, checksums, slots = DartAddressing(spec.config).resolve_folded(lanes)
+            owner = np.zeros(256, dtype=np.int64)
+            for key, row in enumerate(slots.T.tolist()):
+                owner[row] = key
+            for key, row in enumerate(slots.T.tolist()):
                 matching = [
-                    int(v).to_bytes(8, "big") for v in values[i] if v != _SENTINEL
+                    int(owner[slot]).to_bytes(8, "big")
+                    for slot in row
+                    if checksums[owner[slot]] == checksums[key]
                 ]
                 scalar = resolve(matching, policy, slots_read=4)
-                assert bool(answered[i]) == scalar.answered, (policy, i, matching)
-                if scalar.answered:
-                    assert int(value[i]).to_bytes(8, "big") == scalar.value
+                assert bool(result.answered[key]) == scalar.answered, (policy, key)
+                assert bool(result.correct[key]) == (
+                    scalar.answered and scalar.value == key.to_bytes(8, "big")
+                ), (policy, key)
+
+
+class TestSimulatorIsTheStack:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        num_keys=st.integers(1, 300),
+        num_slots=st.integers(16, 512),
+        redundancy=st.integers(1, 3),
+        checksum_bits=st.sampled_from([4, 8, 32]),
+        policy=st.sampled_from(list(ReturnPolicy)),
+        seed=st.integers(0, 2**32),
+    )
+    def test_outcome_is_the_stores_answer(
+        self, num_keys, num_slots, redundancy, checksum_bits, policy, seed
+    ):
+        """Key by key, the simulation is a one-collector store holding
+        ``put_many`` of ``(k, k.to_bytes(8))``, read by ``get`` and by the
+        read side's matrix fold over the same slots."""
+        result = simulate(
+            SimulationSpec(num_keys, num_slots, redundancy, checksum_bits, seed, policy)
+        )
+        config = DartConfig(
+            redundancy=redundancy, checksum_bits=checksum_bits, value_bytes=8,
+            slots_per_collector=num_slots, seed=seed,
+        )
+        store = DartStore(config, policy=policy)
+        store.put_many([(key, key.to_bytes(8, "big")) for key in range(num_keys)])
+        answers = [store.get(key) for key in range(num_keys)]
+        assert result.answered.tolist() == [answer.answered for answer in answers]
+        assert result.correct.tolist() == [
+            answer.value == key.to_bytes(8, "big") for key, answer in enumerate(answers)
+        ]
+        _collectors, checksums, slots = DartAddressing(config).resolve_folded(
+            fold_keys(range(num_keys))
+        )
+        memory = np.frombuffer(store.cluster[0].region.snapshot(), dtype=np.uint8)
+        values, answered = fold_matrix(
+            config.slot_codec(), memory.reshape(num_slots, -1)[slots.T], checksums, policy
+        )
+        assert answered == result.answered.tolist()
+        assert values == [answer.value for answer in answers]
 
 
 class TestCasStrategy:
@@ -216,30 +251,6 @@ class TestCasStrategy:
             simulate_cas_strategy(spec).success_rate
             > simulate(spec).success_rate
         )
-
-
-class TestSweeps:
-    def test_sweep_shapes(self):
-        points = sweep_load_factors(
-            [0.25, 0.5, 1.0], redundancy=2, num_slots=1 << 14
-        )
-        assert len(points) == 3
-        alphas = [a for a, _ in points]
-        rates = [r for _, r in points]
-        assert alphas == [0.25, 0.5, 1.0]
-        assert all(0 <= r <= 1 for r in rates)
-        assert rates[0] > rates[-1]
-
-    def test_sweep_cas_strategy(self):
-        write = sweep_load_factors([0.5], redundancy=2, num_slots=1 << 14)
-        cas = sweep_load_factors(
-            [0.5], redundancy=2, num_slots=1 << 14, strategy="cas"
-        )
-        assert cas[0][1] > write[0][1]
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            sweep_load_factors([0.5], redundancy=2, strategy="bogus")
 
 
 class TestResultHelpers:

@@ -121,3 +121,17 @@ def test_design_wire_layout_table_matches_the_module():
         )
         for header in layout.HEADERS
     ]
+
+
+def test_design_experiment_index_names_resolve():
+    """Every `repro.…` name in DESIGN.md's per-experiment index imports."""
+    design = pathlib.Path(__file__).resolve().parent.parent / "DESIGN.md"
+    section = design.read_text().split("## Per-experiment index", 1)[1].split("\n## ", 1)[0]
+    names = re.findall(r"`(repro(?:\.\w+)+)(?:\.\*)?`", section)
+    unresolved = []
+    for name in names:
+        try:
+            pkgutil.resolve_name(name)
+        except (ImportError, AttributeError):
+            unresolved.append(name)
+    assert names and unresolved == []

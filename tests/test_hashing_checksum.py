@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.hashing.checksum import KeyChecksum
-from repro.hashing.hash_family import HashFamily
+from repro.hashing.hash_family import HashFamily, fold_keys
 
 
 class TestKeyChecksum:
@@ -68,10 +68,10 @@ class TestKeyChecksum:
 
     def test_vectorised_matches_distributional_width(self):
         checksum = KeyChecksum(bits=16)
-        keys = np.arange(4096, dtype=np.uint64)
-        values = checksum.compute_array(keys)
+        values = checksum.compute_folded_array(fold_keys(np.arange(4096, dtype=np.uint64)))
         assert values.dtype == np.uint64
         assert int(values.max()) < (1 << 16)
+        assert values[:64].tolist() == [checksum.compute(key) for key in range(64)]
 
     def test_independent_of_slot_addressing(self):
         """Checksum must not correlate with slot index hashes (index 0..N)."""

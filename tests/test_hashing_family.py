@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.collector.counters import CounterStore
 from repro.collector.store import DartStore
 from repro.control.shards import shard_map_of
+from repro.core.addressing import DartAddressing
 from repro.core.config import DartConfig
 from repro.hashing import hash_family
 from repro.hashing.hash_family import (
@@ -150,40 +151,42 @@ class TestHashFamily:
 
 
 class TestVectorisedHashing:
+    """``hash_folded_array`` over folded integer keys, and the reduction to
+    slots that ``DartAddressing.resolve_folded`` applies to it."""
+
+    @staticmethod
+    def _slots(count, slots, seed=0):
+        config = DartConfig(slots_per_collector=slots, num_collectors=1, seed=seed)
+        lanes = fold_keys(np.arange(count, dtype=np.uint64))
+        return DartAddressing(config).resolve_folded(lanes)[2][0]
+
     def test_hash_array_matches_shape(self):
-        family = HashFamily()
-        keys = np.arange(1000, dtype=np.uint64)
-        hashes = family.hash_array(keys, index=2)
-        assert hashes.shape == keys.shape
+        lanes = fold_keys(np.arange(1000, dtype=np.uint64))
+        hashes = HashFamily().hash_folded_array(lanes, index=2)
+        assert hashes.shape == lanes.shape
         assert hashes.dtype == np.uint64
 
     def test_hash_array_deterministic_and_index_sensitive(self):
         family = HashFamily(seed=5)
-        keys = np.arange(100, dtype=np.uint64)
-        assert np.array_equal(family.hash_array(keys, 0), family.hash_array(keys, 0))
-        assert not np.array_equal(
-            family.hash_array(keys, 0), family.hash_array(keys, 1)
-        )
+        lanes = fold_keys(np.arange(100, dtype=np.uint64))
+        first = family.hash_folded_array(lanes, 0)
+        assert np.array_equal(first, family.hash_folded_array(lanes, 0))
+        assert not np.array_equal(first, family.hash_folded_array(lanes, 1))
 
     def test_hash_array_mod_bounds(self):
-        family = HashFamily()
-        keys = np.arange(10000, dtype=np.uint64)
-        reduced = family.hash_array_mod(keys, 0, 1009)
-        assert int(reduced.max()) < 1009
-        assert int(reduced.min()) >= 0
+        slots = self._slots(10000, 1009)
+        assert int(slots.max()) < 1009
+        assert int(slots.min()) >= 0
 
     def test_hash_array_mod_uniform(self):
-        family = HashFamily(seed=11)
-        keys = np.arange(100000, dtype=np.uint64)
-        reduced = family.hash_array_mod(keys, 0, 64)
-        counts = np.bincount(reduced.astype(np.int64), minlength=64)
-        expected = len(keys) / 64
+        counts = np.bincount(self._slots(100000, 64, seed=11).astype(np.int64), minlength=64)
+        expected = 100000 / 64
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < 120
 
     def test_mod_zero_rejected(self):
         with pytest.raises(ValueError):
-            HashFamily().hash_array_mod(np.arange(4, dtype=np.uint64), 0, 0)
+            DartConfig(slots_per_collector=0)
 
 
 def test_chi2_empty_rejected():
@@ -220,12 +223,16 @@ def _batches(element):
 def assert_folds_like_scalar(keys):
     lanes = fold_keys(keys)
     assert lanes.dtype == np.uint64
-    assert lanes.tolist() == [fold_key(key) for key in keys]
+    scalar = keys.tolist() if isinstance(keys, np.ndarray) else keys
+    assert lanes.tolist() == [fold_key(key) for key in scalar]
 
 
 class TestFoldKeysMatchesFoldKey:
     @settings(max_examples=60, deadline=None)
-    @given(keys=st.one_of(*map(_batches, _KINDS)))
+    @given(
+        keys=st.one_of(*map(_batches, _KINDS))
+        | _batches(_u64).map(lambda keys: np.array(keys, dtype=np.uint64))
+    )
     def test_homogeneous_batches(self, keys):
         assert_folds_like_scalar(keys)
 

@@ -560,10 +560,11 @@ def test_watching_lint_catches_seeded_violations():
 #: every hash; a module that can import it can re-fold a key its caller
 #: already folded.  Only these may: the hash family itself, the two
 #: addressing entry points, the count-min owner, the query side's one
-#: folding site, and the switch (its mirror clone carries the key bytes).
+#: folding site, the switch (its mirror clone carries the key bytes) and
+#: the simulator (it folds its integer keys once per run).
 FOLD_NAMES = {"fold_key", "fold_keys", "stable_key_bytes"}
 MAY_FOLD = {
-    "repro/core/addressing.py", "repro/core/batch.py",
+    "repro/core/addressing.py", "repro/core/batch.py", "repro/core/simulator.py",
     "repro/primitives/translator.py", "repro/query/backend.py",
     "repro/switch/dart_switch.py",
 }
@@ -863,8 +864,6 @@ ONLY_TESTS_SET = {
     ("AutoBundler.__init__", "controller"): "membership section of the failover postmortem",
     # Owed: the callable itself is reached by tier-1 only and goes, with
     # its tests, when the cap on removed tests per PR allows.
-    ("sweep_load_factors", "num_slots"): "test-only callable",
-    ("sweep_load_factors", "strategy"): "test-only callable",
     ("FlowGenerator.zipf", "skew"): "test-only callable",
     ("FlowGenerator.stream", "batch"): "test-only callable",
     ("EpochManager.note_report", "count"): "test-only callable",
@@ -899,7 +898,7 @@ def test_every_option_is_set_by_some_caller_outside_tests():
     assert not constants, "no caller outside tests/ sets:\n" + "\n".join(constants)
     stale = sorted(ONLY_TESTS_SET.keys() - unset.keys())
     assert not stale, f"allow-listed but set by traffic, or gone: {stale}"
-    assert len(ONLY_TESTS_SET) <= 44
+    assert len(ONLY_TESTS_SET) <= 42
 
 
 def test_options_lint_catches_a_seeded_violation():
