@@ -174,8 +174,8 @@ class OneSidedReader:
                 mine = positions < count
                 payloads[positions[mine]] = response.payloads[mine]
                 answered[positions[mine]] = True
-            elif response.bth.opcode == int(Opcode.RC_RDMA_READ_RESPONSE_ONLY):
-                position = (response.bth.psn - start) % PSN_MODULUS
+            elif response.opcode == Opcode.RC_RDMA_READ_RESPONSE_ONLY:
+                position = (response.psn - start) % PSN_MODULUS
                 if position < count:
                     payloads[position] = np.frombuffer(response.payload, np.uint8)
                     answered[position] = True

@@ -36,19 +36,23 @@ from repro.rdma.frames import (
     ICRC_BYTES,
     RESPONSE_PAYLOAD_OFF,
     TemplateEncoder,
-    header_mask,
     icrc_ok,
     read_field,
     scalar_template,
     stamp_frame,
 )
+from repro.rdma.layout import columns
 from repro.rdma.packets import (
+    PLAN_FIELDS,
     AtomicEth,
     Bth,
     Opcode,
     PacketDecodeError,
     Reth,
     RoceV2Packet,
+    frame_fields,
+    header_plan,
+    received_plan,
 )
 from repro.rdma.qp import PSN_MODULUS, psn_run
 
@@ -135,6 +139,19 @@ class AppendReserveError(RuntimeError):
     """An Append tail reservation got no response within its retry budget."""
 
 
+class ResponseFrame(NamedTuple):
+    """One frame response as :meth:`ResponseDemux.take` hands it out."""
+
+    opcode: int
+    psn: int
+    payload: bytes
+
+
+#: The columns a response matrix's rows must share with row 0 for row 0's
+#: header plan to stand for them.
+_PLAN_COLUMNS = np.array(columns(*PLAN_FIELDS))
+
+
 class ReadResponseRows(NamedTuple):
     """The READ responses of one matrix addressed to one QP, as columns:
     what :meth:`ResponseDemux.take` hands out for a batch response."""
@@ -152,8 +169,9 @@ class ResponseDemux:
     ACKs.  All requesters sharing an endpoint share one demux instead:
     :meth:`poll` drains the fabric once and files each decodable response
     under its BTH destination QP; :meth:`take` hands a requester exactly
-    its own inbox: a packet per frame response, :class:`ReadResponseRows`
-    per batch response (decoded column-wise under the same checks).
+    its own inbox: a :class:`ResponseFrame` per frame response,
+    :class:`ReadResponseRows` per batch response (decoded column-wise
+    under the same checks).
     Undecodable responses are dropped and counted either way.
     """
 
@@ -187,25 +205,32 @@ class ResponseDemux:
 
     def _file_frame(self, frame: bytes) -> int:
         """Decode and file one response frame (the scalar reference)."""
-        try:
-            packet = RoceV2Packet.unpack(frame)
-        except PacketDecodeError:
+        plan = received_plan(frame)
+        if plan is None:
             self.c_dropped_decode.inc()
             return 0
-        self._inboxes.setdefault(packet.bth.dest_qp, []).append(packet)
+        opcode, dest_qp, end = plan
+        psn, *_fields, payload = frame_fields(frame, opcode, end)
+        self._inboxes.setdefault(dest_qp, []).append(ResponseFrame(opcode, psn, payload))
         return 1
 
     def _file_batch(self, frames: np.ndarray) -> int:
         """Decode and file one READ-response matrix, column-wise.
 
-        Rows pass exactly what :meth:`_file_frame` passes: the structural
-        checks of :func:`~repro.rdma.frames.header_mask`, then the iCRC.
-        Rows the mask cannot vouch for take the scalar decode, which
-        files or drops them on its own terms.
+        Rows pass exactly what :meth:`_file_frame` passes: rows that agree
+        with row 0 on the header plan's key share row 0's plan -- a READ
+        RESPONSE spanning the whole row, or the matrix is not one -- and
+        then need only their iCRC.  Any other row takes the scalar decode,
+        which files or drops it on its own terms.
         """
-        shaped = header_mask(frames, int(Opcode.RC_RDMA_READ_RESPONSE_ONLY))
-        if frames.shape[1] < RESPONSE_PAYLOAD_OFF + ICRC_BYTES:
-            shaped[:] = False  # no room for the AETH: scalar says why
+        try:  # row 0's plan; an empty matrix has none
+            opcode, qp_number, end = header_plan(frames[:1].tobytes())
+        except PacketDecodeError:
+            opcode = end = None
+        if opcode == Opcode.RC_RDMA_READ_RESPONSE_ONLY and end == frames.shape[1]:
+            shaped = (frames[:, _PLAN_COLUMNS] == frames[0, _PLAN_COLUMNS]).all(axis=1)
+        else:
+            shaped = np.zeros(len(frames), dtype=bool)
         filed = 0
         if not shaped.all():
             for row in np.flatnonzero(~shaped).tolist():
@@ -217,14 +242,10 @@ class ResponseDemux:
         if not intact.all():
             self.c_dropped_decode.inc(len(frames) - int(intact.sum()))
             frames = frames[intact]
-        dest_qps = read_field(frames, "bth.dest_qp")
-        qp_numbers = dict.fromkeys(dest_qps.tolist())
-        for qp_number in qp_numbers:
-            mine = frames if len(qp_numbers) == 1 else frames[dest_qps == qp_number]
+        if len(frames):
             self._inboxes.setdefault(qp_number, []).append(
                 ReadResponseRows(
-                    read_field(mine, "bth.psn"),
-                    mine[:, RESPONSE_PAYLOAD_OFF:-ICRC_BYTES],
+                    read_field(frames, "bth.psn"), frames[:, RESPONSE_PAYLOAD_OFF:-ICRC_BYTES]
                 )
             )
         return filed + len(frames)
@@ -232,8 +253,8 @@ class ResponseDemux:
     def take(self, qp_number: int) -> list:
         """Remove and return every buffered response addressed to a QP.
 
-        Entries are packets (frame responses) and :class:`ReadResponseRows`
-        (batch responses), in arrival order.
+        Entries are :class:`ResponseFrame` (frame responses) and
+        :class:`ReadResponseRows` (batch responses), in arrival order.
         """
         return self._inboxes.pop(qp_number, [])
 
@@ -695,8 +716,8 @@ class AppendTranslator(PrimitiveTranslator):
             self.demux.poll(self.fabric, self.endpoint_id)
             for response in self.demux.take(self.qp_number):
                 if (
-                    response.bth.opcode == int(Opcode.RC_ATOMIC_ACKNOWLEDGE)
-                    and response.bth.psn == psn
+                    response.opcode == Opcode.RC_ATOMIC_ACKNOWLEDGE
+                    and response.psn == psn
                     and len(response.payload) >= 8
                 ):
                     return int.from_bytes(response.payload[:8], "big")
@@ -718,7 +739,7 @@ class AppendTranslator(PrimitiveTranslator):
 
         Returns the record's absolute ring index (monotonic across the
         ring's life; ``index % capacity`` is its slot).  Kept beside
-        :meth:`append_many`: a batch of one costs 3-4x a frame (DESIGN.md, "Batch of one").
+        :meth:`append_many`: a batch of one costs ~4x a frame (DESIGN.md, "Batch of one").
         """
         padded = self._pad(value)
         tracer = self._tracer

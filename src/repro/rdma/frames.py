@@ -31,18 +31,13 @@ from repro.rdma.layout import (
     ATOMIC_ETH,
     BTH,
     ETHERNET,
-    ETHERTYPE_IPV4,
     FIELD_NAMES,
     ICRC,
     ICRC_MASKED_COLUMNS,
     ICRC_PREFIX_BYTES,
-    IP_PROTO_UDP,
     IPV4,
-    IPV4_VERSION_IHL,
     RETH,
-    ROCEV2_UDP_PORT,
     UDP,
-    columns,
     packer,
     span,
 )
@@ -120,39 +115,6 @@ def icrc_rows(frames: np.ndarray) -> np.ndarray:
     covered = frames[:, IP_OFF : frames.shape[1] - ICRC_BYTES]
     masked = np.bitwise_or(covered, _icrc_or_row(covered.shape[1]))
     return CRC32.compute_rows(masked, _ICRC_SEED)
-
-
-#: The fields :func:`header_mask` compares: four that scalar ``unpack``
-#: holds to a constant, then the two that vary per call.
-_HEADER_FIELDS = (
-    "eth.ethertype", "ipv4.version_ihl", "ipv4.protocol", "udp.dst_port",
-    "ipv4.total_length", "bth.opcode",
-)
-_HEADER_COLUMNS = np.array(columns(*_HEADER_FIELDS))
-_HEADER_EXPECTED = packer(*_HEADER_FIELDS)
-
-
-def header_mask(frames: np.ndarray, opcode: int) -> np.ndarray:
-    """Rows that are well-formed RoCEv2 frames of ``opcode``, as a bool array.
-
-    What scalar :meth:`~repro.rdma.packets.RoceV2Packet.unpack` checks
-    before the iCRC (IPv4 ethertype, version/IHL, UDP, port 4791), plus
-    the BTH opcode and an IPv4 total length equal to the matrix width.  A
-    failing row is not necessarily bad (``unpack`` tolerates trailing
-    bytes); it is one the vector paths leave to the scalar reference.
-    """
-    total_length = frames.shape[1] - IP_OFF
-    # Ethernet..BTH and the iCRC at least; at most what 16 bits can say.
-    if not BTH.end + ICRC_BYTES - IP_OFF <= total_length <= 0xFFFF:
-        return np.zeros(len(frames), dtype=bool)
-    expected = np.frombuffer(
-        _HEADER_EXPECTED.pack(
-            ETHERTYPE_IPV4, IPV4_VERSION_IHL, IP_PROTO_UDP, ROCEV2_UDP_PORT,
-            total_length, opcode,
-        ),
-        dtype=np.uint8,
-    )
-    return (frames[:, _HEADER_COLUMNS] == expected).all(axis=1)
 
 
 def icrc_ok(frames: np.ndarray) -> np.ndarray:

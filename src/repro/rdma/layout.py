@@ -10,8 +10,8 @@ else that has to know the format derives it from here: the
 ``struct.Struct`` formats :mod:`repro.rdma.packets` packs with, the
 column offsets and frame widths :mod:`repro.rdma.frames` exports, the
 bytes the invariant CRC masks (one set for the scalar and the vector
-iCRC), the columns :func:`~repro.rdma.frames.header_mask` compares and
-the request columns a READ response reflects.  The P4 model
+iCRC), the fields a :func:`~repro.rdma.packets.header_plan` is keyed on
+and the request fields a READ response reflects.  The P4 model
 (:mod:`repro.switch.p4`) and ``tests/reference_codec.py`` deliberately
 keep their own copies: they are the oracles this one is checked against.
 """
@@ -157,6 +157,17 @@ def columns(*names: str) -> List[int]:
 def packer(*names: str) -> struct.Struct:
     """Packs one value per named field, back to back in the order given."""
     return struct.Struct(">" + "".join(_FIELDS[name][1].code for name in names))
+
+
+def picker(*names: str) -> struct.Struct:
+    """Unpacks the named fields (in wire order) straight from a frame,
+    skipping the bytes between them."""
+    codes, cursor = [], 0
+    for name in names:
+        start, stop = _SPANS[name]
+        codes.append(f"{start - cursor}x{_FIELDS[name][1].code}")
+        cursor = stop
+    return struct.Struct(">" + "".join(codes))
 
 
 #: Bytes of 0xFF the iCRC image opens with, standing in for the masked

@@ -32,14 +32,14 @@ from repro.rdma.frames import (
     READ_REQUEST_BYTES,
     RESPONSE_PAYLOAD_OFF,
     TemplateEncoder,
-    header_mask,
     icrc_ok,
     read_field,
     scalar_template,
     stamp_frame,
 )
-from repro.rdma.layout import BTH, columns, packer
+from repro.rdma.layout import columns, picker
 from repro.rdma.packets import (
+    PLAN_FIELDS,
     Aeth,
     Bth,
     EthernetHeader,
@@ -48,25 +48,33 @@ from repro.rdma.packets import (
     PacketDecodeError,
     RoceV2Packet,
     UdpHeader,
-    _ipv4_bytes,
     _ipv4_str,
-    _mac_bytes,
     _mac_str,
+    frame_fields,
+    header_plan,
     opcode_has_atomic_eth,
-    opcode_has_reth,
+    received_plan,
 )
 from repro.rdma.qp import PSN_MODULUS, QueuePair, psn_run
 
-#: Request fields a READ response reflects or depends on.  A READ batch
-#: takes the vector branch only when every row agrees on all of them, so
-#: one response template serves the whole batch.
-_REFLECTED_FIELDS = (
-    "eth.src_mac", "ipv4.src_ip", "udp.src_port", "bth.dest_qp", "reth.dma_length"
-)
-_READ_UNIFORM_COLUMNS = np.array(columns(*_REFLECTED_FIELDS))
-#: Those fields' bytes, back to back: what a response template is keyed on.
-_REFLECTED = packer(*_REFLECTED_FIELDS)
-_QP_BYTES = BTH["dest_qp"].width
+#: Request fields a READ response or an atomic ACK reflects: what a
+#: response template is keyed on, besides its length.
+_REFLECTED_FIELDS = ("eth.src_mac", "ipv4.src_ip", "udp.src_port")
+_REFLECTED = picker(*_REFLECTED_FIELDS)
+#: Per vector branch, the columns every row of a batch must share with
+#: row 0 for row 0's header plan, rkey and (RETH) length to stand for all
+#: of them; a READ batch also shares what its one response template reflects.
+_UNIFORM_COLUMNS = {
+    Opcode.RC_RDMA_WRITE_ONLY: np.array(columns(*PLAN_FIELDS, "reth.rkey", "reth.dma_length")),
+    Opcode.RC_FETCH_ADD: np.array(columns(*PLAN_FIELDS, "atomic_eth.rkey")),
+    Opcode.RC_RDMA_READ_REQUEST: np.array(
+        columns(*PLAN_FIELDS, "reth.rkey", "reth.dma_length", *_REFLECTED_FIELDS)
+    ),
+}
+#: The most bytes one READ RESPONSE ONLY carries (its IPv4 total length is
+#: 16 bits); a longer READ needs a multi-packet response, not implemented.
+_MAX_READ_BYTES = 0xFFFF + IP_OFF - RESPONSE_PAYLOAD_OFF - ICRC_BYTES
+_WRITE_OPCODES = frozenset({Opcode.RC_RDMA_WRITE_ONLY, Opcode.UC_RDMA_WRITE_ONLY})
 
 
 class NicCounters(CounterView):
@@ -100,7 +108,8 @@ class NicCounters(CounterView):
         ("dropped_access", "c_dropped_access", "nic_dropped_access",
          "Frames dropped: rkey/bounds violation (RegionAccessError)."),
         ("dropped_opcode", "c_dropped_opcode", "nic_dropped_opcode",
-         "Frames dropped: opcode the responder does not implement."),
+         "Frames dropped: an opcode, or a READ longer than one response, "
+         "the responder does not implement."),
     )
 
     @property
@@ -178,31 +187,74 @@ class RdmaNic:
     def receive_frame(self, frame: bytes) -> bool:
         """Ingest one wire frame; returns whether it was executed.
 
-        This is the *entire* collection fast path: parse, validate, DMA.
+        This is the *entire* collection fast path: the frame's memoised
+        header plan and its own iCRC (:func:`~repro.rdma.packets.received_plan`),
+        QP lookup, PSN acceptance, then the DMA its flat fields describe.
         """
         self.counters.c_received.inc()
         timer = self._t_ingest
         profiled = timer.profiler is not None
         if profiled:
             started = timer.start()
-        try:
-            packet = RoceV2Packet.unpack(frame)
-        except PacketDecodeError:
+        plan = received_plan(frame)
+        if plan is None:
             self.counters.c_dropped_decode.inc()
-            if self._tracer.enabled:
-                self._tracer.frame_span(
-                    frame, "nic.ingest", "dropped:decode", status="drop"
-                )
-            executed = False
+            executed, detail, status = False, "dropped:decode", "drop"
         else:
-            executed = self.receive_packet(packet)
-            if self._tracer.enabled:
-                self._tracer.frame_span(
-                    frame, "nic.ingest", "executed" if executed else "dropped"
-                )
+            executed = self._execute(frame, *plan)
+            detail, status = "executed" if executed else "dropped", "ok"
+        if self._tracer.enabled:
+            self._tracer.frame_span(frame, "nic.ingest", detail, status=status)
         if profiled:
             timer.stop(started)
         return executed
+
+    def _execute(self, frame: bytes, opcode: int, dest_qp: int, end: int) -> bool:
+        """Apply a decoded frame: QP lookup, PSN acceptance, then the verb."""
+        psn, *fields, payload = frame_fields(frame, opcode, end)
+        counters = self.counters
+        qp = self._queue_pairs.get(dest_qp)
+        if qp is None:
+            counters.c_dropped_unknown_qp.inc()
+            return False
+        if not qp.accept(psn):
+            counters.c_dropped_psn.inc()
+            return False
+        region = self.region
+        try:
+            if opcode in _WRITE_OPCODES:
+                address, rkey, length = fields
+                if length != len(payload):
+                    counters.c_dropped_decode.inc()
+                    return False
+                region.dma_write(address, payload, rkey=rkey)
+                counters.c_writes.inc()
+                return True
+            if opcode == Opcode.RC_RDMA_READ_REQUEST:
+                address, rkey, length = fields
+                if length > _MAX_READ_BYTES:  # refused before the DMA
+                    counters.c_dropped_opcode.inc()
+                    return False
+                data = region.dma_read(address, length, rkey=rkey)
+                counters.c_reads.inc()
+                self._enqueue_response(frame, psn, qp, Opcode.RC_RDMA_READ_RESPONSE_ONLY, data)
+                return True
+            if opcode_has_atomic_eth(opcode):
+                address, rkey, swap_add, compare = fields
+                if opcode == Opcode.RC_FETCH_ADD:
+                    original = region.dma_fetch_add(address, swap_add, rkey=rkey)
+                else:
+                    original = region.dma_compare_swap(address, compare, swap_add, rkey=rkey)
+                counters.c_atomics.inc()
+                if qp.respond_atomics:
+                    ack = original.to_bytes(8, "big")
+                    self._enqueue_response(frame, psn, qp, Opcode.RC_ATOMIC_ACKNOWLEDGE, ack)
+                return True
+        except RegionAccessError:
+            counters.c_dropped_access.inc()
+            return False
+        counters.c_dropped_opcode.inc()
+        return False
 
     def ingest_many(self, frames: Iterable[bytes]) -> int:
         """Looped :meth:`receive_frame`; kept only as a `perf/` trace boundary."""
@@ -211,52 +263,40 @@ class RdmaNic:
     def _batch_branch(self, frames: np.ndarray):
         """The vector branch that can express ``frames`` exactly, or None.
 
-        Each branch takes one uniform shape (every row passing
-        :func:`~repro.rdma.frames.header_mask` for one opcode): the WRITE
+        Every row agrees with row 0 on its opcode's :data:`_UNIFORM_COLUMNS`,
+        so row 0's header plan, QP, rkey and length stand for all: the WRITE
         the DART switch emits, the 86-byte FETCH_ADD of the primitive
-        translators (unless a targeted QP wants per-atomic ACKs), or the
-        READ requests of one requester.  Anything else -- truncated
-        frames, mixed opcodes, foreign traffic -- is for the scalar
-        reference path and its full per-frame drop taxonomy.
+        translators (unless the QP wants per-atomic ACKs), or the READ
+        requests of one requester.  Anything else -- truncated frames, mixed
+        opcodes or QPs, foreign traffic -- is for the scalar reference path
+        and its full per-frame drop taxonomy.
         """
         width = frames.shape[1]
         if width < OVERHEAD_BYTES:
             return None
         opcode = int(frames[0, OPCODE_OFF])
-        if not header_mask(frames, opcode).all():
+        uniform = _UNIFORM_COLUMNS.get(opcode)
+        if uniform is None or not (frames[:, uniform] == frames[0, uniform]).all():
             return None
+        first = frames[0].tobytes()
+        try:
+            _opcode, qp_number, end = header_plan(first)
+        except PacketDecodeError:
+            return None
+        if end != width:
+            return None  # trailing bytes: the scalar path says what they mean
+        _psn, _address, rkey, operand, *_rest = frame_fields(first, opcode, end)
         if opcode == Opcode.RC_RDMA_WRITE_ONLY:
-            if (read_field(frames, "reth.dma_length") == width - OVERHEAD_BYTES).all():
-                return self._ingest_write_batch
+            if operand == width - OVERHEAD_BYTES:
+                return lambda batch: self._ingest_write_batch(batch, qp_number, rkey)
         elif opcode == Opcode.RC_FETCH_ADD:
-            if width == ATOMIC_FRAME_BYTES and not self._any_qp_responds_atomics(
-                read_field(frames, "bth.dest_qp")
-            ):
-                return self._ingest_fetch_add_batch
-        elif opcode == Opcode.RC_RDMA_READ_REQUEST and width == READ_REQUEST_BYTES:
-            # One response template per batch needs every reflected
-            # column uniform, and the response has to fit the 16-bit
-            # IPv4 total length.
-            reflected = frames[:, _READ_UNIFORM_COLUMNS]
-            length = int(read_field(frames[:1], "reth.dma_length")[0])
-            if (reflected == reflected[0]).all() and (
-                RESPONSE_PAYLOAD_OFF + length + ICRC_BYTES - IP_OFF <= 0xFFFF
-            ):
-                return lambda batch: self._ingest_read_batch(batch, length)
+            qp = self._queue_pairs.get(qp_number)
+            # Response crafting is per frame: ACK-wanting QPs take the scalar path.
+            if width == ATOMIC_FRAME_BYTES and not (qp is not None and qp.respond_atomics):
+                return lambda batch: self._ingest_fetch_add_batch(batch, qp_number, rkey)
+        elif width == READ_REQUEST_BYTES and operand <= _MAX_READ_BYTES:
+            return lambda batch: self._ingest_read_batch(batch, qp_number, rkey, operand)
         return None
-
-    def _any_qp_responds_atomics(self, dest_qps: np.ndarray) -> bool:
-        """Whether any targeted QP wants per-atomic ACK responses.
-
-        Response crafting is inherently per-frame, so such batches take
-        the scalar reference path.
-        """
-        queue_pairs = self._queue_pairs
-        for qp_number in np.unique(dest_qps).tolist():
-            qp = queue_pairs.get(int(qp_number))
-            if qp is not None and qp.respond_atomics:
-                return True
-        return False
 
     def ingest_batch(self, batch: FrameBatch) -> int:
         """Columnar ingest: validate and execute a whole frame batch.
@@ -269,9 +309,10 @@ class RdmaNic:
         one response matrix on :attr:`tx_queue` (READ).  Counters, drops,
         the memory image and the response bytes are identical to feeding
         each row through :meth:`receive_frame` in order; batches the
-        vector paths cannot express exactly (mixed opcodes, malformed
-        rows, ACK-responding QPs) fall back to it.  A bound batch records
-        one aggregate span; an unbound one records and pays nothing.
+        vector paths cannot express exactly (mixed opcodes or QPs,
+        malformed rows, ACK-responding QPs) fall back to it.  A bound
+        batch records one aggregate span; an unbound one records and pays
+        nothing.
         """
         frames = batch.frames
         count = len(frames)
@@ -280,10 +321,7 @@ class RdmaNic:
         branch = self._batch_branch(frames)
         if branch is None:
             # Reference path: the full per-frame drop taxonomy.
-            receive_frame = self.receive_frame
-            return sum(
-                receive_frame(frames[index].tobytes()) for index in range(count)
-            )
+            return sum(self.receive_frame(row.tobytes()) for row in frames)
         started = self._t_ingest.start()
         executed = branch(batch)
         self._t_ingest.stop(started)
@@ -299,17 +337,17 @@ class RdmaNic:
         return executed
 
     def _validate_batch(
-        self, frames: np.ndarray, span: int, alignment: int = 1
+        self, frames: np.ndarray, qp_number: int, rkey: int, span: int, alignment: int = 1
     ):
         """The validation every vector branch shares; returns what landed.
 
-        In the scalar path's order and with its counters: iCRC, per-QP
-        lookup and PSN acceptance in arrival order, then rkey, bounds of
-        ``[VA, VA + span)`` and ``alignment`` (RETH and AtomicETH open
-        with the same virtual_address and rkey fields).  Returns the row indexes
-        that passed everything, in arrival order, their region offsets,
-        every row's PSN and the queue pair the last QP group was looked up
-        as (a READ batch has one group: its ``bth.dest_qp`` is uniform).
+        In the scalar path's order and with its counters: iCRC, the one
+        queue pair ``qp_number`` and its PSN acceptance in arrival order,
+        then ``rkey``, bounds of ``[VA, VA + span)`` and ``alignment``
+        (RETH and AtomicETH open with the same virtual_address and rkey
+        fields).  Returns the row indexes that passed everything, in
+        arrival order, their region offsets, every row's PSN and the queue
+        pair (None if unknown).
         """
         count = len(frames)
         counters = self.counters
@@ -318,25 +356,17 @@ class RdmaNic:
         if len(candidates) < count:
             counters.c_dropped_decode.inc(count - len(candidates))
 
-        executed = np.zeros(count, dtype=bool)
-        dest_qps = read_field(frames, "bth.dest_qp")[candidates]
         psns = read_field(frames, "bth.psn")
-        qp = None
-        # Per-QP acceptance, preserving arrival order within each QP --
-        # the PSN state machine is sequential per queue pair.
-        for qp_number in dict.fromkeys(dest_qps.tolist()):
-            rows = candidates[dest_qps == qp_number]
-            qp = self._queue_pairs.get(qp_number)
-            if qp is None:
-                counters.c_dropped_unknown_qp.inc(len(rows))
-                continue
-            accepted = qp.accept_array(psns[rows])
-            rejected = len(rows) - int(accepted.sum())
-            if rejected:
-                counters.c_dropped_psn.inc(rejected)
-            executed[rows[accepted]] = True
+        qp = self._queue_pairs.get(qp_number)
+        if qp is None:
+            counters.c_dropped_unknown_qp.inc(len(candidates))
+            landed = candidates[:0]
+        else:
+            accepted = qp.accept_array(psns[candidates])
+            landed = candidates[accepted]
+            if len(landed) < len(candidates):
+                counters.c_dropped_psn.inc(len(candidates) - len(landed))
 
-        landed = np.flatnonzero(executed)
         region = self.region
         addresses = read_field(frames, "reth.virtual_address")[landed]
         base = np.uint64(region.base_address)
@@ -345,14 +375,10 @@ class RdmaNic:
         # near 2**64 from wrapping back inside the region.
         offsets = addresses - base
         room = region.size - span
-        access_ok = (
-            (addresses >= base)
-            & (offsets <= np.uint64(max(room, 0)))
-            & (read_field(frames, "reth.rkey")[landed] == region.rkey)
-        )
+        access_ok = (addresses >= base) & (offsets <= np.uint64(max(room, 0)))
         if alignment > 1:
             access_ok &= addresses % np.uint64(alignment) == 0
-        if room < 0:  # a span longer than the region fits nowhere
+        if room < 0 or rkey != region.rkey:  # nothing fits, or nothing may
             access_ok[:] = False
         denied = len(landed) - int(access_ok.sum())
         if denied:
@@ -361,11 +387,11 @@ class RdmaNic:
             offsets = offsets[access_ok]
         return landed, offsets.astype(np.int64), psns, qp
 
-    def _ingest_write_batch(self, batch: FrameBatch) -> int:
+    def _ingest_write_batch(self, batch: FrameBatch, qp_number: int, rkey: int) -> int:
         """The uniform-WRITE branch: one last-wins columnar scatter."""
         frames = batch.frames
         payload_bytes = frames.shape[1] - OVERHEAD_BYTES
-        landed, offsets, _psns, _qp = self._validate_batch(frames, payload_bytes)
+        landed, offsets, _psns, _qp = self._validate_batch(frames, qp_number, rkey, payload_bytes)
         if len(landed):
             self.region.write_offset_columnar(
                 offsets, frames[landed, PAYLOAD_OFF : PAYLOAD_OFF + payload_bytes]
@@ -373,7 +399,7 @@ class RdmaNic:
             self.counters.c_writes.inc(len(landed))
         return len(landed)
 
-    def _ingest_fetch_add_batch(self, batch: FrameBatch) -> int:
+    def _ingest_fetch_add_batch(self, batch: FrameBatch, qp_number: int, rkey: int) -> int:
         """The uniform-FETCH_ADD branch: one columnar accumulate.
 
         Adds commute, so :meth:`~repro.mem.region.MemoryRegion.dma_fetch_add_many`
@@ -381,7 +407,7 @@ class RdmaNic:
         cells in one batch.
         """
         frames = batch.frames
-        landed, offsets, _psns, _qp = self._validate_batch(frames, 8, alignment=8)
+        landed, offsets, _psns, _qp = self._validate_batch(frames, qp_number, rkey, 8, alignment=8)
         if len(landed):
             self.region.dma_fetch_add_many(
                 offsets + self.region.base_address,
@@ -390,24 +416,26 @@ class RdmaNic:
             self.counters.c_atomics.inc(len(landed))
         return len(landed)
 
-    def _ingest_read_batch(self, batch: FrameBatch, length: int) -> int:
+    def _ingest_read_batch(
+        self, batch: FrameBatch, qp_number: int, rkey: int, length: int
+    ) -> int:
         """The uniform-READ branch: one gather, one response matrix.
 
         ``length`` is the batch's one ``reth.dma_length``, as
         :meth:`_batch_branch` read it.  The survivors' bytes leave as one
         unpooled :class:`~repro.rdma.frames.FrameBatch` on
-        :attr:`tx_queue`, stamped from the first survivor's
-        :meth:`_response_template` with PSN, MSN and payload patched: row
-        for row what :meth:`_enqueue_response` stamps.
+        :attr:`tx_queue`, stamped from :meth:`_response_template` (every
+        row reflects the same request fields) with PSN, MSN and payload
+        patched: row for row what :meth:`_enqueue_response` stamps.
         """
         frames = batch.frames
-        landed, offsets, psns, qp = self._validate_batch(frames, length)
+        landed, offsets, psns, qp = self._validate_batch(frames, qp_number, rkey, length)
         count = len(landed)
         if count:
-            first = frames[landed[0]]
             template = self._response_template(
                 Opcode.RC_RDMA_READ_RESPONSE_ONLY,
-                first[_READ_UNIFORM_COLUMNS].tobytes(),
+                _REFLECTED.unpack_from(frames[0]),
+                length,
                 qp.effective_peer_qp,
             )
             self.tx_queue.append(
@@ -426,82 +454,20 @@ class RdmaNic:
             self.counters.c_responses.inc(count)
         return count
 
-    def receive_packet(self, packet: RoceV2Packet) -> bool:
-        """Ingest an already-parsed packet (fast path for simulations)."""
-        qp = self._queue_pairs.get(packet.bth.dest_qp)
-        if qp is None:
-            self.counters.c_dropped_unknown_qp.inc()
-            return False
-        if not qp.accept(packet.bth.psn):
-            self.counters.c_dropped_psn.inc()
-            return False
-
-        opcode = packet.bth.opcode
-        try:
-            if opcode_has_reth(opcode) and opcode in (
-                Opcode.RC_RDMA_WRITE_ONLY,
-                Opcode.UC_RDMA_WRITE_ONLY,
-            ):
-                reth = packet.reth
-                if reth is None or reth.dma_length != len(packet.payload):
-                    self.counters.c_dropped_decode.inc()
-                    return False
-                self.region.dma_write(
-                    reth.virtual_address, packet.payload, rkey=reth.rkey
-                )
-                self.counters.c_writes.inc()
-                return True
-            if opcode == Opcode.RC_RDMA_READ_REQUEST:
-                reth = packet.reth
-                if reth is None:
-                    self.counters.c_dropped_decode.inc()
-                    return False
-                data = self.region.dma_read(
-                    reth.virtual_address, reth.dma_length, rkey=reth.rkey
-                )
-                self.counters.c_reads.inc()
-                self._enqueue_response(packet, qp, Opcode.RC_RDMA_READ_RESPONSE_ONLY, data)
-                return True
-            if opcode_has_atomic_eth(opcode):
-                atomic = packet.atomic_eth
-                if atomic is None:
-                    self.counters.c_dropped_decode.inc()
-                    return False
-                if opcode == Opcode.RC_FETCH_ADD:
-                    original = self.region.dma_fetch_add(
-                        atomic.virtual_address, atomic.swap_add, rkey=atomic.rkey
-                    )
-                else:
-                    original = self.region.dma_compare_swap(
-                        atomic.virtual_address,
-                        atomic.compare,
-                        atomic.swap_add,
-                        rkey=atomic.rkey,
-                    )
-                self.counters.c_atomics.inc()
-                if qp.respond_atomics:
-                    ack = original.to_bytes(8, "big")
-                    self._enqueue_response(packet, qp, Opcode.RC_ATOMIC_ACKNOWLEDGE, ack)
-                return True
-        except RegionAccessError:
-            self.counters.c_dropped_access.inc()
-            return False
-
-        self.counters.c_dropped_opcode.inc()
-        return False
-
     # ------------------------------------------------------------------
     # Response path (READ responses, atomic ACKs; still zero host CPU)
     # ------------------------------------------------------------------
 
-    def _response_template(self, opcode: int, reflected: bytes, peer_qp: int) -> np.ndarray:
-        """The READ RESPONSE or ATOMIC ACKNOWLEDGE both granularities stamp
-        (PSN, MSN and payload zeroed) to a request whose :data:`_READ_UNIFORM_COLUMNS`
-        hold ``reflected``: addressing is reflected from it, the NIC knows
-        nothing else.  An atomic's ``reflected`` length is its 8-byte payload."""
+    def _response_template(
+        self, opcode: int, reflected: tuple, length: int, peer_qp: int
+    ) -> np.ndarray:
+        """The READ RESPONSE or ATOMIC ACKNOWLEDGE of ``length`` payload bytes
+        both granularities stamp (PSN, MSN and payload zeroed) to a request
+        whose :data:`_REFLECTED` fields hold ``reflected``: addressing is
+        reflected from it, the NIC knows nothing else."""
 
         def craft() -> bytes:
-            src_mac, src_ip, src_port, _qp, length = _REFLECTED.unpack(reflected)
+            src_mac, src_ip, src_port = reflected
             return RoceV2Packet(
                 eth=EthernetHeader(dst_mac=_mac_str(src_mac), src_mac=self.mac),
                 ipv4=Ipv4Header(src_ip=self.ip, dst_ip=_ipv4_str(src_ip)),
@@ -512,23 +478,21 @@ class RdmaNic:
             ).pack()
 
         return scalar_template(
-            ("response", opcode, self.mac, self.ip, peer_qp, reflected), craft
+            ("response", opcode, self.mac, self.ip, peer_qp, reflected, length), craft
         )
 
     def _enqueue_response(
-        self, request: RoceV2Packet, qp: QueuePair, opcode: int, data: bytes
+        self, request: bytes, psn: int, qp: QueuePair, opcode: int, data: bytes
     ) -> None:
         """Queue the response ``opcode`` carrying ``data`` on :attr:`tx_queue`
-        for the network model to deliver back to the requester: a READ's
-        bytes, or an atomic's pre-operation value (8 bytes, big-endian) --
-        the half of the FETCH_ADD contract Append's tail reservation needs."""
-        fields = {"bth.psn": request.bth.psn, "aeth.msn": qp.next_msn()}
-        reflected = _REFLECTED.pack(
-            _mac_bytes(request.eth.src_mac), _ipv4_bytes(request.ipv4.src_ip),
-            request.udp.src_port, request.bth.dest_qp.to_bytes(_QP_BYTES, "big"),
-            len(data),
+        for the network model to deliver back to the requester of the frame
+        ``request`` (PSN ``psn``): a READ's bytes, or an atomic's
+        pre-operation value (8 bytes, big-endian) -- the half of the
+        FETCH_ADD contract Append's tail reservation needs."""
+        fields = {"bth.psn": psn, "aeth.msn": qp.next_msn()}
+        template = self._response_template(
+            opcode, _REFLECTED.unpack_from(request), len(data), qp.effective_peer_qp
         )
-        template = self._response_template(opcode, reflected, qp.effective_peer_qp)
         self.tx_queue.append(stamp_frame(template, fields, data))
         self.counters.c_responses.inc()
 

@@ -21,7 +21,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import lru_cache
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from repro.hashing.crc import crc32
 from repro.rdma.layout import (
@@ -41,6 +41,8 @@ from repro.rdma.layout import (
     ROCEV2_UDP_PORT,
     UDP,
     packer,
+    picker,
+    span,
 )
 
 _ETH = ETHERNET.struct
@@ -62,10 +64,10 @@ _IP_OFF, _UDP_OFF, _BTH_OFF, _EXT_OFF = IPV4.offset, UDP.offset, BTH.offset, BTH
 #: Every field from Ethernet to the BTH: what :meth:`RoceV2Packet.unpack` parses in one pass.
 _FIXED = packer(*FIELD_NAMES[: FIELD_NAMES.index("bth.psn") + 1])
 
-#: Entries each address memo below may hold.  Bounded because the
-#: addresses of a received frame are sender-chosen (the same reason
-#: ``repro.rdma.frames.scalar_template`` is bounded); a deployment has
-#: far fewer.
+#: Entries each address memo below, and the :func:`header_plan` memo, may
+#: hold.  Bounded because the addresses and shapes of a received frame are
+#: sender-chosen (the same reason ``repro.rdma.frames.scalar_template`` is
+#: bounded); a deployment has far fewer.
 ADDRESS_MEMO_SIZE = 256
 
 
@@ -94,42 +96,37 @@ class Opcode(IntEnum):
     UC_RDMA_WRITE_ONLY = 0x2A
 
 
-#: Opcodes that are followed by a RETH header.
-_RETH_OPCODES = frozenset(
-    {
-        Opcode.RC_RDMA_WRITE_FIRST,
-        Opcode.RC_RDMA_WRITE_ONLY,
-        Opcode.RC_RDMA_READ_REQUEST,
-        Opcode.UC_RDMA_WRITE_ONLY,
-    }
-)
-
-#: Opcodes that are followed by an AtomicETH header.
-_ATOMIC_OPCODES = frozenset({Opcode.RC_CMP_SWAP, Opcode.RC_FETCH_ADD})
-
-#: Opcodes that are followed by an AETH header.
-_AETH_OPCODES = frozenset(
-    {
-        Opcode.RC_RDMA_READ_RESPONSE_ONLY,
-        Opcode.RC_ACKNOWLEDGE,
-        Opcode.RC_ATOMIC_ACKNOWLEDGE,
-    }
-)
+#: The extension header each opcode carries after the BTH; its layout name
+#: is the :class:`RoceV2Packet` attribute that holds it.
+_EXTENSIONS = {
+    **dict.fromkeys(
+        (Opcode.RC_RDMA_WRITE_FIRST, Opcode.RC_RDMA_WRITE_ONLY,
+         Opcode.RC_RDMA_READ_REQUEST, Opcode.UC_RDMA_WRITE_ONLY),
+        RETH,
+    ),
+    **dict.fromkeys((Opcode.RC_CMP_SWAP, Opcode.RC_FETCH_ADD), ATOMIC_ETH),
+    **dict.fromkeys(
+        (Opcode.RC_RDMA_READ_RESPONSE_ONLY, Opcode.RC_ACKNOWLEDGE,
+         Opcode.RC_ATOMIC_ACKNOWLEDGE),
+        AETH,
+    ),
+}
+_NAMED = {RETH: "a RETH", ATOMIC_ETH: "an AtomicETH", AETH: "an AETH"}
 
 
 def opcode_has_reth(opcode: int) -> bool:
     """Whether ``opcode`` carries an RDMA Extended Transport Header."""
-    return opcode in _RETH_OPCODES
+    return _EXTENSIONS.get(opcode) is RETH
 
 
 def opcode_has_atomic_eth(opcode: int) -> bool:
     """Whether ``opcode`` carries an Atomic Extended Transport Header."""
-    return opcode in _ATOMIC_OPCODES
+    return _EXTENSIONS.get(opcode) is ATOMIC_ETH
 
 
 def opcode_has_aeth(opcode: int) -> bool:
     """Whether ``opcode`` carries an ACK Extended Transport Header."""
-    return opcode in _AETH_OPCODES
+    return _EXTENSIONS.get(opcode) is AETH
 
 
 @lru_cache(maxsize=ADDRESS_MEMO_SIZE)
@@ -487,27 +484,13 @@ class RoceV2Packet:
     payload: bytes = b""
 
     def _after_bth(self) -> bytes:
-        parts = []
-        if opcode_has_reth(self.bth.opcode):
-            if self.reth is None:
-                raise ValueError(
-                    f"opcode {self.bth.opcode:#x} requires a RETH header"
-                )
-            parts.append(self.reth.pack())
-        if opcode_has_atomic_eth(self.bth.opcode):
-            if self.atomic_eth is None:
-                raise ValueError(
-                    f"opcode {self.bth.opcode:#x} requires an AtomicETH header"
-                )
-            parts.append(self.atomic_eth.pack())
-        if opcode_has_aeth(self.bth.opcode):
-            if self.aeth is None:
-                raise ValueError(
-                    f"opcode {self.bth.opcode:#x} requires an AETH header"
-                )
-            parts.append(self.aeth.pack())
-        parts.append(self.payload)
-        return b"".join(parts)
+        extension = _EXTENSIONS.get(self.bth.opcode)
+        if extension is None:
+            return self.payload
+        header = getattr(self, extension.name)
+        if header is None:
+            raise ValueError(f"opcode {self.bth.opcode:#x} requires {_NAMED[extension]} header")
+        return header.pack() + self.payload
 
     def pack(self) -> bytes:
         """Serialise to wire bytes, computing lengths, checksums and iCRC."""
@@ -569,16 +552,13 @@ class RoceV2Packet:
                 )
 
         reth = atomic_eth = aeth = None
-        cursor = 0
-        if opcode in _RETH_OPCODES:
+        extension = _EXTENSIONS.get(opcode)
+        if extension is RETH:
             reth = Reth.unpack(after_bth)
-            cursor = Reth.LENGTH
-        elif opcode in _ATOMIC_OPCODES:
+        elif extension is ATOMIC_ETH:
             atomic_eth = AtomicEth.unpack(after_bth)
-            cursor = AtomicEth.LENGTH
-        elif opcode in _AETH_OPCODES:
+        elif extension is AETH:
             aeth = Aeth.unpack(after_bth)
-            cursor = Aeth.LENGTH
         return cls(
             EthernetHeader(_mac_text(dst_mac), _mac_text(src_mac), ethertype),
             Ipv4Header(
@@ -594,16 +574,79 @@ class RoceV2Packet:
             reth,
             atomic_eth,
             aeth,
-            after_bth[cursor:],
+            after_bth[extension.size if extension else 0 :],
         )
 
     @property
     def wire_length(self) -> int:
         """Frame length on the wire in bytes."""
-        opcode = self.bth.opcode
-        extension = (
-            Reth.LENGTH * opcode_has_reth(opcode)
-            + AtomicEth.LENGTH * opcode_has_atomic_eth(opcode)
-            + Aeth.LENGTH * opcode_has_aeth(opcode)
+        extension = _EXTENSIONS.get(self.bth.opcode)
+        return (extension.end if extension else _EXT_OFF) + len(self.payload) + ICRC.size
+
+
+# ---------------------------------------------------------------------------
+# Header plans: what a receiver decodes once per header shape
+# ---------------------------------------------------------------------------
+
+#: The header fields a :func:`header_plan` depends on, besides the frame's
+#: length: what ``unpack`` checks before the iCRC, and the QP.  No per-frame
+#: field is one: not ``udp.src_port`` (a switch stamps ECMP entropy there
+#: per report), the PSN, the extension header, the payload or the iCRC.
+PLAN_FIELDS = (
+    "eth.ethertype", "ipv4.version_ihl", "ipv4.total_length", "ipv4.protocol",
+    "udp.dst_port", "bth.opcode", "bth.dest_qp",
+)
+_PLAN_KEY = picker(*PLAN_FIELDS)
+_PLANS: Dict[tuple, Tuple[int, int, int]] = {}
+
+
+def header_plan(frame) -> Tuple[int, int, int]:
+    """``(opcode, dest_qp, end)`` of ``frame``'s header, ``end`` the frame
+    offset one past its IPv4 datagram, memoised on the bytes it depends on.
+
+    A miss runs :meth:`RoceV2Packet.unpack`'s structural checks and raises
+    its :class:`PacketDecodeError`; a failure is never memoised.
+    """
+    size = len(frame)
+    # Shorter frames cannot hold a BTH: unpack raises before the key is needed.
+    key = (size, _PLAN_KEY.unpack_from(frame)) if size >= _EXT_OFF else None
+    plan = _PLANS.get(key)
+    if plan is None:
+        packet = RoceV2Packet.unpack(frame, validate_icrc=False)
+        if len(_PLANS) >= ADDRESS_MEMO_SIZE:
+            _PLANS.clear()
+        plan = _PLANS[key] = (
+            packet.bth.opcode, packet.bth.dest_qp, _IP_OFF + packet.ipv4.total_length
         )
-        return _EXT_OFF + extension + len(self.payload) + ICRC.size
+    return plan
+
+
+def received_plan(frame) -> Optional[Tuple[int, int, int]]:
+    """:func:`header_plan` of a frame whose iCRC also matches its bytes as
+    received; None if the frame fails either check."""
+    try:
+        plan = header_plan(frame)
+    except PacketDecodeError:
+        return None
+    at = plan[2] - ICRC.size
+    return plan if _ICRC.unpack_from(frame, at)[0] == _icrc_of_wire(frame[_IP_OFF:at]) else None
+
+
+#: The PSN and a request header's fields as one read.  An AETH's fields
+#: are not read, as no receiver here acts on them.
+_FIELD_READERS = {
+    header: packer("bth.psn", *(f"{header.name}.{field.name}" for field in header.fields))
+    for header in (RETH, ATOMIC_ETH)
+}
+_PSN = packer("bth.psn")
+_PSN_AT = span("bth.psn")[0]
+
+
+def frame_fields(frame, opcode: int, end: int) -> tuple:
+    """``(psn, *RETH or AtomicETH fields, payload)`` of a frame
+    :func:`header_plan` passed: one ``struct`` read, then the payload up to
+    the iCRC, as :meth:`RoceV2Packet.unpack` cuts it."""
+    extension = _EXTENSIONS.get(opcode)
+    psn, *fields = _FIELD_READERS.get(extension, _PSN).unpack_from(frame, _PSN_AT)
+    payload_at = extension.end if extension else _EXT_OFF
+    return (int.from_bytes(psn, "big"), *fields, frame[payload_at : end - ICRC.size])

@@ -228,34 +228,43 @@ class DartSwitch:
     # Data-plane: report crafting
     # ------------------------------------------------------------------
 
-    def _craft_frame(
-        self, resolved: ResolvedKey, value: bytes, copy_index: int
-    ) -> Tuple[int, bytes]:
-        """One RoCEv2 WRITE frame for copy ``copy_index`` of a resolved report."""
-        if not 0 <= copy_index < self.config.redundancy:
-            raise ValueError(
-                f"copy_index {copy_index} outside [0, {self.config.redundancy})"
-            )
+    def _craft_frames(
+        self, resolved: ResolvedKey, value: bytes, copy_indexes: Iterable[int]
+    ) -> List[Tuple[int, bytes]]:
+        """The RoCEv2 WRITE frames of a resolved report, one per copy index.
+
+        Every copy goes to the one collector the key resolved to, so the
+        lookup, the template and the payload are per event; only the slot
+        address and the PSN are per copy.
+        """
         collector_id = resolved.collector_id
+        endpoint = self._endpoint(collector_id)
+        template = self._report_template(endpoint)
+        payload = self._codec.encode(resolved.checksum, value)
+        # ECMP entropy from the key, as requester NICs vary the source port.
+        src_port = _UDP_SRC_BASE | (resolved.checksum & 0x3FFF)
+        redundancy, frames = self.config.redundancy, []
+        for copy_index in copy_indexes:
+            if not 0 <= copy_index < redundancy:
+                raise ValueError(f"copy_index {copy_index} outside [0, {redundancy})")
+            fields = {
+                "udp.src_port": src_port,
+                "reth.virtual_address": self.addressing.slot_address(
+                    endpoint["base_address"], resolved.slot_indexes[copy_index]
+                ),
+                "bth.psn": self.psn_registers.read_and_increment(collector_id) % PSN_MODULUS,
+            }
+            frames.append((collector_id, stamp_frame(template, fields, payload)))
+        return frames
+
+    def _endpoint(self, collector_id: int) -> Dict[str, Any]:
+        """The collector lookup table's endpoint for ``collector_id`` (one
+        data-plane lookup); a miss counts a drop and raises LookupError."""
         lookup = self.collector_table.lookup(collector_id)
         if lookup is None:
             self.counters.c_drops_no_entry.inc()
-            raise LookupError(
-                f"no collector lookup entry for collector {collector_id}"
-            )
-        _action, endpoint = lookup
-
-        address = self.addressing.slot_address(
-            endpoint["base_address"], resolved.slot_indexes[copy_index]
-        )
-        payload = self._codec.encode(resolved.checksum, value)
-        fields = {
-            # ECMP entropy from the key, as requester NICs vary the source port.
-            "udp.src_port": _UDP_SRC_BASE | (resolved.checksum & 0x3FFF),
-            "reth.virtual_address": address,
-            "bth.psn": self.psn_registers.read_and_increment(collector_id) % PSN_MODULUS,
-        }
-        return collector_id, stamp_frame(self._report_template(endpoint), fields, payload)
+            raise LookupError(f"no collector lookup entry for collector {collector_id}")
+        return lookup[1]
 
     def _report_template(self, endpoint: Dict[str, Any]) -> np.ndarray:
         """The deparser: the WRITE to ``endpoint`` with its per-report fields
@@ -290,11 +299,7 @@ class DartSwitch:
         """One event's frames for ``copy_indexes``, counted and traced
         (the span detail reads ``<noun>=<shown>``)."""
         self.counters.c_events.inc()
-        resolved = self._mirror_and_resolve(key, value)
-        frames = [
-            self._craft_frame(resolved, value, copy_index)
-            for copy_index in copy_indexes
-        ]
+        frames = self._craft_frames(self._mirror_and_resolve(key, value), value, copy_indexes)
         self.counters.c_reports.inc(len(frames))
         tracer = self._tracer
         if tracer.enabled:
@@ -361,15 +366,7 @@ class DartSwitch:
 
         collector_ids = batch.collector_ids
         roles = np.unique(collector_ids)
-        endpoints = []
-        for role in roles.tolist():
-            lookup = self.collector_table.lookup(int(role))
-            if lookup is None:
-                self.counters.c_drops_no_entry.inc()
-                raise LookupError(
-                    f"no collector lookup entry for collector {int(role)}"
-                )
-            endpoints.append(lookup[1])
+        endpoints = [self._endpoint(role) for role in roles.tolist()]
         encoder = TemplateEncoder(*(self._report_template(e) for e in endpoints))
 
         self.counters.c_events.inc(report_count)

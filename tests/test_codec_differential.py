@@ -10,7 +10,10 @@ the seven reserved bits beside AckReq, frame byte 50).  There the oracle
 checksummed *re-packed* headers, i.e. treated those bits as zero whatever
 arrived; the live decoder covers the received bytes, which is the RoCEv2
 annex's rule and what ``frames.icrc_rows`` always did.  The exception is
-asserted as exactly that set.
+asserted as exactly that set.  The receivers' header-plan decode
+(``header_plan`` / ``received_plan`` / ``frame_fields``) is held to the
+same oracle, and a batch with a row off the plan to looped
+``receive_frame``.
 """
 
 import dataclasses
@@ -25,7 +28,7 @@ from repro.core.config import DartConfig
 from repro.hashing.crc import CRC8, CRC16_CCITT, CRC32, CRC32C
 from repro.mem.region import MemoryRegion
 from repro.primitives.translator import ReadResponseRows, ResponseDemux
-from repro.rdma import packets as live
+from repro.rdma import layout, packets as live
 from repro.rdma.frames import FrameBatch
 from repro.rdma.nic import RdmaNic
 from repro.rdma.packets import Opcode
@@ -175,6 +178,43 @@ def test_live_codecs_match_the_reference(data):
         )
 
 
+def plan_decode(wire: bytes):
+    """What the NIC and the demux read of ``wire`` through its header plan:
+    None if rejected, else ``(opcode, dest_qp, psn, request fields, payload)``."""
+    plan = live.received_plan(wire)
+    if plan is None:
+        return None
+    opcode, dest_qp, end = plan
+    psn, *fields, payload = live.frame_fields(wire, opcode, end)
+    return opcode, dest_qp, psn, tuple(fields), payload
+
+
+def reference_decode(wire: bytes):
+    """The same, read off the oracle's ``unpack``."""
+    try:
+        packet = reference.RoceV2Packet.unpack(wire)
+    except reference.PacketDecodeError:
+        return None
+    request = packet.reth or packet.atomic_eth
+    fields = dataclasses.astuple(request) if request is not None else ()
+    return packet.bth.opcode, packet.bth.dest_qp, packet.bth.psn, fields, packet.payload
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_plan_decode_matches_the_reference(data):
+    """Accept/reject, opcode, QP, PSN, address, rkey, length (or addend and
+    compare) and payload: the plan decode is the oracle's ``unpack``, on a
+    memo miss and on the hit after it."""
+    wire = data.draw(packets()).pack()
+    assert plan_decode(wire) == reference_decode(wire) is not None
+    received = data.draw(damage(wire))
+    # As above, the oracle's verdict on unmodelled bits is the live verdict
+    # with them cleared.
+    live_view = without_unmodelled_bits(received) if unmodelled_bits(received) else received
+    assert plan_decode(live_view) == plan_decode(live_view) == reference_decode(received)
+
+
 @pytest.mark.parametrize("algorithm", [CRC8, CRC16_CCITT, CRC32, CRC32C], ids=lambda a: a.name)
 @given(head=st.binary(max_size=96), tail=st.binary(max_size=96))
 def test_compute_equals_the_table_loop(algorithm, head, tail):
@@ -255,6 +295,53 @@ def test_nic_granularities_agree_on_unmodelled_bits(byte, bits):
     assert (scalar.counters.writes_executed, scalar.counters.dropped_decode) == (0, 1)
 
 
+def report_matrix() -> np.ndarray:
+    """Four reports' eight WRITEs: the UDP source port differs per report."""
+    switch = DartSwitch(CONFIG, switch_id=7)
+    switch.install_collector(
+        0, mac="02:00:00:00:00:01", ip="10.0.0.1", qp_number=0x11, rkey=0x42,
+        base_address=0x10000,
+    )
+    return np.stack([
+        np.frombuffer(frame, dtype=np.uint8)
+        for key in range(4)
+        for _role, frame in switch.report(("flow", key), b"v" * CONFIG.value_bytes)
+    ])
+
+
+@pytest.mark.parametrize(
+    "field, vectorised",
+    [
+        (name, False)
+        for name in (
+            "eth.ethertype", "ipv4.version_ihl", "ipv4.total_length", "ipv4.protocol",
+            "udp.dst_port", "bth.opcode", "bth.dest_qp", "reth.rkey", "reth.dma_length",
+        )
+    ]
+    + [("udp.src_port", True)],
+)
+def test_a_row_off_the_plan_takes_the_scalar_path(field, vectorised):
+    """A row differing from row 0 in a plan-key column, the rkey or the
+    length sends the batch to looped ``receive_frame`` (same counters, same
+    memory); a differing UDP source port -- per-report ECMP entropy -- does not."""
+    matrix = report_matrix()
+    last = layout.span(field)[1] - 1
+    matrix[3, last] ^= 0x01
+    matrix[3] = np.frombuffer(restamp_icrc(matrix[3].tobytes()), dtype=np.uint8)
+    scalar, columnar = fresh_nic(), fresh_nic()
+    for row in matrix:
+        scalar.receive_frame(row.tobytes())
+    branch_calls = []
+    branch = columnar._ingest_write_batch
+    columnar._ingest_write_batch = lambda *args: branch_calls.append(1) or branch(*args)
+    columnar.ingest_batch(FrameBatch(matrix, np.zeros(len(matrix), dtype=np.int64)))
+    assert bool(branch_calls) == vectorised
+    assert scalar.counters == columnar.counters
+    assert scalar.counters.frames_received == len(matrix)
+    assert scalar.counters.writes_executed == len(matrix) - (not vectorised)
+    assert scalar.region.snapshot() == columnar.region.snapshot()
+
+
 def read_response(payload: bytes) -> bytes:
     return live.RoceV2Packet(
         eth=live.EthernetHeader(dst_mac="02:00:00:00:00:07", src_mac="02:00:00:00:00:01"),
@@ -302,9 +389,9 @@ MEMOS = (live._mac_bytes, live._mac_text, live._ipv4_bytes, live._ipv4_text)
 
 
 def test_address_memos_stay_bounded_under_hostile_addresses():
-    """Reflected addresses are sender-chosen: 10 000 distinct MAC/IP pairs
-    through ``unpack`` (and back through ``pack``) must not grow a memo
-    past its bound."""
+    """Reflected addresses and header shapes are sender-chosen: 10 000
+    distinct MAC/IP pairs through ``unpack`` (and back through ``pack``),
+    and 10 000 distinct plan keys, must not grow a memo past its bound."""
     template = bytearray(report_frame())
     for index in range(10_000):
         template[6:12] = struct.pack(">HI", 0x0200, index)  # source MAC
@@ -316,6 +403,17 @@ def test_address_memos_stay_bounded_under_hostile_addresses():
         info = memo.cache_info()
         assert info.maxsize == live.ADDRESS_MEMO_SIZE
         assert 0 < info.currsize <= live.ADDRESS_MEMO_SIZE
+    # The plan memo too, under 10 000 hostile QPs; and it never keeps a failure.
+    for index in range(10_000):
+        template[47:50] = index.to_bytes(3, "big")  # destination QP
+        assert live.header_plan(bytes(template))[1] == index
+        assert 0 < len(live._PLANS) <= live.ADDRESS_MEMO_SIZE
+    plans = dict(live._PLANS)
+    template[37] ^= 0x01  # UDP destination port: not RoCEv2
+    for _ in range(2):  # the second call must raise afresh, not replay a plan
+        with pytest.raises(live.PacketDecodeError, match="not RoCEv2"):
+            live.header_plan(bytes(template))
+    assert live._PLANS == plans
 
 
 def test_address_helpers_take_any_bytes_like_and_never_memoise_a_failure():

@@ -535,7 +535,7 @@ class TestSeamEnforcement:
 
         assert public(OneSidedReader, "read") == {"read_run"}
         assert public(RdmaNic, "ingest") | public(RdmaNic, "receive") == {
-            "receive_frame", "receive_packet", "ingest_batch", "ingest_many",
+            "receive_frame", "ingest_batch", "ingest_many",
         }
         # read_offset is the collector CPU's local read, not a wire verb.
         assert public(MemoryRegion, "read") == {

@@ -66,7 +66,7 @@ def make_reader(qp, rkey):
 
 
 def shape_report(draw):
-    """``DartSwitch._craft_frame``: one WRITE to an installed endpoint."""
+    """``DartSwitch._craft_frames``: one WRITE to an installed endpoint."""
     config = DartConfig(
         slots_per_collector=64, value_bytes=draw(widths),
         checksum_bits=draw(st.sampled_from([8, 16, 32])),
@@ -82,7 +82,7 @@ def shape_report(draw):
     resolved = switch.addressing.resolve(key)
     value = draw(st.binary(max_size=config.value_bytes))
     copy = draw(st.integers(0, config.redundancy - 1))
-    role, frame = switch._craft_frame(resolved, value, copy)
+    ((role, frame),) = switch._craft_frames(resolved, value, [copy])
     assert role == 0
     return frame, RoceV2Packet(
         eth=EthernetHeader(dst_mac=endpoint["mac"], src_mac=switch.src_mac),
@@ -145,7 +145,7 @@ def shape_read(draw):
 
 
 def shape_response(draw, read=True):
-    """``RdmaNic._enqueue_response`` for a parsed READ or FETCH_ADD request."""
+    """``RdmaNic._enqueue_response`` for a READ or FETCH_ADD request frame."""
     nic = RdmaNic(MemoryRegion(64), mac=draw(macs), ip=draw(ips))
     qp = QueuePair(qp_number=draw(u24), policy=PsnPolicy.IGNORE, peer_qp=draw(u24))
     qp.msn = draw(psns)
@@ -155,16 +155,17 @@ def shape_response(draw, read=True):
     else:
         data = draw(st.integers(0, U64)).to_bytes(8, "big")
         request, response = Opcode.RC_FETCH_ADD, Opcode.RC_ATOMIC_ACKNOWLEDGE
-    request = RoceV2Packet.unpack(RoceV2Packet(
+    wire = RoceV2Packet(
         eth=EthernetHeader(dst_mac=nic.mac, src_mac=draw(macs)),
         ipv4=Ipv4Header(src_ip=draw(ips), dst_ip=nic.ip),
         udp=UdpHeader(src_port=draw(st.integers(0, 0xFFFF))),
         bth=Bth(opcode=int(request), dest_qp=qp.qp_number, psn=draw(psns)),
         reth=Reth(draw(vas), draw(rkeys), len(data)),
         atomic_eth=AtomicEth(draw(vas), draw(rkeys), draw(st.integers(0, U64))),
-    ).pack())
+    ).pack()
+    request = RoceV2Packet.unpack(wire)
     msn = (qp.msn + 1) % PSN_MODULUS
-    nic._enqueue_response(request, qp, response, data)
+    nic._enqueue_response(wire, request.bth.psn, qp, response, data)
     (frame,) = nic.transmit()
     return frame, RoceV2Packet(
         eth=EthernetHeader(dst_mac=request.eth.src_mac, src_mac=nic.mac),

@@ -19,6 +19,10 @@ API-level batch entry points that ride the columnar path --
 ``MemoryRegion.dma_fetch_add_many`` and the primitive translators'
 ``increment_many`` / ``append_many`` -- and stay under the rule.
 
+The receivers (the NIC and the response demux) decode every frame
+through its memoised header plan: no ``RoceV2Packet.unpack`` or
+``header_mask`` call in them.
+
 The second half pins where the RoCEv2 wire format is written down: one
 module (``repro.rdma.layout``) states offsets and widths, everything else
 names fields; one template per site, stamped into a batch
@@ -171,6 +175,48 @@ def test_read_batch_bodies_build_no_packets():
     assert not violations, "\n".join(violations)
 
 
+#: The receivers: every frame they take is decoded through its header plan
+#: (``packets.header_plan``), never re-parsed whole or re-masked.
+PLAN_DECODERS = [SRC / "rdma" / "nic.py", SRC / "primitives" / "translator.py"]
+
+
+def _unplanned_decodes(tree: ast.AST, path):
+    """Calls of ``RoceV2Packet.unpack`` or ``header_mask`` in one parsed module."""
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        func = call.func
+        whole = (
+            isinstance(func, ast.Attribute) and func.attr == "unpack"
+            and isinstance(func.value, ast.Name) and func.value.id == "RoceV2Packet"
+        )
+        if whole or _call_name(call) == "header_mask":
+            yield f"{path}:{call.lineno}: {ast.unparse(func)}(...) outside the header plan"
+
+
+def test_receivers_decode_through_the_header_plan():
+    violations = [
+        violation
+        for path in PLAN_DECODERS
+        for violation in _unplanned_decodes(_parsed(path), path)
+    ]
+    assert not violations, "\n".join(violations)
+
+
+def test_plan_lint_catches_a_seeded_violation():
+    tree = ast.parse(
+        "def receive_frame(self, frame, frames):\n"
+        "    packet = RoceV2Packet.unpack(frame)\n"
+        "    shaped = header_mask(frames, opcode)\n"
+        "    reflected = _REFLECTED.unpack_from(frame)\n"
+        "    plan = header_plan(frame)\n"
+    )
+    assert sorted(_unplanned_decodes(tree, "seeded.py")) == [
+        "seeded.py:2: RoceV2Packet.unpack(...) outside the header plan",
+        "seeded.py:3: header_mask(...) outside the header plan",
+    ]
+
+
 def test_lint_catches_a_seeded_violation():
     """The checker itself works: a synthetic offender is flagged."""
     tree = ast.parse(
@@ -300,7 +346,7 @@ def test_one_scalar_icrc():
     )
     assert callers == [
         "frames.py:stamp_frame", "packets.py:compute_icrc", "packets.py:pack",
-        "packets.py:unpack",
+        "packets.py:received_plan", "packets.py:unpack",
     ]
 
 
@@ -308,7 +354,7 @@ def test_one_scalar_icrc():
 #: ``scalar_template`` key and craft, the batch body that stamps a matrix from
 #: it (None for a frame-only site) and the frame body that stamps one frame.
 TEMPLATE_SITES = [
-    (SRC / "switch" / "dart_switch.py", "_report_template", "encode_batch", "_craft_frame"),
+    (SRC / "switch" / "dart_switch.py", "_report_template", "encode_batch", "_craft_frames"),
     (SRC / "primitives" / "translator.py", "_add_template", "_encode_fetch_add_batch",
      "craft_fetch_add"),
     (SRC / "primitives" / "translator.py", "_record_template", "append_many",

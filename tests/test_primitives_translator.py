@@ -160,8 +160,8 @@ class TestResponseDemux:
         demux = ResponseDemux()
         assert demux.poll(fabric, 0) == 2  # junk dropped, two filed
         mine = demux.take(0x300)
-        assert [p.bth.psn for p in mine] == [1]
-        assert [p.bth.psn for p in demux.take(0x301)] == [2]
+        assert [p.psn for p in mine] == [1]
+        assert [p.psn for p in demux.take(0x301)] == [2]
         # Inboxes drain: a second take is empty.
         assert demux.take(0x300) == []
 
@@ -219,8 +219,8 @@ class TestDemuxInterleaving:
         # demux must file operator 0's response rather than lose it.
         assert second.estimate(("flow", 1)) == 5
         pending = store.demux.take(reader.qp.qp_number)
-        assert [p.bth.psn for p in pending] == [psn]
-        assert pending[0].bth.opcode == int(Opcode.RC_RDMA_READ_RESPONSE_ONLY)
+        assert [p.psn for p in pending] == [psn]
+        assert pending[0].opcode == int(Opcode.RC_RDMA_READ_RESPONSE_ONLY)
 
     def test_append_writer_interleaves_with_two_followers(self):
         from repro.primitives import AppendQueryClient, AppendStore

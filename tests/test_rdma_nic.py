@@ -1,8 +1,10 @@
 """Tests for the software RNIC and queue pairs (repro.rdma.nic, repro.rdma.qp)."""
 
+import numpy as np
 import pytest
 
 from repro.mem.region import MemoryRegion
+from repro.rdma.frames import FrameBatch
 from repro.rdma.nic import RdmaNic
 from repro.rdma.packets import (
     AtomicEth,
@@ -148,7 +150,7 @@ class TestNicWrites:
         nic, _ = make_nic()
         packet = write_packet(b"abcd")
         packet.reth.dma_length = 2  # lies about payload length
-        assert not nic.receive_packet(packet)
+        assert not nic.receive_frame(packet.pack())
         assert nic.counters.dropped_decode == 1
 
     def test_unsupported_opcode_dropped(self):
@@ -159,8 +161,36 @@ class TestNicWrites:
             reth=Reth(virtual_address=0x10000, rkey=0x42, dma_length=4),
             payload=b"abcd",
         )
-        assert not nic.receive_packet(packet)
+        assert not nic.receive_frame(packet.pack())
         assert nic.counters.dropped_opcode == 1
+
+    def test_read_too_long_for_one_response_is_dropped(self):
+        """A well-formed READ whose one response would overflow the 16-bit
+        IPv4 total length is dropped before the DMA on both granularities,
+        every frame accounted for; the longest that fits is served."""
+        longest = 0xFFFF - 20 - 8 - 12 - 4 - 4  # less IPv4, UDP, BTH, AETH, iCRC
+        for length, served in ((70_000, False), (longest + 1, False), (longest, True)):
+            frames = [
+                RoceV2Packet(
+                    bth=Bth(opcode=int(Opcode.RC_RDMA_READ_REQUEST), dest_qp=0x11, psn=psn),
+                    reth=Reth(virtual_address=0x10000, rkey=0x42, dma_length=length),
+                ).pack()
+                for psn in range(8)
+            ]
+            for batched in (False, True):
+                nic, _ = make_nic(size=393_216)
+                if batched:
+                    matrix = np.stack([np.frombuffer(f, dtype=np.uint8) for f in frames])
+                    nic.ingest_batch(FrameBatch(matrix, np.zeros(8, dtype=np.int64)))
+                else:
+                    for frame in frames:
+                        nic.receive_frame(frame)
+                counters = nic.counters
+                assert counters.reads_executed == counters.responses_emitted == 8 * served
+                assert counters.dropped_opcode == 8 * (not served)
+                assert counters.frames_received == counters.reads_executed + counters.frames_dropped
+                responses = nic.transmit()
+                assert len(responses) == (served and (1 if batched else 8))
 
     def test_counters_aggregate(self):
         nic, _ = make_nic()

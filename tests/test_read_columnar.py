@@ -296,8 +296,7 @@ class TestReadBatchDropTaxonomy:
     def test_each_drop_reason_lands_in_the_scalar_counter(self):
         rig = Rig(InlineFabric())
         matrix = request_matrix(rig, range(12))
-        # Wrong rkey on row 2; VA below, above and wrapping past the region.
-        write_be32(matrix[2:3], 62, np.array([0xBAD], dtype=np.uint32))
+        # VA below, above and wrapping past the region.
         write_be64(matrix[4:7], 54, np.array(
             [rig.address(0) - 8, rig.address(SLOTS) - 8, (1 << 64) - 4],
             dtype=np.uint64,
@@ -306,8 +305,17 @@ class TestReadBatchDropTaxonomy:
         matrix[1, 60] ^= 0xFF  # VA byte flipped after sealing: iCRC fails
         nic = ingest_both(matrix)
         assert nic["dropped_decode"] == 1
-        assert nic["dropped_access"] == 4
-        assert nic["reads_executed"] == nic["responses_emitted"] == 7
+        assert nic["dropped_access"] == 3
+        assert nic["reads_executed"] == nic["responses_emitted"] == 8
+        # The rkey is uniform across a vectorised batch: one wrong rkey
+        # denies every row, and a row whose rkey differs falls back.
+        write_be32(matrix, 62, np.full(12, 0xBAD, dtype=np.uint32))
+        reseal(matrix)
+        assert ingest_both(matrix)["dropped_access"] == 12
+        write_be32(matrix[3:], 62, np.full(9, rig.node.region.rkey, dtype=np.uint32))
+        reseal(matrix)
+        nic = ingest_both(matrix, vectorised=False)
+        assert nic["dropped_access"] == 6 and nic["reads_executed"] == 6
 
     def test_unknown_qp(self):
         nic = ingest_both(request_matrix(Rig(InlineFabric()), range(6), qp=0xABCDEF))
@@ -382,7 +390,7 @@ class TestDemuxDropsAreCounted:
                 if isinstance(entry, ReadResponseRows):
                     psns.extend(entry.psns.tolist())
                 else:
-                    psns.append(entry.bth.psn)
+                    psns.append(entry.psn)
             filed[name] = psns
         assert filed["matrix"] == filed["frames"] == [0, 1, 3, 4, 6, 7]
 
@@ -407,7 +415,7 @@ class TestDemuxDropsAreCounted:
         assert demux.poll(StubFabric([responses]), 0) == 4
         entries = demux.take(READER_QP)
         packets = [e for e in entries if not isinstance(e, ReadResponseRows)]
-        assert [p.bth.opcode for p in packets] == [int(Opcode.RC_ATOMIC_ACKNOWLEDGE)]
+        assert [p.opcode for p in packets] == [int(Opcode.RC_ATOMIC_ACKNOWLEDGE)]
         assert sum(len(e.psns) for e in entries if isinstance(e, ReadResponseRows)) == 3
         for hostile in (np.zeros((3, 86), np.uint8), np.zeros((2, 20), np.uint8)):
             assert demux.poll(StubFabric([FrameBatch(hostile, np.zeros(len(hostile)))]), 0) == 0

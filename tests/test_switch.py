@@ -250,7 +250,7 @@ class TestDartSwitch:
         resolved = switch.addressing.resolve(b"flow")
         for copy_index in (-1, config.redundancy):
             with pytest.raises(ValueError):
-                switch._craft_frame(resolved, b"telem", copy_index)
+                switch._craft_frames(resolved, b"telem", [copy_index])
 
     def test_missing_collector_entry_raises(self):
         config = DartConfig(slots_per_collector=64, num_collectors=2)

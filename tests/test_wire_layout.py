@@ -2,8 +2,8 @@
 
 Three contracts.  *Derivation*: the constants ``repro.rdma.layout``
 computes -- header sizes, ``struct`` formats, every public offset
-``repro.rdma.frames`` exports, the iCRC mask, ``header_mask``'s columns,
-the READ-reflect column set -- equal literal expectations written here
+``repro.rdma.frames`` exports, the iCRC mask, the header plan's key,
+the NIC's uniform-column sets -- equal literal expectations written here
 and the bytes the frozen ``tests/reference_codec.py`` packs, never the
 table itself.  *Differential*: for each of the five batch-encoded frame
 shapes, every row :class:`~repro.rdma.frames.TemplateEncoder` stamps is
@@ -91,14 +91,21 @@ def test_every_public_frame_constant():
 def test_mask_and_column_sets():
     assert layout.ICRC_MASKED_COLUMNS == (9, 16, 18, 19, 34, 35, 40)
     assert frames._MASKED_COLUMNS.tolist() == [9, 16, 18, 19, 34, 35, 40]
-    assert frames._HEADER_COLUMNS.tolist() == [12, 13, 14, 23, 36, 37, 16, 17, 42]
-    assert frames._HEADER_EXPECTED.pack(
-        packets.ETHERTYPE_IPV4, packets.IPV4_VERSION_IHL, packets.IP_PROTO_UDP,
-        packets.ROCEV2_UDP_PORT, 0x0102, 0x0A,
-    ) == bytes([0x08, 0x00, 0x45, 17, 0x12, 0xB7, 0x01, 0x02, 0x0A])
-    assert nic_module._READ_UNIFORM_COLUMNS.tolist() == [
-        *range(6, 12), *range(26, 30), 34, 35, 47, 48, 49, *range(66, 70),
-    ]
+    # The header plan's key: ethertype, version/IHL, total length, protocol,
+    # UDP dst port, opcode, QP -- never the UDP src port (34, 35) or the PSN.
+    plan_key = [12, 13, 14, 16, 17, 23, 36, 37, 42, 47, 48, 49]
+    assert layout.columns(*packets.PLAN_FIELDS) == plan_key
+    assert packets._PLAN_KEY.unpack_from(bytes(range(50))) == (
+        0x0C0D, 14, 0x1011, 23, 0x2425, 42, bytes([47, 48, 49]),
+    )
+    uniform = {opcode: cols.tolist() for opcode, cols in nic_module._UNIFORM_COLUMNS.items()}
+    assert uniform == {
+        packets.Opcode.RC_RDMA_WRITE_ONLY: [*plan_key, *range(62, 70)],
+        packets.Opcode.RC_FETCH_ADD: [*plan_key, *range(62, 66)],
+        packets.Opcode.RC_RDMA_READ_REQUEST: [
+            *plan_key, *range(62, 70), *range(6, 12), *range(26, 30), 34, 35,
+        ],
+    }
     # RETH and AtomicETH open alike: the NIC validates both through one read.
     for field in ("virtual_address", "rkey"):
         assert layout.span(f"reth.{field}") == layout.span(f"atomic_eth.{field}")
