@@ -37,7 +37,7 @@ def main() -> None:
 
     archive_dir = Path(tempfile.mkdtemp(prefix="dart-epochs-"))
     archive = EpochArchive(config, directory=archive_dir)
-    manager = EpochManager(list(cluster), archive, reports_per_epoch=10_000)
+    manager = EpochManager(list(cluster), archive)
     print(f"archiving epochs to {archive_dir}\n")
 
     generator = FlowGenerator(tree.num_hosts, host_ip=tree.host_ip, seed=3)

@@ -91,12 +91,6 @@ class CostModel:
         """I/O plus storage cycles per report."""
         return self.io_cycles_per_report + self.storage_cycles_per_report
 
-    def cycles_for(self, reports: int) -> int:
-        """Total cycles to ingest ``reports`` reports."""
-        if reports < 0:
-            raise ValueError("reports must be non-negative")
-        return reports * self.total_cycles_per_report
-
     def io_cycles_for(self, reports: int) -> int:
         """Packet-I/O cycles for ``reports`` reports."""
         return reports * self.io_cycles_per_report
@@ -104,12 +98,6 @@ class CostModel:
     def storage_cycles_for(self, reports: int) -> int:
         """Storage-insertion cycles for ``reports`` reports."""
         return reports * self.storage_cycles_per_report
-
-    def cores_for_rate(self, reports_per_second: float) -> float:
-        """Sustained 3 GHz cores needed to ingest ``reports_per_second``."""
-        if reports_per_second < 0:
-            raise ValueError("reports_per_second must be non-negative")
-        return reports_per_second * self.total_cycles_per_report / 3e9
 
 
 #: The two stacks of Figure 1(b).

@@ -434,8 +434,3 @@ class CollectorCluster:
     def total_memory_bytes(self) -> int:
         """Sum of all collectors' registered-region sizes."""
         return sum(collector.region.size for collector in self.collectors)
-
-    def clear(self) -> None:
-        """Zero every collector's region (fleet-wide fresh epoch)."""
-        for collector in self.collectors:
-            collector.clear()

@@ -136,37 +136,17 @@ class EpochArchive:
 class EpochManager:
     """Rotates collectors through epochs, archiving each region image.
 
-    The manager is driven by report counts (a stand-in for wall-clock
-    epochs): after ``reports_per_epoch`` ingested reports, the current
-    region is snapshotted into the archive and zeroed, bounding the load
-    factor each epoch sees.
+    Each :meth:`rotate` (an epoch boundary: the operator's, or the
+    controller's before a failover) snapshots the current regions into
+    the archive and zeroes them, bounding the load factor each epoch sees.
     """
 
     def __init__(
-        self,
-        collectors: Sequence[Collector],
-        archive: EpochArchive,
-        reports_per_epoch: int,
+        self, collectors: Sequence[Collector], archive: EpochArchive
     ) -> None:
-        if reports_per_epoch < 1:
-            raise ValueError(
-                f"reports_per_epoch must be >= 1, got {reports_per_epoch}"
-            )
         self.collectors = collectors
         self.archive = archive
-        self.reports_per_epoch = reports_per_epoch
         self.current_epoch = 0
-        self._reports_in_epoch = 0
-
-    def note_report(self, count: int = 1) -> Optional[int]:
-        """Record ingested reports; rotates and returns the archived epoch
-        ID when the boundary is crossed, else ``None``."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        self._reports_in_epoch += count
-        if self._reports_in_epoch < self.reports_per_epoch:
-            return None
-        return self.rotate()
 
     def rotate(self) -> int:
         """Archive every collector's region and start a new epoch.
@@ -188,5 +168,4 @@ class EpochManager:
             )
             collector.clear()
         self.current_epoch += 1
-        self._reports_in_epoch = 0
         return archived_epoch

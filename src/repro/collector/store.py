@@ -234,7 +234,3 @@ class DartStore:
         if live_keys is None:
             live_keys = self.puts
         return self.config.load_factor(live_keys)
-
-    def clear(self) -> None:
-        """Drop all stored telemetry (fresh epoch)."""
-        self.cluster.clear()

@@ -123,24 +123,3 @@ class DartQueryClient:
         # Exemplar: a p99 bucket links back to this trace.
         self._t_query.stop(started, trace_id or None)
         return result
-
-    def query_many(self, keys) -> "dict[Key, QueryResult]":
-        """Batch query: ``{key: QueryResult}`` for each distinct key.
-
-        Operators typically sweep whole key populations (every flow seen
-        by the anomaly backend, every path in an audit); this wraps the
-        per-key path and deduplicates repeated keys.
-        """
-        results: dict = {}
-        for key in keys:
-            if key not in results:
-                results[key] = self.query(key)
-        return results
-
-    def success_fraction(self, keys) -> float:
-        """Fraction of ``keys`` whose query answered (operator dashboard
-        number; ground-truth correctness needs the evaluation harnesses)."""
-        results = self.query_many(keys)
-        if not results:
-            raise ValueError("no keys supplied")
-        return sum(r.answered for r in results.values()) / len(results)

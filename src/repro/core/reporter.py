@@ -113,33 +113,3 @@ class DartReporter:
             tracer.end(trace_id)
         return writes
 
-    def write_for_copy(self, key: Key, value: bytes, copy_index: int) -> SlotWrite:
-        """A single copy's write -- what one switch-crafted packet carries.
-
-        The Tofino prototype picks ``copy_index`` with the native RNG per
-        mirrored report packet (paper section 6); this method is that path.
-        """
-        if not 0 <= copy_index < self.config.redundancy:
-            raise ValueError(
-                f"copy_index {copy_index} outside [0, {self.config.redundancy})"
-            )
-        resolved = self.addressing.resolve(key)
-        self.c_writes.inc()
-        return SlotWrite(
-            collector_id=resolved.collector_id,
-            slot_index=resolved.slot_indexes[copy_index],
-            copy_index=copy_index,
-            payload=self._codec.encode(resolved.checksum, value),
-        )
-
-    def network_bytes_per_report(self, overhead_per_packet: int = 0) -> int:
-        """Bytes put on the wire per telemetry report.
-
-        N packets, each carrying one slot payload plus per-packet overhead
-        (headers + iCRC).  This is the cost the paper's section 7 hopes to
-        reduce with multi-address SmartNIC primitives.
-        """
-        if overhead_per_packet < 0:
-            raise ValueError("overhead_per_packet must be non-negative")
-        return self.redundancy * (self.config.slot_bytes + overhead_per_packet)
-

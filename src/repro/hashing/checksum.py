@@ -82,10 +82,6 @@ class KeyChecksum:
         hashes = self.family.hash_folded_array(folded, CHECKSUM_FUNCTION_INDEX)
         return hashes & np.uint64(self._mask)
 
-    def matches(self, key: Key, stored: int) -> bool:
-        """Whether a stored checksum is consistent with ``key``."""
-        return self.compute(key) == (stored & self._mask)
-
     def collision_probability(self) -> float:
         """Probability a *different* key produces the same checksum (2^-b)."""
         return 2.0 ** -self.bits

@@ -338,10 +338,6 @@ class HashFamily:
             raise ValueError("modulus must be positive")
         return self.hash_key(key, index) % modulus
 
-    def hash_many(self, key: Key, count: int) -> list:
-        """The first ``count`` family hashes of ``key``."""
-        return [self.hash_key(key, index) for index in range(count)]
-
 
 def hash_distribution_chi2(samples: Iterable[int], buckets: int) -> float:
     """Chi-squared statistic of hash samples bucketed uniformly.

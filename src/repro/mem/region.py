@@ -318,14 +318,6 @@ class MemoryRegion:
         """An immutable copy of the whole region (epoch persistence, tests)."""
         return bytes(self._buffer)
 
-    def restore(self, image: bytes) -> None:
-        """Overwrite the region with a previous :meth:`snapshot`."""
-        if len(image) != self.size:
-            raise ValueError(
-                f"snapshot length {len(image)} does not match region size {self.size}"
-            )
-        self._buffer[:] = image
-
     def clear(self) -> None:
         """Zero the region (a fresh epoch)."""
         self._buffer[:] = bytes(self.size)

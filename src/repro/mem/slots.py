@@ -98,9 +98,3 @@ class SlotCodec:
         checksum = int.from_bytes(slot[: layout.checksum_bytes], "big")
         value = slot[layout.checksum_bytes :]
         return checksum & self._checksum_mask, value
-
-    def slot_address(self, base_address: int, slot_index: int) -> int:
-        """Virtual address of slot ``slot_index`` in a region at ``base_address``."""
-        if slot_index < 0:
-            raise ValueError("slot index must be non-negative")
-        return base_address + slot_index * self.layout.slot_bytes

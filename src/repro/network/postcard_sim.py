@@ -12,7 +12,7 @@ rows imply.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.core.config import DartConfig
 from repro.collector.store import DartStore
@@ -36,11 +36,6 @@ class PostcardEvaluation:
     def hop_success_rate(self) -> float:
         """Fraction of (hop, flow) postcards retrieved correctly."""
         return self.hops_correct / self.hops_total if self.hops_total else float("nan")
-
-    @property
-    def full_path_rate(self) -> float:
-        """Fraction of flows with *every* hop's postcard retrievable."""
-        return self.flows_fully_traceable / self.flows if self.flows else float("nan")
 
 
 class PostcardSimulation:
@@ -75,12 +70,6 @@ class PostcardSimulation:
         """Trace a batch of flows (one postcard per hop each)."""
         for flow in flows:
             self.trace_flow(flow)
-
-    def hop_measurement(
-        self, switch_id: int, flow: Flow
-    ) -> Optional[PostcardMeasurement]:
-        """Query one hop's postcard for a flow."""
-        return self.backend.hop_measurement(switch_id, flow)
 
     def evaluate(self) -> PostcardEvaluation:
         """Query every (hop, flow) postcard against ground truth."""

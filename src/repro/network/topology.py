@@ -135,18 +135,6 @@ class FatTreeTopology:
         edge_index, host_index = divmod(rest, half)
         return f"10.{pod}.{edge_index}.{host_index + 2}"
 
-    def host_of_ip(self, ip: str) -> int:
-        """Inverse of :meth:`host_ip`; raises ``ValueError`` off-plan."""
-        parts = ip.split(".")
-        if len(parts) != 4 or parts[0] != "10":
-            raise ValueError(f"not a fat-tree host address: {ip!r}")
-        half = self.k // 2
-        pod, edge_index, host_index = int(parts[1]), int(parts[2]), int(parts[3]) - 2
-        host = pod * half * half + edge_index * half + host_index
-        if not 0 <= host < self.num_hosts:
-            raise ValueError(f"address {ip!r} outside this fat tree")
-        return host
-
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
@@ -187,7 +175,3 @@ class FatTreeTopology:
         # Down path is forced: the core's group index names the agg switch.
         agg_down = self._agg[dst_pod][agg_index]
         return [src_edge, agg_up, core, agg_down, dst_edge]
-
-    def all_pairs_reachable(self) -> bool:
-        """Connectivity self-check used by tests."""
-        return nx.is_connected(self.graph)

@@ -28,13 +28,7 @@ registry -- components built afterwards receive shared no-op metrics
 from __future__ import annotations
 
 from repro.obs.bundle import AutoBundler, build_bundle
-from repro.obs.fleet import (
-    NODE_LABEL,
-    FleetRegistry,
-    fleet_rows,
-    merge_snapshots,
-    render_fleet,
-)
+from repro.obs.fleet import NODE_LABEL, fleet_rows, render_fleet
 from repro.obs.health import (
     PipelineHealth,
     QueryHealth,
@@ -76,13 +70,7 @@ from repro.obs.slo import (
     default_rules,
     expected_success,
 )
-from repro.obs.timeseries import (
-    MetricsScraper,
-    Series,
-    load_jsonl,
-    sparkline,
-    trend_diff,
-)
+from repro.obs.timeseries import MetricsScraper, Series, load_jsonl, sparkline
 from repro.obs.trace_analysis import (
     SpanTiming,
     TraceAnalysis,
@@ -160,11 +148,9 @@ __all__ = [
     "Alert",
     "AlertState",
     "AutoBundler",
-    "FleetRegistry",
     "NODE_LABEL",
     "build_bundle",
     "fleet_rows",
-    "merge_snapshots",
     "render_fleet",
     "SelfTelemetryExporter",
     "EventJournal",
@@ -188,7 +174,6 @@ __all__ = [
     "expected_success",
     "load_jsonl",
     "sparkline",
-    "trend_diff",
     "Gauge",
     "Histogram",
     "MetricsRegistry",

@@ -113,10 +113,6 @@ class Counter:
         """Current count."""
         return self._value
 
-    def reset(self) -> None:
-        """Zero the counter (fresh measurement window)."""
-        self._value = 0
-
 
 class Gauge:
     """A point-in-time value (queue depth, high-water mark, rate)."""
@@ -152,10 +148,6 @@ class Gauge:
     def value(self) -> float:
         """Current reading."""
         return self._value
-
-    def reset(self) -> None:
-        """Zero the gauge."""
-        self._value = 0.0
 
 
 class Histogram:
@@ -277,15 +269,6 @@ class Histogram:
         """Mean observation (0.0 when empty)."""
         return self._sum / self._count if self._count else 0.0
 
-    def cumulative(self) -> Tuple[int, ...]:
-        """Cumulative counts per bound (Prometheus ``le`` buckets), +Inf last."""
-        running = 0
-        out = []
-        for count in self._counts:
-            running += count
-            out.append(running)
-        return tuple(out)
-
     def quantile(self, q: float) -> float:
         """Approximate quantile from bucket boundaries.
 
@@ -297,14 +280,6 @@ class Histogram:
         index = bucket_of_quantile(self._counts, q)
         return 0.0 if index is None else self.bounds[min(index, len(self.bounds) - 1)]
 
-    def reset(self) -> None:
-        """Zero all buckets."""
-        for index in range(len(self._counts)):
-            self._counts[index] = 0
-        self._sum = 0.0
-        self._count = 0
-        self._exemplars = None
-
 
 class _NullMetric:
     """Base for the no-op variants a disabled registry hands out."""
@@ -313,9 +288,6 @@ class _NullMetric:
     name = "null"
     labels: Labels = ()
     help = ""
-
-    def reset(self) -> None:
-        """No-op."""
 
     @property
     def value(self) -> int:
@@ -382,10 +354,6 @@ class NullHistogram(_NullMetric):
     def mean(self) -> float:
         """Always 0."""
         return 0.0
-
-    def cumulative(self) -> Tuple[int, ...]:
-        """Always empty."""
-        return ()
 
     def quantile(self, q: float) -> float:
         """Always 0."""
@@ -771,8 +739,8 @@ class MetricsRegistry:
                 collector = Collector(config, collector_id=3)
 
         Every series the collector's NIC, memory region and stores create
-        now carries ``node="collector-3"``; :class:`FleetRegistry` and the
-        ``repro obs fleet`` dashboard group on that label.  Scopes nest
+        now carries ``node="collector-3"``; ``snapshot().filter_labels`` and
+        the ``repro obs fleet`` dashboard group on that label.  Scopes nest
         (inner wins) and always restore the previous node on exit.
         """
         previous = self.node
@@ -832,12 +800,6 @@ class MetricsRegistry:
                 else:
                     samples[(name, labels)] = (metric.kind, metric.value)
         return MetricsSnapshot(samples, help_texts=help_texts)
-
-    def reset(self) -> None:
-        """Zero every metric (series identities survive)."""
-        for family in self._series.values():
-            for metric in family.values():
-                metric.reset()
 
     def to_prometheus(self, prefix: str = "repro_") -> str:
         """Prometheus text exposition of the live registry."""

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from contextlib import contextmanager
 from time import perf_counter
 from typing import Deque, Dict, List
 
@@ -61,17 +60,6 @@ class StageStats:
     def mean(self) -> float:
         """Mean seconds per call (0.0 when empty)."""
         return self.total / self.count if self.count else 0.0
-
-    def to_dict(self) -> dict:
-        """JSON-friendly flattening of the aggregate."""
-        return {
-            "stage": self.stage,
-            "count": self.count,
-            "total_seconds": self.total,
-            "mean_seconds": self.mean,
-            "min_seconds": self.min if self.count else 0.0,
-            "max_seconds": self.max,
-        }
 
 
 class StageProfiler:
@@ -122,15 +110,6 @@ class StageProfiler:
         if len(self._events) == self.max_events:
             self._dropped_events += 1  # the append below evicts the oldest
         self._events.append((stage, started - self._epoch, seconds))
-
-    @contextmanager
-    def stage(self, name: str):
-        """Context manager convenience for cold paths and tests."""
-        started = perf_counter()
-        try:
-            yield
-        finally:
-            self.record(name, started, perf_counter())
 
     # ------------------------------------------------------------------
     # Introspection

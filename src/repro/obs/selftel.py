@@ -19,9 +19,9 @@ dogfooding the DTA primitive set on our own telemetry:
 The export datapath is itself instrumented, which would recurse (exporting
 the exporter's own frame counters creates more frame counters).  The
 exporter therefore builds its stores under a private *meta-registry* and a
-null journal; fold the meta-registry into a
-:class:`~repro.obs.fleet.FleetRegistry` to see the export plane's health
-without feeding it back into the export stream.
+null journal; read ``exporter.meta_registry.snapshot()`` (or render it
+with :func:`~repro.obs.fleet.render_fleet`) to see the export plane's
+health without feeding it back into the export stream.
 
 Lowering table (the DESIGN doc reproduces this):
 

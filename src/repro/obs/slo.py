@@ -23,14 +23,12 @@ this module is that idea applied to the DART pipeline's own health:
 
 Expressions are deliberately small: a rule's ``expr`` is either a callable
 ``(EvalContext) -> Optional[float]`` or one of the string forms
-``"health.<attr>"``, ``"rate(<metric>)"``, ``"delta(<metric>)"`` and
-``"<metric>"`` (family-wide live total).  ``None`` means "no data yet" and
-never breaches.
+``"health.<attr>"`` and ``"<metric>"`` (family-wide live total).  ``None``
+means "no data yet" and never breaches.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -48,9 +46,6 @@ COMPARATORS: Dict[str, Callable[[float, float], bool]] = {
     "==": lambda value, threshold: value == threshold,
     "!=": lambda value, threshold: value != threshold,
 }
-
-#: ``fn(metric_name)`` string-expression shape (``rate`` / ``delta``).
-_FN_EXPR = re.compile(r"^(rate|delta)\(\s*([A-Za-z_][\w]*)\s*\)$")
 
 
 class AlertState(Enum):
@@ -131,15 +126,6 @@ class SloRule:
         if expr.startswith("health."):
             value = getattr(context.health, expr[len("health."):])
             return None if value is None else float(value)
-        match = _FN_EXPR.match(expr)
-        if match is not None:
-            fn, metric = match.groups()
-            series = context.scraper.family(metric)
-            if not series:
-                return None
-            if fn == "rate":
-                return sum(s.rate() for s in series)
-            return context.scraper.total_delta(metric)
         return float(context.registry.total(expr))
 
     def breached(self, value: Optional[float]) -> bool:

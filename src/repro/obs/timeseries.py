@@ -6,14 +6,13 @@ success -- only make sense *over time and load*.  This module adds the
 temporal axis:
 
 - :class:`Series` -- one metric's history in a fixed-capacity ring buffer
-  of ``(tick, value)`` points, with windowed delta/rate queries (counter
-  resets clamp to zero, mirroring Prometheus ``rate`` semantics) and
-  windowed quantiles for histogram series;
+  of ``(tick, value)`` points, with the delta across them (counter
+  resets clamp to zero, mirroring Prometheus ``rate`` semantics);
 - :class:`MetricsScraper` -- snapshots a :class:`~repro.obs.MetricsRegistry`
   on demand or every ``interval`` logical ticks (frame counts, report
   counts -- any monotone driver), appending one point per live series and
-  optionally persisting each scrape as a JSON line for cross-run trend
-  diffing (:func:`load_jsonl` / :func:`trend_diff`);
+  optionally persisting each scrape as a JSON line (read back with
+  :func:`load_jsonl`);
 - :func:`sparkline` -- the tiny unicode rendering the ``repro obs watch``
   dashboard uses for per-window deltas.
 
@@ -32,7 +31,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     MetricsSnapshot,
     _normalise_labels,
-    bucket_of_quantile,
 )
 
 #: Unicode blocks for :func:`sparkline`, shallowest to tallest.
@@ -61,27 +59,19 @@ class Series:
     """One metric's scraped history in a fixed-capacity ring buffer.
 
     Counter/gauge points store the sampled value; histogram points store
-    the cumulative ``(bucket_counts, sum)`` pair so windowed quantiles can
-    subtract any two points.  Appending beyond ``capacity`` evicts the
-    oldest point (the ring the issue of unbounded run lengths demands).
+    the cumulative ``(bucket_counts, sum)`` pair, so a delta counts the
+    observations between two points.  Appending beyond ``capacity`` evicts
+    the oldest point, so unbounded runs hold bounded memory.
     """
 
-    __slots__ = ("name", "labels", "kind", "bounds", "_ticks", "_values")
+    __slots__ = ("name", "labels", "kind", "_ticks", "_values")
 
-    def __init__(
-        self,
-        name: str,
-        labels: Labels,
-        kind: str,
-        capacity: int,
-        bounds: Tuple[float, ...] = (),
-    ) -> None:
+    def __init__(self, name: str, labels: Labels, kind: str, capacity: int) -> None:
         if capacity < 2:
             raise ValueError(f"series capacity must be >= 2, got {capacity}")
         self.name = name
         self.labels = labels
         self.kind = kind
-        self.bounds = bounds
         self._ticks: deque = deque(maxlen=capacity)
         self._values: deque = deque(maxlen=capacity)
 
@@ -115,22 +105,15 @@ class Series:
         """The newest value (None when empty)."""
         return self._values[-1] if self._values else None
 
-    def _window(self, window: Optional[int]) -> Tuple[list, list]:
-        """The trailing ``window`` points (all points when None)."""
-        ticks, values = list(self._ticks), list(self._values)
-        if window is not None and window > 0:
-            ticks, values = ticks[-window:], values[-window:]
-        return ticks, values
-
-    def delta(self, window: Optional[int] = None) -> float:
-        """Newest minus oldest value inside the trailing window.
+    def delta(self) -> float:
+        """Newest minus oldest retained value.
 
         Counter series clamp negative deltas to 0.0 -- a decrease can only
         mean the underlying registry was reset mid-run, and a reset must
         not surface as negative traffic (Prometheus ``rate`` semantics,
         which :meth:`MetricsRegistry.snapshot`'s diff mirrors).
         """
-        ticks, values = self._window(window)
+        values = self._values
         if len(values) < 2:
             return 0.0
         if self.kind == "histogram":
@@ -141,32 +124,6 @@ class Series:
         if self.kind == "counter" and out < 0.0:
             return 0.0
         return out
-
-    def rate(self, window: Optional[int] = None) -> float:
-        """Windowed delta divided by the tick span (0.0 on empty spans)."""
-        ticks, _values = self._window(window)
-        if len(ticks) < 2:
-            return 0.0
-        span = ticks[-1] - ticks[0]
-        return self.delta(window) / span if span else 0.0
-
-    def quantile(self, q: float, window: Optional[int] = None) -> float:
-        """Approximate windowed quantile for a histogram series.
-
-        Subtracts the oldest from the newest cumulative bucket counts in
-        the window and walks them with
-        :func:`~repro.obs.metrics.bucket_of_quantile`, as
-        :meth:`~repro.obs.metrics.Histogram.quantile` does for all-time
-        data.  Returns 0.0 for empty windows; raises for non-histograms.
-        """
-        if self.kind != "histogram":
-            raise ValueError(f"quantile needs a histogram series, not {self.kind}")
-        _ticks, values = self._window(window)
-        first, last = (values[0][0], values[-1][0]) if len(values) > 1 else ((), ())
-        index = bucket_of_quantile([max(0, b - a) for a, b in zip(first, last)], q)
-        if index is None or not self.bounds:
-            return 0.0
-        return self.bounds[min(index, len(self.bounds) - 1)]
 
 
 class MetricsScraper:
@@ -183,7 +140,7 @@ class MetricsScraper:
         reports".  :meth:`scrape` ignores it (explicit scrapes always run).
     persist_path:
         When set, every scrape appends one JSON line to this file so runs
-        can be trend-diffed offline (:func:`load_jsonl`, :func:`trend_diff`).
+        can be read back offline (:func:`load_jsonl`).
 
     The drivers (:class:`~repro.network.simulation.IntSimulation`,
     :class:`~repro.network.packet_sim.PacketLevelIntNetwork`, the ``repro
@@ -246,19 +203,10 @@ class MetricsScraper:
         snapshot = self.registry.snapshot()
         for (name, labels), (kind, value) in snapshot.samples.items():
             series = self._series.get((name, labels))
-            if kind == "histogram":
-                counts, total, bounds = value
-                if series is None:
-                    series = Series(
-                        name, labels, kind, self.capacity, bounds=bounds
-                    )
-                    self._series[(name, labels)] = series
-                series.append(tick, (counts, total))
-            else:
-                if series is None:
-                    series = Series(name, labels, kind, self.capacity)
-                    self._series[(name, labels)] = series
-                series.append(tick, value)
+            if series is None:
+                series = Series(name, labels, kind, self.capacity)
+                self._series[(name, labels)] = series
+            series.append(tick, value[:2] if kind == "histogram" else value)
         self.scrapes += 1
         self.last_tick = tick
         if self.persist_path is not None:
@@ -325,34 +273,12 @@ class MetricsScraper:
                 by_tick[tick] = by_tick.get(tick, 0.0) + float(value)
         return sorted(by_tick.items())
 
-    def delta(self, name: str) -> float:
-        """Delta of the unlabelled series (0.0 when the series is unknown)."""
-        series = self.series(name)
-        return series.delta() if series is not None else 0.0
-
-    def rate(self, name: str) -> float:
-        """Per-tick rate of the unlabelled series (0.0 when unknown)."""
-        series = self.series(name)
-        return series.rate() if series is not None else 0.0
-
-    def total_delta(self, name: str) -> float:
-        """Delta of the family-wide total (counter resets clamp)."""
-        points = self.total_series(name)
-        if len(points) < 2:
-            return 0.0
-        return max(0.0, points[-1][1] - points[0][1])
-
-    def quantile(self, name: str, q: float) -> float:
-        """Quantile of the unlabelled histogram series (0.0 when unknown)."""
-        series = self.series(name)
-        return series.quantile(q) if series is not None else 0.0
-
 
 def load_jsonl(path) -> List[dict]:
     """Parse a scraper's JSON-lines persistence file back into scrape rows.
 
     Each row is ``{"tick": int, "samples": [{name, labels, kind, ...}]}``
-    in scrape order -- the shape :func:`trend_diff` consumes.
+    in scrape order.
     """
     rows = []
     with open(path, "r", encoding="utf-8") as handle:
@@ -361,53 +287,3 @@ def load_jsonl(path) -> List[dict]:
             if line:
                 rows.append(json.loads(line))
     return rows
-
-
-def _final_totals(
-    rows: List[dict], group_label: Optional[str] = None
-) -> Dict[str, float]:
-    """Family-wide totals (counters/gauges summed over labels) of a run's
-    last scrape; histograms contribute their observation counts.
-
-    With ``group_label`` (e.g. ``"node"``) totals are kept separate per
-    label value, keyed Prometheus-style: ``name{node="collector-0"}``;
-    samples missing the label fall under ``name`` unchanged.
-    """
-    if not rows:
-        return {}
-    totals: Dict[str, float] = {}
-    for sample in rows[-1]["samples"]:
-        value = sample["count"] if sample["kind"] == "histogram" else sample["value"]
-        key = sample["name"]
-        if group_label is not None:
-            group = sample.get("labels", {}).get(group_label)
-            if group is not None:
-                key = f'{key}{{{group_label}="{group}"}}'
-        totals[key] = totals.get(key, 0.0) + float(value)
-    return totals
-
-
-def trend_diff(
-    run_a: List[dict],
-    run_b: List[dict],
-    group_label: Optional[str] = None,
-) -> Dict[str, dict]:
-    """Compare the final totals of two persisted runs, name by name.
-
-    Returns ``{name: {"a": ..., "b": ..., "delta": b - a}}`` for every
-    metric family either run recorded -- the cross-run regression view
-    (did loss go up between yesterday's run and today's?).  Families
-    absent from one run read as 0.0 there.
-
-    ``group_label="node"`` splits every family per fleet node (keys like
-    ``nic_frames_received{node="collector-1"}``), so a regression on one
-    collector isn't averaged away by its healthy peers.
-    """
-    totals_a = _final_totals(run_a, group_label)
-    totals_b = _final_totals(run_b, group_label)
-    out: Dict[str, dict] = {}
-    for name in sorted(set(totals_a) | set(totals_b)):
-        a = totals_a.get(name, 0.0)
-        b = totals_b.get(name, 0.0)
-        out[name] = {"a": a, "b": b, "delta": b - a}
-    return out

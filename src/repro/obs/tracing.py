@@ -742,15 +742,6 @@ class Tracer:
             records = [r for r in records if r.kind == kind]
         return records
 
-    def reset(self) -> None:
-        """Drop every trace, binding and kept record (ids keep increasing)."""
-        self._traces.clear()
-        self._frames.clear()
-        self._kept.clear()
-        self._live_batches = 0
-        self.active_trace_id = None
-        self._g_bindings.set(0.0)
-
 
 class NullTracer:
     """The no-op tracer installed by default: every method does nothing."""
@@ -837,9 +828,6 @@ class NullTracer:
     def traces(self, kind: Optional[str] = None) -> list:
         """Always empty."""
         return []
-
-    def reset(self) -> None:
-        """No-op."""
 
 
 #: Shared no-op tracer singleton (the process default).

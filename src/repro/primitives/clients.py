@@ -297,15 +297,6 @@ class AppendQueryClient:
         """The absolute index the next :meth:`follow` resumes from."""
         return self._cursor
 
-    def reset_cursor(self, cursor: Optional[int]) -> None:
-        """Rewind (or fast-forward) the follow cursor.
-
-        ``None`` restarts from the ring's current head on the next
-        follow; an absolute index resumes from there (clamped to the
-        readable window at read time).
-        """
-        self._cursor = cursor
-
     def follow(self) -> Optional[FollowBatch]:
         """Incremental tail-follow: only the records since the last call.
 

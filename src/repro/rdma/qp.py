@@ -186,10 +186,3 @@ class QueuePair:
         """Advance and return the responder MSN (for AETH headers)."""
         self.msn = (self.msn + 1) % PSN_MODULUS
         return self.msn
-
-    def reset(self, initial_psn: int) -> None:
-        """Return the QP to READY with a fresh expected PSN."""
-        if not 0 <= initial_psn < PSN_MODULUS:
-            raise ValueError(f"initial_psn {initial_psn} out of range")
-        self.expected_psn = initial_psn
-        self.state = QueuePairState.READY

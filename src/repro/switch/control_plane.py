@@ -2,16 +2,16 @@
 
 The paper's prototype pairs the P4 program with ~150 lines of Python that
 load the global collector lookup table and initialise per-collector state.
-This module is that script, generalised to provision whole fleets: it takes
-the endpoint table a :class:`~repro.collector.collector.CollectorCluster`
-exposes and installs it into any number of switches, seeding each switch's
-PSN registers from the collectors' advertised expected PSNs.
+This module is that script: it takes the endpoint table a
+:class:`~repro.collector.collector.CollectorCluster` exposes and installs
+it into each switch it brings up, seeding the switch's PSN registers from
+the collectors' advertised expected PSNs.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.core.config import DartConfig
 from repro.collector.collector import CollectorCluster, CollectorEndpoint
@@ -29,8 +29,6 @@ class SwitchControlPlane:
 
     def __init__(self, config: DartConfig) -> None:
         self.config = config
-        self.switches_provisioned = 0
-        self.entries_installed = 0
         #: Every switch this plane has provisioned, keyed by switch ID.
         self._switches: Dict[int, DartSwitch] = {}
 
@@ -83,8 +81,6 @@ class SwitchControlPlane:
                 initial_psn=psn,
             )
             installed += 1
-        self.switches_provisioned += 1
-        self.entries_installed += installed
         self._switches[switch.switch_id] = switch
         return installed
 
@@ -142,23 +138,3 @@ class SwitchControlPlane:
         )
         self._switches[switch.switch_id] = switch
         return previous
-
-    def connect_fleet(
-        self, switches: Iterable[DartSwitch], cluster: CollectorCluster
-    ) -> Dict[int, int]:
-        """Bring up many switches; returns {switch_id: entries installed}."""
-        return {
-            switch.switch_id: self.connect_switch(switch, cluster)
-            for switch in switches
-        }
-
-    def provision_fleet(
-        self,
-        switches: Iterable[DartSwitch],
-        endpoints: Mapping[int, CollectorEndpoint],
-    ) -> Dict[int, int]:
-        """Provision many switches; returns {switch_id: entries installed}."""
-        return {
-            switch.switch_id: self.provision(switch, endpoints)
-            for switch in switches
-        }

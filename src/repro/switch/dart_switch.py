@@ -443,12 +443,15 @@ class DartSwitch:
 
         One :class:`~repro.core.batch.ReportBatch` resolution, one frame
         matrix, one ``send_batch`` -- the datapath BENCH_fabric's
-        ``packet_columnar`` mode measures.  Returns frames offered.
-        Under a tracer the whole frame batch is bound to one trace (the
-        caller's active one, or its own) and records one span per layer.
+        ``packet_columnar`` mode measures.  Returns frames offered; an
+        empty batch offers nothing and returns 0.  Under a tracer the
+        whole frame batch is bound to one trace (the caller's active one,
+        or its own) and records one span per layer.
         """
         fabric = self._bound_fabric()
         items = list(items) if not isinstance(items, (list, tuple)) else items
+        if not items:
+            return 0
         batch = ReportBatch.from_items(self.addressing, items)
         frame_batch = self.encode_batch(batch)
         offered = frame_batch.count

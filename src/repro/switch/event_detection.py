@@ -121,12 +121,6 @@ class ChangeDetector:
         self.stats.reports_triggered += 1
         return True
 
-    def reset(self) -> None:
-        """Invalidate the cache (e.g. at an epoch boundary)."""
-        for line in range(self.cache_lines):
-            self._cache.write(line, 0)
-        self.stats = DetectorStats()
-
 
 def suppression_rows(
     *,

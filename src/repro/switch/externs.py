@@ -2,9 +2,10 @@
 
 Paper section 6 names each of these explicitly: a register array for
 per-collector PSN counters, the native random number generator for picking
-which of the N storage locations a report targets, the CRC extern for both
-address hashing and RoCEv2 iCRC generation, and I2E (ingress-to-egress)
-mirroring to inject truncated report clones into the egress pipeline.
+which of the N storage locations a report targets, and I2E
+(ingress-to-egress) mirroring to inject truncated report clones into the
+egress pipeline.  The CRC extern (address hashing, RoCEv2 iCRC) is
+:mod:`repro.hashing.crc` itself, which the datapath calls directly.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import random
 from typing import List, Optional
 
 from repro import obs
-from repro.hashing.crc import CRC32
 
 
 class RegisterArray:
@@ -81,25 +81,6 @@ class TofinoRng:
         if bound < 1:
             raise ValueError(f"bound must be >= 1, got {bound}")
         return self._rng.randrange(bound)
-
-
-class CrcEngine:
-    """The CRC extern: hardware CRC over arbitrary field tuples.
-
-    The DART program uses it twice: hashing ``(n, key)`` into collector and
-    address bits, and generating the RoCEv2 invariant CRC.  We expose the
-    same two operations.
-    """
-
-    algorithm = CRC32
-
-    def hash_fields(self, *fields: bytes) -> int:
-        """CRC over the concatenation of fields (the hashing use)."""
-        return self.algorithm.compute(b"".join(fields))
-
-    def icrc(self, masked_packet: bytes) -> int:
-        """CRC over an already-masked packet image (the iCRC use)."""
-        return self.algorithm.compute(masked_packet)
 
 
 class MirrorSession:

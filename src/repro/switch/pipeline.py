@@ -1,17 +1,17 @@
 """Match-action tables, the programmable-switch building block.
 
 P4 pipelines are sequences of tables: each matches header/metadata fields
-(exact, ternary or LPM) and binds action parameters.  DART needs only a
-small exact-match table (collector ID -> RoCEv2 endpoint parameters), but
-the model supports the general forms so the network substrate can reuse it
-for routing and so resource accounting is realistic.
+and binds action parameters.  DART needs one small exact-match table
+(collector ID -> RoCEv2 endpoint parameters, paper section 6), so the
+model is exactly that: a statically sized hash index from the match tuple
+to its entry, with the ASIC's install-time checks and SRAM accounting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro import obs
 
@@ -20,8 +20,6 @@ class MatchKind(Enum):
     """P4 match kinds supported by the table model."""
 
     EXACT = "exact"
-    TERNARY = "ternary"
-    LPM = "lpm"
 
 
 @dataclass(frozen=True)
@@ -31,18 +29,10 @@ class TableEntry:
     match: Tuple[Any, ...]
     action: str
     params: Dict[str, Any] = field(default_factory=dict)
-    priority: int = 0
-    #: For TERNARY fields: per-field masks (None = exact). For LPM: prefix
-    #: lengths in bits applied to integer fields.
-    masks: Optional[Tuple[Optional[int], ...]] = None
-
-    def __post_init__(self) -> None:
-        if self.masks is not None and len(self.masks) != len(self.match):
-            raise ValueError("masks must align with match fields")
 
 
 class MatchActionTable:
-    """A P4 match-action table with install-time validation.
+    """A P4 exact-match table with install-time validation.
 
     Parameters
     ----------
@@ -72,16 +62,14 @@ class MatchActionTable:
         self.match_kinds = tuple(match_kinds)
         self.max_entries = max_entries
         self.entry_value_bytes = entry_value_bytes
-        self._entries: List[TableEntry] = []
-        self._exact_index: Dict[Tuple[Any, ...], TableEntry] = {}
-        self.default_action: Optional[Tuple[str, Dict[str, Any]]] = None
+        self._entries: Dict[Tuple[Any, ...], TableEntry] = {}
         registry = obs.get_registry()
         labels = registry.instance_labels("MatchActionTable") + (
             ("table", name),
         )
         #: Lookups that matched an installed entry.
         self.c_hits = registry.counter("switch_table_hits", labels=labels)
-        #: Lookups that fell through to the default action.
+        #: Lookups that matched no entry.
         self.c_misses = registry.counter("switch_table_misses", labels=labels)
 
     def __len__(self) -> int:
@@ -100,20 +88,12 @@ class MatchActionTable:
 
     @property
     def misses(self) -> int:
-        """Lookups that fell through to the default action (registry-backed)."""
+        """Lookups that matched no entry (registry-backed)."""
         return self.c_misses.value
 
-    @property
-    def is_pure_exact(self) -> bool:
-        """Whether every key field matches exactly (hash-indexable)."""
-        return all(kind is MatchKind.EXACT for kind in self.match_kinds)
-
-    def set_default(self, action: str, **params: Any) -> None:
-        """The action taken on a miss."""
-        self.default_action = (action, params)
-
     def add_entry(self, entry: TableEntry) -> None:
-        """Install an entry; rejects capacity overflow and key-arity errors."""
+        """Install an entry; rejects capacity overflow, key-arity errors
+        and a second entry for an installed match spec."""
         if len(self._entries) >= self.max_entries:
             raise ValueError(
                 f"table {self.name} full ({self.max_entries} entries)"
@@ -123,13 +103,11 @@ class MatchActionTable:
                 f"entry has {len(entry.match)} match fields, table "
                 f"{self.name} expects {len(self.match_kinds)}"
             )
-        if self.is_pure_exact:
-            if entry.match in self._exact_index:
-                raise ValueError(
-                    f"duplicate exact-match entry {entry.match} in {self.name}"
-                )
-            self._exact_index[entry.match] = entry
-        self._entries.append(entry)
+        if entry.match in self._entries:
+            raise ValueError(
+                f"duplicate exact-match entry {entry.match} in {self.name}"
+            )
+        self._entries[entry.match] = entry
 
     def entry(self, match: Tuple[Any, ...]) -> Optional[TableEntry]:
         """The installed entry with this match spec, without counting.
@@ -137,86 +115,29 @@ class MatchActionTable:
         Control-plane reads (rollback snapshots, audits) use this so the
         hit/miss counters keep reflecting data-plane lookups only.
         """
-        if self.is_pure_exact:
-            return self._exact_index.get(match)
-        for installed in self._entries:
-            if installed.match == match:
-                return installed
-        return None
+        return self._entries.get(match)
 
     def remove_entry(self, match: Tuple[Any, ...]) -> bool:
         """Remove the entry with the given match spec; returns success."""
-        for index, entry in enumerate(self._entries):
-            if entry.match == match:
-                del self._entries[index]
-                self._exact_index.pop(match, None)
-                return True
-        return False
-
-    def _field_matches(
-        self, kind: MatchKind, entry_value: Any, mask: Optional[int], value: Any
-    ) -> bool:
-        if kind is MatchKind.EXACT:
-            return entry_value == value
-        if kind is MatchKind.TERNARY:
-            if mask is None:
-                return entry_value == value
-            return (entry_value & mask) == (value & mask)
-        # LPM: mask carries the prefix length over a 32-bit field.
-        if mask is None:
-            return entry_value == value
-        if mask == 0:
-            return True
-        prefix_mask = ((1 << mask) - 1) << (32 - mask)
-        return (entry_value & prefix_mask) == (value & prefix_mask)
+        return self._entries.pop(match, None) is not None
 
     def lookup(self, *values: Any) -> Optional[Tuple[str, Dict[str, Any]]]:
-        """Match ``values`` against the table; returns (action, params).
-
-        Exact tables use a hash index; ternary/LPM tables scan by priority
-        (highest first) and prefix length, like TCAM resolution.
-        """
+        """Match ``values`` against the table: ``(action, params)``, or
+        None on a miss (P4's implicit NoAction)."""
         if len(values) != len(self.match_kinds):
             raise ValueError(
                 f"lookup with {len(values)} fields, table {self.name} "
                 f"expects {len(self.match_kinds)}"
             )
-        if self.is_pure_exact:
-            entry = self._exact_index.get(tuple(values))
-            if entry is not None:
-                self.c_hits.inc()
-                return entry.action, entry.params
+        entry = self._entries.get(values)
+        if entry is None:
             self.c_misses.inc()
-            return self.default_action
-
-        best: Optional[TableEntry] = None
-        best_rank: Tuple[int, int] = (-1, -1)
-        for entry in self._entries:
-            masks = entry.masks or (None,) * len(values)
-            if all(
-                self._field_matches(kind, ev, mask, value)
-                for kind, ev, mask, value in zip(
-                    self.match_kinds, entry.match, masks, values
-                )
-            ):
-                lpm_length = sum(
-                    mask or 0
-                    for kind, mask in zip(self.match_kinds, masks)
-                    if kind is MatchKind.LPM
-                )
-                rank = (entry.priority, lpm_length)
-                if rank > best_rank:
-                    best, best_rank = entry, rank
-        if best is not None:
-            self.c_hits.inc()
-            return best.action, best.params
-        self.c_misses.inc()
-        return self.default_action
+            return None
+        self.c_hits.inc()
+        return entry.action, entry.params
 
     @property
     def sram_bytes(self) -> int:
         """Approximate SRAM held by installed entries (key + action data)."""
-        key_bytes = 0
-        for kind in self.match_kinds:
-            key_bytes += 4 if kind is not MatchKind.EXACT else 4
+        key_bytes = 4 * len(self.match_kinds)
         return len(self._entries) * (key_bytes + self.entry_value_bytes)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import List, Optional
+from typing import Optional
 
 from repro.telemetry.backends import TelemetryBackend, TelemetryRecord
 
@@ -90,12 +90,3 @@ class FlowAnomalyBackend(TelemetryBackend):
     ) -> Optional[AnomalyEvent]:
         """The most recent stored event of ``kind`` for the flow."""
         return self.query(self.key_for(five_tuple, kind))
-
-    def flow_report(self, five_tuple: tuple) -> List[AnomalyEvent]:
-        """All queryable anomaly kinds for a flow (troubleshooting view)."""
-        events = []
-        for kind in AnomalyKind:
-            event = self.last_event(five_tuple, kind)
-            if event is not None:
-                events.append(event)
-        return events

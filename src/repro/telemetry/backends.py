@@ -73,7 +73,3 @@ class TelemetryBackend(ABC):
         if not result.answered:
             return None
         return self.decode_value(result.value)
-
-    def raw_query(self, key: Key) -> QueryResult:
-        """The undecoded query result, for callers needing outcome detail."""
-        return self.store.get(key)

@@ -43,7 +43,7 @@ class TestPaperConstants:
         assert CONFLUO_STORAGE_CYCLES_PER_REPORT == 114 * DPDK_IO_CYCLES_PER_REPORT
 
     def test_dart_costs_zero_collector_cycles(self):
-        assert DART_MODEL.cycles_for(10**8) == 0
+        assert DART_MODEL.total_cycles_per_report == 0
 
 
 class TestFigure1a:
@@ -90,16 +90,17 @@ class TestCostModel:
             100 * DPDK_CONFLUO_MODEL.io_cycles_for(reports)
         )
 
-    def test_cores_for_rate(self):
-        # 1M reports/s on DPDK+Confluo at 3 GHz: 1e6 * 16100 / 3e9 ~ 5.4 cores
-        cores = DPDK_CONFLUO_MODEL.cores_for_rate(1_000_000)
-        assert 4 < cores < 7
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SOCKET_KAFKA_MODEL.cycles_for(-1)
-        with pytest.raises(ValueError):
-            SOCKET_KAFKA_MODEL.cores_for_rate(-1)
+    @pytest.mark.parametrize(
+        "model", [SOCKET_KAFKA_MODEL, DPDK_CONFLUO_MODEL, DART_MODEL],
+        ids=lambda model: model.name,
+    )
+    def test_cycles_split_into_io_and_storage(self, model):
+        reports = 12_345
+        assert model.io_cycles_for(reports) + model.storage_cycles_for(
+            reports
+        ) == reports * model.total_cycles_per_report
+        assert model.io_cycles_for(0) == model.storage_cycles_for(0) == 0
 
 
 class TestReportCodec:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import DartConfig
-from repro.core.policies import QueryOutcome, ReturnPolicy
+from repro.core.policies import ReturnPolicy
 from repro.collector.collector import Collector, CollectorCluster
 from repro.collector.counters import CounterStore
 from repro.collector.epochs import EpochArchive, EpochImageMissingError, EpochManager
@@ -117,12 +117,6 @@ class TestDartStore:
         store = DartStore(config)
         assert store.memory_bytes == config.total_slots * config.slot_bytes
 
-    def test_clear(self):
-        store = DartStore(small_config())
-        store.put(b"k", b"v")
-        store.clear()
-        assert store.get(b"k").outcome is QueryOutcome.EMPTY
-
     def test_packet_level_mode_equivalent(self):
         """Packet-level writes yield byte-identical state to in-process."""
         config = small_config(num_collectors=1)
@@ -195,15 +189,14 @@ class TestEpochs:
         config = small_config(num_collectors=1)
         cluster = CollectorCluster(config)
         archive = EpochArchive(config)
-        manager = EpochManager(list(cluster), archive, reports_per_epoch=2)
+        manager = EpochManager(list(cluster), archive)
 
         store = DartStore(config)
         store.cluster = cluster  # share the collectors
         store.client._reader = cluster.read_slot
 
         cluster[0].write_slot(0, b"\xaa" * config.slot_bytes)
-        assert manager.note_report() is None
-        assert manager.note_report() == 0  # boundary crossed, epoch 0 archived
+        assert manager.rotate() == 0  # epoch 0 archived
         assert manager.current_epoch == 1
         assert cluster[0].read_slot(0) == b"\x00" * config.slot_bytes
         assert archive.epochs() == [0]
@@ -212,7 +205,7 @@ class TestEpochs:
         config = small_config(num_collectors=1)
         cluster = CollectorCluster(config)
         archive = EpochArchive(config)
-        manager = EpochManager(list(cluster), archive, reports_per_epoch=10)
+        manager = EpochManager(list(cluster), archive)
 
         from repro.core.reporter import DartReporter
 
@@ -225,6 +218,26 @@ class TestEpochs:
         result = archive.query(0, b"old-flow")
         assert result.answered
         assert result.value == b"old-path"
+
+    def test_each_rotation_archives_its_own_epoch(self):
+        config = small_config(num_collectors=1)
+        cluster = CollectorCluster(config)
+        archive = EpochArchive(config)
+        manager = EpochManager(list(cluster), archive)
+
+        from repro.core.reporter import DartReporter
+
+        reporter = DartReporter(config)
+        for epoch, value in enumerate((b"path-000", b"path-001")):
+            for write in reporter.writes_for(b"flow", value):
+                cluster[write.collector_id].write_slot(
+                    write.slot_index, write.payload
+                )
+            assert manager.rotate() == epoch
+        assert manager.current_epoch == 2
+        assert archive.epochs() == [0, 1]
+        assert archive.query(0, b"flow").value == b"path-000"
+        assert archive.query(1, b"flow").value == b"path-001"
 
     def test_disk_backed_archive(self, tmp_path):
         config = small_config(num_collectors=1)
@@ -240,14 +253,6 @@ class TestEpochs:
         archive = EpochArchive(small_config())
         with pytest.raises(KeyError):
             archive.load(0, 0)
-
-    def test_invalid_manager(self):
-        config = small_config()
-        with pytest.raises(ValueError):
-            EpochManager([], EpochArchive(config), reports_per_epoch=0)
-        manager = EpochManager([], EpochArchive(config), reports_per_epoch=5)
-        with pytest.raises(ValueError):
-            manager.note_report(-1)
 
 
 class TestFailureInjection:

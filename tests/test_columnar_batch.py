@@ -16,12 +16,14 @@ import pytest
 from repro.core.addressing import COLLECTOR_FUNCTION_INDEX, DartAddressing
 from repro.core.batch import ReportBatch
 from repro.core.config import DartConfig
+from repro.collector.counters import CounterStore
 from repro.collector.store import DartStore
 from repro.fabric import BufferedFabric, ImpairedFabric, InlineFabric
 from repro.hashing.checksum import CHECKSUM_FUNCTION_INDEX
 from repro.hashing.crc import CRC32
 from repro.hashing.hash_family import fold_key, fold_keys
 from repro.mem.region import MemoryRegion, RegionAccessError
+from repro.query.fleet import QueryFleet
 from repro.rdma.frames import icrc_rows, write_be64, write_le32
 from repro.switch.dart_switch import DartSwitch
 
@@ -256,16 +258,18 @@ def impairment_state(fabric):
 
 
 class TestStoreStateEquivalence:
+    @pytest.mark.parametrize("count", [150, 0])
     @pytest.mark.parametrize(
         "factory", [f for _name, f in FABRIC_FACTORIES],
         ids=[name for name, _f in FABRIC_FACTORIES],
     )
-    def test_columnar_store_matches_scalar_store(self, factory):
+    def test_columnar_store_matches_scalar_store(self, factory, count):
         """Same workload, same fabric (same seeds): scalar and columnar
         stores end with identical region bytes, NIC counters and fabric
-        counters -- impairments draw the identical RNG sequence."""
+        counters -- impairments draw the identical RNG sequence.  An empty
+        batch offers nothing and moves no frame counter."""
         config = small_config(num_collectors=3, slots_per_collector=512)
-        items = make_items(150)
+        items = make_items(count)
 
         scalar = DartStore(config, packet_level=True, fabric=factory())
         columnar = DartStore(config, packet_level=True, fabric=factory())
@@ -273,6 +277,9 @@ class TestStoreStateEquivalence:
             scalar.put(key, value)
         offered_columnar = columnar.put_many(items)
         assert offered_columnar == len(items) * config.redundancy
+        self.assert_same_state(scalar, columnar)
+        assert columnar.fabric.counters.frames_offered == offered_columnar
+        assert columnar.put_many([]) == 0
         self.assert_same_state(scalar, columnar)
 
     @pytest.mark.parametrize(
@@ -333,6 +340,61 @@ class TestStoreStateEquivalence:
         )
         # Collisions can cost a few keys; the vast majority must answer.
         assert hits >= 55
+
+
+def counter_samples(registry):
+    """Every counter series in ``registry``, with its value."""
+    return {
+        series: value
+        for series, (kind, value) in registry.snapshot().samples.items()
+        if kind == "counter"
+    }
+
+
+def generator_put_many():
+    """A packet-level ``put_many`` fed a generator rather than a list."""
+    store = DartStore(small_config(), packet_level=True)
+    return lambda items: store.put_many(iter(items))
+
+
+#: Batched write surfaces, each built fresh: ``(name, () -> write)``.
+EMPTY_BATCH_WRITERS = [
+    ("store_in_process", lambda: DartStore(small_config()).put_many),
+    (
+        "store_packet_level",
+        lambda: DartStore(small_config(), packet_level=True).put_many,
+    ),
+    ("store_packet_level_generator", lambda: generator_put_many()),
+    (
+        "switch_report_batch_into",
+        lambda: DartStore(
+            small_config(), packet_level=True
+        )._switch.report_batch_into,
+    ),
+    ("fleet_put_many", lambda: QueryFleet(small_config()).put_many),
+    ("fleet_count_many", lambda: QueryFleet(small_config()).count_many),
+    ("fleet_sketch_many", lambda: QueryFleet(small_config()).sketch_many),
+    (
+        "counter_store_add_many",
+        lambda: CounterStore(cells_per_row=1 << 10, rows=2).add_many,
+    ),
+]
+
+
+class TestEmptyBatch:
+    @pytest.mark.parametrize(
+        "writer", [w for _name, w in EMPTY_BATCH_WRITERS],
+        ids=[name for name, _w in EMPTY_BATCH_WRITERS],
+    )
+    def test_empty_batch_returns_zero_and_moves_no_counter(
+        self, registry, writer
+    ):
+        """Every batched write surface takes ``[]``: it returns 0, and no
+        counter series -- fabric, NIC, switch, store -- moves."""
+        write = writer()
+        before = counter_samples(registry)
+        assert write([]) == 0
+        assert counter_samples(registry) == before
 
 
 class TestNicBatchValidationParity:

@@ -52,7 +52,8 @@ def build_fleet(*, num_standbys=1, num_switches=2, config=None):
         DartSwitch(config, switch_id=i, fabric=fabric)
         for i in range(num_switches)
     ]
-    plane.connect_fleet(switches, cluster)
+    for switch in switches:
+        plane.connect_switch(switch, cluster)
     return config, cluster, fabric, plane, switches
 
 
@@ -456,9 +457,7 @@ class TestFleetController:
     def test_epoch_manager_rotation_archives_pre_failover_data(self, registry):
         config, cluster, fabric, plane, switches = build_fleet(num_standbys=1)
         archive = EpochArchive(config)
-        manager = EpochManager(
-            cluster.collectors, archive, reports_per_epoch=10_000
-        )
+        manager = EpochManager(cluster.collectors, archive)
         controller = self.make_controller(
             cluster, plane, fabric, epoch_manager=manager
         )
@@ -599,14 +598,6 @@ class TestPsnWraparoundResync:
         assert qp.accept(1) is False  # gap of 2 across the wrap
         assert qp.state is QueuePairState.ERROR
 
-    def test_reset_validates_range(self):
-        qp = QueuePair(qp_number=1)
-        with pytest.raises(ValueError, match="out of range"):
-            qp.reset(PSN_MODULUS)
-        qp.reset(PSN_MODULUS - 1)
-        assert qp.expected_psn == PSN_MODULUS - 1
-        assert qp.state is QueuePairState.READY
-
     def test_failover_resync_near_wrap(self, registry):
         """A standby advertising a near-wrap PSN stays in sequence.
 
@@ -620,7 +611,7 @@ class TestPsnWraparoundResync:
         switch = switches[0]
         standby = cluster.node(2)
         qp = standby.create_reporter_qp(switch.switch_id)
-        qp.reset(PSN_MODULUS - 1)
+        qp.expected_psn = PSN_MODULUS - 1
         controller = FleetController(
             cluster, plane, fabric, fail_after=1, tick_interval=10
         )

@@ -39,18 +39,6 @@ class TestReporter:
         assert checksum == reporter.addressing.checksum_of(b"key")
         assert value == b"val".ljust(8, b"\x00")
 
-    def test_write_for_copy_matches_writes_for(self):
-        config = make_config()
-        reporter = DartReporter(config)
-        full = reporter.writes_for(b"key", b"val")
-        single = reporter.write_for_copy(b"key", b"val", 1)
-        assert single == full[1]
-
-    def test_write_for_copy_bounds(self):
-        reporter = DartReporter(make_config(redundancy=2))
-        with pytest.raises(ValueError):
-            reporter.write_for_copy(b"key", b"val", 2)
-
     def test_reduced_redundancy_override(self):
         config = make_config(redundancy=4)
         reporter = DartReporter(config, redundancy=2)
@@ -68,14 +56,6 @@ class TestReporter:
         reporter.writes_for(b"b", b"2")
         assert reporter.reports_generated == 2
         assert reporter.writes_generated == 4
-
-    def test_network_bytes_per_report(self):
-        config = make_config(redundancy=2)  # slot = 4 + 8 = 12 bytes
-        reporter = DartReporter(config)
-        assert reporter.network_bytes_per_report() == 24
-        assert reporter.network_bytes_per_report(overhead_per_packet=58) == 140
-        with pytest.raises(ValueError):
-            reporter.network_bytes_per_report(overhead_per_packet=-1)
 
     def test_oversize_value_rejected(self):
         reporter = DartReporter(make_config(value_bytes=4))
@@ -173,7 +153,7 @@ class TestWriteReadRoundtrip:
         assert client.queries_executed == 2
 
 
-class TestBatchQueries:
+class TestManyKeys:
     def make(self):
         config = make_config()
         cluster = CollectorCluster(config)
@@ -186,29 +166,14 @@ class TestBatchQueries:
                 )
         return client
 
-    def test_query_many(self):
+    def test_written_keys_answer_and_unwritten_keys_do_not(self):
         client = self.make()
-        keys = [("f", i) for i in range(50)] + [("missing", 1)]
-        results = client.query_many(keys)
-        assert len(results) == 51
-        assert sum(r.answered for r in results.values()) == 50
-        assert results[("f", 7)].value == (7).to_bytes(8, "big")
-
-    def test_query_many_deduplicates(self):
-        client = self.make()
-        before = client.queries_executed
-        client.query_many([("f", 1)] * 10)
-        assert client.queries_executed == before + 1
-
-    def test_success_fraction(self):
-        client = self.make()
-        keys = [("f", i) for i in range(25)] + [("nope", i) for i in range(25)]
-        assert client.success_fraction(keys) == pytest.approx(0.5)
-
-    def test_success_fraction_empty_rejected(self):
-        client = self.make()
-        with pytest.raises(ValueError):
-            client.success_fraction([])
+        for i in range(50):
+            result = client.query(("f", i))
+            assert result.answered and result.value == i.to_bytes(8, "big")
+        for i in range(50):
+            assert client.query(("nope", i)).outcome is QueryOutcome.EMPTY
+        assert client.queries_executed == 100
 
 
 class TestEventDetectionIntegration:

@@ -25,6 +25,15 @@ class TestChangeDetector:
         assert not detector.observe(b"flow", b"value-2")
         assert detector.observe(b"flow", b"value-1")  # changed back
 
+    def test_flows_track_their_own_values(self):
+        detector = ChangeDetector(cache_lines=1 << 12)
+        assert detector.observe(b"flow-a", b"x")
+        assert detector.observe(b"flow-b", b"x")  # same value, other flow
+        assert not detector.observe(b"flow-a", b"x")
+        assert detector.observe(b"flow-b", b"y")
+        assert not detector.observe(b"flow-a", b"x")
+        assert detector.stats.reports_triggered == 3
+
     def test_cache_collision_causes_spurious_reports(self):
         """Two flows in one line evict each other -- extra reports, never
         silently dropped changes."""
@@ -40,13 +49,6 @@ class TestChangeDetector:
         for _ in range(99):
             detector.observe(b"f", b"v")
         assert detector.stats.suppression_ratio == pytest.approx(100.0)
-
-    def test_reset(self):
-        detector = ChangeDetector(cache_lines=1 << 6)
-        detector.observe(b"f", b"v")
-        detector.reset()
-        assert detector.stats.packets_observed == 0
-        assert detector.observe(b"f", b"v")  # cache cold again
 
     def test_sram_accounting(self):
         assert ChangeDetector(cache_lines=1024).sram_bytes == 4096

@@ -405,16 +405,6 @@ class TestFabricIntegration:
             assert remote.query(key).value == local.value
         assert remote.read_requests_sent > 0
 
-    def test_remote_query_many(self):
-        config = small_config()
-        store = DartStore(config)
-        keys = run_workload(store)
-        remote = RemoteQueryClient(config, store.cluster)
-        results = remote.query_many(keys)
-        assert set(results) == set(keys)
-        for key, result in results.items():
-            assert result.value == store.get(key).value
-
     def test_counter_store_over_fabric(self):
         inline = CounterStore(cells_per_row=1 << 10, rows=2)
         batched = CounterStore(cells_per_row=1 << 10, rows=2)

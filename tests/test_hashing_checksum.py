@@ -40,12 +40,6 @@ class TestKeyChecksum:
         assert a.compute(b"key") != b.compute(b"key")
         assert a != b
 
-    def test_matches(self):
-        checksum = KeyChecksum(bits=16)
-        stored = checksum.compute(b"key")
-        assert checksum.matches(b"key", stored)
-        assert not checksum.matches(b"other", stored)
-
     def test_collision_probability(self):
         assert KeyChecksum(bits=32).collision_probability() == 2.0**-32
         assert KeyChecksum(bits=1).collision_probability() == 0.5
@@ -72,6 +66,14 @@ class TestKeyChecksum:
         assert values.dtype == np.uint64
         assert int(values.max()) < (1 << 16)
         assert values[:64].tolist() == [checksum.compute(key) for key in range(64)]
+
+    @pytest.mark.parametrize("bits", [1, 8, 24, 32])
+    def test_folded_array_agrees_with_scalar_compute(self, bits):
+        """``compute`` is the oracle for the vectorised path at every width."""
+        checksum = KeyChecksum(bits=bits, family=HashFamily(seed=bits))
+        keys = [("flow", i, b"x" * (i % 3)) for i in range(200)]
+        values = checksum.compute_folded_array(fold_keys(keys))
+        assert values.tolist() == [checksum.compute(key) for key in keys]
 
     def test_independent_of_slot_addressing(self):
         """Checksum must not correlate with slot index hashes (index 0..N)."""

@@ -908,14 +908,7 @@ ONLY_TESTS_SET = {
     ("DartReporter.__init__", "redundancy"): "dynamic-N (section 5.1): fewer copies, same addressing",
     ("DynamicRedundancyController.__init__", "hysteresis"): "dynamic-N switch damping",
     ("AutoBundler.__init__", "controller"): "membership section of the failover postmortem",
-    # Owed: the callable itself is reached by tier-1 only and goes, with
-    # its tests, when the cap on removed tests per PR allows.
-    ("FlowGenerator.zipf", "skew"): "test-only callable",
-    ("FlowGenerator.stream", "batch"): "test-only callable",
-    ("EpochManager.note_report", "count"): "test-only callable",
-    ("DartReporter.network_bytes_per_report", "overhead_per_packet"): "test-only callable",
-    ("FleetRegistry.__init__", "registry"): "test-only callable",
-    ("trend_diff", "group_label"): "test-only callable",
+    # Set only by the test of that option.
     ("sparkline", "width"): "only its width test sets it",
     ("SocketKafkaCollector.__init__", "partitions"): "only its validation test sets it",
     ("RemoteQueryClient.__init__", "policy"): "only its override test sets it",
@@ -944,7 +937,7 @@ def test_every_option_is_set_by_some_caller_outside_tests():
     assert not constants, "no caller outside tests/ sets:\n" + "\n".join(constants)
     stale = sorted(ONLY_TESTS_SET.keys() - unset.keys())
     assert not stale, f"allow-listed but set by traffic, or gone: {stale}"
-    assert len(ONLY_TESTS_SET) <= 42
+    assert len(ONLY_TESTS_SET) <= 36
 
 
 def test_options_lint_catches_a_seeded_violation():

@@ -115,7 +115,7 @@ class TestFullScenario:
 
         # Epoch boundary: archive to disk, clear DRAM.
         archive = EpochArchive(config, directory=tmp_path)
-        manager = EpochManager(list(net.cluster), archive, reports_per_epoch=10)
+        manager = EpochManager(list(net.cluster), archive)
         manager.rotate()
         assert not net.query_path(flows[0]).answered  # live region cleared
 

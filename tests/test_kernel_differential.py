@@ -162,8 +162,8 @@ class TestRegionColumnar:
     def test_scatter_equals_looped_write_offset(self, case):
         size, offsets, payloads, image = case
         looped, columnar = MemoryRegion(size), MemoryRegion(size)
-        looped.restore(image)
-        columnar.restore(image)
+        looped._buffer[:] = image
+        columnar._buffer[:] = image
         for offset, payload in zip(offsets.tolist(), payloads):
             looped.write_offset(offset, payload.tobytes())
         assert columnar.write_offset_columnar(offsets, payloads) == len(offsets)
@@ -179,7 +179,7 @@ class TestRegionColumnar:
         width = data.draw(st.integers(0, size) | st.just(size))
         offsets = data.draw(st.lists(st.integers(0, size - width), max_size=30))
         region = MemoryRegion(size)
-        region.restore(_matrix(seed, 1, size)[0].tobytes())
+        region._buffer[:] = _matrix(seed, 1, size)[0].tobytes()
         rows = region.read_offset_columnar(np.array(offsets, dtype=np.int64), width)
         assert rows.shape == (len(offsets), width)
         assert [row.tobytes() for row in rows] == [region.read_offset(o, width) for o in offsets]

@@ -75,18 +75,14 @@ class TestMemoryRegion:
         with pytest.raises(RegionAccessError):
             region.dma_compare_swap(0x1004, 0, 1)
 
-    def test_snapshot_restore_roundtrip(self):
+    def test_snapshot_is_a_detached_copy(self):
         region = MemoryRegion(size=32, base_address=0)
         region.dma_write(4, b"abcd")
         image = region.snapshot()
         region.dma_write(4, b"wxyz")
-        region.restore(image)
-        assert region.dma_read(4, 4) == b"abcd"
-
-    def test_restore_wrong_size_rejected(self):
-        region = MemoryRegion(size=32)
-        with pytest.raises(ValueError):
-            region.restore(b"\x00" * 31)
+        assert len(image) == 32
+        assert image[4:8] == b"abcd"
+        assert region.snapshot()[4:8] == b"wxyz"
 
     def test_clear(self):
         region = MemoryRegion(size=16, base_address=0)
@@ -165,13 +161,6 @@ class TestSlotCodec:
         codec = SlotCodec(SlotLayout(checksum_bits=8, value_bytes=4))
         with pytest.raises(ValueError):
             codec.decode(b"\x00" * 4)
-
-    def test_slot_address(self):
-        codec = SlotCodec(SlotLayout(checksum_bits=32, value_bytes=20))
-        assert codec.slot_address(0x1000, 0) == 0x1000
-        assert codec.slot_address(0x1000, 3) == 0x1000 + 72
-        with pytest.raises(ValueError):
-            codec.slot_address(0x1000, -1)
 
     @given(
         checksum=st.integers(min_value=0, max_value=2**32 - 1),

@@ -63,44 +63,7 @@ class TestNodeScope:
         assert sub.help_texts.get("nic_frames_received") == "frames"
 
 
-class TestMergeSnapshots:
-    def test_counters_add_on_collision(self):
-        a, b = _registry(), _registry()
-        a.counter("hits", labels=(("node", "n0"),)).inc(3)
-        b.counter("hits", labels=(("node", "n0"),)).inc(4)
-        merged = obs.merge_snapshots([a.snapshot(), b.snapshot()])
-        assert merged.total("hits") == 7
-
-    def test_gauges_keep_the_later_reading(self):
-        a, b = _registry(), _registry()
-        a.gauge("depth").set(10)
-        b.gauge("depth").set(2)
-        merged = obs.merge_snapshots([a.snapshot(), b.snapshot()])
-        assert merged.total("depth") == 2
-
-    def test_histograms_add_buckets_when_bounds_match(self):
-        a, b = _registry(), _registry()
-        a.histogram("lat", buckets=(1.0, 5.0)).observe(0.5)
-        b.histogram("lat", buckets=(1.0, 5.0)).observe(3.0)
-        merged = obs.merge_snapshots([a.snapshot(), b.snapshot()])
-        ((_key, (kind, value)),) = [
-            item for item in merged.samples.items() if item[0][0] == "lat"
-        ]
-        counts, total, bounds = value
-        assert kind == "histogram"
-        assert bounds == (1.0, 5.0)
-        assert sum(counts) == 2
-        assert total == 3.5
-
-    def test_help_texts_first_wins(self):
-        a, b = _registry(), _registry()
-        a.counter("hits", help="first").inc()
-        b.counter("hits", help="second").inc()
-        merged = obs.merge_snapshots([a.snapshot(), b.snapshot()])
-        assert merged.help_texts["hits"] == "first"
-
-
-class TestFleetRegistry:
+class TestFleetView:
     def _fleet_fixture(self):
         registry = _registry()
         registry.counter(
@@ -114,52 +77,6 @@ class TestFleetRegistry:
         ).inc(90)
         registry.counter("fabric_frames_offered").inc(140)
         return registry
-
-    def test_nodes_and_node_views(self):
-        fleet = obs.FleetRegistry(self._fleet_fixture())
-        assert fleet.nodes() == ["collector-0", "collector-1"]
-        assert fleet.node_total("nic_frames_received", "collector-0") == 100
-        assert len(fleet.node_snapshot("collector-1")) == 1
-        health = fleet.node_health("collector-0")
-        assert health.nic_frames_received == 100
-        assert health.mem_writes == 90
-
-    def test_unattributed_series_separated(self):
-        fleet = obs.FleetRegistry(self._fleet_fixture())
-        unattributed = fleet.unattributed_snapshot()
-        assert {name for name, _labels in unattributed.samples} == {
-            "fabric_frames_offered"
-        }
-
-    def test_add_registry_folds_another_registry_in(self):
-        fleet = obs.FleetRegistry(self._fleet_fixture())
-        meta = _registry()
-        meta.counter(
-            "nic_frames_received", labels=(("node", "collector-0"),)
-        ).inc(1)
-        fleet.add_registry(meta)
-        assert fleet.node_total("nic_frames_received", "collector-0") == 101
-
-    def test_add_snapshot_folds_a_static_capture_in(self):
-        fleet = obs.FleetRegistry(self._fleet_fixture())
-        remote = _registry()
-        remote.counter(
-            "nic_frames_received", labels=(("node", "collector-9"),)
-        ).inc(8)
-        fleet.add_snapshot(remote.snapshot())
-        assert "collector-9" in fleet.nodes()
-        assert fleet.node_total("nic_frames_received", "collector-9") == 8
-
-    def test_defaults_to_the_process_registry(self):
-        registry = self._fleet_fixture()
-        previous = obs.set_registry(registry)
-        try:
-            assert obs.FleetRegistry().nodes() == [
-                "collector-0",
-                "collector-1",
-            ]
-        finally:
-            obs.set_registry(previous)
 
     def test_render_fleet_shape(self):
         snapshot = self._fleet_fixture().snapshot()
@@ -179,6 +96,47 @@ class TestFleetRegistry:
         assert [row["node"] for row in rows] == ["collector-0", "collector-1"]
         assert rows[0]["nic_frames_received"] == 100
         json.dumps(rows)
+
+    def test_node_view_is_a_label_filter(self):
+        snapshot = self._fleet_fixture().snapshot()
+        zero = obs.PipelineHealth.from_snapshot(
+            snapshot.filter_labels(node="collector-0")
+        )
+        one = obs.PipelineHealth.from_snapshot(
+            snapshot.filter_labels(node="collector-1")
+        )
+        assert (zero.nic_frames_received, zero.mem_writes) == (100, 90)
+        assert (one.nic_frames_received, one.mem_writes) == (40, 0)
+
+    @staticmethod
+    def _row(text, label):
+        """The figures of the row labelled ``label``, as strings."""
+        return next(
+            line[len(label):].split() for line in text.splitlines()
+            if line.startswith(label)
+        )
+
+    def test_unattributed_and_total_rows(self):
+        text = obs.render_fleet(self._fleet_fixture().snapshot())
+        # series, nic_recv, nic_drop, mem_writes, overwrites, queries
+        assert self._row(text, "(unattributed)")[:2] == ["1", "0"]
+        assert self._row(text, "(fleet total)")[:4] == ["4", "140", "0", "90"]
+
+    def test_no_unattributed_row_when_every_series_has_a_node(self):
+        registry = _registry()
+        registry.counter(
+            "nic_frames_received", labels=(("node", "collector-0"),)
+        ).inc(3)
+        lines = obs.render_fleet(registry.snapshot()).splitlines()
+        assert lines[0].startswith("== fleet (1 nodes, 1 series)")
+        assert not any(line.startswith("(unattributed)") for line in lines)
+
+    def test_fleet_rows_leave_unattributed_series_out(self):
+        snapshot = self._fleet_fixture().snapshot()
+        rows = obs.fleet_rows(snapshot)
+        assert [row["series"] for row in rows] == [2, 1]
+        assert sum(row["series"] for row in rows) == len(snapshot) - 1
+        assert rows[1]["mem_writes"] == 0
 
 
 class TestSelfTelemetryExporter:
@@ -236,10 +194,7 @@ class TestSelfTelemetryExporter:
         # The telemetry stores' own datapath series landed there too, so
         # the export stream never observes itself ...
         assert any(n.startswith(("nic_", "mem_", "fabric_")) for n in meta_names)
-        # ... and a FleetRegistry folds the export plane back into view.
-        fleet = obs.FleetRegistry(registry)
-        fleet.add_registry(exporter.meta_registry)
-        assert fleet.snapshot().total("selftel_exports") == 1
+        assert exporter.meta_registry.snapshot().total("selftel_exports") == 1
 
     def test_follow_events_is_incremental(self):
         journal = obs.EventJournal()

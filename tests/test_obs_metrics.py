@@ -87,11 +87,11 @@ class TestHistogramBuckets:
         h.observe(-3.0)
         assert h.counts == (2, 0, 0)
 
-    def test_cumulative_counts(self):
+    def test_counts_count_and_sum(self):
         h = Histogram("h", buckets=(1.0, 2.0, 5.0))
         for value in (0.5, 1.5, 1.7, 3.0, 100.0):
             h.observe(value)
-        assert h.cumulative() == (1, 3, 4, 5)
+        assert h.counts == (1, 2, 1, 1)
         assert h.count == 5
         assert h.sum == pytest.approx(106.7)
 
@@ -111,14 +111,12 @@ class TestHistogramBuckets:
         with pytest.raises(ValueError):
             h.quantile(1.5)
 
-    def test_mean_and_reset(self):
+    def test_mean(self):
         h = Histogram("h", buckets=LATENCY_BUCKETS)
+        assert h.mean == 0.0
         h.observe(0.25)
         h.observe(0.75)
         assert h.mean == pytest.approx(0.5)
-        h.reset()
-        assert h.count == 0 and h.sum == 0.0
-        assert set(h.counts) == {0}
 
 
 class TestSnapshotDiff:
@@ -161,14 +159,6 @@ class TestSnapshotDiff:
         registry.counter("fresh").inc(9)
         window = registry.snapshot().diff(before)
         assert window.get("fresh") == 9
-
-    def test_reset_zeroes_but_keeps_identity(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("c")
-        counter.inc(4)
-        registry.reset()
-        assert counter.value == 0
-        assert registry.counter("c") is counter
 
 
 class TestExposition:
@@ -425,13 +415,6 @@ class TestHistogramExemplars:
         h = registry.histogram("lat", buckets=(1.0,))
         with pytest.raises(ValueError):
             h.exemplar(1.5)
-
-    def test_reset_clears_exemplars(self):
-        registry = MetricsRegistry()
-        h = registry.histogram("lat", buckets=(1.0,))
-        h.observe_exemplar(0.5, 11)
-        h.reset()
-        assert h.exemplar() is None
 
     def test_observe_exemplar_counts_like_observe(self):
         registry = MetricsRegistry()

@@ -106,12 +106,6 @@ class TestTracerBasics:
         assert tracer.trace(issued) is not None
         assert tracer.trace(issued + 1) is None  # beyond the id watermark
 
-    def test_reset_traces_also_return_the_marker(self):
-        tracer = Tracer()
-        first = tracer.begin("report")
-        tracer.reset()
-        assert tracer.trace(first) is EVICTED_TRACE
-
     def test_spans_on_evicted_traces_are_ignored(self):
         tracer = Tracer(max_traces=1)
         first = tracer.begin("report")

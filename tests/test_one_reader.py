@@ -55,18 +55,16 @@ class TestThreeClientsOneAnswer:
         remote = RemoteQueryClient(config, cluster, max_retries=8, fabric=fabric)
         backend = FanoutBackend(config, cluster, fabric)
 
-        expected = {
-            key: (result.value, result.answered)
-            for key, result in local.query_many(keys).items()
-        }
+        def answers(client):
+            results = map(client.query, keys)
+            return {key: (r.value, r.answered) for key, r in zip(keys, results)}
+
+        expected = answers(local)
         assert len(expected) == 200
         answered = sum(ok for _value, ok in expected.values())
         assert 0 < answered < 160  # present, overwritten and absent keys
 
-        assert {
-            key: (result.value, result.answered)
-            for key, result in remote.query_many(keys).items()
-        } == expected
+        assert answers(remote) == expected
 
         shard_map = shard_map_of(cluster)
         for role, (mine, resolved) in backend.shards_for(shard_map, keys).items():
@@ -111,14 +109,17 @@ class TestInheritedObservability:
         histogram = registry.stage("client.query").histogram
         DartQueryClient(config, reader=cluster.read_slot).query(("flow", 1))
         assert histogram.count == 1 and histogram.exemplar(0.5) is None
-        registry.reset()
+        traced = obs.MetricsRegistry()
+        previous_registry = obs.set_registry(traced)
         tracer = obs.Tracer()
         previous = obs.set_tracer(tracer)
         try:
             DartQueryClient(config, reader=cluster.read_slot).query(("flow", 1))
         finally:
             obs.set_tracer(previous)
+            obs.set_registry(previous_registry)
         (record,) = tracer.traces("query")
+        histogram = traced.stage("client.query").histogram
         assert histogram.count == 1
         assert histogram.exemplar(0.5) == record.trace_id
 

@@ -208,18 +208,6 @@ class TestTailFollow:
         batch = client.follow()
         assert batch is not None and batch.values() == records
 
-    def test_reset_cursor_rewinds_or_fast_forwards(self):
-        store = AppendStore(capacity=16, record_bytes=8)
-        writer = store.register_writer(0)
-        records = [b"rec-%04d" % i for i in range(6)]
-        writer.append_many(records)
-        client = AppendQueryClient(store)
-        client.follow()
-        client.reset_cursor(None)  # back to the ring's head
-        assert client.follow().values() == records
-        client.reset_cursor(4)  # resume from an absolute index
-        assert client.follow().values() == records[4:]
-
 
 class TestRemoteRecovery:
     def test_remote_snapshot_matches_local_recover(self):

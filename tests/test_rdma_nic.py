@@ -77,14 +77,26 @@ class TestPsn:
         assert qp.expected_psn == 0
         assert qp.accept(0)
 
-    def test_reset(self):
-        qp = QueuePair(qp_number=1, policy=PsnPolicy.STRICT)
-        qp.accept(0)
-        qp.accept(5)
-        assert qp.state is QueuePairState.ERROR
-        qp.reset(initial_psn=7)
-        assert qp.state is QueuePairState.READY
-        assert qp.accept(7)
+    @pytest.mark.parametrize("start", [10, PSN_MODULUS - 2])
+    @pytest.mark.parametrize("policy", [PsnPolicy.RESYNC_ON_GAP, PsnPolicy.STRICT])
+    def test_stale_window_splits_duplicates_from_gaps(self, policy, start):
+        """The half of PSN space behind the expected PSN is stale, the half
+        ahead is a forward gap -- across the 24-bit wrap as well."""
+        half = PSN_MODULUS // 2
+        for behind in ((start - 1) % PSN_MODULUS, (start + half) % PSN_MODULUS):
+            qp = QueuePair(qp_number=1, expected_psn=start, policy=policy)
+            assert not qp.accept(behind)
+            assert qp.duplicates_dropped == 1
+            assert qp.state is QueuePairState.READY
+        ahead = (start + half - 1) % PSN_MODULUS
+        qp = QueuePair(qp_number=1, expected_psn=start, policy=policy)
+        resyncs = policy is PsnPolicy.RESYNC_ON_GAP
+        assert qp.accept(ahead) is resyncs
+        assert qp.gaps_observed == 1
+        if resyncs:
+            assert qp.expected_psn == (ahead + 1) % PSN_MODULUS
+        else:
+            assert qp.state is QueuePairState.ERROR
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
@@ -92,7 +104,7 @@ class TestPsn:
         with pytest.raises(ValueError):
             QueuePair(qp_number=1, expected_psn=-1)
         with pytest.raises(ValueError):
-            QueuePair(qp_number=1).reset(initial_psn=PSN_MODULUS)
+            QueuePair(qp_number=1, expected_psn=PSN_MODULUS)
 
 
 class TestNicWrites:

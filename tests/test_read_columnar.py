@@ -91,7 +91,7 @@ class Rig:
         image = np.random.default_rng(9).integers(
             1, 256, size=self.config.region_bytes, dtype=np.uint8
         )
-        self.node.region.restore(image.tobytes())
+        self.node.region._buffer[:] = image.tobytes()
         self.tap = Tap(self.node)
         fabric.attach(0, self.tap)
         self.reader = OneSidedReader(

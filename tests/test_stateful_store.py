@@ -7,8 +7,7 @@ test scales):
 1. an answered query for key k returns the *latest* value put for k --
    every put overwrites all N of k's slots, so no stale value survives;
 2. a key put and not subsequently collided is answered;
-3. a never-put key is never answered;
-4. clear() empties everything.
+3. a never-put key is never answered.
 
 Collisions between different keys may turn (2) into an empty return --
 that is the probabilistic design -- but can never violate (1) or (3).
@@ -53,11 +52,6 @@ class DartStoreMachine(RuleBasedStateMachine):
         else:
             # Invariant 3: unknown keys are never answered.
             assert not result.answered
-
-    @rule()
-    def clear(self):
-        self.store.clear()
-        self.latest.clear()
 
     @invariant()
     def fresh_put_is_readable(self):

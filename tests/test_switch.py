@@ -1,12 +1,14 @@
 """Tests for the P4 switch substrate (repro.switch)."""
 
+import random
+
 import pytest
 
 from repro.core.config import DartConfig
 from repro.collector.collector import CollectorCluster
 from repro.switch.control_plane import SwitchControlPlane
 from repro.switch.dart_switch import DartSwitch
-from repro.switch.externs import CrcEngine, MirrorSession, RegisterArray, TofinoRng
+from repro.switch.externs import MirrorSession, RegisterArray, TofinoRng
 from repro.switch.pipeline import MatchActionTable, MatchKind, TableEntry
 from repro.rdma.packets import Opcode, RoceV2Packet
 
@@ -62,17 +64,6 @@ class TestTofinoRng:
             TofinoRng().next(0)
 
 
-class TestCrcEngine:
-    def test_hash_fields_concatenates(self):
-        engine = CrcEngine()
-        assert engine.hash_fields(b"ab", b"cd") == engine.hash_fields(b"abcd")
-
-    def test_icrc_matches_crc32(self):
-        from repro.hashing.crc import crc32
-
-        assert CrcEngine().icrc(b"masked") == crc32(b"masked")
-
-
 class TestMirrorSession:
     def test_truncation(self):
         mirror = MirrorSession(session_id=1, truncate_to=8)
@@ -92,11 +83,6 @@ class TestMatchActionTable:
         assert table.lookup(5) == ("hit", {"x": 1})
         assert table.lookup(6) is None
         assert table.hits == 1 and table.misses == 1
-
-    def test_default_action(self):
-        table = MatchActionTable("t", [MatchKind.EXACT], max_entries=4)
-        table.set_default("drop")
-        assert table.lookup(9) == ("drop", {})
 
     def test_capacity_enforced(self):
         table = MatchActionTable("t", [MatchKind.EXACT], max_entries=1)
@@ -124,38 +110,96 @@ class TestMatchActionTable:
         assert not table.remove_entry((1,))
         assert table.lookup(1) is None
 
-    def test_ternary_priority(self):
-        table = MatchActionTable("t", [MatchKind.TERNARY], max_entries=4)
-        table.add_entry(
-            TableEntry(match=(0x10,), action="broad", masks=(0xF0,), priority=1)
-        )
-        table.add_entry(
-            TableEntry(match=(0x15,), action="narrow", masks=(0xFF,), priority=2)
-        )
-        assert table.lookup(0x15)[0] == "narrow"
-        assert table.lookup(0x12)[0] == "broad"
-        assert table.lookup(0x25) is None
-
-    def test_lpm_longest_prefix_wins(self):
-        table = MatchActionTable("t", [MatchKind.LPM], max_entries=4)
-        ip = lambda a, b, c, d: (a << 24) | (b << 16) | (c << 8) | d
-        table.add_entry(
-            TableEntry(match=(ip(10, 0, 0, 0),), action="slash8", masks=(8,))
-        )
-        table.add_entry(
-            TableEntry(match=(ip(10, 1, 0, 0),), action="slash16", masks=(16,))
-        )
-        assert table.lookup(ip(10, 1, 2, 3))[0] == "slash16"
-        assert table.lookup(ip(10, 2, 2, 3))[0] == "slash8"
-        assert table.lookup(ip(11, 0, 0, 1)) is None
-
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             MatchActionTable("t", [], max_entries=4)
         with pytest.raises(ValueError):
             MatchActionTable("t", [MatchKind.EXACT], max_entries=0)
-        with pytest.raises(ValueError):
-            TableEntry(match=(1, 2), action="a", masks=(None,))
+
+    def test_multi_field_key_matches_the_whole_tuple(self):
+        table = MatchActionTable("t", [MatchKind.EXACT] * 2, max_entries=4)
+        table.add_entry(TableEntry(match=(1, 2), action="a"))
+        assert table.lookup(1, 2) == ("a", {})
+        assert table.lookup(2, 1) is None
+        assert table.lookup(1, 3) is None
+        assert table.hits == 1 and table.misses == 2
+
+    def test_remove_frees_capacity_for_a_new_action(self):
+        table = MatchActionTable("t", [MatchKind.EXACT], max_entries=1)
+        table.add_entry(TableEntry(match=(1,), action="old"))
+        assert table.remove_entry((1,))
+        assert len(table) == 0
+        table.add_entry(TableEntry(match=(1,), action="new", params={"v": 2}))
+        assert table.lookup(1) == ("new", {"v": 2})
+
+    def test_entry_reads_without_counting(self, registry):
+        table = MatchActionTable("t", [MatchKind.EXACT], max_entries=2)
+        installed = TableEntry(match=(7,), action="a")
+        table.add_entry(installed)
+        assert table.entry((7,)) is installed
+        assert table.entry((8,)) is None
+        assert table.hits == 0 and table.misses == 0
+
+    def test_counters_are_per_table_series(self, registry):
+        left = MatchActionTable("left", [MatchKind.EXACT], max_entries=2)
+        right = MatchActionTable("right", [MatchKind.EXACT], max_entries=2)
+        left.add_entry(TableEntry(match=(1,), action="a"))
+        left.lookup(1)
+        left.lookup(2)
+        right.lookup(1)
+        snapshot = registry.snapshot()
+        assert snapshot.total("switch_table_hits", table="left") == 1
+        assert snapshot.total("switch_table_misses", table="left") == 1
+        assert snapshot.total("switch_table_hits", table="right") == 0
+        assert snapshot.total("switch_table_misses", table="right") == 1
+
+    @pytest.mark.parametrize(
+        "fields, value_bytes, entries", [(1, 0, 3), (1, 20, 3), (2, 20, 4)]
+    )
+    def test_sram_bytes_counts_installed_keys_and_action_data(
+        self, fields, value_bytes, entries
+    ):
+        table = MatchActionTable(
+            "t", [MatchKind.EXACT] * fields, max_entries=8,
+            entry_value_bytes=value_bytes,
+        )
+        assert table.sram_bytes == 0
+        for i in range(entries):
+            table.add_entry(TableEntry(match=(i,) * fields, action="a"))
+        assert len(table) == entries
+        assert table.sram_bytes == entries * (4 * fields + value_bytes)
+
+    @pytest.mark.parametrize("fields", [1, 2, 3])
+    def test_matches_a_dict_under_random_installs(self, fields):
+        """Random installs, removals and lookups agree with a plain dict,
+        counters included."""
+        rng = random.Random(fields)
+        table = MatchActionTable("t", [MatchKind.EXACT] * fields, max_entries=16)
+        model = {}
+        hits = misses = 0
+        for step in range(400):
+            match = tuple(rng.randrange(4) for _ in range(fields))
+            op = rng.randrange(3)
+            if op == 0:
+                entry = TableEntry(match=match, action=f"a{step}")
+                if match in model or len(model) == 16:
+                    with pytest.raises(ValueError):
+                        table.add_entry(entry)
+                else:
+                    table.add_entry(entry)
+                    model[match] = entry.action
+            elif op == 1:
+                assert table.remove_entry(match) == (
+                    model.pop(match, None) is not None
+                )
+            else:
+                found = table.lookup(*match)
+                expected = model.get(match)
+                assert (found[0] if found else None) == expected
+                hits += expected is not None
+                misses += expected is None
+        assert len(table) == len(model)
+        assert (table.hits, table.misses) == (hits, misses)
 
 
 def make_deployment(**kwargs):
@@ -293,16 +337,6 @@ class TestControlPlane:
         with pytest.raises(ValueError, match="missing collector IDs"):
             SwitchControlPlane(config).provision(switch, endpoints)
 
-    def test_provision_fleet(self):
-        config = DartConfig(slots_per_collector=64, num_collectors=3)
-        cluster = CollectorCluster(config)
-        switches = [DartSwitch(config, switch_id=i) for i in range(4)]
-        plane = SwitchControlPlane(config)
-        installed = plane.provision_fleet(switches, cluster.endpoints())
-        assert installed == {0: 3, 1: 3, 2: 3, 3: 3}
-        assert plane.switches_provisioned == 4
-        assert plane.entries_installed == 12
-
     def test_initial_psns(self):
         config = DartConfig(slots_per_collector=64, num_collectors=1)
         cluster = CollectorCluster(config)
@@ -324,7 +358,8 @@ class TestRuntimeReconfiguration:
         cluster = CollectorCluster(config, num_standbys=num_standbys)
         plane = SwitchControlPlane(config)
         switches = [DartSwitch(config, switch_id=i) for i in range(num_switches)]
-        plane.connect_fleet(switches, cluster)
+        for switch in switches:
+            plane.connect_switch(switch, cluster)
         return config, cluster, plane, switches
 
     def test_provision_error_lists_every_missing_id(self):

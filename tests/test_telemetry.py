@@ -21,7 +21,7 @@ def store():
 
 @pytest.fixture
 def flow():
-    return FlowGenerator(num_hosts=16, seed=0).uniform(1)[0]
+    return FlowGenerator(num_hosts=16, host_ip=str, seed=0).uniform(1)[0]
 
 
 class TestInbandInt:
@@ -151,11 +151,8 @@ class TestAnomalies:
         drop = AnomalyEvent(2, 2, AnomalyKind.PACKET_DROP, 1)
         backend.report_event(flow.five_tuple, spike)
         backend.report_event(flow.five_tuple, drop)
-        report = backend.flow_report(flow.five_tuple)
-        assert set(e.kind for e in report) == {
-            AnomalyKind.LATENCY_SPIKE,
-            AnomalyKind.PACKET_DROP,
-        }
+        assert backend.last_event(flow.five_tuple, AnomalyKind.LATENCY_SPIKE) == spike
+        assert backend.last_event(flow.five_tuple, AnomalyKind.PACKET_DROP) == drop
 
 
 class TestFailures:
@@ -185,11 +182,14 @@ class TestBackendCommon:
                 flow.five_tuple, AnomalyEvent(1, 1, AnomalyKind.CONGESTION, 0)
             )
 
-    def test_raw_query_exposes_outcome(self, store, flow):
+    def test_report_then_query_roundtrips(self, store, flow):
         backend = InbandIntBackend(store)
-        backend.sink_report(flow, [1, 2, 3])
-        result = backend.raw_query(flow.five_tuple)
-        assert result.answered and result.matches == 2
+        assert backend.query(flow.five_tuple) is None
+        record = backend.report(flow.five_tuple, [4, 5, 6])
+        assert record.backend == backend.name
+        assert record.value == backend.encode_value([4, 5, 6])
+        assert backend.query(flow.five_tuple) == [4, 5, 6]
+        assert backend.reports == 1
 
     def test_backends_share_one_store(self, store, flow):
         """Different backends' keys never clash in the shared region."""

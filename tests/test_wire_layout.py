@@ -375,7 +375,7 @@ def shape_read_response(draw):
     qp_number, peer_qp, count = draw(qps), draw(qps), draw(counts)
     length = draw(st.integers(0, 48))
     region = MemoryRegion(256, base_address=high_base(draw, 256), rkey=draw(rkeys))
-    region.restore(bytes(draw(st.binary(min_size=256, max_size=256))))
+    region._buffer[:] = bytes(draw(st.binary(min_size=256, max_size=256)))
     nic = RdmaNic(region, mac=draw(macs), ip=draw(ips))
     qp = nic.create_queue_pair(
         QueuePair(qp_number=qp_number, policy=PsnPolicy.IGNORE, peer_qp=peer_qp)
