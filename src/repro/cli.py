@@ -102,18 +102,24 @@ def _cmd_theory(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
+def _trace_config(args: argparse.Namespace):
+    """The ``trace`` run's config: ``--flows`` x ``--bytes-per-flow`` of memory."""
     from repro.core.config import DartConfig
+
+    return DartConfig.for_memory_budget(
+        args.bytes_per_flow * args.flows,
+        redundancy=args.redundancy,
+        value_bytes=20,
+    )
+
+
+def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.network.flows import FlowGenerator
     from repro.network.simulation import IntSimulation, LossModel
     from repro.network.topology import FatTreeTopology
 
     tree = FatTreeTopology(k=args.k)
-    config = DartConfig.for_memory_budget(
-        args.bytes_per_flow * args.flows,
-        redundancy=args.redundancy,
-        value_bytes=20,
-    )
+    config = _trace_config(args)
     sim = IntSimulation(tree, config, loss=LossModel(args.loss, seed=args.seed))
     flows = FlowGenerator(tree.num_hosts, host_ip=tree.host_ip, seed=args.seed)
     sim.trace_flows(flows.uniform(args.flows))
@@ -856,6 +862,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(f"--load must be positive, got {args.load}")
         if args.cas and args.redundancy != 2:
             parser.error("--cas is defined for --redundancy 2")
+    if args.command == "trace":
+        if not 0.0 <= args.loss <= 1.0:
+            parser.error(f"--loss must be in [0, 1], got {args.loss}")
+        if args.flows < 1 or args.bytes_per_flow < 1:
+            parser.error("--flows and --bytes-per-flow must be at least 1")
+        if args.k < 2 or args.k % 2:
+            parser.error(f"--k must be even and >= 2, got {args.k}")
+        try:
+            _trace_config(args)
+        except ValueError as error:  # a budget under one slot, redundancy < 1
+            parser.error(f"--flows x --bytes-per-flow, --redundancy: {error}")
     return args.func(args)
 
 

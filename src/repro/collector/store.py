@@ -123,25 +123,15 @@ class DartStore:
     def put(self, key: Key, value: bytes) -> int:
         """Store a telemetry report; returns the number of slot copies written.
 
-        In packet-level mode the count is the number of frames the fabric
-        executed synchronously -- with a deferring (buffered) fabric it is
-        the number of frames offered, and actual execution happens at the
-        next flush.  Later ``put``s of colliding keys may overwrite copies
-        -- by design.
+        In packet-level mode this is
+        :meth:`~repro.switch.dart_switch.DartSwitch.report_into`'s count:
+        the frames the fabric did not report lost -- executed now, or in
+        flight (queued or held) and executing at a later flush.  Later
+        ``put``s of colliding keys may overwrite copies -- by design.
         """
         self.c_puts.inc()
         if self._switch is not None:
-            frames = self._switch.report(key, value)
-            fabric = self.fabric
-            delivered = 0
-            deferred = False
-            for collector_id, frame in frames:
-                result = fabric.send(collector_id, frame)
-                if result is None:
-                    deferred = True
-                elif result:
-                    delivered += 1
-            return len(frames) if deferred else delivered
+            return self._switch.report_into(key, value)
         writes = self.reporter.writes_for(key, value)
         for write in writes:
             self.cluster[write.collector_id].write_slot(

@@ -60,13 +60,8 @@ def prototype_pipeline_rows(
     client = DartQueryClient(config, reader=cluster.read_slot)
 
     start = time.perf_counter()
-    frame_bytes = 0
     for i in range(reports):
-        key = ("flow", i)
-        value = i.to_bytes(20, "big")
-        for collector_id, frame in switch.report(key, value):
-            frame_bytes += len(frame)
-            fabric.send(collector_id, frame)
+        switch.report_into(("flow", i), i.to_bytes(20, "big"))
     elapsed = time.perf_counter() - start
 
     frames_emitted = switch.counters.reports_emitted

@@ -40,11 +40,6 @@ class ImpairedFabric(Fabric):
         :meth:`flush` / :meth:`poll` at the latest.
     seed:
         Seed for the impairment draws, for reproducible scenarios.
-    loss_model:
-        Optional object with a ``deliver() -> bool`` method (e.g.
-        :class:`~repro.network.simulation.LossModel`) that replaces the
-        internal Bernoulli loss draw, letting deployments share one seeded
-        loss process across layers.
     """
 
     def __init__(
@@ -55,7 +50,6 @@ class ImpairedFabric(Fabric):
         duplication: float = 0.0,
         reordering: float = 0.0,
         seed: int = 0,
-        loss_model=None,
     ) -> None:
         for name, probability in (
             ("loss", loss),
@@ -71,7 +65,6 @@ class ImpairedFabric(Fabric):
         self.loss = loss
         self.duplication = duplication
         self.reordering = reordering
-        self._loss_model = loss_model
         self._rng = random.Random(seed)
         #: At most one held (reordered) frame per endpoint.
         self._held: Dict[int, bytes] = {}
@@ -123,10 +116,7 @@ class ImpairedFabric(Fabric):
         (never one ``overtaking`` a frame already held for its endpoint).
         """
         rng = self._rng
-        if self._loss_model is not None:
-            if not self._loss_model.deliver():
-                return 0
-        elif self.loss > 0.0 and rng.random() < self.loss:
+        if self.loss > 0.0 and rng.random() < self.loss:
             return 0
         if not overtaking and self.reordering > 0.0 and (
             rng.random() < self.reordering

@@ -5,27 +5,16 @@ query client must map a telemetry key to exactly the same collector and the
 same N slot addresses, with no coordination.  This package provides the
 building blocks:
 
-- :mod:`repro.hashing.crc` -- table-driven CRC variants.  Tofino exposes CRC
-  polynomials as its hashing extern, and RoCEv2 frames carry a CRC-32
-  invariant checksum (iCRC), so CRCs appear twice in the system.
 - :mod:`repro.hashing.hash_family` -- an indexed family of independent 64-bit
   hash functions built from strong integer mixers, used for the
-  (key, n) -> slot-address mapping and the key -> collector mapping.
+  (key, n) -> slot-address mapping and the key -> collector mapping.  It
+  stands in for Tofino's CRC hash extern (paper section 6), which is why
+  no CRC catalogue lives here: the one CRC that runs is the RoCEv2
+  invariant CRC, zlib's CRC-32, in :mod:`repro.rdma.packets`.
 - :mod:`repro.hashing.checksum` -- the b-bit key checksum stored alongside
   each value so that overwritten slots can be detected at query time.
 """
 
-from repro.hashing.crc import (
-    CRC8,
-    CRC16_CCITT,
-    CRC32,
-    CRC32C,
-    CrcAlgorithm,
-    crc8,
-    crc16,
-    crc32,
-    crc32c,
-)
 from repro.hashing.hash_family import (
     HashFamily,
     fold_key,
@@ -36,15 +25,6 @@ from repro.hashing.hash_family import (
 from repro.hashing.checksum import KeyChecksum
 
 __all__ = [
-    "CRC8",
-    "CRC16_CCITT",
-    "CRC32",
-    "CRC32C",
-    "CrcAlgorithm",
-    "crc8",
-    "crc16",
-    "crc32",
-    "crc32c",
     "HashFamily",
     "KeyChecksum",
     "fold_key",

@@ -11,7 +11,10 @@ package provides the pieces:
   uniform and Zipf popularity.
 - :mod:`repro.network.simulation` -- drives flows across the topology,
   accumulates INT metadata hop by hop, and reports through DART at the
-  sink, with optional report loss injection.
+  sink (in-process slot writes), with optional report loss injection.
+- :mod:`repro.network.packet_sim` -- the packet-level INT driver: the INT
+  stack rides in datagram bytes and each sink's ``DartSwitch`` emits real
+  RoCEv2 frames into a fabric.
 - :mod:`repro.network.postcard_sim` -- the postcard-mode twin: one report
   per hop, keyed by (switchID, 5-tuple).
 - :mod:`repro.network.capacity` -- collection-capacity models and the

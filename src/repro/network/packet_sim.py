@@ -37,6 +37,7 @@ class DeliveryResult:
 
     delivered_payload: bytes
     recorded_path: List[int]
+    #: Report frames the fabric did not report lost (executed or in flight).
     report_frames: int
 
 
@@ -65,14 +66,15 @@ class IntSinkSwitch(IntTransitSwitch):
         self.dart = dart
         self.reports_emitted = 0
 
-    def finish(self, flow: Flow, payload: bytes) -> Tuple[bytes, List[int], List]:
-        """Process the final hop: returns (user payload, path, frames)."""
+    def finish(self, flow: Flow, payload: bytes) -> Tuple[bytes, List[int], int]:
+        """Process the final hop and emit the report into the DART switch's
+        fabric: returns (user payload, path, frames not reported lost)."""
         rewritten = self.process(payload)
         stack = IntStack.unpack(rewritten)
         path, user_payload = stack.strip()
-        frames = self.dart.report(flow.five_tuple, encode_path(path))
+        executed = self.dart.report_into(flow.five_tuple, encode_path(path))
         self.reports_emitted += 1
-        return user_payload, path, frames
+        return user_payload, path, executed
 
 
 class PacketLevelIntNetwork:
@@ -100,7 +102,7 @@ class PacketLevelIntNetwork:
         self.transits: Dict[int, IntTransitSwitch] = {}
         self.sinks: Dict[int, IntSinkSwitch] = {}
         for node in topology.switches:
-            dart = DartSwitch(config, switch_id=node.switch_id)
+            dart = DartSwitch(config, switch_id=node.switch_id, fabric=self.fabric)
             plane.connect_switch(dart, self.cluster)
             self.transits[node.switch_id] = IntTransitSwitch(node.switch_id)
             self.sinks[node.switch_id] = IntSinkSwitch(node.switch_id, dart)
@@ -145,15 +147,7 @@ class PacketLevelIntNetwork:
         # Transit hops rewrite the packet bytes; the last hop is the sink.
         for switch_id in path[:-1]:
             payload = self.transits[switch_id].process(payload)
-        delivered, recorded, frames = self.sinks[path[-1]].finish(flow, payload)
-
-        executed = 0
-        for collector_id, frame in frames:
-            result = self.fabric.send(collector_id, frame)
-            if result or result is None:
-                # None = deferred by a buffered fabric; count the frame as
-                # in flight, it executes at the next flush.
-                executed += 1
+        delivered, recorded, executed = self.sinks[path[-1]].finish(flow, payload)
         obs.get_journal().advance(self.packets_sent)
         if self.scraper is not None:
             self.scraper.maybe_scrape(self.packets_sent)

@@ -3,13 +3,11 @@
 This driver reproduces the paper's running example: each flow's packets
 cross the fabric accumulating one 32-bit switch ID per hop (in-band INT);
 the final hop acts as the INT *sink* and pushes <5-tuple> -> <path> into
-DART.  Two fidelity levels share the same addressing:
-
-- ``packet_level=True``: the sink is a full :class:`DartSwitch` whose
-  RoCEv2 frames traverse a loss model before reaching collector NICs --
-  used by integration tests and the prototype benchmark;
-- ``packet_level=False``: reports use the reporter fast path -- used to
-  push flow counts into the tens of thousands in examples.
+DART.  Reports take the reporter fast path (direct slot writes through a
+seeded loss model), which pushes flow counts into the tens of thousands.
+The packet-level INT driver is
+:class:`~repro.network.packet_sim.PacketLevelIntNetwork`: same addressing,
+real INT packet bytes and RoCEv2 frames, byte-identical regions.
 """
 
 from __future__ import annotations
@@ -24,11 +22,8 @@ from repro.core.config import DartConfig
 from repro.core.policies import QueryResult, ReturnPolicy
 from repro.core.reporter import DartReporter
 from repro.collector.collector import CollectorCluster
-from repro.fabric.fabric import Fabric, InlineFabric
 from repro.network.flows import Flow
 from repro.network.topology import FatTreeTopology
-from repro.switch.control_plane import SwitchControlPlane
-from repro.switch.dart_switch import DartSwitch
 
 #: INT path values are fixed-width: 5 hops x 32-bit switch IDs = 160 bits,
 #: the value size of the paper's Figure 4.
@@ -104,15 +99,8 @@ class IntSimulation:
         The fabric; paths come from its ECMP routing.
     config:
         DART deployment config (value_bytes must fit the 20-byte paths).
-    packet_level:
-        Craft real RoCEv2 frames at sink switches (slow, byte-exact) or
-        use the reporter fast path (default).
     loss:
         Optional report-loss model applied on the switch-to-collector hop.
-    fabric:
-        The transport report frames traverse in packet-level mode; defaults
-        to an :class:`~repro.fabric.InlineFabric`.  Loss drawn by ``loss``
-        is applied *before* the fabric, preserving seeded RNG sequences.
     scraper:
         Optional :class:`~repro.obs.timeseries.MetricsScraper` driven by
         the simulation's logical clock: after every report the simulation
@@ -125,9 +113,7 @@ class IntSimulation:
         topology: FatTreeTopology,
         config: DartConfig,
         *,
-        packet_level: bool = False,
         loss: Optional[LossModel] = None,
-        fabric: Optional[Fabric] = None,
         scraper=None,
     ) -> None:
         if config.value_bytes < 20:
@@ -140,27 +126,9 @@ class IntSimulation:
         self.reporter = DartReporter(config)
         self.client = DartQueryClient(config, reader=self.cluster.read_slot)
         self.loss = loss if loss is not None else LossModel(0.0)
-        self.packet_level = packet_level
         self.scraper = scraper
         self.records: List[PathRecord] = []
         self.reports_sent = 0
-
-        self._sinks: Dict[int, DartSwitch] = {}
-        self.fabric: Optional[Fabric] = None
-        if packet_level:
-            self.fabric = fabric if fabric is not None else InlineFabric()
-            self.cluster.attach_to(self.fabric)
-            plane = SwitchControlPlane(config)
-            for node in topology.switches:
-                switch = DartSwitch(
-                    config, switch_id=node.switch_id, fabric=self.fabric
-                )
-                plane.connect_switch(switch, self.cluster)
-                self._sinks[node.switch_id] = switch
-        elif fabric is not None:
-            raise ValueError(
-                "a fabric only carries RoCEv2 frames; pass packet_level=True"
-            )
 
     # ------------------------------------------------------------------
     # Traffic
@@ -180,17 +148,11 @@ class IntSimulation:
 
     def _report(self, record: PathRecord) -> None:
         self.reports_sent += 1
-        if self.packet_level:
-            sink = self._sinks[record.path[-1]]
-            for collector_id, frame in sink.report(record.key, record.value):
-                if self.loss.deliver():
-                    self.fabric.send(collector_id, frame)
-        else:
-            for write in self.reporter.writes_for(record.key, record.value):
-                if self.loss.deliver():
-                    self.cluster[write.collector_id].write_slot(
-                        write.slot_index, write.payload
-                    )
+        for write in self.reporter.writes_for(record.key, record.value):
+            if self.loss.deliver():
+                self.cluster[write.collector_id].write_slot(
+                    write.slot_index, write.payload
+                )
         if self.scraper is not None:
             self.scraper.maybe_scrape(self.reports_sent)
 

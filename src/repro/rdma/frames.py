@@ -21,11 +21,12 @@ can still read it.
 from __future__ import annotations
 
 import functools
+import zlib
+from itertools import repeat
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.hashing.crc import CRC32
 from repro.rdma.layout import (
     AETH,
     ATOMIC_ETH,
@@ -85,7 +86,7 @@ _MASKED_COLUMNS = np.array(ICRC_MASKED_COLUMNS)
 TEMPLATE_MEMO_SIZE = 256
 
 #: The CRC of the iCRC image's 0xFF prefix: every row's CRC chains from it.
-_ICRC_SEED = CRC32.compute(b"\xff" * ICRC_PREFIX_BYTES)
+_ICRC_SEED = zlib.crc32(b"\xff" * ICRC_PREFIX_BYTES)
 
 
 def frame_width(payload_bytes: int) -> int:
@@ -107,14 +108,20 @@ def icrc_rows(frames: np.ndarray) -> np.ndarray:
 
     The masked image of every row (the frame from the IPv4 header to just
     before the iCRC, its volatile bytes forced to 0xFF) is one OR against a
-    per-width row, and the CRC of the constant 0xFF prefix seeds each row's
-    CRC through zlib's chaining, so the prefix is never copied.  Each
+    per-width row; ``zlib.crc32`` is then mapped over the rows as ``bytes``
+    records, all in C, each seeded with the CRC of the constant 0xFF prefix
+    (zlib chains on a finalised CRC), so the prefix is never copied.  Each
     result is bit-identical to :func:`repro.rdma.packets.compute_icrc` on
     the scalar-decoded frame: both mask ``layout.ICRC_MASKED_COLUMNS``.
     """
     covered = frames[:, IP_OFF : frames.shape[1] - ICRC_BYTES]
-    masked = np.bitwise_or(covered, _icrc_or_row(covered.shape[1]))
-    return CRC32.compute_rows(masked, _ICRC_SEED)
+    width = covered.shape[1]
+    masked = np.bitwise_or(covered, _icrc_or_row(width))
+    # One void record per row: ``tolist`` hands back one ``bytes`` each.
+    records = np.ascontiguousarray(masked).view(f"V{width}").ravel().tolist()
+    return np.fromiter(
+        map(zlib.crc32, records, repeat(_ICRC_SEED)), dtype=np.uint32, count=len(records)
+    )
 
 
 def icrc_ok(frames: np.ndarray) -> np.ndarray:

@@ -18,12 +18,12 @@ headers are out of scope, as they are for the paper's prototype.
 from __future__ import annotations
 
 import struct
+import zlib
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
-from repro.hashing.crc import crc32
 from repro.rdma.layout import (
     AETH,
     ATOMIC_ETH,
@@ -436,7 +436,8 @@ def _icrc_of_wire(covered: bytes) -> int:
     """RoCEv2 invariant CRC of ``covered``: the wire bytes of a frame from
     the IPv4 header up to (not including) the iCRC itself.
 
-    Per the RoCEv2 annex, the iCRC is a CRC-32 (Ethernet polynomial) over:
+    Per the RoCEv2 annex, the iCRC is a CRC-32 (Ethernet polynomial,
+    zlib's ``crc32``) over:
 
     - 8 bytes of ``0xFF`` standing in for the masked LRH/GRH fields,
     - the IPv4 header with DSCP/ECN, TTL and header-checksum bytes set to
@@ -453,7 +454,7 @@ def _icrc_of_wire(covered: bytes) -> int:
     image += covered
     for column in ICRC_MASKED_COLUMNS:
         image[column] = 0xFF
-    return crc32(image)
+    return zlib.crc32(image)
 
 
 def compute_icrc(

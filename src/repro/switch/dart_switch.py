@@ -425,16 +425,18 @@ class DartSwitch:
     def report_into(self, key: Key, value: bytes) -> int:
         """Craft the full redundant report and emit it into the fabric.
 
-        Returns the number of frames offered to the fabric.  Whether each
-        frame was executed is the fabric's business (inline transports
-        record it in their counters; buffered ones at flush time) --
-        exactly the fire-and-forget contract of the hardware prototype.
+        The one frame-by-frame path onto the wire.  Returns the frames the
+        fabric did not report lost: each ``send`` result that is not
+        ``False`` -- executed now (``True``) or still in flight (``None``:
+        queued, or held for reordering, executing at a later flush).  No
+        retransmit state: the fire-and-forget contract of the hardware
+        prototype.
         """
-        fabric = self._bound_fabric()
-        frames = self.report(key, value)
-        for collector_id, frame in frames:
-            fabric.send(collector_id, frame)
-        return len(frames)
+        send = self._bound_fabric().send
+        return sum(
+            send(collector_id, frame) is not False
+            for collector_id, frame in self.report(key, value)
+        )
 
     def report_batch_into(
         self, items: Iterable[Tuple[Key, bytes]]

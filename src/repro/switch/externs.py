@@ -4,8 +4,10 @@ Paper section 6 names each of these explicitly: a register array for
 per-collector PSN counters, the native random number generator for picking
 which of the N storage locations a report targets, and I2E
 (ingress-to-egress) mirroring to inject truncated report clones into the
-egress pipeline.  The CRC extern (address hashing, RoCEv2 iCRC) is
-:mod:`repro.hashing.crc` itself, which the datapath calls directly.
+egress pipeline.  The CRC extern is not modelled here: address hashing
+binds to the deployment's :class:`~repro.hashing.hash_family.HashFamily`
+(as ``switch/p4``'s ``HashOf`` does), and the RoCEv2 iCRC is zlib's CRC-32
+in :mod:`repro.rdma.packets`.
 """
 
 from __future__ import annotations

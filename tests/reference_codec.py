@@ -22,7 +22,11 @@ from enum import IntEnum
 from functools import lru_cache
 from typing import Optional, Tuple
 
-from repro.hashing.crc import CRC32 as _CRC32_PARAMETERS
+
+class _CRC32_PARAMETERS:  # CRC-32 in the Rocksoft model, the fields table_crc reads
+    width, poly, init, xor_out, mask = 32, 0x04C11DB7, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF
+    reflect_in = reflect_out = True
+    check = 0xCBF43926  # CRC of b"123456789"
 
 
 def _reflect(value: int, width: int) -> int:

@@ -90,6 +90,29 @@ class TestTrace:
         assert "success_rate" in out
         assert "fat_tree_k" in out
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["--loss", "1.5"], ["--loss", "-0.1"], ["--flows", "0"],
+            ["--bytes-per-flow", "0"], ["--k", "3"], ["--k", "0"],
+            ["--bytes-per-flow", "1"], ["--redundancy", "0"],
+        ],
+    )
+    def test_bad_input_rejected(self, bad, capsys):
+        with pytest.raises(SystemExit) as error:
+            main(["trace", "--k", "4", "--flows", "20", *bad])
+        assert error.value.code == 2
+        assert "error: --" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edge",
+        [["--loss", "0"], ["--loss", "1"], ["--flows", "1"], ["--bytes-per-flow", "2"], ["--k", "2"]],
+    )
+    def test_edge_input_accepted(self, edge, capsys):
+        """Each bound the usage errors draw is itself a valid run."""
+        assert main(["trace", "--k", "4", "--flows", "20", *edge]) == 0
+        assert "success_rate" in capsys.readouterr().out
+
 
 class TestObs:
     SMALL = ["obs", "--keys", "200", "--slots", "1024", "--seed", "1"]

@@ -18,6 +18,7 @@ same oracle, and a batch with a row off the plan to looped
 
 import dataclasses
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -25,11 +26,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import DartConfig
-from repro.hashing.crc import CRC8, CRC16_CCITT, CRC32, CRC32C
 from repro.mem.region import MemoryRegion
 from repro.primitives.translator import ReadResponseRows, ResponseDemux
 from repro.rdma import layout, packets as live
-from repro.rdma.frames import FrameBatch
+from repro.rdma.frames import _ICRC_SEED, FrameBatch
 from repro.rdma.nic import RdmaNic
 from repro.rdma.packets import Opcode
 from repro.rdma.qp import QueuePair
@@ -215,16 +215,26 @@ def test_plan_decode_matches_the_reference(data):
     assert plan_decode(live_view) == plan_decode(live_view) == reference_decode(received)
 
 
-@pytest.mark.parametrize("algorithm", [CRC8, CRC16_CCITT, CRC32, CRC32C], ids=lambda a: a.name)
 @given(head=st.binary(max_size=96), tail=st.binary(max_size=96))
-def test_compute_equals_the_table_loop(algorithm, head, tail):
-    """zlib or not, ``compute`` is the Rocksoft table loop, chaining included."""
-    whole = reference.table_crc(algorithm, head + tail)
-    assert algorithm.compute(head + tail) == whole
-    assert algorithm.compute(bytearray(head + tail)) == whole
-    assert algorithm.compute(tail, initial=algorithm.compute(head)) == whole
-    assert reference.table_crc(algorithm, tail, reference.table_crc(algorithm, head)) == whole
-    assert reference.table_crc(algorithm, b"123456789") == algorithm.check
+def test_zlib_crc32_is_the_table_loop(head, tail):
+    """The live iCRC's CRC-32 (``zlib.crc32``) is the Rocksoft table loop,
+    chaining included -- the rule ``icrc_rows`` seeds every row by."""
+    crc32 = reference._CRC32_PARAMETERS
+    whole = reference.table_crc(crc32, head + tail)
+    assert zlib.crc32(head + tail) == zlib.crc32(bytearray(head + tail)) == whole
+    assert zlib.crc32(tail, zlib.crc32(head)) == whole
+    assert reference.table_crc(crc32, tail, reference.table_crc(crc32, head)) == whole
+    assert _ICRC_SEED == reference.crc32(b"\xff" * layout.ICRC_PREFIX_BYTES)
+
+
+@pytest.mark.parametrize(
+    "data, crc",
+    [(b"123456789", 0xCBF43926), (b"", 0), (b"a", 0xE8B7BE43), (b"abc", 0x352441C2),
+     (b"hello world", 0x0D4A1185)],
+)
+def test_crc32_check_values(data, crc):
+    """The catalogue check value and zlib's vectors, by both computations."""
+    assert zlib.crc32(data) == reference.crc32(data) == crc
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,6 @@ from repro.collector.counters import CounterStore
 from repro.collector.store import DartStore
 from repro.fabric import BufferedFabric, ImpairedFabric, InlineFabric
 from repro.hashing.checksum import CHECKSUM_FUNCTION_INDEX
-from repro.hashing.crc import CRC32
 from repro.hashing.hash_family import fold_key, fold_keys
 from repro.mem.region import MemoryRegion, RegionAccessError
 from repro.query.fleet import QueryFleet
@@ -95,15 +94,6 @@ class TestVectorisedPrimitives:
             assert (
                 tuple(int(slots[n, position]) for n in range(3))
                 == resolved.slot_indexes
-            )
-
-    def test_crc_compute_rows_matches_scalar(self):
-        rng = np.random.default_rng(5)
-        rows = rng.integers(0, 256, size=(40, 91), dtype=np.uint8)
-        vector = CRC32.compute_rows(rows)
-        for position in range(len(rows)):
-            assert int(vector[position]) == CRC32.compute(
-                rows[position].tobytes()
             )
 
     def test_icrc_rows_matches_scalar_packed_trailers(self):

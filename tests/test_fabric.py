@@ -37,7 +37,6 @@ from repro.hashing.hash_family import HashFamily, fold_key
 from repro.network.flows import FlowGenerator
 from repro.rdma.frames import FrameBatch
 from repro.network.packet_sim import PacketLevelIntNetwork
-from repro.network.simulation import IntSimulation
 from repro.network.topology import FatTreeTopology
 from repro.switch.dart_switch import DartSwitch
 
@@ -374,25 +373,24 @@ class TestFabricIntegration:
         for flow in flows:
             assert network.query_path(flow).answered
 
-    def test_int_simulation_over_buffered_fabric(self):
+    def test_packet_network_counts_the_report_frames_not_lost(self):
+        """A sink's ``report_frames`` is ``report_into``'s count: the
+        redundant frames minus that packet's loss drops."""
         tree = FatTreeTopology(k=4)
-        config = DartConfig(slots_per_collector=1 << 12, num_collectors=1)
-        fabric = BufferedFabric(flush_threshold=8)
-        sim = IntSimulation(tree, config, packet_level=True, fabric=fabric)
-        flows = FlowGenerator(
-            tree.num_hosts, host_ip=tree.host_ip, seed=4
-        ).uniform(40)
-        sim.trace_flows(flows)
-        fabric.flush()
-        evaluation = sim.evaluate()
-        assert evaluation.success_rate == 1.0
+        config = DartConfig(slots_per_collector=1 << 12, num_collectors=2)
+        fabric = ImpairedFabric(InlineFabric(), loss=0.3, reordering=0.3, seed=6)
+        network = PacketLevelIntNetwork(tree, config, fabric=fabric)
+        counters = fabric.counters
+        for flow in FlowGenerator(tree.num_hosts, host_ip=tree.host_ip, seed=6).uniform(60):
+            lost = counters.frames_dropped_loss
+            frames = network.send(flow).report_frames
+            assert frames == config.redundancy - (counters.frames_dropped_loss - lost)
+        assert 0 < counters.frames_dropped_loss < counters.frames_offered
 
     def test_fabric_requires_packet_level(self):
         config = small_config()
         with pytest.raises(ValueError, match="packet_level=True"):
             DartStore(config, fabric=InlineFabric())
-        with pytest.raises(ValueError, match="packet_level=True"):
-            IntSimulation(FatTreeTopology(k=4), config, fabric=InlineFabric())
 
     def test_remote_query_through_buffered_fabric(self):
         config = small_config()

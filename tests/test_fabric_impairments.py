@@ -15,6 +15,7 @@ the paper's resilience claims made mechanical:
   actually offered.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -236,18 +237,30 @@ def test_impaired_over_buffered_inner():
     assert received == inner.counters.frames_delivered
 
 
-def test_loss_model_object_replaces_bernoulli_draws():
-    """A shared LossModel drives the impairment's loss decisions."""
-    from repro.network.simulation import LossModel
-
-    loss_model = LossModel(0.5, seed=1)
-    impaired = ImpairedFabric(InlineFabric(), loss_model=loss_model)
-    store, _config = make_store(impaired)
-    for key, value in workload(40):
-        store.put(key, value)
-    assert loss_model.lost == impaired.counters.frames_dropped_loss
-    assert (
-        loss_model.delivered
-        == impaired.counters.frames_offered
-        - impaired.counters.frames_dropped_loss
-    )
+@pytest.mark.parametrize(
+    "make_fabric",
+    [
+        lambda: ImpairedFabric(InlineFabric(), loss=0.4, reordering=0.4, seed=1),
+        InlineFabric,
+        lambda: BufferedFabric(flush_threshold=8),
+        lambda: ImpairedFabric(InlineFabric(), loss=0.4, seed=2),
+        lambda: ImpairedFabric(InlineFabric(), reordering=0.5, seed=3),
+        lambda: ImpairedFabric(InlineFabric(), loss=1.0),
+        lambda: ImpairedFabric(BufferedFabric(flush_threshold=8), loss=0.3, reordering=0.3, seed=4),
+        lambda: ImpairedFabric(InlineFabric(), loss=0.2, duplication=0.5, seed=5),
+    ],
+    ids=["lossy+reordering", "inline", "buffered", "lossy", "reordering", "all-lost",
+         "impaired-over-buffered", "lossy+duplicating"],
+)
+def test_put_returns_the_frames_not_lost(make_fabric):
+    """``put`` counts the frames the fabric did not report lost: offered
+    minus that put's loss drops, held (reordered) or queued frames
+    included -- also on puts whose frames are both dropped and held."""
+    config = DartConfig(slots_per_collector=1 << 10, num_collectors=2, redundancy=4, seed=9)
+    fabric = make_fabric()
+    store = DartStore(config, packet_level=True, fabric=fabric)
+    counters = fabric.counters
+    for key, value in workload(200):
+        lost = counters.frames_dropped_loss
+        written = store.put(key, value)
+        assert written == config.redundancy - (counters.frames_dropped_loss - lost)

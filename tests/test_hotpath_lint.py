@@ -38,10 +38,14 @@ registry's one stage timer -- no second clock, profiler capture or
 The fourth keeps a lossy batch a batch: ``ImpairedFabric.send_batch``
 delivers, copies and materialises nothing inside a loop over rows.
 
-The fifth keeps the per-row kernels in C: the iCRC, ``compute_rows``' zlib
-branch and the region's columnar scatter and gather hold no Python loop,
-and the region indexes its strided window, never a ``count x width`` index
+The fifth keeps the per-row kernels in C: the iCRC's seeded ``zlib.crc32``
+map and the region's columnar scatter and gather hold no Python loop, and
+the region indexes its strided window, never a ``count x width`` index
 matrix.
+
+The sixth keeps one way onto the wire: outside ``dart_switch.py`` (whose
+``report_into`` is the switch's frame entry) no module hands a
+``report(...)`` frame to ``fabric.send``.
 
 The last is the Options rule: a defaulted parameter of a public callable
 is set by some caller outside ``tests/``, or it is a constant.
@@ -790,27 +794,18 @@ def test_row_loop_lint_catches_seeded_violations():
 REGION_MODULE = SRC / "mem" / "region.py"
 
 #: Batch kernels whose rows go through one C-level pass: no Python loop or
-#: comprehension anywhere in them, bar ``compute_rows``'s scalar fallback
-#: (an ``if`` on ``_is_zlib``: other polynomials, a zero-width matrix).
+#: comprehension anywhere in them (the iCRC maps ``zlib.crc32``).
 ROW_KERNELS = [
     (SRC / "rdma" / "frames.py", "icrc_rows"),
-    (SRC / "hashing" / "crc.py", "compute_rows"),
     (REGION_MODULE, "write_offset_columnar"),
     (REGION_MODULE, "read_offset_columnar"),
 ]
 
 
 def _row_kernel_violations(function: ast.AST, path):
-    """Python loops in a row kernel, outside its ``_is_zlib`` fallback."""
-    fallback = {
-        id(inner)
-        for node in ast.walk(function)
-        if isinstance(node, ast.If) and "_is_zlib" in ast.unparse(node.test)
-        for statement in node.body
-        for inner in ast.walk(statement)
-    }
+    """Python loops in a row kernel."""
     for node in ast.walk(function):
-        if isinstance(node, _LOOPS) and id(node) not in fallback:
+        if isinstance(node, _LOOPS):
             yield f"{path}:{node.lineno}: {function.name}() loops over rows in Python"
 
 
@@ -845,12 +840,10 @@ def test_row_kernel_lint_catches_seeded_violations():
         "def icrc_rows(frames):\n    return [crc(row) for row in frames]\n": 1,
         "def read_offset_columnar(self, offsets, width):\n"
         "    for offset in offsets:\n        out.append(self.read_offset(offset, width))\n": 1,
-        "def compute_rows(self, rows, initial=None):\n"
-        "    if not self._is_zlib:\n        return fromiter(self.compute(r) for r in rows)\n"
+        "def icrc_rows(frames):\n"
         "    return fromiter((crc32(data[s:s + w]) for s in range(0, n, w)))\n": 1,
-        "def compute_rows(self, rows, initial=None):\n"
-        "    if not (self._is_zlib and width):\n        return fromiter(self.compute(r) for r in rows)\n"
-        "    return fromiter(map(crc32, records, repeat(seed)))\n": 0,
+        "def icrc_rows(frames):\n"
+        "    return fromiter(map(zlib.crc32, records, repeat(_ICRC_SEED)))\n": 0,
     }
     for source, expected in seeded.items():
         function = ast.parse(source).body[0]
@@ -863,6 +856,79 @@ def test_row_kernel_lint_catches_seeded_violations():
         assert len(list(_index_matrix_violations(ast.parse(source), "seeded.py"))) == 1
     clean = "windows[offsets] = payloads\nrows = np.arange(count) + base\n"
     assert list(_index_matrix_violations(ast.parse(clean), "seeded.py")) == []
+
+
+# ---------------------------------------------------------------------------
+# One way onto the wire
+# ---------------------------------------------------------------------------
+
+#: The module whose ``report_into`` is the switch's one frame-emit path.
+SWITCH_MODULE = SRC / "switch" / "dart_switch.py"
+
+
+def _report_sends(tree: ast.AST, path):
+    """``<...>fabric.send(...)`` of a ``report(...)`` result, directly or
+    through the names (assigned or looped over) that carry it."""
+    for function in ast.walk(tree):
+        if not isinstance(function, ast.FunctionDef):
+            continue
+        carried = set()
+
+        def carries(node) -> bool:
+            return any(
+                (isinstance(inner, ast.Call) and _call_name(inner) == "report")
+                or (isinstance(inner, ast.Name) and inner.id in carried)
+                for inner in ast.walk(node)
+            )
+
+        bindings = [
+            (target, node.value) for node in ast.walk(function)
+            if isinstance(node, ast.Assign) for target in node.targets
+        ] + [
+            (node.target, node.iter) for node in ast.walk(function)
+            if isinstance(node, (ast.For, ast.comprehension))
+        ]
+        grown = True
+        while grown:
+            grown = False
+            for target, value in bindings:
+                names = {n.id for n in ast.walk(target) if isinstance(n, ast.Name)} - carried
+                if names and carries(value):
+                    carried |= names
+                    grown = True
+        for call in ast.walk(function):
+            if (
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "send"
+                and ast.unparse(call.func.value).endswith("fabric")
+                and any(carries(argument) for argument in call.args)
+            ):
+                yield f"{path}:{call.lineno}: fabric.send(...) of a report(...) frame"
+
+
+def test_only_report_into_sends_report_frames():
+    violations = []
+    for path in _source_modules():
+        if path != SWITCH_MODULE:
+            violations.extend(_report_sends(_parsed(path), path.relative_to(SRC.parent)))
+    assert not violations, "\n".join(violations)
+
+
+def test_report_send_lint_catches_seeded_violations():
+    seeded = {
+        "def put(self, key, value):\n"
+        "    for collector_id, frame in self._switch.report(key, value):\n"
+        "        self.fabric.send(collector_id, frame)\n": 1,
+        "def run(switch, fabric):\n    frames = switch.report(k, v)\n"
+        "    for pair in frames:\n        fabric.send(*pair[:1], pair[1])\n": 1,
+        "def put(self, key, value):\n    return self._switch.report_into(key, value)\n": 0,
+        "def run(switch, nic, fabric):\n    for _c, frame in switch.report(k, v):\n"
+        "        nic.receive_frame(frame)\n    fabric.send(0, craft())\n": 0,
+    }
+    for source, expected in seeded.items():
+        flagged = list(_report_sends(ast.parse(source), "seeded.py"))
+        assert len(flagged) == expected, (source, flagged)
 
 
 # ---------------------------------------------------------------------------
@@ -885,10 +951,8 @@ ONLY_TESTS_SET = {
     ("PacketLevelIntNetwork.__init__", "max_int_hops"): "the INT hop-limit truncation path",
     ("RemoteQueryClient.__init__", "max_retries"): "retry budget 0 vs 8 under 40% loss",
     ("RemoteQueryClient.__init__", "fabric"): "the lossy request leg (ImpairedFabric) of remote queries",
-    ("ImpairedFabric.__init__", "loss_model"): "a shared, pre-seeded LossModel for reproducible drops",
     ("SelfTelemetryExporter.__init__", "fabric"): "telemetry plane under the datapath's loss regime",
     ("SelfTelemetryExporter.__init__", "export_every"): "cadence merging of skipped windows",
-    ("IntSimulation.__init__", "fabric"): "buffered / pre-attached fabrics under the INT driver",
     ("CasDartStore.__init__", "fabric"): "WRITE+CAS over a buffered fabric (put_many parity)",
     ("IntSimulation.__init__", "scraper"): "scrape cadence on the report clock",
     ("PacketLevelIntNetwork.__init__", "scraper"): "scrape cadence on the packet clock",
@@ -937,7 +1001,7 @@ def test_every_option_is_set_by_some_caller_outside_tests():
     assert not constants, "no caller outside tests/ sets:\n" + "\n".join(constants)
     stale = sorted(ONLY_TESTS_SET.keys() - unset.keys())
     assert not stale, f"allow-listed but set by traffic, or gone: {stale}"
-    assert len(ONLY_TESTS_SET) <= 36
+    assert len(ONLY_TESTS_SET) <= 34
 
 
 def test_options_lint_catches_a_seeded_violation():

@@ -5,8 +5,6 @@ row, the scalar reference it replaced:
 
 - ``frames.icrc_rows`` (a seeded ``zlib.crc32`` map over an OR-masked
   image) against ``packets._icrc_of_wire`` on each frame's bytes;
-- ``CrcAlgorithm.compute_rows(rows, initial)`` against ``compute(row,
-  initial)`` for every catalogue algorithm, chaining included;
 - ``MemoryRegion.write_offset_columnar`` / ``read_offset_columnar``
   (indexing one strided window over the region) against looped
   ``write_offset`` / ``read_offset``: bytes, counters and error text;
@@ -19,14 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hashing.crc import CRC8, CRC16_CCITT, CRC32, CRC32C
 from repro.hashing.hash_family import fold_key, fold_keys
 from repro.mem.region import MemoryRegion, RegionAccessError
 from repro.rdma.frames import ICRC_BYTES, IP_OFF, FrameBatch, FramePool, icrc_rows
 from repro.rdma.layout import BTH, ICRC_MASKED_COLUMNS, ICRC_PREFIX_BYTES
 from repro.rdma.packets import _icrc_of_wire
 
-ALGORITHMS = [CRC8, CRC16_CCITT, CRC32, CRC32C]
 _seeds = st.integers(0, 2**32 - 1)
 
 
@@ -88,40 +84,19 @@ class TestIcrcRows:
             flipped[0, column] ^= 0x01
             assert (icrc_rows(flipped)[0] == reference) == (column in masked), column
 
-
-# ---------------------------------------------------------------------------
-# compute_rows, seeded
-# ---------------------------------------------------------------------------
-
-
-class TestComputeRows:
     @settings(max_examples=60, deadline=None)
-    @given(
-        algorithm=st.sampled_from(ALGORITHMS),
-        count=st.sampled_from([0, 1]) | st.integers(2, 12),
-        width=st.integers(0, 96),
-        prefix=st.none() | st.binary(max_size=24),
-        seed=_seeds,
-    )
-    def test_equals_compute_per_row_with_the_same_initial(
-        self, algorithm, count, width, prefix, seed
-    ):
-        rows = _matrix(seed, count, width)
-        initial = None if prefix is None else algorithm.compute(prefix)
-        crcs = algorithm.compute_rows(rows, initial)
-        assert crcs.dtype == np.uint32
-        assert crcs.tolist() == [algorithm.compute(row.tobytes(), initial) for row in rows]
-        if prefix is not None:  # chaining: the prefix CRC'd once stands for its bytes
-            assert crcs.tolist() == [algorithm.compute(prefix + row.tobytes()) for row in rows]
-
-    @pytest.mark.parametrize("algorithm", ALGORITHMS, ids=lambda a: a.name)
-    def test_zero_width_rows_are_the_empty_crc(self, algorithm):
-        """Every algorithm returns ``compute(b"")`` per row of a zero-width
-        matrix (CRC-32 used to raise ``range() arg 3 must not be zero``)."""
-        rows = np.zeros((3, 0), dtype=np.uint8)
-        assert algorithm.compute_rows(rows).tolist() == [algorithm.compute(b"")] * 3
-        seed = algorithm.compute(b"chained")
-        assert algorithm.compute_rows(rows, seed).tolist() == [seed] * 3
+    @given(width=st.integers(MIN_FRAME, 512), seed=_seeds, flip=st.integers(min_value=0))
+    def test_any_single_bit_flip_outside_the_mask_is_detected(self, width, seed, flip):
+        """CRC-32 catches every single-bit error: flip one bit of a covered
+        byte and the iCRC changes, on the row kernel and the scalar path."""
+        frames = _matrix(seed, 1, width)
+        masked = {IP_OFF + column - ICRC_PREFIX_BYTES for column in ICRC_MASKED_COLUMNS}
+        covered = [c for c in range(IP_OFF, width - ICRC_BYTES) if c not in masked]
+        column = covered[flip % len(covered)]
+        flipped = frames.copy()
+        flipped[0, column] ^= 1 << (flip // len(covered) % 8)
+        assert icrc_rows(flipped)[0] != icrc_rows(frames)[0]
+        assert _scalar_icrcs(flipped) != _scalar_icrcs(frames)
 
 
 # ---------------------------------------------------------------------------

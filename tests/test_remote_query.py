@@ -197,7 +197,6 @@ class TestLossyRemoteQueries:
 
     def make(self, loss_probability, max_retries):
         from repro.fabric import ImpairedFabric, InlineFabric
-        from repro.network.simulation import LossModel
 
         config = DartConfig(
             slots_per_collector=1 << 10, num_collectors=1, value_bytes=8
@@ -211,7 +210,8 @@ class TestLossyRemoteQueries:
                 )
         fabric = ImpairedFabric(
             cluster.attach_to(InlineFabric()),
-            loss_model=LossModel(loss_probability, seed=3),
+            loss=loss_probability,
+            seed=3,
         )
         return RemoteQueryClient(
             config, cluster, max_retries=max_retries, fabric=fabric
