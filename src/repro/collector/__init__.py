@@ -4,8 +4,8 @@ A DART collector is an ordinary server that contributes a registered memory
 region and an RDMA NIC; its CPU is involved only when an operator runs a
 query.  This package assembles the substrates into deployable pieces:
 
-- :mod:`repro.collector.collector` -- a single collector host (region +
-  RNIC + queue pair) and the fleet-level :class:`CollectorCluster`.
+- :mod:`repro.collector.collector` -- a collector host (region + RNIC +
+  per-switch responder QPs) and the fleet-level :class:`CollectorCluster`.
 - :mod:`repro.collector.store` -- :class:`DartStore`, the high-level
   key-value facade combining a reporter and a query client.
 - :mod:`repro.collector.counters` -- Fetch&Add-based flow counters living

@@ -8,13 +8,14 @@ through :meth:`Collector.read_slot` -- the only point where the collector's
 own CPU touches telemetry data, exactly as in the paper.
 
 :class:`CollectorCluster` builds the fleet a :class:`DartConfig` describes
-and exposes the endpoint table the control plane loads into switches.
+and keeps its role map; :meth:`Collector.endpoint_for` derives the one
+lookup-table row a given switch reaches a host through.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional, Tuple
 
 from repro import obs
 from repro.core.config import DartConfig
@@ -44,19 +45,9 @@ class CollectorEndpoint:
     rkey: int
     base_address: int
 
-    @property
-    def sram_bytes(self) -> int:
-        """On-switch SRAM footprint of this entry.
-
-        MAC (6) + IPv4 (4) + QP number (3) + rkey (4) + base address (8)
-        = 25 bytes of value data; with Tofino table packing the paper
-        reports "about 20 bytes per collector", the same order.
-        """
-        return 6 + 4 + 3 + 4 + 8
-
 
 class Collector:
-    """One collector host: registered region + RNIC + responder QP.
+    """One collector host: registered region + RNIC + per-switch responder QPs.
 
     ``collector_id`` is the host's *node* identity (its addresses and rkey
     derive from it).  Which keyspace role -- hash slot in
@@ -65,7 +56,7 @@ class Collector:
     coincide, while standby hosts carry node IDs beyond the keyspace.
 
     ``standby=True`` builds a warm spare: the host is fully provisioned
-    (region, NIC, QPs) but owns no keyspace role until a failover or drain
+    (region, NIC) but owns no keyspace role until a failover or drain
     promotes it, so its node ID may lie outside ``[0, num_collectors)``.
     """
 
@@ -110,9 +101,6 @@ class Collector:
                 ip=f"10.{(collector_id >> 16) & 0xFF}."
                 f"{(collector_id >> 8) & 0xFF}.{collector_id & 0xFF}",
             )
-            self.qp = self.nic.create_queue_pair(
-                QueuePair(qp_number=0x100 + collector_id, policy=psn_policy)
-            )
 
     def __repr__(self) -> str:
         return (
@@ -139,17 +127,24 @@ class Collector:
                 QueuePair(qp_number=qp_number, policy=self._psn_policy)
             )
 
-    @property
-    def endpoint(self) -> CollectorEndpoint:
-        """The lookup-table row the control plane installs in switches."""
-        return CollectorEndpoint(
+    def endpoint_for(self, switch_id: int) -> Tuple[CollectorEndpoint, int]:
+        """Switch ``switch_id``'s lookup-table row for this host, and its PSN seed.
+
+        The row addresses the switch's own responder QP (created on first
+        use, see :meth:`create_reporter_qp`); the seed is that QP's
+        expected PSN, which the switch's PSN register must start from.
+        Bring-up and failover plans both derive rows here.
+        """
+        qp = self.create_reporter_qp(switch_id)
+        endpoint = CollectorEndpoint(
             collector_id=self.collector_id,
             mac=self.nic.mac,
             ip=self.nic.ip,
-            qp_number=self.qp.qp_number,
+            qp_number=qp.qp_number,
             rkey=self.region.rkey,
             base_address=self.region.base_address,
         )
+        return endpoint, qp.expected_psn
 
     # ------------------------------------------------------------------
     # Failure injection (host-level chaos for the fleet controller)
@@ -267,7 +262,7 @@ class CollectorCluster:
     hosts (node IDs ``num_collectors ..``) are provisioned as warm spares;
     a failover :meth:`promote`\\ s a standby into a dead node's role, and a
     recovered host is :meth:`readmit`\\ ted as a standby.  All role-keyed
-    accessors (:meth:`read_slot`, :meth:`endpoints`, iteration, indexing)
+    accessors (:meth:`read_slot`, :meth:`node_for`, iteration, indexing)
     resolve through the *live* role map, so nothing above this layer can
     hold a stale node reference across a failover.
     """
@@ -395,18 +390,6 @@ class CollectorCluster:
         node.clear()
         self._standby_ids.append(node_id)
         return node
-
-    def endpoints(self) -> Dict[int, CollectorEndpoint]:
-        """The lookup table the control plane pushes to switches.
-
-        Keyed by *role*; each value is the serving node's endpoint, so the
-        same call after a failover yields the standby's addresses under
-        the failed node's role.
-        """
-        return {
-            role: self.node_for(role).endpoint
-            for role in range(len(self._role_map))
-        }
 
     def attach_to(self, fabric: Fabric) -> Fabric:
         """Register every serving collector as a fabric endpoint (ID = role).

@@ -45,7 +45,10 @@ class DartStore:
         Default query return policy (paper default: plurality vote).
     packet_level:
         Route writes through the P4 switch model and RoCEv2 wire format
-        instead of direct slot writes.
+        instead of direct slot writes.  The store's one switch (ID 0) is
+        brought up like any fleet switch, by
+        :meth:`~repro.switch.control_plane.SwitchControlPlane.connect_switch`:
+        it reaches each collector through its own responder QP.
     fabric:
         The transport report frames traverse in packet-level mode; defaults
         to an :class:`~repro.fabric.InlineFabric` (synchronous delivery).
@@ -90,9 +93,7 @@ class DartStore:
             self.fabric = fabric if fabric is not None else InlineFabric()
             self.cluster.attach_to(self.fabric)
             self._switch = DartSwitch(config, switch_id=0, fabric=self.fabric)
-            SwitchControlPlane(self.config).provision(
-                self._switch, self.cluster.endpoints()
-            )
+            SwitchControlPlane(config).connect_switch(self._switch, self.cluster)
         registry = obs.get_registry()
         self._tracer = obs.get_tracer()
         labels = registry.instance_labels("DartStore")
@@ -147,9 +148,10 @@ class DartStore:
         Packet-level mode encodes it as one frame matrix, emits it through
         ``send_batch`` and flushes once; in-process mode scatters it into
         each collector's region with one columnar write.  Store state and
-        write/overwrite counters equal looped :meth:`put` (tested).
-        Returns the number of slot copies written (frames offered in
-        packet-level mode).
+        write/overwrite counters equal looped :meth:`put` (tested), and
+        so does the return: the slot copies written, which in
+        packet-level mode counts, as :meth:`put` does, the frames the
+        fabric did not report lost.
         """
         started = self._t_put_many.start()
         items = list(items)

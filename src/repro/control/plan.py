@@ -12,7 +12,7 @@ row, so the fleet never runs a mix of epochs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -100,9 +100,11 @@ def build_failover_plan(
 ) -> ReconfigurationPlan:
     """Compute the diff that moves ``role`` onto a healthy standby.
 
-    For every switch the standby gets (idempotently) a dedicated responder
-    QP -- RoCEv2 PSNs sequence per QP, so each switch's PSN register must
-    seed from *its own* QP's expected PSN, not a shared value.  Raises
+    Every switch gets the standby's row on that switch's own responder QP
+    (:meth:`~repro.collector.collector.Collector.endpoint_for`, the
+    derivation bring-up uses) -- RoCEv2 PSNs sequence per QP, so each
+    switch's PSN register must seed from *its own* QP's expected PSN, not
+    a shared value.  Raises
     :class:`NoStandbyAvailableError` when the spare pool has no healthy
     host.
     """
@@ -114,15 +116,9 @@ def build_failover_plan(
         raise NoStandbyAvailableError(role, failed_node.collector_id)
     updates: List[SwitchUpdate] = []
     for switch in switches:
-        qp = target.create_reporter_qp(switch.switch_id)
+        endpoint, psn = target.endpoint_for(switch.switch_id)
         updates.append(
-            SwitchUpdate(
-                switch_id=switch.switch_id,
-                role=role,
-                endpoint=replace(target.endpoint, qp_number=qp.qp_number),
-                initial_psn=qp.expected_psn,
-                epoch=epoch,
-            )
+            SwitchUpdate(switch.switch_id, role, endpoint, psn, epoch)
         )
     return ReconfigurationPlan(
         epoch=epoch,
@@ -140,13 +136,14 @@ def apply_plan(
 ) -> int:
     """Execute a plan on every switch, atomically; returns switches updated.
 
-    Each update snapshots the switch's previous row before rewriting it.
-    If any update raises, all switches already rewritten are restored to
-    their snapshots and the original exception propagates: either the
-    whole fleet moves to ``plan.epoch`` or none of it does.
+    Each update returns the arguments that re-install the switch's previous
+    row.  If any update raises, every switch already rewritten gets its
+    previous row back through the same ``update_collector`` call and the
+    original exception propagates: either the whole fleet moves to
+    ``plan.epoch`` or none of it does.
     """
     by_id: Dict[int, DartSwitch] = {s.switch_id: s for s in switches}
-    applied: List[Tuple[DartSwitch, Optional[dict]]] = []
+    applied: List[Tuple[DartSwitch, Tuple[CollectorEndpoint, int, int]]] = []
     try:
         for update in plan.updates:
             switch = by_id[update.switch_id]
@@ -168,16 +165,6 @@ def apply_plan(
             applied=len(applied),
         )
         for switch, previous in reversed(applied):
-            switch.collector_table.remove_entry((plan.role,))
-            if previous is not None:
-                rollback = dict(previous)
-                initial_psn = rollback.pop("initial_psn", 0)
-                epoch = rollback.pop("epoch", 0)
-                switch.install_collector(
-                    collector_id=plan.role,
-                    initial_psn=initial_psn,
-                    epoch=epoch,
-                    **rollback,
-                )
+            switch.update_collector(plan.role, *previous)
         raise
     return len(applied)

@@ -182,17 +182,20 @@ class Fabric:
         for frame in frames:
             self.send(endpoint_id, frame)
 
-    def send_batch(self, batch: FrameBatch) -> Optional[int]:
+    def send_batch(self, batch: FrameBatch) -> int:
         """Offer a whole columnar frame batch; takes ownership of ``batch``.
 
         The batch seam of the columnar datapath: one call moves every
         frame, and the fabric releases the batch's pooled buffer once it
-        no longer needs the bytes.  Returns the executed count for
-        synchronous transports, or None when any delivery was deferred.
+        no longer needs the bytes.  Returns the rows whose :meth:`send`
+        result would not be ``False``: executed now, or still in flight
+        (queued, or held) and not lost.
 
         Every transport implements it (Inline/Buffered/Impaired with
         vectorised paths whose results match per-frame :meth:`send` in
-        emission order).
+        emission order).  Impaired's count is exact unless PSNs are ignored
+        and some row's own delivery is rejected: then the second copies and
+        released held rows that executed can lift it above looped send's.
         """
         raise NotImplementedError
 
@@ -421,20 +424,20 @@ class BufferedFabric(Fabric):
         self._note_enqueued(endpoint_id, 1)
         return None
 
-    def send_batch(self, batch: FrameBatch) -> Optional[int]:
+    def send_batch(self, batch: FrameBatch) -> int:
         """Queue a columnar batch; frames deliver at the next (auto-)flush.
 
         The batch stays columnar in the queue -- a retained handle for the
         single-endpoint case, pooled per-endpoint sub-batches otherwise --
         so a later flush still reaches the endpoint's columnar ingest.
+        Returns the rows queued: every one is in flight, as :meth:`send`'s
+        None says of a frame.
         """
         count = batch.count
         self.counters.c_offered.inc(count)
         if self._h_frame_bytes.enabled and count:
             self._h_frame_bytes.observe_many(batch.width, count)
         try:
-            if count == 0:
-                return 0
             endpoint = batch.single_endpoint()
             if endpoint is not None:
                 self.port(endpoint)  # fail fast before retaining
@@ -442,7 +445,7 @@ class BufferedFabric(Fabric):
                     batch.retain()
                 )
                 self._note_enqueued(endpoint, count)
-                return None
+                return count
             groups = list(batch.groups())
             for endpoint_id, _rows in groups:
                 self.port(endpoint_id)  # fail fast before copying anything
@@ -450,7 +453,7 @@ class BufferedFabric(Fabric):
                 sub = batch.select(rows)
                 self._queues.setdefault(endpoint_id, deque()).append(sub)
                 self._note_enqueued(endpoint_id, sub.count)
-            return None
+            return count
         finally:
             batch.release()
 

@@ -173,7 +173,7 @@ class ImpairedFabric(Fabric):
             self.inner.send(endpoint_id, frame)
         return result
 
-    def send_batch(self, batch: FrameBatch) -> Optional[int]:
+    def send_batch(self, batch: FrameBatch) -> int:
         """Offer a columnar batch, impairing each frame independently.
 
         Impairment draws happen per frame in emission order -- the exact
@@ -185,9 +185,10 @@ class ImpairedFabric(Fabric):
         inner fabric as one sub-batch (the batch itself when nothing was
         impaired).  Only a frame carried in from an earlier call is bytes,
         sent between the rows either side of it; a row still held at the
-        end is kept as bytes.  Returns the executed count, or None when a
-        row was held (no result yet) or duplicated (the copy travels as a
-        row, so its execution would be counted too).
+        end is kept as bytes.  Returns the held rows plus the inner count
+        capped at the rows delivered now: a duplicate's second copy and a
+        released held row are no row's own delivery (see
+        :meth:`Fabric.send_batch` for where that count is exact).
         """
         tracer = self._tracer
         count = batch.count
@@ -259,9 +260,7 @@ class ImpairedFabric(Fabric):
                     f"{type(self.inner).__name__}:rows=0 executed=0",
                     status="drop",
                 )
-            if reordered or duplicated or None in results:
-                return None
-            return sum(results)
+            return reordered + min(sum(results), count - lost - reordered)
         finally:
             batch.release()
 

@@ -2,16 +2,15 @@
 
 The paper's prototype pairs the P4 program with ~150 lines of Python that
 load the global collector lookup table and initialise per-collector state.
-This module is that script: it takes the endpoint table a
-:class:`~repro.collector.collector.CollectorCluster` exposes and installs
-it into each switch it brings up, seeding the switch's PSN registers from
-the collectors' advertised expected PSNs.
+This module is that script: every switch it brings up installs, per role,
+the row :meth:`~repro.collector.collector.Collector.endpoint_for` derives
+on the switch's own responder QP, its PSN register seeded from that QP's
+expected PSN.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Dict, List, Tuple
 
 from repro.core.config import DartConfig
 from repro.collector.collector import CollectorCluster, CollectorEndpoint
@@ -37,70 +36,31 @@ class SwitchControlPlane:
         """The registered fleet, in switch-ID order."""
         return [self._switches[sid] for sid in sorted(self._switches)]
 
-    def provision(
-        self,
-        switch: DartSwitch,
-        endpoints: Mapping[int, CollectorEndpoint],
-        initial_psns: Mapping[int, int] | None = None,
-    ) -> int:
-        """Install every collector endpoint into one switch.
-
-        ``endpoints`` is keyed by keyspace *role* -- the value a switch
-        matches after hashing a key.  Installing by the mapping key (not
-        the endpoint's own ``collector_id``) matters once standbys exist:
-        after a failover a role is served by a host whose node ID lies
-        outside the keyspace, and the switch must still match the role.
-
-        Returns the number of entries installed.  Raises if the endpoint
-        table disagrees with the config's fleet size -- a misprovisioned
-        switch would silently blackhole reports for unmapped collectors,
-        which is the kind of failure better caught at bring-up.
-        """
-        if switch.config != self.config:
+    def _check_config(self, *parts: DartSwitch | CollectorCluster) -> None:
+        if any(part.config != self.config for part in parts):
             raise ValueError(
-                "switch was built for a different DartConfig; addressing "
-                "would disagree with the rest of the deployment"
+                "switch or cluster was built for a different DartConfig; "
+                "addressing would disagree with the rest of the deployment"
             )
-        missing = set(range(self.config.num_collectors)) - set(endpoints)
-        if missing:
-            raise ValueError(
-                f"endpoint table missing collector IDs {sorted(missing)}"
-            )
-        installed = 0
-        for role, endpoint in sorted(endpoints.items()):
-            psn = 0
-            if initial_psns is not None:
-                psn = initial_psns.get(role, 0)
-            switch.install_collector(
-                collector_id=role,
-                mac=endpoint.mac,
-                ip=endpoint.ip,
-                qp_number=endpoint.qp_number,
-                rkey=endpoint.rkey,
-                base_address=endpoint.base_address,
-                initial_psn=psn,
-            )
-            installed += 1
-        self._switches[switch.switch_id] = switch
-        return installed
 
     def connect_switch(self, switch: DartSwitch, cluster: CollectorCluster) -> int:
-        """Full bring-up for one switch: per-switch QPs + table install.
+        """Bring one switch up: one row per cluster role; returns rows installed.
 
         Each switch-collector pair gets a dedicated responder QP (RoCEv2
-        sequences PSNs per QP), and the switch's lookup-table entries carry
-        that QP number; PSN registers start from the QPs' expected PSNs.
-        This is what a fleet deployment uses; :meth:`provision` with shared
-        default QPs only suits single-reporter setups.
+        sequences PSNs per QP), so independent switches' PSN streams never
+        look like duplicates of each other.  Rows are installed under the
+        *role* -- the value a switch matches after hashing a key -- not
+        the serving host's node ID, which lies outside the keyspace once a
+        standby has taken a role over.  Raises ValueError, before anything
+        is installed, when the switch or the cluster was built for another
+        config: a cluster of a different size would leave roles unmapped.
         """
-        endpoints: Dict[int, CollectorEndpoint] = {}
-        initial_psns: Dict[int, int] = {}
+        self._check_config(switch, cluster)
         for role in range(len(cluster)):
-            node = cluster.node_for(role)
-            qp = node.create_reporter_qp(switch.switch_id)
-            endpoints[role] = replace(node.endpoint, qp_number=qp.qp_number)
-            initial_psns[role] = qp.expected_psn
-        return self.provision(switch, endpoints, initial_psns=initial_psns)
+            endpoint, psn = cluster.node_for(role).endpoint_for(switch.switch_id)
+            switch.install_collector(role, endpoint, psn)
+        self._switches[switch.switch_id] = switch
+        return len(cluster)
 
     def apply_update(
         self,
@@ -110,31 +70,18 @@ class SwitchControlPlane:
         *,
         initial_psn: int = 0,
         epoch: int = 0,
-    ) -> Optional[Dict[str, Any]]:
+    ) -> Tuple[CollectorEndpoint, int, int]:
         """Re-point one role on one switch at a new endpoint, live.
 
-        The runtime counterpart of :meth:`provision`: used by the failover
-        path to rewrite a failed role's row.  Returns the switch's previous
-        entry parameters (for rollback of a partially applied plan).
+        The runtime counterpart of :meth:`connect_switch`: used by the
+        failover path to rewrite a failed role's row.  Returns
+        :meth:`~repro.switch.dart_switch.DartSwitch.update_collector`'s
+        arguments for re-installing the previous row (rollback of a
+        partially applied plan).
         """
-        if switch.config != self.config:
-            raise ValueError(
-                "switch was built for a different DartConfig; addressing "
-                "would disagree with the rest of the deployment"
-            )
+        self._check_config(switch)
         if not 0 <= role < self.config.num_collectors:
-            raise ValueError(
-                f"role {role} outside [0, {self.config.num_collectors})"
-            )
-        previous = switch.update_collector(
-            collector_id=role,
-            mac=endpoint.mac,
-            ip=endpoint.ip,
-            qp_number=endpoint.qp_number,
-            rkey=endpoint.rkey,
-            base_address=endpoint.base_address,
-            initial_psn=initial_psn,
-            epoch=epoch,
-        )
+            raise ValueError(f"role {role} outside [0, {self.config.num_collectors})")
+        previous = switch.update_collector(role, endpoint, initial_psn, epoch)
         self._switches[switch.switch_id] = switch
         return previous

@@ -17,11 +17,13 @@ it; the NIC model on the other end validates it byte-for-byte.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
+from repro.collector.collector import CollectorEndpoint
 from repro.core.addressing import DartAddressing, ResolvedKey
 from repro.core.batch import ReportBatch
 from repro.core.config import DartConfig
@@ -118,6 +120,9 @@ class DartSwitch:
         #: failover bumps the tag when it re-points the role, so tests and
         #: the controller can assert every switch runs the current version.
         self.endpoint_epochs: Dict[int, int] = {}
+        #: Node ID of the host each role's row addresses (role -> node):
+        #: kept beside the 25-byte row so a rollback rebuilds the record.
+        self._serving_nodes: Dict[int, int] = {}
 
         self.src_mac = (
             f"02:00:{(switch_id >> 24) & 0xFF:02x}:{(switch_id >> 16) & 0xFF:02x}:"
@@ -141,74 +146,57 @@ class DartSwitch:
     def install_collector(
         self,
         collector_id: int,
-        mac: str,
-        ip: str,
-        qp_number: int,
-        rkey: int,
-        base_address: int,
+        endpoint: CollectorEndpoint,
         initial_psn: int = 0,
         epoch: int = 0,
     ) -> None:
-        """Install one collector lookup entry and initialise its PSN.
+        """Install ``endpoint`` as the lookup row of role ``collector_id``.
 
         ``collector_id`` is the keyspace *role* switches match on (what
-        the addressing layer computes from a key); the endpoint fields
-        describe whichever host currently serves it.  ``epoch`` tags the
+        the addressing layer computes from a key); ``endpoint`` describes
+        whichever host serves it (see
+        :meth:`~repro.collector.collector.Collector.endpoint_for`).  The
+        table holds the record's five row fields as its parameter dict
+        (the host's node ID is kept beside the row, not in it), and the
+        role's PSN register starts at ``initial_psn``.  ``epoch`` tags the
         table version this entry belongs to.
         """
+        row = asdict(endpoint)
+        node_id = row.pop("collector_id")
         self.collector_table.add_entry(
-            TableEntry(
-                match=(collector_id,),
-                action="set_rdma_endpoint",
-                params={
-                    "mac": mac,
-                    "ip": ip,
-                    "qp_number": qp_number,
-                    "rkey": rkey,
-                    "base_address": base_address,
-                },
-            )
+            TableEntry(match=(collector_id,), action="set_rdma_endpoint", params=row)
         )
         self.psn_registers.write(collector_id, initial_psn)
         self.endpoint_epochs[collector_id] = epoch
+        self._serving_nodes[collector_id] = node_id
 
     def update_collector(
         self,
         collector_id: int,
-        mac: str,
-        ip: str,
-        qp_number: int,
-        rkey: int,
-        base_address: int,
+        endpoint: CollectorEndpoint,
         initial_psn: int = 0,
         epoch: int = 0,
-    ) -> Optional[Dict[str, Any]]:
-        """Re-point one lookup entry at a new endpoint, live.
+    ) -> Tuple[CollectorEndpoint, int, int]:
+        """Re-point role ``collector_id``'s installed row at ``endpoint``, live.
 
         This is the runtime half of the control plane -- a failover rewrites
         the role's row in place (remove + add, since exact-match installs
         reject duplicates) and resyncs the PSN register to the new host's
-        expected PSN.  Returns the previous entry's parameters (plus its
-        ``initial_psn`` and ``epoch``) so a partially applied plan can be
-        rolled back, or None if the role had no entry.
+        expected PSN.  Returns the ``(endpoint, initial_psn, epoch)`` that
+        re-install the previous row, so a partially applied plan rolls
+        back through this same call.  Raises LookupError when the role
+        has no row to re-point.
         """
-        previous: Optional[Dict[str, Any]] = None
         installed = self.collector_table.entry((collector_id,))
-        if installed is not None:
-            previous = dict(installed.params)
-            previous["initial_psn"] = self.psn_registers.read(collector_id)
-            previous["epoch"] = self.endpoint_epochs.get(collector_id, 0)
-            self.collector_table.remove_entry((collector_id,))
-        self.install_collector(
-            collector_id=collector_id,
-            mac=mac,
-            ip=ip,
-            qp_number=qp_number,
-            rkey=rkey,
-            base_address=base_address,
-            initial_psn=initial_psn,
-            epoch=epoch,
+        if installed is None:
+            raise LookupError(f"no collector lookup entry for collector {collector_id}")
+        previous = (
+            CollectorEndpoint(self._serving_nodes[collector_id], **installed.params),
+            self.psn_registers.read(collector_id),
+            self.endpoint_epochs[collector_id],
         )
+        self.collector_table.remove_entry((collector_id,))
+        self.install_collector(collector_id, endpoint, initial_psn, epoch)
         return previous
 
     def collector_endpoint(self, collector_id: int) -> Optional[Dict[str, Any]]:
@@ -445,7 +433,9 @@ class DartSwitch:
 
         One :class:`~repro.core.batch.ReportBatch` resolution, one frame
         matrix, one ``send_batch`` -- the datapath BENCH_fabric's
-        ``packet_columnar`` mode measures.  Returns frames offered; an
+        ``packet_columnar`` mode measures.  Returns what looped
+        :meth:`report_into` returns from the same state: ``send_batch``'s
+        count of rows executed now or still in flight, none lost; an
         empty batch offers nothing and returns 0.  Under a tracer the
         whole frame batch is bound to one trace (the caller's active one,
         or its own) and records one span per layer.
@@ -456,22 +446,20 @@ class DartSwitch:
             return 0
         batch = ReportBatch.from_items(self.addressing, items)
         frame_batch = self.encode_batch(batch)
-        offered = frame_batch.count
         tracer = self._tracer
         if not tracer.enabled:
-            fabric.send_batch(frame_batch)
-            return offered
-        with tracer.joined("switch_batch", key=f"rows={offered}") as trace_id:
+            return fabric.send_batch(frame_batch)
+        rows = frame_batch.count
+        with tracer.joined("switch_batch", key=f"rows={rows}") as trace_id:
             tracer.span(
                 trace_id,
                 "switch.report_batch",
-                f"switch={self.switch_id} rows={offered}",
+                f"switch={self.switch_id} rows={rows}",
             )
             # A head-sampled-out id leaves the batch unbound: no layer
             # below records or pays anything for it.
             tracer.bind_batch(frame_batch, trace_id)
-            fabric.send_batch(frame_batch)
-        return offered
+            return fabric.send_batch(frame_batch)
 
     # ------------------------------------------------------------------
     # Resource accounting (paper section 6 claims)

@@ -269,7 +269,7 @@ def build_dart_program(config: DartConfig, switch_id: int) -> P4Program:
         ),
     )
 
-    collector_table = MatchActionTable(
+    lookup_table = MatchActionTable(
         name="collector_lookup",
         match_kinds=[MatchKind.EXACT],
         max_entries=MAX_COLLECTORS,
@@ -360,7 +360,7 @@ def build_dart_program(config: DartConfig, switch_id: int) -> P4Program:
         statements=(
             Run(compute_addressing),
             Apply(
-                table=collector_table,
+                table=lookup_table,
                 keys=(Meta("collector"),),
                 actions={"set_rdma_endpoint": set_rdma_endpoint},
             ),

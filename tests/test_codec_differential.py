@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.collector.collector import CollectorEndpoint
 from repro.core.config import DartConfig
 from repro.mem.region import MemoryRegion
 from repro.primitives.translator import ReadResponseRows, ResponseDemux
@@ -242,14 +243,12 @@ def test_crc32_check_values(data, crc):
 # ----------------------------------------------------------------------
 
 CONFIG = DartConfig(slots_per_collector=64, num_collectors=1, redundancy=2)
+ENDPOINT = CollectorEndpoint(0, "02:00:00:00:00:01", "10.0.0.1", 0x11, 0x42, 0x10000)
 
 
 def report_frame() -> bytes:
     switch = DartSwitch(CONFIG, switch_id=7)
-    switch.install_collector(
-        0, mac="02:00:00:00:00:01", ip="10.0.0.1", qp_number=0x11, rkey=0x42,
-        base_address=0x10000,
-    )
+    switch.install_collector(0, ENDPOINT)
     return switch.report(("flow", 1), b"v" * CONFIG.value_bytes)[0][1]
 
 
@@ -308,10 +307,7 @@ def test_nic_granularities_agree_on_unmodelled_bits(byte, bits):
 def report_matrix() -> np.ndarray:
     """Four reports' eight WRITEs: the UDP source port differs per report."""
     switch = DartSwitch(CONFIG, switch_id=7)
-    switch.install_collector(
-        0, mac="02:00:00:00:00:01", ip="10.0.0.1", qp_number=0x11, rkey=0x42,
-        base_address=0x10000,
-    )
+    switch.install_collector(0, ENDPOINT)
     return np.stack([
         np.frombuffer(frame, dtype=np.uint8)
         for key in range(4)

@@ -24,12 +24,12 @@ class TestCollector:
     def test_construction_and_endpoint(self):
         config = small_config()
         collector = Collector(config, collector_id=1)
-        endpoint = collector.endpoint
+        collector.create_reporter_qp(4).expected_psn = 7
+        endpoint, psn = collector.endpoint_for(4)
         assert endpoint.collector_id == 1
-        assert endpoint.qp_number == 0x101
-        assert endpoint.rkey == 0x1001
-        assert endpoint.base_address == 0x100000
-        assert endpoint.sram_bytes == 25
+        assert (endpoint.qp_number, psn) == (0x10004, 7)
+        assert (endpoint.rkey, endpoint.base_address) == (0x1001, 0x100000)
+        assert collector.endpoint_for(4) == (endpoint, psn)  # one QP per switch
 
     def test_collector_id_validated(self):
         with pytest.raises(ValueError):
@@ -67,12 +67,6 @@ class TestCollectorCluster:
         assert len(cluster) == 3
         assert [c.collector_id for c in cluster] == [0, 1, 2]
         assert cluster[2].collector_id == 2
-
-    def test_endpoints_table(self):
-        cluster = CollectorCluster(small_config(num_collectors=3))
-        endpoints = cluster.endpoints()
-        assert set(endpoints) == {0, 1, 2}
-        assert len({e.ip for e in endpoints.values()}) == 3
 
     def test_total_memory(self):
         config = small_config(slots_per_collector=100, num_collectors=2)
@@ -309,7 +303,7 @@ class TestClusterRoleMap:
         # Role-keyed accessors all resolve through the live map.
         assert cluster.collectors[0].collector_id == 2
         assert cluster[0].collector_id == 2
-        assert cluster.endpoints()[0].ip == cluster.node(2).nic.ip
+        assert cluster.node_for(0).endpoint_for(0)[0].ip == cluster.node(2).nic.ip
 
     def test_promote_validation(self):
         cluster = self.make_cluster()

@@ -255,20 +255,18 @@ class TestStoreStateEquivalence:
     )
     def test_columnar_store_matches_scalar_store(self, factory, count):
         """Same workload, same fabric (same seeds): scalar and columnar
-        stores end with identical region bytes, NIC counters and fabric
-        counters -- impairments draw the identical RNG sequence.  An empty
-        batch offers nothing and moves no frame counter."""
+        stores end with identical region bytes, NIC counters, fabric counters
+        (impairments draw the identical RNG sequence) and return values.
+        An empty batch offers nothing and moves no frame counter."""
         config = small_config(num_collectors=3, slots_per_collector=512)
         items = make_items(count)
 
         scalar = DartStore(config, packet_level=True, fabric=factory())
         columnar = DartStore(config, packet_level=True, fabric=factory())
-        for key, value in items:
-            scalar.put(key, value)
-        offered_columnar = columnar.put_many(items)
-        assert offered_columnar == len(items) * config.redundancy
+        written = sum(scalar.put(key, value) for key, value in items)
+        assert columnar.put_many(items) == written
         self.assert_same_state(scalar, columnar)
-        assert columnar.fabric.counters.frames_offered == offered_columnar
+        assert columnar.fabric.counters.frames_offered == len(items) * config.redundancy
         assert columnar.put_many([]) == 0
         self.assert_same_state(scalar, columnar)
 

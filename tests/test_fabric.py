@@ -328,11 +328,9 @@ class TestFabricEquivalence:
             for items in PUT_MANY_INPUTS:
                 store_a = DartStore(config, packet_level=True, fabric=factory())
                 store_b = DartStore(config, packet_level=True, fabric=factory())
-                offered = store_a.put_many(items)  # flushes internally
-                for key, value in items:
-                    store_b.put(key, value)
+                written = store_a.put_many(items)  # flushes internally
+                assert written == sum(store_b.put(k, v) for k, v in items)
                 store_b.fabric.flush()
-                assert offered == len(items) * config.redundancy
                 assert store_a.fabric.pending() == store_b.fabric.pending() == 0
                 assert_same_store_state(store_a, store_b)
                 if factory is InlineFabric:

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.collector.collector import CollectorEndpoint
 from repro.core.cas_store import CasDartStore
 from repro.core.config import DartConfig
 from repro.hashing.hash_family import HashFamily, _fold_bytes, fold_key, mix64, splitmix64
@@ -77,7 +78,7 @@ def shape_report(draw):
         base_address=draw(st.integers(U64 - (1 << 20), U64 - 64 * config.slot_bytes)),
     )
     psn = draw(psns)
-    switch.install_collector(0, initial_psn=psn, **endpoint)
+    switch.install_collector(0, CollectorEndpoint(0, **endpoint), psn)
     key = draw(st.binary(max_size=20))
     resolved = switch.addressing.resolve(key)
     value = draw(st.binary(max_size=config.value_bytes))
@@ -333,7 +334,7 @@ def test_update_collector_between_puts_changes_every_reflected_byte():
                rkey=0x1111, base_address=0x10000)
     new = dict(mac="02:00:00:00:00:02", ip="10.0.0.2", qp_number=0x200,
                rkey=0x2222, base_address=0x90000)
-    switch.install_collector(0, **old)
+    switch.install_collector(0, CollectorEndpoint(0, **old))
     reflected = {}
     for endpoint in (old, new):
         (role, frame), _second = switch.report(b"flow", b"v")
@@ -349,7 +350,7 @@ def test_update_collector_between_puts_changes_every_reflected_byte():
             for name in ("eth.dst_mac", "ipv4.dst_ip", "ipv4.checksum", "bth.dest_qp",
                          "reth.rkey", "reth.virtual_address")
         }
-        switch.update_collector(0, **new)
+        switch.update_collector(0, CollectorEndpoint(0, **new))
     before, after = reflected.values()
     assert all(before[name] != after[name] for name in before)
 

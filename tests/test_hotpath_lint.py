@@ -47,6 +47,10 @@ The sixth keeps one way onto the wire: outside ``dart_switch.py`` (whose
 ``report_into`` is the switch's frame entry) no module hands a
 ``report(...)`` frame to ``fabric.send``.
 
+The seventh keeps one owner of the lookup table: outside
+``dart_switch.py`` no module names ``collector_table``; rows go in,
+change and roll back through ``install_collector`` / ``update_collector``.
+
 The last is the Options rule: a defaulted parameter of a public callable
 is set by some caller outside ``tests/``, or it is a constant.
 """
@@ -928,6 +932,38 @@ def test_report_send_lint_catches_seeded_violations():
     }
     for source, expected in seeded.items():
         flagged = list(_report_sends(ast.parse(source), "seeded.py"))
+        assert len(flagged) == expected, (source, flagged)
+
+
+# ---------------------------------------------------------------------------
+# One owner of the lookup table
+# ---------------------------------------------------------------------------
+
+
+def _table_reaches(tree: ast.AST, path):
+    """Every ``collector_table`` name, attribute or string in a module."""
+    for node in ast.walk(tree):
+        spelled = (getattr(node, field, None) for field in ("attr", "id", "value"))
+        if "collector_table" in spelled:
+            yield f"{path}:{node.lineno}: names collector_table"
+
+
+def test_only_the_switch_names_its_lookup_table():
+    violations = []
+    for path in _source_modules():
+        if path != SWITCH_MODULE:
+            violations.extend(_table_reaches(_parsed(path), path.relative_to(SRC.parent)))
+    assert not violations, "\n".join(violations)
+
+
+def test_table_lint_catches_seeded_violations():
+    seeded = {
+        "def rollback(switch, role):\n    switch.collector_table.remove_entry((role,))\n": 1,
+        "def peek(switch):\n    return getattr(switch, 'collector_table')\n": 1,
+        "def rollback(switch, role, previous):\n    switch.update_collector(role, *previous)\n": 0,
+    }
+    for source, expected in seeded.items():
+        flagged = list(_table_reaches(ast.parse(source), "seeded.py"))
         assert len(flagged) == expected, (source, flagged)
 
 

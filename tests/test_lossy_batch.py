@@ -49,8 +49,8 @@ class TestOneIngestPerEndpoint:
         store, fabric, taps = tapped_store(
             loss=0.02, duplication=0.01, reordering=0.01, seed=7
         )
-        assert store._switch.report_batch_into(ITEMS) == 512
         counters = fabric.counters
+        assert store._switch.report_batch_into(ITEMS) == 512 - counters.frames_dropped_loss
         assert counters.frames_dropped_loss and counters.frames_duplicated
         assert counters.frames_reordered
         assert [tap.batches for tap in taps.values()] == [1] * ENDPOINTS
@@ -86,7 +86,8 @@ class TestOneIngestPerEndpoint:
 
 
 class TestReturnContract:
-    """The executed count, or None when a row was held or duplicated."""
+    """Each row counted as ``send`` counts its frame: executed now, or held
+    or queued in flight; a lost row never counts."""
 
     def offer(self, inner=InlineFabric, **impairments):
         config = DartConfig(slots_per_collector=1 << 10, num_collectors=2, seed=3)
@@ -96,25 +97,35 @@ class TestReturnContract:
         batch = switch.encode_batch(ReportBatch.from_items(switch.addressing, ITEMS))
         return fabric, fabric.send_batch(batch)
 
-    def test_loss_alone_returns_the_survivors_executed(self):
-        fabric, executed = self.offer(loss=0.2, seed=1)
-        assert fabric.counters.frames_dropped_loss > 0
-        assert executed == fabric.delivered.frames_executed
-        assert executed == 512 - fabric.counters.frames_dropped_loss
-
-    def test_held_or_duplicated_rows_return_none(self):
-        fabric, executed = self.offer(duplication=0.2, seed=1)
-        assert fabric.counters.frames_duplicated > 0 and executed is None
-        fabric, executed = self.offer(reordering=0.2, seed=1)
-        assert fabric.counters.frames_reordered > 0 and executed is None
-
-    def test_deferred_inner_delivery_returns_none(self):
-        _fabric, executed = self.offer(lambda: BufferedFabric(None), loss=0.2, seed=1)
-        assert executed is None
+    @pytest.mark.parametrize("inner, impairments", [
+        (InlineFabric, dict(loss=0.2)), (InlineFabric, dict(duplication=0.2)),
+        (InlineFabric, dict(reordering=0.2)),
+        (InlineFabric, dict(loss=0.2, duplication=0.1, reordering=0.2)),
+        (lambda: BufferedFabric(None), dict(loss=0.2)),
+    ], ids=["loss", "duplication", "reordering", "all_three", "buffered_loss"])
+    def test_held_queued_and_duplicated_rows_count_once(self, inner, impairments):
+        fabric, counted = self.offer(inner, seed=1, **impairments)
+        assert counted == 512 - fabric.counters.frames_dropped_loss
 
     def test_everything_lost_returns_zero(self):
         fabric, executed = self.offer(loss=1.0)
         assert executed == 0 and fabric.delivered.frames_offered == 0
+
+    @pytest.mark.parametrize("fabric, expected", [
+        (InlineFabric, 400), (lambda: BufferedFabric(None), 400),
+        (lambda: ImpairedFabric(InlineFabric(), loss=0.2, seed=3), 325),
+        (lambda: ImpairedFabric(InlineFabric(), loss=0.2, duplication=0.1,
+                                reordering=0.2, seed=3), 313),
+    ], ids=["inline", "buffered", "loss", "loss_dup_reorder"])
+    @pytest.mark.parametrize("policy", [PsnPolicy.RESYNC_ON_GAP, PsnPolicy.IGNORE])
+    def test_put_many_returns_what_looped_put_returns(self, fabric, expected, policy):
+        """Lost frames, and second copies run under ignored PSNs, count for no row."""
+        config = DartConfig(slots_per_collector=1 << 10, num_collectors=2, seed=3)
+        batched, looped = (DartStore(config, packet_level=True, fabric=fabric()) for _ in "ab")
+        for node in (*batched.cluster, *looped.cluster):
+            node.create_reporter_qp(0).policy = policy
+        written = sum(looped.put(key, value) for key, value in ITEMS[:200])
+        assert batched.put_many(ITEMS[:200]) == written == expected
 
 
 class TestBatchTrace:

@@ -35,10 +35,10 @@ def make_pair(num_collectors=2, redundancy=2, value_bytes=8, switch_id=7):
     )
     cluster = CollectorCluster(config)
     switch = DartSwitch(config, switch_id=switch_id)
-    SwitchControlPlane(config).provision(switch, cluster.endpoints())
+    SwitchControlPlane(config).connect_switch(switch, cluster)
     program = build_dart_program(config, switch_id=switch_id)
-    for endpoint in cluster.endpoints().values():
-        install_collector_entry(program, endpoint)
+    for collector in cluster:
+        install_collector_entry(program, collector.endpoint_for(switch_id)[0])
     return switch, program, cluster, config
 
 

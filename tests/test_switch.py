@@ -210,7 +210,7 @@ def make_deployment(**kwargs):
     config = DartConfig(**defaults)
     cluster = CollectorCluster(config)
     switch = DartSwitch(config, switch_id=1)
-    SwitchControlPlane(config).provision(switch, cluster.endpoints())
+    SwitchControlPlane(config).connect_switch(switch, cluster)
     return config, cluster, switch
 
 
@@ -320,31 +320,25 @@ class TestDartSwitch:
 
 
 class TestControlPlane:
-    def test_provision_validates_config(self):
-        config_a = DartConfig(slots_per_collector=64)
-        config_b = DartConfig(slots_per_collector=128)
-        cluster = CollectorCluster(config_a)
-        switch = DartSwitch(config_b, switch_id=0)
+    @pytest.mark.parametrize("switch_slots, cluster_size", [(128, 4), (64, 2)])
+    def test_connect_validates_config_before_installing(self, switch_slots, cluster_size):
+        config = DartConfig(slots_per_collector=64, num_collectors=4)
+        cluster = CollectorCluster(DartConfig(slots_per_collector=64, num_collectors=cluster_size))
+        switch = DartSwitch(DartConfig(slots_per_collector=switch_slots, num_collectors=4), 0)
+        plane = SwitchControlPlane(config)
         with pytest.raises(ValueError, match="different DartConfig"):
-            SwitchControlPlane(config_a).provision(switch, cluster.endpoints())
+            plane.connect_switch(switch, cluster)
+        assert len(switch.collector_table) == 0
+        assert plane.switches == []
 
-    def test_provision_detects_missing_collectors(self):
+    def test_psn_registers_seed_from_the_switchs_own_qp(self):
         config = DartConfig(slots_per_collector=64, num_collectors=2)
         cluster = CollectorCluster(config)
-        endpoints = cluster.endpoints()
-        del endpoints[1]
-        switch = DartSwitch(config, switch_id=0)
-        with pytest.raises(ValueError, match="missing collector IDs"):
-            SwitchControlPlane(config).provision(switch, endpoints)
-
-    def test_initial_psns(self):
-        config = DartConfig(slots_per_collector=64, num_collectors=1)
-        cluster = CollectorCluster(config)
-        switch = DartSwitch(config, switch_id=0)
-        SwitchControlPlane(config).provision(
-            switch, cluster.endpoints(), initial_psns={0: 100}
-        )
-        assert switch.psn_registers.read(0) == 100
+        cluster.node(1).create_reporter_qp(5).expected_psn = 100
+        switch = DartSwitch(config, switch_id=5)
+        assert SwitchControlPlane(config).connect_switch(switch, cluster) == 2
+        assert [switch.psn_registers.read(role) for role in (0, 1)] == [0, 100]
+        assert switch.collector_endpoint(1)["qp_number"] == 0x10005
 
 
 class TestRuntimeReconfiguration:
@@ -362,29 +356,6 @@ class TestRuntimeReconfiguration:
             plane.connect_switch(switch, cluster)
         return config, cluster, plane, switches
 
-    def test_provision_error_lists_every_missing_id(self):
-        config = DartConfig(slots_per_collector=64, num_collectors=4)
-        cluster = CollectorCluster(config)
-        endpoints = cluster.endpoints()
-        del endpoints[1]
-        del endpoints[3]
-        switch = DartSwitch(config, switch_id=0)
-        with pytest.raises(ValueError, match=r"missing collector IDs \[1, 3\]"):
-            SwitchControlPlane(config).provision(switch, endpoints)
-
-    def test_provision_rejects_partially(self):
-        """A rejected provision must not leave half-installed state."""
-        config = DartConfig(slots_per_collector=64, num_collectors=2)
-        cluster = CollectorCluster(config)
-        endpoints = cluster.endpoints()
-        del endpoints[1]
-        switch = DartSwitch(config, switch_id=0)
-        plane = SwitchControlPlane(config)
-        with pytest.raises(ValueError):
-            plane.provision(switch, endpoints)
-        assert len(switch.collector_table) == 0
-        assert plane.switches == []
-
     def test_switch_registry_in_id_order(self):
         _, _, plane, switches = self.make_plane(num_switches=3)
         assert [s.switch_id for s in plane.switches] == [0, 1, 2]
@@ -396,47 +367,41 @@ class TestRuntimeReconfiguration:
             DartConfig(slots_per_collector=1 << 9, num_collectors=2),
             switch_id=9,
         )
+        endpoint, _psn = cluster.node(0).endpoint_for(9)
         with pytest.raises(ValueError, match="different DartConfig"):
-            plane.apply_update(other, 0, cluster.node(0).endpoint)
+            plane.apply_update(other, 0, endpoint)
 
     def test_apply_update_validates_role(self):
         config, cluster, plane, switches = self.make_plane()
+        endpoint, _psn = cluster.node(0).endpoint_for(0)
         with pytest.raises(ValueError, match="role 2 outside"):
-            plane.apply_update(switches[0], 2, cluster.node(0).endpoint)
+            plane.apply_update(switches[0], 2, endpoint)
         with pytest.raises(ValueError, match="role -1 outside"):
-            plane.apply_update(switches[0], -1, cluster.node(0).endpoint)
+            plane.apply_update(switches[0], -1, endpoint)
 
-    def test_update_collector_returns_previous_row(self):
+    def test_update_collector_returns_what_reinstalls_the_previous_row(self):
         config, cluster, plane, switches = self.make_plane()
         switch = switches[0]
-        old = dict(switch.collector_endpoint(0))
+        old = switch.collector_endpoint(0)
         old_psn = switch.psn_registers.read(0)
         standby = cluster.node(2)
-        previous = plane.apply_update(
-            switch, 0, standby.endpoint, initial_psn=9, epoch=4
-        )
-        assert previous is not None
-        assert previous["mac"] == old["mac"]
-        assert previous["initial_psn"] == old_psn
-        assert previous["epoch"] == 0
+        endpoint, _psn = standby.endpoint_for(switch.switch_id)
+        previous = plane.apply_update(switch, 0, endpoint, initial_psn=9, epoch=4)
+        assert previous == (cluster.node(0).endpoint_for(0)[0], old_psn, 0)
         assert switch.collector_endpoint(0)["mac"] == standby.nic.mac
         assert switch.psn_registers.read(0) == 9
         assert switch.endpoint_epochs[0] == 4
+        assert switch.update_collector(0, *previous) == (endpoint, 9, 4)
+        assert switch.collector_endpoint(0) == old
+        assert sorted(old) == ["base_address", "ip", "mac", "qp_number", "rkey"]
 
-    def test_update_collector_on_empty_role_returns_none(self):
+    def test_update_collector_on_empty_role_raises(self):
         config = DartConfig(slots_per_collector=64, num_collectors=2)
         switch = DartSwitch(config, switch_id=0)  # never provisioned
-        endpoint = CollectorCluster(config).node(0).endpoint
-        previous = switch.update_collector(
-            collector_id=0,
-            mac=endpoint.mac,
-            ip=endpoint.ip,
-            qp_number=endpoint.qp_number,
-            rkey=endpoint.rkey,
-            base_address=endpoint.base_address,
-        )
-        assert previous is None
-        assert switch.collector_endpoint(0)["mac"] == endpoint.mac
+        endpoint, _psn = CollectorCluster(config).node(0).endpoint_for(0)
+        with pytest.raises(LookupError, match="no collector lookup entry"):
+            switch.update_collector(0, endpoint)
+        assert switch.collector_endpoint(0) is None
 
     def test_collector_endpoint_reads_do_not_count_as_lookups(self):
         """Control-plane reads must not pollute data-plane table counters."""

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.collector.collector import CollectorEndpoint
 from repro.core.batch import ReportBatch
 from repro.core.config import DartConfig
 from repro.mem.region import MemoryRegion
@@ -254,7 +255,7 @@ def shape_report(draw):
             mac=draw(macs), ip=draw(ips), qp_number=draw(qps), rkey=draw(rkeys),
             base_address=high_base(draw, 64 * config.slot_bytes),
         ))
-        switch.install_collector(role, initial_psn=draw(near_wrap), **endpoints[-1])
+        switch.install_collector(role, CollectorEndpoint(role, **endpoints[-1]), draw(near_wrap))
     psns = [switch.psn_registers.read(role) for role in range(config.num_collectors)]
     reports = draw(st.integers(1, 64 // config.redundancy))
 
@@ -439,7 +440,7 @@ def test_update_collector_between_batches_changes_every_reflected_field():
                rkey=0x1111, base_address=0x10000)
     new = dict(mac="02:00:00:00:00:02", ip="10.0.0.2", qp_number=0x200,
                rkey=0x2222, base_address=0x90000)
-    switch.install_collector(0, **old)
+    switch.install_collector(0, CollectorEndpoint(0, **old))
     items = [((b"flow", index), b"v") for index in range(5)]
     for endpoint in (old, new):
         batch = ReportBatch.from_items(switch.addressing, items)
@@ -452,4 +453,4 @@ def test_update_collector_between_batches_changes_every_reflected_field():
                 "qp_number": packet.bth.dest_qp, "rkey": packet.reth.rkey,
                 "base_address": packet.reth.virtual_address - int(slots) * config.slot_bytes,
             } == endpoint
-        switch.update_collector(0, **new)
+        switch.update_collector(0, CollectorEndpoint(0, **new))
