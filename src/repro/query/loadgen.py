@@ -68,6 +68,8 @@ class LoadReport:
     rejected_admission: int = 0
     duration_seconds: float = 0.0
     latencies: List[float] = field(default_factory=list)
+    #: Seconds each served query's caller waited, the gate included.
+    waits: List[float] = field(default_factory=list)
 
     @property
     def completed(self) -> int:
@@ -83,6 +85,16 @@ class LoadReport:
     def p99_seconds(self) -> float:
         """Tail served-query latency."""
         return quantile(self.latencies, 0.99)
+
+    @property
+    def wait_p50_seconds(self) -> float:
+        """Median seconds a served query's caller waited."""
+        return quantile(self.waits, 0.50)
+
+    @property
+    def wait_p99_seconds(self) -> float:
+        """Tail seconds a served query's caller waited."""
+        return quantile(self.waits, 0.99)
 
     @property
     def qps(self) -> float:
@@ -105,6 +117,8 @@ class LoadReport:
             "duration_seconds": self.duration_seconds,
             "p50_seconds": self.p50_seconds,
             "p99_seconds": self.p99_seconds,
+            "wait_p50_seconds": self.wait_p50_seconds,
+            "wait_p99_seconds": self.wait_p99_seconds,
             "qps": self.qps,
         }
 
@@ -155,6 +169,7 @@ class LoadGenerator:
         script = self.scripts[user_index % len(self.scripts)]
         for _request in range(self.requests_per_user):
             report.issued += 1
+            started = perf_counter()
             try:
                 result = await self.service.query(
                     script.text, tenant=script.tenant, keys=script.keys
@@ -164,6 +179,7 @@ class LoadGenerator:
             except AdmissionRejected:
                 report.rejected_admission += 1
             else:
+                report.waits.append(perf_counter() - started)
                 if result.answer.complete:
                     report.answered += 1
                 else:

@@ -4,10 +4,11 @@ Nothing in DART stands between "millions of users" and the one-sided
 RDMA clients -- reading data back is a library call per key.  This
 module is that missing front end:
 
-- **Admission control**: a bounded concurrency gate (semaphore) plus a
-  hard pending-queue cap; load beyond the cap is rejected immediately
-  (``query_admission_rejections_total``) instead of queueing without
-  bound.
+- **Admission control**: a request that will fan out passes a bounded
+  concurrency gate (semaphore) plus a hard pending-queue cap; load beyond
+  the cap is rejected immediately (``query_admission_rejections_total``)
+  instead of queueing without bound.  A live cache hit is answered at the
+  door: it spends its quota token, takes no slot and is never shed.
 - **Per-tenant token-bucket quotas**: each tenant's bucket refills on the
   *logical packet clock*, so quota behaviour is deterministic in tests
   and simulations; over-quota requests fail fast with
@@ -123,6 +124,11 @@ class ResultCache:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def live(self, key: Tuple, clock: int, epoch: int) -> bool:
+        """Whether :meth:`get` would answer ``key`` (reads, never evicts)."""
+        entry = self._entries.get(key)
+        return entry is not None and entry.epoch == epoch and clock < entry.expires_at
 
     def get(self, key: Tuple, clock: int, epoch: int) -> Optional[QueryAnswer]:
         """The live answer for ``key``, or None (expired/stale evicted)."""
@@ -394,8 +400,8 @@ class QueryService:
     ) -> ServiceResult:
         """Serve one query synchronously (quota + cache + fan-out).
 
-        The async :meth:`query` adds the admission gate on top; tests
-        and the CLI call this directly.
+        Every request runs this once; every check and count is here.  The
+        async :meth:`query` gates the requests that will fan out.
         """
         started = perf_counter()
         clock = self.now()
@@ -441,16 +447,7 @@ class QueryService:
         self, query: Query, keys: Optional[List[Key]], shard_map
     ) -> QueryAnswer:
         """Plan against the shard map :meth:`serve` resolved and fan out."""
-        candidate_keys = keys
-        if candidate_keys is None and query.source is not Source.RING:
-            candidate_keys = list(self._candidates())
-        plan = plan_query(
-            query,
-            shard_map,
-            self.backend,
-            keys=candidate_keys,
-            default_policy=self.policy,
-        )
+        plan = self._plan(query, keys, shard_map)
         outcomes = [
             plan.execute_shard(self.backend, shard) for shard in plan.shards
         ]
@@ -475,20 +472,18 @@ class QueryService:
                     total.inc(len(outcome.plan.keys))
         return answer
 
-    def explain(self, text: str) -> str:
-        """The plan (without executing it) for one query string."""
-        query = self.parse(text)
-        candidate_keys = None
-        if query.source is not Source.RING:
-            candidate_keys = list(self._candidates())
-        plan = plan_query(
-            query,
-            self._shard_map(),
-            self.backend,
-            keys=candidate_keys,
+    def _plan(self, query: Query, keys: Optional[List[Key]], shard_map):
+        """Plan ``query`` over ``keys`` (the service default when None)."""
+        if keys is None and query.source is not Source.RING:
+            keys = list(self._candidates())
+        return plan_query(
+            query, shard_map, self.backend, keys=keys,
             default_policy=self.policy,
         )
-        return plan.explain()
+
+    def explain(self, text: str) -> str:
+        """The plan (without executing it) for one query string."""
+        return self._plan(self.parse(text), None, self._shard_map()).explain()
 
     # ------------------------------------------------------------------
     # The async front door
@@ -505,7 +500,16 @@ class QueryService:
         tenant: str = "default",
         keys: Optional[List[Key]] = None,
     ) -> ServiceResult:
-        """Serve one query through admission control (the tenant API)."""
+        """Serve one query through admission control (the tenant API).
+
+        A live hit is answered at the door, before any suspension: it spends
+        its quota token in :meth:`serve` but takes no slot, gate or loop turn.
+        A miss waits at the gate, and ``serve`` probes the cache again.
+        """
+        query = self._parsed.get(text)
+        key = query is not None and self._cache_key(query, keys)
+        if key and self.cache.live(key, self.now(), self.current_epoch):
+            return self.serve(text, tenant=tenant, keys=keys)
         if self._pending >= self.max_pending:
             self.c_admission_rejections.inc()
             raise AdmissionRejected(self._pending)

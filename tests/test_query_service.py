@@ -227,6 +227,73 @@ class TestQuotasAndAdmission:
         assert registry.total("query_admission_rejections_total") == 1
 
 
+def answered_at_once(coroutine):
+    """What ``coroutine`` returns on its first step; fails if it suspends."""
+    try:
+        coroutine.send(None)
+    except StopIteration as stop:
+        return stop.value
+    coroutine.close()
+    pytest.fail("the request suspended before it was answered")
+
+
+class TestTheDoor:
+    """A live hit is answered before admission; a miss waits at the gate."""
+
+    QUERY = 'select value from keys where key == "flow-3"'
+    MISS = 'select value from keys where key == "flow-4"'
+
+    def test_a_hit_never_suspends(self, registry, fleet):
+        service = QueryService(fleet)
+        filled = service.serve(self.QUERY, keys=["flow-3"])
+        result = answered_at_once(service.query(self.QUERY, keys=["flow-3"]))
+        assert result.cached
+        assert result.answer.rows == filled.answer.rows
+        # serve ran once per request: each counted once, inside it.
+        assert registry.total("query_requests_total") == 2
+        assert registry.total("query_cache_hits_total") == 1
+        miss = service.query(self.MISS, keys=["flow-4"])
+        assert miss.send(None) is None  # the gate's one yield
+        miss.close()
+
+    def test_a_hit_is_never_shed(self, registry, fleet):
+        service = QueryService(fleet, max_pending=0)
+        service.serve(self.QUERY)
+        assert asyncio.run(service.query(self.QUERY)).cached
+        assert registry.total("query_admission_rejections_total") == 0
+        with pytest.raises(AdmissionRejected):
+            asyncio.run(service.query(self.MISS))
+        assert registry.total("query_admission_rejections_total") == 1
+
+    def test_a_hit_still_spends_its_quota_token(self, registry, fleet):
+        service = QueryService(fleet, tenant_rate=1.0, tenant_burst=1.0)
+        service.serve(self.QUERY, tenant="greedy")
+        with pytest.raises(QuotaExceeded):
+            asyncio.run(service.query(self.QUERY, tenant="greedy"))
+        assert (
+            tenant_counter(registry, "query_quota_rejections_total", "greedy")
+            == 1
+        )
+
+    def test_an_expired_entry_fans_out(self, registry, fleet):
+        service = QueryService(fleet, cache_ttl_ticks=8)
+        service.serve(self.QUERY)
+        fleet.settle(8)
+        assert not asyncio.run(service.query(self.QUERY)).cached
+
+    def test_an_old_epoch_entry_fans_out(self, registry, fleet):
+        fleet.enable_control(fail_after=2, tick_interval=5)
+        fleet.settle(6)
+        service = QueryService(fleet, cache_ttl_ticks=10_000)
+        service.serve(self.QUERY)
+        epoch_before = service.current_epoch
+        fleet.kill_node(fleet.shard_map().node_for(3))
+        fleet.settle(40)
+        result = asyncio.run(service.query(self.QUERY))
+        assert not result.cached
+        assert result.epoch > epoch_before
+
+
 class TestFanoutHealthRegression:
     """Satellite: partial-shard failures must be visible in PipelineHealth."""
 
