@@ -20,13 +20,13 @@ what the layers below an entry point pass each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
 from repro.core.config import DartConfig
-from repro.hashing.hash_family import Key, fold_key
+from repro.hashing.checksum import CHECKSUM_FUNCTION_INDEX
+from repro.hashing.hash_family import Key, fold_key, splitmix64
 
 #: Hash-family member reserved for the key -> collector mapping.  Slot
 #: addressing uses members [0, N) and the checksum uses its own reserved
@@ -40,8 +40,7 @@ COLLECTOR_FUNCTION_INDEX = 0x40000000
 _ARRAY_MIN_LANES = 6
 
 
-@dataclass(frozen=True)
-class ResolvedKey:
+class ResolvedKey(NamedTuple):
     """Everything addressing derives from one key, computed in one pass.
 
     One byte encoding and one fold per key instead of one per hash-family
@@ -61,6 +60,14 @@ class DartAddressing:
         self.config = config
         self._family = config.hash_family()
         self._checksum = config.key_checksum()
+        # The members a lane is resolved under, each seed pre-mixed once
+        # (what ``hash_folded`` finishes a lane with): collector, checksum,
+        # then copies 0..N-1.
+        member_seed = self._family.member_seed
+        self._collector_seed = member_seed(COLLECTOR_FUNCTION_INDEX)
+        self._checksum_seed = self._checksum.family.member_seed(CHECKSUM_FUNCTION_INDEX)
+        self._checksum_mask = (1 << self._checksum.bits) - 1
+        self._slot_seeds = tuple(map(member_seed, range(config.redundancy)))
 
     def __repr__(self) -> str:
         return f"DartAddressing({self.config!r})"
@@ -109,17 +116,14 @@ class DartAddressing:
     # ------------------------------------------------------------------
 
     def resolve_lane(self, lane: int) -> ResolvedKey:
-        """:meth:`resolve` from a :func:`~repro.hashing.hash_family.fold_key` lane."""
-        family = self._family
+        """:meth:`resolve` from a :func:`~repro.hashing.hash_family.fold_key` lane:
+        ``hash_folded`` under each bound member seed, then reduced."""
         config = self.config
+        slots = config.slots_per_collector
         return ResolvedKey(
-            collector_id=family.hash_folded(lane, COLLECTOR_FUNCTION_INDEX)
-            % config.num_collectors,
-            checksum=self._checksum.compute_folded(lane),
-            slot_indexes=tuple(
-                family.hash_folded(lane, n) % config.slots_per_collector
-                for n in range(config.redundancy)
-            ),
+            splitmix64(lane ^ self._collector_seed) % config.num_collectors,
+            splitmix64(lane ^ self._checksum_seed) & self._checksum_mask,
+            tuple([splitmix64(lane ^ seed) % slots for seed in self._slot_seeds]),
         )
 
     def resolve_folded(

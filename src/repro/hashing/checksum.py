@@ -64,20 +64,13 @@ class KeyChecksum:
         """The ``b``-bit checksum of ``key``."""
         return self.family.hash_key(key, CHECKSUM_FUNCTION_INDEX) & self._mask
 
-    def compute_folded(self, folded: int) -> int:
-        """The checksum from a pre-folded key lane (see
-        :func:`~repro.hashing.hash_family.fold_key`); equals
-        :meth:`compute` on the original key."""
-        return (
-            self.family.hash_folded(folded, CHECKSUM_FUNCTION_INDEX)
-            & self._mask
-        )
-
     def compute_folded_array(self, folded: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`compute_folded` over a lane array.
+        """The checksums of pre-folded key lanes (see
+        :func:`~repro.hashing.hash_family.fold_keys`), vectorised.
 
-        Bit-identical to the scalar method element-wise; the columnar
-        batch path and the simulator derive every stored checksum this way.
+        Element-wise equal to :meth:`compute` on the original keys; the
+        columnar batch path and the simulator derive every stored checksum
+        this way (a single lane is resolved by ``DartAddressing``).
         """
         hashes = self.family.hash_folded_array(folded, CHECKSUM_FUNCTION_INDEX)
         return hashes & np.uint64(self._mask)

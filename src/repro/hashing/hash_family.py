@@ -28,6 +28,12 @@ Key = Union[bytes, str, int, tuple]
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 
+#: ``>I`` length prefixes of tuple elements, and an ``int`` element whole:
+#: its 8-byte length prefix and its 8-byte big-endian value in one pack.
+_LENGTH = struct.Struct(">I").pack
+_INT_ELEMENT = struct.Struct(">IQ").pack
+
+
 def stable_key_bytes(key: Key) -> bytes:
     """Canonical byte encoding of a telemetry key.
 
@@ -37,7 +43,31 @@ def stable_key_bytes(key: Key) -> bytes:
     truth: ints become 8-byte big-endian (wider ints use as many bytes as
     needed), strings become UTF-8, tuples are length-prefixed
     concatenations of their encoded elements.
+
+    A flat tuple whose elements are all exactly ``str`` or ``int`` in
+    ``[0, 2**64)`` (a flow 5-tuple) is encoded in one pass, each ``int``
+    one ``>IQ`` pack; any other element hands the key to the general rules,
+    which produce the same bytes and raise what they raise.
     """
+    if type(key) is tuple:
+        parts = []
+        append = parts.append
+        for element in key:
+            kind = type(element)
+            if kind is str:
+                encoded = element.encode()
+                append(_LENGTH(len(encoded)))
+                append(encoded)
+            elif kind is int and 0 <= element <= _U64:
+                append(_INT_ELEMENT(8, element))
+            else:
+                return _key_bytes(key)
+        return b"".join(parts)
+    return _key_bytes(key)
+
+
+def _key_bytes(key: Key) -> bytes:
+    """:func:`stable_key_bytes` by its general rules: any key, any nesting."""
     if isinstance(key, bytes):
         return key
     if isinstance(key, str):
@@ -52,8 +82,8 @@ def stable_key_bytes(key: Key) -> bytes:
     if isinstance(key, tuple):
         parts = []
         for element in key:
-            encoded = stable_key_bytes(element)
-            parts.append(struct.pack(">I", len(encoded)))
+            encoded = _key_bytes(element)
+            parts.append(_LENGTH(len(encoded)))
             parts.append(encoded)
         return b"".join(parts)
     raise TypeError(f"unsupported key type: {type(key).__name__}")
@@ -249,12 +279,17 @@ def _fold_rows(flat: bytes, lengths: np.ndarray) -> np.ndarray:
 
 
 def _splitmix64_np(values: np.ndarray) -> np.ndarray:
-    """Vectorised splitmix64 over a ``uint64`` array."""
-    with np.errstate(over="ignore"):
-        values = values + np.uint64(0x9E3779B97F4A7C15)
-        values = (values ^ (values >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        values = (values ^ (values >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return values ^ (values >> np.uint64(31))
+    """Vectorised splitmix64 over a ``uint64`` array.
+
+    Array integer arithmetic wraps without a warning; a numpy scalar's warns
+    on overflow, so a 0-d lane is mixed as a one-element array.
+    """
+    if values.ndim == 0:
+        return _splitmix64_np(values.reshape(1))[0]
+    values = values + np.uint64(0x9E3779B97F4A7C15)
+    values = (values ^ (values >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    values = (values ^ (values >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return values ^ (values >> np.uint64(31))
 
 
 class HashFamily:
@@ -292,7 +327,10 @@ class HashFamily:
             raise ValueError("hash function index must be non-negative")
         return splitmix64((self._base ^ (index * 0xA24BAED4963EE407)) & _U64)
 
-    def _mixed_seed(self, index: int) -> int:
+    def member_seed(self, index: int) -> int:
+        """Member ``index``'s pre-mixed seed, cached: what :meth:`hash_folded`
+        finishes a lane with, ``splitmix64(lane ^ member_seed(index))``, so a
+        caller resolving lanes under fixed members can bind it once."""
         mixed = self._mixed_seeds.get(index)
         if mixed is None:
             mixed = self._mixed_seeds[index] = splitmix64(self._function_seed(index))
@@ -310,7 +348,7 @@ class HashFamily:
         the batch addressing path folds each key once and calls this per
         family member.
         """
-        return splitmix64((folded ^ self._mixed_seed(index)) & _U64)
+        return splitmix64((folded ^ self.member_seed(index)) & _U64)
 
     def hash_folded_array(self, folded: np.ndarray, index=0) -> np.ndarray:
         """Vectorised :meth:`hash_folded` over a ``uint64`` lane array.
@@ -326,10 +364,10 @@ class HashFamily:
             member = operator.index(index)
         except TypeError:
             seed = np.array(
-                [self._mixed_seed(member) for member in index], dtype=np.uint64
+                [self.member_seed(member) for member in index], dtype=np.uint64
             )[:, None]
         else:
-            seed = np.uint64(self._mixed_seed(member))
+            seed = np.uint64(self.member_seed(member))
         return _splitmix64_np(folded ^ seed)
 
     def hash_key_mod(self, key: Key, index: int, modulus: int) -> int:

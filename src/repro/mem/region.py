@@ -187,8 +187,7 @@ class MemoryRegion:
         np.add.at(sums, inverse, addends)
         windows = self._windows(8)
         cells = windows[unique].view(">u8").ravel()
-        with np.errstate(over="ignore"):
-            updated = cells.astype(np.uint64) + sums
+        updated = cells.astype(np.uint64) + sums  # array sums wrap, unwarned
         windows[unique] = updated.astype(">u8").view(np.uint8).reshape(-1, 8)
         self.c_atomics.inc(count)
         return count

@@ -6,8 +6,10 @@ packs naturally into one ``uint8`` matrix of shape ``(frames,
 frame_width)``.  :class:`FrameBatch` wraps that matrix together with the
 per-frame destination endpoint, :class:`FramePool` recycles the backing
 buffers so steady-state batch traffic allocates nothing, and
-:class:`TemplateEncoder` is the one way a batch of frames gets crafted.
-Every offset and width here is derived from :mod:`repro.rdma.layout`.
+:class:`TemplateEncoder` is the one way a batch of frames gets crafted;
+one frame is stamped by :func:`stamp_frame`, or, for a switch's reports,
+by the :class:`ReportPlan` of its endpoint.  Every offset and width here
+is derived from :mod:`repro.rdma.layout`.
 
 Buffer ownership is refcounted: a batch and every sub-batch selected from
 it share (or copy through) a pooled lease, and the buffer only returns to
@@ -42,7 +44,7 @@ from repro.rdma.layout import (
     packer,
     span,
 )
-from repro.rdma.packets import _icrc_of_wire
+from repro.rdma.packets import _icrc_image, _icrc_of_wire
 
 # ---------------------------------------------------------------------------
 # Wire geometry, derived from the layout's field tables.
@@ -492,3 +494,60 @@ def stamp_frame(template: np.ndarray, fields: Dict[str, int], payload: bytes = b
         frame[end - len(payload) : end] = payload
     ICRC.struct.pack_into(frame, end, _icrc_of_wire(frame[IP_OFF:end]))
     return bytes(frame)
+
+
+# The fields a report varies in: its source port and payload once per event,
+# its PSN and slot address once per copy.  Every column the iCRC masks lies
+# before the PSN, so a copy's CRC runs over its own bytes from the PSN on.
+_SRC_PORT_AT, _SRC_PORT_END = span("udp.src_port")
+_SRC_PORT = packer("udp.src_port")
+_PSN_AT, _PSN_END = span("bth.psn")
+_VA_AT = span("reth.virtual_address")[0]
+_VA = packer("reth.virtual_address")
+
+
+class ReportPlan:
+    """:func:`stamp_frame` for one endpoint's report frames, planned once.
+
+    ``stamp_frame`` derives a frame's shape on every call: it looks each
+    field up by name, range-checks it, and masks and CRCs the whole iCRC
+    image.  A plan does that once per :func:`scalar_template` row (the
+    switch builds one when it installs a lookup row): it keeps the template
+    as bytes, the region's base address and slot width, and the CRCs of the
+    masked iCRC image before and after the source port, which no report
+    changes.  :meth:`event` lays an event's source port and payload in and
+    chains the port into the CRC; :meth:`stamp` writes one copy's PSN and
+    slot address and CRCs only the bytes from the PSN on.  Each frame equals
+    ``stamp_frame`` of the same template and fields.
+    """
+
+    __slots__ = ("_template", "_base_address", "_slot_bytes", "_head_crc", "_middle")
+
+    def __init__(self, template: np.ndarray, base_address: int) -> None:
+        self._template = template.tobytes()
+        self._base_address = base_address
+        self._slot_bytes = len(template) - OVERHEAD_BYTES
+        image = _icrc_image(self._template[IP_OFF:_PSN_AT])
+        port = _SRC_PORT_AT - IP_OFF + ICRC_PREFIX_BYTES
+        self._head_crc = zlib.crc32(image[:port])
+        self._middle = bytes(image[port + _SRC_PORT_END - _SRC_PORT_AT :])
+
+    def event(self, src_port: int, payload: bytes) -> Tuple[bytearray, int]:
+        """An event's frame, source port and payload laid in, with the CRC of
+        its iCRC image up to the PSN: what each of its copies is stamped on."""
+        frame = bytearray(self._template)
+        _SRC_PORT.pack_into(frame, _SRC_PORT_AT, src_port)
+        end = len(frame) - ICRC_BYTES
+        frame[end - len(payload) : end] = payload
+        crc = zlib.crc32(frame[_SRC_PORT_AT:_SRC_PORT_END], self._head_crc)
+        return frame, zlib.crc32(self._middle, crc)
+
+    def stamp(self, event: Tuple[bytearray, int], slot_index: int, psn: int) -> bytes:
+        """The copy of ``event`` for ``slot_index`` at ``psn``, as wire bytes
+        (written over the event's frame, which every copy shares)."""
+        frame, crc = event
+        frame[_PSN_AT:_PSN_END] = psn.to_bytes(_PSN_END - _PSN_AT, "big")
+        _VA.pack_into(frame, _VA_AT, self._base_address + slot_index * self._slot_bytes)
+        end = len(frame) - ICRC_BYTES
+        ICRC.struct.pack_into(frame, end, zlib.crc32(frame[_PSN_AT:end], crc))
+        return bytes(frame)

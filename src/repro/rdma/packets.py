@@ -450,11 +450,19 @@ def _icrc_of_wire(covered: bytes) -> int:
     the scalar twin of :func:`repro.rdma.frames.icrc_rows`: the same mask
     over the same bytes, so both granularities accept the same frames.
     """
+    return zlib.crc32(_icrc_image(covered))
+
+
+def _icrc_image(covered: bytes) -> bytearray:
+    """The bytes :func:`_icrc_of_wire` CRCs: the 0xFF prefix, then ``covered``
+    (a frame from the IPv4 header on, at least up to the BTH's PSN) with its
+    masked columns forced to 0xFF.  zlib chains a CRC across pieces, so a
+    leading piece's CRC can seed the rest's."""
     image = bytearray(_ICRC_PREFIX)
     image += covered
     for column in ICRC_MASKED_COLUMNS:
         image[column] = 0xFF
-    return zlib.crc32(image)
+    return image
 
 
 def compute_icrc(

@@ -33,9 +33,9 @@ from repro.obs.metrics import CounterView
 from repro.rdma.frames import (
     FrameBatch,
     FramePool,
+    ReportPlan,
     TemplateEncoder,
     scalar_template,
-    stamp_frame,
 )
 from repro.rdma.packets import Bth, EthernetHeader, Ipv4Header, Opcode, Reth, RoceV2Packet
 from repro.rdma.qp import PSN_MODULUS
@@ -123,6 +123,9 @@ class DartSwitch:
         #: Node ID of the host each role's row addresses (role -> node):
         #: kept beside the 25-byte row so a rollback rebuilds the record.
         self._serving_nodes: Dict[int, int] = {}
+        #: Each role's report plan (role -> plan): what the per-event path
+        #: stamps, built with the row by the table's one writer.
+        self._report_plans: Dict[int, ReportPlan] = {}
 
         self.src_mac = (
             f"02:00:{(switch_id >> 24) & 0xFF:02x}:{(switch_id >> 16) & 0xFF:02x}:"
@@ -159,12 +162,16 @@ class DartSwitch:
         table holds the record's five row fields as its parameter dict
         (the host's node ID is kept beside the row, not in it), and the
         role's PSN register starts at ``initial_psn``.  ``epoch`` tags the
-        table version this entry belongs to.
+        table version this entry belongs to.  The role's report plan is
+        built here, from the row as installed.
         """
         row = asdict(endpoint)
         node_id = row.pop("collector_id")
         self.collector_table.add_entry(
             TableEntry(match=(collector_id,), action="set_rdma_endpoint", params=row)
+        )
+        self._report_plans[collector_id] = ReportPlan(
+            self._report_template(row), row["base_address"]
         )
         self.psn_registers.write(collector_id, initial_psn)
         self.endpoint_epochs[collector_id] = epoch
@@ -222,27 +229,24 @@ class DartSwitch:
         """The RoCEv2 WRITE frames of a resolved report, one per copy index.
 
         Every copy goes to the one collector the key resolved to, so the
-        lookup, the template and the payload are per event; only the slot
-        address and the PSN are per copy.
+        lookup, the plan, the source port and the payload are per event;
+        only the slot address and the PSN are per copy.  Everything the
+        endpoint fixes comes from the role's :class:`ReportPlan`.
         """
-        collector_id = resolved.collector_id
-        endpoint = self._endpoint(collector_id)
-        template = self._report_template(endpoint)
-        payload = self._codec.encode(resolved.checksum, value)
+        collector_id, checksum, slot_indexes = resolved
+        self._endpoint(collector_id)  # the data-plane lookup: a miss drops
+        plan = self._report_plans[collector_id]
         # ECMP entropy from the key, as requester NICs vary the source port.
-        src_port = _UDP_SRC_BASE | (resolved.checksum & 0x3FFF)
+        event = plan.event(
+            _UDP_SRC_BASE | (checksum & 0x3FFF), self._codec.encode(checksum, value)
+        )
+        next_psn = self.psn_registers.read_and_increment
         redundancy, frames = self.config.redundancy, []
         for copy_index in copy_indexes:
             if not 0 <= copy_index < redundancy:
                 raise ValueError(f"copy_index {copy_index} outside [0, {redundancy})")
-            fields = {
-                "udp.src_port": src_port,
-                "reth.virtual_address": self.addressing.slot_address(
-                    endpoint["base_address"], resolved.slot_indexes[copy_index]
-                ),
-                "bth.psn": self.psn_registers.read_and_increment(collector_id) % PSN_MODULUS,
-            }
-            frames.append((collector_id, stamp_frame(template, fields, payload)))
+            psn = next_psn(collector_id) % PSN_MODULUS
+            frames.append((collector_id, plan.stamp(event, slot_indexes[copy_index], psn)))
         return frames
 
     def _endpoint(self, collector_id: int) -> Dict[str, Any]:
@@ -310,7 +314,7 @@ class DartSwitch:
         RDMA supports only one memory instruction per packet, so filling
         all N slots requires N packets (paper section 3.1); this models the
         switch generating all of them for one telemetry event.  Kept beside
-        :meth:`encode_batch`: a batch of one costs 4-5x (DESIGN.md, "Batch of one").
+        :meth:`encode_batch`: a batch of one costs about 5x (DESIGN.md, "Batch of one").
         """
         redundancy = self.config.redundancy
         return self._emit(key, value, range(redundancy), "copies", redundancy)

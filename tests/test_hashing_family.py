@@ -227,6 +227,55 @@ def assert_folds_like_scalar(keys):
     assert lanes.tolist() == [fold_key(key) for key in scalar]
 
 
+# ----------------------------------------------------------------------
+# The flat-tuple encoding against the general rules it shortcuts.
+# ----------------------------------------------------------------------
+
+_flat = st.one_of(
+    _ascii,
+    st.text(max_size=12),
+    st.binary(max_size=12),
+    _u64,
+    st.sampled_from([0, 2**64 - 1, 2**64, 2**80]),
+)
+_element = _flat | st.tuples(_flat, _flat) | st.tuples(_flat, st.tuples(_flat))
+_tuple_keys = st.lists(_element, max_size=6).map(tuple)
+
+
+class TestFlatTupleEncoding:
+    """``stable_key_bytes`` encodes a flat ``str`` / ``int`` tuple in one pass;
+    every tuple must still come out as the general rules have it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(key=_tuple_keys | st.tuples(_ascii, _ascii, _u64, _u64, _u64))
+    def test_bytes_equal_the_general_rules(self, key):
+        assert stable_key_bytes(key) == hash_family._key_bytes(key)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        head=st.lists(_flat, max_size=3),
+        bad=st.sampled_from([True, False, -1, -(2**70), 3.5, None]),
+        tail=st.lists(_flat, max_size=3),
+        nested=st.booleans(),
+    )
+    def test_a_rejected_element_raises_what_the_general_rules_raise(
+        self, head, bad, tail, nested
+    ):
+        key = (*head, (bad,) if nested else bad, *tail)
+        with pytest.raises((TypeError, ValueError)) as general:
+            hash_family._key_bytes(key)
+        with pytest.raises(general.type):
+            stable_key_bytes(key)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        keys=st.lists(_tuple_keys, max_size=40)
+        | st.lists(st.tuples(_ascii, _ascii, _u64, _u64, _u64), min_size=32, max_size=80)
+    )
+    def test_fold_key_equals_fold_keys_on_the_batch(self, keys):
+        assert fold_keys(keys).tolist() == [fold_key(key) for key in keys]
+
+
 class TestFoldKeysMatchesFoldKey:
     @settings(max_examples=60, deadline=None)
     @given(

@@ -26,9 +26,12 @@ through its memoised header plan: no ``RoceV2Packet.unpack`` or
 The second half pins where the RoCEv2 wire format is written down: one
 module (``repro.rdma.layout``) states offsets and widths, everything else
 names fields; one template per site, stamped into a batch
-(``TemplateEncoder.stamp``) or into one frame (``stamp_frame``), so nothing
-else computes a batch iCRC and no code outside the codec and the P4 exhibit
-builds header dataclasses but a template's craft.
+(``TemplateEncoder.stamp``) or into one frame (``stamp_frame``, or the
+switch's ``ReportPlan``, built from the template when a lookup row is
+installed), so nothing else computes a batch iCRC and no code outside the
+codec and the P4 exhibit builds header dataclasses but a template's craft.
+The per-event report body derives nothing its endpoint fixes: no
+template, packet, ``pack``, ``slot_address`` or dict in it.
 
 The third pins that watching does not steer: no body can ask a tracer
 for a ``granularity`` to pick its path by, and a stage is timed by the
@@ -181,6 +184,53 @@ def test_read_batch_bodies_build_no_packets():
             if isinstance(call, ast.Call) and _call_name(call) in banned
         )
     assert not violations, "\n".join(violations)
+
+
+#: The per-event report body.  Everything a report's endpoint fixes -- its
+#: template, field offsets, base address and the CRC of its constant headers
+#: -- is derived when the lookup row is installed (its ``ReportPlan``); per
+#: event the body looks the row up and patches.  No template, packet or
+#: slot-address derivation in it, and no dict built for a copy's fields.
+PER_EVENT_BODIES = [(SRC / "switch" / "dart_switch.py", "_craft_frames")]
+PER_EVENT_BANNED = {"scalar_template", "_report_template", "RoceV2Packet", "pack", "slot_address"}
+
+
+def _per_event_violations(function: ast.AST, path):
+    """Shape derivations and dict builds in one per-event body."""
+    for node in ast.walk(function):
+        if isinstance(node, ast.Call) and _call_name(node) in PER_EVENT_BANNED | {"dict"}:
+            yield f"{path}:{node.lineno}: {function.name}() calls {_call_name(node)}(...)"
+        elif isinstance(node, (ast.Dict, ast.DictComp)):
+            yield f"{path}:{node.lineno}: {function.name}() builds a dict"
+
+
+def test_per_event_report_body_derives_no_shape():
+    violations = []
+    for path, name in PER_EVENT_BODIES:
+        violations.extend(_per_event_violations(_function(path, name), path))
+    assert not violations, "\n".join(violations)
+
+
+def test_per_event_lint_catches_seeded_violations():
+    tree = ast.parse(
+        "def _craft_frames(self, resolved, value, copy_indexes):\n"
+        "    template = self._report_template(self._endpoint(role))\n"
+        "    for copy_index in copy_indexes:\n"
+        "        fields = {'bth.psn': next_psn(role)}\n"
+        "        address = self.addressing.slot_address(base, slot)\n"
+        "        frame = RoceV2Packet(bth=Bth(psn=psn)).pack()\n"
+        "        extra = dict(fields)\n"
+        "        frames.append(plan.stamp(event, slot, psn))\n"
+    )
+    flagged = list(_per_event_violations(tree.body[0], "seeded.py"))
+    assert sorted(flagged) == sorted([
+        "seeded.py:2: _craft_frames() calls _report_template(...)",
+        "seeded.py:4: _craft_frames() builds a dict",
+        "seeded.py:5: _craft_frames() calls slot_address(...)",
+        "seeded.py:6: _craft_frames() calls RoceV2Packet(...)",
+        "seeded.py:6: _craft_frames() calls pack(...)",
+        "seeded.py:7: _craft_frames() calls dict(...)",
+    ])
 
 
 #: The receivers: every frame they take is decoded through its header plan
@@ -360,16 +410,21 @@ def test_one_scalar_icrc():
 
 #: The template sites: the module, the accessor holding the site's one
 #: ``scalar_template`` key and craft, the batch body that stamps a matrix from
-#: it (None for a frame-only site) and the frame body that stamps one frame.
+#: it (None for a frame-only site), the frame body and what that body stamps
+#: one frame with: ``stamp_frame``, or, for the switch's per-event reports,
+#: the ``ReportPlan`` a lookup row's install builds from the template.
 TEMPLATE_SITES = [
-    (SRC / "switch" / "dart_switch.py", "_report_template", "encode_batch", "_craft_frames"),
+    (SRC / "switch" / "dart_switch.py", "_report_template", "encode_batch", "install_collector",
+     "ReportPlan"),
     (SRC / "primitives" / "translator.py", "_add_template", "_encode_fetch_add_batch",
-     "craft_fetch_add"),
+     "craft_fetch_add", "stamp_frame"),
     (SRC / "primitives" / "translator.py", "_record_template", "append_many",
-     "craft_record_write"),
-    (SRC / "primitives" / "clients.py", "_request_template", "_read_run_batch", "_craft_read"),
-    (SRC / "rdma" / "nic.py", "_response_template", "_ingest_read_batch", "_enqueue_response"),
-    (SRC / "core" / "cas_store.py", "_put_template", None, "_craft_put_frames"),
+     "craft_record_write", "stamp_frame"),
+    (SRC / "primitives" / "clients.py", "_request_template", "_read_run_batch", "_craft_read",
+     "stamp_frame"),
+    (SRC / "rdma" / "nic.py", "_response_template", "_ingest_read_batch", "_enqueue_response",
+     "stamp_frame"),
+    (SRC / "core" / "cas_store.py", "_put_template", None, "_craft_put_frames", "stamp_frame"),
 ]
 #: Private templates and per-site crafters earlier encoders kept.
 RETIRED_TEMPLATES = (
@@ -400,12 +455,12 @@ def _names_used(function: ast.AST) -> set:
 def test_every_site_keys_one_template_in_one_memo():
     """Each site's accessor is the only place its template is keyed and
     crafted; its batch body, if it has one, and its frame body stamp from it."""
-    for path, accessor, batch, frame in TEMPLATE_SITES:
+    for path, accessor, batch, frame, stamper in TEMPLATE_SITES:
         assert "scalar_template" in _names_used(_function(path, accessor)), f"{path}: {accessor}"
         if batch is not None:
             used = _names_used(_function(path, batch))
             assert {accessor, "TemplateEncoder", "stamp"} <= used, f"{path}: {batch}"
-        assert {accessor, "stamp_frame"} <= _names_used(_function(path, frame)), f"{path}: {frame}"
+        assert {accessor, stamper} <= _names_used(_function(path, frame)), f"{path}: {frame}"
     keyed_by = []
     identifiers = set()
     memos = 0
@@ -423,7 +478,7 @@ def test_every_site_keys_one_template_in_one_memo():
             # A template memo is a dict some code stores a crafted frame in.
             memos += isinstance(node, ast.AnnAssign) and "template" in ast.unparse(node).lower()
     assert sorted(keyed_by) == sorted(
-        f"{path.name}:{accessor}" for path, accessor, _batch, _frame in TEMPLATE_SITES
+        f"{path.name}:{accessor}" for path, accessor, *_bodies in TEMPLATE_SITES
     )
     assert not identifiers & set(RETIRED_TEMPLATES)
     assert {"scalar_template", "TemplateEncoder", "stamp_frame"} <= identifiers

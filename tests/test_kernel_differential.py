@@ -8,16 +8,22 @@ row, the scalar reference it replaced:
 - ``MemoryRegion.write_offset_columnar`` / ``read_offset_columnar``
   (indexing one strided window over the region) against looped
   ``write_offset`` / ``read_offset``: bytes, counters and error text;
+- ``_splitmix64_np`` and ``MemoryRegion.dma_fetch_add_many``, which wrap
+  modulo 2**64 with no overflow guard, against ``splitmix64`` and looped
+  ``dma_fetch_add``, with warnings as errors;
 - tuple ``fold_keys`` (column-split, matrix-folded) against ``fold_key``,
   fallbacks and exceptions included.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hashing.hash_family import fold_key, fold_keys
+from repro.hashing import hash_family
+from repro.hashing.hash_family import HashFamily, fold_key, fold_keys, splitmix64
 from repro.mem.region import MemoryRegion, RegionAccessError
 from repro.rdma.frames import ICRC_BYTES, IP_OFF, FrameBatch, FramePool, icrc_rows
 from repro.rdma.layout import BTH, ICRC_MASKED_COLUMNS, ICRC_PREFIX_BYTES
@@ -188,6 +194,42 @@ class TestRegionColumnar:
         with pytest.raises(RegionAccessError, match=r"local write \[0, \+17\)"):
             region.write_offset_columnar(np.zeros(1, dtype=np.int64), np.zeros((1, 17), np.uint8))
         assert _counters(region) == (bytes(16), 0, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# Wrapping uint64 kernels: no overflow guard, and none needed
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("count", [0, 1, 64])
+def test_wrapping_kernels_warn_on_no_length(count):
+    """Array integer arithmetic wraps silently, so neither kernel holds an
+    ``errstate`` guard: run at the wrap (values near 2**64) with warnings
+    as errors, each equals its scalar reference."""
+    lanes = np.array([2**64 - 1 - i for i in range(count)], dtype=np.uint64)
+    region, looped = MemoryRegion(8 * 64), MemoryRegion(8 * 64)
+    region._buffer[:] = looped._buffer[:] = b"\xff" * (8 * 64)
+    addresses = region.base_address + 8 * np.arange(count, dtype=np.uint64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mixed = hash_family._splitmix64_np(lanes)
+        assert region.dma_fetch_add_many(addresses, lanes) == count
+    assert mixed.dtype == np.uint64
+    assert mixed.tolist() == [splitmix64(lane) for lane in lanes.tolist()]
+    for address, addend in zip(addresses.tolist(), lanes.tolist()):
+        looped.dma_fetch_add(address, addend)
+    assert region.snapshot() == looped.snapshot()
+
+
+def test_a_zero_d_lane_mixes_like_a_one_element_array():
+    """A 0-d lane would become a numpy scalar, whose arithmetic does warn."""
+    lane = 2**64 - 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for zero_d in (np.uint64(lane), np.array(lane, dtype=np.uint64)):
+            assert int(hash_family._splitmix64_np(zero_d)) == splitmix64(lane)
+        family = HashFamily(seed=3)
+        assert int(family.hash_folded_array(lane, 5)) == family.hash_folded(lane, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.core.batch import ReportBatch
 from repro.core.config import DartConfig
 from repro.collector.collector import CollectorCluster
 from repro.switch.control_plane import SwitchControlPlane
@@ -394,6 +395,34 @@ class TestRuntimeReconfiguration:
         assert switch.update_collector(0, *previous) == (endpoint, 9, 4)
         assert switch.collector_endpoint(0) == old
         assert sorted(old) == ["base_address", "ip", "mac", "qp_number", "rkey"]
+
+    def test_report_plans_follow_every_row_change(self):
+        """A per-event report stamps its role's plan; after an install, a
+        re-point and the rollback its frames equal ``encode_batch``'s rows
+        for the same report on the same PSN state, so no plan outlives its row."""
+        config, cluster, plane, switches = self.make_plane()
+        switch = switches[0]
+        key = next(
+            ("10.0.0.1", "10.0.0.2", port, 80, 6) for port in range(1024, 2048)
+            if switch.addressing.collector_of(("10.0.0.1", "10.0.0.2", port, 80, 6)) == 0
+        )
+
+        def frames_match_the_batch_path(host_mac):
+            psn = switch.psn_registers.read(0)
+            frames = [frame for _, frame in switch.report(key, b"telem")]
+            switch.psn_registers.write(0, psn)
+            batch = ReportBatch.from_items(switch.addressing, [(key, b"telem")])
+            rows = switch.encode_batch(batch).frames
+            assert frames == [row.tobytes() for row in rows]
+            assert {RoceV2Packet.unpack(frame).eth.dst_mac for frame in frames} == {host_mac}
+
+        frames_match_the_batch_path(cluster.node(0).nic.mac)  # as installed
+        standby = cluster.node(2)
+        endpoint, _psn = standby.endpoint_for(switch.switch_id)
+        previous = switch.update_collector(0, endpoint, initial_psn=9, epoch=4)
+        frames_match_the_batch_path(standby.nic.mac)
+        switch.update_collector(0, *previous)
+        frames_match_the_batch_path(cluster.node(0).nic.mac)
 
     def test_update_collector_on_empty_role_raises(self):
         config = DartConfig(slots_per_collector=64, num_collectors=2)
