@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test perf-smoke audit bench bench-full bench-obs bench-obs-timeseries bench-obs-fleet bench-obs-trace bench-control bench-fabric-columnar bench-primitives bench-query experiments experiments-full examples lint loc ci all
+.PHONY: install test perf-smoke exhibits audit bench bench-full bench-obs bench-obs-timeseries bench-obs-fleet bench-obs-trace bench-control bench-fabric-columnar bench-primitives bench-query experiments experiments-full examples lint loc ci all
 
 install:
 	pip install -e . --no-build-isolation || \
@@ -34,7 +34,7 @@ loc:
 audit:
 	$(PYTHON) tests/reachability_audit.py --without-tests
 
-ci: lint perf-smoke bench-obs bench-obs-timeseries bench-obs-fleet bench-obs-trace bench-control bench-fabric-columnar bench-primitives bench-query
+ci: lint perf-smoke exhibits bench-obs bench-obs-timeseries bench-obs-fleet bench-obs-trace bench-control bench-fabric-columnar bench-primitives bench-query
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 
 # The benchmark's own smoke test (~10 s): every frozen perf/trace.py
@@ -42,6 +42,16 @@ ci: lint perf-smoke bench-obs bench-obs-timeseries bench-obs-fleet bench-obs-tra
 # Tier-1 (testpaths = tests) does not collect perf/, so ci runs it here.
 perf-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest perf -q
+
+# The paper's exhibits at quick scale (22 tests, about a minute, cut off at
+# five): Figs 1a, 1b and 2-5, Table 1, the headline claim and the section 6
+# prototype pipeline, each asserting its rows against the paper's values.
+EXHIBITS = fig1a_io_cores fig1b_storage_cycles figure2_end_to_end fig3_redundancy \
+	fig4_aging fig5_errors table1_backends headline_claim prototype_pipeline
+
+exhibits:
+	PYTHONPATH=src timeout 300 $(PYTHON) -m pytest -q --benchmark-disable \
+	  $(EXHIBITS:%=benchmarks/bench_%.py)
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q

@@ -21,14 +21,12 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Tuple
 
-import numpy as np
-
 from repro import obs
 from repro.core.addressing import DartAddressing
 from repro.core.config import DartConfig
 from repro.fabric.fabric import Fabric, InlineFabric
 from repro.mem.region import MemoryRegion
-from repro.rdma.frames import scalar_template, stamp_frame
+from repro.rdma.frames import FramePlan
 from repro.rdma.nic import RdmaNic
 from repro.rdma.packets import AtomicEth, Bth, Opcode, Reth, RoceV2Packet
 from repro.rdma.qp import PsnPolicy, QueuePair
@@ -100,6 +98,24 @@ class CasDartStore:
         )
         self.fabric = fabric if fabric is not None else InlineFabric()
         self.fabric.attach(CAS_ENDPOINT_ID, self.nic)
+        # A put's 8-byte WRITE (address and word vary) and its CMP_SWAP with
+        # compare=0 (address and swap word vary).
+        rkey = self.region.rkey
+        self._write_plan = FramePlan(
+            RoceV2Packet(
+                bth=Bth(opcode=int(Opcode.RC_RDMA_WRITE_ONLY), dest_qp=CAS_QP),
+                reth=Reth(rkey=rkey, dma_length=8),
+                payload=bytes(8),
+            ).pack(),
+            "reth.virtual_address",
+        )
+        self._cas_plan = FramePlan(
+            RoceV2Packet(
+                bth=Bth(opcode=int(Opcode.RC_CMP_SWAP), dest_qp=CAS_QP),
+                atomic_eth=AtomicEth(rkey=rkey),
+            ).pack(),
+            "atomic_eth.virtual_address", "atomic_eth.swap_add",
+        )
         registry = obs.get_registry()
         labels = registry.instance_labels("CasDartStore")
         #: WRITE+CAS puts issued.
@@ -147,36 +163,16 @@ class CasDartStore:
         self._t_put_many.stop(started)
         return 2 * count
 
-    def _put_template(self, opcode: int) -> np.ndarray:
-        """The put's 8-byte WRITE or its CMP_SWAP (compare=0), VA and word
-        zeroed; ``pack`` keeps the RETH or the AtomicETH the opcode has."""
-        rkey = self.region.rkey
-        return scalar_template(
-            ("cas_put", opcode, rkey),
-            lambda: RoceV2Packet(
-                bth=Bth(opcode=int(opcode), dest_qp=CAS_QP),
-                reth=Reth(rkey=rkey, dma_length=8),
-                atomic_eth=AtomicEth(rkey=rkey),
-                payload=bytes(8 if opcode == Opcode.RC_RDMA_WRITE_ONLY else 0),
-            ).pack(),
-        )
-
     def _craft_put_frames(self, key: Key, value: int) -> Tuple[bytes, bytes]:
         """The (WRITE, CMP_SWAP) wire frames for one put."""
         resolved = self.addressing.resolve(key)
         # A stored 0 means "empty", so a real word of 0 is remapped to 1.
         word = pack_compact_slot(resolved.checksum, value) or 1
         write_slot, cas_slot = resolved.slot_indexes
-        write = stamp_frame(
-            self._put_template(Opcode.RC_RDMA_WRITE_ONLY),
-            {"reth.virtual_address": self._slot_address(write_slot)},
-            word.to_bytes(8, "big"),
+        write = self._write_plan.stamp(
+            self._slot_address(write_slot), payload=word.to_bytes(8, "big")
         )
-        cas = stamp_frame(
-            self._put_template(Opcode.RC_CMP_SWAP),
-            {"atomic_eth.virtual_address": self._slot_address(cas_slot),
-             "atomic_eth.swap_add": word},
-        )
+        cas = self._cas_plan.stamp(self._slot_address(cas_slot), word)
         return write, cas
 
     # ------------------------------------------------------------------

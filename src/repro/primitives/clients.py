@@ -27,13 +27,7 @@ from repro.fabric.fabric import Fabric
 from repro.hashing.hash_family import Key
 from repro.primitives.append import AppendStore
 from repro.primitives.translator import ReadResponseRows, ReadRun, ResponseDemux
-from repro.rdma.frames import (
-    FrameBatch,
-    FramePool,
-    TemplateEncoder,
-    scalar_template,
-    stamp_frame,
-)
+from repro.rdma.frames import FrameBatch, FramePlan, FramePool, TemplateEncoder
 from repro.rdma.nic import RdmaNic
 from repro.rdma.packets import Bth, Opcode, Reth, RoceV2Packet
 from repro.rdma.qp import PSN_MODULUS, PsnPolicy, QueuePair, psn_run
@@ -92,6 +86,14 @@ class OneSidedReader:
         self.rkey = rkey
         self._psn = 0
         self._pool = FramePool()
+        #: Every READ this reader sends: length, PSN and address vary.
+        self._read_plan = FramePlan(
+            RoceV2Packet(
+                bth=Bth(opcode=int(Opcode.RC_RDMA_READ_REQUEST), dest_qp=qp_number),
+                reth=Reth(rkey=rkey),
+            ).pack(),
+            "reth.dma_length", "bth.psn", "reth.virtual_address",
+        )
         registry = obs.get_registry()
         self._tracer = obs.get_tracer()
         labels = registry.instance_labels("OneSidedReader")
@@ -111,22 +113,8 @@ class OneSidedReader:
         self._psn = (psn + 1) % PSN_MODULUS
         return psn
 
-    def _request_template(self, length: int) -> np.ndarray:
-        """The READ of ``length`` bytes both granularities stamp: VA and PSN zeroed."""
-        qp_number = self.qp.qp_number
-        return scalar_template(
-            ("read", qp_number, self.rkey, length),
-            lambda: RoceV2Packet(
-                bth=Bth(opcode=int(Opcode.RC_RDMA_READ_REQUEST), dest_qp=qp_number),
-                reth=Reth(rkey=self.rkey, dma_length=length),
-            ).pack(),
-        )
-
     def _craft_read(self, address: int, length: int, psn: int) -> bytes:
-        return stamp_frame(
-            self._request_template(length),
-            {"reth.virtual_address": address, "bth.psn": psn},
-        )
+        return self._read_plan.stamp(length, psn, address)
 
     def read_run(self, addresses: Sequence[int], length: int) -> Tuple[np.ndarray, np.ndarray]:
         """Pipelined READs: all requests first, then one response drain.
@@ -187,7 +175,9 @@ class OneSidedReader:
         count = len(addresses)
         start = self._psn
         self._psn = (start + count) % PSN_MODULUS
-        return TemplateEncoder(self._request_template(length)).stamp(
+        # The READ of ``length`` is every row's template.
+        frame, _crc, _count = self._read_plan.fix(length)
+        return TemplateEncoder(np.frombuffer(frame, dtype=np.uint8)).stamp(
             self._pool,
             np.full(count, self.endpoint_id, dtype=np.int64),
             {

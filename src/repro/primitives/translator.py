@@ -15,10 +15,12 @@ already executes, so the collector stays zero-CPU:
   slot reservation via the returned original value) followed by RDMA
   WRITEs into the reserved ring slots (:class:`AppendTranslator`).
 
-Both granularities stamp one memoised template per frame shape: batched
-entry points a pooled matrix (:class:`~repro.rdma.frames.TemplateEncoder`)
-for the fabric's ``send_batch`` seam, scalar ones a frame at a time
-(:func:`~repro.rdma.frames.stamp_frame`), so the two emit the same bytes.
+Each translator plans its frame shapes once, at construction (a
+:class:`~repro.rdma.frames.FramePlan` each): batched entry points stamp a
+pooled matrix from a plan's row
+(:class:`~repro.rdma.frames.TemplateEncoder`) for the fabric's
+``send_batch`` seam, scalar ones a frame at a time from the plan itself, so
+the two emit the same bytes.
 """
 
 from __future__ import annotations
@@ -32,14 +34,13 @@ from repro.fabric.fabric import Fabric
 from repro.hashing.hash_family import HashFamily, Key, fold_key, fold_keys
 from repro.rdma.frames import (
     FrameBatch,
+    FramePlan,
     FramePool,
     ICRC_BYTES,
     RESPONSE_PAYLOAD_OFF,
     TemplateEncoder,
     icrc_ok,
     read_field,
-    scalar_template,
-    stamp_frame,
 )
 from repro.rdma.layout import columns
 from repro.rdma.packets import (
@@ -295,6 +296,14 @@ class PrimitiveTranslator:
         self.rkey = rkey
         self._psn = 0
         self._pool = FramePool()
+        #: Every FETCH_ADD this translator sends: address, addend and PSN vary.
+        self._add_plan = FramePlan(
+            RoceV2Packet(
+                bth=Bth(opcode=int(Opcode.RC_FETCH_ADD), dest_qp=qp_number),
+                atomic_eth=AtomicEth(rkey=rkey),
+            ).pack(),
+            "atomic_eth.virtual_address", "atomic_eth.swap_add", "bth.psn",
+        )
         registry = obs.get_registry()
         self._registry = registry
         self._tracer = obs.get_tracer()
@@ -324,28 +333,11 @@ class PrimitiveTranslator:
         self._psn = (start + count) % PSN_MODULUS
         return psn_run(start, count)
 
-    def _add_template(self) -> np.ndarray:
-        """The FETCH_ADD both granularities stamp: VA, addend and PSN zeroed."""
-        return scalar_template(
-            ("fetch_add", self.qp_number, self.rkey),
-            lambda: RoceV2Packet(
-                bth=Bth(opcode=int(Opcode.RC_FETCH_ADD), dest_qp=self.qp_number),
-                atomic_eth=AtomicEth(rkey=self.rkey),
-            ).pack(),
-        )
-
     def craft_fetch_add(self, address: int, amount: int, psn: Optional[int] = None) -> bytes:
         """One FETCH_ADD frame (the per-operation path)."""
         if psn is None:
             psn = self._next_psn()
-        return stamp_frame(
-            self._add_template(),
-            {
-                "atomic_eth.virtual_address": address,
-                "atomic_eth.swap_add": amount,
-                "bth.psn": psn,
-            },
-        )
+        return self._add_plan.stamp(address, amount, psn)
 
     def _encode_fetch_add_batch(
         self, addresses: np.ndarray, amounts: np.ndarray
@@ -353,10 +345,10 @@ class PrimitiveTranslator:
         """Encode a FETCH_ADD batch as one pooled frame matrix.
 
         Row ``i`` is what :meth:`craft_fetch_add` stamps on the same
-        operands, from the same template.
+        operands, from the same plan.
         """
         count = len(addresses)
-        return TemplateEncoder(self._add_template()).stamp(
+        return TemplateEncoder(self._add_plan.row).stamp(
             self._pool,
             np.full(count, self.endpoint_id, dtype=np.int64),
             {
@@ -614,6 +606,15 @@ class AppendTranslator(PrimitiveTranslator):
         self.demux = demux
         self.writer_id = writer_id
         self.max_retries = max_retries
+        #: Every record WRITE: slot address, PSN and the record vary.
+        self._record_plan = FramePlan(
+            RoceV2Packet(
+                bth=Bth(opcode=int(Opcode.RC_RDMA_WRITE_ONLY), dest_qp=qp_number),
+                reth=Reth(rkey=rkey, dma_length=record_bytes),
+                payload=bytes(record_bytes),
+            ).pack(),
+            "reth.virtual_address", "bth.psn",
+        )
         #: Records appended (reservation succeeded and WRITEs offered).
         self.c_appends = self._registry.counter(
             "appends_total", labels=self._labels
@@ -636,26 +637,12 @@ class AppendTranslator(PrimitiveTranslator):
             )
         return value.ljust(self.record_bytes, b"\x00")
 
-    def _record_template(self) -> np.ndarray:
-        """The record WRITE both granularities stamp: VA, PSN and record zeroed."""
-        return scalar_template(
-            ("record_write", self.qp_number, self.rkey, self.record_bytes),
-            lambda: RoceV2Packet(
-                bth=Bth(opcode=int(Opcode.RC_RDMA_WRITE_ONLY), dest_qp=self.qp_number),
-                reth=Reth(rkey=self.rkey, dma_length=self.record_bytes),
-                payload=bytes(self.record_bytes),
-            ).pack(),
-        )
-
     def craft_record_write(self, slot: int, value: bytes) -> bytes:
         """One WRITE frame landing ``value`` in ring ``slot``."""
-        return stamp_frame(
-            self._record_template(),
-            {
-                "reth.virtual_address": self.data_address + slot * self.record_bytes,
-                "bth.psn": self._next_psn(),
-            },
-            self._pad(value),
+        return self._record_plan.stamp(
+            self.data_address + slot * self.record_bytes,
+            self._next_psn(),
+            payload=self._pad(value),
         )
 
     def _account_overwrites(self, start: int, count: int) -> None:
@@ -788,7 +775,7 @@ class AppendTranslator(PrimitiveTranslator):
             addresses = (
                 np.uint64(self.data_address) + slots * np.uint64(self.record_bytes)
             )
-            frame_batch = TemplateEncoder(self._record_template()).stamp(
+            frame_batch = TemplateEncoder(self._record_plan.row).stamp(
                 self._pool,
                 np.full(count, self.endpoint_id, dtype=np.int64),
                 {"reth.virtual_address": addresses, "bth.psn": self._psn_sequence(count)},

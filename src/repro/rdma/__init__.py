@@ -10,8 +10,9 @@ in this environment, so this package is a byte-accurate software model:
 - :mod:`repro.rdma.packets` -- scalar codecs for those headers plus the
   RoCEv2 invariant CRC (iCRC), their ``struct`` formats derived from the
   layout.
-- :mod:`repro.rdma.frames` -- batches of frames as pooled byte matrices,
-  and the one template-and-patch encoder that crafts them.
+- :mod:`repro.rdma.frames` -- one plan per frame shape, which stamps a
+  frame or (through the template-and-patch encoder) a batch of frames as
+  a pooled byte matrix.
 - :mod:`repro.rdma.qp` -- queue-pair state with 24-bit packet sequence
   numbers (PSNs), mirroring the per-collector PSN registers the Tofino
   prototype keeps in SRAM.

@@ -4,11 +4,11 @@ A frame shape (the DART report, a FETCH_ADD, a READ request or response)
 has a constant geometry per deployment config, so a whole batch of frames
 packs naturally into one ``uint8`` matrix of shape ``(frames,
 frame_width)``.  :class:`FrameBatch` wraps that matrix together with the
-per-frame destination endpoint, :class:`FramePool` recycles the backing
-buffers so steady-state batch traffic allocates nothing, and
-:class:`TemplateEncoder` is the one way a batch of frames gets crafted;
-one frame is stamped by :func:`stamp_frame`, or, for a switch's reports,
-by the :class:`ReportPlan` of its endpoint.  Every offset and width here
+per-frame destination endpoint, and :class:`FramePool` recycles the
+backing buffers so steady-state batch traffic allocates nothing.  Every
+sender plans each of its frame shapes once, as a :class:`FramePlan`, where
+the shape is fixed; one frame is stamped by the plan, a batch by
+:class:`TemplateEncoder` over the plan's row.  Every offset and width here
 is derived from :mod:`repro.rdma.layout`.
 
 Buffer ownership is refcounted: a batch and every sub-batch selected from
@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import zlib
 from itertools import repeat
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,10 +41,10 @@ from repro.rdma.layout import (
     IPV4,
     RETH,
     UDP,
-    packer,
     span,
+    writer,
 )
-from repro.rdma.packets import _icrc_image, _icrc_of_wire
+from repro.rdma.packets import _icrc_image
 
 # ---------------------------------------------------------------------------
 # Wire geometry, derived from the layout's field tables.
@@ -81,10 +81,10 @@ PSN_OFF = span("bth.ack_request")[0]
 
 _MASKED_COLUMNS = np.array(ICRC_MASKED_COLUMNS)
 
-#: Templates :func:`scalar_template` may hold before it starts over, and
-#: iCRC OR rows :func:`icrc_rows` keeps.  Bounded because some of what a
-#: template reflects is sender-chosen (a READ response's addresses, a READ's
-#: length, and so a response's width); a deployment has far fewer.
+#: Response plans a NIC may memoise before it starts over, and iCRC OR rows
+#: :func:`icrc_rows` keeps.  Bounded because some of what a response reflects
+#: is sender-chosen (a READ's addresses and length, and so a response's
+#: width); a deployment has far fewer.
 TEMPLATE_MEMO_SIZE = 256
 
 #: The CRC of the iCRC image's 0xFF prefix: every row's CRC chains from it.
@@ -397,25 +397,6 @@ class FrameBatch:
 # Template-and-patch encoding
 # ---------------------------------------------------------------------------
 
-_TEMPLATE_MEMO: Dict[tuple, np.ndarray] = {}
-
-
-def scalar_template(key: tuple, craft: Callable[[], bytes]) -> np.ndarray:
-    """The frame ``craft()`` packs, as a read-only row, memoised on ``key``.
-
-    ``craft`` is a site's own scalar crafter called with its per-frame
-    fields zeroed; ``key`` names the site and carries every value that
-    reaches a byte :meth:`TemplateEncoder.stamp` will not overwrite, so a
-    changed endpoint is a different entry, never a stale one.  The one
-    eviction rule: a full memo is cleared.
-    """
-    template = _TEMPLATE_MEMO.get(key)
-    if template is None:
-        if len(_TEMPLATE_MEMO) >= TEMPLATE_MEMO_SIZE:
-            _TEMPLATE_MEMO.clear()
-        template = _TEMPLATE_MEMO[key] = np.frombuffer(craft(), dtype=np.uint8)
-    return template
-
 
 class TemplateEncoder:
     """Many frames of one shape from scalar-packed templates.
@@ -424,8 +405,8 @@ class TemplateEncoder:
     checksum, lengths, QP, rkey -- comes from a frame the scalar codec
     packed, so the rows are byte-identical to the scalar path by
     construction; only the fields that vary per frame are patched in.
-    ``templates`` are equally wide frames; most shapes have one, the
-    switch one per collector endpoint.
+    ``templates`` are equally wide plan rows (:attr:`FramePlan.row`); most
+    shapes have one, the switch one per collector endpoint.
     """
 
     def __init__(self, *templates: np.ndarray) -> None:
@@ -464,90 +445,86 @@ class TemplateEncoder:
         return FrameBatch(frames, endpoint_ids, lease)
 
 
-
-#: ``"header.field"`` -> ``(start, packer, bits)``; ``bits`` is set where ``struct`` packs
-#: bytes (the 24-bit QP / PSN / MSN): :func:`stamp_frame` range-checks those itself.
-_FRAME_FIELDS = {
-    name: (span(name)[0], field, 8 * field.size if field.format.endswith("s") else 0)
-    for name, field in zip(FIELD_NAMES, map(packer, FIELD_NAMES))
-}
+_ICRC_INTO = ICRC.struct.pack_into
 
 
-def stamp_frame(template: np.ndarray, fields: Dict[str, int], payload: bytes = b"") -> bytes:
-    """:meth:`TemplateEncoder.stamp` for one frame: copy the :func:`scalar_template`
-    row, write each named ``"header.field"``, lay ``payload`` against the trailer,
-    stamp the iCRC (the scalar :func:`~repro.rdma.packets._icrc_of_wire`) last.
+class FramePlan:
+    """One frame shape, planned once where it is fixed (a lookup row's
+    install, a translator's or reader's construction, a NIC's first response
+    of a shape) from the frame ``RoceV2Packet.pack`` emits with the varying
+    fields zeroed and the names of those fields.
 
-    A value its field cannot hold raises what the header's ``pack`` raises:
-    ``ValueError`` for a 24-bit field, ``struct.error`` for the others.
-    """
-    frame = bytearray(template)
-    for name, value in fields.items():
-        start, field, bits = _FRAME_FIELDS[name]
-        if bits:
-            if not 0 <= value < 1 << bits:
-                raise ValueError(f"{name.partition('.')[2]} {value} does not fit in {bits} bits")
-            value = value.to_bytes(bits >> 3, "big")
-        field.pack_into(frame, start, value)
-    end = len(frame) - ICRC_BYTES
-    if payload:
-        frame[end - len(payload) : end] = payload
-    ICRC.struct.pack_into(frame, end, _icrc_of_wire(frame[IP_OFF:end]))
-    return bytes(frame)
-
-
-# The fields a report varies in: its source port and payload once per event,
-# its PSN and slot address once per copy.  Every column the iCRC masks lies
-# before the PSN, so a copy's CRC runs over its own bytes from the PSN on.
-_SRC_PORT_AT, _SRC_PORT_END = span("udp.src_port")
-_SRC_PORT = packer("udp.src_port")
-_PSN_AT, _PSN_END = span("bth.psn")
-_VA_AT = span("reth.virtual_address")[0]
-_VA = packer("reth.virtual_address")
-
-
-class ReportPlan:
-    """:func:`stamp_frame` for one endpoint's report frames, planned once.
-
-    ``stamp_frame`` derives a frame's shape on every call: it looks each
-    field up by name, range-checks it, and masks and CRCs the whole iCRC
-    image.  A plan does that once per :func:`scalar_template` row (the
-    switch builds one when it installs a lookup row): it keeps the template
-    as bytes, the region's base address and slot width, and the CRCs of the
-    masked iCRC image before and after the source port, which no report
-    changes.  :meth:`event` lays an event's source port and payload in and
-    chains the port into the CRC; :meth:`stamp` writes one copy's PSN and
-    slot address and CRCs only the bytes from the PSN on.  Each frame equals
-    ``stamp_frame`` of the same template and fields.
+    The plan keeps that template as bytes, the :func:`~repro.rdma.layout.writer`
+    of each leading and trailing run of the varying fields, and the CRC of the
+    masked iCRC image up to the first varying byte.  :meth:`stamp` writes the
+    fields and a payload and CRCs only from the first varying byte on.  Frames
+    that share their leading fields take it in two steps: :meth:`fix` those and
+    the payload once, then :meth:`finish` each frame.  A batch is
+    ``TemplateEncoder(plan.row)``.  Every frame equals ``pack`` of its fields.
     """
 
-    __slots__ = ("_template", "_base_address", "_slot_bytes", "_head_crc", "_middle")
+    __slots__ = ("template", "_heads", "_tails", "_write", "_at", "_crc", "_flip", "_end")
 
-    def __init__(self, template: np.ndarray, base_address: int) -> None:
-        self._template = template.tobytes()
-        self._base_address = base_address
-        self._slot_bytes = len(template) - OVERHEAD_BYTES
-        image = _icrc_image(self._template[IP_OFF:_PSN_AT])
-        port = _SRC_PORT_AT - IP_OFF + ICRC_PREFIX_BYTES
-        self._head_crc = zlib.crc32(image[:port])
-        self._middle = bytes(image[port + _SRC_PORT_END - _SRC_PORT_AT :])
+    def __init__(self, template: bytes, *varying: str) -> None:
+        self.template = template = bytes(template)
+        self._end = end = len(template) - ICRC_BYTES
+        starts = [span(name)[0] for name in varying] + [end]
+        self._at = at = min(starts)
+        shift = ICRC_PREFIX_BYTES - IP_OFF
+        masked = {column - shift for column in ICRC_MASKED_COLUMNS}
+        if at < IP_OFF or any(masked.intersection(range(*span(name))) for name in varying):
+            raise ValueError("a plan varies only fields the iCRC covers unmasked")
+        image = _icrc_image(template[IP_OFF:end])
 
-    def event(self, src_port: int, payload: bytes) -> Tuple[bytearray, int]:
-        """An event's frame, source port and payload laid in, with the CRC of
-        its iCRC image up to the PSN: what each of its copies is stamped on."""
-        frame = bytearray(self._template)
-        _SRC_PORT.pack_into(frame, _SRC_PORT_AT, src_port)
-        end = len(frame) - ICRC_BYTES
-        frame[end - len(payload) : end] = payload
-        crc = zlib.crc32(frame[_SRC_PORT_AT:_SRC_PORT_END], self._head_crc)
-        return frame, zlib.crc32(self._middle, crc)
+        def flip(start: int, stop: int) -> int:
+            # What turns a CRC of the bytes [start, stop), from any seed, into
+            # the CRC of their iCRC image: a CRC is affine in its bytes, so the
+            # two differ by the masked columns alone, which no frame varies.
+            return zlib.crc32(image[start + shift : stop + shift]) ^ zlib.crc32(template[start:stop])
 
-    def stamp(self, event: Tuple[bytearray, int], slot_index: int, psn: int) -> bytes:
-        """The copy of ``event`` for ``slot_index`` at ``psn``, as wire bytes
-        (written over the event's frame, which every copy shares)."""
-        frame, crc = event
-        frame[_PSN_AT:_PSN_END] = psn.to_bytes(_PSN_END - _PSN_AT, "big")
-        _VA.pack_into(frame, _VA_AT, self._base_address + slot_index * self._slot_bytes)
-        end = len(frame) - ICRC_BYTES
-        ICRC.struct.pack_into(frame, end, zlib.crc32(frame[_PSN_AT:end], crc))
+        # Per count of leading fields, the writer of those and of the others,
+        # the first byte the others vary, and the CRC flip before and from it.
+        stops = [min(starts[n:]) for n in range(len(starts))]
+        self._heads = [(writer(*varying[:n]), stop, flip(at, stop)) for n, stop in enumerate(stops)]
+        self._tails = [(writer(*varying[n:]), stop, flip(stop, end)) for n, stop in enumerate(stops)]
+        self._write, _, self._flip = self._heads[-1]
+        self._crc = zlib.crc32(image[: at + shift])
+
+    @property
+    def row(self) -> np.ndarray:
+        """The template as a read-only row: what a batch of the shape broadcasts."""
+        return np.frombuffer(self.template, dtype=np.uint8)
+
+    def stamp(self, *values: int, payload: bytes = b"") -> bytes:
+        """One frame: each varying field holds its value (in the plan's
+        order), ``payload`` lies against the trailer, and the iCRC is last."""
+        frame = bytearray(self.template)
+        self._write(frame, values)
+        end = self._end
+        if payload:
+            frame[end - len(payload) : end] = payload
+        _ICRC_INTO(frame, end, zlib.crc32(frame[self._at : end], self._crc) ^ self._flip)
+        return bytes(frame)
+
+    def fix(self, *values: int, payload: bytes = b"") -> Tuple[bytearray, int, int]:
+        """A copy of the template whose leading varying fields hold ``values``
+        and whose payload is ``payload``, the CRC of its iCRC image up to the
+        fields left, and their count: what :meth:`finish` completes."""
+        count = len(values)
+        write, stop, flip = self._heads[count]
+        frame = bytearray(self.template)
+        write(frame, values)
+        if payload:
+            end = self._end
+            frame[end - len(payload) : end] = payload
+        return frame, zlib.crc32(frame[self._at : stop], self._crc) ^ flip, count
+
+    def finish(self, fixed: Tuple[bytearray, int, int], *values: int) -> bytes:
+        """The frame ``fixed`` with its remaining fields holding ``values``, as
+        wire bytes (written over ``fixed``'s frame, which its finishes share)."""
+        frame, crc, count = fixed
+        write, stop, flip = self._tails[count]
+        write(frame, values)
+        end = self._end
+        _ICRC_INTO(frame, end, zlib.crc32(frame[stop:end], crc) ^ flip)
         return bytes(frame)

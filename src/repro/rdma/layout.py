@@ -8,18 +8,20 @@ and this module is the only place in ``repro`` that states a field's
 offset or a header's width.  Each header is a field table; everything
 else that has to know the format derives it from here: the
 ``struct.Struct`` formats :mod:`repro.rdma.packets` packs with, the
-column offsets and frame widths :mod:`repro.rdma.frames` exports, the
-bytes the invariant CRC masks (one set for the scalar and the vector
-iCRC), the fields a :func:`~repro.rdma.packets.header_plan` is keyed on
-and the request fields a READ response reflects.  The P4 model
+field writers a frame plan stamps with, the column offsets and frame
+widths :mod:`repro.rdma.frames` exports, the bytes the invariant CRC
+masks (one set for the scalar and the vector iCRC), the fields a
+:func:`~repro.rdma.packets.header_plan` is keyed on and the request
+fields a READ response reflects.  The P4 model
 (:mod:`repro.switch.p4`) and ``tests/reference_codec.py`` deliberately
 keep their own copies: they are the oracles this one is checked against.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 #: IANA-assigned UDP destination port identifying RoCEv2.
 ROCEV2_UDP_PORT = 4791
@@ -157,6 +159,39 @@ def columns(*names: str) -> List[int]:
 def packer(*names: str) -> struct.Struct:
     """Packs one value per named field, back to back in the order given."""
     return struct.Struct(">" + "".join(_FIELDS[name][1].code for name in names))
+
+
+@functools.lru_cache(maxsize=None)
+def writer(*names: str) -> Callable[..., None]:
+    """``write(frame, values)``, compiled once into straight-line code: each
+    of ``values`` into its named ``"header.field"`` of ``frame``.  A value the
+    field cannot hold raises what its header's ``pack`` raises: ``ValueError``
+    for a field ``struct`` packs as bytes (a MAC, an IPv4 address, the 24-bit
+    QP / PSN / MSN), ``struct.error`` for the others."""
+    scope: Dict[str, object] = {"_unfit": _unfit, "names": names}
+    lines = []
+    for n, name in enumerate(names):
+        (start, stop), field = _SPANS[name], packer(name)
+        if field.format.endswith("s"):
+            lines.append(f"frame[{start}:{stop}] = v{n}.to_bytes({stop - start}, 'big')")
+        else:
+            scope[f"pack{n}"] = field.pack_into
+            lines.append(f"pack{n}(frame, {start}, v{n})")
+    source = ["def write(frame, values):"]
+    if names:
+        source.append("    " + ", ".join(f"v{n}" for n in range(len(names))) + ", = values")
+    source += ["    try:"] + [f"        {line}" for line in lines or ["pass"]]
+    source += ["    except OverflowError:", "        raise _unfit(names, values) from None"]
+    exec("\n".join(source), scope)
+    return scope["write"]
+
+
+def _unfit(names: Tuple[str, ...], values: Tuple[int, ...]) -> ValueError:
+    """The error for the first value a bytes-packed field cannot hold."""
+    for name, value in zip(names, values):
+        start, stop = _SPANS[name]
+        if packer(name).format.endswith("s") and not 0 <= value < 1 << 8 * (stop - start):
+            return ValueError(f"{name.partition('.')[2]} {value} does not fit in {8 * (stop - start)} bits")
 
 
 def picker(*names: str) -> struct.Struct:

@@ -31,11 +31,11 @@ from repro.rdma.frames import (
     PAYLOAD_OFF,
     READ_REQUEST_BYTES,
     RESPONSE_PAYLOAD_OFF,
+    TEMPLATE_MEMO_SIZE,
+    FramePlan,
     TemplateEncoder,
     icrc_ok,
     read_field,
-    scalar_template,
-    stamp_frame,
 )
 from repro.rdma.layout import columns, picker
 from repro.rdma.packets import (
@@ -58,12 +58,12 @@ from repro.rdma.packets import (
 from repro.rdma.qp import PSN_MODULUS, QueuePair, psn_run
 
 #: Request fields a READ response or an atomic ACK reflects: what a
-#: response template is keyed on, besides its length.
+#: response plan is keyed on, besides its opcode, length and peer QP.
 _REFLECTED_FIELDS = ("eth.src_mac", "ipv4.src_ip", "udp.src_port")
 _REFLECTED = picker(*_REFLECTED_FIELDS)
 #: Per vector branch, the columns every row of a batch must share with
 #: row 0 for row 0's header plan, rkey and (RETH) length to stand for all
-#: of them; a READ batch also shares what its one response template reflects.
+#: of them; a READ batch also shares what its one response plan reflects.
 _UNIFORM_COLUMNS = {
     Opcode.RC_RDMA_WRITE_ONLY: np.array(columns(*PLAN_FIELDS, "reth.rkey", "reth.dma_length")),
     Opcode.RC_FETCH_ADD: np.array(columns(*PLAN_FIELDS, "atomic_eth.rkey")),
@@ -161,6 +161,10 @@ class RdmaNic:
         #: one :class:`~repro.rdma.frames.FrameBatch` whose rows are the
         #: response frames, both in execution order.
         self.tx_queue: List[Union[bytes, FrameBatch]] = []
+        #: Response plans by (opcode, reflected fields, length, peer QP):
+        #: a response's shape depends on its request, so it is planned on
+        #: first sight; a full memo is cleared.
+        self._response_plans: Dict[tuple, FramePlan] = {}
 
     def __repr__(self) -> str:
         return f"RdmaNic(ip={self.ip!r}, region={self.region!r})"
@@ -424,7 +428,7 @@ class RdmaNic:
         ``length`` is the batch's one ``reth.dma_length``, as
         :meth:`_batch_branch` read it.  The survivors' bytes leave as one
         unpooled :class:`~repro.rdma.frames.FrameBatch` on
-        :attr:`tx_queue`, stamped from :meth:`_response_template` (every
+        :attr:`tx_queue`, stamped from :meth:`_response_plan`'s row (every
         row reflects the same request fields) with PSN, MSN and payload
         patched: row for row what :meth:`_enqueue_response` stamps.
         """
@@ -432,14 +436,14 @@ class RdmaNic:
         landed, offsets, psns, qp = self._validate_batch(frames, qp_number, rkey, length)
         count = len(landed)
         if count:
-            template = self._response_template(
+            plan = self._response_plan(
                 Opcode.RC_RDMA_READ_RESPONSE_ONLY,
                 _REFLECTED.unpack_from(frames[0]),
                 length,
                 qp.effective_peer_qp,
             )
             self.tx_queue.append(
-                TemplateEncoder(template).stamp(
+                TemplateEncoder(plan.row).stamp(
                     None,
                     batch.endpoint_ids[landed],
                     {
@@ -458,28 +462,31 @@ class RdmaNic:
     # Response path (READ responses, atomic ACKs; still zero host CPU)
     # ------------------------------------------------------------------
 
-    def _response_template(
+    def _response_plan(
         self, opcode: int, reflected: tuple, length: int, peer_qp: int
-    ) -> np.ndarray:
+    ) -> FramePlan:
         """The READ RESPONSE or ATOMIC ACKNOWLEDGE of ``length`` payload bytes
-        both granularities stamp (PSN, MSN and payload zeroed) to a request
-        whose :data:`_REFLECTED` fields hold ``reflected``: addressing is
-        reflected from it, the NIC knows nothing else."""
-
-        def craft() -> bytes:
+        to a request whose :data:`_REFLECTED` fields hold ``reflected``, PSN
+        and MSN varying: addressing is reflected from the request, the NIC
+        knows nothing else."""
+        key = (opcode, reflected, length, peer_qp)
+        plan = self._response_plans.get(key)
+        if plan is None:
+            if len(self._response_plans) >= TEMPLATE_MEMO_SIZE:
+                self._response_plans.clear()
             src_mac, src_ip, src_port = reflected
-            return RoceV2Packet(
-                eth=EthernetHeader(dst_mac=_mac_str(src_mac), src_mac=self.mac),
-                ipv4=Ipv4Header(src_ip=self.ip, dst_ip=_ipv4_str(src_ip)),
-                udp=UdpHeader(src_port=src_port),
-                bth=Bth(opcode=int(opcode), dest_qp=peer_qp),
-                aeth=Aeth(),
-                payload=bytes(length),
-            ).pack()
-
-        return scalar_template(
-            ("response", opcode, self.mac, self.ip, peer_qp, reflected, length), craft
-        )
+            plan = self._response_plans[key] = FramePlan(
+                RoceV2Packet(
+                    eth=EthernetHeader(dst_mac=_mac_str(src_mac), src_mac=self.mac),
+                    ipv4=Ipv4Header(src_ip=self.ip, dst_ip=_ipv4_str(src_ip)),
+                    udp=UdpHeader(src_port=src_port),
+                    bth=Bth(opcode=int(opcode), dest_qp=peer_qp),
+                    aeth=Aeth(),
+                    payload=bytes(length),
+                ).pack(),
+                "bth.psn", "aeth.msn",
+            )
+        return plan
 
     def _enqueue_response(
         self, request: bytes, psn: int, qp: QueuePair, opcode: int, data: bytes
@@ -489,11 +496,11 @@ class RdmaNic:
         ``request`` (PSN ``psn``): a READ's bytes, or an atomic's
         pre-operation value (8 bytes, big-endian) -- the half of the
         FETCH_ADD contract Append's tail reservation needs."""
-        fields = {"bth.psn": psn, "aeth.msn": qp.next_msn()}
-        template = self._response_template(
+        msn = qp.next_msn()
+        plan = self._response_plan(
             opcode, _REFLECTED.unpack_from(request), len(data), qp.effective_peer_qp
         )
-        self.tx_queue.append(stamp_frame(template, fields, data))
+        self.tx_queue.append(plan.stamp(psn, msn, payload=data))
         self.counters.c_responses.inc()
 
     def transmit(self) -> List[Union[bytes, FrameBatch]]:

@@ -66,8 +66,8 @@ _FIXED = packer(*FIELD_NAMES[: FIELD_NAMES.index("bth.psn") + 1])
 
 #: Entries each address memo below, and the :func:`header_plan` memo, may
 #: hold.  Bounded because the addresses and shapes of a received frame are
-#: sender-chosen (the same reason ``repro.rdma.frames.scalar_template`` is
-#: bounded); a deployment has far fewer.
+#: sender-chosen (the same reason a NIC's response plans are bounded); a
+#: deployment has far fewer.
 ADDRESS_MEMO_SIZE = 256
 
 

@@ -30,13 +30,7 @@ from repro.core.config import DartConfig
 from repro.fabric.fabric import Fabric
 from repro.hashing.hash_family import Key, stable_key_bytes
 from repro.obs.metrics import CounterView
-from repro.rdma.frames import (
-    FrameBatch,
-    FramePool,
-    ReportPlan,
-    TemplateEncoder,
-    scalar_template,
-)
+from repro.rdma.frames import FrameBatch, FramePlan, FramePool, TemplateEncoder
 from repro.rdma.packets import Bth, EthernetHeader, Ipv4Header, Opcode, Reth, RoceV2Packet
 from repro.rdma.qp import PSN_MODULUS
 from repro.switch.externs import MirrorSession, RegisterArray, TofinoRng
@@ -123,9 +117,9 @@ class DartSwitch:
         #: Node ID of the host each role's row addresses (role -> node):
         #: kept beside the 25-byte row so a rollback rebuilds the record.
         self._serving_nodes: Dict[int, int] = {}
-        #: Each role's report plan (role -> plan): what the per-event path
-        #: stamps, built with the row by the table's one writer.
-        self._report_plans: Dict[int, ReportPlan] = {}
+        #: Each role's report plan (role -> plan): what both granularities
+        #: stamp, built with the row by the table's one writer.
+        self._report_plans: Dict[int, FramePlan] = {}
 
         self.src_mac = (
             f"02:00:{(switch_id >> 24) & 0xFF:02x}:{(switch_id >> 16) & 0xFF:02x}:"
@@ -163,15 +157,24 @@ class DartSwitch:
         (the host's node ID is kept beside the row, not in it), and the
         role's PSN register starts at ``initial_psn``.  ``epoch`` tags the
         table version this entry belongs to.  The role's report plan is
-        built here, from the row as installed.
+        built here, from the row as installed: the deparser's WRITE to the
+        endpoint, its source port, PSN, slot address and payload varying.
         """
         row = asdict(endpoint)
         node_id = row.pop("collector_id")
         self.collector_table.add_entry(
             TableEntry(match=(collector_id,), action="set_rdma_endpoint", params=row)
         )
-        self._report_plans[collector_id] = ReportPlan(
-            self._report_template(row), row["base_address"]
+        slot_bytes = self.config.slot_bytes
+        self._report_plans[collector_id] = FramePlan(
+            RoceV2Packet(
+                eth=EthernetHeader(dst_mac=endpoint.mac, src_mac=self.src_mac),
+                ipv4=Ipv4Header(src_ip=self.src_ip, dst_ip=endpoint.ip),
+                bth=Bth(opcode=int(Opcode.RC_RDMA_WRITE_ONLY), dest_qp=endpoint.qp_number),
+                reth=Reth(rkey=endpoint.rkey, dma_length=slot_bytes),
+                payload=bytes(slot_bytes),
+            ).pack(),
+            "udp.src_port", "bth.psn", "reth.virtual_address",
         )
         self.psn_registers.write(collector_id, initial_psn)
         self.endpoint_epochs[collector_id] = epoch
@@ -229,24 +232,28 @@ class DartSwitch:
         """The RoCEv2 WRITE frames of a resolved report, one per copy index.
 
         Every copy goes to the one collector the key resolved to, so the
-        lookup, the plan, the source port and the payload are per event;
-        only the slot address and the PSN are per copy.  Everything the
-        endpoint fixes comes from the role's :class:`ReportPlan`.
+        lookup, the source port and the payload are per event (the role's
+        plan fixes them into one frame); only the PSN and the slot address
+        are per copy (each copy finishes that frame).  Everything the
+        endpoint fixes comes from the role's plan.
         """
         collector_id, checksum, slot_indexes = resolved
-        self._endpoint(collector_id)  # the data-plane lookup: a miss drops
+        # The data-plane lookup: a miss drops.
+        base_address = self._endpoint(collector_id)["base_address"]
         plan = self._report_plans[collector_id]
         # ECMP entropy from the key, as requester NICs vary the source port.
-        event = plan.event(
-            _UDP_SRC_BASE | (checksum & 0x3FFF), self._codec.encode(checksum, value)
+        event = plan.fix(
+            _UDP_SRC_BASE | (checksum & 0x3FFF), payload=self._codec.encode(checksum, value)
         )
         next_psn = self.psn_registers.read_and_increment
-        redundancy, frames = self.config.redundancy, []
+        config, frames = self.config, []
+        redundancy, slot_bytes = config.redundancy, config.slot_bytes
         for copy_index in copy_indexes:
             if not 0 <= copy_index < redundancy:
                 raise ValueError(f"copy_index {copy_index} outside [0, {redundancy})")
             psn = next_psn(collector_id) % PSN_MODULUS
-            frames.append((collector_id, plan.stamp(event, slot_indexes[copy_index], psn)))
+            address = base_address + slot_indexes[copy_index] * slot_bytes
+            frames.append((collector_id, plan.finish(event, psn, address)))
         return frames
 
     def _endpoint(self, collector_id: int) -> Dict[str, Any]:
@@ -257,22 +264,6 @@ class DartSwitch:
             self.counters.c_drops_no_entry.inc()
             raise LookupError(f"no collector lookup entry for collector {collector_id}")
         return lookup[1]
-
-    def _report_template(self, endpoint: Dict[str, Any]) -> np.ndarray:
-        """The deparser: the WRITE to ``endpoint`` with its per-report fields
-        zeroed, which both granularities stamp; no switch state touched."""
-        slot_bytes = self.config.slot_bytes
-        return scalar_template(
-            ("report", self.src_mac, self.src_ip, endpoint["mac"], endpoint["ip"],
-             endpoint["qp_number"], endpoint["rkey"], slot_bytes),
-            lambda: RoceV2Packet(
-                eth=EthernetHeader(dst_mac=endpoint["mac"], src_mac=self.src_mac),
-                ipv4=Ipv4Header(src_ip=self.src_ip, dst_ip=endpoint["ip"]),
-                bth=Bth(opcode=int(Opcode.RC_RDMA_WRITE_ONLY), dest_qp=endpoint["qp_number"]),
-                reth=Reth(rkey=endpoint["rkey"], dma_length=slot_bytes),
-                payload=bytes(slot_bytes),
-            ).pack(),
-        )
 
     def _mirror_and_resolve(self, key: Key, value: bytes) -> ResolvedKey:
         """Clone the event into egress and resolve its key: one encoding, one fold.
@@ -341,8 +332,8 @@ class DartSwitch:
         advancing through the same register cells.  Each row's bytes equal
         the corresponding scalar :meth:`report` frame (the equivalence
         suite diffs them), so downstream NIC validation cannot tell the
-        paths apart: both stamp :meth:`_report_template`, memoised on the
-        installed endpoint's values.
+        paths apart: both stamp the role's plan, built when its row was
+        installed.
 
         Raises LookupError (after counting the drop) if any targeted
         collector has no lookup entry, like the scalar path does on its
@@ -358,8 +349,9 @@ class DartSwitch:
 
         collector_ids = batch.collector_ids
         roles = np.unique(collector_ids)
-        endpoints = [self._endpoint(role) for role in roles.tolist()]
-        encoder = TemplateEncoder(*(self._report_template(e) for e in endpoints))
+        role_ids = roles.tolist()
+        endpoints = [self._endpoint(role) for role in role_ids]
+        encoder = TemplateEncoder(*(self._report_plans[role].row for role in role_ids))
 
         self.counters.c_events.inc(report_count)
         self.mirror.c_clones.inc(report_count)
@@ -377,14 +369,14 @@ class DartSwitch:
         # Per-collector PSNs: the register cell advances once per frame,
         # exactly as scalar read_and_increment does.
         psns = np.empty(total, dtype=np.uint64)
-        for position, role in enumerate(roles.tolist()):
+        for position, role in enumerate(role_ids):
             rows = np.flatnonzero(role_positions == position)
-            base_psn = self.psn_registers.read(int(role))
+            base_psn = self.psn_registers.read(role)
             sequence = (
                 np.uint64(base_psn) + np.arange(len(rows), dtype=np.uint64)
             ) & np.uint64(0xFFFFFFFF)
             psns[rows] = sequence % np.uint64(PSN_MODULUS)
-            self.psn_registers.write(int(role), base_psn + len(rows))
+            self.psn_registers.write(role, base_psn + len(rows))
 
         return encoder.stamp(
             self.frame_pool,

@@ -1,13 +1,13 @@
-"""The frame granularity stamps the batch granularity's templates.
+"""The frame granularity stamps the plan the batch granularity broadcasts.
 
-Every per-frame sender of the template sites -- the switch WRITE, the
-FETCH_ADD, the Append record WRITE, the READ request, the NIC's READ response
-and ATOMIC ACKNOWLEDGE, and the WRITE+CAS store's 8-byte WRITE and CMP_SWAP --
-copies its site's memoised template and writes the fields that vary
-(:func:`repro.rdma.frames.stamp_frame`).  What must not move is the
-wire: every stamped frame equals ``RoceV2Packet.pack`` of the same fields,
-a value a field cannot hold raises what ``pack`` raises, and a re-pointed
-collector never gets the old template.  The scalar hashing that rides
+Every per-frame sender -- the switch WRITE, the FETCH_ADD, the Append record
+WRITE, the READ request, the NIC's READ response and ATOMIC ACKNOWLEDGE, and
+the WRITE+CAS store's 8-byte WRITE and CMP_SWAP -- stamps its frames from a
+:class:`repro.rdma.frames.FramePlan` built where the shape is fixed: the plan
+copies its template and writes the fields that vary.  What must not move is
+the wire: every stamped frame equals ``RoceV2Packet.pack`` of the same
+fields, a value a field cannot hold raises what ``pack`` raises, and a
+re-pointed collector never gets the old plan.  The scalar hashing that rides
 along (the word loop of ``_fold_bytes``, the cached seed mix of
 ``hash_folded``, the cached slot size of ``DartConfig``) is pinned to its
 previous definitions here too.
@@ -16,8 +16,8 @@ previous definitions here too.
 import random
 import struct
 from types import SimpleNamespace
+from unittest.mock import Mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +30,7 @@ from repro.mem.region import MemoryRegion
 from repro.mem.slots import SlotLayout
 from repro.primitives.clients import OneSidedReader
 from repro.primitives.translator import AppendTranslator, PrimitiveTranslator, ResponseDemux
-from repro.rdma import frames, layout
+from repro.rdma import layout
 from repro.rdma.nic import RdmaNic
 from repro.rdma.packets import (
     Aeth,
@@ -232,16 +232,15 @@ def test_every_stamped_frame_is_the_scalar_pack(shape, data):
     assert RoceV2Packet.unpack(frame) == packet
 
 
-def test_both_granularities_stamp_one_memo_entry():
-    """A frame and a batch of the same shape come from one template row."""
-    frames._TEMPLATE_MEMO.clear()
+def test_both_granularities_stamp_one_plan():
+    """A short run's frames and a batch's rows come from one plan object."""
     reader = make_reader(0xA00, 7)
+    reader._read_plan = plan = Mock(wraps=reader._read_plan)
     addresses = [0x40, 0x48, 0x50, 0x58]
     single = [reader._craft_read(address, 8, psn) for psn, address in enumerate(addresses)]
-    (row,) = frames._TEMPLATE_MEMO.values()
     reader._psn = 0
     batch = reader._read_run_batch(addresses, 8)
-    assert list(frames._TEMPLATE_MEMO.values()) == [row]
+    assert [name for name, *_ in plan.method_calls] == ["stamp"] * len(addresses) + ["fix"]
     assert [matrix.tobytes() for matrix in batch.frames] == single
 
 
@@ -303,6 +302,14 @@ RANGE_CASES = {
         lambda: make_reader(0xA00, 1 << 32)._craft_read(0, 8, 0),
         lambda: read_packet(rkey=1 << 32).pack(),
     ),
+    "msn 2**24": (
+        lambda: RdmaNic(MemoryRegion(64))._enqueue_response(
+            read_packet().pack(), 0,
+            SimpleNamespace(next_msn=lambda: PSN_MODULUS, effective_peer_qp=0xA00),
+            Opcode.RC_RDMA_READ_RESPONSE_ONLY, bytes(8),
+        ),
+        lambda: Aeth(msn=PSN_MODULUS).pack(),
+    ),
 }
 
 
@@ -312,13 +319,6 @@ def test_a_value_its_field_cannot_hold_raises_what_pack_raises(case):
     expected = raised(packed)
     assert expected[0] in (ValueError, struct.error)
     assert raised(stamped) == expected
-
-
-def test_msn_past_24_bits_raises_what_aeth_pack_raises():
-    template = np.zeros(64, dtype=np.uint8)
-    assert raised(lambda: frames.stamp_frame(template, {"aeth.msn": PSN_MODULUS})) == raised(
-        lambda: Aeth(msn=PSN_MODULUS).pack()
-    )
 
 
 # ---------------------------------------------------------------------------

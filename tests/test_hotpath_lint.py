@@ -25,13 +25,13 @@ through its memoised header plan: no ``RoceV2Packet.unpack`` or
 
 The second half pins where the RoCEv2 wire format is written down: one
 module (``repro.rdma.layout``) states offsets and widths, everything else
-names fields; one template per site, stamped into a batch
-(``TemplateEncoder.stamp``) or into one frame (``stamp_frame``, or the
-switch's ``ReportPlan``, built from the template when a lookup row is
-installed), so nothing else computes a batch iCRC and no code outside the
-codec and the P4 exhibit builds header dataclasses but a template's craft.
-The per-event report body derives nothing its endpoint fixes: no
-template, packet, ``pack``, ``slot_address`` or dict in it.
+names fields; each frame shape is planned once (a ``FramePlan``, built
+where the shape is fixed), stamped into a batch (``TemplateEncoder.stamp``
+over the plan's row) or into one frame (the plan's ``stamp``, or ``fix``
+then ``finish``), so nothing else computes a batch iCRC and no code
+outside the codec and the P4 exhibit builds header dataclasses but a
+plan's construction.  The per-event report body derives nothing its
+endpoint fixes: no plan, packet, ``pack``, ``slot_address`` or dict in it.
 
 The third pins that watching does not steer: no body can ask a tracer
 for a ``granularity`` to pick its path by, and a stage is timed by the
@@ -187,12 +187,12 @@ def test_read_batch_bodies_build_no_packets():
 
 
 #: The per-event report body.  Everything a report's endpoint fixes -- its
-#: template, field offsets, base address and the CRC of its constant headers
-#: -- is derived when the lookup row is installed (its ``ReportPlan``); per
-#: event the body looks the row up and patches.  No template, packet or
-#: slot-address derivation in it, and no dict built for a copy's fields.
+#: template, field offsets and the CRC of its constant headers -- is derived
+#: when the lookup row is installed (its ``FramePlan``); per event the body
+#: looks the row up and patches.  No plan, packet or slot-address derivation
+#: in it, and no dict built for a copy's fields.
 PER_EVENT_BODIES = [(SRC / "switch" / "dart_switch.py", "_craft_frames")]
-PER_EVENT_BANNED = {"scalar_template", "_report_template", "RoceV2Packet", "pack", "slot_address"}
+PER_EVENT_BANNED = {"FramePlan", "RoceV2Packet", "pack", "slot_address"}
 
 
 def _per_event_violations(function: ast.AST, path):
@@ -214,17 +214,17 @@ def test_per_event_report_body_derives_no_shape():
 def test_per_event_lint_catches_seeded_violations():
     tree = ast.parse(
         "def _craft_frames(self, resolved, value, copy_indexes):\n"
-        "    template = self._report_template(self._endpoint(role))\n"
+        "    plan = FramePlan(self._endpoint(role), 'bth.psn')\n"
         "    for copy_index in copy_indexes:\n"
         "        fields = {'bth.psn': next_psn(role)}\n"
         "        address = self.addressing.slot_address(base, slot)\n"
         "        frame = RoceV2Packet(bth=Bth(psn=psn)).pack()\n"
         "        extra = dict(fields)\n"
-        "        frames.append(plan.stamp(event, slot, psn))\n"
+        "        frames.append((role, plan.finish(event, psn, address)))\n"
     )
     flagged = list(_per_event_violations(tree.body[0], "seeded.py"))
     assert sorted(flagged) == sorted([
-        "seeded.py:2: _craft_frames() calls _report_template(...)",
+        "seeded.py:2: _craft_frames() calls FramePlan(...)",
         "seeded.py:4: _craft_frames() builds a dict",
         "seeded.py:5: _craft_frames() calls slot_address(...)",
         "seeded.py:6: _craft_frames() calls RoceV2Packet(...)",
@@ -403,43 +403,49 @@ def test_one_scalar_icrc():
         if isinstance(call, ast.Call) and _call_name(call) == "_icrc_of_wire"
     )
     assert callers == [
-        "frames.py:stamp_frame", "packets.py:compute_icrc", "packets.py:pack",
-        "packets.py:received_plan", "packets.py:unpack",
+        "packets.py:compute_icrc", "packets.py:pack", "packets.py:received_plan",
+        "packets.py:unpack",
     ]
 
 
-#: The template sites: the module, the accessor holding the site's one
-#: ``scalar_template`` key and craft, the batch body that stamps a matrix from
-#: it (None for a frame-only site), the frame body and what that body stamps
-#: one frame with: ``stamp_frame``, or, for the switch's per-event reports,
-#: the ``ReportPlan`` a lookup row's install builds from the template.
+#: The plan sites: the module, the method that builds the site's plans, the
+#: batch body that stamps a matrix from a plan (None for a frame-only site)
+#: and the frame body that stamps one frame from a plan.
 TEMPLATE_SITES = [
-    (SRC / "switch" / "dart_switch.py", "_report_template", "encode_batch", "install_collector",
-     "ReportPlan"),
-    (SRC / "primitives" / "translator.py", "_add_template", "_encode_fetch_add_batch",
-     "craft_fetch_add", "stamp_frame"),
-    (SRC / "primitives" / "translator.py", "_record_template", "append_many",
-     "craft_record_write", "stamp_frame"),
-    (SRC / "primitives" / "clients.py", "_request_template", "_read_run_batch", "_craft_read",
-     "stamp_frame"),
-    (SRC / "rdma" / "nic.py", "_response_template", "_ingest_read_batch", "_enqueue_response",
-     "stamp_frame"),
-    (SRC / "core" / "cas_store.py", "_put_template", None, "_craft_put_frames", "stamp_frame"),
+    (SRC / "switch" / "dart_switch.py", "DartSwitch.install_collector", "encode_batch",
+     "_craft_frames"),
+    (SRC / "primitives" / "translator.py", "PrimitiveTranslator.__init__",
+     "_encode_fetch_add_batch", "craft_fetch_add"),
+    (SRC / "primitives" / "translator.py", "AppendTranslator.__init__", "append_many",
+     "craft_record_write"),
+    (SRC / "primitives" / "clients.py", "OneSidedReader.__init__", "_read_run_batch",
+     "_craft_read"),
+    (SRC / "rdma" / "nic.py", "RdmaNic._response_plan", "_ingest_read_batch",
+     "_enqueue_response"),
+    (SRC / "core" / "cas_store.py", "CasDartStore.__init__", None, "_craft_put_frames"),
 ]
-#: Private templates and per-site crafters earlier encoders kept.
+#: Private templates, per-site crafters and stampers earlier encoders kept.
 RETIRED_TEMPLATES = (
-    "_frame_template", "_fetch_add_template", "_record_write_template",
-    "_read_response_template", "_atomic_template", "_write_template",
-    "_templates", "_read_templates", "_pack_write", "_craft_read_response",
-    "_blank_read_response", "_enqueue_read_response", "_enqueue_atomic_response",
+    "_frame_template", "_fetch_add_template", "_record_write_template", "_read_response_template",
+    "_atomic_template", "_write_template", "_templates", "_read_templates", "_pack_write",
+    "_craft_read_response", "_blank_read_response", "_enqueue_read_response",
+    "_enqueue_atomic_response", "stamp_frame", "_FRAME_FIELDS", "ReportPlan", "scalar_template",
+    "_TEMPLATE_MEMO", "_report_template", "_add_template", "_record_template",
+    "_request_template", "_response_template", "_put_template",
 )
 
 
+def _functions(tree: ast.AST):
+    """``(qualified name, node)`` of every module-level function and method."""
+    for node in tree.body:
+        for function in node.body if isinstance(node, ast.ClassDef) else [node]:
+            if isinstance(function, ast.FunctionDef):
+                yield (f"{node.name}." if function is not node else "") + function.name, function
+
+
 def _function(path: pathlib.Path, name: str) -> ast.FunctionDef:
-    (body,) = [
-        node for node in ast.walk(_parsed(path))
-        if isinstance(node, ast.FunctionDef) and node.name == name
-    ]
+    """The one function or method ``name`` (or ``"Class.method"``) of a module."""
+    (body,) = [node for qual, node in _functions(_parsed(path)) if name in (qual, node.name)]
     return body
 
 
@@ -452,41 +458,46 @@ def _names_used(function: ast.AST) -> set:
     }
 
 
-def test_every_site_keys_one_template_in_one_memo():
-    """Each site's accessor is the only place its template is keyed and
-    crafted; its batch body, if it has one, and its frame body stamp from it."""
-    for path, accessor, batch, frame, stamper in TEMPLATE_SITES:
-        assert "scalar_template" in _names_used(_function(path, accessor)), f"{path}: {accessor}"
+def test_every_site_builds_its_plans_where_the_shape_is_fixed():
+    """Each site's builder is the only place its plans are built; its batch
+    body, if it has one, stamps a matrix from a plan, and its frame body a
+    frame (``stamp``, or ``finish`` of what ``fix`` laid out)."""
+    for path, builder, batch, frame in TEMPLATE_SITES:
+        built = _function(path, builder)
+        # What the bodies reach the plans by: the builder, or where it stores them.
+        plans = {built.name} | {
+            stored.attr
+            for node in ast.walk(built)
+            if isinstance(node, ast.Assign) and "FramePlan" in _names_used(node.value)
+            for target in node.targets
+            for stored in ast.walk(target)
+            if isinstance(stored, ast.Attribute)
+        }
         if batch is not None:
             used = _names_used(_function(path, batch))
-            assert {accessor, "TemplateEncoder", "stamp"} <= used, f"{path}: {batch}"
-        assert {accessor, stamper} <= _names_used(_function(path, frame)), f"{path}: {frame}"
-    keyed_by = []
-    identifiers = set()
-    memos = 0
+            assert plans & used and {"TemplateEncoder", "stamp"} <= used, f"{path}: {batch}"
+        used = _names_used(_function(path, frame))
+        assert plans & used and {"stamp", "finish"} & used, f"{path}: {frame}"
+    built_by, identifiers, memos = [], set(), 0
     for path in _source_modules():
         tree = _parsed(path)
+        built_by += [f"{path.name}:{qual}" for qual, node in _functions(tree)
+                     if "FramePlan" in _names_used(node)]
         for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and "scalar_template" in {
-                _call_name(call) for call in ast.walk(node) if isinstance(call, ast.Call)
-            }:
-                keyed_by.append(f"{path.name}:{node.name}")
             if isinstance(node, (ast.Attribute, ast.Name, ast.FunctionDef, ast.ClassDef)):
                 identifiers.add(
                     getattr(node, "attr", None) or getattr(node, "id", None) or node.name
                 )
-            # A template memo is a dict some code stores a crafted frame in.
-            memos += isinstance(node, ast.AnnAssign) and "template" in ast.unparse(node).lower()
-    assert sorted(keyed_by) == sorted(
-        f"{path.name}:{accessor}" for path, accessor, *_bodies in TEMPLATE_SITES
-    )
+            # A plan memo: a dict keyed by tuple (the switch's plans are keyed by role).
+            memos += isinstance(node, ast.AnnAssign) and "[tuple, FramePlan]" in ast.unparse(node)
+    assert sorted(built_by) == sorted(f"{path.name}:{name}" for path, name, *_ in TEMPLATE_SITES)
     assert not identifiers & set(RETIRED_TEMPLATES)
-    assert {"scalar_template", "TemplateEncoder", "stamp_frame"} <= identifiers
+    assert {"FramePlan", "TemplateEncoder"} <= identifiers
     assert memos == 1
 
 
-#: Where a packet may be built outside a craft: the codec itself, and the P4
-#: deparser of the section 6 byte-equivalence exhibit.
+#: Where a packet may be built outside a plan's construction: the codec
+#: itself, and the P4 deparser of the section 6 byte-equivalence exhibit.
 PACKING_MODULES = (SRC / "rdma" / "packets.py", SRC / "switch" / "p4")
 PACKET_CONSTRUCTORS = {
     "RoceV2Packet", "EthernetHeader", "Ipv4Header", "UdpHeader", "Bth", "Reth",
@@ -494,66 +505,54 @@ PACKET_CONSTRUCTORS = {
 }
 
 
-def _constructions_outside_crafts(tree: ast.AST, path):
-    """Packet / header dataclasses built anywhere but in a template's craft
-    (the lambda, or the nested function named, handed to ``scalar_template``)."""
-    allowed = set()
-    for function in ast.walk(tree):
-        if not isinstance(function, ast.FunctionDef):
-            continue
-        crafts = []
-        for call in ast.walk(function):
-            if isinstance(call, ast.Call) and _call_name(call) == "scalar_template":
-                for craft in call.args[1:]:
-                    if isinstance(craft, ast.Name):
-                        craft = next(
-                            (node for node in ast.walk(function)
-                             if isinstance(node, ast.FunctionDef) and node.name == craft.id),
-                            craft,
-                        )
-                    crafts.append(craft)
-        allowed.update(id(node) for craft in crafts for node in ast.walk(craft))
+def _constructions_outside_plans(tree: ast.AST, path):
+    """Packet / header dataclasses built anywhere but in the arguments of a
+    ``FramePlan(...)`` call: the template a plan is built from."""
+    allowed = {
+        id(node)
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call) and _call_name(call) == "FramePlan"
+        for node in ast.walk(call)
+    }
     for call in ast.walk(tree):
         if (
             isinstance(call, ast.Call)
             and _call_name(call) in PACKET_CONSTRUCTORS
             and id(call) not in allowed
         ):
-            yield f"{path}:{call.lineno}: {_call_name(call)}(...) outside a template's craft"
+            yield f"{path}:{call.lineno}: {_call_name(call)}(...) outside a plan's construction"
 
 
 def test_frame_senders_stamp_their_template():
     """Outside the codec and the P4 exhibit no module builds a packet or
-    header dataclass: every frame ``src`` sends is stamped from a template."""
+    header dataclass: every frame ``src`` sends is stamped from a plan."""
     violations = []
     for path in _source_modules():
         if not any(path == root or root in path.parents for root in PACKING_MODULES):
-            violations.extend(_constructions_outside_crafts(_parsed(path), path))
+            violations.extend(_constructions_outside_plans(_parsed(path), path))
     assert not violations, "\n".join(violations)
 
 
 def test_frame_sender_lint_catches_a_seeded_violation():
     tree = ast.parse(
         "class Site:\n"
-        "    def _lambda_template(self):\n"
-        "        return scalar_template(key, lambda: RoceV2Packet(bth=Bth()).pack())\n"
-        "    def _nested_template(self):\n"
-        "        def craft():\n"
-        "            return RoceV2Packet(aeth=Aeth()).pack()\n"
-        "        return scalar_template(key, craft)\n"
+        "    def __init__(self):\n"
+        "        self._plan = FramePlan(RoceV2Packet(bth=Bth()).pack(), 'bth.psn')\n"
+        "    def _response_plan(self):\n"
+        "        return FramePlan(RoceV2Packet(aeth=Aeth()).pack(), 'aeth.msn')\n"
         "    def craft_frame(self, psn):\n"
         "        return RoceV2Packet(bth=Bth(psn=psn)).pack()\n"
         "    def _craft_put_frames(self, word):\n"
         "        write = RoceV2Packet(bth=Bth(opcode=W), reth=Reth(va, rkey, 8), payload=word)\n"
         "        cas = RoceV2Packet(bth=Bth(opcode=C), atomic_eth=AtomicEth(va, rkey, word))\n"
-        "        return write.pack(), cas.pack()\n"
+        "        return FramePlan(write.pack(), 'bth.psn'), cas.pack()\n"
     )
-    flagged = list(_constructions_outside_crafts(tree, "seeded.py"))
+    flagged = list(_constructions_outside_plans(tree, "seeded.py"))
     assert sorted(flagged) == sorted(
-        f"seeded.py:{line}: {name}(...) outside a template's craft"
-        for line, name in [(9, "Bth"), (9, "RoceV2Packet"), (11, "Bth"), (11, "Reth"),
-                           (11, "RoceV2Packet"), (12, "AtomicEth"), (12, "Bth"),
-                           (12, "RoceV2Packet")]
+        f"seeded.py:{line}: {name}(...) outside a plan's construction"
+        for line, name in [(7, "Bth"), (7, "RoceV2Packet"), (9, "Bth"), (9, "Reth"),
+                           (9, "RoceV2Packet"), (10, "AtomicEth"), (10, "Bth"),
+                           (10, "RoceV2Packet")]
     )
 
 
