@@ -9,15 +9,10 @@ from repro.collector.collector import Collector, CollectorCluster
 from repro.collector.counters import CounterStore
 from repro.collector.epochs import EpochArchive, EpochImageMissingError, EpochManager
 from repro.collector.store import DartStore
+from repro.fabric import InlineFabric
 from repro.rdma.frames import FrameBatch
 
-
-def small_config(**kwargs):
-    defaults = dict(
-        slots_per_collector=1 << 10, num_collectors=2, redundancy=2, value_bytes=8
-    )
-    defaults.update(kwargs)
-    return DartConfig(**defaults)
+from .rigs import make_items, small_config
 
 
 class TestCollector:
@@ -382,3 +377,13 @@ class TestEpochImageMissingError:
         assert issubclass(EpochImageMissingError, KeyError)
         with pytest.raises(KeyError):
             archive.load(0, 0)
+
+
+def test_columnar_store_queries_answer():
+    config = DartConfig(slots_per_collector=1 << 10, num_collectors=3, seed=3)
+    store = DartStore(config, packet_level=True, fabric=InlineFabric())
+    items = make_items(60)
+    store.put_many(items)
+    hits = sum(1 for key, value in items if (store.get_value(key) or b"").startswith(value))
+    # Collisions can cost a few keys; the vast majority must answer.
+    assert hits >= 55

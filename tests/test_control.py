@@ -39,7 +39,7 @@ from repro.rdma.qp import PSN_MODULUS, PsnPolicy, QueuePair, QueuePairState
 from repro.switch.control_plane import SwitchControlPlane
 from repro.switch.dart_switch import DartSwitch
 
-from .test_collector import small_config
+from .rigs import small_config
 
 
 def build_fleet(*, num_standbys=1, num_switches=2, config=None):

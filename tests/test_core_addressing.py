@@ -11,6 +11,8 @@ from repro.core.config import DartConfig
 from repro.hashing.hash_family import fold_key, fold_keys
 from repro.primitives.translator import COUNTER_FUNCTION_BASE, CountMinAddressing
 
+from .rigs import mixed_keys
+
 key_strategy = st.one_of(
     st.binary(min_size=1, max_size=16),
     st.integers(min_value=0, max_value=2**64),
@@ -143,19 +145,6 @@ class TestVectorised:
 # Differential: everything derived from a lane equals the reference that
 # hashes the key itself (HashFamily.hash_key_mod / KeyChecksum.compute).
 # ----------------------------------------------------------------------
-
-_atoms = st.one_of(
-    st.integers(min_value=0, max_value=2**64),
-    st.text(min_size=1, max_size=16),
-    st.binary(min_size=1, max_size=64),
-)
-mixed_keys = st.one_of(
-    _atoms,
-    st.tuples(_atoms, _atoms),
-    st.tuples(st.text(max_size=15), st.text(max_size=15), *[st.integers(0, 65535)] * 3),
-    st.tuples(st.integers(0, 2**32), st.tuples(_atoms, st.integers(0, 255))),
-)
-
 
 class TestLanePathMatchesKeyReference:
     @settings(max_examples=60, deadline=None)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import DartConfig
+from repro.mem.slots import SlotLayout
 
 
 class TestValidation:
@@ -89,3 +90,14 @@ class TestMemoryBudget:
         flows = 10_000
         config = DartConfig.for_memory_budget(300 * flows)
         assert config.load_factor(flows) == pytest.approx(0.08)
+
+
+def test_config_derives_its_layout_once_and_compares_by_fields():
+    config = DartConfig(checksum_bits=12, value_bytes=9)
+    assert config.layout is config.layout
+    assert config.layout == SlotLayout(checksum_bits=12, value_bytes=9)
+    assert config.slot_bytes == 11 == config.layout.slot_bytes
+    fresh = DartConfig(checksum_bits=12, value_bytes=9)
+    assert fresh == config and hash(fresh) == hash(config)
+    assert {config: 1}[fresh] == 1
+    assert DartConfig(checksum_bits=12, value_bytes=10) != config

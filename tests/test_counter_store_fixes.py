@@ -13,21 +13,16 @@ Three bugs fixed alongside the primitive translators:
 
 import pytest
 
-from repro import obs
 from repro.collector.counters import CounterStore
 from repro.obs.health import PipelineHealth
 
-
-def _with_registry():
-    registry = obs.MetricsRegistry()
-    previous = obs.set_registry(registry)
-    return registry, lambda: obs.set_registry(previous)
+from .rigs import fresh_registry
 
 
 class TestHeavyHittersSingleEstimate:
     def test_one_estimate_per_candidate(self):
         """Regression: each candidate is estimated exactly once."""
-        registry, restore = _with_registry()
+        registry, restore = fresh_registry()
         try:
             store = CounterStore(cells_per_row=256, rows=2)
             for i in range(50):
@@ -101,7 +96,7 @@ class TestZeroAmountShortCircuit:
 class TestMergeOnTheWire:
     def test_merge_counts_as_nic_traffic(self):
         """Regression: merge_from used to bypass the fabric and NIC."""
-        registry, restore = _with_registry()
+        registry, restore = fresh_registry()
         try:
             a = CounterStore(cells_per_row=64, rows=2)
             b = CounterStore(cells_per_row=64, rows=2)
@@ -132,7 +127,7 @@ class TestMergeOnTheWire:
             assert a.estimate(("flow", i)) == union.estimate(("flow", i))
 
     def test_merge_metrics_count_cells(self):
-        registry, restore = _with_registry()
+        registry, restore = fresh_registry()
         try:
             a = CounterStore(cells_per_row=64, rows=1)
             b = CounterStore(cells_per_row=64, rows=1)

@@ -40,22 +40,7 @@ from repro.network.packet_sim import PacketLevelIntNetwork
 from repro.network.topology import FatTreeTopology
 from repro.switch.dart_switch import DartSwitch
 
-
-class RecordingPort:
-    """A minimal FabricPort that records frames and executes on demand."""
-
-    def __init__(self, execute=True):
-        self.frames = []
-        self.execute = execute
-        self.outbound = []
-
-    def receive_frame(self, frame):
-        self.frames.append(frame)
-        return self.execute
-
-    def transmit(self):
-        drained, self.outbound = self.outbound, []
-        return drained
+from .rigs import RecordingPort
 
 
 def small_config(**overrides):

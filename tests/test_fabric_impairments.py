@@ -19,10 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.batch import ReportBatch
 from repro.core.config import DartConfig
 from repro.core.reporter import DartReporter
 from repro.collector.store import DartStore
 from repro.fabric import BufferedFabric, ImpairedFabric, InlineFabric
+
+from .rigs import Tap, fresh_obs
 
 
 def make_store(impaired_fabric):
@@ -264,3 +267,108 @@ def test_put_returns_the_frames_not_lost(make_fabric):
         lost = counters.frames_dropped_loss
         written = store.put(key, value)
         assert written == config.redundancy - (counters.frames_dropped_loss - lost)
+
+
+# ----------------------------------------------------------------------
+# A lossy batch stays a batch, fabric to queue pair
+# ----------------------------------------------------------------------
+
+ENDPOINTS = 4
+ITEMS = [(("flow", i), b"value-%03d" % i) for i in range(256)]
+
+
+def tapped_store(**impairments):
+    """A 4-collector store over an impaired inline fabric, every port tapped."""
+    config = DartConfig(slots_per_collector=1 << 10, num_collectors=ENDPOINTS, redundancy=2, seed=3)
+    fabric = ImpairedFabric(InlineFabric(), **impairments)
+    store = DartStore(config, packet_level=True, fabric=fabric)
+    taps = {}
+    for endpoint_id in fabric.endpoint_ids():
+        taps[endpoint_id] = Tap(fabric.port(endpoint_id))
+        fabric.rebind(endpoint_id, taps[endpoint_id])
+    return store, fabric, taps
+
+
+class TestOneIngestPerEndpoint:
+    def test_impaired_batch_reaches_each_port_once(self):
+        store, fabric, taps = tapped_store(loss=0.02, duplication=0.01, reordering=0.01, seed=7)
+        counters = fabric.counters
+        assert store._switch.report_batch_into(ITEMS) == 512 - counters.frames_dropped_loss
+        assert counters.frames_dropped_loss and counters.frames_duplicated
+        assert counters.frames_reordered
+        assert [tap.batches for tap in taps.values()] == [1] * ENDPOINTS
+        assert sum(len(tap.requests) for tap in taps.values()) == fabric.delivered.frames_delivered
+
+    def test_a_frame_carried_in_costs_one_more_call(self):
+        store, fabric, taps = tapped_store(loss=0.02, duplication=0.01, reordering=0.3, seed=7)
+        carried = 0
+        while len(fabric._held) < 2:
+            store.put(*ITEMS[carried])
+            carried += 1
+        held = len(fabric._held)
+        before = {endpoint: len(tap.requests) for endpoint, tap in taps.items()}
+        store._switch.report_batch_into(ITEMS[carried:])
+        for endpoint, tap in taps.items():
+            assert 1 <= tap.batches <= 1 + held
+            assert len(tap.requests) > before[endpoint]
+
+    def test_unimpaired_batch_passes_through_uncopied(self):
+        store, fabric, taps = tapped_store(seed=7)
+        pool = store._switch.frame_pool
+        store._switch.report_batch_into(ITEMS)
+        passed = pool.allocations + pool.reuses
+        clean = DartStore(store.config, packet_level=True, fabric=InlineFabric())
+        clean._switch.report_batch_into(ITEMS)
+        clean_pool = clean._switch.frame_pool
+        assert passed == clean_pool.allocations + clean_pool.reuses
+        assert pool.in_flight == 0
+
+
+class TestReturnContract:
+    """Each row counted as ``send`` counts its frame: executed now, or held
+    or queued in flight; a lost row never counts."""
+
+    def offer(self, inner=InlineFabric, **impairments):
+        config = DartConfig(slots_per_collector=1 << 10, num_collectors=2, seed=3)
+        fabric = ImpairedFabric(inner(), **impairments)
+        store = DartStore(config, packet_level=True, fabric=fabric)
+        switch = store._switch
+        batch = switch.encode_batch(ReportBatch.from_items(switch.addressing, ITEMS))
+        return fabric, fabric.send_batch(batch)
+
+    @pytest.mark.parametrize("inner, impairments", [
+        (InlineFabric, dict(loss=0.2)), (InlineFabric, dict(duplication=0.2)),
+        (InlineFabric, dict(reordering=0.2)),
+        (InlineFabric, dict(loss=0.2, duplication=0.1, reordering=0.2)),
+        (lambda: BufferedFabric(None), dict(loss=0.2)),
+    ], ids=["loss", "duplication", "reordering", "all_three", "buffered_loss"])
+    def test_held_queued_and_duplicated_rows_count_once(self, inner, impairments):
+        fabric, counted = self.offer(inner, seed=1, **impairments)
+        assert counted == 512 - fabric.counters.frames_dropped_loss
+
+    def test_everything_lost_returns_zero(self):
+        fabric, executed = self.offer(loss=1.0)
+        assert executed == 0 and fabric.delivered.frames_offered == 0
+
+
+class TestBatchTrace:
+    @pytest.mark.parametrize("loss", [0.1, 1.0])
+    def test_one_impair_span_and_one_terminal_span(self, loss):
+        """However many rows are impaired and however many endpoints the
+        survivors fan out to, the batch's shared context finishes once."""
+        _registry, tracer, restore = fresh_obs()
+        try:
+            store, fabric, _taps = tapped_store(
+                loss=loss, duplication=0.05, reordering=0.05, seed=7
+            )
+            store._switch.report_batch_into(ITEMS)
+            assert tracer.bindings_live == 0
+            (record,) = tracer.traces()
+            assert record.stages.count("fabric.impair") == 1
+            assert record.stages.count("fabric.deliver") == 1
+            assert record.stages[-1] == "fabric.deliver"
+            # The terminal span is the inner delivery's unless nothing
+            # survived to be delivered.
+            assert ("rows=0 " in record.spans[-1].detail) == (loss == 1.0)
+        finally:
+            restore()

@@ -14,45 +14,14 @@ import pytest
 
 from repro.collector.counters import CounterStore
 from repro.collector.store import DartStore
-from repro.control.shards import shard_map_of
 from repro.core.addressing import DartAddressing
 from repro.core.cas_store import CasDartStore
-from repro.core.client import DartQueryClient
-from repro.core.config import DartConfig
 from repro.hashing import hash_family
 from repro.primitives.clients import CounterQueryClient
 from repro.primitives.sketch import SwitchSketch
-from repro.query.backend import FanoutBackend
 from repro.query.fleet import QueryFleet
-from repro.query.service import QueryService
 
-KEYS = [f"10.0.{i}.1:{4000 + i}>10.9.{i}.2:443/6" for i in range(64)]
-POINT = 'select value from keys where key == "%s"' % KEYS[7]
-SWEEP = "select value from keys"
-
-
-def small_config():
-    return DartConfig(slots_per_collector=1 << 10, num_collectors=4, redundancy=2)
-
-
-def store_rig():
-    config = small_config()
-    store = DartStore(config, packet_level=True)
-    store.put_many([(key, b"v") for key in KEYS])
-    shard_map = shard_map_of(store.cluster)
-    service = QueryService(
-        backend=FanoutBackend(config, store.cluster, store.fabric),
-        shard_map_provider=lambda: shard_map,
-    )
-    return service, DartQueryClient(config, reader=store.cluster.read_slot)
-
-
-def fleet_rig():
-    fleet = QueryFleet(small_config())
-    fleet.put_many([(key, b"v") for key in KEYS])
-    return QueryService(fleet), DartQueryClient(
-        fleet.config, reader=fleet.cluster.read_slot
-    )
+from .rigs import KEYS, POINT, SWEEP, fleet_rig, service_config, store_rig
 
 
 @pytest.fixture
@@ -125,7 +94,7 @@ def test_served_lookups_fold_each_candidate_once(rig, folds, monkeypatch):
 
 @pytest.mark.parametrize("method", ["count_many", "sketch_many"])
 def test_fleet_increments_fold_each_key_once(method, folds):
-    fleet = QueryFleet(small_config())
+    fleet = QueryFleet(service_config())
     getattr(fleet, method)([(key, 1) for key in KEYS])
     assert len(folds) == 64
     source = "counters" if method == "count_many" else "sketch"
@@ -140,7 +109,7 @@ def test_store_and_primitive_entry_points_fold_once(folds):
         result = operation(*args)
         return len(folds), result
 
-    store = DartStore(small_config())
+    store = DartStore(service_config())
     assert folded(store.put, KEYS[0], b"v") == (1, 2)
     cas = CasDartStore(num_slots=256)
     assert folded(cas.put, KEYS[0], 9) == (1, None)

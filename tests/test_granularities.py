@@ -1,0 +1,1427 @@
+"""One differential harness: every frame-vs-batch and scalar-vs-vector pair.
+
+DART's zero-CPU claim rests on the NIC executing switch-crafted RoCEv2 frames
+byte for byte, so each layer's frame body and batch body must produce what the
+frozen ``tests/reference_codec.py`` packs from the same fields, and leave the
+same state behind.  Four tables, each run by a few properties: *encode*
+(``ENCODE_ROWS``, the eight ``FramePlan`` shapes, tied to
+``rigs.TEMPLATE_SITES``), *ingest and demux* (``BRANCHES`` x ``FAULTS``,
+``DEMUX_FAULTS``), the per-row *kernels* against their scalar twins, and *end
+to end* (``put`` / ``put_many``, short / batched ``read_run``) over
+``rigs.FABRICS``.
+"""
+
+import contextlib
+import copy
+import importlib
+import warnings
+from types import SimpleNamespace
+from unittest.mock import Mock, patch
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import repro.primitives.clients as clients
+from repro.collector.collector import CollectorEndpoint
+from repro.collector.counters import CounterStore
+from repro.collector.store import DartStore
+from repro.core.addressing import COLLECTOR_FUNCTION_INDEX, DartAddressing
+from repro.core.batch import ReportBatch
+from repro.core.cas_store import CasDartStore
+from repro.core.config import DartConfig
+from repro.fabric import BufferedFabric, ImpairedFabric, InlineFabric
+from repro.hashing import hash_family
+from repro.hashing.checksum import CHECKSUM_FUNCTION_INDEX
+from repro.hashing.hash_family import HashFamily, fold_key, fold_keys, splitmix64
+from repro.mem.region import MemoryRegion, RegionAccessError
+from repro.primitives.clients import COLUMNAR_MIN_READS
+from repro.primitives.translator import (
+    AppendTranslator, PrimitiveTranslator, ReadResponseRows, ResponseDemux,
+)
+from repro.query.fleet import QueryFleet
+from repro.rdma import layout
+from repro.rdma.frames import (
+    ICRC_BYTES, IP_OFF, RESPONSE_PAYLOAD_OFF, FrameBatch, FramePool, icrc_ok, icrc_rows,
+    write_field,
+)
+from repro.rdma.layout import BTH, ICRC_MASKED_COLUMNS, ICRC_PREFIX_BYTES
+from repro.rdma.nic import RdmaNic
+from repro.rdma.packets import PLAN_FIELDS, _icrc_of_wire
+from repro.rdma.qp import PSN_MODULUS, PsnPolicy, QueuePair
+from repro.switch.dart_switch import DartSwitch
+
+from . import reference_codec as reference
+from .rigs import (
+    FABRICS, RESERVED7_BYTE, SLOTS, SRC, TEMPLATE_SITES, TVER_BYTE, U32, U64, ReadRig,
+    RecordingFabric, ascii_text, frame_accounting, high_base, impairment_state, ips, macs,
+    make_items, make_reader, mixed_keys, near_top, near_wrap, nic_state, restamp_icrc, rkeys,
+    tuple_keys, u24, u64, u64_edges, widths, wire_frames,
+)
+
+Opcode = reference.Opcode
+#: Run lengths.
+counts = st.integers(1, 64)
+#: The fabrics that can leave a frame held between calls.
+HOLDING = [name for name, factory in FABRICS.items() if getattr(factory(), "reordering", 0.0)]
+
+
+def small_config(**overrides):
+    """Three collectors of 1 024 slots, seed 3; ``overrides`` replace fields."""
+    return DartConfig(
+        **{"slots_per_collector": 1 << 10, "num_collectors": 3, "seed": 3, **overrides}
+    )
+
+
+def taken(batch):
+    """A pooled batch's rows, copied out before the lease goes back."""
+    rows = batch.frames.copy()
+    batch.release()
+    return rows
+
+
+def lists(draw, elements, count):
+    return draw(st.lists(elements, min_size=count, max_size=count))
+
+
+def run_columns(draw, count, *highs):
+    """``count`` rows, column ``i`` in ``[0, highs[i]]``, from one binary draw
+    (a list of integer draws costs four times as much)."""
+    size = 8 * count * len(highs)
+    words = np.frombuffer(draw(st.binary(min_size=size, max_size=size)), dtype=">u8")
+    return [
+        [word % (high + 1) for word, high in zip(row, highs)]
+        for row in words.reshape(count, len(highs)).tolist()
+    ]
+
+
+@contextlib.contextmanager
+def spying(cls, names):
+    """Spy on ``cls``'s methods ``names`` while the block runs: ``{name: spy}``."""
+    with contextlib.ExitStack() as stack:
+        yield {
+            name: stack.enter_context(
+                patch.object(cls, name, autospec=True, side_effect=getattr(cls, name))
+            )
+            for name in names
+        }
+
+
+# ===========================================================================
+# Encode: eight plan shapes, frame body = batch body = oracle
+# ===========================================================================
+#
+# A row draws one run and returns ``(frames, rows, expected, states)``: the
+# frame body's bytes, the batch body's matrix (None for a frame-only shape),
+# the oracle packets of the same fields, and the twins' state after the run.
+
+
+def oracle(opcode, qp, psn=0, **headers):
+    """The oracle's packet of ``opcode`` to ``qp`` at ``psn`` (wrapped to 24 bits)."""
+    bth = reference.Bth(opcode=int(opcode), dest_qp=qp, psn=psn % PSN_MODULUS)
+    return reference.RoceV2Packet(bth=bth, **headers)
+
+
+def encode_report(draw):
+    """``DartSwitch``: ``_craft_frames`` per report and ``encode_batch`` of the
+    run on twin switches; the installed plan driven by ``stamp`` and by
+    ``fix()`` + ``finish`` must give each frame too."""
+    config = DartConfig(
+        redundancy=draw(st.integers(1, 3)), value_bytes=draw(widths),
+        checksum_bits=draw(st.sampled_from([8, 16, 32])),
+        slots_per_collector=64, num_collectors=draw(st.integers(1, 3)),
+    )
+    switch_id = draw(st.integers(0, U32))
+    framer, batcher = switches = [DartSwitch(config, switch_id=switch_id) for _twin in "fb"]
+    endpoints, psns = [], []
+    for role in range(config.num_collectors):
+        endpoints.append(CollectorEndpoint(
+            role, draw(macs), draw(ips), draw(u24), draw(rkeys),
+            high_base(draw, 64 * config.slot_bytes),
+        ))
+        psns.append(draw(near_wrap))
+        for switch in switches:
+            switch.install_collector(role, endpoints[role], psns[role])
+    items = lists(draw, st.tuples(st.binary(max_size=20), st.binary(max_size=config.value_bytes)),
+                  draw(st.integers(1, 64 // config.redundancy)))
+    frames, expected, roles = [], [], []
+    for key, value in items:
+        resolved = framer.addressing.resolve(key)
+        role, checksum, slot_indexes = resolved
+        endpoint, plan = endpoints[role], framer._report_plans[role]
+        port = 0xC000 | (checksum & 0x3FFF)
+        payload = config.slot_codec().encode(checksum, value)
+        crafted = framer._craft_frames(resolved, value, range(config.redundancy))
+        for slot, (crafted_role, frame) in zip(slot_indexes, crafted):
+            psn, va = psns[role] % PSN_MODULUS, endpoint.base_address + slot * config.slot_bytes
+            psns[role] += 1
+            assert crafted_role == role
+            assert plan.stamp(port, psn, va, payload=payload) == frame
+            assert plan.finish(plan.fix(payload=payload), port, psn, va) == frame
+            frames.append(frame)
+            roles.append(role)
+            expected.append(oracle(
+                Opcode.RC_RDMA_WRITE_ONLY, endpoint.qp_number, psn,
+                eth=reference.EthernetHeader(dst_mac=endpoint.mac, src_mac=framer.src_mac),
+                ipv4=reference.Ipv4Header(src_ip=framer.src_ip, dst_ip=endpoint.ip),
+                udp=reference.UdpHeader(src_port=port),
+                reth=reference.Reth(va, endpoint.rkey, config.slot_bytes), payload=payload,
+            ))
+    batch = batcher.encode_batch(ReportBatch.from_items(batcher.addressing, items))
+    assert batch.endpoint_ids.tolist() == roles
+    return frames, taken(batch), expected, [
+        [switch.psn_registers.read(role) for role in range(config.num_collectors)]
+        for switch in switches
+    ]
+
+
+def encode_fetch_add(draw):
+    """``PrimitiveTranslator``: ``craft_fetch_add`` per operand pair and
+    ``_encode_fetch_add_batch`` of the run."""
+    qp, rkey, psn, count = draw(u24), draw(rkeys), draw(near_wrap), draw(counts)
+    framer, batcher = (PrimitiveTranslator(RecordingFabric(), 3, qp, rkey=rkey) for _ in "fb")
+    framer._psn = batcher._psn = psn
+    operands = [(near_top(va), amount) for va, amount in run_columns(draw, count, U64, U64)]
+    frames = [framer.craft_fetch_add(address, amount) for address, amount in operands]
+    addresses, amounts = np.array(operands, dtype=np.uint64).reshape(count, 2).T
+    rows = taken(batcher._encode_fetch_add_batch(addresses, amounts))
+    return frames, rows, [
+        oracle(Opcode.RC_FETCH_ADD, qp, psn + row,
+               atomic_eth=reference.AtomicEth(address, rkey, amount))
+        for row, (address, amount) in enumerate(operands)
+    ], [framer.psn, batcher.psn]
+
+
+def encode_record_write(draw):
+    """``AppendTranslator``: ``craft_record_write`` per record and
+    ``append_many`` of the run (its tail reservation stubbed out)."""
+    qp, rkey, psn, count = draw(u24), draw(rkeys), draw(near_wrap), draw(counts)
+    capacity, width, start = draw(st.integers(1, 80)), draw(widths), draw(st.integers(0, 1 << 40))
+    data_address = high_base(draw, capacity * width)
+    fabric = RecordingFabric()
+    framer, batcher = (
+        AppendTranslator(fabric, 3, qp, tail_address=0, data_address=data_address,
+                         capacity=capacity, record_bytes=width, rkey=rkey, demux=ResponseDemux())
+        for _ in "fb"
+    )
+    framer._psn = batcher._psn = psn
+    batcher._reserve = lambda reserved: start
+    records = lists(draw, st.binary(max_size=width), count)
+    slots = [(start + row) % capacity for row in range(count)]
+    frames = [framer.craft_record_write(slot, record) for slot, record in zip(slots, records)]
+    assert batcher.append_many(records) == start
+    (rows,) = fabric.matrices
+    return frames, rows, [
+        oracle(Opcode.RC_RDMA_WRITE_ONLY, qp, psn + row,
+               reth=reference.Reth(data_address + slot * width, rkey, width),
+               payload=record.ljust(width, b"\x00"))
+        for row, (slot, record) in enumerate(zip(slots, records))
+    ], [framer.psn, batcher.psn]
+
+
+def encode_read(draw):
+    """``OneSidedReader``: ``_craft_read`` per address (the body of a short
+    ``read_run``) and ``_read_run_batch`` of the run."""
+    qp, rkey, psn, count = draw(u24), draw(rkeys), draw(near_wrap), draw(counts)
+    length = draw(st.one_of(st.integers(0, 4096), st.integers(0, U32)))
+    framer, batcher = (make_reader(qp, rkey) for _ in "fb")
+    framer._psn = batcher._psn = psn
+    addresses = [near_top(va) for (va,) in run_columns(draw, count, U64)]
+    frames = [framer._craft_read(address, length, framer._next_psn()) for address in addresses]
+    rows = taken(batcher._read_run_batch(addresses, length))
+    return frames, rows, [
+        oracle(Opcode.RC_RDMA_READ_REQUEST, qp, psn + row,
+               reth=reference.Reth(address, rkey, length))
+        for row, address in enumerate(addresses)
+    ], [framer._psn, batcher._psn]
+
+
+def responder(draw, respond_atomics=False):
+    """Twin NICs over one drawn 256-byte image at a high base, each with the
+    same requester QP; and a requester's reflected MAC, IP and port."""
+    base, rkey = high_base(draw, 256) & ~7, draw(rkeys)
+    image = draw(st.binary(min_size=256, max_size=256))
+    mac, ip, qp_number, peer_qp, msn = draw(macs), draw(ips), draw(u24), draw(u24), draw(near_wrap)
+    nics = []
+    for _twin in "fb":
+        region = MemoryRegion(256, base_address=base, rkey=rkey)
+        region._buffer[:] = image
+        nics.append(RdmaNic(region, mac=mac, ip=ip))
+        qp = nics[-1].create_queue_pair(
+            QueuePair(qp_number=qp_number, policy=PsnPolicy.IGNORE, peer_qp=peer_qp)
+        )
+        qp.msn, qp.respond_atomics = msn, respond_atomics
+    return nics, (draw(macs), draw(ips), draw(st.integers(0, 0xFFFF)))
+
+
+def only_qp(nic):
+    (qp,) = nic._queue_pairs.values()
+    return qp
+
+
+def request(nic, requester, opcode, psn, **extension):
+    src_mac, src_ip, src_port = requester
+    return oracle(
+        opcode, only_qp(nic).qp_number, psn,
+        eth=reference.EthernetHeader(dst_mac=nic.mac, src_mac=src_mac),
+        ipv4=reference.Ipv4Header(src_ip=src_ip, dst_ip=nic.ip),
+        udp=reference.UdpHeader(src_port=src_port), **extension,
+    ).pack()
+
+
+def response(nic, requester, opcode, psn, msn, payload):
+    src_mac, src_ip, src_port = requester
+    return oracle(
+        opcode, only_qp(nic).peer_qp, psn,
+        eth=reference.EthernetHeader(dst_mac=src_mac, src_mac=nic.mac),
+        ipv4=reference.Ipv4Header(src_ip=nic.ip, dst_ip=src_ip),
+        udp=reference.UdpHeader(src_port=src_port),
+        aeth=reference.Aeth(syndrome=0, msn=msn % PSN_MODULUS), payload=payload,
+    )
+
+
+def encode_read_response(draw):
+    """``RdmaNic``: one requester's READs through looped ``receive_frame``
+    (``_enqueue_response`` per frame) and through ``ingest_batch`` (the READ
+    branch's one response matrix)."""
+    (framer, batcher), requester = responder(draw)
+    count, length = draw(counts), draw(st.integers(0, 48))
+    reads = run_columns(draw, count, PSN_MODULUS - 1, 256 - length)
+    region, msn = framer.region, only_qp(framer).msn
+    requests = [
+        request(framer, requester, Opcode.RC_RDMA_READ_REQUEST, psn,
+                reth=reference.Reth(region.base_address + offset, region.rkey, length))
+        for psn, offset in reads
+    ]
+    assert all(framer.receive_frame(frame) for frame in requests)
+    matrix = np.stack([np.frombuffer(frame, dtype=np.uint8) for frame in requests])
+    assert batcher.ingest_batch(FrameBatch(matrix, np.zeros(count, dtype=np.int64))) == count
+    (responses,) = batcher.transmit()
+    image = region.snapshot()
+    return framer.transmit(), responses.frames, [
+        response(framer, requester, Opcode.RC_RDMA_READ_RESPONSE_ONLY, psn, msn + 1 + row,
+                 image[offset : offset + length])
+        for row, (psn, offset) in enumerate(reads)
+    ], [(nic_state(nic), dict(nic._queue_pairs)) for nic in (framer, batcher)]
+
+
+def encode_atomic_ack(draw):
+    """``RdmaNic``: FETCH_ADDs from a QP that wants ACKs, each answered by
+    ``_enqueue_response`` with the word's value before the add."""
+    (nic, _twin), requester = responder(draw, respond_atomics=True)
+    region, msn = nic.region, only_qp(nic).msn
+    words = [int.from_bytes(region.snapshot()[at : at + 8], "big") for at in range(0, 256, 8)]
+    expected = []
+    operands = run_columns(draw, draw(counts), 31, U64, PSN_MODULUS - 1, U64)
+    for row, (word, amount, psn, compare) in enumerate(operands):
+        assert nic.receive_frame(request(
+            nic, requester, Opcode.RC_FETCH_ADD, psn, atomic_eth=reference.AtomicEth(
+                region.base_address + 8 * word, region.rkey, amount, compare
+            ),
+        ))
+        expected.append(response(nic, requester, Opcode.RC_ATOMIC_ACKNOWLEDGE, psn,
+                                 msn + 1 + row, words[word].to_bytes(8, "big")))
+        words[word] = (words[word] + amount) & U64
+    return nic.transmit(), None, expected, None
+
+
+def cas_puts(draw):
+    """``CasDartStore._craft_put_frames`` for drawn checksums, values and slot
+    pairs: ``((write, cas), word, (write address, cas address), rkey)`` per
+    put; a zero checksum and value pack to the word 0, stored as 1."""
+    store = CasDartStore(num_slots=64)
+    puts = []
+    for checksum, value, *slots in run_columns(
+        draw, draw(counts), (1 << 25) - 1, (1 << 41) - 1, 63, 63
+    ):
+        # Half the checksums and half the values zero, so a quarter of the words.
+        checksum, value = checksum >> 1 if checksum & 1 else 0, value >> 1 if value & 1 else 0
+        resolved = SimpleNamespace(checksum=checksum, slot_indexes=slots)
+        store.addressing = SimpleNamespace(resolve=lambda key, resolved=resolved: resolved)
+        puts.append((
+            store._craft_put_frames(b"key", value), (checksum << 40 | value) or 1,
+            [store.region.base_address + 8 * slot for slot in slots], store.region.rkey,
+        ))
+    return puts
+
+
+def encode_cas_write(draw):
+    puts = cas_puts(draw)
+    return [write for (write, _cas), *_ in puts], None, [
+        oracle(Opcode.RC_RDMA_WRITE_ONLY, 0x300, reth=reference.Reth(address, rkey, 8),
+               payload=word.to_bytes(8, "big"))
+        for _frames, word, (address, _cas_address), rkey in puts
+    ], None
+
+
+def encode_cmp_swap(draw):
+    puts = cas_puts(draw)
+    return [cas for (_write, cas), *_ in puts], None, [
+        oracle(Opcode.RC_CMP_SWAP, 0x300,
+               atomic_eth=reference.AtomicEth(address, rkey, swap_add=word, compare=0))
+        for _frames, word, (_write_address, address), rkey in puts
+    ], None
+
+
+#: The encode table: shape -> (row, its site's builder in TEMPLATE_SITES,
+#: whether the row drives the site's batch body too).
+ENCODE_ROWS = {
+    "report": (encode_report, "DartSwitch.install_collector", True),
+    "fetch_add": (encode_fetch_add, "PrimitiveTranslator.__init__", True),
+    "record_write": (encode_record_write, "AppendTranslator.__init__", True),
+    "read": (encode_read, "OneSidedReader.__init__", True),
+    "read_response": (encode_read_response, "RdmaNic._response_plan", True),
+    "atomic_ack": (encode_atomic_ack, "RdmaNic._response_plan", False),
+    "cas_write": (encode_cas_write, "CasDartStore.__init__", False),
+    "cmp_swap": (encode_cmp_swap, "CasDartStore.__init__", False),
+}
+
+
+def site_class(path, builder):
+    """The class a ``TEMPLATE_SITES`` builder is a method of."""
+    module = ".".join(("repro", *path.relative_to(SRC).with_suffix("").parts))
+    return getattr(importlib.import_module(module), builder.split(".")[0])
+
+
+#: builder -> (class, batch body or None, frame body).
+SITES = {
+    builder: (site_class(path, builder), batch, frame)
+    for path, builder, batch, frame in TEMPLATE_SITES
+}
+
+
+def test_every_plan_site_has_an_encode_row():
+    """A new ``FramePlan`` site cannot land without a differential row: every
+    site has a row, and a row driving its batch body if it has one (the
+    property below sees each row call those bodies)."""
+    assert {site for _row, site, _batched in ENCODE_ROWS.values()} == set(SITES)
+    for builder, (_cls, batch, _frame) in SITES.items():
+        batched = [flag for _row, site, flag in ENCODE_ROWS.values() if site == builder]
+        assert batch is None or any(batched), builder
+        assert batch is not None or not any(batched), builder
+
+
+@pytest.mark.parametrize("shape", ENCODE_ROWS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_frame_body_batch_body_and_oracle_agree(shape, data):
+    encode, builder, batched = ENCODE_ROWS[shape]
+    cls, batch_body, frame_body = SITES[builder]
+    with spying(cls, [frame_body, batch_body] if batched else [frame_body]) as spies:
+        frames, rows, expected, states = encode(data.draw)
+    assert all(spy.called for spy in spies.values()), spies
+    packed = [packet.pack() for packet in expected]
+    assert frames == packed
+    assert reference.RoceV2Packet.unpack(frames[0]) == expected[0]  # and the fields decode
+    assert icrc_ok(np.stack([np.frombuffer(frame, dtype=np.uint8) for frame in frames])).all()
+    if batched:
+        assert [row.tobytes() for row in rows] == packed
+        assert icrc_ok(rows).all()
+        assert states[0] == states[1]
+
+
+def test_both_granularities_stamp_one_plan():
+    """A short run's frames and a batch's rows come from one plan object."""
+    reader = make_reader(0xA00, 7)
+    reader._read_plan = plan = Mock(wraps=reader._read_plan)
+    addresses = [0x40, 0x48, 0x50, 0x58]
+    single = [reader._craft_read(address, 8, psn) for psn, address in enumerate(addresses)]
+    reader._psn = 0
+    batch = reader._read_run_batch(addresses, 8)
+    assert [name for name, *_ in plan.method_calls] == ["stamp"] * len(addresses) + ["fix"]
+    assert [matrix.tobytes() for matrix in batch.frames] == single
+
+
+def test_update_collector_refreshes_every_reflected_field_at_both_granularities():
+    """Fails if a switch plan is memoised on the role id: after a re-point,
+    frames and batch rows both reach the new endpoint, and every reflected
+    byte changed."""
+    config = DartConfig(slots_per_collector=64, num_collectors=1)
+    switch = DartSwitch(config, switch_id=9)
+    old = CollectorEndpoint(0, "02:00:00:00:00:01", "10.0.0.1", 0x100, 0x1111, 0x10000)
+    new = CollectorEndpoint(0, "02:00:00:00:00:02", "10.0.0.2", 0x200, 0x2222, 0x90000)
+    switch.install_collector(0, old)
+    items = [((b"flow", index), b"v") for index in range(5)]
+    names = ("eth.dst_mac", "ipv4.dst_ip", "ipv4.checksum", "bth.dest_qp", "reth.rkey",
+             "reth.virtual_address")
+    reflected = []
+    for endpoint in (old, new):
+        batch = ReportBatch.from_items(switch.addressing, items)
+        rows = taken(switch.encode_batch(batch))[:: config.redundancy]
+        frames = [switch.report(key, value)[0][1] for key, value in items]
+        for wire, slot in zip([*frames, *(row.tobytes() for row in rows)],
+                              [*batch.slot_indexes[0].tolist()] * 2):
+            packet = reference.RoceV2Packet.unpack(wire)
+            assert (
+                packet.eth.dst_mac, packet.ipv4.dst_ip, packet.bth.dest_qp, packet.reth.rkey,
+                packet.reth.virtual_address - slot * config.slot_bytes,
+            ) == (endpoint.mac, endpoint.ip, endpoint.qp_number, endpoint.rkey,
+                  endpoint.base_address)
+        spans = [slice(*layout.span(name)) for name in names]
+        assert [frames[0][span] for span in spans] == [rows[0].tobytes()[span] for span in spans]
+        reflected.append([frames[0][span] for span in spans])
+        switch.update_collector(0, new)
+    before, after = reflected
+    assert all(left != right for left, right in zip(before, after))
+
+
+def test_missing_collector_entry_raises_like_the_frame_path():
+    config = small_config(num_collectors=2)
+    switch = DartSwitch(config, switch_id=0, fabric=InlineFabric())
+    framer = DartSwitch(config, switch_id=0, fabric=InlineFabric())
+    # A key addressed to the (unprovisioned) collector 1.
+    key = next(("flow", i) for i in range(1000) if switch.addressing.collector_of(("flow", i)) == 1)
+    with pytest.raises(LookupError) as batch_error:
+        switch.report_batch_into([(key, b"v")])
+    with pytest.raises(LookupError) as frame_error:
+        framer.report(key, b"v")
+    assert str(batch_error.value) == str(frame_error.value)
+    assert switch.counters.c_drops_no_entry.value == 1
+
+
+def test_oversized_value_raises_like_the_slot_codec():
+    config = small_config()
+    oversized = b"x" * (config.layout.value_bytes + 1)
+    with pytest.raises(ValueError) as batch_error:
+        ReportBatch.from_items(DartAddressing(config), [(("flow", 1), oversized)])
+    with pytest.raises(ValueError) as codec_error:
+        config.slot_codec().encode(0, oversized)
+    assert str(batch_error.value) == str(codec_error.value)
+    empty = ReportBatch.from_items(DartAddressing(config), [])
+    assert empty.count == 0 and empty.payloads.shape[0] == 0
+
+
+# ===========================================================================
+# Ingest and demux: one matrix per vector branch, one fault at a time
+# ===========================================================================
+
+INGEST = DartConfig(slots_per_collector=64, num_collectors=1, redundancy=2)
+ENDPOINT = CollectorEndpoint(0, "02:00:00:00:00:01", "10.0.0.1", 0x11, 0x42, 0x10000)
+ROWS = 16
+#: A READ's length: an ATOMIC ACKNOWLEDGE is as wide as its response.
+READ_BYTES = 8
+DROPS = ("dropped_decode", "dropped_unknown_qp", "dropped_psn", "dropped_access", "dropped_opcode")
+EXECUTED = ("writes_executed", "atomics_executed", "reads_executed")
+
+
+def ingest_nic():
+    """The collector every ingest matrix targets: a part-random image and
+    one sequenced QP."""
+    region = MemoryRegion(INGEST.region_bytes, ENDPOINT.base_address, rkey=ENDPOINT.rkey)
+    region._buffer[:] = np.random.default_rng(9).integers(
+        0, 256, INGEST.region_bytes, dtype=np.uint8
+    ).tobytes()
+    nic = RdmaNic(region)
+    nic.create_queue_pair(QueuePair(qp_number=ENDPOINT.qp_number))
+    return nic
+
+
+def write_rows():
+    """Eight reports' WRITEs from the switch: the UDP source port differs per report."""
+    switch = DartSwitch(INGEST, switch_id=7)
+    switch.install_collector(0, ENDPOINT)
+    return np.stack([
+        np.frombuffer(frame, dtype=np.uint8)
+        for key in range(ROWS // INGEST.redundancy)
+        for _role, frame in switch.report(("flow", key), b"v" * INGEST.value_bytes)
+    ])
+
+
+def fetch_add_rows():
+    """FETCH_ADDs near the 2**64 wrap, some cells added twice."""
+    adder = PrimitiveTranslator(RecordingFabric(), 0, ENDPOINT.qp_number, rkey=ENDPOINT.rkey)
+    rows = np.arange(ROWS, dtype=np.uint64)
+    return taken(adder._encode_fetch_add_batch(
+        ENDPOINT.base_address + 8 * (rows * 5 % 24), rows * 0x0101010101 + np.uint64(U64 - 7)
+    ))
+
+
+def read_rows():
+    """One requester's READs, some addresses repeated."""
+    reader = make_reader(ENDPOINT.qp_number, ENDPOINT.rkey)
+    addresses = ENDPOINT.base_address + 8 * (np.arange(ROWS) * 7 % 190)
+    return taken(reader._read_run_batch(addresses.tolist(), READ_BYTES))
+
+
+#: branch -> (matrix builder, its vector body, its executed counter, bytes a row touches).
+BRANCHES = {
+    "write": (write_rows, "_ingest_write_batch", "writes_executed", INGEST.slot_bytes),
+    "fetch_add": (fetch_add_rows, "_ingest_fetch_add_batch", "atomics_executed", 8),
+    "read": (read_rows, "_ingest_read_batch", "reads_executed", READ_BYTES),
+}
+
+
+def reseal(matrix, rows=slice(None)):
+    """Restamp ``rows``' iCRCs with the oracle (no live code)."""
+    for row in range(len(matrix))[rows]:
+        matrix[row] = np.frombuffer(restamp_icrc(matrix[row].tobytes()), dtype=np.uint8)
+    return matrix
+
+
+def with_field(matrix, name, value, rows=slice(None)):
+    view = matrix[rows]
+    write_field(view, name, np.full(len(view), value, dtype=np.uint64))
+    return reseal(matrix, rows)
+
+
+def with_bits(wire, byte, bits):
+    dirty = bytearray(wire)
+    dirty[byte] |= bits
+    return bytes(dirty)
+
+
+def with_unmodelled_bits(matrix):
+    """TVer and the high and low reserved bits set on rows 1-3 and checksummed
+    as received, and on rows 4-6 under the iCRC of the clean row."""
+    for rows, restamp in ((range(1, 4), True), (range(4, 7), False)):
+        for row, (byte, bits) in zip(rows, ((TVER_BYTE, 0x01), (RESERVED7_BYTE, 0x40),
+                                            (RESERVED7_BYTE, 0x01))):
+            wire = with_bits(matrix[row].tobytes(), byte, bits)
+            matrix[row] = np.frombuffer(restamp_icrc(wire) if restamp else wire, dtype=np.uint8)
+    return matrix
+
+
+def corrupt(matrix, row, column):
+    matrix[row, column] ^= 0xFF
+    return matrix
+
+
+def field(name, value, rows=slice(None)):
+    """A fault: ``rows`` hold ``value`` (or ``value(span)``) in ``name``, resealed."""
+    return lambda m, span: with_field(m, name, value(span) if callable(value) else value, rows)
+
+
+def foreign_rows(matrix, _span):
+    """A READ matrix with a WRITE as wide as its rows at row 2, and row 4 for another QP."""
+    matrix[2] = np.frombuffer(oracle(
+        Opcode.RC_RDMA_WRITE_ONLY, ENDPOINT.qp_number, 2,
+        reth=reference.Reth(BASE + 16, ENDPOINT.rkey, 0),
+    ).pack(), dtype=np.uint8)
+    return with_field(matrix, "bth.dest_qp", 0x123456, slice(4, 5))
+
+
+VA = "reth.virtual_address"  # AtomicETH opens with the same two fields
+BASE, END = ENDPOINT.base_address, ENDPOINT.base_address + INGEST.region_bytes
+#: A replay of row 1, a gap at row 5 and row 4 arriving after it.
+STALE_ORDER = [0, 1, 2, 1, 3, 6, 4, *range(7, ROWS)]
+ALL, READ = tuple(BRANCHES), ("read",)
+
+#: fault -> ((matrix, span) -> matrix, the counters it sets, whether the batch
+#: stays on its vector body, the branches it applies to).  A counter left out
+#: is 0, except the branch's executed counter: the rows no drop took.
+FAULTS = {
+    "clean": (lambda m, span: m, {}, True, ALL),
+    "bad_icrc": (lambda m, span: corrupt(m, 1, 53), {"dropped_decode": 1}, True, ALL),
+    "unknown_qp_row": (
+        field("bth.dest_qp", 0xABCDEF, slice(5, 6)), {"dropped_unknown_qp": 1}, False, ALL
+    ),
+    "unknown_qp_all": (field("bth.dest_qp", 0xABCDEF), {"dropped_unknown_qp": ROWS}, True, ALL),
+    "stale_psn": (lambda m, span: m[STALE_ORDER], {"dropped_psn": 2}, True, ALL),
+    "va_out": (field(VA, 1 << 40, slice(3, 4)), {"dropped_access": 1}, True, ALL),
+    "va_wrap": (field(VA, (1 << 64) - 4, slice(2, 3)), {"dropped_access": 1}, True, ALL),
+    "va_below": (field(VA, BASE - 8, slice(4, 5)), {"dropped_access": 1}, True, ALL),
+    "va_last": (field(VA, lambda span: END - span, slice(6, 7)), {}, True, ALL),
+    "va_spill": (
+        field(VA, lambda span: END - span + 1, slice(6, 7)), {"dropped_access": 1}, True, ALL
+    ),
+    "rkey_all": (field("reth.rkey", 0xBAD), {"dropped_access": ROWS}, True, ALL),
+    "unmodelled_bits": (lambda m, span: with_unmodelled_bits(m), {"dropped_decode": 3}, True, ALL),
+    "read_past_region": (
+        field("reth.dma_length", INGEST.region_bytes + 1), {"dropped_access": ROWS}, True, READ
+    ),
+    "read_past_one_response": (
+        field("reth.dma_length", 0xFFFF), {"dropped_opcode": ROWS}, False, READ
+    ),
+    "foreign_rows": (foreign_rows, {
+        "writes_executed": 1, "dropped_unknown_qp": 1, "reads_executed": ROWS - 2,
+    }, False, READ),
+}
+
+
+def ingest_both(branch, matrix, vectorised):
+    """``matrix`` through looped ``receive_frame`` and through ``ingest_batch``
+    on twin NICs: the executed count, counters, queue pair, region image and
+    TX bytes agree, and the batch took its branch's vector body iff
+    ``vectorised``.  Returns the counters."""
+    body = BRANCHES[branch][1]
+    outcomes = []
+    for batched in (False, True):
+        nic = ingest_nic()
+        if batched:
+            with spying(RdmaNic, [body]) as spies:
+                executed = nic.ingest_batch(
+                    FrameBatch(matrix.copy(), np.zeros(len(matrix), dtype=np.int64))
+                )
+            assert spies[body].called == vectorised
+        else:
+            executed = sum(nic.receive_frame(row.tobytes()) for row in matrix)
+        outcomes.append((executed, nic_state(nic), nic._queue_pairs, nic.region.snapshot(),
+                         wire_frames(nic.transmit())))
+    assert outcomes[0] == outcomes[1]
+    executed, state, *_ = outcomes[1]
+    assert executed == sum(state[name] for name in EXECUTED)
+    assert state["frames_received"] == len(matrix)
+    assert state["responses_emitted"] == state["reads_executed"]
+    return state
+
+
+@pytest.mark.parametrize("branch, fault", [
+    (branch, fault) for fault, (*_, branches) in FAULTS.items() for branch in branches
+])
+def test_ingest_batch_is_looped_receive_frame(branch, fault):
+    build, _body, counter, span = BRANCHES[branch]
+    inject, counters, vectorised, _branches = FAULTS[fault]
+    matrix = inject(build(), span)
+    expected = dict.fromkeys(DROPS + EXECUTED, 0)
+    expected[counter] = len(matrix) - sum(counters.get(name, 0) for name in DROPS)
+    expected.update(counters)
+    state = ingest_both(branch, matrix, vectorised)
+    assert {name: state[name] for name in expected} == expected
+
+
+#: Per branch, the fields its vector body needs uniform, and whether a row
+#: differing from row 0 there is still executed by the frame path.
+_PLAN = [(name, False) for name in PLAN_FIELDS]
+OFF_PLAN = {
+    "write": [*_PLAN, ("reth.rkey", False), ("reth.dma_length", False)],
+    "fetch_add": [*_PLAN, ("atomic_eth.rkey", False)],
+    "read": [*_PLAN, ("reth.rkey", False), ("reth.dma_length", True),
+             ("eth.src_mac", True), ("ipv4.src_ip", True), ("udp.src_port", True)],
+}
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+def test_a_row_off_the_plan_takes_the_frame_path(branch):
+    """A row differing from row 0 in a column its branch needs uniform (plan
+    key, rkey, RETH length, a READ's reflected fields) sends the batch to
+    looped ``receive_frame``; a differing UDP source port on a WRITE or a
+    FETCH_ADD -- per-report ECMP entropy -- does not."""
+    build = BRANCHES[branch][0]
+    cases = [(name, executes, False) for name, executes in OFF_PLAN[branch]]
+    if branch != "read":
+        cases.append(("udp.src_port", True, True))
+    for name, executes, vectorised in cases:
+        matrix = build()
+        matrix[3, layout.span(name)[1] - 1] ^= 0x01
+        state = ingest_both(branch, reseal(matrix, slice(3, 4)), vectorised)
+        assert sum(state[counter] for counter in EXECUTED) == ROWS - (not executes), name
+
+
+def responses():
+    """The READ branch's response matrix, addressed back to its QP."""
+    nic = ingest_nic()
+    nic.ingest_batch(FrameBatch(read_rows(), np.zeros(ROWS, dtype=np.int64)))
+    (batch,) = nic.transmit()
+    return batch.frames.copy()
+
+
+def with_ack(matrix):
+    """An intact ATOMIC ACKNOWLEDGE (as wide as an 8-byte READ response) at row 1."""
+    matrix[1] = np.frombuffer(oracle(
+        Opcode.RC_ATOMIC_ACKNOWLEDGE, ENDPOINT.qp_number, 1,
+        aeth=reference.Aeth(), payload=bytes(READ_BYTES),
+    ).pack(), dtype=np.uint8)
+    return matrix
+
+
+#: fault -> (matrix -> matrix, responses dropped, the opcodes the matrix decode
+#: files as frames because its mask cannot vouch for them).
+DEMUX_FAULTS = {
+    "clean": (lambda m: m, 0, []),
+    "bad_icrc": (lambda m: corrupt(m, 2, RESPONSE_PAYLOAD_OFF), 1, []),
+    "not_rocev2": (lambda m: corrupt(m, 5, 37), 1, []),
+    "atomic_ack_row": (with_ack, 0, [Opcode.RC_ATOMIC_ACKNOWLEDGE]),
+    "unmodelled_bits": (with_unmodelled_bits, 3, []),
+    "hostile_atomic_width": (lambda m: np.zeros((3, 86), np.uint8), 3, []),
+    "hostile_short": (lambda m: np.zeros((2, 20), np.uint8), 2, []),
+}
+
+
+@pytest.mark.parametrize("fault", DEMUX_FAULTS)
+def test_file_batch_is_looped_file_frame(fault):
+    """Both decodes file the same responses (opcode, PSN, payload) and drop
+    and count the same ones."""
+    inject, dropped, as_frames = DEMUX_FAULTS[fault]
+    matrix = inject(responses())
+    outcomes = []
+    for batched in (False, True):
+        demux = ResponseDemux()
+        if batched:
+            filed = demux._file_batch(matrix.copy())
+        else:
+            filed = sum(demux._file_frame(row.tobytes()) for row in matrix)
+        entries = demux.take(ENDPOINT.qp_number)
+        frames = [entry for entry in entries if not isinstance(entry, ReadResponseRows)]
+        decoded = [(entry.opcode, entry.psn, bytes(entry.payload)) for entry in frames] + [
+            (int(Opcode.RC_RDMA_READ_RESPONSE_ONLY), psn, payload.tobytes())
+            for rows in entries if isinstance(rows, ReadResponseRows)
+            for psn, payload in zip(rows.psns.tolist(), rows.payloads)
+        ]
+        outcomes.append((filed, demux.c_dropped_decode.value, sorted(decoded)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[1][:2] == (len(matrix) - dropped, dropped)
+    assert [entry.opcode for entry in frames] == as_frames
+
+
+# ===========================================================================
+# Kernels: each per-row kernel against its scalar twin
+# ===========================================================================
+
+_seeds = st.integers(0, 2**32 - 1)
+
+
+def matrix_of(seed, count, width):
+    return np.random.default_rng(seed).integers(0, 256, (count, width), dtype=np.uint8)
+
+
+#: The narrowest frame whose masked columns all exist: Ethernet..BTH + iCRC.
+MIN_FRAME = BTH.end + ICRC_BYTES
+#: The frame columns the iCRC masks.
+MASKED = {IP_OFF + column - ICRC_PREFIX_BYTES for column in ICRC_MASKED_COLUMNS}
+
+
+def scalar_icrcs(frames):
+    width = frames.shape[1]
+    return [_icrc_of_wire(row[IP_OFF : width - ICRC_BYTES].tobytes()) for row in frames]
+
+
+def shaped(frames, shape, seed):
+    """The same rows as a contiguous, column-view, selected or read-only matrix."""
+    if shape == "column view":
+        wide = matrix_of(seed, len(frames), frames.shape[1] + 5)
+        wide[:, 3 : 3 + frames.shape[1]] = frames
+        return wide[:, 3 : 3 + frames.shape[1]]
+    if shape == "selected":
+        pool = FramePool()
+        lease, view = pool.acquire(len(frames), frames.shape[1])
+        view[:] = frames
+        batch = FrameBatch(view, np.zeros(len(frames), dtype=np.int64), lease)
+        return batch.select(np.random.default_rng(seed).permutation(len(frames))).frames
+    if shape == "read-only":
+        frames = frames.copy()
+        frames.flags.writeable = False
+    return frames
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    width=st.integers(MIN_FRAME, 4096) | st.sampled_from([MIN_FRAME, 4096]),
+    count=st.sampled_from([0, 1]) | st.integers(2, 24),
+    shape=st.sampled_from(["contiguous", "column view", "selected", "read-only"]),
+    seed=_seeds,
+    flip=st.integers(min_value=0),
+)
+def test_icrc_rows_is_the_scalar_icrc_of_every_row(width, count, shape, seed, flip):
+    frames = shaped(matrix_of(seed, count, width), shape, seed)
+    icrcs = icrc_rows(frames)
+    assert icrcs.dtype == np.uint32 and icrcs.shape == (count,)
+    assert icrcs.tolist() == scalar_icrcs(frames)
+    # CRC-32 catches every single-bit error: flip one bit of a covered byte
+    # and the iCRC changes, on the row kernel and the scalar path.
+    one = matrix_of(seed, 1, width)
+    covered = [c for c in range(IP_OFF, width - ICRC_BYTES) if c not in MASKED]
+    flipped = one.copy()
+    flipped[0, covered[flip % len(covered)]] ^= 1 << (flip // len(covered) % 8)
+    assert icrc_rows(flipped)[0] != icrc_rows(one)[0]
+    assert scalar_icrcs(flipped) != scalar_icrcs(one)
+
+
+def test_every_masked_byte_is_ignored_and_every_other_counts():
+    frames = matrix_of(3, 1, MIN_FRAME + 24)
+    reference_icrc = icrc_rows(frames)[0]
+    for column in range(IP_OFF, frames.shape[1] - ICRC_BYTES):
+        flipped = frames.copy()
+        flipped[0, column] ^= 0x01
+        assert (icrc_rows(flipped)[0] == reference_icrc) == (column in MASKED), column
+
+
+def region_state(region):
+    return (
+        region.snapshot(),
+        region.write_count,
+        region.c_bytes_written.value,
+        region.c_slot_overwrites.value,
+    )
+
+
+@st.composite
+def slot_writes(draw):
+    """Slot-aligned writes (the contract: ranges disjoint or identical),
+    repeats and the region's last slot included, over a part-live image."""
+    width = draw(st.integers(1, 24))
+    slots = draw(st.integers(1, 12))
+    size = slots * width + draw(st.sampled_from([0, 0, 1, width - 1]))
+    count = draw(st.sampled_from([0, 1]) | st.integers(2, 40))
+    last = st.just(slots - 1)
+    indexes = draw(st.lists(st.integers(0, slots - 1) | last, min_size=count, max_size=count))
+    seed = draw(_seeds)
+    payloads = matrix_of(seed, count, width)
+    payloads[::3] = 0  # dead payloads, so repeats test the overwrite rule
+    image = matrix_of(seed + 1, 1, size)[0]
+    image[: size // 2] = 0
+    return size, np.array(indexes, dtype=np.int64) * width, payloads, image.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=slot_writes())
+def test_region_scatter_is_looped_write_offset(case):
+    size, offsets, payloads, image = case
+    looped, columnar = MemoryRegion(size), MemoryRegion(size)
+    looped._buffer[:] = image
+    columnar._buffer[:] = image
+    for offset, payload in zip(offsets.tolist(), payloads):
+        looped.write_offset(offset, payload.tobytes())
+    assert columnar.write_offset_columnar(offsets, payloads) == len(offsets)
+    assert region_state(columnar) == region_state(looped)
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.integers(1, 64), data=st.data(), seed=_seeds)
+def test_region_gather_is_looped_read_offset(size, data, seed):
+    width = data.draw(st.integers(0, size) | st.just(size))
+    offsets = data.draw(st.lists(st.integers(0, size - width), max_size=30))
+    region = MemoryRegion(size)
+    region._buffer[:] = matrix_of(seed, 1, size)[0].tobytes()
+    rows = region.read_offset_columnar(np.array(offsets, dtype=np.int64), width)
+    assert rows.shape == (len(offsets), width)
+    assert [row.tobytes() for row in rows] == [region.read_offset(o, width) for o in offsets]
+
+
+@pytest.mark.parametrize("bad", [-1, 57, 64, 1 << 40])
+def test_out_of_bounds_raises_the_scalar_text_and_lands_nothing(bad):
+    width = 8
+    offsets = np.array([0, 8, bad, 16], dtype=np.int64)
+    payloads = np.full((4, width), 0x5A, dtype=np.uint8)
+    region = MemoryRegion(64)
+    with pytest.raises(RegionAccessError) as scalar_write:
+        region.write_offset(bad, payloads[0].tobytes())
+    with pytest.raises(RegionAccessError) as scalar_read:
+        region.read_offset(bad, width)
+    with pytest.raises(RegionAccessError) as columnar_write:
+        region.write_offset_columnar(offsets, payloads)
+    with pytest.raises(RegionAccessError) as columnar_read:
+        region.read_offset_columnar(offsets, width)
+    assert str(columnar_write.value) == str(scalar_write.value)
+    assert str(columnar_read.value) == str(scalar_read.value)
+    assert region_state(region) == (bytes(64), 0, 0, 0)
+
+
+def test_zero_rows_and_a_width_past_the_region():
+    region = MemoryRegion(16)
+    empty = np.empty(0, dtype=np.int64)
+    for width in (0, 8, 16, 17, 1000):
+        assert region.read_offset_columnar(empty, width).shape == (0, width)
+        assert region.write_offset_columnar(empty, np.empty((0, width), np.uint8)) == 0
+    with pytest.raises(RegionAccessError, match=r"local read \[0, \+17\)"):
+        region.read_offset_columnar(np.zeros(1, dtype=np.int64), 17)
+    with pytest.raises(RegionAccessError, match=r"local write \[0, \+17\)"):
+        region.write_offset_columnar(np.zeros(1, dtype=np.int64), np.zeros((1, 17), np.uint8))
+    assert region_state(region) == (bytes(16), 0, 0, 0)
+
+
+@pytest.mark.parametrize("count", [0, 1, 64])
+def test_wrapping_kernels_warn_on_no_length(count):
+    """Array integer arithmetic wraps silently, so neither kernel holds an
+    ``errstate`` guard: run at the wrap (values near 2**64) with warnings
+    as errors, each equals its scalar reference."""
+    lanes = np.array([2**64 - 1 - i for i in range(count)], dtype=np.uint64)
+    region, looped = MemoryRegion(8 * 64), MemoryRegion(8 * 64)
+    region._buffer[:] = looped._buffer[:] = b"\xff" * (8 * 64)
+    addresses = region.base_address + 8 * np.arange(count, dtype=np.uint64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mixed = hash_family._splitmix64_np(lanes)
+        assert region.dma_fetch_add_many(addresses, lanes) == count
+    assert mixed.dtype == np.uint64
+    assert mixed.tolist() == [splitmix64(lane) for lane in lanes.tolist()]
+    for address, addend in zip(addresses.tolist(), lanes.tolist()):
+        looped.dma_fetch_add(address, addend)
+    assert region.snapshot() == looped.snapshot()
+
+
+def test_a_zero_d_lane_mixes_like_a_one_element_array():
+    """A 0-d lane would become a numpy scalar, whose arithmetic does warn."""
+    lane = 2**64 - 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for zero_d in (np.uint64(lane), np.array(lane, dtype=np.uint64)):
+            assert int(hash_family._splitmix64_np(zero_d)) == splitmix64(lane)
+        family = HashFamily(seed=3)
+        assert int(family.hash_folded_array(lane, 5)) == family.hash_folded(lane, 5)
+
+
+def arrival_order(draw, start, length):
+    """PSNs ``start..`` as an impaired fabric might deliver them: rows
+    lost, duplicated, swapped with a neighbour, or replayed from before."""
+    psns = []
+    for offset in range(length):
+        psn = (start + offset) % PSN_MODULUS
+        fate = draw(st.sampled_from(["ok", "ok", "ok", "lost", "dup", "swap", "stale"]))
+        if fate == "lost":
+            continue
+        psns.append(psn)
+        if fate == "dup":
+            psns.append(psn)
+        elif fate == "swap" and len(psns) > 1:
+            psns[-1], psns[-2] = psns[-2], psns[-1]
+        elif fate == "stale":
+            psns.append((psn - draw(st.integers(1, 2 * length))) % PSN_MODULUS)
+    return psns
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    policy=st.sampled_from(list(PsnPolicy)),
+    length=st.integers(0, 40),
+    behind_wrap=st.integers(0, 80),
+    expected_skew=st.integers(-3, 3),
+)
+def test_accept_array_is_looped_accept(data, policy, length, behind_wrap, expected_skew):
+    start = (PSN_MODULUS - behind_wrap) % PSN_MODULUS
+    psns = arrival_order(data.draw, start, length)
+    reference_qp = QueuePair(
+        qp_number=1, expected_psn=(start + expected_skew) % PSN_MODULUS, policy=policy,
+    )
+    vectorised = copy.copy(reference_qp)
+    mask = vectorised.accept_array(psns)
+    assert mask.tolist() == [reference_qp.accept(psn) for psn in psns]
+    assert vectorised == reference_qp  # expected_psn, state and every counter
+
+
+def test_gapped_run_is_judged_without_the_scalar_machine(monkeypatch):
+    qp = QueuePair(qp_number=1, expected_psn=PSN_MODULUS - 2)
+    monkeypatch.setattr(QueuePair, "accept", lambda self, psn: pytest.fail("scalar fallback"))
+    run = [PSN_MODULUS - 2, 0, PSN_MODULUS - 1, 0, 3, 4]  # gap, swap, dup, gap
+    assert qp.accept_array(run).tolist() == [True, True, False, False, True, True]
+    assert (qp.accepted, qp.gaps_observed, qp.duplicates_dropped) == (4, 2, 2)
+    assert qp.expected_psn == 5
+
+
+def test_strict_gap_and_stale_start_keep_the_scalar_machine():
+    strict = QueuePair(qp_number=1, policy=PsnPolicy.STRICT)
+    assert strict.accept_array([0, 0, 1]).tolist() == [True, False, True]
+    assert strict.accept_array([2, 4, 5]).tolist() == [True, False, False]
+    assert strict.state.value == "error" and strict.gaps_observed == 1
+    resync = QueuePair(qp_number=1, expected_psn=10)
+    assert resync.accept_array([9, 10, 12]).tolist() == [False, True, True]
+    assert (resync.duplicates_dropped, resync.gaps_observed) == (1, 1)
+
+
+_bytes = st.binary(max_size=40) | st.sampled_from(
+    [b"", b"7 bytes", b"8  bytes", b"9   bytes", b"sixteen bytes .."]
+)
+#: Homogeneous key kinds: each column-encodable shape the matrix fold takes.
+_KINDS = (
+    u64_edges,
+    ascii_text,
+    st.text(max_size=12),
+    _bytes,
+    st.tuples(ascii_text, ascii_text, u64_edges, u64_edges, u64_edges),
+    st.tuples(st.text(max_size=6), _bytes, u64_edges),
+    st.tuples(u64_edges, u64_edges, u64_edges),
+)
+_element = (
+    st.integers(0, 2**64 - 1)
+    | st.text(st.characters(max_codepoint=127), max_size=15)
+    | st.binary(max_size=15)
+)
+#: Elements that send a batch to the scalar loop, or make it raise.
+_odd = st.sampled_from([True, -1, 2**64, 2**70, "non-ascii é", (1, "nested"), 1.5, None])
+
+
+def _batches(element):
+    """Runs on both sides of the scalar/matrix threshold (32 keys)."""
+    return st.lists(element, max_size=40) | st.lists(element, min_size=32, max_size=200)
+
+
+@st.composite
+def _tuple_batches(draw):
+    """At least 32 same-arity tuples (the matrix path), each column one kind,
+    some fixed-length (one slot filled by every row) and some ragged; sometimes
+    one odd element, or one key of another arity, planted anywhere.  Returns
+    the keys and whether an odd element (which the fold may reject) was planted."""
+    arity = draw(st.integers(1, 6))
+    kinds = draw(st.lists(st.sampled_from(["int", "str", "bytes", "fixed"]),
+                          min_size=arity, max_size=arity))
+    count = draw(st.integers(32, 120))
+    rng = np.random.default_rng(draw(_seeds))
+
+    def element(kind):
+        if kind == "int":
+            return int(rng.integers(0, 2**63)) << int(rng.integers(0, 2))
+        if kind == "fixed":
+            return "abcdef"[:3] + "%03d" % rng.integers(0, 1000)
+        text = "x" * int(rng.integers(0, 16))
+        return text if kind == "str" else text.encode()
+
+    keys = [tuple(element(kind) for kind in kinds) for _ in range(count)]
+    position = draw(st.integers(0, count - 1))
+    planted = draw(st.sampled_from(["none", "odd", "arity"]))
+    if planted == "odd":
+        column = draw(st.integers(0, arity - 1))
+        row = list(keys[position])
+        row[column] = draw(_odd)
+        keys[position] = tuple(row)
+    elif planted == "arity":
+        keys[position] = keys[position] + (draw(_element),)
+    return keys, planted == "odd"
+
+
+#: The union, each group weighted as the property it replaces drew it (of
+#: 260): homogeneous batches of every kind, and as a uint64 array (60); mixed
+#: shapes, types and arities (40); flat and nested tuples (40); tuple batches
+#: with an odd element or another arity planted (120).  Each draws ``(keys,
+#: may_raise)``: only a planted odd element may make the fold reject a batch.
+_FOLD_GROUPS = (
+    (3, st.one_of(
+        *map(_batches, _KINDS),
+        _batches(u64_edges).map(lambda keys: np.array(keys, dtype=np.uint64)),
+    )),
+    (2, _batches(mixed_keys) | _batches(st.one_of(mixed_keys, *_KINDS))),
+    (2, st.lists(tuple_keys, max_size=40)
+     | st.lists(st.tuples(ascii_text, ascii_text, u64_edges, u64_edges, u64_edges),
+                min_size=32, max_size=80)),
+)
+FOLD_BATCHES = st.sampled_from(
+    [group.map(lambda keys: (keys, False)) for weight, group in _FOLD_GROUPS
+     for _ in range(weight)] + [_tuple_batches()] * 6
+).flatmap(lambda group: group)
+#: The scalar fold right-aligns a short last word; so must each row.
+ROW_LENGTHS = [
+    [wrap(bytes(range(65, 65 + length))) for length in range(1, 18)] * 3
+    for wrap in (bytes, lambda row: (7, row), lambda row: row.decode())
+]
+
+
+@settings(max_examples=260, deadline=None)
+@given(case=FOLD_BATCHES)
+def test_fold_keys_is_looped_fold_key(case):
+    """Lanes equal key by key, or -- only where an odd element was planted --
+    the batch raises what the first rejected key raises."""
+    keys, may_raise = case
+    try:
+        scalar = keys.tolist() if isinstance(keys, np.ndarray) else keys
+        expected = [fold_key(key) for key in scalar]
+    except (TypeError, ValueError) as error:
+        assert may_raise, error
+        with pytest.raises(type(error)) as batch:
+            fold_keys(keys)
+        assert str(batch.value) == str(error)
+    else:
+        lanes = fold_keys(keys)
+        assert lanes.dtype == np.uint64
+        assert lanes.tolist() == expected
+
+
+for _keys in ROW_LENGTHS:
+    test_fold_keys_is_looped_fold_key = example(case=(_keys, False))(
+        test_fold_keys_is_looped_fold_key
+    )
+
+
+@pytest.mark.parametrize(
+    "bad", [True, -1, 3.14, (1, True), (1, -1), "lone \ud800 surrogate"], ids=repr
+)
+@pytest.mark.parametrize(
+    "fill", [lambda i: i, lambda i: "flow-%d" % i, lambda i: (i, i)], ids=["int", "str", "tuple"]
+)
+def test_rejected_key_raises_what_the_scalar_fold_raises(bad, fill):
+    """A key the scalar fold rejects, at row 40 of an int, str or tuple batch."""
+    with pytest.raises((TypeError, ValueError)) as scalar:
+        fold_key(bad)
+    keys = [fill(i) for i in range(64)]
+    keys[40] = bad
+    with pytest.raises(scalar.type) as batch:
+        fold_keys(keys)
+    assert str(batch.value) == str(scalar.value)
+
+
+def test_any_iterable_of_keys():
+    keys = ["flow-%d" % i for i in range(80)]
+    expected = [fold_key(key) for key in keys]
+    table = dict.fromkeys(keys)
+    for shape in (iter(keys), tuple(keys), table.keys(), table, (k for k in keys)):
+        assert fold_keys(shape).tolist() == expected
+    assert fold_keys(range(80)).tolist() == [fold_key(i) for i in range(80)]
+    assert fold_keys(()).shape == (0,)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lanes=st.lists(u64, max_size=64),
+    index=st.sampled_from([0, 1, 5, 0x7FFFFFFF, COLLECTOR_FUNCTION_INDEX, CHECKSUM_FUNCTION_INDEX]),
+    seed=st.integers(0, 2**32),
+)
+def test_hash_folded_array_is_looped_hash_folded(lanes, index, seed):
+    family = HashFamily(seed=seed)
+    vector = family.hash_folded_array(np.array(lanes, dtype=np.uint64), index)
+    assert vector.tolist() == [family.hash_folded(lane, index) for lane in lanes]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    keys=st.lists(mixed_keys, max_size=80),
+    redundancy=st.integers(1, 4),
+    collectors=st.integers(1, 5),
+)
+def test_resolve_folded_is_looped_resolve(keys, redundancy, collectors):
+    addressing = DartAddressing(small_config(redundancy=redundancy, num_collectors=collectors))
+    roles, checksums, slots = addressing.resolve_folded(fold_keys(keys))
+    assert slots.shape == (redundancy, len(keys))
+    assert [
+        (int(roles[at]), int(checksums[at]), tuple(int(slot) for slot in slots[:, at]))
+        for at in range(len(keys))
+    ] == [tuple(addressing.resolve(key)) for key in keys]
+
+
+# ===========================================================================
+# End to end: looped put vs put_many, short vs batched read_run
+# ===========================================================================
+
+
+def store_state(store):
+    """What a looped ``put`` and a ``put_many`` must leave alike, once flushed."""
+    fabric = store.fabric
+    fabric.flush()
+    return (
+        impairment_state(fabric),
+        [(node.region.snapshot(), nic_state(node.nic)) for node in store.cluster],
+        frame_accounting(fabric.counters),
+        frame_accounting(getattr(fabric, "delivered", fabric.counters)),
+    )
+
+
+@pytest.mark.parametrize("name", FABRICS)
+def test_put_many_is_looped_put(name):
+    """Same workload, same fabric (same seeds): region bytes, NIC and fabric
+    counters (impairments draw the identical RNG sequence) and return values
+    agree; an empty batch then offers nothing and moves no frame counter."""
+    config = small_config(slots_per_collector=512)
+    items = make_items(150)
+    looped, batched = (DartStore(config, packet_level=True, fabric=FABRICS[name]()) for _ in "lb")
+    written = sum(looped.put(key, value) for key, value in items)
+    assert batched.put_many(items) == written
+    assert store_state(batched) == store_state(looped)
+    assert batched.fabric.counters.frames_offered == len(items) * config.redundancy
+    assert batched.put_many([]) == 0
+    assert store_state(batched) == store_state(looped)
+
+
+@pytest.mark.parametrize("name", HOLDING)
+def test_put_many_overtakes_frames_held_by_earlier_puts(name):
+    """A frame a ``put`` left held is released by the batch row that
+    overtakes it, at the position the frame path would have."""
+    config = small_config(slots_per_collector=512)
+    items = make_items(150)
+    looped, batched = (DartStore(config, packet_level=True, fabric=FABRICS[name]()) for _ in "lb")
+    carried = 0
+    while not batched.fabric._held:
+        for store in (looped, batched):
+            store.put(*items[carried])
+        carried += 1
+    for key, value in items[carried:]:
+        looped.put(key, value)
+    # Not ``put_many``: its closing flush would release what is held.
+    batched._switch.report_batch_into(items[carried:])
+    assert impairment_state(looped.fabric) == impairment_state(batched.fabric)
+    assert store_state(batched) == store_state(looped)
+
+
+LOSS_DUP_REORDER = dict(loss=0.2, duplication=0.1, reordering=0.2, seed=3)
+RETURN_FABRICS = {
+    "inline": (InlineFabric, 400),
+    "buffered": (lambda: BufferedFabric(None), 400),
+    "loss": (lambda: ImpairedFabric(InlineFabric(), loss=0.2, seed=3), 325),
+    "loss_dup_reorder": (lambda: ImpairedFabric(InlineFabric(), **LOSS_DUP_REORDER), 313),
+}
+RETURN_CASES = [
+    pytest.param(*RETURN_FABRICS[name], policy, (), id=f"{policy.name}-{name}")
+    for policy in (PsnPolicy.RESYNC_ON_GAP, PsnPolicy.IGNORE)
+    for name in RETURN_FABRICS
+] + [
+    pytest.param(
+        lambda: ImpairedFabric(InlineFabric(), **LOSS_DUP_REORDER), 195, PsnPolicy.IGNORE, (1,),
+        id="IGNORE-loss_dup_reorder-node_1_failed",
+        marks=pytest.mark.xfail(strict=True, reason=(
+            "ImpairedFabric.send_batch caps what it counts globally, so with PSNs ignored "
+            "and node 1 failed, second copies executed on node 0 fill the room node 1's "
+            "rejected rows left: put_many returns 243 where looped put returns 195"
+        )),
+    ),
+]
+
+
+@pytest.mark.parametrize("fabric, expected, policy, failed", RETURN_CASES)
+def test_put_many_returns_what_looped_put_returns(fabric, expected, policy, failed):
+    """Lost frames, and second copies run under ignored PSNs, count for no row."""
+    config = DartConfig(slots_per_collector=1 << 10, num_collectors=2, seed=3)
+    batched, looped = (DartStore(config, packet_level=True, fabric=fabric()) for _ in "bl")
+    for node in (*batched.cluster, *looped.cluster):
+        node.create_reporter_qp(0).policy = policy
+    for node in failed:
+        batched.cluster.node(node).fail()
+        looped.cluster.node(node).fail()
+    items = [(("flow", i), b"value-%03d" % i) for i in range(200)]
+    written = sum(looped.put(key, value) for key, value in items)
+    assert batched.put_many(items) == written == expected
+
+
+def generator_put_many():
+    """A packet-level ``put_many`` fed a generator rather than a list."""
+    store = DartStore(small_config(), packet_level=True)
+    return lambda items: store.put_many(iter(items))
+
+
+#: Batched write surfaces, each built fresh: ``(name, () -> write)``.
+EMPTY_BATCH_WRITERS = {
+    "store_in_process": lambda: DartStore(small_config()).put_many,
+    "store_packet_level": lambda: DartStore(small_config(), packet_level=True).put_many,
+    "store_packet_level_generator": generator_put_many,
+    "switch_report_batch_into": lambda: DartStore(
+        small_config(), packet_level=True
+    )._switch.report_batch_into,
+    "fleet_put_many": lambda: QueryFleet(small_config()).put_many,
+    "fleet_count_many": lambda: QueryFleet(small_config()).count_many,
+    "fleet_sketch_many": lambda: QueryFleet(small_config()).sketch_many,
+    "counter_store_add_many": lambda: CounterStore(cells_per_row=1 << 10, rows=2).add_many,
+}
+
+
+def counter_samples(registry):
+    """Every counter series in ``registry``, with its value."""
+    return {
+        series: value
+        for series, (kind, value) in registry.snapshot().samples.items()
+        if kind == "counter"
+    }
+
+
+@pytest.mark.parametrize("writer", EMPTY_BATCH_WRITERS)
+def test_an_empty_batch_is_an_empty_loop(registry, writer):
+    """Every batched write surface takes ``[]`` as a loop takes no item: it
+    returns 0, and no counter series -- fabric, NIC, switch, store -- moves."""
+    write = EMPTY_BATCH_WRITERS[writer]()
+    before = counter_samples(registry)
+    assert write([]) == 0
+    assert counter_samples(registry) == before
+
+
+def run_both(monkeypatch, factory, runs, length, start_psn=0):
+    """The same runs through ``read_run``'s frame body and its batch body."""
+    results = {}
+    for path, cut in (("frame", 1 << 30), ("batch", 1)):
+        monkeypatch.setattr(clients, "COLUMNAR_MIN_READS", cut)
+        rig = ReadRig(factory(), start_psn)
+        payloads = [rig.read(slots, length) for slots in runs]
+        assert rig.reader._pool.in_flight == 0
+        assert (rig.tap.batches > 0) == (path == "batch")
+        results[path] = (payloads, rig.state())
+    return results["frame"], results["batch"]
+
+
+@pytest.mark.parametrize("name", FABRICS)
+def test_read_run_batch_is_its_frame_body(monkeypatch, name):
+    """Repeats, both sides of the size cut, several runs per QP.  The frame
+    body is the reference because only it draws an impaired fabric's RNG in
+    the batch's order (a loop of single reads polls between frames)."""
+    runs = [
+        [3], [7, 7], [1, 2, 3], list(range(COLUMNAR_MIN_READS)),
+        [9, 9, 200, 9, 0, 255, 31, 31], list(range(0, 120, 3)),
+    ]
+    frame, batch = run_both(monkeypatch, FABRICS[name], runs, 24)
+    assert frame == batch
+    payloads, state = batch
+    assert state["nic"]["reads_executed"] == state["nic"]["responses_emitted"]
+    # A READ goes unanswered iff the fabric lost its request; at a loss rate
+    # of 0.1 or more these runs lose some.
+    unanswered = sum(not ok for _rows, answered in payloads for ok in answered)
+    assert unanswered == state["offered"]["frames_dropped_loss"]
+    assert unanswered or getattr(FABRICS[name](), "loss", 0.0) < 0.1
+    if not name.startswith("impaired"):
+        rig = ReadRig(FABRICS[name]())
+        for slots, (rows, answered) in zip(runs, payloads):
+            assert all(answered)
+            assert [bytes(row) for row in rows] == [
+                rig.node.region.dma_read(rig.address(s), 24) for s in slots
+            ]
+
+
+@pytest.mark.parametrize("name", [name for name in FABRICS if name not in HOLDING])
+def test_read_run_batch_is_looped_single_reads(monkeypatch, name):
+    """Without reordering a loop of single READs is the same wire."""
+    slots = [5, 5, 17, 250, 0, 99, 17]
+    monkeypatch.setattr(clients, "COLUMNAR_MIN_READS", 1)
+    batched = ReadRig(FABRICS[name]())
+    got = batched.read(slots, 8)
+    looped = ReadRig(FABRICS[name]())
+    rows, answered = zip(*(looped.read([s], 8) for s in slots))
+    assert got == ([row for (row,) in rows], [ok for (ok,) in answered])
+    assert looped.state() == batched.state()
+
+
+@pytest.mark.parametrize("name", HOLDING)
+def test_read_run_overtakes_a_frame_held_by_an_earlier_send(monkeypatch, name):
+    """A matrix run releases a frame an earlier ``send`` left held at the
+    position the frame body would."""
+    states = []
+    for cut in (1 << 30, 1):
+        monkeypatch.setattr(clients, "COLUMNAR_MIN_READS", cut)
+        rig = ReadRig(FABRICS[name]())
+        strays = taken(make_reader(0x123456, rig.node.region.rkey)._read_run_batch(
+            [rig.address(slot) for slot in range(40)], 24
+        ))
+        sent = 0
+        while not rig.fabric._held:
+            rig.fabric.send(0, strays[sent].tobytes())
+            sent += 1
+        payloads = rig.read(list(range(0, 3 * COLUMNAR_MIN_READS * 4, 3)), 24)
+        assert rig.reader._pool.in_flight == 0
+        states.append((sent, payloads, rig.state()))
+    assert states[0] == states[1]
+    assert states[1][2]["nic"]["dropped_unknown_qp"] > 0
+
+
+def test_read_run_psn_wraps_at_24_bits(monkeypatch):
+    frame, batch = run_both(
+        monkeypatch, InlineFabric, [list(range(9)), [4, 5]], 24, start_psn=PSN_MODULUS - 4,
+    )
+    assert frame == batch
+    assert batch[1]["psn"] == 7
+    assert all(all(answered) for _rows, answered in batch[0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    runs=st.lists(
+        st.lists(st.integers(0, SLOTS - 1), min_size=1, max_size=24), min_size=1, max_size=4,
+    ),
+    length=st.sampled_from([8, 24, 1]),
+    start=st.sampled_from([0, PSN_MODULUS - 3, 12345]),
+    name=st.sampled_from(list(FABRICS)),
+)
+def test_random_read_runs(runs, length, start, name):
+    with pytest.MonkeyPatch.context() as patch:
+        frame, batch = run_both(patch, FABRICS[name], runs, length, start)
+    assert frame == batch
+
+
+def test_the_size_cut_selects_the_path():
+    rig = ReadRig(InlineFabric())
+    short = list(range(COLUMNAR_MIN_READS - 1))
+    assert all(rig.read(short, 24)[1])
+    assert rig.tap.batches == 0
+    assert all(rig.read(short + [9], 24)[1])
+    assert rig.tap.batches == 1
+
+
+def test_a_dead_collector_answers_nothing_on_either_path(monkeypatch):
+    for cut in (1 << 30, 1):
+        monkeypatch.setattr(clients, "COLUMNAR_MIN_READS", cut)
+        rig = ReadRig(InlineFabric())
+        rig.node.fail()
+        assert rig.read(range(5), 24) == ([[0] * 24] * 5, [False] * 5)
+        assert rig.node.nic.counters.frames_received == 0
+        assert rig.fabric.counters.frames_rejected == 5
+        assert rig.reader._pool.in_flight == 0

@@ -1,5 +1,6 @@
 """Tests for the global hash family (repro.hashing.hash_family)."""
 
+import random
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.core.config import DartConfig
 from repro.hashing import hash_family
 from repro.hashing.hash_family import (
     HashFamily,
+    _fold_bytes,
     fold_key,
     fold_keys,
     hash_distribution_chi2,
@@ -25,7 +27,8 @@ from repro.hashing.hash_family import (
 from repro.query.backend import FanoutBackend
 from repro.query.service import QueryService
 
-from .test_core_addressing import mixed_keys
+from .rigs import U64, ascii_text, flat_elements, tuple_keys, u64_edges
+
 
 key_strategy = st.one_of(
     st.binary(min_size=0, max_size=32),
@@ -195,67 +198,23 @@ def test_chi2_empty_rejected():
 
 
 # ----------------------------------------------------------------------
-# Differential: the batch fold (column-wise encoding + matrix word mix)
-# against the scalar definition it must equal row for row.
-# ----------------------------------------------------------------------
-
-_u64 = st.integers(0, 2**64 - 1) | st.sampled_from([0, 2**64 - 1])
-_ascii = st.text(st.characters(max_codepoint=127), max_size=20)
-_bytes = st.binary(max_size=40) | st.sampled_from(
-    [b"", b"7 bytes", b"8  bytes", b"9   bytes", b"sixteen bytes .."]
-)
-_KINDS = (
-    _u64,
-    _ascii,
-    st.text(max_size=12),
-    _bytes,
-    st.tuples(_ascii, _ascii, _u64, _u64, _u64),
-    st.tuples(st.text(max_size=6), _bytes, _u64),
-    st.tuples(_u64, _u64, _u64),
-)
-
-
-def _batches(element):
-    """Runs on both sides of the scalar/matrix threshold (32 keys)."""
-    return st.lists(element, max_size=40) | st.lists(element, min_size=32, max_size=200)
-
-
-def assert_folds_like_scalar(keys):
-    lanes = fold_keys(keys)
-    assert lanes.dtype == np.uint64
-    scalar = keys.tolist() if isinstance(keys, np.ndarray) else keys
-    assert lanes.tolist() == [fold_key(key) for key in scalar]
-
-
-# ----------------------------------------------------------------------
 # The flat-tuple encoding against the general rules it shortcuts.
 # ----------------------------------------------------------------------
-
-_flat = st.one_of(
-    _ascii,
-    st.text(max_size=12),
-    st.binary(max_size=12),
-    _u64,
-    st.sampled_from([0, 2**64 - 1, 2**64, 2**80]),
-)
-_element = _flat | st.tuples(_flat, _flat) | st.tuples(_flat, st.tuples(_flat))
-_tuple_keys = st.lists(_element, max_size=6).map(tuple)
-
 
 class TestFlatTupleEncoding:
     """``stable_key_bytes`` encodes a flat ``str`` / ``int`` tuple in one pass;
     every tuple must still come out as the general rules have it."""
 
     @settings(max_examples=200, deadline=None)
-    @given(key=_tuple_keys | st.tuples(_ascii, _ascii, _u64, _u64, _u64))
+    @given(key=tuple_keys | st.tuples(ascii_text, ascii_text, u64_edges, u64_edges, u64_edges))
     def test_bytes_equal_the_general_rules(self, key):
         assert stable_key_bytes(key) == hash_family._key_bytes(key)
 
     @settings(max_examples=100, deadline=None)
     @given(
-        head=st.lists(_flat, max_size=3),
+        head=st.lists(flat_elements, max_size=3),
         bad=st.sampled_from([True, False, -1, -(2**70), 3.5, None]),
-        tail=st.lists(_flat, max_size=3),
+        tail=st.lists(flat_elements, max_size=3),
         nested=st.booleans(),
     )
     def test_a_rejected_element_raises_what_the_general_rules_raise(
@@ -267,62 +226,8 @@ class TestFlatTupleEncoding:
         with pytest.raises(general.type):
             stable_key_bytes(key)
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        keys=st.lists(_tuple_keys, max_size=40)
-        | st.lists(st.tuples(_ascii, _ascii, _u64, _u64, _u64), min_size=32, max_size=80)
-    )
-    def test_fold_key_equals_fold_keys_on_the_batch(self, keys):
-        assert fold_keys(keys).tolist() == [fold_key(key) for key in keys]
-
 
 class TestFoldKeysMatchesFoldKey:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        keys=st.one_of(*map(_batches, _KINDS))
-        | _batches(_u64).map(lambda keys: np.array(keys, dtype=np.uint64))
-    )
-    def test_homogeneous_batches(self, keys):
-        assert_folds_like_scalar(keys)
-
-    @settings(max_examples=40, deadline=None)
-    @given(keys=_batches(mixed_keys) | _batches(st.one_of(mixed_keys, *_KINDS)))
-    def test_mixed_shapes_types_and_arities_in_one_batch(self, keys):
-        assert_folds_like_scalar(keys)
-
-    @pytest.mark.parametrize(
-        "wrap", [bytes, lambda row: (7, row), lambda row: row.decode()],
-        ids=["bytes", "tuple", "str"],
-    )
-    def test_every_row_length_1_to_17(self, wrap):
-        """The scalar fold right-aligns a short last word; so must each row."""
-        rows = [bytes(range(65, 65 + length)) for length in range(1, 18)]
-        assert_folds_like_scalar([wrap(row) for row in rows] * 3)
-
-    @pytest.mark.parametrize(
-        "bad", [True, -1, 3.14, (1, True), (1, -1), "lone \ud800 surrogate"], ids=repr
-    )
-    @pytest.mark.parametrize(
-        "fill", [lambda i: i, lambda i: "flow-%d" % i, lambda i: (i, i)], ids=["int", "str", "tuple"]
-    )
-    def test_rejected_key_raises_what_the_scalar_fold_raises(self, bad, fill):
-        with pytest.raises((TypeError, ValueError)) as scalar:
-            fold_key(bad)
-        keys = [fill(i) for i in range(64)]
-        keys[40] = bad
-        with pytest.raises(scalar.type) as batch:
-            fold_keys(keys)
-        assert str(batch.value) == str(scalar.value)
-
-    def test_any_iterable_of_keys(self):
-        keys = ["flow-%d" % i for i in range(80)]
-        expected = [fold_key(key) for key in keys]
-        table = dict.fromkeys(keys)
-        for shape in (iter(keys), tuple(keys), table.keys(), table, (k for k in keys)):
-            assert fold_keys(shape).tolist() == expected
-        assert fold_keys(range(80)).tolist() == [fold_key(i) for i in range(80)]
-        assert fold_keys(()).shape == (0,)
-
     def test_one_long_key_does_not_widen_the_matrix_for_all(self):
         keys = [i.to_bytes(8, "big") for i in range(4095)] + [bytes(1 << 20)]
         tracemalloc.start()
@@ -356,3 +261,37 @@ class TestFoldKeysMatchesFoldKey:
         assert len(service.serve(point, "t", ["flow-7"], False).answer.rows) == 1
         with pytest.raises(AssertionError, match="matrix fold"):
             store.put_many([("flow-%d" % i, b"v") for i in range(64)])
+
+
+# ----------------------------------------------------------------------
+# Scalar hashing: same lanes, same hashes as the previous definitions
+# ----------------------------------------------------------------------
+
+
+def fold_bytes_word_loop(data: bytes) -> int:
+    """``_fold_bytes`` as it was: one ``int.from_bytes`` and one call per word."""
+    acc = 0xCBF29CE484222325
+    for offset in range(0, len(data), 8):
+        chunk = data[offset : offset + 8]
+        word = int.from_bytes(chunk, "big")
+        acc = splitmix64((acc ^ word) & U64)
+    return splitmix64((acc ^ len(data)) & U64)
+
+
+def test_fold_bytes_matches_the_word_loop():
+    rng = random.Random(25)
+    for length in range(131):
+        for raw in (bytes(length), b"\xff" * length, *(rng.randbytes(length) for _ in range(8))):
+            assert _fold_bytes(raw) == fold_bytes_word_loop(raw), raw
+    assert _fold_bytes(bytearray(b"ragged tail")) == fold_bytes_word_loop(b"ragged tail")
+
+
+@given(lane=st.integers(0, U64), index=st.sampled_from([0, 1, 7, 0x40000000, 0x7FFFFFFF]))
+def test_hash_folded_is_mix64_under_the_member_seed(lane, index):
+    family = HashFamily(seed=11)
+    expected = mix64(lane, family._function_seed(index))
+    assert family.hash_folded(lane, index) == expected
+    assert family.hash_folded(lane, index) == expected  # the cached seed serves again
+    assert family.hash_key(lane.to_bytes(8, "big"), index) == family.hash_folded(
+        fold_key(lane.to_bytes(8, "big")), index
+    )

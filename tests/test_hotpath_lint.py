@@ -54,6 +54,10 @@ The seventh keeps one owner of the lookup table: outside
 ``dart_switch.py`` no module names ``collector_table``; rows go in,
 change and roll back through ``install_collector`` / ``update_collector``.
 
+The eighth gives the tests' helpers one home: no ``tests/test_*.py``
+imports from another ``test_*`` module; what they share is in
+``tests/rigs.py``.
+
 The last is the Options rule: a defaulted parameter of a public callable
 is set by some caller outside ``tests/``, or it is a constant.
 """
@@ -64,6 +68,7 @@ import pathlib
 import re
 
 from . import reachability_audit as audit
+from .rigs import TEMPLATE_SITES
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -408,22 +413,6 @@ def test_one_scalar_icrc():
     ]
 
 
-#: The plan sites: the module, the method that builds the site's plans, the
-#: batch body that stamps a matrix from a plan (None for a frame-only site)
-#: and the frame body that stamps one frame from a plan.
-TEMPLATE_SITES = [
-    (SRC / "switch" / "dart_switch.py", "DartSwitch.install_collector", "encode_batch",
-     "_craft_frames"),
-    (SRC / "primitives" / "translator.py", "PrimitiveTranslator.__init__",
-     "_encode_fetch_add_batch", "craft_fetch_add"),
-    (SRC / "primitives" / "translator.py", "AppendTranslator.__init__", "append_many",
-     "craft_record_write"),
-    (SRC / "primitives" / "clients.py", "OneSidedReader.__init__", "_read_run_batch",
-     "_craft_read"),
-    (SRC / "rdma" / "nic.py", "RdmaNic._response_plan", "_ingest_read_batch",
-     "_enqueue_response"),
-    (SRC / "core" / "cas_store.py", "CasDartStore.__init__", None, "_craft_put_frames"),
-]
 #: Private templates, per-site crafters and stampers earlier encoders kept.
 RETIRED_TEMPLATES = (
     "_frame_template", "_fetch_add_template", "_record_write_template", "_read_response_template",
@@ -1110,3 +1099,47 @@ def test_options_lint_catches_a_seeded_violation():
     assert set(_options_nobody_sets(sources, [ast.parse("craft(f, False)")])) == {
         ("craft", "width"), ("Nic.__init__", "mtu"), ("Nic.poll", "budget"),
     }
+
+
+#: An import statement: ``from MODULE import NAMES`` (NAMES bare or in
+#: parentheses) or ``import MODULES``.
+_IMPORT = re.compile(
+    r"^[ \t]*(?:from[ \t]+([.\w]+)[ \t]+import[ \t]+(?:\(([^)]*)\)|([^\n]*))"
+    r"|import[ \t]+([^\n]*))",
+    re.M,
+)
+
+
+def _imports_a_test_module(source: str) -> list:
+    """The lines of ``source`` that import a ``test_*`` module or from one
+    (read off the text: parsing every test module would double the lint)."""
+    lines = []
+    for match in _IMPORT.finditer(source):
+        module, bracketed, bare, plain = match.groups()
+        if module is None:
+            modules = plain
+        elif module.strip("."):
+            modules = module
+        else:
+            modules = bracketed if bracketed is not None else bare
+        if any(
+            name.rsplit(".", 1)[-1].startswith("test_")
+            for name in modules.replace(",", " ").split()
+        ):
+            lines.append(source.count("\n", 0, match.start()) + 1)
+    return lines
+
+
+def test_test_modules_share_helpers_only_through_rigs():
+    tests = pathlib.Path(__file__).resolve().parent
+    offenders = [
+        f"{path.name}:{line}"
+        for path in sorted(tests.glob("test_*.py"))
+        for line in _imports_a_test_module(path.read_text())
+    ]
+    assert not offenders, "import shared helpers from tests/rigs.py:\n" + "\n".join(offenders)
+    seeded = (
+        "from .test_fabric import RecordingPort\nfrom . import (\n    rigs, test_fold_once)\n"
+        "import tests.test_cli\nfrom .rigs import Tap\nimport test_x as helpers\n"
+    )
+    assert _imports_a_test_module(seeded) == [1, 2, 4, 6]

@@ -14,7 +14,7 @@ from repro.control.shards import shard_map_of
 from repro.query.fleet import QueryFleet
 from repro.query.service import QueryService
 
-from .test_fold_once import KEYS, POINT, SWEEP, fleet_rig, small_config, store_rig
+from .rigs import KEYS, POINT, SWEEP, fleet_rig, service_config, store_rig
 
 
 @pytest.fixture
@@ -65,7 +65,7 @@ def test_uncached_serve_never_evaluates_the_cache_identity(rig, monkeypatch):
 
 
 def test_promote_and_epoch_bump_each_freeze_a_new_map(assignments):
-    cluster = CollectorCluster(small_config(), num_standbys=1)
+    cluster = CollectorCluster(service_config(), num_standbys=1)
     first = shard_map_of(cluster)
     assert len(assignments) == 4
     assert shard_map_of(cluster) is first
@@ -90,7 +90,7 @@ def test_fleet_and_controller_maps_follow_failover():
     """The fleet's map, then the controller's, moves only with the epoch or
     a promotion; a crash alone leaves the served map in place until the
     controller fails the role over."""
-    fleet = QueryFleet(small_config(), num_standbys=1)
+    fleet = QueryFleet(service_config(), num_standbys=1)
     fleet.put_many([(key, b"v") for key in KEYS])
     service = QueryService(fleet)
     first = fleet.shard_map()

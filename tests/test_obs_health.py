@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from repro import obs
 from repro.core.config import DartConfig
 from repro.core.policies import ReturnPolicy
 from repro.collector.store import DartStore
@@ -12,19 +11,12 @@ from repro.mem.region import MemoryRegion
 from repro.obs.health import PipelineHealth, render_dashboard, render_histogram
 from repro.rdma.frames import FrameBatch
 
-from .test_fabric import RecordingPort
-
-
-def _with_registry():
-    """Install a fresh registry; returns (registry, restore)."""
-    registry = obs.MetricsRegistry()
-    previous = obs.set_registry(registry)
-    return registry, lambda: obs.set_registry(previous)
+from .rigs import RecordingPort, fresh_registry
 
 
 class TestPipelineHealthRates:
     def test_rates_reconcile_with_fabric_counters(self):
-        registry, restore = _with_registry()
+        registry, restore = fresh_registry()
         try:
             fabric = ImpairedFabric(
                 InlineFabric(), loss=0.2, duplication=0.1, seed=7
@@ -54,7 +46,7 @@ class TestPipelineHealthRates:
             restore()
 
     def test_impairment_offered_falls_back_to_all_offered(self):
-        registry, restore = _with_registry()
+        registry, restore = fresh_registry()
         try:
             fabric = InlineFabric()
             fabric.attach(1, RecordingPort())
@@ -68,7 +60,7 @@ class TestPipelineHealthRates:
             restore()
 
     def test_slot_overwrite_rate(self):
-        registry, restore = _with_registry()
+        registry, restore = fresh_registry()
         try:
             region = MemoryRegion(size=64)
             region.write_offset(0, b"\x01" * 8)   # fresh slot
@@ -82,7 +74,7 @@ class TestPipelineHealthRates:
             restore()
 
     def test_query_success_split_per_policy(self):
-        registry, restore = _with_registry()
+        registry, restore = fresh_registry()
         try:
             config = DartConfig(slots_per_collector=256, redundancy=2, seed=0)
             store = DartStore(config)
@@ -102,7 +94,7 @@ class TestPipelineHealthRates:
             restore()
 
     def test_zero_queries_report_none_not_zero_division(self):
-        registry, restore = _with_registry()
+        registry, restore = fresh_registry()
         try:
             # A policy with registered counters but zero traffic: the
             # success rate must read None ("no data"), never divide by
@@ -124,7 +116,7 @@ class TestPipelineHealthRates:
 
     def test_end_to_end_packet_level_reconciliation(self):
         """Fabric-delivered and NIC-received must agree after a flush."""
-        registry, restore = _with_registry()
+        registry, restore = fresh_registry()
         try:
             config = DartConfig(slots_per_collector=512, redundancy=2, seed=0)
             fabric = ImpairedFabric(
@@ -147,7 +139,7 @@ class TestPipelineHealthRates:
         buffered fabric exactly like the scalar path: every frame the
         fabric claims to have delivered was received by a NIC, and every
         executed write landed in a region."""
-        registry, restore = _with_registry()
+        registry, restore = fresh_registry()
         try:
             config = DartConfig(slots_per_collector=512, redundancy=2, seed=0)
             fabric = ImpairedFabric(
@@ -186,7 +178,7 @@ class TestPipelineHealthRates:
 
 class TestDashboardRendering:
     def test_dashboard_sections_present(self):
-        registry, restore = _with_registry()
+        registry, restore = fresh_registry()
         try:
             fabric = InlineFabric()
             fabric.attach(1, RecordingPort())
@@ -200,7 +192,7 @@ class TestDashboardRendering:
             restore()
 
     def test_render_histogram_elides_empty_buckets(self):
-        registry, restore = _with_registry()
+        registry, restore = fresh_registry()
         try:
             histogram = registry.histogram("h", buckets=(1.0, 2.0, 5.0))
             histogram.observe(0.5)
@@ -221,7 +213,7 @@ class TestEveryFabricCountsDeliveries:
         subclasses = set(Fabric.__subclasses__())
         assert {InlineFabric, BufferedFabric, ImpairedFabric} <= subclasses
         for cls in sorted(subclasses, key=lambda c: c.__name__):
-            registry, restore = _with_registry()
+            registry, restore = fresh_registry()
             try:
                 try:
                     fabric = cls()
@@ -246,7 +238,7 @@ class TestEveryFabricCountsDeliveries:
         subclasses = set(Fabric.__subclasses__())
         assert {InlineFabric, BufferedFabric, ImpairedFabric} <= subclasses
         for cls in sorted(subclasses, key=lambda c: c.__name__):
-            registry, restore = _with_registry()
+            registry, restore = fresh_registry()
             try:
                 try:
                     fabric = cls()
@@ -274,7 +266,7 @@ class TestEveryFabricCountsDeliveries:
 class TestBufferedFabricQueueObservability:
     def test_flush_at_exactly_threshold_frames(self):
         """Regression: the threshold boundary itself must trigger a flush."""
-        registry, restore = _with_registry()
+        registry, restore = fresh_registry()
         try:
             threshold = 8
             fabric = BufferedFabric(flush_threshold=threshold)
@@ -295,7 +287,7 @@ class TestBufferedFabricQueueObservability:
             restore()
 
     def test_high_water_mark_survives_flush(self):
-        _registry, restore = _with_registry()
+        _registry, restore = fresh_registry()
         try:
             fabric = BufferedFabric(flush_threshold=None)
             fabric.attach(1, RecordingPort())
@@ -312,7 +304,7 @@ class TestBufferedFabricQueueObservability:
             restore()
 
     def test_send_batch_threshold_and_hwm(self):
-        _registry, restore = _with_registry()
+        _registry, restore = fresh_registry()
         try:
             fabric = BufferedFabric(flush_threshold=4)
             port = RecordingPort()

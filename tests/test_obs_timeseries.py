@@ -4,16 +4,10 @@ import json
 
 import pytest
 
-from repro import obs
 from repro.obs.metrics import LATENCY_BUCKETS, MetricsRegistry
 from repro.obs.timeseries import MetricsScraper, Series, load_jsonl, sparkline
 
-
-def _with_registry():
-    """Install a fresh registry; returns (registry, restore)."""
-    registry = obs.MetricsRegistry()
-    previous = obs.set_registry(registry)
-    return registry, lambda: obs.set_registry(previous)
+from .rigs import fresh_registry
 
 
 class TestSparkline:
@@ -141,7 +135,7 @@ class TestMetricsScraper:
         assert scraper.series("events").ticks() == [0, 1]
 
     def test_default_registry_is_process_registry(self):
-        registry, restore = _with_registry()
+        registry, restore = fresh_registry()
         try:
             registry.counter("events").inc()
             scraper = MetricsScraper()
@@ -222,7 +216,7 @@ class TestSimulationDrivesScraper:
         from repro.network.simulation import IntSimulation
         from repro.network.topology import FatTreeTopology
 
-        registry, restore = _with_registry()
+        registry, restore = fresh_registry()
         try:
             scraper = MetricsScraper(registry, interval=8)
             tree = FatTreeTopology(k=4)
@@ -248,7 +242,7 @@ class TestSimulationDrivesScraper:
         from repro.network.packet_sim import PacketLevelIntNetwork
         from repro.network.topology import FatTreeTopology
 
-        registry, restore = _with_registry()
+        registry, restore = fresh_registry()
         try:
             scraper = MetricsScraper(registry, interval=4)
             tree = FatTreeTopology(k=4)

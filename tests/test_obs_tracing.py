@@ -13,23 +13,9 @@ from repro.obs.tracing import (
     Tracer,
 )
 from repro.primitives import AppendStore, SketchStore, SwitchSketch
+from repro.primitives.clients import COLUMNAR_MIN_READS
 
-from .test_fabric import RecordingPort
-from .test_read_columnar import Tap
-
-
-def _fresh_obs(**tracer_kwargs):
-    """Install a fresh registry+tracer; returns (registry, tracer, restore)."""
-    registry = obs.MetricsRegistry()
-    previous_registry = obs.set_registry(registry)
-    tracer = obs.Tracer(**tracer_kwargs)  # after set_registry: its gauges land here
-    previous_tracer = obs.set_tracer(tracer)
-
-    def restore():
-        obs.set_registry(previous_registry)
-        obs.set_tracer(previous_tracer)
-
-    return registry, tracer, restore
+from .rigs import ReadRig, RecordingPort, Tap, fresh_obs
 
 
 class TestTracerBasics:
@@ -136,7 +122,7 @@ class TestSpanOrderingUnderReordering:
     def test_adjacent_swap_orders_spans_after_newer_frame(self):
         """With reordering=1.0 the first frame is held and must acquire its
         delivery span *after* the frame that overtook it."""
-        _registry, tracer, restore = _fresh_obs()
+        _registry, tracer, restore = fresh_obs()
         try:
             fabric = ImpairedFabric(InlineFabric(), reordering=1.0, seed=0)
             fabric.attach(1, RecordingPort())
@@ -168,7 +154,7 @@ class TestSpanOrderingUnderReordering:
             restore()
 
     def test_held_frame_released_by_flush_is_traced(self):
-        _registry, tracer, restore = _fresh_obs()
+        _registry, tracer, restore = fresh_obs()
         try:
             fabric = ImpairedFabric(InlineFabric(), reordering=1.0, seed=0)
             fabric.attach(1, RecordingPort())
@@ -183,7 +169,7 @@ class TestSpanOrderingUnderReordering:
             restore()
 
     def test_duplicate_frames_share_one_trace(self):
-        _registry, tracer, restore = _fresh_obs()
+        _registry, tracer, restore = fresh_obs()
         try:
             fabric = ImpairedFabric(InlineFabric(), duplication=1.0, seed=0)
             port = RecordingPort()
@@ -201,7 +187,7 @@ class TestSpanOrderingUnderReordering:
             restore()
 
     def test_lost_frame_records_drop_span(self):
-        _registry, tracer, restore = _fresh_obs()
+        _registry, tracer, restore = fresh_obs()
         try:
             fabric = ImpairedFabric(InlineFabric(), loss=1.0, seed=0)
             fabric.attach(1, RecordingPort())
@@ -281,7 +267,7 @@ class TestSamplingAndTailRetention:
         assert [r.trace_id for r in kept] == ids[-3:]
 
     def test_bindings_gauge_returns_to_zero(self):
-        registry, tracer, restore = _fresh_obs()
+        registry, tracer, restore = fresh_obs()
         try:
             gauge = registry.gauge("tracer_bindings_live")
             fabric = ImpairedFabric(InlineFabric(), loss=1.0, seed=0)
@@ -436,7 +422,7 @@ class TestStoreBatchTracing:
 
         config = DartConfig(slots_per_collector=256, num_collectors=2, redundancy=2)
         items = [(("flow", i), bytes([i]) * 4) for i in range(5)]
-        _registry, tracer, restore = _fresh_obs()
+        _registry, tracer, restore = fresh_obs()
         try:
             store = DartStore(config)
             assert store.put_many(items) == 10
@@ -467,7 +453,7 @@ class TestRetentionUnderImpairment:
             )
 
     def test_impaired_loss_with_eviction_and_sampling(self):
-        _registry, _tracer, restore = _fresh_obs()
+        _registry, _tracer, restore = fresh_obs()
         tracer = Tracer(max_traces=6, sample_rate=0.6, max_kept=64)
         obs.set_tracer(tracer)
         try:
@@ -487,7 +473,7 @@ class TestRetentionUnderImpairment:
             restore()
 
     def test_buffered_reordering_with_midflight_keeps(self):
-        _registry, _tracer, restore = _fresh_obs()
+        _registry, _tracer, restore = fresh_obs()
         tracer = Tracer(max_traces=6, sample_rate=0.7, max_kept=64)
         obs.set_tracer(tracer)
         try:
@@ -511,3 +497,65 @@ class TestRetentionUnderImpairment:
             assert tracer.bindings_live == 0
         finally:
             restore()
+
+
+class TestTracingParity:
+    def traced_run(self, reads=12, **tracer_kwargs):
+        _registry, tracer, restore = fresh_obs(**tracer_kwargs)
+        try:
+            rig = ReadRig(InlineFabric())
+            trace_id = tracer.begin("query")
+            with tracer.activate(trace_id):
+                _rows, answered = rig.read(range(reads), 24)
+            tracer.end(trace_id)
+            assert all(answered)
+            assert tracer.bindings_live == 0
+            assert rig.reader._pool.in_flight == 0
+            return tracer, tracer.trace(trace_id), rig
+        finally:
+            restore()
+
+    def test_run_length_picks_span_granularity(self):
+        """The same tracer: a run below the size cut keeps a span per
+        frame, a run at or above it records one span per layer."""
+        short = COLUMNAR_MIN_READS - 1
+        _tracer, record, rig = self.traced_run(reads=short)
+        assert rig.tap.batches == 0
+        assert record.stages.count("query.read_run") == 1
+        assert record.stages.count("nic.ingest") == short
+        assert record.stages.count("fabric.deliver") == short
+        _tracer, record, rig = self.traced_run(reads=COLUMNAR_MIN_READS)
+        assert rig.tap.batches == 1
+        assert record.stages == ("query.read_run", "nic.ingest", "fabric.deliver")
+
+    def test_watching_does_not_steer_the_run(self):
+        """Untraced, sampled out or traced, a long run is one matrix each
+        way: same wire bytes, same counters, same call shapes."""
+        states = {}
+        for watcher, kwargs in (
+            ("none", None), ("unsampled", {"sample_rate": 0.0}), ("default", {}),
+        ):
+            if kwargs is None:
+                rig = ReadRig(InlineFabric())
+                rig.reader.read_run([rig.address(s) for s in range(12)], 24)
+            else:
+                tracer, _record, rig = self.traced_run(**kwargs)
+                assert (tracer.spans_recorded == 0) == (watcher == "unsampled")
+            states[watcher] = dict(
+                rig.state(), batches=rig.tap.batches, memory=rig.node.region.snapshot()
+            )
+        assert states["unsampled"] == states["none"] == states["default"]
+        assert states["none"]["batches"] == 1
+
+    def test_batch_tracer_records_one_span_per_layer(self):
+        _tracer, record, rig = self.traced_run()
+        assert rig.tap.batches == 1
+        assert record.stages == ("query.read_run", "nic.ingest", "fabric.deliver")
+        details = {span.stage: span.detail for span in record.spans}
+        assert details["query.read_run"] == "reads=12 len=24"
+        assert details["nic.ingest"] == "rows=12 executed=12"
+
+    def test_unsampled_allocates_nothing(self):
+        tracer, record, rig = self.traced_run(sample_rate=0.0)
+        assert rig.tap.batches == 1
+        assert record is obs.tracing.UNSAMPLED_TRACE and tracer.spans_recorded == 0

@@ -19,17 +19,10 @@ from repro.core.client import DartQueryClient
 from repro.core.config import DartConfig
 from repro.core.policies import ReturnPolicy
 from repro.core.reporter import DartReporter
-from repro.fabric import BufferedFabric, ImpairedFabric, InlineFabric
+from repro.fabric import ImpairedFabric, InlineFabric
 from repro.query.backend import FanoutBackend
 
-FABRICS = {
-    "inline": InlineFabric,
-    "buffered_unflushed": lambda: BufferedFabric(flush_threshold=None),
-    "impaired": lambda: ImpairedFabric(
-        InlineFabric(), loss=0.15, duplication=0.1, reordering=0.15, seed=17
-    ),
-}
-
+from . import rigs
 
 def populated_cluster():
     """A small fleet written locally: 160 keys into 2 x 128 slots at N=2,
@@ -47,10 +40,10 @@ def populated_cluster():
 
 
 class TestThreeClientsOneAnswer:
-    @pytest.mark.parametrize("name", list(FABRICS))
+    @pytest.mark.parametrize("name", list(rigs.FABRICS))
     def test_local_remote_and_fanout_agree(self, name):
         config, cluster, keys = populated_cluster()
-        fabric = cluster.attach_to(FABRICS[name]())
+        fabric = cluster.attach_to(rigs.FABRICS[name]())
         local = DartQueryClient(config, reader=cluster.read_slot)
         remote = RemoteQueryClient(config, cluster, max_retries=8, fabric=fabric)
         backend = FanoutBackend(config, cluster, fabric)
@@ -192,3 +185,50 @@ class TestProbesThroughTheReader:
             node for node, streak in streaks.items() if streak.endswith("xxx")
         }
         assert all(streak.count("xxx") <= 1 for streak in streaks.values())
+
+
+class TestFanoutBackend:
+    def build(self, fabric):
+        config = DartConfig(slots_per_collector=512, num_collectors=2, seed=11)
+        cluster = CollectorCluster(config, num_standbys=1)
+        cluster.attach_to(fabric)
+        backend = FanoutBackend(config, cluster, fabric)
+        keys = [f"flow-{i}" for i in range(80)]
+        codec = config.slot_codec()
+        for key in keys:
+            resolved = backend.addressing.resolve(key)
+            for node in (cluster.node(resolved.collector_id), cluster.node(2)):
+                for slot in resolved.slot_indexes:
+                    node.write_slot(slot, codec.encode(resolved.checksum, key.encode()[:20]))
+        return config, cluster, backend, keys
+
+    @pytest.mark.parametrize("name", list(rigs.FABRICS))
+    def test_rows_match_direct_client_across_failover(self, name):
+        """Long and short shard runs answer like the collector-side client,
+        before and after the role's reader is rebound to a standby."""
+        fabric = rigs.FABRICS[name]()
+        config, cluster, backend, keys = self.build(fabric)
+        direct = DartQueryClient(config, reader=cluster.read_slot)
+
+        def check():
+            shard_map = shard_map_of(cluster)
+            for subset in (keys, keys[:3]):
+                for role, (mine, resolved) in backend.shards_for(shard_map, subset).items():
+                    rows = backend.keys_rows(
+                        shard_map.assignment(role), mine, ReturnPolicy.PLURALITY, resolved
+                    )
+                    assert [row["value"] for row in rows] == [
+                        direct.query(key, policy=ReturnPolicy.PLURALITY).value
+                        for key in mine
+                    ]
+
+        check()
+        before = backend._keys_reader(shard_map_of(cluster).assignment(0))
+        cluster.node(0).fail()
+        cluster.promote(0, 2)
+        fabric.rebind(0, cluster.node(2))
+        check()
+        after = backend._keys_reader(shard_map_of(cluster).assignment(0))
+        assert after is not before and after.qp.qp_number != before.qp.qp_number
+        for reader in backend._keys_readers.values():
+            assert reader._pool.in_flight == 0

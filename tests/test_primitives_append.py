@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import obs
 from repro.fabric import BufferedFabric, ImpairedFabric, InlineFabric
 from repro.obs.health import PipelineHealth
 from repro.primitives import (
@@ -11,11 +10,7 @@ from repro.primitives import (
     AppendStore,
 )
 
-
-def _with_registry():
-    registry = obs.MetricsRegistry()
-    previous = obs.set_registry(registry)
-    return registry, lambda: obs.set_registry(previous)
+from .rigs import fresh_registry
 
 
 class TestSingleWriter:
@@ -92,7 +87,7 @@ class TestMultiWriter:
 class TestImpairedFabric:
     def test_reservations_retry_through_loss_and_reconcile(self):
         """Lost tail FETCH_ADDs are retried; fabric counters reconcile."""
-        registry, restore = _with_registry()
+        registry, restore = fresh_registry()
         try:
             # Capacity exceeds the append count so a lost WRITE leaves a
             # zeroed slot rather than a stale record from a previous lap
