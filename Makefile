@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test perf-smoke exhibits audit bench bench-full bench-obs bench-obs-timeseries bench-obs-fleet bench-obs-trace bench-control bench-fabric-columnar bench-primitives bench-query experiments experiments-full examples lint loc ci all
+.PHONY: install test perf-smoke exhibits audit bench bench-full bench-obs bench-obs-timeseries bench-obs-fleet bench-obs-trace bench-control bench-fabric-columnar bench-primitives bench-query experiments experiments-full examples lint loc loc-gate ci all
 
 install:
 	pip install -e . --no-build-isolation || \
@@ -26,6 +26,17 @@ loc:
 	  printf '%-14s %s\n' $$tree $$(find $$tree -name '*.py' | xargs cat | wc -l); \
 	done
 
+# ROADMAP's standing line rules, as a gate: src at most 23 980 lines and
+# src/repro/obs under 5 000, counted as `make loc` counts them.
+SRC_LINES_MAX = 23980
+OBS_LINES_BELOW = 5000
+
+loc-gate:
+	@src=$$(find src -name '*.py' | xargs cat | wc -l); \
+	obs=$$(find src/repro/obs -name '*.py' | xargs cat | wc -l); \
+	echo "src $$src (gate <= $(SRC_LINES_MAX)), src/repro/obs $$obs (gate < $(OBS_LINES_BELOW))"; \
+	test $$src -le $(SRC_LINES_MAX) && test $$obs -lt $(OBS_LINES_BELOW)
+
 # Reachability audit (~30 min, not part of ci): which src/repro functions
 # does no test module, experiment, benchmark, perf workload, example or
 # README CLI line ever call?  Prints the per-file table; see
@@ -34,7 +45,7 @@ loc:
 audit:
 	$(PYTHON) tests/reachability_audit.py --without-tests
 
-ci: lint perf-smoke exhibits bench-obs bench-obs-timeseries bench-obs-fleet bench-obs-trace bench-control bench-fabric-columnar bench-primitives bench-query
+ci: lint loc-gate perf-smoke exhibits bench-obs bench-obs-timeseries bench-obs-fleet bench-obs-trace bench-control bench-fabric-columnar bench-primitives bench-query
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
 
 # The benchmark's own smoke test (~10 s): every frozen perf/trace.py

@@ -193,6 +193,11 @@ def fold_matrix(
     values = payloads[..., width:]
     codes = (values[:, :, None] == values[:, None]).all(axis=3).argmax(axis=2)
     answered, pick = resolve_matrix(codes, stored == checksums[:, None], policy)
-    chosen = values[np.arange(keys), pick]
+    # One bytes object for every chosen value, sliced per key: no row views.
+    chosen = values[np.arange(keys), pick].tobytes()
+    size = values.shape[2]
     answered = answered.tolist()
-    return [value.tobytes() if ok else None for value, ok in zip(chosen, answered)], answered
+    return [
+        chosen[at : at + size] if ok else None
+        for at, ok in zip(range(0, len(chosen), size), answered)
+    ], answered

@@ -38,11 +38,11 @@ APPEND_READER_QP_BASE = 0xA00
 #: Requester QP number of operator 0 reading counter banks.
 COUNTER_READER_QP_BASE = 0xB00
 
-#: Shortest run :meth:`OneSidedReader.read_run` sends as one frame matrix.
+#: Fewest READs, over all its runs, :func:`read_runs` sends as one frame matrix.
 #: Measured (DESIGN.md, "The run-length cuts"): a matrix round trip costs
 #: ~145 us fixed + ~2 us a row, a stamped scalar READ ~22 us, so the matrix is
 #: level at 7 and ahead from 8 on a clean and a 2%-loss fabric alike.  The
-#: 2-3 READs of a point lookup stay scalar, a sweep's 16+ per shard columnar.
+#: 2 READs of a point lookup stay frames, a 64-key sweep's 128 one matrix.
 COLUMNAR_MIN_READS = 8
 
 
@@ -117,74 +117,98 @@ class OneSidedReader:
         return self._read_plan.stamp(length, psn, address)
 
     def read_run(self, addresses: Sequence[int], length: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Pipelined READs: all requests first, then one response drain.
+        """Pipelined READs of this reader's one run: :func:`read_runs`."""
+        return read_runs(((self, addresses),), length)
 
-        Returns ``(payloads, answered)``: ``uint8[n, length]``, row ``i``
-        the bytes at ``addresses[i]``, and ``bool[n]``, False where the
-        request was lost (that row stays zero).  Runs of
-        :data:`COLUMNAR_MIN_READS` or more travel as one frame matrix
-        (:meth:`_read_run_batch`, one span per layer when traced); shorter
-        ones as frames with per-frame spans, the reference the batch path
-        is diffed against.  One match serves both: responses are placed by
-        PSN, a response matrix in one scatter, so ordering quirks in the
-        request leg cannot misattribute payloads.
-        """
-        count = len(addresses)
-        start = self._psn
-        tracer = self._tracer
-        trace_id = tracer.active_trace_id if tracer.enabled else None
-        read_sid = None
-        if trace_id is not None and count:
-            read_sid = tracer.span(
-                trace_id, "query.read_run", f"reads={count} len={length}"
-            )
-        if count >= COLUMNAR_MIN_READS:
-            batch = self._read_run_batch(addresses, length)
-            if read_sid is not None:
-                tracer.bind_batch(batch, trace_id, parent=read_sid)
-            self.fabric.send_batch(batch)
-        else:
+    @staticmethod
+    def _read_run_batch(runs: Sequence[Run], length: int) -> FrameBatch:
+        """:func:`read_runs`' requests as one pooled matrix, each run on its
+        reader's next PSNs: a row is what its reader's :meth:`_craft_read`
+        stamps on the same operands, its template that reader's READ plan."""
+        rows, psns = [], []
+        for reader, addresses in runs:
+            start, reader._psn = reader._psn, (reader._psn + len(addresses)) % PSN_MODULUS
+            psns.append(psn_run(start, len(addresses)))
+            rows.append(np.frombuffer(reader._read_plan.fix(length)[0], dtype=np.uint8))
+        counts = [len(psn) for psn in psns]
+        return TemplateEncoder(*rows).stamp(
+            runs[0][0]._pool,
+            np.repeat([reader.endpoint_id for reader, _addresses in runs], counts),
+            {
+                "reth.virtual_address": np.concatenate(
+                    [np.asarray(addresses, dtype=np.uint64) for _reader, addresses in runs]
+                ),
+                "bth.psn": np.concatenate(psns),
+            },
+            template_of=np.repeat(np.arange(len(runs)), counts) if len(runs) > 1 else None,
+        )
+
+
+#: One reader's READs: the reader, and the addresses it reads.
+Run = Tuple[OneSidedReader, Sequence[int]]
+
+
+def read_runs(runs: Sequence[Run], length: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Every run's READs of ``length`` bytes in one pass over the readers' one
+    fabric, as one requester NIC issues them: all requests, one flush, then
+    one drain per reader.
+
+    Returns ``(payloads, answered)`` over the runs' addresses in order:
+    ``uint8[n, length]``, row ``i`` the bytes at address ``i``, and
+    ``bool[n]``, False where the request was lost (that row stays zero).
+    :data:`COLUMNAR_MIN_READS` or more READs travel as one frame matrix
+    (:meth:`OneSidedReader._read_run_batch`, one span per layer when traced);
+    fewer as frames with per-frame spans, the reference the batch path is
+    diffed against.  Responses are placed by PSN distance from their run's
+    first PSN, so ordering quirks in the request leg cannot misattribute
+    payloads.
+    """
+    fabric, tracer = runs[0][0].fabric, runs[0][0]._tracer
+    starts, total = [], 0
+    for reader, addresses in runs:
+        starts.append(reader._psn)
+        total += len(addresses)
+    trace_id = tracer.active_trace_id if tracer.enabled else None
+    read_sid = None
+    if trace_id is not None and total:
+        read_sid = tracer.span(trace_id, "query.read_run", f"reads={total} len={length}")
+    if total >= COLUMNAR_MIN_READS:
+        batch = OneSidedReader._read_run_batch(runs, length)
+        if read_sid is not None:
+            tracer.bind_batch(batch, trace_id, parent=read_sid)
+        fabric.send_batch(batch)
+    else:
+        for reader, addresses in runs:
             for address in addresses:
-                frame = self._craft_read(address, length, self._next_psn())
+                frame = reader._craft_read(address, length, reader._next_psn())
                 if read_sid is not None:
                     tracer.bind_frame(frame, trace_id, parent=read_sid)
-                self.fabric.send(self.endpoint_id, frame)
-        self.c_reads_sent.inc(count)
-        self.fabric.flush()
-        self.demux.poll(self.fabric, self.endpoint_id)
-        payloads = np.zeros((count, length), dtype=np.uint8)
-        answered = np.zeros(count, dtype=bool)
-        for response in self.demux.take(self.qp.qp_number):
+                fabric.send(reader.endpoint_id, frame)
+    fabric.flush()
+    payloads = np.zeros((total, length), dtype=np.uint8)
+    answered = np.zeros(total, dtype=bool)
+    offset = 0
+    for (reader, addresses), start in zip(runs, starts):
+        count = len(addresses)
+        reader.c_reads_sent.inc(count)
+        reader.demux.poll(fabric, reader.endpoint_id)
+        for response in reader.demux.take(reader.qp.qp_number):
             if isinstance(response, ReadResponseRows):
-                # Position in the run = PSN distance from its first PSN;
+                # Position in the run = PSN distance from its first PSN (the
+                # uint32 difference wraps by a multiple of the modulus);
                 # anything outside [0, count) answers someone else.
-                positions = (response.psns.astype(np.int64) - start) % PSN_MODULUS
+                positions = (response.psns - start) % PSN_MODULUS
                 mine = positions < count
-                payloads[positions[mine]] = response.payloads[mine]
-                answered[positions[mine]] = True
+                rows = offset + positions[mine]
+                payloads[rows] = response.payloads[mine]
+                answered[rows] = True
             elif response.opcode == Opcode.RC_RDMA_READ_RESPONSE_ONLY:
                 position = (response.psn - start) % PSN_MODULUS
                 if position < count:
-                    payloads[position] = np.frombuffer(response.payload, np.uint8)
-                    answered[position] = True
-        return payloads, answered
-
-    def _read_run_batch(self, addresses: Sequence[int], length: int) -> FrameBatch:
-        """:meth:`read_run`'s requests as one pooled matrix on the next PSNs:
-        row ``i`` is what :meth:`_craft_read` stamps on the same operands."""
-        count = len(addresses)
-        start = self._psn
-        self._psn = (start + count) % PSN_MODULUS
-        # The READ of ``length`` is every row's template.
-        frame, _crc, _count = self._read_plan.fix(length)
-        return TemplateEncoder(np.frombuffer(frame, dtype=np.uint8)).stamp(
-            self._pool,
-            np.full(count, self.endpoint_id, dtype=np.int64),
-            {
-                "reth.virtual_address": np.asarray(addresses, dtype=np.uint64),
-                "bth.psn": psn_run(start, count),
-            },
-        )
+                    payloads[offset + position] = np.frombuffer(response.payload, np.uint8)
+                    answered[offset + position] = True
+        offset += count
+    return payloads, answered
 
 
 def read_ring_window(

@@ -1,7 +1,8 @@
-"""Per-shard one-sided read execution behind the shared response demux.
+"""One-sided read execution behind the shared response demux.
 
 The planner decides *what* to read from *which* shard; this module does
-the reading.  For every keyspace shard it keeps one
+the reading: a keys query's shards in one pass (:meth:`FanoutBackend.keys_rows`),
+any other source shard by shard.  For every keyspace shard it keeps one
 :class:`~repro.primitives.clients.OneSidedReader` per read substrate,
 built against the shard's *serving node* (its NIC, rkey, base address)
 and rebuilt automatically when a failover moves the role to a standby --
@@ -11,20 +12,22 @@ never survive a shard-map change.
 Two properties the query front end depends on:
 
 - **Pipelined, flushed reads.**  Everything goes through
-  :meth:`OneSidedReader.read_run` (requests, flush, drain), so the same
-  backend works over Inline, Buffered *and* Impaired fabrics -- an
-  unflushed single READ would deadlock a deferring fabric.
+  :func:`~repro.primitives.clients.read_runs` (requests, flush, drain),
+  so the same backend works over Inline, Buffered *and* Impaired fabrics
+  -- an unflushed single READ would deadlock a deferring fabric.
 - **Bounded retry against request-leg loss.**  The impaired fabric drops
   request frames; the response leg is modelled lossless, so a missing
   payload means the request never executed and re-issuing is safe
-  (reads are idempotent).  :meth:`FanoutBackend.read_reliable` retries
-  only the missing addresses; a shard whose reads *never* complete
-  (a dead node drops every frame) raises :class:`ShardUnavailable`,
-  which the service surfaces as a partial-shard failure.
+  (reads are idempotent).  :meth:`FanoutBackend._read_shards` retries
+  only the missing addresses, every shard's together; a shard whose reads
+  *never* complete (a dead node drops every frame) is a
+  :class:`ShardUnavailable`, which the service surfaces as a
+  partial-shard failure while the other shards' rows stand.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -35,7 +38,7 @@ from repro.core.addressing import _ARRAY_MIN_LANES, DartAddressing
 from repro.core.config import DartConfig
 from repro.core.policies import ReturnPolicy, fold_matrix, fold_slots
 from repro.hashing.hash_family import Key, fold_key, fold_keys
-from repro.primitives.clients import OneSidedReader, read_ring_window
+from repro.primitives.clients import OneSidedReader, Run, read_ring_window, read_runs
 from repro.primitives.translator import ResponseDemux
 
 #: Requester QP of the query front end's keys-plane reader for role 0.
@@ -85,7 +88,7 @@ def key_text(key: Key) -> str:
 
 
 class FanoutBackend:
-    """Executes one shard's worth of reads for every query source.
+    """Executes a query's shard reads for every query source.
 
     Parameters
     ----------
@@ -186,63 +189,110 @@ class FanoutBackend:
         signature is *every* frame vanishing, and partial results would
         break the byte-identity contract with direct reads).
         """
-        payloads, answered = reader.read_run(addresses, length)
-        retries = READ_ATTEMPTS - 1
-        while np.count_nonzero(answered) < len(answered):
-            if not retries:
-                raise ShardUnavailable(shard.role, shard.node_id)
-            retries -= 1
-            lost = np.flatnonzero(~answered)
-            payloads[lost], answered[lost] = reader.read_run(
-                [addresses[index] for index in lost.tolist()], length
-            )
+        payloads, answered, failed = self._read_shards([(reader, addresses)], length)
+        if failed:
+            raise ShardUnavailable(shard.role, shard.node_id)
         return payloads, answered
 
+    def _read_shards(
+        self, runs: Sequence[Run], length: int
+    ) -> Tuple[np.ndarray, np.ndarray, List[int]]:
+        """:func:`read_runs` of one run per shard, then rounds re-reading every
+        shard's unanswered rows together.  Each run has its own
+        :data:`READ_ATTEMPTS`; the indexes of runs still unanswered after them
+        come back as ``failed``, and every other run's rows are complete."""
+        payloads, answered = read_runs(runs, length)
+        failed: List[int] = []
+        bounds = None
+        while np.count_nonzero(answered) < len(answered):
+            if bounds is None:  # the first retry round
+                bounds = list(accumulate((len(addresses) for _r, addresses in runs), initial=0))
+                attempts = [1] * len(runs)
+            retry = []
+            for index, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+                lost = np.flatnonzero(~answered[start:stop])
+                if len(lost) and index not in failed:
+                    if attempts[index] == READ_ATTEMPTS:
+                        failed.append(index)
+                    else:
+                        attempts[index] += 1
+                        retry.append((index, lost))
+            if not retry:
+                break
+            rows = np.concatenate([bounds[index] + lost for index, lost in retry])
+            payloads[rows], answered[rows] = read_runs([
+                (runs[index][0], np.asarray(runs[index][1], dtype=np.uint64)[lost].tolist())
+                for index, lost in retry
+            ], length)
+        return payloads, answered, failed
+
     # ------------------------------------------------------------------
-    # Source row readers (one shard each)
+    # Source row readers
     # ------------------------------------------------------------------
 
     def keys_rows(
         self,
-        shard: ShardAssignment,
+        shards: Sequence[ShardAssignment],
         keys: Sequence[Key],
         policy: ReturnPolicy,
-        resolved: ShardLanes,
-    ) -> List[Dict[str, object]]:
-        """Key-query rows for one shard: DART slot reads + return policy.
+        resolved: Sequence[ShardLanes],
+    ) -> List[Union[List[Dict[str, object]], ShardUnavailable]]:
+        """Key-query rows for every shard of a plan, read in one pass.
 
-        ``resolved`` is the keys' slice of :meth:`shards_for`'s pass.
-        Value-identical to :class:`~repro.core.client.DartQueryClient`: the
-        N slots per key come back as one matrix, folded as arrays
-        (``fold_matrix``) for runs of ``_ARRAY_MIN_LANES`` keys or more and
-        key by key (``fold_slots``, the reference) below that.
+        ``keys`` are the shards' keys one shard after another, ``resolved[i]``
+        shard ``i``'s slice of :meth:`shards_for`'s pass.  Every shard's N
+        slots per key leave as one request matrix (:meth:`_read_shards`) and
+        come back as one payload matrix, folded at once: as arrays
+        (``fold_matrix``) from ``_ARRAY_MIN_LANES`` keys on, key by key
+        (``fold_slots``, the reference) below.  Value-identical to
+        :class:`~repro.core.client.DartQueryClient`.  Returns each shard's
+        rows, or the :class:`ShardUnavailable` of one that never answered.
         """
-        if not keys:
-            return []
+        if not keys:  # every key pruned: no shard to read
+            return [[] for _shard in shards]
         codec, redundancy, slot_bytes = self._codec, self.config.redundancy, self.config.slot_bytes
-        short = len(keys) < _ARRAY_MIN_LANES  # ``resolved`` holds lists
-        slots = (  # key-major, copy-minor
-            [slot for copies in zip(*resolved.slot_indexes) for slot in copies]
-            if short else resolved.slot_indexes.T.ravel().tolist()
-        )
-        addresses = [shard.base_address + slot * slot_bytes for slot in slots]
-        payloads, _answered = self.read_reliable(
-            self._keys_reader(shard), addresses, slot_bytes, shard
-        )
-        if short:  # one bytes object sliced per slot, no per-row array
-            raw = payloads.tobytes()
-            rows = [raw[at : at + slot_bytes] for at in range(0, len(raw), slot_bytes)]
-            results = (
-                fold_slots(codec, rows[at : at + redundancy], checksum, policy)
-                for at, checksum in zip(range(0, len(rows), redundancy), resolved.checksums)
+        readers = list(map(self._keys_reader, shards))
+        sizes = [len(lanes.checksums) for lanes in resolved]
+        bounds = list(accumulate(sizes, initial=0))
+        if len(keys) < _ARRAY_MIN_LANES:  # lists all through, key-major, copy-minor
+            runs = [(reader, [
+                shard.base_address + slot * slot_bytes
+                for copies in zip(*lanes.slot_indexes) for slot in copies
+            ]) for reader, shard, lanes in zip(readers, shards, resolved)]
+            payloads, _answered, failed = self._read_shards(runs, slot_bytes)
+            raw = payloads.tobytes()  # one bytes object sliced per slot
+            copies = [raw[at : at + slot_bytes] for at in range(0, len(raw), slot_bytes)]
+            checksums = [checksum for lanes in resolved for checksum in lanes.checksums]
+            folded = (
+                fold_slots(codec, copies[at : at + redundancy], checksum, policy)
+                for at, checksum in zip(range(0, len(copies), redundancy), checksums)
             )
-            folded = ((result.value, result.answered) for result in results)
-        else:
+            folded = ((result.value, result.answered) for result in folded)
+        else:  # every shard's addresses in one pass, each run a slice of them
+            slots = np.concatenate(
+                [np.asarray(lanes.slot_indexes, np.uint64) for lanes in resolved], axis=1
+            )
+            bases = np.repeat(np.array([shard.base_address for shard in shards], np.uint64), sizes)
+            addresses = (slots * np.uint64(slot_bytes) + bases).T.ravel()
+            payloads, _answered, failed = self._read_shards([
+                (reader, addresses[redundancy * start : redundancy * stop])
+                for reader, start, stop in zip(readers, bounds, bounds[1:])
+            ], slot_bytes)
+            checksums = np.concatenate(
+                [np.asarray(lanes.checksums, np.uint64) for lanes in resolved]
+            )
             copies = payloads.reshape(len(keys), redundancy, slot_bytes)
-            folded = zip(*fold_matrix(codec, copies, resolved.checksums, policy))
-        return [
+            folded = zip(*fold_matrix(codec, copies, checksums, policy))
+        rows = [
             {"key": key_text(key), "value": value, "answered": ok}
             for key, (value, ok) in zip(keys, folded)
+        ]
+        if len(shards) == 1 and not failed:  # a point lookup's one shard
+            return [rows]
+        return [
+            ShardUnavailable(shard.role, shard.node_id) if index in failed
+            else rows[start:stop]
+            for index, (shard, start, stop) in enumerate(zip(shards, bounds, bounds[1:]))
         ]
 
     def _estimate_rows(
@@ -303,12 +353,9 @@ class FanoutBackend:
         source: str,
         shard: ShardAssignment,
         keys: Sequence[Key],
-        policy: ReturnPolicy,
         resolved: Optional[ShardLanes],
     ) -> List[Dict[str, object]]:
-        """Dispatch one shard read by source name (the planner's seam)."""
-        if source == "keys":
-            return self.keys_rows(shard, keys, policy, resolved)
+        """Dispatch one shard read by source name (keys: :meth:`keys_rows`)."""
         if source in ("counters", "sketch"):
             return self._estimate_rows(source, shard, keys, resolved.lanes)
         if source == "ring":
@@ -361,12 +408,17 @@ class FanoutBackend:
             return grouped
         lanes = fold_keys(keys)
         collectors, checksums, slots = self.addressing.resolve_folded(lanes)
-        for role, where in _by_role(collectors.tolist()).items():
-            index = np.array(where) if len(where) < len(keys) else slice(None)
-            shard = ShardLanes(lanes[index], checksums[index], slots[:, index])
-            if len(where) < _ARRAY_MIN_LANES:
+        # One stable sort groups the keys by role, each role a run of it.
+        order = np.argsort(collectors, kind="stable")
+        roles, starts = np.unique(collectors[order], return_index=True)
+        lanes, checksums, slots = lanes[order], checksums[order], slots[:, order]
+        ordered = [keys[position] for position in order.tolist()]
+        bounds = [*starts.tolist(), len(keys)]
+        for role, start, stop in zip(roles.tolist(), bounds, bounds[1:]):
+            shard = ShardLanes(lanes[start:stop], checksums[start:stop], slots[:, start:stop])
+            if stop - start < _ARRAY_MIN_LANES:
                 shard = ShardLanes._make(part.tolist() for part in shard)
-            grouped[role] = ([keys[position] for position in where], shard)
+            grouped[role] = (ordered[start:stop], shard)
         return grouped
 
 

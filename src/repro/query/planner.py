@@ -9,7 +9,7 @@ partials, not raw rows.  This planner applies it at two levels:
    *before* any shard is contacted -- a fully pruned shard is not read
    at all.
 2. **Shard push-down.**  Row predicates and partial aggregation run
-   per shard inside :meth:`QueryPlan.execute_shard`; the merge combines
+   per shard inside :meth:`QueryPlan.execute`; the merge combines
    :class:`PartialAggregate` records (sum/count/min/max commute across
    shards) or pre-filtered rows, never unfiltered data.
 
@@ -188,21 +188,44 @@ class QueryPlan:
     # Execution
     # ------------------------------------------------------------------
 
-    def execute_shard(
-        self, backend: FanoutBackend, shard: ShardPlan
-    ) -> ShardOutcome:
-        """Run one shard's slice: read, filter, partially aggregate."""
+    def execute(
+        self, backend: FanoutBackend, shards: Optional[List[ShardPlan]] = None
+    ) -> List[ShardOutcome]:
+        """Run every shard's slice (or just ``shards``'): read, filter,
+        partially aggregate.  A keys query reads all its shards in one pass
+        (:meth:`FanoutBackend.keys_rows`); any other source shard by shard.
+        An unreachable shard is a failed outcome, and the others stand."""
+        query = self.query
+        shards = self.shards if shards is None else shards
+        assignments, keys, resolved = [], [], []
+        for shard in shards:
+            assignments.append(self.shard_map.assignment(shard.role))
+            keys.extend(shard.keys)
+            resolved.append(shard.resolved)
+        if query.source is Source.KEYS:
+            results = backend.keys_rows(assignments, keys, self.policy, resolved)
+        else:
+            results = []
+            for shard, assignment in zip(shards, assignments):
+                try:
+                    results.append(backend.rows_for(
+                        query.source.value, assignment, shard.keys, shard.resolved
+                    ))
+                except ShardUnavailable as unavailable:
+                    results.append(unavailable)
+        return list(map(self._outcome, shards, results))
+
+    def execute_shard(self, backend: FanoutBackend, shard: ShardPlan) -> ShardOutcome:
+        """Run one shard's slice: :meth:`execute`'s one-shard case."""
+        (outcome,) = self.execute(backend, [shard])
+        return outcome
+
+    def _outcome(self, shard: ShardPlan, rows) -> ShardOutcome:
+        """One shard's read ``rows`` (or its :class:`ShardUnavailable`),
+        filtered and partially aggregated."""
         query = self.query
         outcome = ShardOutcome(plan=shard)
-        try:
-            rows = backend.rows_for(
-                query.source.value,
-                self.shard_map.assignment(shard.role),
-                shard.keys,
-                self.policy,
-                shard.resolved,
-            )
-        except ShardUnavailable:
+        if isinstance(rows, ShardUnavailable):
             outcome.failed = True
             return outcome
         # Shard-level push-down: row predicates filter here, not centrally.

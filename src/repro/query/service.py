@@ -448,9 +448,7 @@ class QueryService:
     ) -> QueryAnswer:
         """Plan against the shard map :meth:`serve` resolved and fan out."""
         plan = self._plan(query, keys, shard_map)
-        outcomes = [
-            plan.execute_shard(self.backend, shard) for shard in plan.shards
-        ]
+        outcomes = plan.execute(self.backend)
         self.c_fanout_shards.inc(len(outcomes))
         failures = sum(1 for outcome in outcomes if outcome.failed)
         if failures:
@@ -459,17 +457,15 @@ class QueryService:
         if query.source is Source.KEYS:
             # Thread per-policy success into the same families
             # PipelineHealth reconciles -- the fan-out path is a query
-            # plane like any other, and partial answers must be visible.
-            total, answered = self._policy_pair(plan.policy)
+            # plane like any other, and partial answers must be visible.  An
+            # aggregate folds its rows first, so it counts its reads instead.
+            reads = answers = 0
             for outcome in outcomes:
-                for row in outcome.rows:
-                    total.inc()
-                    if row.get("answered"):
-                        answered.inc()
-                if outcome.partial is not None:
-                    # Aggregate queries fold rows before they reach the
-                    # merge; count the reads themselves.
-                    total.inc(len(outcome.plan.keys))
+                reads += len(outcome.rows if outcome.partial is None else outcome.plan.keys)
+                answers += sum(1 for row in outcome.rows if row.get("answered"))
+            total, answered = self._policy_pair(plan.policy)
+            total.inc(reads)
+            answered.inc(answers)
         return answer
 
     def _plan(self, query: Query, keys: Optional[List[Key]], shard_map):

@@ -167,13 +167,17 @@ def read_field(frames: np.ndarray, name: str) -> np.ndarray:
 
 def _write_column(frames: np.ndarray, column: tuple, values: np.ndarray) -> None:
     start, stop, pad, big_endian, _native = column
+    if values.ndim == 2:  # the field's big-endian bytes already
+        frames[:, start:stop] = values
+        return
     frames[:, start:stop] = (
         values.astype(big_endian).view(np.uint8).reshape(len(values), -1)[:, pad:]
     )
 
 
 def write_field(frames: np.ndarray, name: str, values: np.ndarray) -> None:
-    """Store ``values`` as the big-endian ``"header.field"`` column."""
+    """Store ``values`` (integers, or their ``uint8[rows, width]`` bytes) as
+    the big-endian ``"header.field"`` column."""
     _write_column(frames, _COLUMNS[name], values)
 
 
@@ -386,6 +390,12 @@ class FrameBatch:
         """
         ids = self.endpoint_ids
         if len(ids) == 0:
+            return
+        # A batch already one run per endpoint (a READ pass's) is cut, not sorted.
+        bounds = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), len(ids)]
+        heads = ids[bounds[:-1]].tolist()
+        if len(set(heads)) == len(heads):
+            yield from zip(heads, map(np.arange, bounds, bounds[1:]))
             return
         unique, first_seen = np.unique(ids, return_index=True)
         for position in np.argsort(first_seen):

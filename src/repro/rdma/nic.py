@@ -37,7 +37,7 @@ from repro.rdma.frames import (
     icrc_ok,
     read_field,
 )
-from repro.rdma.layout import columns, picker
+from repro.rdma.layout import columns, picker, span
 from repro.rdma.packets import (
     PLAN_FIELDS,
     Aeth,
@@ -74,6 +74,8 @@ _UNIFORM_COLUMNS = {
 #: The most bytes one READ RESPONSE ONLY carries (its IPv4 total length is
 #: 16 bits); a longer READ needs a multi-packet response, not implemented.
 _MAX_READ_BYTES = 0xFFFF + IP_OFF - RESPONSE_PAYLOAD_OFF - ICRC_BYTES
+#: The request's PSN bytes, which its response carries at the same columns.
+_PSN = slice(*span("bth.psn"))
 _WRITE_OPCODES = frozenset({Opcode.RC_RDMA_WRITE_ONLY, Opcode.UC_RDMA_WRITE_ONLY})
 
 
@@ -165,6 +167,9 @@ class RdmaNic:
         #: a response's shape depends on its request, so it is planned on
         #: first sight; a full memo is cleared.
         self._response_plans: Dict[tuple, FramePlan] = {}
+        #: Vector branch shapes by (width, row 0's uniform bytes), bounded
+        #: like the response plans.
+        self._shapes: Dict[tuple, object] = {}
 
     def __repr__(self) -> str:
         return f"RdmaNic(ip={self.ip!r}, region={self.region!r})"
@@ -273,23 +278,37 @@ class RdmaNic:
         translators (unless the QP wants per-atomic ACKs), or the READ
         requests of one requester.  Anything else -- truncated frames, mixed
         opcodes or QPs, foreign traffic -- is for the scalar reference path
-        and its full per-frame drop taxonomy.
+        and its full per-frame drop taxonomy.  What row 0's uniform bytes
+        fix is derived on their first batch and memoised.
         """
         width = frames.shape[1]
         if width < OVERHEAD_BYTES:
             return None
         opcode = int(frames[0, OPCODE_OFF])
         uniform = _UNIFORM_COLUMNS.get(opcode)
-        if uniform is None or not (frames[:, uniform] == frames[0, uniform]).all():
+        if uniform is None:
             return None
-        first = frames[0].tobytes()
-        try:
-            _opcode, qp_number, end = header_plan(first)
-        except PacketDecodeError:
+        head = frames[0, uniform]
+        if not (frames[:, uniform] == head).all():
             return None
-        if end != width:
-            return None  # trailing bytes: the scalar path says what they mean
-        _psn, _address, rkey, operand, *_rest = frame_fields(first, opcode, end)
+        key = (width, head.tobytes())
+        shape = self._shapes.get(key)
+        if shape is None:  # first sight of these uniform bytes, which fix it all
+            first = frames[0].tobytes()
+            try:
+                opcode, qp_number, end = header_plan(first)
+            except PacketDecodeError:  # not memoised, as header_plan does not
+                return None
+            if len(self._shapes) >= TEMPLATE_MEMO_SIZE:
+                self._shapes.clear()
+            # (QP, rkey, RETH length or an addend no branch reads, reflected
+            # fields), or () when trailing bytes are the scalar path's to judge.
+            shape = self._shapes[key] = end == width and (
+                qp_number, *frame_fields(first, opcode, end)[2:4], _REFLECTED.unpack_from(first)
+            ) or ()
+        if not shape:
+            return None
+        qp_number, rkey, operand, reflected = shape
         if opcode == Opcode.RC_RDMA_WRITE_ONLY:
             if operand == width - OVERHEAD_BYTES:
                 return lambda batch: self._ingest_write_batch(batch, qp_number, rkey)
@@ -299,7 +318,9 @@ class RdmaNic:
             if width == ATOMIC_FRAME_BYTES and not (qp is not None and qp.respond_atomics):
                 return lambda batch: self._ingest_fetch_add_batch(batch, qp_number, rkey)
         elif width == READ_REQUEST_BYTES and operand <= _MAX_READ_BYTES:
-            return lambda batch: self._ingest_read_batch(batch, qp_number, rkey, operand)
+            return lambda batch: self._ingest_read_batch(
+                batch, qp_number, rkey, operand, reflected
+            )
         return None
 
     def ingest_batch(self, batch: FrameBatch) -> int:
@@ -372,7 +393,9 @@ class RdmaNic:
                 counters.c_dropped_psn.inc(len(candidates) - len(landed))
 
         region = self.region
-        addresses = read_field(frames, "reth.virtual_address")[landed]
+        addresses = read_field(frames, "reth.virtual_address")
+        if len(landed) < count:  # every row landed: no copy
+            addresses = addresses[landed]
         base = np.uint64(region.base_address)
         # Offsets wrap for VAs below the base; the first term rejects
         # those rows, and comparing offsets (not VA + span) keeps a VA
@@ -384,7 +407,7 @@ class RdmaNic:
             access_ok &= addresses % np.uint64(alignment) == 0
         if room < 0 or rkey != region.rkey:  # nothing fits, or nothing may
             access_ok[:] = False
-        denied = len(landed) - int(access_ok.sum())
+        denied = len(landed) - np.count_nonzero(access_ok)
         if denied:
             counters.c_dropped_access.inc(denied)
             landed = landed[access_ok]
@@ -397,8 +420,9 @@ class RdmaNic:
         payload_bytes = frames.shape[1] - OVERHEAD_BYTES
         landed, offsets, _psns, _qp = self._validate_batch(frames, qp_number, rkey, payload_bytes)
         if len(landed):
+            payloads = frames[:, PAYLOAD_OFF : PAYLOAD_OFF + payload_bytes]
             self.region.write_offset_columnar(
-                offsets, frames[landed, PAYLOAD_OFF : PAYLOAD_OFF + payload_bytes]
+                offsets, payloads if len(landed) == len(frames) else payloads[landed]
             )
             self.counters.c_writes.inc(len(landed))
         return len(landed)
@@ -421,33 +445,32 @@ class RdmaNic:
         return len(landed)
 
     def _ingest_read_batch(
-        self, batch: FrameBatch, qp_number: int, rkey: int, length: int
+        self, batch: FrameBatch, qp_number: int, rkey: int, length: int, reflected: tuple
     ) -> int:
         """The uniform-READ branch: one gather, one response matrix.
 
-        ``length`` is the batch's one ``reth.dma_length``, as
-        :meth:`_batch_branch` read it.  The survivors' bytes leave as one
-        unpooled :class:`~repro.rdma.frames.FrameBatch` on
-        :attr:`tx_queue`, stamped from :meth:`_response_plan`'s row (every
-        row reflects the same request fields) with PSN, MSN and payload
-        patched: row for row what :meth:`_enqueue_response` stamps.
+        ``length`` and ``reflected`` are the batch's one ``reth.dma_length``
+        and :data:`_REFLECTED` fields, as :meth:`_batch_branch` read them.
+        The survivors' bytes leave as one unpooled
+        :class:`~repro.rdma.frames.FrameBatch` on :attr:`tx_queue`, stamped
+        from :meth:`_response_plan`'s row with each request's PSN bytes
+        copied over, MSN and payload patched: row for row what
+        :meth:`_enqueue_response` stamps.
         """
         frames = batch.frames
-        landed, offsets, psns, qp = self._validate_batch(frames, qp_number, rkey, length)
+        landed, offsets, _psns, qp = self._validate_batch(frames, qp_number, rkey, length)
         count = len(landed)
         if count:
             plan = self._response_plan(
-                Opcode.RC_RDMA_READ_RESPONSE_ONLY,
-                _REFLECTED.unpack_from(frames[0]),
-                length,
-                qp.effective_peer_qp,
+                Opcode.RC_RDMA_READ_RESPONSE_ONLY, reflected, length, qp.effective_peer_qp
             )
+            everyone = count == len(frames)  # no row copies
             self.tx_queue.append(
                 TemplateEncoder(plan.row).stamp(
                     None,
-                    batch.endpoint_ids[landed],
+                    batch.endpoint_ids if everyone else batch.endpoint_ids[landed],
                     {
-                        "bth.psn": psns[landed],
+                        "bth.psn": frames[:, _PSN] if everyone else frames[landed, _PSN],
                         "aeth.msn": psn_run(qp.msn + 1, count),
                     },
                     payload=self.region.read_offset_columnar(offsets, length),

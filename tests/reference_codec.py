@@ -5,11 +5,12 @@ pack/unpack change (``0d21556``): ``repro/rdma/packets.py`` from its first
 constant to its last line, and the table-loop body of
 ``CrcAlgorithm.compute`` (as :func:`table_crc`, taking the algorithm as
 its first argument and looking its table up in a memo).  Nothing under
-``src/`` imports this; ``tests/test_codec_differential.py`` diffs the live
-codecs against it.  The one place the live decoder is *meant* to differ is
-spelled out there: this ``unpack`` checksums re-packed parsed headers, so
-it treats the BTH TVer nibble and the reserved bits beside AckReq as zero
-whatever arrived.
+``src/`` imports this; ``tests/test_rdma_packets.py`` diffs the live codecs
+against it, and ``tests/test_granularities.py`` every frame and batch body.
+The one place the live decoder is *meant* to differ is spelled out in the
+former: this ``unpack`` checksums re-packed parsed headers, so it treats
+the BTH TVer nibble and the reserved bits beside AckReq as zero whatever
+arrived.
 
 Do not tidy this file -- its value is that it does not change.
 """

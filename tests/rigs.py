@@ -305,6 +305,26 @@ def make_items(count, width=7):
     return items
 
 
+#: ``put_many`` batches: fresh keys, then repeated keys (last value must win)
+#: that, at 64 slots per collector, collide on slots within one batch.
+PUT_MANY_INPUTS = [
+    [(("flow", i), i.to_bytes(20, "big")) for i in range(60)],
+    [
+        (("flow", i % 45), (i * 7 % 251 + 1).to_bytes(20, "big"))
+        for i in range(150)
+    ],
+]
+
+
+def assert_same_store_state(store_a, store_b):
+    """Region bytes and write/overwrite counters match, per collector."""
+    for collector_a, collector_b in zip(store_a.cluster, store_b.cluster):
+        region_a, region_b = collector_a.region, collector_b.region
+        assert region_a.snapshot() == region_b.snapshot()
+        assert region_a.write_count == region_b.write_count
+        assert region_a.c_slot_overwrites.value == region_b.c_slot_overwrites.value
+
+
 def make_reader(qp, rkey):
     """A reader of QP ``qp`` on a NIC of its own, over a fabric that delivers nothing."""
     nic = RdmaNic(MemoryRegion(64))

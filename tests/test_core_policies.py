@@ -11,7 +11,6 @@ from repro.core.policies import (
     fold_matrix,
     fold_slots,
     resolve,
-    resolve_matrix,
 )
 from repro.mem.slots import SlotCodec, SlotLayout
 
@@ -131,34 +130,6 @@ class TestInvariants:
         plurality = resolve(matching, ReturnPolicy.PLURALITY, slots_read=8)
         if consensus.answered and plurality.answered:
             assert consensus.value == plurality.value
-
-
-class TestResolveMatrix:
-    @settings(max_examples=150, deadline=None)
-    @given(
-        policy=st.sampled_from(list(ReturnPolicy)),
-        rows=st.integers(1, 8).flatmap(
-            lambda copies: st.lists(
-                st.lists(
-                    st.tuples(st.booleans(), st.integers(0, 3)),
-                    min_size=copies, max_size=copies,
-                ),
-                min_size=1, max_size=32,
-            )
-        ),
-    )
-    def test_matrix_resolve_equals_resolve(self, policy, rows):
-        """Row by row, ``resolve_matrix`` is ``resolve`` over the matching
-        copies; four values over up to eight copies make ties common."""
-        valid = np.array([[matched for matched, _code in row] for row in rows])
-        codes = np.array([[code for _matched, code in row] for row in rows])
-        answered, pick = resolve_matrix(codes, valid, policy)
-        for row, ok, chosen in zip(rows, answered.tolist(), pick.tolist()):
-            matching = [bytes([code]) for matched, code in row if matched]
-            result = resolve(matching, policy, slots_read=len(row))
-            assert ok == result.answered
-            if ok:
-                assert row[chosen] == (True, result.value[0])
 
 
 class TestMatrixFold:

@@ -19,7 +19,6 @@ import re
 import numpy as np
 import pytest
 
-from repro.core.addressing import DartAddressing
 from repro.core.config import DartConfig
 from repro.collector.collector import CollectorCluster
 from repro.collector.counters import CounterStore
@@ -40,35 +39,13 @@ from repro.network.packet_sim import PacketLevelIntNetwork
 from repro.network.topology import FatTreeTopology
 from repro.switch.dart_switch import DartSwitch
 
-from .rigs import RecordingPort
+from .rigs import PUT_MANY_INPUTS, RecordingPort, assert_same_store_state
 
 
 def small_config(**overrides):
     defaults = dict(slots_per_collector=1 << 10, num_collectors=2, seed=3)
     defaults.update(overrides)
     return DartConfig(**defaults)
-
-
-PUT_MANY_INPUTS = [
-    [(("flow", i), i.to_bytes(20, "big")) for i in range(60)],
-    # Repeated keys (last value must win) and, at 64 slots per collector,
-    # plenty of different keys colliding on the same slot in one batch.
-    [
-        (("flow", i % 45), (i * 7 % 251 + 1).to_bytes(20, "big"))
-        for i in range(150)
-    ],
-]
-
-
-def assert_same_store_state(store_a, store_b):
-    """Region bytes and write/overwrite counters match, per collector."""
-    for collector_a, collector_b in zip(store_a.cluster, store_b.cluster):
-        region_a, region_b = collector_a.region, collector_b.region
-        assert region_a.snapshot() == region_b.snapshot()
-        assert region_a.write_count == region_b.write_count
-        assert (
-            region_a.c_slot_overwrites.value == region_b.c_slot_overwrites.value
-        )
 
 
 class TestEndpointRegistry:
@@ -210,35 +187,6 @@ class TestBatchedPrimitives:
                 assert family.hash_folded(folded, index) == family.hash_key(
                     key, index
                 )
-
-    def test_resolve_matches_scalar_addressing(self):
-        config = small_config(redundancy=3)
-        addressing = DartAddressing(config)
-        for i in range(50):
-            key = ("flow", i)
-            resolved = addressing.resolve(key)
-            assert resolved.collector_id == addressing.collector_of(key)
-            assert resolved.checksum == addressing.checksum_of(key)
-            assert resolved.slot_indexes == tuple(
-                addressing.slot_index(key, n)
-                for n in range(config.redundancy)
-            )
-
-    def test_put_many_equals_sequential_puts(self):
-        config = small_config(slots_per_collector=1 << 6)
-        for items in PUT_MANY_INPUTS:
-            store_a = DartStore(config)
-            store_b = DartStore(config)
-            written = store_a.put_many(items)
-            for key, value in items:
-                store_b.put(key, value)
-            assert written == len(items) * config.redundancy
-            assert_same_store_state(store_a, store_b)
-            assert store_a.puts == store_b.puts
-            assert (
-                store_a.reporter.writes_generated
-                == store_b.reporter.writes_generated
-            )
 
 
 def run_workload(store):

@@ -10,6 +10,7 @@ reordering frames out of their batch's lifetime.
 """
 
 import numpy as np
+import pytest
 
 from repro.core.config import DartConfig
 from repro.collector.store import DartStore
@@ -90,6 +91,17 @@ class TestFramePool:
         assert pool.in_flight == 1  # the retained handle still owns it
         handle.release()
         assert pool.in_flight == 0
+
+
+@pytest.mark.parametrize("ids, groups", [
+    ([5, 5, 2, 2, 2, 9], [(5, [0, 1]), (2, [2, 3, 4]), (9, [5])]),  # one run per endpoint
+    ([5, 2, 5, 9, 2, 5], [(5, [0, 2, 5]), (2, [1, 4]), (9, [3])]),  # interleaved
+    ([7], [(7, [0])]),
+    ([], []),
+])
+def test_groups_yield_each_endpoint_once_in_first_frame_order(ids, groups):
+    batch = FrameBatch(np.zeros((len(ids), 4), np.uint8), np.array(ids, dtype=np.int64))
+    assert [(endpoint, rows.tolist()) for endpoint, rows in batch.groups()] == groups
 
 
 class TestNoAliasingUnderBufferedFabric:

@@ -4,7 +4,7 @@ DART's zero-CPU claim rests on the NIC executing switch-crafted RoCEv2 frames
 byte for byte, so each layer's frame body and batch body must produce what the
 frozen ``tests/reference_codec.py`` packs from the same fields, and leave the
 same state behind.  Four tables, each run by a few properties: *encode*
-(``ENCODE_ROWS``, the eight ``FramePlan`` shapes, tied to
+(``ENCODE_ROWS``, the eight ``FramePlan`` shapes and the Key-Increment lowering, tied to
 ``rigs.TEMPLATE_SITES``), *ingest and demux* (``BRANCHES`` x ``FAULTS``,
 ``DEMUX_FAULTS``), the per-row *kernels* against their scalar twins, and *end
 to end* (``put`` / ``put_many``, short / batched ``read_run``) over
@@ -24,22 +24,28 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.primitives.clients as clients
-from repro.collector.collector import CollectorEndpoint
+import repro.query.backend as backend_module
+from repro.collector.collector import CollectorCluster, CollectorEndpoint
 from repro.collector.counters import CounterStore
 from repro.collector.store import DartStore
 from repro.core.addressing import COLLECTOR_FUNCTION_INDEX, DartAddressing
 from repro.core.batch import ReportBatch
 from repro.core.cas_store import CasDartStore
+from repro.control.shards import shard_map_of
 from repro.core.config import DartConfig
+from repro.core.policies import ReturnPolicy, resolve, resolve_matrix
+from repro.core.reporter import DartReporter
 from repro.fabric import BufferedFabric, ImpairedFabric, InlineFabric
 from repro.hashing import hash_family
 from repro.hashing.checksum import CHECKSUM_FUNCTION_INDEX
 from repro.hashing.hash_family import HashFamily, fold_key, fold_keys, splitmix64
 from repro.mem.region import MemoryRegion, RegionAccessError
-from repro.primitives.clients import COLUMNAR_MIN_READS
+from repro.primitives.clients import COLUMNAR_MIN_READS, read_runs
 from repro.primitives.translator import (
-    AppendTranslator, PrimitiveTranslator, ReadResponseRows, ResponseDemux,
+    AppendTranslator, KeyIncrementTranslator, PrimitiveTranslator, ReadResponseRows,
+    ResponseDemux,
 )
+from repro.query.backend import FanoutBackend, ShardUnavailable
 from repro.query.fleet import QueryFleet
 from repro.rdma import layout
 from repro.rdma.frames import (
@@ -54,10 +60,10 @@ from repro.switch.dart_switch import DartSwitch
 
 from . import reference_codec as reference
 from .rigs import (
-    FABRICS, RESERVED7_BYTE, SLOTS, SRC, TEMPLATE_SITES, TVER_BYTE, U32, U64, ReadRig,
-    RecordingFabric, ascii_text, frame_accounting, high_base, impairment_state, ips, macs,
-    make_items, make_reader, mixed_keys, near_top, near_wrap, nic_state, restamp_icrc, rkeys,
-    tuple_keys, u24, u64, u64_edges, widths, wire_frames,
+    FABRICS, PUT_MANY_INPUTS, RESERVED7_BYTE, SLOTS, SRC, TEMPLATE_SITES, TVER_BYTE, U32, U64,
+    ReadRig, RecordingFabric, ascii_text, assert_same_store_state, frame_accounting, high_base,
+    impairment_state, ips, macs, make_items, make_reader, mixed_keys, near_top, near_wrap,
+    nic_state, restamp_icrc, rkeys, tuple_keys, u24, u64, u64_edges, widths, wire_frames,
 )
 
 Opcode = reference.Opcode
@@ -193,6 +199,62 @@ def encode_fetch_add(draw):
     ], [framer.psn, batcher.psn]
 
 
+class CaptureFabric:
+    """Records every offered frame's bytes, frame or batch row; delivers nothing."""
+
+    def __init__(self):
+        self.frames = []
+
+    def send(self, endpoint_id, frame):
+        self.frames.append(bytes(frame))
+        return True
+
+    def send_batch(self, batch):
+        self.frames.extend(row.tobytes() for row in batch.frames)
+        batch.release()
+        return len(self.frames)
+
+    def flush(self):
+        return 0
+
+
+#: Twenty increments of five keys, amounts 1-3: the parity case this row grew from.
+REPEATED_INCREMENTS = [(("flow", i % 5), 1 + i % 3) for i in range(20)]
+
+
+def encode_key_increment(draw):
+    """``KeyIncrementTranslator``: ``increment`` per item (a ``craft_fetch_add``
+    per count-min row) and ``increment_many`` of the run (its FETCH_ADD batch)."""
+    qp, rkey, psn = draw(u24), draw(rkeys), draw(near_wrap)
+    rows, cells = draw(st.integers(1, 4)), draw(st.sampled_from([16, 256]))
+    items = draw(st.one_of(st.just(REPEATED_INCREMENTS), st.lists(
+        st.tuples(st.tuples(st.just("flow"), st.integers(0, 9)), st.integers(1, U32)),
+        min_size=1, max_size=24,
+    )))
+    framer, batcher = (
+        KeyIncrementTranslator(
+            CaptureFabric(), 0, qp, base_address=0x200000, rkey=rkey,
+            cells_per_row=cells, rows=rows, family=HashFamily(seed=0),
+        )
+        for _ in "fb"
+    )
+    framer._psn = batcher._psn = psn
+    for key, amount in items:
+        framer.increment(key, amount)
+    batcher.increment_many(items)
+    operands = [
+        (0x200000 + 8 * cell, amount)
+        for key, amount in items for cell in framer.addressing.key_cells(key)
+    ]
+    return framer.fabric.frames, np.stack([
+        np.frombuffer(row, dtype=np.uint8) for row in batcher.fabric.frames
+    ]), [
+        oracle(Opcode.RC_FETCH_ADD, qp, psn + row,
+               atomic_eth=reference.AtomicEth(address, rkey, amount))
+        for row, (address, amount) in enumerate(operands)
+    ], [framer.psn, batcher.psn]
+
+
 def encode_record_write(draw):
     """``AppendTranslator``: ``craft_record_write`` per record and
     ``append_many`` of the run (its tail reservation stubbed out)."""
@@ -229,7 +291,7 @@ def encode_read(draw):
     framer._psn = batcher._psn = psn
     addresses = [near_top(va) for (va,) in run_columns(draw, count, U64)]
     frames = [framer._craft_read(address, length, framer._next_psn()) for address in addresses]
-    rows = taken(batcher._read_run_batch(addresses, length))
+    rows = taken(batcher._read_run_batch([(batcher, addresses)], length))
     return frames, rows, [
         oracle(Opcode.RC_RDMA_READ_REQUEST, qp, psn + row,
                reth=reference.Reth(address, rkey, length))
@@ -369,6 +431,7 @@ def encode_cmp_swap(draw):
 ENCODE_ROWS = {
     "report": (encode_report, "DartSwitch.install_collector", True),
     "fetch_add": (encode_fetch_add, "PrimitiveTranslator.__init__", True),
+    "key_increment": (encode_key_increment, "PrimitiveTranslator.__init__", True),
     "record_write": (encode_record_write, "AppendTranslator.__init__", True),
     "read": (encode_read, "OneSidedReader.__init__", True),
     "read_response": (encode_read_response, "RdmaNic._response_plan", True),
@@ -428,7 +491,7 @@ def test_both_granularities_stamp_one_plan():
     addresses = [0x40, 0x48, 0x50, 0x58]
     single = [reader._craft_read(address, 8, psn) for psn, address in enumerate(addresses)]
     reader._psn = 0
-    batch = reader._read_run_batch(addresses, 8)
+    batch = reader._read_run_batch([(reader, addresses)], 8)
     assert [name for name, *_ in plan.method_calls] == ["stamp"] * len(addresses) + ["fix"]
     assert [matrix.tobytes() for matrix in batch.frames] == single
 
@@ -541,7 +604,7 @@ def read_rows():
     """One requester's READs, some addresses repeated."""
     reader = make_reader(ENDPOINT.qp_number, ENDPOINT.rkey)
     addresses = ENDPOINT.base_address + 8 * (np.arange(ROWS) * 7 % 190)
-    return taken(reader._read_run_batch(addresses.tolist(), READ_BYTES))
+    return taken(reader._read_run_batch([(reader, addresses.tolist())], READ_BYTES))
 
 
 #: branch -> (matrix builder, its vector body, its executed counter, bytes a row touches).
@@ -1176,6 +1239,48 @@ def test_resolve_folded_is_looped_resolve(keys, redundancy, collectors):
     ] == [tuple(addressing.resolve(key)) for key in keys]
 
 
+def test_resolve_is_its_one_field_readers():
+    """``resolve`` is ``collector_of``, ``checksum_of`` and ``slot_index`` of
+    every copy, key by key."""
+    config = DartConfig(slots_per_collector=1 << 10, num_collectors=2, seed=3, redundancy=3)
+    addressing = DartAddressing(config)
+    for i in range(50):
+        key = ("flow", i)
+        resolved = addressing.resolve(key)
+        assert resolved.collector_id == addressing.collector_of(key)
+        assert resolved.checksum == addressing.checksum_of(key)
+        assert resolved.slot_indexes == tuple(
+            addressing.slot_index(key, n) for n in range(config.redundancy)
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    policy=st.sampled_from(list(ReturnPolicy)),
+    rows=st.integers(1, 8).flatmap(
+        lambda copies: st.lists(
+            st.lists(
+                st.tuples(st.booleans(), st.integers(0, 3)),
+                min_size=copies, max_size=copies,
+            ),
+            min_size=1, max_size=32,
+        )
+    ),
+)
+def test_resolve_matrix_is_looped_resolve(policy, rows):
+    """Row by row, ``resolve_matrix`` is ``resolve`` over the matching
+    copies; four values over up to eight copies make ties common."""
+    valid = np.array([[matched for matched, _code in row] for row in rows])
+    codes = np.array([[code for _matched, code in row] for row in rows])
+    answered, pick = resolve_matrix(codes, valid, policy)
+    for row, ok, chosen in zip(rows, answered.tolist(), pick.tolist()):
+        matching = [bytes([code]) for matched, code in row if matched]
+        result = resolve(matching, policy, slots_read=len(row))
+        assert ok == result.answered
+        if ok:
+            assert row[chosen] == (True, result.value[0])
+
+
 # ===========================================================================
 # End to end: looped put vs put_many, short vs batched read_run
 # ===========================================================================
@@ -1207,6 +1312,22 @@ def test_put_many_is_looped_put(name):
     assert batched.fabric.counters.frames_offered == len(items) * config.redundancy
     assert batched.put_many([]) == 0
     assert store_state(batched) == store_state(looped)
+
+
+def test_in_process_put_many_is_looped_put():
+    """Without a fabric too: region bytes, write and overwrite counts, puts
+    and writes generated agree, over fresh and colliding, repeated keys."""
+    config = DartConfig(slots_per_collector=1 << 6, num_collectors=2, seed=3)
+    for items in PUT_MANY_INPUTS:
+        store_a = DartStore(config)
+        store_b = DartStore(config)
+        written = store_a.put_many(items)
+        for key, value in items:
+            store_b.put(key, value)
+        assert written == len(items) * config.redundancy
+        assert_same_store_state(store_a, store_b)
+        assert store_a.puts == store_b.puts
+        assert store_a.reporter.writes_generated == store_b.reporter.writes_generated
 
 
 @pytest.mark.parametrize("name", HOLDING)
@@ -1369,9 +1490,8 @@ def test_read_run_overtakes_a_frame_held_by_an_earlier_send(monkeypatch, name):
     for cut in (1 << 30, 1):
         monkeypatch.setattr(clients, "COLUMNAR_MIN_READS", cut)
         rig = ReadRig(FABRICS[name]())
-        strays = taken(make_reader(0x123456, rig.node.region.rkey)._read_run_batch(
-            [rig.address(slot) for slot in range(40)], 24
-        ))
+        stray = make_reader(0x123456, rig.node.region.rkey)
+        strays = taken(stray._read_run_batch([(stray, list(map(rig.address, range(40))))], 24))
         sent = 0
         while not rig.fabric._held:
             rig.fabric.send(0, strays[sent].tobytes())
@@ -1425,3 +1545,85 @@ def test_a_dead_collector_answers_nothing_on_either_path(monkeypatch):
         assert rig.node.nic.counters.frames_received == 0
         assert rig.fabric.counters.frames_rejected == 5
         assert rig.reader._pool.in_flight == 0
+
+
+#: A sweep's keys: present, overwritten (128 slots for 120 keys at N=2) and absent.
+SWEEP_KEYS = [("flow", i) for i in range(120)] + [("absent", i) for i in range(20)]
+
+
+def keys_rig(name, collectors, dead):
+    """A written keys plane on a fresh ``FABRICS[name]``, node ``dead`` failed."""
+    config = DartConfig(slots_per_collector=128, num_collectors=collectors, value_bytes=8, seed=13)
+    cluster = CollectorCluster(config)
+    reporter = DartReporter(config)
+    for i in range(120):
+        for write in reporter.writes_for(("flow", i), i.to_bytes(8, "big")):
+            cluster[write.collector_id].write_slot(write.slot_index, write.payload)
+    backend = FanoutBackend(config, cluster, cluster.attach_to(FABRICS[name]()))
+    if dead is not None:
+        cluster.node(dead).fail()
+    shard_map = shard_map_of(cluster)
+    return cluster, backend, shard_map, backend.shards_for(shard_map, SWEEP_KEYS)
+
+
+def shard_answers(answers):
+    """Rows as ``(key, value, answered)``, a failed shard as its role."""
+    return [
+        answer.role if isinstance(answer, ShardUnavailable)
+        else [(row["key"], row["value"], row["answered"]) for row in answer]
+        for answer in answers
+    ]
+
+
+@pytest.mark.parametrize("dead", [None, 0])
+@pytest.mark.parametrize("collectors", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", FABRICS)
+def test_one_pass_keys_rows_is_per_shard_reads(monkeypatch, name, collectors, dead):
+    """``keys_rows`` over every shard at once answers as it does shard by
+    shard: the same rows, the same failed shard beside the same surviving
+    rows, and, where the fabric draws no impairment (so both passes meet the
+    same losses), the same NIC and demux counters.  Every retry round
+    re-reads exactly the rows the round before left unanswered."""
+    rounds = []
+
+    def recorded(runs, length):
+        payloads, answered = read_runs(runs, length)
+        rounds.append((
+            {reader: [int(address) for address in addresses] for reader, addresses in runs},
+            answered.tolist(),
+        ))
+        return payloads, answered
+
+    (one, one_backend, one_map, one_plan), (per, per_backend, per_map, per_plan) = (
+        keys_rig(name, collectors, dead) for _ in "op"
+    )
+    monkeypatch.setattr(backend_module, "read_runs", recorded)
+    one_pass = one_backend.keys_rows(
+        [one_map.assignment(role) for role in one_plan],
+        [key for keys, _resolved in one_plan.values() for key in keys],
+        ReturnPolicy.PLURALITY,
+        [resolved for _keys, resolved in one_plan.values()],
+    )
+    for (asked, answered), (retried, _next) in zip(rounds, rounds[1:]):
+        offset, unanswered = 0, {}
+        for reader, addresses in asked.items():
+            lost = [a for a, ok in zip(addresses, answered[offset:]) if not ok]
+            offset += len(addresses)
+            if lost:
+                unanswered[reader] = lost
+        assert retried and all(unanswered[reader] == retried[reader] for reader in retried)
+    monkeypatch.undo()
+    shard_by_shard = [
+        per_backend.keys_rows(
+            [per_map.assignment(role)], keys, ReturnPolicy.PLURALITY, [resolved]
+        )[0]
+        for role, (keys, resolved) in per_plan.items()
+    ]
+    assert shard_answers(one_pass) == shard_answers(shard_by_shard)
+    assert (dead in shard_answers(one_pass)) == (dead is not None)
+    if not name.startswith("impaired"):
+        assert [nic_state(node.nic) for node in one] == [nic_state(node.nic) for node in per]
+        assert [
+            reader.demux.c_dropped_decode.value
+            for backend in (one_backend, per_backend) for reader in backend._keys_readers.values()
+        ] == [0] * 2 * len(one_plan)

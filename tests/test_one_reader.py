@@ -24,6 +24,18 @@ from repro.query.backend import FanoutBackend
 
 from . import rigs
 
+def read_keys(backend, shard_map, keys):
+    """Every shard's keys read in one ``keys_rows`` pass: the keys in the
+    order read, and their rows."""
+    grouped = backend.shards_for(shard_map, keys)
+    mine = [key for shard_keys, _resolved in grouped.values() for key in shard_keys]
+    shards = backend.keys_rows(
+        [shard_map.assignment(role) for role in grouped], mine, ReturnPolicy.PLURALITY,
+        [resolved for _keys, resolved in grouped.values()],
+    )
+    return mine, [row for rows in shards for row in rows]
+
+
 def populated_cluster():
     """A small fleet written locally: 160 keys into 2 x 128 slots at N=2,
     so some keys lose every copy to a later writer (overwritten)."""
@@ -59,14 +71,10 @@ class TestThreeClientsOneAnswer:
 
         assert answers(remote) == expected
 
-        shard_map = shard_map_of(cluster)
-        for role, (mine, resolved) in backend.shards_for(shard_map, keys).items():
-            rows = backend.keys_rows(
-                shard_map.assignment(role), mine, ReturnPolicy.PLURALITY, resolved
-            )
-            assert [(row["value"], row["answered"]) for row in rows] == [
-                expected[key] for key in mine
-            ]
+        mine, rows = read_keys(backend, shard_map_of(cluster), keys)
+        assert [(row["value"], row["answered"]) for row in rows] == [
+            expected[key] for key in mine
+        ]
 
         readers = [*remote._readers.values(), *backend._keys_readers.values()]
         assert [reader._pool.in_flight for reader in readers] == [0] * 4
@@ -213,14 +221,10 @@ class TestFanoutBackend:
         def check():
             shard_map = shard_map_of(cluster)
             for subset in (keys, keys[:3]):
-                for role, (mine, resolved) in backend.shards_for(shard_map, subset).items():
-                    rows = backend.keys_rows(
-                        shard_map.assignment(role), mine, ReturnPolicy.PLURALITY, resolved
-                    )
-                    assert [row["value"] for row in rows] == [
-                        direct.query(key, policy=ReturnPolicy.PLURALITY).value
-                        for key in mine
-                    ]
+                mine, rows = read_keys(backend, shard_map, subset)
+                assert [row["value"] for row in rows] == [
+                    direct.query(key, policy=ReturnPolicy.PLURALITY).value for key in mine
+                ]
 
         check()
         before = backend._keys_reader(shard_map_of(cluster).assignment(0))

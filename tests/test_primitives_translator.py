@@ -47,18 +47,6 @@ def _translator(fabric, psn=0, rows=2, cells=256):
 
 
 class TestScalarColumnarParity:
-    def test_increment_many_frames_byte_identical_to_scalar(self):
-        """The columnar encode is indistinguishable on the wire."""
-        items = [(("flow", i % 5), 1 + i % 3) for i in range(20)]
-        scalar_fabric, batch_fabric = _CaptureFabric(), _CaptureFabric()
-        scalar = _translator(scalar_fabric)
-        batch = _translator(batch_fabric)
-        for key, amount in items:
-            scalar.increment(key, amount)
-        batch.increment_many(items)
-        assert batch_fabric.frames == scalar_fabric.frames
-        assert batch.psn == scalar.psn
-
     def test_sketch_merge_scalar_and_columnar_parity(self):
         import numpy as np
 

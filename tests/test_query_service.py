@@ -351,6 +351,27 @@ class TestFanoutHealthRegression:
         assert not healed.cached
         assert healed.answer.complete
 
+    def test_a_sweep_counts_its_rows_with_one_inc_per_family(self, registry, fleet, monkeypatch):
+        """``queries_total`` and ``queries_answered`` equal the sweep's row
+        counts, answered and not, each moved by a single ``inc``."""
+        service = QueryService(fleet)
+        keys = [f"flow-{i}" for i in range(16)] + [f"absent-{i}" for i in range(8)]
+        incs = []
+        monkeypatch.setattr(
+            type(service.c_requests), "inc",
+            lambda counter, amount=1, _inc=type(service.c_requests).inc: (
+                incs.append(counter.name), _inc(counter, amount)
+            ),
+        )
+        rows = service.serve("select value from keys", keys=keys, use_cache=False).answer.rows
+        answered = sum(1 for row in rows if row["answered"])
+        assert len(rows) == len(keys) and 0 < answered < len(rows)
+        total = registry.samples("queries_total")
+        answered_series = registry.samples("queries_answered")
+        assert [metric.value for _labels, metric in total] == [len(rows)]
+        assert [metric.value for _labels, metric in answered_series] == [answered]
+        assert incs.count("queries_total") == incs.count("queries_answered") == 1
+
     def test_keys_fanout_threads_per_policy_success(self, registry, fleet):
         service = QueryService(fleet)
         service.serve("select value from keys", tenant="ops")
