@@ -222,23 +222,21 @@ class Fabric:
     # Hooks for subclasses
     # ------------------------------------------------------------------
 
-    def _observe_offered(self, frame: bytes) -> None:
-        """Record one offered frame's size (skipped when metrics are off)."""
-        histogram = self._h_frame_bytes
-        if histogram.enabled:
-            histogram.observe(len(frame))
-
     def _flush_endpoint(self, endpoint_id: int) -> int:
         """Deliver frames in flight toward one endpoint (default: none)."""
         return 0
 
     def _deliver(self, endpoint_id: int, frame: bytes) -> bool:
         """Hand one frame to the endpoint port, keeping the counters exact."""
+        try:
+            port = self._ports[endpoint_id]
+        except KeyError:
+            port = self.port(endpoint_id)  # raises, naming the attached IDs
         timer = self._t_deliver
         profiled = timer.profiler is not None
         if profiled:
             started = timer.start()
-        executed = self.port(endpoint_id).receive_frame(frame)
+        executed = port.receive_frame(frame)
         if profiled:
             timer.stop(started)
         counters = self.counters
@@ -317,15 +315,16 @@ class InlineFabric(Fabric):
     def send(self, endpoint_id: int, frame: bytes) -> bool:
         """Deliver one frame now; returns whether it was executed."""
         self.counters.c_offered.inc()
-        self._observe_offered(frame)
+        self._h_frame_bytes.observe(len(frame))
         return self._deliver(endpoint_id, frame)
 
     def send_batch(self, batch: FrameBatch) -> int:
         """Deliver a columnar batch now, endpoint by endpoint.
 
         Frames for the same endpoint arrive in emission order (the PSN
-        contract); the common single-collector batch delivers with zero
-        copies.
+        contract) with zero copies: the whole batch, or each endpoint's
+        rows as a view the port borrows when they are one run (a READ
+        pass's matrix).  Only interleaved rows are copied out.
         """
         count = batch.count
         self.counters.c_offered.inc(count)
@@ -337,7 +336,12 @@ class InlineFabric(Fabric):
                 return self._deliver_batch(endpoint, batch)
             executed = 0
             for endpoint_id, rows in batch.groups():
-                sub = batch.select(rows)
+                start, stop = int(rows[0]), int(rows[-1]) + 1
+                if stop - start == len(rows):  # a view, no lease: the port only borrows it
+                    sub = FrameBatch(batch.frames[start:stop], batch.endpoint_ids[start:stop])
+                    sub.trace_ctx = batch.trace_ctx
+                else:
+                    sub = batch.select(rows)
                 try:
                     executed += self._deliver_batch(endpoint_id, sub)
                 finally:
@@ -417,9 +421,10 @@ class BufferedFabric(Fabric):
 
     def send(self, endpoint_id: int, frame: bytes) -> Optional[bool]:
         """Queue one frame; delivery happens at the next (auto-)flush."""
-        self.port(endpoint_id)  # fail fast on unknown endpoints
+        if endpoint_id not in self._ports:
+            self.port(endpoint_id)  # fail fast on unknown endpoints
         self.counters.c_offered.inc()
-        self._observe_offered(frame)
+        self._h_frame_bytes.observe(len(frame))
         self._queues.setdefault(endpoint_id, deque()).append(frame)
         self._note_enqueued(endpoint_id, 1)
         return None

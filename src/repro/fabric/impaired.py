@@ -139,7 +139,7 @@ class ImpairedFabric(Fabric):
         """
         counters = self.counters
         counters.c_offered.inc()
-        self._observe_offered(frame)
+        self._h_frame_bytes.observe(len(frame))
         tracer = self._tracer
         copies = self._impair(endpoint_id in self._held)
         if copies == 0:

@@ -110,9 +110,10 @@ def fold_key(key: Key) -> int:
     encoding plus chunk mixing) and it does not depend on the function
     index, so batch paths compute it once per key and finish each family
     member with the cheap :meth:`HashFamily.hash_folded` mix.  By
-    construction ``hash_folded(fold_key(k), i) == hash_key(k, i)``.
+    construction ``hash_folded(fold_key(k), i) == hash_key(k, i)``.  Bytes
+    encode as themselves, so a key handed over encoded folds as it is.
     """
-    return _fold_bytes(stable_key_bytes(key))
+    return _fold_bytes(key if type(key) is bytes else stable_key_bytes(key))
 
 
 def _fold_bytes(data: bytes) -> int:

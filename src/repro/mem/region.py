@@ -82,25 +82,20 @@ class MemoryRegion:
     # Address translation and validation
     # ------------------------------------------------------------------
 
-    def contains(self, address: int, length: int) -> bool:
-        """Whether ``[address, address + length)`` lies inside the region."""
-        return (
-            length >= 0
-            and address >= self.base_address
-            and address + length <= self.base_address + self.size
-        )
-
     def _offset(self, address: int, length: int, rkey: Optional[int]) -> int:
+        """The region offset of ``[address, address + length)``, which must
+        lie inside the region, under ``rkey`` (if given) the region's."""
         if rkey is not None and rkey != self.rkey:
             raise RegionAccessError(
                 f"rkey {rkey:#x} does not match region rkey {self.rkey:#x}"
             )
-        if not self.contains(address, length):
+        offset = address - self.base_address
+        if not 0 <= offset <= offset + length <= self.size:
             raise RegionAccessError(
                 f"access [{address:#x}, +{length}) outside region "
                 f"[{self.base_address:#x}, +{self.size})"
             )
-        return address - self.base_address
+        return offset
 
     def _windows(self, width: int) -> np.ndarray:
         """A strided view whose row ``o`` is ``buffer[o : o + width]``.
@@ -118,14 +113,18 @@ class MemoryRegion:
     # ------------------------------------------------------------------
 
     def dma_write(self, address: int, payload: bytes, rkey: Optional[int] = None) -> None:
-        """Write ``payload`` at virtual ``address`` (RDMA WRITE semantics)."""
-        offset = self._offset(address, len(payload), rkey)
-        end = offset + len(payload)
+        """Write ``payload`` at virtual ``address`` (RDMA WRITE semantics),
+        :meth:`_offset`'s checks inline (same order, same errors)."""
+        length = len(payload)
+        offset = address - self.base_address
+        end = offset + length
+        if (rkey is not None and rkey != self.rkey) or not 0 <= offset <= end <= self.size:
+            self._offset(address, length, rkey)  # raises the error it describes
         if self._track_overwrites and any(self._buffer[offset:end]):
             self.c_slot_overwrites.inc()
         self._buffer[offset:end] = payload
         self.c_writes.inc()
-        self.c_bytes_written.inc(len(payload))
+        self.c_bytes_written.inc(length)
 
     def dma_read(self, address: int, length: int, rkey: Optional[int] = None) -> bytes:
         """Read ``length`` bytes at virtual ``address`` (RDMA READ semantics)."""

@@ -51,9 +51,8 @@ from repro.rdma.packets import (
     PacketDecodeError,
     Reth,
     RoceV2Packet,
-    frame_fields,
+    decode_frame,
     header_plan,
-    received_plan,
 )
 from repro.rdma.qp import PSN_MODULUS, psn_run
 
@@ -206,12 +205,11 @@ class ResponseDemux:
 
     def _file_frame(self, frame: bytes) -> int:
         """Decode and file one response frame (the scalar reference)."""
-        plan = received_plan(frame)
-        if plan is None:
+        decoded = decode_frame(frame)
+        if decoded is None:
             self.c_dropped_decode.inc()
             return 0
-        opcode, dest_qp, end = plan
-        psn, *_fields, payload = frame_fields(frame, opcode, end)
+        opcode, dest_qp, psn, _fields, payload = decoded
         self._inboxes.setdefault(dest_qp, []).append(ResponseFrame(opcode, psn, payload))
         return 1
 
@@ -225,7 +223,7 @@ class ResponseDemux:
         which files or drops it on its own terms.
         """
         try:  # row 0's plan; an empty matrix has none
-            opcode, qp_number, end = header_plan(frames[:1].tobytes())
+            opcode, qp_number, end, *_ = header_plan(frames[:1].tobytes())
         except PacketDecodeError:
             opcode = end = None
         if opcode == Opcode.RC_RDMA_READ_RESPONSE_ONLY and end == frames.shape[1]:

@@ -44,7 +44,7 @@ from repro.rdma.layout import (
     span,
     writer,
 )
-from repro.rdma.packets import _icrc_image
+from repro.rdma.packets import _ICRC_SEED, _icrc_image
 
 # ---------------------------------------------------------------------------
 # Wire geometry, derived from the layout's field tables.
@@ -86,9 +86,6 @@ _MASKED_COLUMNS = np.array(ICRC_MASKED_COLUMNS)
 #: is sender-chosen (a READ's addresses and length, and so a response's
 #: width); a deployment has far fewer.
 TEMPLATE_MEMO_SIZE = 256
-
-#: The CRC of the iCRC image's 0xFF prefix: every row's CRC chains from it.
-_ICRC_SEED = zlib.crc32(b"\xff" * ICRC_PREFIX_BYTES)
 
 
 def frame_width(payload_bytes: int) -> int:

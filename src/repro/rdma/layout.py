@@ -209,12 +209,13 @@ def picker(*names: str) -> struct.Struct:
 #: LRH/GRH fields of the InfiniBand original.
 ICRC_PREFIX_BYTES = 8
 
+#: The fields the RoCEv2 annex masks in the iCRC (forces to 0xFF in its
+#: image) because they mutate in flight.
+ICRC_MASKED_FIELDS = (
+    "ipv4.dscp_ecn", "ipv4.ttl", "ipv4.checksum", "udp.checksum", "bth.resv8a"
+)
 #: Columns of the iCRC image -- the prefix, then the frame from the IPv4
-#: header up to the iCRC -- that the RoCEv2 annex forces to 0xFF because
-#: they mutate in flight.
+#: header up to the iCRC -- that :data:`ICRC_MASKED_FIELDS` occupy.
 ICRC_MASKED_COLUMNS = tuple(
-    ICRC_PREFIX_BYTES + column - IPV4.offset
-    for column in columns(
-        "ipv4.dscp_ecn", "ipv4.ttl", "ipv4.checksum", "udp.checksum", "bth.resv8a"
-    )
+    ICRC_PREFIX_BYTES + column - IPV4.offset for column in columns(*ICRC_MASKED_FIELDS)
 )

@@ -50,10 +50,9 @@ from repro.rdma.packets import (
     UdpHeader,
     _ipv4_str,
     _mac_str,
-    frame_fields,
+    decode_frame,
     header_plan,
     opcode_has_atomic_eth,
-    received_plan,
 )
 from repro.rdma.qp import PSN_MODULUS, QueuePair, psn_run
 
@@ -196,21 +195,21 @@ class RdmaNic:
     def receive_frame(self, frame: bytes) -> bool:
         """Ingest one wire frame; returns whether it was executed.
 
-        This is the *entire* collection fast path: the frame's memoised
-        header plan and its own iCRC (:func:`~repro.rdma.packets.received_plan`),
-        QP lookup, PSN acceptance, then the DMA its flat fields describe.
+        This is the *entire* collection fast path: one pass decodes the
+        frame and checks its iCRC (:func:`~repro.rdma.packets.decode_frame`),
+        then QP lookup, PSN acceptance and the DMA its fields describe.
         """
         self.counters.c_received.inc()
         timer = self._t_ingest
         profiled = timer.profiler is not None
         if profiled:
             started = timer.start()
-        plan = received_plan(frame)
-        if plan is None:
+        decoded = decode_frame(frame)
+        if decoded is None:
             self.counters.c_dropped_decode.inc()
             executed, detail, status = False, "dropped:decode", "drop"
         else:
-            executed = self._execute(frame, *plan)
+            executed = self._execute(frame, *decoded)
             detail, status = "executed" if executed else "dropped", "ok"
         if self._tracer.enabled:
             self._tracer.frame_span(frame, "nic.ingest", detail, status=status)
@@ -218,9 +217,8 @@ class RdmaNic:
             timer.stop(started)
         return executed
 
-    def _execute(self, frame: bytes, opcode: int, dest_qp: int, end: int) -> bool:
-        """Apply a decoded frame: QP lookup, PSN acceptance, then the verb."""
-        psn, *fields, payload = frame_fields(frame, opcode, end)
+    def _execute(self, frame: bytes, opcode: int, dest_qp: int, psn: int, fields, payload) -> bool:
+        """Apply a :func:`~repro.rdma.packets.decode_frame` result: QP, PSN, the verb."""
         counters = self.counters
         qp = self._queue_pairs.get(dest_qp)
         if qp is None:
@@ -232,7 +230,7 @@ class RdmaNic:
         region = self.region
         try:
             if opcode in _WRITE_OPCODES:
-                address, rkey, length = fields
+                _psn, address, rkey, length = fields
                 if length != len(payload):
                     counters.c_dropped_decode.inc()
                     return False
@@ -240,7 +238,7 @@ class RdmaNic:
                 counters.c_writes.inc()
                 return True
             if opcode == Opcode.RC_RDMA_READ_REQUEST:
-                address, rkey, length = fields
+                _psn, address, rkey, length = fields
                 if length > _MAX_READ_BYTES:  # refused before the DMA
                     counters.c_dropped_opcode.inc()
                     return False
@@ -249,7 +247,7 @@ class RdmaNic:
                 self._enqueue_response(frame, psn, qp, Opcode.RC_RDMA_READ_RESPONSE_ONLY, data)
                 return True
             if opcode_has_atomic_eth(opcode):
-                address, rkey, swap_add, compare = fields
+                _psn, address, rkey, swap_add, compare = fields
                 if opcode == Opcode.RC_FETCH_ADD:
                     original = region.dma_fetch_add(address, swap_add, rkey=rkey)
                 else:
@@ -296,7 +294,7 @@ class RdmaNic:
         if shape is None:  # first sight of these uniform bytes, which fix it all
             first = frames[0].tobytes()
             try:
-                opcode, qp_number, end = header_plan(first)
+                opcode, qp_number, end, read, *_ = header_plan(first)
             except PacketDecodeError:  # not memoised, as header_plan does not
                 return None
             if len(self._shapes) >= TEMPLATE_MEMO_SIZE:
@@ -304,7 +302,7 @@ class RdmaNic:
             # (QP, rkey, RETH length or an addend no branch reads, reflected
             # fields), or () when trailing bytes are the scalar path's to judge.
             shape = self._shapes[key] = end == width and (
-                qp_number, *frame_fields(first, opcode, end)[2:4], _REFLECTED.unpack_from(first)
+                qp_number, *read(first, _PSN.start)[2:4], _REFLECTED.unpack_from(first)
             ) or ()
         if not shape:
             return None

@@ -22,7 +22,7 @@ import zlib
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.rdma.layout import (
     AETH,
@@ -36,6 +36,7 @@ from repro.rdma.layout import (
     ICRC_PREFIX_BYTES,
     IP_PROTO_UDP,
     IPV4,
+    ICRC_MASKED_FIELDS,
     IPV4_VERSION_IHL,
     RETH,
     ROCEV2_UDP_PORT,
@@ -605,16 +606,21 @@ PLAN_FIELDS = (
     "eth.ethertype", "ipv4.version_ihl", "ipv4.total_length", "ipv4.protocol",
     "udp.dst_port", "bth.opcode", "bth.dest_qp",
 )
-_PLAN_KEY = picker(*PLAN_FIELDS)
-_PLANS: Dict[tuple, Tuple[int, int, int]] = {}
+#: A plan's key: those fields and the ones the iCRC masks, in wire order.
+_PLAN_KEY = picker(*sorted(PLAN_FIELDS + ICRC_MASKED_FIELDS, key=lambda name: span(name)[0]))
+_PLANS: Dict[tuple, tuple] = {}
+_PSN_AT = span("bth.psn")[0]
+#: The CRC of the iCRC image's 0xFF prefix: a frame's own bytes chain from it.
+_ICRC_SEED = zlib.crc32(_ICRC_PREFIX)
 
 
-def header_plan(frame) -> Tuple[int, int, int]:
-    """``(opcode, dest_qp, end)`` of ``frame``'s header, ``end`` the frame
-    offset one past its IPv4 datagram, memoised on the bytes it depends on.
-
-    A miss runs :meth:`RoceV2Packet.unpack`'s structural checks and raises
-    its :class:`PacketDecodeError`; a failure is never memoised.
+def header_plan(frame) -> tuple:
+    """``(opcode, dest_qp, end, read, cut, intact)`` of ``frame``'s header,
+    memoised on the bytes it depends on: the end of its IPv4 datagram, its
+    field reader, its payload's start and the CRC of an intact frame's bytes
+    from IPv4 through iCRC (one per key: DESIGN.md, "Header plans").  A miss
+    runs ``unpack``'s structural checks (a failure raises, never memoised)
+    and the image-built iCRC.
     """
     size = len(frame)
     # Shorter frames cannot hold a BTH: unpack raises before the key is needed.
@@ -622,40 +628,36 @@ def header_plan(frame) -> Tuple[int, int, int]:
     plan = _PLANS.get(key)
     if plan is None:
         packet = RoceV2Packet.unpack(frame, validate_icrc=False)
+        opcode, end = packet.bth.opcode, _IP_OFF + packet.ipv4.total_length
+        covered, extension = frame[_IP_OFF : end - ICRC.size], _EXTENSIONS.get(opcode)
+        # The PSN and a request header's fields in one read (no receiver acts on an AETH's).
+        request = extension.fields if extension in (RETH, ATOMIC_ETH) else ()
+        read = packer("bth.psn", *(f"{extension.name}.{field.name}" for field in request))
         if len(_PLANS) >= ADDRESS_MEMO_SIZE:
             _PLANS.clear()
         plan = _PLANS[key] = (
-            packet.bth.opcode, packet.bth.dest_qp, _IP_OFF + packet.ipv4.total_length
+            opcode, packet.bth.dest_qp, end, read.unpack_from,
+            extension.end if extension else _EXT_OFF,
+            zlib.crc32(_ICRC.pack(_icrc_of_wire(covered)), zlib.crc32(covered, _ICRC_SEED)),
         )
     return plan
 
 
-def received_plan(frame) -> Optional[Tuple[int, int, int]]:
-    """:func:`header_plan` of a frame whose iCRC also matches its bytes as
-    received; None if the frame fails either check."""
-    try:
-        plan = header_plan(frame)
-    except PacketDecodeError:
+def decode_frame(frame) -> Optional[tuple]:
+    """``(opcode, dest_qp, psn, fields, payload)`` of a frame that passes
+    every check ``unpack`` makes, its iCRC included, else None; ``fields``
+    is the PSN's bytes, then any RETH or AtomicETH fields.  On a plan hit:
+    one key read, one ``crc32``, one compare and one field read.
+    """
+    size = len(frame)
+    plan = _PLANS.get((size, _PLAN_KEY.unpack_from(frame)) if size >= _EXT_OFF else None)
+    if plan is None:
+        try:
+            plan = header_plan(frame)
+        except PacketDecodeError:
+            return None
+    opcode, dest_qp, end, read, cut, intact = plan
+    if zlib.crc32(frame[_IP_OFF:end], _ICRC_SEED) != intact:
         return None
-    at = plan[2] - ICRC.size
-    return plan if _ICRC.unpack_from(frame, at)[0] == _icrc_of_wire(frame[_IP_OFF:at]) else None
-
-
-#: The PSN and a request header's fields as one read.  An AETH's fields
-#: are not read, as no receiver here acts on them.
-_FIELD_READERS = {
-    header: packer("bth.psn", *(f"{header.name}.{field.name}" for field in header.fields))
-    for header in (RETH, ATOMIC_ETH)
-}
-_PSN = packer("bth.psn")
-_PSN_AT = span("bth.psn")[0]
-
-
-def frame_fields(frame, opcode: int, end: int) -> tuple:
-    """``(psn, *RETH or AtomicETH fields, payload)`` of a frame
-    :func:`header_plan` passed: one ``struct`` read, then the payload up to
-    the iCRC, as :meth:`RoceV2Packet.unpack` cuts it."""
-    extension = _EXTENSIONS.get(opcode)
-    psn, *fields = _FIELD_READERS.get(extension, _PSN).unpack_from(frame, _PSN_AT)
-    payload_at = extension.end if extension else _EXT_OFF
-    return (int.from_bytes(psn, "big"), *fields, frame[payload_at : end - ICRC.size])
+    fields = read(frame, _PSN_AT)
+    return opcode, dest_qp, int.from_bytes(fields[0], "big"), fields, frame[cut : end - ICRC.size]

@@ -18,13 +18,13 @@ it; the NIC model on the other end validates it byte-for-byte.
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.collector.collector import CollectorEndpoint
-from repro.core.addressing import DartAddressing, ResolvedKey
+from repro.core.addressing import DartAddressing
 from repro.core.batch import ReportBatch
 from repro.core.config import DartConfig
 from repro.fabric.fabric import Fabric
@@ -120,6 +120,8 @@ class DartSwitch:
         #: Each role's report plan (role -> plan): what both granularities
         #: stamp, built with the row by the table's one writer.
         self._report_plans: Dict[int, FramePlan] = {}
+        #: Each role's PSN cell as a read-then-add, bound with the row.
+        self._next_psns: Dict[int, Callable[[int], int]] = {}
 
         self.src_mac = (
             f"02:00:{(switch_id >> 24) & 0xFF:02x}:{(switch_id >> 16) & 0xFF:02x}:"
@@ -177,6 +179,7 @@ class DartSwitch:
             "udp.src_port", "bth.psn", "reth.virtual_address",
         )
         self.psn_registers.write(collector_id, initial_psn)
+        self._next_psns[collector_id] = self.psn_registers.incrementer(collector_id)
         self.endpoint_epochs[collector_id] = epoch
         self._serving_nodes[collector_id] = node_id
 
@@ -226,36 +229,6 @@ class DartSwitch:
     # Data-plane: report crafting
     # ------------------------------------------------------------------
 
-    def _craft_frames(
-        self, resolved: ResolvedKey, value: bytes, copy_indexes: Iterable[int]
-    ) -> List[Tuple[int, bytes]]:
-        """The RoCEv2 WRITE frames of a resolved report, one per copy index.
-
-        Every copy goes to the one collector the key resolved to, so the
-        lookup, the source port and the payload are per event (the role's
-        plan fixes them into one frame); only the PSN and the slot address
-        are per copy (each copy finishes that frame).  Everything the
-        endpoint fixes comes from the role's plan.
-        """
-        collector_id, checksum, slot_indexes = resolved
-        # The data-plane lookup: a miss drops.
-        base_address = self._endpoint(collector_id)["base_address"]
-        plan = self._report_plans[collector_id]
-        # ECMP entropy from the key, as requester NICs vary the source port.
-        event = plan.fix(
-            _UDP_SRC_BASE | (checksum & 0x3FFF), payload=self._codec.encode(checksum, value)
-        )
-        next_psn = self.psn_registers.read_and_increment
-        config, frames = self.config, []
-        redundancy, slot_bytes = config.redundancy, config.slot_bytes
-        for copy_index in copy_indexes:
-            if not 0 <= copy_index < redundancy:
-                raise ValueError(f"copy_index {copy_index} outside [0, {redundancy})")
-            psn = next_psn(collector_id) % PSN_MODULUS
-            address = base_address + slot_indexes[copy_index] * slot_bytes
-            frames.append((collector_id, plan.finish(event, psn, address)))
-        return frames
-
     def _endpoint(self, collector_id: int) -> Dict[str, Any]:
         """The collector lookup table's endpoint for ``collector_id`` (one
         data-plane lookup); a miss counts a drop and raises LookupError."""
@@ -265,50 +238,59 @@ class DartSwitch:
             raise LookupError(f"no collector lookup entry for collector {collector_id}")
         return lookup[1]
 
-    def _mirror_and_resolve(self, key: Key, value: bytes) -> ResolvedKey:
-        """Clone the event into egress and resolve its key: one encoding, one fold.
+    def report(
+        self, key: Key, value: bytes, copy_index: Optional[int] = None
+    ) -> List[Tuple[int, bytes]]:
+        """Emit the full redundant report: one frame per copy index (only
+        copy ``copy_index``'s when one is given).
 
-        The mirror clone carries key + raw data; the canonical key bytes it
-        needs are themselves a key that folds identically (``bytes`` encode
-        as themselves), so addressing resolves them instead of re-encoding.
+        RDMA supports only one memory instruction per packet, so filling
+        all N slots requires N packets (paper section 3.1).  One pass, as
+        the section 6 egress is: mirror, resolve, the data-plane lookup,
+        the row's plan fixed once per event and finished once per copy,
+        counters and trace; the plan and PSN cell were bound at install.
+        Kept beside :meth:`encode_batch`: a batch of one costs about 6x
+        (DESIGN.md, "Batch of one").
         """
+        counters = self.counters
+        counters.c_events.inc()
+        # The clone and the fold share the key's one encoding.
         key_bytes = stable_key_bytes(key)
         self.mirror.clone(key_bytes + value)
-        return self.addressing.resolve(key_bytes)
-
-    def _emit(
-        self, key: Key, value: bytes, copy_indexes: Iterable[int], noun: str, shown: int
-    ) -> List[Tuple[int, bytes]]:
-        """One event's frames for ``copy_indexes``, counted and traced
-        (the span detail reads ``<noun>=<shown>``)."""
-        self.counters.c_events.inc()
-        frames = self._craft_frames(self._mirror_and_resolve(key, value), value, copy_indexes)
-        self.counters.c_reports.inc(len(frames))
+        collector_id, checksum, slot_indexes = self.addressing.resolve(key_bytes)
+        base_address = self._endpoint(collector_id)["base_address"]
+        config = self.config
+        redundancy = config.redundancy
+        if copy_index is None:
+            copies = range(redundancy)
+        elif 0 <= copy_index < redundancy:
+            copies = (copy_index,)
+        else:
+            raise ValueError(f"copy_index {copy_index} outside [0, {redundancy})")
+        plan = self._report_plans[collector_id]
+        # ECMP entropy from the key, as requester NICs vary the source port.
+        event = plan.fix(
+            _UDP_SRC_BASE | (checksum & 0x3FFF), payload=self._codec.encode(checksum, value)
+        )
+        psn = self._next_psns[collector_id](len(copies))
+        slot_bytes, frames = config.slot_bytes, []
+        for copy in copies:
+            frames.append((collector_id, plan.finish(
+                event, psn % PSN_MODULUS, base_address + slot_indexes[copy] * slot_bytes
+            )))
+            psn += 1
+        counters.c_reports.inc(len(frames))
         tracer = self._tracer
         if tracer.enabled:
             trace_id = tracer.begin("switch_report", key=repr(key))
-            tracer.span(
-                trace_id,
-                "switch.report",
-                f"switch={self.switch_id} {noun}={shown}",
-            )
+            shown = f"copies={redundancy}" if copy_index is None else f"copy={copy_index}"
+            tracer.span(trace_id, "switch.report", f"switch={self.switch_id} {shown}")
             for _collector_id, frame in frames:
                 tracer.bind_frame(frame, trace_id)
             # All bindings are made: the trace seals once the last frame
             # reaches (or is dropped by) the fabric.
             tracer.end(trace_id)
         return frames
-
-    def report(self, key: Key, value: bytes) -> List[Tuple[int, bytes]]:
-        """Emit the full redundant report: one frame per copy index.
-
-        RDMA supports only one memory instruction per packet, so filling
-        all N slots requires N packets (paper section 3.1); this models the
-        switch generating all of them for one telemetry event.  Kept beside
-        :meth:`encode_batch`: a batch of one costs about 5x (DESIGN.md, "Batch of one").
-        """
-        redundancy = self.config.redundancy
-        return self._emit(key, value, range(redundancy), "copies", redundancy)
 
     def report_single(self, key: Key, value: bytes) -> Tuple[int, bytes]:
         """Emit one frame with an RNG-chosen copy index.
@@ -317,8 +299,7 @@ class DartSwitch:
         Tofino RNG picks n per mirrored report packet, and repeated events
         for the same key gradually fill the N slots.
         """
-        copy_index = self.rng.next(self.config.redundancy)
-        return self._emit(key, value, (copy_index,), "copy", copy_index)[0]
+        return self.report(key, value, self.rng.next(self.config.redundancy))[0]
 
     # ------------------------------------------------------------------
     # Data-plane: columnar report crafting
@@ -416,11 +397,12 @@ class DartSwitch:
         retransmit state: the fire-and-forget contract of the hardware
         prototype.
         """
-        send = self._bound_fabric().send
-        return sum(
-            send(collector_id, frame) is not False
-            for collector_id, frame in self.report(key, value)
-        )
+        send = (self.fabric or self._bound_fabric()).send
+        sent = 0
+        for collector_id, frame in self.report(key, value):
+            if send(collector_id, frame) is not False:
+                sent += 1
+        return sent
 
     def report_batch_into(
         self, items: Iterable[Tuple[Key, bytes]]

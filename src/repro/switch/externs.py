@@ -13,7 +13,7 @@ in :mod:`repro.rdma.packets`.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro import obs
 
@@ -61,6 +61,18 @@ class RegisterArray:
         value = self._cells[index]
         self._cells[index] = (value + 1) & self._mask
         return value
+
+    def incrementer(self, index: int) -> Callable[[int], int]:
+        """Cell ``index``'s read-then-add of a count, its index checked once, here."""
+        self._check_index(index)
+        cells, mask = self._cells, self._mask
+
+        def read_and_add(count: int) -> int:
+            value = cells[index]
+            cells[index] = (value + count) & mask
+            return value
+
+        return read_and_add
 
     @property
     def sram_bytes(self) -> int:

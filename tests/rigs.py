@@ -42,7 +42,7 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 #: and the frame body that stamps one frame from a plan.
 TEMPLATE_SITES = [
     (SRC / "switch" / "dart_switch.py", "DartSwitch.install_collector", "encode_batch",
-     "_craft_frames"),
+     "report"),
     (SRC / "primitives" / "translator.py", "PrimitiveTranslator.__init__",
      "_encode_fetch_add_batch", "craft_fetch_add"),
     (SRC / "primitives" / "translator.py", "AppendTranslator.__init__", "append_many",

@@ -37,9 +37,11 @@ from repro.network.flows import FlowGenerator
 from repro.rdma.frames import FrameBatch
 from repro.network.packet_sim import PacketLevelIntNetwork
 from repro.network.topology import FatTreeTopology
+from repro.primitives.clients import OneSidedReader
+from repro.primitives.translator import ResponseDemux
 from repro.switch.dart_switch import DartSwitch
 
-from .rigs import PUT_MANY_INPUTS, RecordingPort, assert_same_store_state
+from .rigs import PUT_MANY_INPUTS, RecordingPort, assert_same_store_state, nic_state
 
 
 def small_config(**overrides):
@@ -105,6 +107,56 @@ class TestInlineFabric:
         fabric.attach(0, port)
         assert fabric.poll(0) == [b"resp"]
         assert fabric.poll(0) == []
+
+
+    def test_contiguous_runs_deliver_as_borrowed_views(self):
+        """A 4-run READ matrix (one run per collector, a sweep's shape)
+        reaches each port as a view of its rows: no pool buffer is taken
+        for it, every lease goes back, and each NIC and demux ends as the
+        copying ``select`` delivery leaves it."""
+
+        def deployment():
+            config = DartConfig(slots_per_collector=64, num_collectors=4, seed=5)
+            cluster = CollectorCluster(config)
+            fabric = cluster.attach_to(InlineFabric())
+            readers = [
+                OneSidedReader(fabric, role, cluster.node(role).nic, 0xC00 + role,
+                               ResponseDemux(), cluster.node(role).region.rkey)
+                for role in range(4)
+            ]
+            runs = [
+                (reader, [cluster.node(role).region.base_address + 24 * slot
+                          for slot in range(3 + role)])
+                for role, reader in enumerate(readers)
+            ]
+            return cluster, fabric, readers, OneSidedReader._read_run_batch(runs, 24)
+
+        def outcome(cluster, fabric, readers):
+            filed = []
+            for reader in readers:
+                reader.demux.poll(fabric, reader.endpoint_id)
+                filed.append([
+                    (rows.psns.tolist(), rows.payloads.tolist())
+                    for rows in reader.demux.take(reader.qp.qp_number)
+                ])
+            return [nic_state(node.nic) for node in cluster], filed
+
+        cluster, fabric, readers, batch = deployment()
+        pool = readers[0]._pool
+        allocations = pool.allocations
+        assert len(list(batch.groups())) == 4
+        assert fabric.send_batch(batch) == 3 + 4 + 5 + 6
+        assert pool.allocations == allocations and pool.in_flight == 0
+        borrowed = outcome(cluster, fabric, readers)
+
+        cluster, fabric, readers, batch = deployment()
+        for endpoint_id, rows in batch.groups():
+            sub = batch.select(rows)
+            fabric._deliver_batch(endpoint_id, sub)
+            sub.release()
+        batch.release()
+        assert borrowed == outcome(cluster, fabric, readers)
+        assert all(files for files in borrowed[1])
 
 
 class TestBufferedFabric:

@@ -130,7 +130,7 @@ def oracle(opcode, qp, psn=0, **headers):
 
 
 def encode_report(draw):
-    """``DartSwitch``: ``_craft_frames`` per report and ``encode_batch`` of the
+    """``DartSwitch``: ``report`` per report and ``encode_batch`` of the
     run on twin switches; the installed plan driven by ``stamp`` and by
     ``fix()`` + ``finish`` must give each frame too."""
     config = DartConfig(
@@ -158,7 +158,7 @@ def encode_report(draw):
         endpoint, plan = endpoints[role], framer._report_plans[role]
         port = 0xC000 | (checksum & 0x3FFF)
         payload = config.slot_codec().encode(checksum, value)
-        crafted = framer._craft_frames(resolved, value, range(config.redundancy))
+        crafted = framer.report(key, value)
         for slot, (crafted_role, frame) in zip(slot_indexes, crafted):
             psn, va = psns[role] % PSN_MODULUS, endpoint.base_address + slot * config.slot_bytes
             psns[role] += 1

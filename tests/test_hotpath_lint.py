@@ -21,7 +21,8 @@ API-level batch entry points that ride the columnar path --
 
 The receivers (the NIC and the response demux) decode every frame
 through its memoised header plan: no ``RoceV2Packet.unpack`` or
-``header_mask`` call in them.
+``header_mask`` call in them, and a frame body decodes in one pass
+(``decode_frame``), with no plan, field or iCRC-image step of its own.
 
 The second half pins where the RoCEv2 wire format is written down: one
 module (``repro.rdma.layout``) states offsets and widths, everything else
@@ -196,14 +197,24 @@ def test_read_batch_bodies_build_no_packets():
 #: when the lookup row is installed (its ``FramePlan``); per event the body
 #: looks the row up and patches.  No plan, packet or slot-address derivation
 #: in it, and no dict built for a copy's fields.
-PER_EVENT_BODIES = [(SRC / "switch" / "dart_switch.py", "_craft_frames")]
+PER_EVENT_BODIES = [(SRC / "switch" / "dart_switch.py", "DartSwitch.report")]
 PER_EVENT_BANNED = {"FramePlan", "RoceV2Packet", "pack", "slot_address"}
+#: The per-frame receive bodies.  A received frame is decoded and its iCRC
+#: checked in one pass (``packets.decode_frame``), memoised on what its
+#: header fixes: no structural re-parse, field re-read, iCRC image or packet
+#: in them.
+PER_FRAME_RECEIVERS = [
+    (SRC / "rdma" / "nic.py", "RdmaNic.receive_frame"),
+    (SRC / "rdma" / "nic.py", "RdmaNic._execute"),
+    (SRC / "primitives" / "translator.py", "ResponseDemux._file_frame"),
+]
+PER_FRAME_BANNED = {"header_plan", "frame_fields", "_icrc_image", "RoceV2Packet", "unpack"}
 
 
-def _per_event_violations(function: ast.AST, path):
-    """Shape derivations and dict builds in one per-event body."""
+def _per_event_violations(function: ast.AST, path, banned=PER_EVENT_BANNED | {"dict"}):
+    """Banned calls, and dict builds, in one per-event body."""
     for node in ast.walk(function):
-        if isinstance(node, ast.Call) and _call_name(node) in PER_EVENT_BANNED | {"dict"}:
+        if isinstance(node, ast.Call) and _call_name(node) in banned:
             yield f"{path}:{node.lineno}: {function.name}() calls {_call_name(node)}(...)"
         elif isinstance(node, (ast.Dict, ast.DictComp)):
             yield f"{path}:{node.lineno}: {function.name}() builds a dict"
@@ -216,9 +227,16 @@ def test_per_event_report_body_derives_no_shape():
     assert not violations, "\n".join(violations)
 
 
+def test_per_frame_receive_bodies_decode_once():
+    violations = []
+    for path, name in PER_FRAME_RECEIVERS:
+        violations.extend(_per_event_violations(_function(path, name), path, PER_FRAME_BANNED))
+    assert not violations, "\n".join(violations)
+
+
 def test_per_event_lint_catches_seeded_violations():
     tree = ast.parse(
-        "def _craft_frames(self, resolved, value, copy_indexes):\n"
+        "def report(self, key, value, copy_index=None):\n"
         "    plan = FramePlan(self._endpoint(role), 'bth.psn')\n"
         "    for copy_index in copy_indexes:\n"
         "        fields = {'bth.psn': next_psn(role)}\n"
@@ -229,12 +247,30 @@ def test_per_event_lint_catches_seeded_violations():
     )
     flagged = list(_per_event_violations(tree.body[0], "seeded.py"))
     assert sorted(flagged) == sorted([
-        "seeded.py:2: _craft_frames() calls FramePlan(...)",
-        "seeded.py:4: _craft_frames() builds a dict",
-        "seeded.py:5: _craft_frames() calls slot_address(...)",
-        "seeded.py:6: _craft_frames() calls RoceV2Packet(...)",
-        "seeded.py:6: _craft_frames() calls pack(...)",
-        "seeded.py:7: _craft_frames() calls dict(...)",
+        "seeded.py:2: report() calls FramePlan(...)",
+        "seeded.py:4: report() builds a dict",
+        "seeded.py:5: report() calls slot_address(...)",
+        "seeded.py:6: report() calls RoceV2Packet(...)",
+        "seeded.py:6: report() calls pack(...)",
+        "seeded.py:7: report() calls dict(...)",
+    ])
+
+
+def test_per_frame_receive_lint_catches_seeded_violations():
+    tree = ast.parse(
+        "def receive_frame(self, frame):\n"
+        "    opcode, dest_qp, end = header_plan(frame)\n"
+        "    psn, *fields, payload = frame_fields(frame, opcode, end)\n"
+        "    crc = zlib.crc32(_icrc_image(frame[14:end - 4]))\n"
+        "    packet = RoceV2Packet.unpack(frame)\n"
+        "    decoded = decode_frame(frame)\n"
+    )
+    flagged = list(_per_event_violations(tree.body[0], "seeded.py", PER_FRAME_BANNED))
+    assert sorted(flagged) == sorted([
+        "seeded.py:2: receive_frame() calls header_plan(...)",
+        "seeded.py:3: receive_frame() calls frame_fields(...)",
+        "seeded.py:4: receive_frame() calls _icrc_image(...)",
+        "seeded.py:5: receive_frame() calls unpack(...)",
     ])
 
 
@@ -408,7 +444,7 @@ def test_one_scalar_icrc():
         if isinstance(call, ast.Call) and _call_name(call) == "_icrc_of_wire"
     )
     assert callers == [
-        "packets.py:compute_icrc", "packets.py:pack", "packets.py:received_plan",
+        "packets.py:compute_icrc", "packets.py:header_plan", "packets.py:pack",
         "packets.py:unpack",
     ]
 

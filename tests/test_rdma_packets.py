@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.collector.collector import CollectorEndpoint
 from repro.core.config import DartConfig
 from repro.mem.region import MemoryRegion
-from repro.primitives.translator import PrimitiveTranslator
+from repro.primitives.translator import PrimitiveTranslator, ResponseDemux
 from repro.rdma import frames, layout, nic as nic_module, packets, packets as live
 from repro.rdma.frames import _ICRC_SEED
 from repro.rdma.nic import RdmaNic
@@ -35,7 +35,7 @@ from repro.rdma.packets import (
     opcode_has_atomic_eth,
     opcode_has_reth,
 )
-from repro.rdma.qp import PSN_MODULUS
+from repro.rdma.qp import PSN_MODULUS, PsnPolicy, QueuePair
 from repro.switch.dart_switch import DartSwitch
 
 from . import reference_codec as reference
@@ -295,8 +295,10 @@ def test_mask_and_column_sets():
     # UDP dst port, opcode, QP -- never the UDP src port (34, 35) or the PSN.
     plan_key = [12, 13, 14, 16, 17, 23, 36, 37, 42, 47, 48, 49]
     assert layout.columns(*packets.PLAN_FIELDS) == plan_key
+    # Read with the masked fields (DSCP/ECN, TTL, both checksums, resv8a),
+    # which fix the iCRC check's constant, in wire order.
     assert packets._PLAN_KEY.unpack_from(bytes(range(50))) == (
-        0x0C0D, 14, 0x1011, 23, 0x2425, 42, bytes([47, 48, 49]),
+        0x0C0D, 14, 15, 0x1011, 22, 23, 0x1819, 0x2425, 0x2829, 42, 46, bytes([47, 48, 49]),
     )
     uniform = {opcode: cols.tolist() for opcode, cols in nic_module._UNIFORM_COLUMNS.items()}
     assert uniform == {
@@ -531,13 +533,13 @@ def test_live_codecs_match_the_reference(data):
 
 
 def plan_decode(wire: bytes):
-    """What the NIC and the demux read of ``wire`` through its header plan:
-    None if rejected, else ``(opcode, dest_qp, psn, request fields, payload)``."""
-    plan = live.received_plan(wire)
-    if plan is None:
+    """What the NIC and the demux read of ``wire`` through its one-pass
+    decode: None if rejected, else ``(opcode, dest_qp, psn, request fields,
+    payload)``."""
+    decoded = live.decode_frame(wire)
+    if decoded is None:
         return None
-    opcode, dest_qp, end = plan
-    psn, *fields, payload = live.frame_fields(wire, opcode, end)
+    opcode, dest_qp, psn, (_psn, *fields), payload = decoded
     return opcode, dest_qp, psn, tuple(fields), payload
 
 
@@ -595,6 +597,92 @@ def report_frame() -> bytes:
         0, CollectorEndpoint(0, "02:00:00:00:00:01", "10.0.0.1", 0x11, 0x42, 0x10000)
     )
     return switch.report(("flow", 1), b"v" * 20)[0][1]
+
+
+#: The WRITE :func:`report_frame` crafts (to QP 0x11 of region
+#: [0x10000, +4096) under rkey 0x42), and what the NIC executing it holds.
+WRITE = report_frame()
+WRITE_QP, WRITE_RKEY, WRITE_BASE = 0x11, 0x42, 0x10000
+MASKED_FIELDS = layout.ICRC_MASKED_FIELDS
+_write_masked = layout.writer(*MASKED_FIELDS)
+
+
+def write_nic():
+    nic = RdmaNic(MemoryRegion(4096, base_address=WRITE_BASE, rkey=WRITE_RKEY))
+    nic.create_queue_pair(QueuePair(qp_number=WRITE_QP, policy=PsnPolicy.IGNORE))
+    return nic
+
+
+def with_masked(wire: bytes, values) -> bytes:
+    frame = bytearray(wire)
+    _write_masked(frame, values)
+    return bytes(frame)
+
+
+masked_values = st.tuples(*(
+    st.integers(0, (1 << 8 * (layout.span(name)[1] - layout.span(name)[0])) - 1)
+    for name in MASKED_FIELDS
+))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=masked_values)
+def test_frames_differing_only_in_masked_fields_decode_alike(values):
+    """The five fields the iCRC masks may change in flight: such a frame is
+    accepted and read as the original is, on a memo miss and on its hit."""
+    wire = WRITE
+    variant = with_masked(wire, values)
+    assert live.decode_frame(variant) == live.decode_frame(variant) == live.decode_frame(wire)
+    nic = write_nic()
+    assert nic.receive_frame(variant) and nic.counters.writes_executed == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_bit_flip_the_icrc_covers_is_a_decode_drop(data):
+    """One flipped bit anywhere the iCRC covers unmasked, or in the iCRC
+    itself, drops the frame as undecodable: never executed, never another
+    drop reason, whichever of the memo's paths it takes."""
+    wire = WRITE
+    masked = {column for name in MASKED_FIELDS for column in range(*layout.span(name))}
+    column = data.draw(st.sampled_from(
+        [c for c in range(layout.IPV4.offset, len(wire)) if c not in masked]
+    ))
+    flipped = bytearray(wire)
+    flipped[column] ^= 1 << data.draw(st.integers(0, 7))
+    if data.draw(st.booleans()):
+        live._PLANS.clear()
+    nic = write_nic()
+    assert not nic.receive_frame(bytes(flipped))
+    assert nic.counters.dropped_decode == 1 == nic.counters.frames_dropped
+    assert nic.receive_frame(wire)  # the intact frame still lands after it
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_no_byte_string_makes_a_receiver_raise(data):
+    """Receivers take any bytes: arbitrary strings, and damaged or cut real
+    frames of every opcode, come back as a verdict, never an exception."""
+    if data.draw(st.booleans()):
+        frame = data.draw(st.binary(max_size=160))
+    else:
+        frame = data.draw(damage(data.draw(any_packets()).pack()))
+    nic, demux = write_nic(), ResponseDemux()
+    assert nic.receive_frame(frame) in (True, False)
+    assert demux._file_frame(frame) in (0, 1)
+    assert nic.counters.frames_received == 1
+
+
+def test_the_decode_memo_stays_bounded_under_masked_byte_variants():
+    """Masked bytes are part of the memo key: 1 000 variants of one frame
+    are 1 000 keys, every one accepted, and the memo never outgrows its
+    bound."""
+    wire = WRITE
+    expected = live.decode_frame(wire)
+    for index in range(1000):
+        variant = with_masked(wire, (index & 0xFF, index >> 8, index, 0, 0))
+        assert live.decode_frame(variant) == expected
+        assert 0 < len(live._PLANS) <= live.ADDRESS_MEMO_SIZE
 
 
 MEMOS = (live._mac_bytes, live._mac_text, live._ipv4_bytes, live._ipv4_text)

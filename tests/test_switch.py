@@ -292,10 +292,9 @@ class TestDartSwitch:
 
     def test_craft_frame_rejects_copy_index_out_of_range(self):
         config, _, switch = make_deployment()
-        resolved = switch.addressing.resolve(b"flow")
         for copy_index in (-1, config.redundancy):
             with pytest.raises(ValueError):
-                switch._craft_frames(resolved, b"telem", [copy_index])
+                switch.report(b"flow", b"telem", copy_index)
 
     def test_missing_collector_entry_raises(self):
         config = DartConfig(slots_per_collector=64, num_collectors=2)
